@@ -247,9 +247,7 @@ func BenchmarkDPIScan(b *testing.B) {
 func BenchmarkGFWProcessPacket(b *testing.B) {
 	sim := netem.NewSimulator(1)
 	dev := gfw.NewDevice("gfw", gfw.Config{Model: gfw.ModelEvolved2017, Keywords: []string{"ultrasurf"}}, sim.Rand())
-	path := &netem.Path{Sim: sim}
-	path.Hops = []*netem.Hop{{Name: "r", Router: true}}
-	ctx := &netem.Context{Sim: sim, Net: path, HopIndex: 0}
+	ctx := &netem.Context{Sim: sim, Net: netem.NewChain(sim, 1, netem.Link{}, netem.Link{}), Node: 1}
 	cli, srv := packet.AddrFrom4(10, 0, 0, 1), packet.AddrFrom4(203, 0, 113, 80)
 	syn := packet.NewTCP(cli, 4000, srv, 80, packet.FlagSYN, 100, 0, nil)
 	dev.Process(ctx, syn, netem.ToServer)

@@ -30,10 +30,7 @@ func main() {
 	flag.Parse()
 
 	sim := netem.NewSimulator(*seed)
-	path := &netem.Path{Sim: sim}
-	for i := 0; i < 10; i++ {
-		path.Hops = append(path.Hops, &netem.Hop{Name: fmt.Sprintf("r%d", i), Router: true, Latency: time.Millisecond})
-	}
+	path := netem.NewChain(sim, 10, netem.Link{}, netem.Link{Latency: time.Millisecond})
 	resolverAddr := packet.AddrFrom4(216, 146, 35, 35)
 	clientAddr := packet.AddrFrom4(10, 0, 0, 1)
 
@@ -43,7 +40,7 @@ func main() {
 		DetectionMissProb: -1,
 	}, sim.Rand())
 	dev.SetClientSide(func(a packet.Addr) bool { return a[0] == 10 })
-	path.Hops[2].Taps = []netem.Processor{dev}
+	path.Node(3).Taps = []netem.Processor{dev} // the third router
 
 	resolver := tcpstack.NewStack(resolverAddr, tcpstack.Linux44(), sim)
 	resolver.AttachServer(path)

@@ -30,11 +30,8 @@ func probe(model gfw.Model, rstResync bool) (*netem.Simulator, func(p *packet.Pa
 	dev.SetClientSide(func(a packet.Addr) bool { return a[0] == 10 })
 	var events []string
 	dev.OnEvent = func(ev gfw.Event) { events = append(events, ev.Kind+":"+ev.Detail) }
-	path := &netem.Path{Sim: sim}
-	for i := 0; i < 4; i++ {
-		path.Hops = append(path.Hops, &netem.Hop{Name: "r", Router: true, Latency: time.Millisecond})
-	}
-	path.Hops[1].Taps = []netem.Processor{dev}
+	path := netem.NewChain(sim, 4, netem.Link{}, netem.Link{Latency: time.Millisecond})
+	path.Node(2).Taps = []netem.Processor{dev} // the second router
 	send := func(p *packet.Packet, fromClient bool) {
 		if fromClient {
 			path.SendFromClient(p)

@@ -43,17 +43,14 @@ func main() {
 	}
 
 	sim := netem.NewSimulator(*seed)
-	path := &netem.Path{Sim: sim}
 	const hops = 10
-	for i := 0; i < hops; i++ {
-		path.Hops = append(path.Hops, &netem.Hop{Name: fmt.Sprintf("r%d", i), Router: true, Latency: time.Millisecond})
-	}
-	path.ClientLink.Latency = time.Millisecond
+	link := netem.Link{Latency: time.Millisecond}
+	path := netem.NewChain(sim, hops, link, link)
 
 	cfg := gfw.Config{Model: gfw.ModelEvolved2017, Keywords: []string{*keyword}, DetectionMissProb: -1}
 	dev := gfw.NewDevice("gfw", cfg, sim.Rand())
 	dev.SetClientSide(func(a packet.Addr) bool { return a[0] == 10 })
-	path.Hops[2].Taps = []netem.Processor{dev}
+	path.Node(3).Taps = []netem.Processor{dev} // the third router
 
 	cliAddr := packet.AddrFrom4(10, 0, 0, 1)
 	srvAddr := packet.AddrFrom4(203, 0, 113, 80)

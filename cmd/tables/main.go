@@ -65,12 +65,15 @@ func main() {
 	r := experiment.NewRunner(*seed)
 	var sc experiment.Scale
 	switch *scale {
-	case "paper":
-		sc = experiment.PaperScale()
+	case "quick":
+		sc = experiment.QuickScale()
 	case "mid":
 		sc = experiment.Scale{VPs: 11, Servers: 30, Trials: 5}
+	case "paper":
+		sc = experiment.PaperScale()
 	default:
-		sc = experiment.QuickScale()
+		fmt.Fprintf(os.Stderr, "unknown -scale %q; pick from quick,mid,paper\n", *scale)
+		os.Exit(2)
 	}
 
 	want := func(key string) bool { return *what == "all" || *what == key }

@@ -24,17 +24,14 @@ func main() {
 
 	build := func(withINTANG bool) (answer packet.Addr, poisoned bool) {
 		sim := netem.NewSimulator(3)
-		path := &netem.Path{Sim: sim}
-		for i := 0; i < 10; i++ {
-			path.Hops = append(path.Hops, &netem.Hop{Name: "r", Router: true, Latency: time.Millisecond})
-		}
+		path := netem.NewChain(sim, 10, netem.Link{}, netem.Link{Latency: time.Millisecond})
 		dev := gfw.NewDevice("gfw", gfw.Config{
 			Model:             gfw.ModelEvolved2017,
 			PoisonedDomains:   []string{"dropbox.com"},
 			DetectionMissProb: -1,
 		}, sim.Rand())
 		dev.SetClientSide(func(a packet.Addr) bool { return a[0] == 10 })
-		path.Hops[2].Taps = []netem.Processor{dev}
+		path.Node(3).Taps = []netem.Processor{dev} // the third router
 
 		resolver := tcpstack.NewStack(resolverAddr, tcpstack.Linux44(), sim)
 		resolver.AttachServer(path)

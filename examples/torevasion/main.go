@@ -18,13 +18,10 @@ import (
 
 const bridgePort = 9001
 
-func buildPath(filtered bool, seed int64) (*netem.Simulator, *netem.Path, *gfw.Device, packet.Addr) {
+func buildPath(filtered bool, seed int64) (*netem.Simulator, *netem.Fabric, *gfw.Device, packet.Addr) {
 	bridge := packet.AddrFrom4(52, 3, 17, 99)
 	sim := netem.NewSimulator(seed)
-	path := &netem.Path{Sim: sim}
-	for i := 0; i < 11; i++ {
-		path.Hops = append(path.Hops, &netem.Hop{Name: "r", Router: true, Latency: time.Millisecond})
-	}
+	path := netem.NewChain(sim, 11, netem.Link{}, netem.Link{Latency: time.Millisecond})
 	dev := gfw.NewDevice("gfw", gfw.Config{
 		Model:             gfw.ModelEvolved2017,
 		TorFiltering:      filtered,
@@ -32,8 +29,8 @@ func buildPath(filtered bool, seed int64) (*netem.Simulator, *netem.Path, *gfw.D
 		DetectionMissProb: -1,
 	}, sim.Rand())
 	dev.SetClientSide(func(a packet.Addr) bool { return a[0] == 10 })
-	path.Hops[3].Taps = []netem.Processor{dev}
-	path.Hops[3].Processors = []netem.Processor{dev.IPFilter()}
+	path.Node(4).Taps = []netem.Processor{dev} // the fourth router
+	path.Node(4).Processors = []netem.Processor{dev.IPFilter()}
 	srv := tcpstack.NewStack(bridge, tcpstack.Linux44(), sim)
 	srv.AttachServer(path)
 	appsim.ServeTorBridge(srv, bridgePort)

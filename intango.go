@@ -77,8 +77,9 @@ type (
 	Stack = tcpstack.Stack
 	// Simulator is the deterministic discrete-event scheduler.
 	Simulator = netem.Simulator
-	// Path is a client—hops—server topology.
-	Path = netem.Path
+	// Fabric is a simulated network between one client and one server:
+	// a chain of routers, as a Playground's Path is, or any routed graph.
+	Fabric = netem.Fabric
 	// INTANG is the measurement-driven evasion controller of §6.
 	INTANG = intang.INTANG
 	// INTANGOptions configures an INTANG instance.
@@ -131,9 +132,9 @@ func CompileSpec(spec StrategySpec) StrategyFactory { return spec.Factory() }
 func RegisteredStrategies() []StrategyEntry { return core.Registry() }
 
 // NewINTANG wires an INTANG instance between a client stack and the
-// client end of a path.
-func NewINTANG(sim *Simulator, path *Path, stack *Stack, opts INTANGOptions) *INTANG {
-	return intang.New(sim, path, stack, opts)
+// client end of a fabric (a Playground's Path, for one).
+func NewINTANG(sim *Simulator, f *Fabric, stack *Stack, opts INTANGOptions) *INTANG {
+	return intang.New(sim, f, stack, opts)
 }
 
 // NewRunner builds an experiment runner over the paper's populations.

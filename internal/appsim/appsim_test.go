@@ -20,8 +20,7 @@ var (
 func pair(t *testing.T) (*netem.Simulator, *tcpstack.Stack, *tcpstack.Stack) {
 	t.Helper()
 	sim := netem.NewSimulator(3)
-	p := &netem.Path{Sim: sim}
-	p.Hops = append(p.Hops, &netem.Hop{Name: "r", Router: true, Latency: time.Millisecond})
+	p := netem.NewChain(sim, 1, netem.Link{}, netem.Link{Latency: time.Millisecond})
 	cli := tcpstack.NewStack(cliAddr, tcpstack.Linux44(), sim)
 	srv := tcpstack.NewStack(srvAddr, tcpstack.Linux44(), sim)
 	cli.AttachClient(p)

@@ -30,13 +30,10 @@ func newBlkRig(t *testing.T, cfg BlockerConfig) *blkRig {
 	t.Helper()
 	r := &blkRig{sim: netem.NewSimulator(11)}
 	r.blk = NewBlocker("blk", cfg, r.sim.Rand())
-	path := &netem.Path{Sim: r.sim}
-	for i := 0; i < 5; i++ {
-		path.Hops = append(path.Hops, &netem.Hop{Name: "r", Router: true, Latency: time.Millisecond})
-	}
-	path.ClientLink.Latency = time.Millisecond
-	path.Hops[2].Taps = []netem.Processor{r.blk}
-	path.Hops[2].Processors = []netem.Processor{r.blk.Filter()}
+	link := netem.Link{Latency: time.Millisecond}
+	path := netem.NewChain(r.sim, 5, link, link)
+	path.Node(3).Taps = []netem.Processor{r.blk} // the third router
+	path.Node(3).Processors = []netem.Processor{r.blk.Filter()}
 	r.cli = tcpstack.NewStack(blkCliAddr, tcpstack.Linux44(), r.sim)
 	r.srv = tcpstack.NewStack(blkSrvAddr, tcpstack.Linux44(), r.sim)
 	r.cli.AttachClient(path)

@@ -41,7 +41,7 @@ func (o Outcome) String() string {
 // trialRig is a client—GFW—server topology with a strategy engine.
 type trialRig struct {
 	sim    *netem.Simulator
-	path   *netem.Path
+	path   *netem.Fabric
 	dev    *gfw.Device
 	engine *Engine
 	cli    *tcpstack.Stack
@@ -58,14 +58,11 @@ func newTrialRig(t *testing.T, cfg gfw.Config, factory Factory, middle []netem.P
 		cfg.DetectionMissProb = -1 // deterministic tests never miss
 	}
 	r.dev = gfw.NewDevice("gfw", cfg, r.sim.Rand())
-	r.path = &netem.Path{Sim: r.sim}
-	for i := 0; i < 6; i++ {
-		r.path.Hops = append(r.path.Hops, &netem.Hop{Name: "r", Router: true, Latency: time.Millisecond})
-	}
-	r.path.ClientLink.Latency = time.Millisecond
-	// Client-side middleboxes at hop 0; GFW tap at hop 2.
-	r.path.Hops[0].Processors = middle
-	r.path.Hops[2].Taps = []netem.Processor{r.dev}
+	link := netem.Link{Latency: time.Millisecond}
+	r.path = netem.NewChain(r.sim, 6, link, link)
+	// Client-side middleboxes at the first router; GFW tap at the third.
+	r.path.Node(1).Processors = middle
+	r.path.Node(3).Taps = []netem.Processor{r.dev}
 	r.cli = tcpstack.NewStack(cliAddr, tcpstack.Linux44(), r.sim)
 	r.srv = tcpstack.NewStack(srvAddr, tcpstack.Linux44(), r.sim)
 	r.srv.AttachServer(r.path)

@@ -74,21 +74,21 @@ type flowState struct {
 	strat Strategy
 }
 
-// NewEngine wires an engine between stack and the client end of n.
+// NewEngine wires an engine between stack and the client end of f.
 // A nil stack builds a daemon-mode engine: outbound packets enter
 // through Outbound, inbound packets leave through Upstream.
-func NewEngine(sim *netem.Simulator, n netem.Net, stack *tcpstack.Stack, env Env) *Engine {
+func NewEngine(sim *netem.Simulator, f *netem.Fabric, stack *tcpstack.Stack, env Env) *Engine {
 	e := &Engine{
 		Sim: sim, Stack: stack, Env: env,
 		flows: make(map[packet.FourTuple]*flowState),
 	}
-	e.dev = device.NetemEnd{Net: n}
+	e.dev = device.NetemEnd{Net: f}
 	e.Dev = &e.dev
 	e.bindDev()
 	if stack != nil {
 		stack.Send = e.Outbound
 	}
-	n.SetClient(e)
+	f.Client = e
 	return e
 }
 

@@ -3,8 +3,8 @@
 // proxy daemon, and the discrete-event simulator all move raw IPv4
 // datagrams through a Device. The paper's INTANG prototype sat on
 // netfilter-queue; this boundary is the same seam, abstracted so one
-// engine body serves both the simulated substrate (netem.Path /
-// netem.Fabric behind a NetemEnd adapter) and live packet carriers
+// engine body serves both the simulated substrate (a netem.Fabric
+// behind a NetemEnd adapter) and live packet carriers
 // (the in-memory Pipe, the userspace-stack dialer in device/uis, or a
 // future TUN/pcap device).
 package device
@@ -34,7 +34,7 @@ type Device interface {
 }
 
 // LineageStamper is implemented by devices that can assign wire IDs
-// for causal tracing (the netem substrates do; dumb carriers don't).
+// for causal tracing (a netem fabric end does; dumb carriers don't).
 type LineageStamper interface {
 	// StampLineage assigns pkt its wire ID if it does not have one yet
 	// and returns the ID.

@@ -206,13 +206,12 @@ func TestPipeTailDrop(t *testing.T) {
 	}
 }
 
-// TestNetemEndPullMode drives a linear path through NetemEnd devices on
+// TestNetemEndPullMode drives a one-router chain through NetemEnd devices on
 // both ends: client writes arrive at the server end's ReadPacket as
 // owned copies.
 func TestNetemEndPullMode(t *testing.T) {
 	sim := netem.NewSimulator(1)
-	path := &netem.Path{Sim: sim}
-	path.Hops = append(path.Hops, &netem.Hop{Name: "r", Router: true, Latency: time.Millisecond})
+	path := netem.NewChain(sim, 1, netem.Link{}, netem.Link{Latency: time.Millisecond})
 
 	cli := &NetemEnd{Net: path}
 	srv := &NetemEnd{Net: path, Server: true}
@@ -252,8 +251,7 @@ func TestNetemEndPullMode(t *testing.T) {
 // and stacks ride.
 func TestNetemEndHandlerMode(t *testing.T) {
 	sim := netem.NewSimulator(1)
-	path := &netem.Path{Sim: sim}
-	path.Hops = append(path.Hops, &netem.Hop{Name: "r", Router: true, Latency: time.Millisecond})
+	path := netem.NewChain(sim, 1, netem.Link{}, netem.Link{Latency: time.Millisecond})
 
 	var gotPayload string
 	srv := &NetemEnd{Net: path, Server: true, Sink: netem.EndpointFunc(func(pkt *packet.Packet) {

@@ -7,9 +7,8 @@ import (
 	"intango/internal/packet"
 )
 
-// NetemEnd adapts one end of a simulated substrate (netem.Path or
-// netem.Fabric, behind netem.Net) to the Device boundary. Writes
-// transmit from the bound end; delivery runs in one of two modes:
+// NetemEnd adapts one end of a simulated netem.Fabric to the Device
+// boundary. Writes transmit from the bound end; delivery runs in one of two modes:
 //
 //   - Handler mode (Sink set): inbound packets are forwarded
 //     synchronously to Sink inside the simulation event that carried
@@ -26,8 +25,8 @@ import (
 // stacks hold one inline so adapting to the Device boundary costs no
 // extra heap objects on the trial hot path.
 type NetemEnd struct {
-	// Net is the substrate this end writes into.
-	Net netem.Net
+	// Net is the fabric this end writes into.
+	Net *netem.Fabric
 	// Server selects the server end; the zero value binds the client
 	// end.
 	Server bool
@@ -46,9 +45,9 @@ type NetemEnd struct {
 // (the engine, the stacks) skip Attach and register directly.
 func (d *NetemEnd) Attach() {
 	if d.Server {
-		d.Net.SetServer(d)
+		d.Net.Server = d
 	} else {
-		d.Net.SetClient(d)
+		d.Net.Client = d
 	}
 }
 
@@ -136,12 +135,12 @@ func (d *NetemEnd) Close() error {
 }
 
 // StampLineage implements LineageStamper by forwarding to the
-// substrate's wire-ID allocator.
+// fabric's wire-ID allocator.
 func (d *NetemEnd) StampLineage(pkt *packet.Packet) uint32 {
 	return d.Net.StampLineage(pkt)
 }
 
-// PacketPool implements Pooled with the substrate's pool.
+// PacketPool implements Pooled with the fabric's pool.
 func (d *NetemEnd) PacketPool() *packet.Pool {
-	return d.Net.PacketPool()
+	return d.Net.Pool
 }

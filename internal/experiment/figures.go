@@ -88,7 +88,7 @@ func SequenceDiagram(r *Runner, factoryName, title string) string {
 			}
 		}
 	}
-	rg.net.SetTraceHook(func(ev netem.TraceEvent) {
+	rg.net.Trace = func(ev netem.TraceEvent) {
 		if ev.Pkt.TCP == nil {
 			return
 		}
@@ -102,7 +102,7 @@ func SequenceDiagram(r *Runner, factoryName, title string) string {
 		case ev.Event == "drop-ttl":
 			fmt.Fprintf(&b, "%9.3fms      ✗ TTL expiry at %s: %s\n", ms(ev.Time), ev.Where, label(ev.Pkt))
 		}
-	})
+	}
 	env := core.DefaultEnv(insertionTTL(srv), rg.sim.Rand())
 	rg.engine = core.NewEngine(rg.sim, rg.net, rg.cli, env)
 	factory := core.BuiltinFactories()[factoryName]

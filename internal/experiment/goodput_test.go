@@ -1,39 +1,15 @@
 package experiment
 
-import (
-	"testing"
+import "testing"
 
-	"intango/internal/core"
-)
-
-// TestCongestionDisabledZeroAlloc pins the unconstrained trial at the
-// seed hot-path allocation baseline: the congestion machinery grown
-// for rated links — per-connection cwnd/ssthresh tracking, RTT-sampled
-// retransmission timers, the persist timer, and the per-link shaper
-// hook — must cost a campaign over unshaped links nothing. Shaper
-// state is allocated lazily only when a link sets `bw=`, and the
-// stack's new bookkeeping lives in fields that already existed per
-// connection, so the per-trial allocation count must not move.
+// TestCongestionDisabledZeroAlloc holds the unconstrained trial to the
+// hot-path budget: the congestion machinery grown for rated links —
+// per-connection cwnd/ssthresh tracking, RTT-sampled retransmission
+// timers, the persist timer, and the per-link shaper hook — must cost
+// a campaign over unshaped links nothing. Shapers are built only on
+// rated links.
 func TestCongestionDisabledZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation inflates alloc counts")
-	}
-	r := NewRunner(42)
-	vp := VantagePoints()[0]
-	srv := Servers(1, r.Cal, 42)[0]
-	f := core.BuiltinFactories()["teardown-rst/ttl"]
-	for i := 0; i < 200; i++ {
-		r.RunOne(vp, srv, f, true, 0) // warm the packet pool past GC churn
-	}
-	// The pre-congestion seed baseline (see TestTelemetryDisabledZeroAlloc
-	// for the amortization slack rationale).
-	const seedBaseline = 139
-	avg := testing.AllocsPerRun(1000, func() {
-		r.RunOne(vp, srv, f, true, 0)
-	})
-	if avg > seedBaseline+1 {
-		t.Fatalf("unconstrained trial allocates %.1f/op with congestion machinery present, budget %d", avg, seedBaseline)
-	}
+	requireTrialAllocBudget(t, "unconstrained trial with congestion machinery present")
 }
 
 // TestGoodputReorderCostlier is the congestion demo's acceptance

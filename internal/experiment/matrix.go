@@ -137,18 +137,15 @@ func FormatCensorMatrix(cells []MatrixCell) string {
 func proberDemoSession(seed int64, obfs bool) (censor.Instance, bool) {
 	comp := censor.MustResolve(censor.TorProber)
 	sim := netem.NewSimulator(seed)
-	path := &netem.Path{Sim: sim}
-	for i := 0; i < 9; i++ {
-		path.Hops = append(path.Hops, &netem.Hop{Name: "r", Router: true, Latency: time.Millisecond})
-	}
-	path.ClientLink.Latency = time.Millisecond
+	link := netem.Link{Latency: time.Millisecond}
+	path := netem.NewChain(sim, 9, link, link)
 	inst, err := comp.Build("tor-prober", sim.Rand(), rand.New(rand.NewSource(seed^0x70726f6265)))
 	if err != nil {
 		panic(fmt.Sprintf("experiment: build tor-prober: %v", err))
 	}
 	inst.SetClientSide(func(a packet.Addr) bool { return a[0] == 10 })
-	path.Hops[3].Taps = []netem.Processor{inst}
-	path.Hops[3].Processors = []netem.Processor{inst.Filter()}
+	path.Node(4).Taps = []netem.Processor{inst} // the fourth router
+	path.Node(4).Processors = []netem.Processor{inst.Filter()}
 
 	bridge := packet.AddrFrom4(52, 3, 17, 99)
 	srv := tcpstack.NewStack(bridge, tcpstack.Linux44(), sim)

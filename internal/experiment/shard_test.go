@@ -133,29 +133,9 @@ func TestTable1StrategySpecsCanonical(t *testing.T) {
 	}
 }
 
-// TestFleetDisabledZeroAlloc pins the non-fleet trial hot path at the
-// seed allocation baseline: the shard substrate (cube enumeration,
-// checkpoint hooks, restore plumbing) must cost a plain RunOne
-// nothing. Companion to TestTelemetryDisabledZeroAlloc, and run by
-// `make bench-obs` as a hard gate.
+// TestFleetDisabledZeroAlloc holds the non-fleet trial to the hot-path
+// budget: the shard substrate (cube enumeration, checkpoint hooks,
+// restore plumbing) must cost a plain RunOne nothing.
 func TestFleetDisabledZeroAlloc(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation inflates alloc counts")
-	}
-	r := NewRunner(42)
-	vp := VantagePoints()[0]
-	srv := Servers(1, r.Cal, 42)[0]
-	f := core.BuiltinFactories()["teardown-rst/ttl"]
-	for i := 0; i < 200; i++ {
-		r.RunOne(vp, srv, f, true, 0) // warm the packet pool past GC churn
-	}
-	// Same budget as TestTelemetryDisabledZeroAlloc: the 139-alloc seed
-	// baseline plus one alloc of sync.Pool refill amortization slack.
-	const seedBaseline = 139
-	avg := testing.AllocsPerRun(1000, func() {
-		r.RunOne(vp, srv, f, true, 0)
-	})
-	if avg > seedBaseline+1 {
-		t.Fatalf("trial with fleet machinery linked allocates %.1f/op, budget %d", avg, seedBaseline)
-	}
+	requireTrialAllocBudget(t, "trial with fleet machinery linked")
 }

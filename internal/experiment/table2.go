@@ -60,11 +60,8 @@ func RunTable2(seed int64) []Table2Result {
 		res := Table2Result{PacketType: typ.name, Behaviour: make(map[middlebox.ProfileName]string)}
 		for _, prof := range middlebox.AllProfiles() {
 			sim := netem.NewSimulator(seed)
-			path := &netem.Path{Sim: sim}
-			path.Hops = append(path.Hops,
-				&netem.Hop{Name: "mb", Router: true, Latency: time.Millisecond,
-					Processors: middlebox.BuildProfile(prof, sim.Rand())},
-				&netem.Hop{Name: "r", Router: true, Latency: time.Millisecond})
+			path := netem.NewChain(sim, 2, netem.Link{}, netem.Link{Latency: time.Millisecond})
+			path.Node(1).Processors = middlebox.BuildProfile(prof, sim.Rand())
 			whole, frags := 0, 0
 			path.Server = netem.EndpointFunc(func(pkt *packet.Packet) {
 				if pkt.IP.IsFragment() {

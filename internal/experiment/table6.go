@@ -77,14 +77,11 @@ func RunTable6(r *Runner, queries int) []Table6Row {
 // resolver and counts correct answers.
 func (r *Runner) runDNSSeries(vp VantagePoint, resolver Resolver, realAddr packet.Addr, queries int) int {
 	sim := netem.NewSimulator(r.pairSeed(vp, Server{Name: resolver.Name}))
-	path := &netem.Path{Sim: sim}
-	hops := 10
-	for i := 0; i < hops; i++ {
-		path.Hops = append(path.Hops, &netem.Hop{Name: "r", Router: true, Latency: time.Millisecond})
-	}
-	path.ClientLink.Latency = time.Millisecond
+	const hops = 10
+	link := netem.Link{Latency: time.Millisecond}
+	path := netem.NewChain(sim, hops, link, link)
 	if chain := middlebox.BuildProfile(vp.Profile, sim.Rand()); chain != nil {
-		path.Hops[0].Processors = chain
+		path.Node(1).Processors = chain
 	}
 	cfg := gfwConfig(gfw.ModelEvolved2017, r.Cal)
 	if resolver.Censored {
@@ -92,13 +89,13 @@ func (r *Runner) runDNSSeries(vp VantagePoint, resolver Resolver, realAddr packe
 	}
 	dev := gfw.NewDevice("gfw", cfg, sim.Rand())
 	dev.SetClientSide(func(a packet.Addr) bool { return a[0] == 10 })
-	path.Hops[3].Taps = []netem.Processor{dev}
+	path.Node(4).Taps = []netem.Processor{dev} // the fourth router
 	// The Tianjin anomaly: a stateful firewall beyond the GFW on the
 	// resolver paths that (usually) honors the RST insertion packets.
 	if vp.ResolverPathFirewall {
 		fw := middlebox.NewStatefulFirewall("resolver-fw", false)
 		fw.SetRSTHonorProb(0.65, sim.Rand())
-		path.Hops[4].Processors = append(path.Hops[4].Processors, fw)
+		path.Node(5).Processors = append(path.Node(5).Processors, fw)
 	}
 
 	cli := tcpstack.NewStack(vp.Addr, tcpstack.Linux44(), sim)

@@ -18,12 +18,10 @@ import (
 
 // This file derives each trial's declarative topology (internal/topo)
 // from the (vantage point, server) pair and compiles it onto the netem
-// substrate. The derived spec for a measured path is a symmetric
-// linear chain, which the compiler lowers to the allocation-free
-// netem.Path — so the trial hot path is unchanged from the hand-built
-// rigs. Runner.Topo overrides the derivation with an explicit spec
-// (graph shapes compile to a netem.Fabric), which is how the ECMP
-// multi-device scenarios run through the standard campaign machinery.
+// fabric. The derived spec for a measured path is a symmetric linear
+// chain. Runner.Topo overrides the derivation with an explicit spec —
+// any graph — which is how the ECMP multi-device scenarios run through
+// the standard campaign machinery.
 
 // topoKey identifies a derived linear topology shape. Everything else
 // about a trial (device behaviours, middlebox RNG, endpoints) binds at
@@ -108,8 +106,9 @@ func shapeKey(vp VantagePoint, srv Server, hops int) topoKey {
 }
 
 // program returns the compiled Program for a trial: the cached derived
-// linear program, or the parsed Runner.Topo override. Programs are
-// immutable and shared across trials and workers.
+// linear program, or the parsed Runner.Topo override. Programs, and the
+// routing tables they hold, are immutable and shared read-only across
+// trials and workers.
 func (r *Runner) program(vp VantagePoint, srv Server, hops int) *topo.Program {
 	if r.Topo != "" {
 		return overrideProgram(r.Topo)
@@ -124,9 +123,6 @@ func (r *Runner) program(vp VantagePoint, srv Server, hops int) *topo.Program {
 	prog, err := topo.NewProgram(derivedSpec(key))
 	if err != nil {
 		panic(fmt.Sprintf("experiment: derived topology invalid: %v", err))
-	}
-	if !prog.Linear() {
-		panic("experiment: derived topology did not take the linear fast path")
 	}
 	topoMu.Lock()
 	topoPrograms[key] = prog
@@ -197,9 +193,10 @@ func WriteTopoSpecs(w io.Writer, r *Runner, sc Scale) {
 	}
 }
 
-// FormatTopoDemo compiles the ECMP demo topology and shows what the
-// graph fabric adds over a linear path: the canonical spec, the
-// compiled fabric, and the seeded per-flow route selection splitting
+// FormatTopoDemo compiles the ECMP demo topology and shows what a
+// graph adds over a linear path: the canonical spec, the compiled
+// fabric's nodes with their bound devices, and the seeded per-flow
+// route selection splitting
 // flows across the two parallel censor devices while the reverse route
 // returns asymmetrically past both taps.
 func FormatTopoDemo(seed int64) string {
@@ -207,11 +204,7 @@ func FormatTopoDemo(seed int64) string {
 	r.Topo = GraphDemoTopo
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, seed)[0]
-	rg := r.build(vp, srv, 1, r.packetPool())
-	fab, ok := rg.net.(*netem.Fabric)
-	if !ok {
-		return "topo demo: unexpected linear compilation\n"
-	}
+	fab := r.build(vp, srv, 1, r.packetPool()).net
 	var b strings.Builder
 	b.WriteString("== ECMP multi-device demo (graph fabric) ==\n")
 	b.WriteString("spec:\n  " + overrideProgram(GraphDemoTopo).Spec().String() + "\n")
@@ -222,8 +215,8 @@ func FormatTopoDemo(seed int64) string {
 	for i := 0; i < flows; i++ {
 		sport := uint16(32768 + i)
 		pkt := packet.NewTCP(vp.Addr, sport, srv.Addr, 80, packet.FlagSYN, 1, 0, nil)
-		fwd := strings.Join(fab.ForwardRoute(pkt), ">")
-		rev := strings.Join(fab.ReverseRoute(pkt), ">")
+		fwd := strings.Join(fab.Route(netem.ToServer, pkt), ">")
+		rev := strings.Join(fab.Route(netem.ToClient, pkt), ">")
 		for _, branch := range []string{"b1", "b2"} {
 			if strings.Contains(fwd, ">"+branch+">") {
 				via[branch]++

@@ -30,24 +30,20 @@ type TorResult struct {
 }
 
 // torRig builds a client—GFW—bridge path for a vantage point.
-func (r *Runner) torRig(vp VantagePoint, bridge packet.Addr, seedExtra int64) (*netem.Simulator, *netem.Path, *gfw.Device) {
+func (r *Runner) torRig(vp VantagePoint, bridge packet.Addr, seedExtra int64) (*netem.Simulator, *netem.Fabric, *gfw.Device) {
 	sim := netem.NewSimulator(r.pairSeed(vp, Server{Name: bridge.String()}) ^ seedExtra)
-	path := &netem.Path{Sim: sim}
-	hops := 11
-	for i := 0; i < hops; i++ {
-		path.Hops = append(path.Hops, &netem.Hop{Name: "r", Router: true, Latency: time.Millisecond})
-	}
-	path.ClientLink.Latency = time.Millisecond
+	link := netem.Link{Latency: time.Millisecond}
+	path := netem.NewChain(sim, 11, link, link)
 	if chain := middlebox.BuildProfile(vp.Profile, sim.Rand()); chain != nil {
-		path.Hops[0].Processors = chain
+		path.Node(1).Processors = chain
 	}
 	cfg := gfwConfig(gfw.ModelEvolved2017, r.Cal)
 	cfg.TorFiltering = vp.TorFiltered
 	cfg.ActiveProbeDelay = 15 * time.Second
 	dev := gfw.NewDevice("gfw", cfg, sim.Rand())
 	dev.SetClientSide(func(a packet.Addr) bool { return a[0] == 10 })
-	path.Hops[3].Taps = []netem.Processor{dev}
-	path.Hops[3].Processors = []netem.Processor{dev.IPFilter()}
+	path.Node(4).Taps = []netem.Processor{dev} // the fourth router
+	path.Node(4).Processors = []netem.Processor{dev.IPFilter()}
 
 	srv := tcpstack.NewStack(bridge, tcpstack.Linux44(), sim)
 	srv.AttachServer(path)
@@ -154,15 +150,12 @@ func RunVPN(r *Runner) []VPNResult {
 	run := func(era string, filtering bool) VPNResult {
 		trial := func(protected bool) bool {
 			sim := netem.NewSimulator(2016)
-			path := &netem.Path{Sim: sim}
-			for i := 0; i < 10; i++ {
-				path.Hops = append(path.Hops, &netem.Hop{Name: "r", Router: true, Latency: time.Millisecond})
-			}
+			path := netem.NewChain(sim, 10, netem.Link{}, netem.Link{Latency: time.Millisecond})
 			cfg := gfwConfig(gfw.ModelEvolved2017, r.Cal)
 			cfg.VPNFiltering = filtering
 			dev := gfw.NewDevice("gfw", cfg, sim.Rand())
 			dev.SetClientSide(func(a packet.Addr) bool { return a[0] == 10 })
-			path.Hops[3].Taps = []netem.Processor{dev}
+			path.Node(4).Taps = []netem.Processor{dev} // the fourth router
 			srv := tcpstack.NewStack(packet.AddrFrom4(203, 0, 113, 194), tcpstack.Linux44(), sim)
 			srv.AttachServer(path)
 			appsim.ServeOpenVPN(srv, 1194)

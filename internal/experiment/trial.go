@@ -88,9 +88,10 @@ type Runner struct {
 	Progress *ProgressOptions
 	// Topo, when set, is a declarative topology spec (internal/topo
 	// grammar) that replaces the linear path derived from each (vantage
-	// point, server) pair. Graph shapes — parallel censor branches,
-	// asymmetric routes — compile to a netem.Fabric; attachment
-	// references resolve through the standard rig binder (see topo.go).
+	// point, server) pair: graph shapes — parallel censor branches,
+	// asymmetric routes — run through the same campaign machinery;
+	// attachment references resolve through the standard rig binder
+	// (see topo.go).
 	// An invalid spec panics at the first build.
 	Topo string
 	// Censor, when set, replaces every GFW device the topology would
@@ -207,7 +208,7 @@ func (r *Runner) pairSeed(vp VantagePoint, srv Server) int64 {
 // rig is one constructed trial topology.
 type rig struct {
 	sim     *netem.Simulator
-	net     netem.Net
+	net     *netem.Fabric
 	devices []censor.Instance
 	cli     *tcpstack.Stack
 	srv     *tcpstack.Stack
@@ -217,9 +218,9 @@ type rig struct {
 // build assembles the (vp, server) substrate for one trial: derive (or
 // override) the declarative topology, fetch its cached compiled
 // Program, and instantiate it with this trial's RNGs bound through the
-// rig binder. Measured paths are linear chains and compile to the
-// allocation-free netem.Path; a graph Runner.Topo compiles to a
-// netem.Fabric.
+// rig binder. Measured paths are linear chains, a Runner.Topo may be
+// any graph; both become one netem.Fabric per trial over the
+// program's shared routing.
 func (r *Runner) build(vp VantagePoint, srv Server, trialSeed int64, pool *packet.Pool) *rig {
 	rg := &rig{sim: netem.NewSimulator(trialSeed)}
 	trialRng := rg.sim.Rand()
@@ -254,7 +255,7 @@ func (r *Runner) build(vp VantagePoint, srv Server, trialSeed int64, pool *packe
 	// The engine interposes on the client end (NewEngine replaces
 	// cli.Send), so the client stack never runs AttachClient; hand it
 	// the pool directly.
-	rg.cli.Pool = n.PacketPool()
+	rg.cli.Pool = n.Pool
 	rg.srv = tcpstack.NewStack(srv.Addr, srv.Stack, rg.sim)
 	rg.srv.AttachServer(n)
 	appsim.ServeHTTP(rg.srv, 80)
@@ -291,12 +292,12 @@ func classify(rg *rig, conn *tcpstack.Conn, sensitive bool) Outcome {
 }
 
 // attachObs threads one trial's obs bundle through every layer of the
-// rig: the path (netem + middlebox counters), each GFW device, and
+// rig: the fabric (netem + middlebox counters), each GFW device, and
 // both end-host stacks. Instrumentation never schedules events or
 // draws randomness, so an attached rig behaves identically to a bare
 // one.
 func (rg *rig) attachObs(b *obs.Obs) {
-	rg.net.SetObs(b)
+	rg.net.Obs = b
 	for _, dev := range rg.devices {
 		dev.SetObs(b)
 	}

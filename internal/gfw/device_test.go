@@ -23,7 +23,7 @@ const keyword = "ultrasurf"
 // rig is a client—GFW—server test topology.
 type rig struct {
 	sim    *netem.Simulator
-	path   *netem.Path
+	path   *netem.Fabric
 	dev    *Device
 	cli    *tcpstack.Stack
 	srv    *tcpstack.Stack
@@ -38,14 +38,11 @@ func newRig(t *testing.T, cfg Config) *rig {
 	}
 	r.dev = NewDevice("gfw", cfg, r.sim.Rand())
 	r.dev.OnEvent = func(ev Event) { r.events = append(r.events, ev) }
-	r.path = &netem.Path{Sim: r.sim}
-	for i := 0; i < 5; i++ {
-		r.path.Hops = append(r.path.Hops, &netem.Hop{Name: "r", Router: true, Latency: time.Millisecond})
-	}
-	r.path.ClientLink.Latency = time.Millisecond
-	// GFW taps hop 2; its IP filter sits in-path at the same hop.
-	r.path.Hops[2].Taps = []netem.Processor{r.dev}
-	r.path.Hops[2].Processors = []netem.Processor{r.dev.IPFilter()}
+	link := netem.Link{Latency: time.Millisecond}
+	r.path = netem.NewChain(r.sim, 5, link, link)
+	// GFW taps the third router; its IP filter sits in-path there too.
+	r.path.Node(3).Taps = []netem.Processor{r.dev}
+	r.path.Node(3).Processors = []netem.Processor{r.dev.IPFilter()}
 	r.cli = tcpstack.NewStack(cliAddr, tcpstack.Linux44(), r.sim)
 	r.srv = tcpstack.NewStack(srvAddr, tcpstack.Linux44(), r.sim)
 	r.cli.AttachClient(r.path)

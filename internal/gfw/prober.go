@@ -49,10 +49,10 @@ func (d *Device) launchActiveProbe(ctx *netem.Context, bridge packet.Addr, port 
 	}
 	d.probes[tuple.Canonical()] = ps
 	d.event("tor-probe-launch", tuple, bridge.String())
-	// The path reuses one Context across arrivals, so copy it before
+	// The fabric reuses one Context across arrivals, so copy it before
 	// capturing: by the time this fires, ctx points at a later packet's
-	// hop.
-	probeCtx := &netem.Context{Sim: ctx.Sim, Net: ctx.Net, HopIndex: ctx.HopIndex}
+	// node.
+	probeCtx := &netem.Context{Sim: ctx.Sim, Net: ctx.Net, Node: ctx.Node}
 	ctx.Sim.At(d.cfg.ActiveProbeDelay, func() {
 		syn := probeCtx.Pool().NewTCP(ps.proberAddr, ps.proberPort, bridge, port, packet.FlagSYN, ps.iss, 0, nil)
 		syn.Lin.Origin = packet.OriginGFW

@@ -242,11 +242,8 @@ func probeGFW(cc connContext, cand Candidate) (bool, string) {
 	sim := netem.NewSimulator(97)
 	cfg := gfw.Config{Model: gfw.ModelEvolved2017, Keywords: []string{probeKeyword}, DetectionMissProb: -1, ResyncOnRSTProb: 1}
 	dev := gfw.NewDevice("gfw-probe", cfg, sim.Rand())
-	path := &netem.Path{Sim: sim}
-	for i := 0; i < 3; i++ {
-		path.Hops = append(path.Hops, &netem.Hop{Name: "r", Router: true, Latency: time.Millisecond})
-	}
-	path.Hops[1].Taps = []netem.Processor{dev}
+	path := netem.NewChain(sim, 3, netem.Link{}, netem.Link{Latency: time.Millisecond})
+	path.Node(2).Taps = []netem.Processor{dev} // the second router
 
 	var events []string
 	dev.OnEvent = func(ev gfw.Event) { events = append(events, ev.Kind) }
@@ -290,8 +287,8 @@ func probeMiddleboxes(cc connContext, cand Candidate) map[middlebox.ProfileName]
 	for _, prof := range middlebox.AllProfiles() {
 		sim := netem.NewSimulator(7)
 		chain := middlebox.BuildProfile(prof, sim.Rand())
-		path := &netem.Path{Sim: sim}
-		path.Hops = append(path.Hops, &netem.Hop{Name: "mb", Router: true, Latency: time.Millisecond, Processors: chain})
+		path := netem.NewChain(sim, 1, netem.Link{}, netem.Link{Latency: time.Millisecond})
+		path.Node(1).Processors = chain
 		delivered := 0
 		path.Server = netem.EndpointFunc(func(*packet.Packet) { delivered++ })
 		for i := 0; i < trials; i++ {

@@ -136,8 +136,8 @@ type dnsQueryCtx struct {
 }
 
 // New wires an INTANG instance between stack and the client end of a
-// substrate (a linear netem.Path or a graph netem.Fabric).
-func New(sim *netem.Simulator, n netem.Net, stack *tcpstack.Stack, opts Options) *INTANG {
+// fabric.
+func New(sim *netem.Simulator, f *netem.Fabric, stack *tcpstack.Stack, opts Options) *INTANG {
 	opts = opts.withDefaults()
 	it := &INTANG{
 		Opts:       opts,
@@ -161,7 +161,7 @@ func New(sim *netem.Simulator, n netem.Net, stack *tcpstack.Stack, opts Options)
 		it.byCanon[c.canon] = &it.candidates[i]
 	}
 	env := core.DefaultEnv(10, sim.Rand())
-	it.Engine = core.NewEngine(sim, n, stack, env)
+	it.Engine = core.NewEngine(sim, f, stack, env)
 	it.Engine.NewStrategy = it.newStrategy
 	it.Engine.OnInbound = it.onInbound
 	it.Engine.OnOutbound = it.onOutbound

@@ -23,7 +23,7 @@ const keyword = "ultrasurf"
 
 type rig struct {
 	sim  *netem.Simulator
-	path *netem.Path
+	path *netem.Fabric
 	dev  *gfw.Device
 	cli  *tcpstack.Stack
 	srv  *tcpstack.Stack
@@ -40,12 +40,9 @@ func newRig(t *testing.T, cfg gfw.Config, opts Options) *rig {
 		cfg.DetectionMissProb = -1
 	}
 	r.dev = gfw.NewDevice("gfw", cfg, r.sim.Rand())
-	r.path = &netem.Path{Sim: r.sim}
-	for i := 0; i < 6; i++ {
-		r.path.Hops = append(r.path.Hops, &netem.Hop{Name: "r", Router: true, Latency: time.Millisecond})
-	}
-	r.path.ClientLink.Latency = time.Millisecond
-	r.path.Hops[2].Taps = []netem.Processor{r.dev}
+	link := netem.Link{Latency: time.Millisecond}
+	r.path = netem.NewChain(r.sim, 6, link, link)
+	r.path.Node(3).Taps = []netem.Processor{r.dev} // the third router
 	r.cli = tcpstack.NewStack(cliAddr, tcpstack.Linux44(), r.sim)
 	r.srv = tcpstack.NewStack(srvAddr, tcpstack.Linux44(), r.sim)
 	r.srv.AttachServer(r.path)
@@ -224,7 +221,7 @@ func TestAdaptiveDeltaConvergesPastServerSideFirewall(t *testing.T) {
 	// (hop index 3): TTL 5 passes router 4 — state killed. δ=3 → TTL 4
 	// dies at router 4 before its processors run.
 	fw := middlebox.NewStatefulFirewall("ss-fw", false)
-	r.path.Hops[3].Processors = append(r.path.Hops[3].Processors, fw)
+	r.path.Node(4).Processors = append(r.path.Node(4).Processors, fw)
 	r.it.MeasureHops(srvAddr, 80)
 	r.sim.RunFor(2 * time.Second)
 
@@ -282,12 +279,9 @@ func newRigGFWNearServer(t *testing.T, opts Options) *rig {
 	cfg := gfw.Config{Model: gfw.ModelEvolved2017, Keywords: []string{keyword}, DetectionMissProb: -1}
 	r.dev = gfw.NewDevice("gfw", cfg, r.sim.Rand())
 	r.dev.SetClientSide(func(a packet.Addr) bool { return a[0] == 10 })
-	r.path = &netem.Path{Sim: r.sim}
-	for i := 0; i < 6; i++ {
-		r.path.Hops = append(r.path.Hops, &netem.Hop{Name: "r", Router: true, Latency: time.Millisecond})
-	}
-	r.path.ClientLink.Latency = time.Millisecond
-	r.path.Hops[5].Taps = []netem.Processor{r.dev}
+	link := netem.Link{Latency: time.Millisecond}
+	r.path = netem.NewChain(r.sim, 6, link, link)
+	r.path.Node(6).Taps = []netem.Processor{r.dev} // the sixth (last) router
 	r.cli = tcpstack.NewStack(cliAddr, tcpstack.Linux44(), r.sim)
 	r.srv = tcpstack.NewStack(srvAddr, tcpstack.Linux44(), r.sim)
 	r.srv.AttachServer(r.path)

@@ -59,7 +59,7 @@ type Proxy struct {
 
 	mu     sync.Mutex // world lock
 	sim    *netem.Simulator
-	path   *netem.Path
+	path   *netem.Fabric
 	cen    censor.Instance // nil for chain-only censors
 	engine *core.Engine
 	server *tcpstack.Stack
@@ -118,18 +118,15 @@ func New(cfg Config) (*Proxy, error) {
 	p.rec = obs.NewRecorder(obs.DefaultRingSize, p.sim.Now)
 	bundle := obs.New(p.reg, p.rec)
 
-	p.path = &netem.Path{Sim: p.sim}
-	for i := 0; i < cfg.Hops; i++ {
-		p.path.Hops = append(p.path.Hops, &netem.Hop{Name: "r", Router: true, Latency: time.Millisecond})
-	}
-	p.path.ClientLink.Latency = time.Millisecond
-	p.path.SetObs(bundle)
+	link := netem.Link{Latency: time.Millisecond}
+	p.path = netem.NewChain(p.sim, cfg.Hops, link, link)
+	p.path.Obs = bundle
 
 	comp, err := censor.Resolve(cfg.Censor)
 	if err != nil {
 		return nil, fmt.Errorf("intangd: censor: %w", err)
 	}
-	hop := p.path.Hops[cfg.CensorHop]
+	hop := p.path.Node(1 + cfg.CensorHop)
 	if procs, ok := comp.BuildChain(p.sim.Rand()); ok {
 		hop.Processors = append(hop.Processors, procs...)
 	} else {

@@ -14,21 +14,18 @@ var (
 	srvAddr = packet.AddrFrom4(203, 0, 113, 80)
 )
 
-// lab builds a path with the given middlebox chain at hop 1 and records
-// what reaches the server.
+// lab builds a three-router chain with the given middlebox chain at
+// the second router and records what reaches the server.
 type lab struct {
 	sim      *netem.Simulator
-	path     *netem.Path
+	path     *netem.Fabric
 	received []*packet.Packet
 }
 
 func newLab(procs []netem.Processor) *lab {
 	l := &lab{sim: netem.NewSimulator(5)}
-	l.path = &netem.Path{Sim: l.sim}
-	for i := 0; i < 3; i++ {
-		l.path.Hops = append(l.path.Hops, &netem.Hop{Name: "r", Router: true, Latency: time.Millisecond})
-	}
-	l.path.Hops[1].Processors = procs
+	l.path = netem.NewChain(l.sim, 3, netem.Link{}, netem.Link{Latency: time.Millisecond})
+	l.path.Node(2).Processors = procs
 	l.path.Server = netem.EndpointFunc(func(pkt *packet.Packet) { l.received = append(l.received, pkt) })
 	l.path.Client = netem.EndpointFunc(func(pkt *packet.Packet) {})
 	return l
@@ -103,7 +100,7 @@ func TestFlaglessDropper(t *testing.T) {
 
 func TestFlagDropperProbabilistic(t *testing.T) {
 	l := newLab(nil)
-	l.path.Hops[1].Processors = []netem.Processor{NewFlagDropper("fin", packet.FlagFIN, 0.5, l.sim.Rand())}
+	l.path.Node(2).Processors = []netem.Processor{NewFlagDropper("fin", packet.FlagFIN, 0.5, l.sim.Rand())}
 	for i := 0; i < 200; i++ {
 		l.send(data(packet.FlagFIN|packet.FlagACK, packet.Seq(i), ""))
 	}

@@ -2,7 +2,6 @@ package netem
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -10,197 +9,82 @@ import (
 	"intango/internal/packet"
 )
 
-// This file is the graph half of netem. A Fabric generalizes the
-// linear Path: nodes (endpoints and routers with attached taps and
-// processors) joined by directed links, each direction carrying its
-// own latency, loss, and MTU — so forward and reverse routes can
-// differ, and parallel censor devices can sit on parallel branches.
-// Routing is hop-count shortest path with equal-cost multipath:
-// where several next hops tie, a deterministic per-flow hash (seeded
-// ECMP) picks one, modeling the GFW's load-balanced device clusters.
-//
-// The Fabric implements the same Net and Carrier contracts as Path,
-// with identical event vocabulary (send/fwd/deliver/inject/drop-*),
-// counters, packet-pool recycling, and lineage stamping — so obs,
-// tracing, and `-what explain` narratives work unchanged on graph
-// topologies. Linear topologies keep compiling to Path (see
-// internal/topo), which stays allocation-free; the Fabric trades a
-// little routing arithmetic for generality.
-
-// Node is one vertex of a Fabric: an endpoint or a forwarding element
-// with the same tap/processor attachment points as a Path hop.
+// Node holds what one trial attaches at a fabric node.
 type Node struct {
-	Name   string
-	Router bool // decrement TTL, verify checksums, expire packets
-	// Taps are on-path observers (the GFW wiretap): they see every
-	// packet arriving at this node before TTL processing, cannot drop,
-	// and must not mutate.
+	// Taps are on-path observers (§2.1): they see every packet that
+	// arrives at the node — including packets about to expire here —
+	// before TTL processing, cannot drop, and must not mutate. The GFW
+	// wiretap attaches here.
 	Taps []Processor
 	// Processors are in-path devices (middleboxes): they run after TTL
 	// processing and may mutate or Drop.
 	Processors []Processor
 }
 
-// Link carries the attributes of one direction of an edge.
-type Link struct {
-	Latency  time.Duration
-	LossRate float64
-	// MTU, when nonzero, drops datagrams whose wire size exceeds it at
-	// this link's egress (traced as "drop-mtu"). The fabric does not
-	// auto-fragment; senders must fragment deliberately.
-	MTU int
-	// Rate, when nonzero, caps this direction at that many bits per
-	// second: packets serialize through a finite FIFO of Queue packets
-	// (DefaultQueueLimit when zero) with tail-drop, or RED when set.
-	Rate  int64
-	Queue int
-	RED   bool
-}
-
-// linkKey identifies a directed edge.
-type linkKey struct{ from, to int }
-
-// Fabric is a graph topology bound to a simulator. Build one with
-// NewFabric/AddNode/Connect, pick the endpoints, then Finalize to
-// compute the routing tables before sending traffic.
+// Fabric is one trial's network: a shared Topology bound to a
+// simulator, with the trial's taps and processors attached at its
+// nodes. Every topology — the linear chain of the measured paths, or a
+// graph with parallel censor branches and asymmetric routes — runs on
+// it. Per trial it allocates only its own state: the node attachments,
+// the event counters, and the token buckets of the rated links it
+// actually uses.
 type Fabric struct {
 	Sim *Simulator
-	// Client and Server receive packets arriving at the endpoint nodes.
+	// Client and Server receive packets arriving at the endpoints.
 	Client Endpoint
 	Server Endpoint
 	// Trace, when set, observes every packet event on the fabric.
 	Trace func(ev TraceEvent)
-	// Obs, when set, counts packet events and records flight-recorder
-	// entries, exactly like Path.Obs.
+	// Obs, when set, counts packet events and records fabric-level
+	// flight-recorder entries. Nil means disabled (the default) and
+	// costs one branch per event.
 	Obs *obs.Obs
-	// Pool, when set, recycles packets at end-of-life points (suppressed
-	// while Trace is attached, which retains packet pointers).
+	// Pool, when set, recycles packets at end-of-life points: link-loss
+	// and router drops, middlebox Drop verdicts, and after an endpoint's
+	// Deliver returns. Recycling is suppressed while Trace is attached,
+	// because TraceEvents retain *Packet pointers. Only pool-owned
+	// packets are recycled; heap packets pass through untouched.
 	Pool *packet.Pool
 
-	nodes          []*Node
-	client, server int // endpoint node ids
-	links          map[linkKey]Link
-	adj            [][]int // out-neighbours, ascending node id
-	nextS          [][]int // per node: equal-cost next hops toward server
-	nextC          [][]int // per node: equal-cost next hops toward client
-	ecmpSeed       uint64
-	finalized      bool
+	topo  *Topology
+	nodes []Node
 
-	counts   [numPathEvents]uint64
-	lastAt   time.Duration
+	// shapers holds the lazily built token buckets, indexed by directed
+	// link. It stays nil on fabrics whose packets never cross a rated
+	// link, so unshaped trials allocate nothing for shaping.
+	shapers []*linkShaper
+
+	// counts accumulates per-event totals as plain increments — the
+	// fabric belongs to a single simulation, so no atomics are needed on
+	// the hot path. FlushCounters folds them into the registry.
+	counts [numEvents]uint64
+
+	// lastAt is the virtual time of the most recent packet event; the
+	// experiment runner reads it to close the teardown span (last wire
+	// activity → trial end). One store per event, no allocation.
+	lastAt time.Duration
+
+	// lineageN is the wire-ID allocator for causal tracing: every
+	// packet gets a fabric-unique ID the first time it is sent or
+	// injected. Assignment is one compare and one increment, always on
+	// — IDs must be stable whether or not a tracer is attached, so the
+	// determinism guarantee (tracing on == tracing off) holds.
 	lineageN uint32
-	ctx      Context
 
-	// shapers holds the lazily built token buckets of rated links,
-	// keyed by directed edge; nil until the first packet crosses one,
-	// so unshaped fabrics allocate nothing extra.
-	shapers map[linkKey]*linkShaper
+	// ctx is the scratch Context handed to taps and processors; reusing
+	// it keeps arrival allocation-free. Processors must not retain it
+	// past their Process call (the prober copies it before scheduling).
+	ctx Context
 }
 
-// NewFabric returns an empty fabric bound to sim.
-func NewFabric(sim *Simulator) *Fabric {
-	return &Fabric{Sim: sim, client: -1, server: -1, links: make(map[linkKey]Link)}
+// NewFabric binds topology t to sim, with nothing attached yet.
+func NewFabric(sim *Simulator, t *Topology) *Fabric {
+	return &Fabric{Sim: sim, topo: t, nodes: make([]Node, len(t.nodes))}
 }
 
-// AddNode appends a node and returns its id.
-func (f *Fabric) AddNode(n *Node) int {
-	f.nodes = append(f.nodes, n)
-	return len(f.nodes) - 1
-}
-
-// SetClientNode and SetServerNode mark the endpoint nodes; packets
-// arriving there are handed to the Client/Server endpoints.
-func (f *Fabric) SetClientNode(id int) { f.client = id }
-func (f *Fabric) SetServerNode(id int) { f.server = id }
-
-// SetECMPSeed pins the per-flow route-selection hash. Two fabrics with
-// the same topology and seed route every flow identically.
-func (f *Fabric) SetECMPSeed(seed uint64) { f.ecmpSeed = seed }
-
-// Connect adds (or replaces) the directed link from→to.
-func (f *Fabric) Connect(from, to int, l Link) {
-	f.links[linkKey{from, to}] = l
-}
-
-// Finalize validates the graph and computes the per-destination
-// next-hop tables: a BFS from each endpoint over reversed links yields
-// hop-count distances; a node's candidate set toward an endpoint is
-// every out-neighbour strictly closer to it, in ascending node order.
-// Parallel equal-cost branches become ECMP candidate sets.
-func (f *Fabric) Finalize() error {
-	if f.client < 0 || f.client >= len(f.nodes) {
-		return fmt.Errorf("fabric: no client node")
-	}
-	if f.server < 0 || f.server >= len(f.nodes) {
-		return fmt.Errorf("fabric: no server node")
-	}
-	if f.client == f.server {
-		return fmt.Errorf("fabric: client and server are the same node")
-	}
-	n := len(f.nodes)
-	f.adj = make([][]int, n)
-	radj := make([][]int, n)
-	for k := range f.links {
-		f.adj[k.from] = append(f.adj[k.from], k.to)
-		radj[k.to] = append(radj[k.to], k.from)
-	}
-	for i := range f.adj {
-		sort.Ints(f.adj[i])
-		sort.Ints(radj[i])
-	}
-	distS := bfs(radj, f.server)
-	distC := bfs(radj, f.client)
-	if distS[f.client] < 0 {
-		return fmt.Errorf("fabric: no route from client %q to server %q",
-			f.nodes[f.client].Name, f.nodes[f.server].Name)
-	}
-	if distC[f.server] < 0 {
-		return fmt.Errorf("fabric: no route from server %q to client %q",
-			f.nodes[f.server].Name, f.nodes[f.client].Name)
-	}
-	f.nextS = nextHops(f.adj, distS)
-	f.nextC = nextHops(f.adj, distC)
-	f.finalized = true
-	return nil
-}
-
-// bfs returns hop-count distances to dst following edges of radj
-// (reversed links); -1 marks unreachable nodes.
-func bfs(radj [][]int, dst int) []int {
-	dist := make([]int, len(radj))
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[dst] = 0
-	queue := []int{dst}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range radj[v] {
-			if dist[u] < 0 {
-				dist[u] = dist[v] + 1
-				queue = append(queue, u)
-			}
-		}
-	}
-	return dist
-}
-
-// nextHops derives the equal-cost candidate sets from a distance map.
-func nextHops(adj [][]int, dist []int) [][]int {
-	next := make([][]int, len(adj))
-	for u := range adj {
-		if dist[u] <= 0 {
-			continue // destination itself, or unreachable
-		}
-		for _, v := range adj[u] {
-			if dist[v] == dist[u]-1 {
-				next[u] = append(next[u], v) // adj is sorted, so next is too
-			}
-		}
-	}
-	return next
-}
+// Node returns the attachment point of node id; attach taps and
+// processors before traffic flows.
+func (f *Fabric) Node(id int) *Node { return &f.nodes[id] }
 
 // addrU32 orders addresses for flow canonicalization.
 func addrU32(a packet.Addr) uint32 {
@@ -224,7 +108,7 @@ func (f *Fabric) flowHash(pkt *packet.Packet) uint64 {
 		pa, pb = pb, pa
 	}
 	const prime = 1099511628211
-	h := uint64(14695981039346656037) ^ f.ecmpSeed
+	h := uint64(14695981039346656037) ^ f.topo.ecmpSeed
 	for _, x := range a {
 		h = (h ^ uint64(x)) * prime
 	}
@@ -237,38 +121,33 @@ func (f *Fabric) flowHash(pkt *packet.Packet) uint64 {
 }
 
 // route picks the next hop leaving `from` toward the endpoint dir
-// points at, applying per-flow ECMP at branch points. It is pure:
-// emit-time and fire-time calls agree.
-func (f *Fabric) route(from int, dir Direction, pkt *packet.Packet) (int, Link) {
-	cands := f.nextS[from]
-	if dir == ToClient {
-		cands = f.nextC[from]
-	}
+// points at, or nil where there is none. Only branch points hash the
+// flow. It is pure: emit-time and fire-time calls agree.
+func (f *Fabric) route(from int, dir Direction, pkt *packet.Packet) *hop {
+	cands := f.topo.next[dir][from]
 	switch len(cands) {
 	case 0:
-		return -1, Link{}
+		return nil
 	case 1:
-		return cands[0], f.links[linkKey{from, cands[0]}]
+		return &cands[0]
 	}
 	// Mix the node id in so independent branch points decide
 	// independently, as separate hardware hash functions would.
 	h := f.flowHash(pkt) ^ (uint64(from) * 0x9e3779b97f4a7c15)
-	next := cands[h%uint64(len(cands))]
-	return next, f.links[linkKey{from, next}]
+	return &cands[h%uint64(len(cands))]
 }
 
-// name labels node idx in traces.
-func (f *Fabric) name(idx int) string { return f.nodes[idx].Name }
-
-// trace mirrors Path.trace: counter increment, lineage stamping at
-// transmission points, flight-recorder entry (per-hop "fwd" stays
-// out), and the optional trace hook.
-func (f *Fabric) trace(where string, ev int, dir Direction, pkt *packet.Packet) {
+// trace records one packet event at node idx: the counter, lineage
+// stamping at transmission points, a flight-recorder entry (per-hop
+// "fwd" stays out, or the recorder would fill with it), and the
+// optional trace hook.
+func (f *Fabric) trace(idx, ev int, dir Direction, pkt *packet.Packet) {
 	f.counts[ev]++
 	f.lastAt = f.Sim.Now()
 	if ev == evSend || ev == evInject {
 		f.StampLineage(pkt)
 	}
+	where := f.topo.nodes[idx].Label
 	if f.Obs != nil && ev != evFwd {
 		var seq uint32
 		var flags uint8
@@ -276,66 +155,101 @@ func (f *Fabric) trace(where string, ev int, dir Direction, pkt *packet.Packet) 
 			seq = uint32(pkt.TCP.Seq)
 			flags = pkt.TCP.Flags
 		}
-		f.Obs.TracePkt("netem", pathEventLabels[ev], pkt.Lin.ID, pkt.Lin.Parent, seq, flags, where+" "+dir.String())
+		f.Obs.TracePkt("netem", eventLabels[ev], pkt.Lin.ID, pkt.Lin.Parent, seq, flags, where+" "+dir.String())
 	}
 	if f.Trace != nil {
-		f.Trace(TraceEvent{Time: f.Sim.Now(), Where: where, Event: pathEventLabels[ev], Dir: dir, Pkt: pkt})
+		f.Trace(TraceEvent{Time: f.Sim.Now(), Where: where, Event: eventLabels[ev], Dir: dir, Pkt: pkt})
 	}
 }
 
-// release recycles a pool-owned packet at an end-of-life point, unless
-// a trace hook (which retains packet pointers) is attached.
+// StampLineage assigns pkt its fabric-unique wire ID if it does not
+// have one yet, and returns the ID. The send/inject path calls it
+// implicitly; the strategy engine calls it early so insertion packets
+// crafted around an intercepted packet can record it as their parent
+// before it ever reaches the wire.
+func (f *Fabric) StampLineage(pkt *packet.Packet) uint32 {
+	if pkt.Lin.ID == 0 {
+		f.lineageN++
+		pkt.Lin.ID = f.lineageN
+	}
+	return pkt.Lin.ID
+}
+
+// LastEventAt returns the virtual time of the most recent packet event
+// (zero before any traffic).
+func (f *Fabric) LastEventAt() time.Duration { return f.lastAt }
+
+// FlushCounters folds the fabric's accumulated event counts into the
+// observability registry and resets them. Call once per finished
+// trial; a no-op when no Obs is attached.
+func (f *Fabric) FlushCounters() {
+	if f.Obs == nil {
+		return
+	}
+	reg := f.Obs.Registry()
+	for ev, n := range f.counts {
+		reg.Add(eventCounters[ev], n)
+		f.counts[ev] = 0
+	}
+}
+
+// release recycles a pool-owned packet at an end-of-life point. With a
+// Trace attached nothing is recycled: trace events hold the pointer.
 func (f *Fabric) release(pkt *packet.Packet) {
 	if f.Trace == nil {
 		pkt.Release()
 	}
 }
 
-// SendFromClient transmits pkt from the client endpoint node.
+// SendFromClient transmits pkt from the client endpoint.
 func (f *Fabric) SendFromClient(pkt *packet.Packet) {
-	f.trace(f.name(f.client), evSend, ToServer, pkt)
-	f.emitFrom(f.client, ToServer, pkt, 0, false)
+	f.trace(f.topo.client, evSend, ToServer, pkt)
+	f.emitFrom(f.topo.client, ToServer, pkt, 0, false)
 }
 
-// SendFromServer transmits pkt from the server endpoint node.
+// SendFromServer transmits pkt from the server endpoint.
 func (f *Fabric) SendFromServer(pkt *packet.Packet) {
-	f.trace(f.name(f.server), evSend, ToClient, pkt)
-	f.emitFrom(f.server, ToClient, pkt, 0, false)
+	f.trace(f.topo.server, evSend, ToClient, pkt)
+	f.emitFrom(f.topo.server, ToClient, pkt, 0, false)
 }
 
 // emitFrom schedules pkt's crossing of the link leaving `from` toward
-// dir's endpoint. inject marks mid-path injections.
+// dir's endpoint. inject marks mid-path injections (forged packets,
+// rebuilt datagrams, ICMP). The crossing rides a monomorphic packet
+// event (AtPacket) rather than a closure, so steady-state emission
+// allocates nothing. On a rated link the token bucket adds queueing
+// and serialization delay ahead of the propagation latency, or drops
+// the packet at a full queue.
 func (f *Fabric) emitFrom(from int, dir Direction, pkt *packet.Packet, extraDelay time.Duration, inject bool) {
 	if inject {
-		f.trace(f.name(from), evInject, dir, pkt)
+		f.trace(from, evInject, dir, pkt)
 	}
-	next, l := f.route(from, dir, pkt)
-	if next < 0 {
+	h := f.route(from, dir, pkt)
+	if h == nil {
 		// No route onward (a dead-end node injecting the wrong way);
 		// the packet silently expires here.
-		f.trace(f.name(from), evDropProc, dir, pkt)
+		f.trace(from, evDropProc, dir, pkt)
 		f.release(pkt)
 		return
 	}
-	if l.MTU > 0 && wireSize(pkt) > l.MTU {
-		f.trace(f.name(from), evDropMTU, dir, pkt)
+	if h.MTU > 0 && wireSize(pkt) > h.MTU {
+		f.trace(from, evDropMTU, dir, pkt)
 		f.release(pkt)
 		return
 	}
-	delay := extraDelay + l.Latency
-	if l.Rate > 0 {
-		key := linkKey{from, next}
-		sh := f.shapers[key]
+	delay := extraDelay + h.Latency
+	if h.Rate > 0 {
+		if f.shapers == nil {
+			f.shapers = make([]*linkShaper, f.topo.links)
+		}
+		sh := f.shapers[h.link]
 		if sh == nil {
-			if f.shapers == nil {
-				f.shapers = make(map[linkKey]*linkShaper)
-			}
-			sh = newLinkShaper(l.Rate, l.Queue, l.RED)
-			f.shapers[key] = sh
+			sh = newLinkShaper(h.Rate, h.Queue, h.RED)
+			f.shapers[h.link] = sh
 		}
 		qd, ev := sh.admit(f.Sim, wireSize(pkt))
 		if ev >= 0 {
-			f.trace(f.name(from), ev, dir, pkt)
+			f.trace(from, ev, dir, pkt)
 			f.release(pkt)
 			return
 		}
@@ -346,23 +260,23 @@ func (f *Fabric) emitFrom(from int, dir Direction, pkt *packet.Packet, extraDela
 
 // HandlePacket implements PacketHandler: pkt finished crossing the
 // link leaving `from`. The next hop is recomputed (route is pure) and
-// loss is drawn at fire time, matching Path's draw discipline.
+// loss is drawn from the simulation PRNG at fire time.
 func (f *Fabric) HandlePacket(pkt *packet.Packet, from int, dir Direction) {
-	next, l := f.route(from, dir, pkt)
-	if l.LossRate > 0 && f.Sim.Rand().Float64() < l.LossRate {
-		f.trace(f.name(next), evDropLoss, dir, pkt)
+	h := f.route(from, dir, pkt)
+	if h.LossRate > 0 && f.Sim.Rand().Float64() < h.LossRate {
+		f.trace(h.to, evDropLoss, dir, pkt)
 		f.release(pkt)
 		return
 	}
-	f.arriveAt(next, dir, pkt)
+	f.arriveAt(h.to, dir, pkt)
 }
 
 // arriveAt processes pkt at node idx: deliver at the target endpoint,
 // else taps → router TTL handling → in-path processors → forward.
 func (f *Fabric) arriveAt(idx int, dir Direction, pkt *packet.Packet) {
-	if (idx == f.client && dir == ToClient) || (idx == f.server && dir == ToServer) {
-		f.trace(f.name(idx), evDeliver, dir, pkt)
-		if idx == f.client {
+	if (idx == f.topo.client && dir == ToClient) || (idx == f.topo.server && dir == ToServer) {
+		f.trace(idx, evDeliver, dir, pkt)
+		if idx == f.topo.client {
 			if f.Client != nil {
 				f.Client.Deliver(pkt)
 			}
@@ -372,25 +286,30 @@ func (f *Fabric) arriveAt(idx int, dir Direction, pkt *packet.Packet) {
 		f.release(pkt)
 		return
 	}
-	node := f.nodes[idx]
-	f.ctx.Sim, f.ctx.Net, f.ctx.HopIndex = f.Sim, f, idx
+	node := &f.nodes[idx]
+	f.ctx.Sim, f.ctx.Net, f.ctx.Node = f.Sim, f, idx
 	ctx := &f.ctx
 	for _, tap := range node.Taps {
 		tap.Process(ctx, pkt, dir)
 	}
-	if node.Router {
+	if f.topo.nodes[idx].Router {
+		// Routers validate the IP header checksum (RFC 1812 §5.2.2)
+		// and, in this model, discard datagrams carrying IP options —
+		// the §5.3 observation that IP-layer discrepancies "are often
+		// dropped by routers or middleboxes" and therefore make poor
+		// insertion packets.
 		if !pkt.IP.VerifyChecksum() {
-			f.trace(node.Name, evDropIPck, dir, pkt)
+			f.trace(idx, evDropIPck, dir, pkt)
 			f.release(pkt)
 			return
 		}
 		if len(pkt.IP.Options) > 0 {
-			f.trace(node.Name, evDropIPOpt, dir, pkt)
+			f.trace(idx, evDropIPOpt, dir, pkt)
 			f.release(pkt)
 			return
 		}
 		if pkt.IP.TTL <= 1 {
-			f.trace(node.Name, evDropTTL, dir, pkt)
+			f.trace(idx, evDropTTL, dir, pkt)
 			f.sendTimeExceeded(idx, dir, pkt)
 			f.release(pkt)
 			return
@@ -400,161 +319,76 @@ func (f *Fabric) arriveAt(idx int, dir Direction, pkt *packet.Packet) {
 	for _, proc := range node.Processors {
 		if proc.Process(ctx, pkt, dir) == Drop {
 			if f.Obs != nil {
+				// Attribute the drop to the middlebox and the packet
+				// type — §3.4's "middlebox ate the insertion packet".
 				f.Obs.Count("middlebox.drop." + proc.Name())
 				f.Obs.Count("middlebox.drop-kind." + pktKind(pkt))
 			}
-			f.trace(node.Name, evDropProc, dir, pkt)
+			f.trace(idx, evDropProc, dir, pkt)
 			f.release(pkt)
 			return
 		}
 	}
-	f.trace(node.Name, evFwd, dir, pkt)
+	f.trace(idx, evFwd, dir, pkt)
 	f.emitFrom(idx, dir, pkt, 0, false)
 }
 
 // sendTimeExceeded emits an ICMP Time-Exceeded from node idx back
-// toward the packet's source.
+// toward the packet's source. With a pool attached the reply reuses
+// pooled storage; the heap fallback inside TimeExceededPacket handles
+// the rest.
 func (f *Fabric) sendTimeExceeded(idx int, dir Direction, orig *packet.Packet) {
-	reply := f.Pool.TimeExceededPacket(orig, f.nodeAddr(idx))
+	reply := f.Pool.TimeExceededPacket(orig, nodeAddr(idx))
 	reply.Lin = packet.Lineage{Origin: packet.OriginRouter, Parent: orig.Lin.ID}
 	f.emitFrom(idx, dir.Flip(), reply, 0, true)
 }
 
-// nodeAddr synthesizes a stable router address for node idx.
-func (f *Fabric) nodeAddr(idx int) packet.Addr {
-	return packet.AddrFrom4(10, 254, byte(idx>>8), byte(idx))
+// nodeAddr is the address router node id answers Time-Exceeded from,
+// stable so traceroute-style measurements can tell routers apart.
+// Nodes are numbered from 0 including the client, so on a chain
+// router i answers from nodeAddr(i+1).
+func nodeAddr(id int) packet.Addr {
+	return packet.AddrFrom4(10, 254, byte(id>>8), byte(id))
 }
 
-// StampLineage implements Net; IDs are fabric-unique and assigned the
-// first time a packet is sent or injected, traced or not.
-func (f *Fabric) StampLineage(pkt *packet.Packet) uint32 {
-	if pkt.Lin.ID == 0 {
-		f.lineageN++
-		pkt.Lin.ID = f.lineageN
+// Route resolves the node labels a packet of pkt's flow traverses
+// toward dir's endpoint, starting at the opposite one, under the
+// current ECMP tables — the introspection `-what topo`'s demo and the
+// routing tests use. NewTopology guarantees each endpoint reaches the
+// other, so every node on the way has a next hop.
+func (f *Fabric) Route(dir Direction, pkt *packet.Packet) []string {
+	at, dst := f.topo.client, f.topo.server
+	if dir == ToClient {
+		at, dst = dst, at
 	}
-	return pkt.Lin.ID
-}
-
-// LastEventAt implements Net: the virtual time of the most recent
-// packet event (zero before any traffic).
-func (f *Fabric) LastEventAt() time.Duration { return f.lastAt }
-
-// FlushCounters implements Net.
-func (f *Fabric) FlushCounters() {
-	if f.Obs == nil {
-		return
-	}
-	reg := f.Obs.Registry()
-	for ev, n := range f.counts {
-		reg.Add(pathEventCounters[ev], n)
-		f.counts[ev] = 0
-	}
-}
-
-// Carrier implementation.
-func (f *Fabric) injectFrom(from int, dir Direction, pkt *packet.Packet, delay time.Duration) {
-	f.emitFrom(from, dir, pkt, delay, true)
-}
-func (f *Fabric) pool() *packet.Pool  { return f.Pool }
-func (f *Fabric) obsBundle() *obs.Obs { return f.Obs }
-
-// Net implementation (field accessors).
-func (f *Fabric) PacketPool() *packet.Pool         { return f.Pool }
-func (f *Fabric) SetClient(ep Endpoint)            { f.Client = ep }
-func (f *Fabric) SetServer(ep Endpoint)            { f.Server = ep }
-func (f *Fabric) SetObs(b *obs.Obs)                { f.Obs = b }
-func (f *Fabric) TraceHook() func(ev TraceEvent)   { return f.Trace }
-func (f *Fabric) SetTraceHook(fn func(TraceEvent)) { f.Trace = fn }
-
-// ForwardRoute resolves the node names a packet of pkt's flow
-// traverses client→server under the current ECMP tables — the
-// introspection `-what topo`'s demo and the determinism tests use.
-func (f *Fabric) ForwardRoute(pkt *packet.Packet) []string {
-	var names []string
-	at := f.client
-	names = append(names, f.name(at))
-	for at != f.server {
-		next, _ := f.route(at, ToServer, pkt)
-		if next < 0 {
-			return names
-		}
-		names = append(names, f.name(next))
-		at = next
+	names := []string{f.topo.nodes[at].Label}
+	for at != dst {
+		at = f.route(at, dir, pkt).to
+		names = append(names, f.topo.nodes[at].Label)
 	}
 	return names
 }
 
-// ReverseRoute is ForwardRoute for server→client travel.
-func (f *Fabric) ReverseRoute(pkt *packet.Packet) []string {
-	var names []string
-	at := f.server
-	names = append(names, f.name(at))
-	for at != f.client {
-		next, _ := f.route(at, ToClient, pkt)
-		if next < 0 {
-			return names
-		}
-		names = append(names, f.name(next))
-		at = next
-	}
-	return names
-}
-
-// Describe renders the fabric: nodes with attachments in id order,
-// then links with their attributes, sorted.
+// Describe renders the nodes in declaration order as a one-line
+// diagram, each with its taps and processors — on a chain, the Fig. 1
+// picture of the path. A graph's links live in its topo spec.
 func (f *Fabric) Describe() string {
 	var b strings.Builder
-	b.WriteString("fabric:")
-	for i, n := range f.nodes {
-		b.WriteString(" ")
-		b.WriteString(n.Name)
-		switch i {
-		case f.client:
-			b.WriteString("<client>")
-		case f.server:
-			b.WriteString("<server>")
+	for i, v := range f.topo.nodes {
+		if i > 0 {
+			b.WriteString(" — ")
 		}
+		b.WriteString(v.Label)
 		var names []string
-		for _, tap := range n.Taps {
+		for _, tap := range f.nodes[i].Taps {
 			names = append(names, "tap:"+tap.Name())
 		}
-		for _, proc := range n.Processors {
+		for _, proc := range f.nodes[i].Processors {
 			names = append(names, proc.Name())
 		}
 		if len(names) > 0 {
 			fmt.Fprintf(&b, "[%s]", strings.Join(names, ","))
 		}
-	}
-	keys := make([]linkKey, 0, len(f.links))
-	for k := range f.links {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].from != keys[j].from {
-			return keys[i].from < keys[j].from
-		}
-		return keys[i].to < keys[j].to
-	})
-	b.WriteString(" |")
-	for _, k := range keys {
-		l := f.links[k]
-		fmt.Fprintf(&b, " %s>%s(%s", f.name(k.from), f.name(k.to), l.Latency)
-		if l.LossRate > 0 {
-			fmt.Fprintf(&b, ",loss=%g", l.LossRate)
-		}
-		if l.MTU > 0 {
-			fmt.Fprintf(&b, ",mtu=%d", l.MTU)
-		}
-		if l.Rate > 0 {
-			fmt.Fprintf(&b, ",bw=%s", FormatRate(l.Rate))
-			if l.Queue > 0 {
-				fmt.Fprintf(&b, ",queue=%d", l.Queue)
-			}
-			if l.RED {
-				b.WriteString(",red")
-			}
-		}
-		b.WriteString(")")
 	}
 	return b.String()
 }

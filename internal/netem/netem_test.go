@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -60,20 +61,14 @@ func TestSimulatorRunFor(t *testing.T) {
 	}
 }
 
-func newTestPath(s *Simulator, nHops int) *Path {
-	p := &Path{Sim: s}
-	for i := 0; i < nHops; i++ {
-		p.Hops = append(p.Hops, &Hop{
-			Name: "r" + string(rune('0'+i)), Router: true, Latency: time.Millisecond,
-		})
-	}
-	p.ClientLink.Latency = time.Millisecond
-	return p
+// newTestChain builds client — hops routers — server with 1 ms links.
+func newTestChain(s *Simulator, hops int) *Fabric {
+	return NewChain(s, hops, Link{Latency: time.Millisecond}, Link{Latency: time.Millisecond})
 }
 
 func TestPathDelivery(t *testing.T) {
 	s := NewSimulator(1)
-	p := newTestPath(s, 3)
+	p := newTestChain(s, 3)
 	var atServer *packet.Packet
 	p.Server = EndpointFunc(func(pkt *packet.Packet) { atServer = pkt })
 	pkt := packet.NewTCP(cliAddr, 4000, srvAddr, 80, packet.FlagSYN, 1, 0, nil)
@@ -92,7 +87,7 @@ func TestPathDelivery(t *testing.T) {
 
 func TestPathReverseDelivery(t *testing.T) {
 	s := NewSimulator(1)
-	p := newTestPath(s, 2)
+	p := newTestChain(s, 2)
 	var atClient *packet.Packet
 	p.Client = EndpointFunc(func(pkt *packet.Packet) { atClient = pkt })
 	pkt := packet.NewTCP(srvAddr, 80, cliAddr, 4000, packet.FlagSYN|packet.FlagACK, 9, 2, nil)
@@ -108,7 +103,7 @@ func TestPathReverseDelivery(t *testing.T) {
 
 func TestTTLExpiryGeneratesTimeExceeded(t *testing.T) {
 	s := NewSimulator(1)
-	p := newTestPath(s, 5)
+	p := newTestChain(s, 5)
 	var atServer, atClient *packet.Packet
 	p.Server = EndpointFunc(func(pkt *packet.Packet) { atServer = pkt })
 	p.Client = EndpointFunc(func(pkt *packet.Packet) { atClient = pkt })
@@ -127,9 +122,11 @@ func TestTTLExpiryGeneratesTimeExceeded(t *testing.T) {
 	if !ok || sp != 4000 || seq != 77 {
 		t.Fatalf("quote mismatch: %d %d %v", sp, seq, ok)
 	}
-	// The third router (index 2) should be the expiry point.
-	if atClient.IP.Src != p.hopAddr(2) {
-		t.Fatalf("expired at %v, want %v", atClient.IP.Src, p.hopAddr(2))
+	// The third router expires it. Routers answer from their node id,
+	// and nodes count from the client (node 0): the third router is
+	// node 3, 10.254.0.3.
+	if want := packet.AddrFrom4(10, 254, 0, 3); atClient.IP.Src != want || nodeAddr(3) != want {
+		t.Fatalf("expired at %v, want %v", atClient.IP.Src, want)
 	}
 }
 
@@ -150,10 +147,10 @@ func (c *countTap) Process(ctx *Context, pkt *packet.Packet, dir Direction) Verd
 
 func TestProcessorDropAndTap(t *testing.T) {
 	s := NewSimulator(1)
-	p := newTestPath(s, 3)
+	p := newTestChain(s, 3)
 	tap := &countTap{}
-	p.Hops[0].Processors = []Processor{tap}
-	p.Hops[1].Processors = []Processor{dropAll{}}
+	p.Node(1).Processors = []Processor{tap}
+	p.Node(2).Processors = []Processor{dropAll{}}
 	delivered := false
 	p.Server = EndpointFunc(func(pkt *packet.Packet) { delivered = true })
 	p.SendFromClient(packet.NewTCP(cliAddr, 1, srvAddr, 2, packet.FlagSYN, 0, 0, nil))
@@ -180,8 +177,8 @@ func (injector) Process(ctx *Context, pkt *packet.Packet, dir Direction) Verdict
 
 func TestInjectionTowardClient(t *testing.T) {
 	s := NewSimulator(1)
-	p := newTestPath(s, 4)
-	p.Hops[2].Processors = []Processor{injector{}}
+	p := newTestChain(s, 4)
+	p.Node(3).Processors = []Processor{injector{}}
 	var atClient *packet.Packet
 	p.Client = EndpointFunc(func(pkt *packet.Packet) {
 		if pkt.TCP != nil {
@@ -203,8 +200,7 @@ func TestInjectionTowardClient(t *testing.T) {
 func TestLossIsDeterministicPerSeed(t *testing.T) {
 	run := func(seed int64) int {
 		s := NewSimulator(seed)
-		p := newTestPath(s, 2)
-		p.ClientLink.LossRate = 0.5
+		p := NewChain(s, 2, Link{Latency: time.Millisecond, LossRate: 0.5}, Link{Latency: time.Millisecond})
 		n := 0
 		p.Server = EndpointFunc(func(pkt *packet.Packet) { n++ })
 		for i := 0; i < 100; i++ {
@@ -224,17 +220,21 @@ func TestLossIsDeterministicPerSeed(t *testing.T) {
 
 func TestTraceRecordsSequence(t *testing.T) {
 	s := NewSimulator(1)
-	p := newTestPath(s, 2)
+	p := newTestChain(s, 2)
 	var events []TraceEvent
 	p.Trace = func(ev TraceEvent) { events = append(events, ev) }
 	p.Server = EndpointFunc(func(pkt *packet.Packet) {})
 	p.SendFromClient(packet.NewTCP(cliAddr, 1, srvAddr, 2, packet.FlagSYN, 0, 0, nil))
 	s.Run(100)
-	if len(events) < 4 {
-		t.Fatalf("only %d events traced", len(events))
+	var got []string
+	for _, ev := range events {
+		got = append(got, ev.Where+" "+ev.Event)
 	}
-	if events[0].Event != "send" || events[len(events)-1].Event != "deliver" {
-		t.Fatalf("trace endpoints: %v ... %v", events[0], events[len(events)-1])
+	// The endpoints trace as client and server, the labels the
+	// sequence diagrams match on; the routers as r.
+	want := []string{"client send", "r fwd", "r fwd", "server deliver"}
+	if strings.Join(got, ", ") != strings.Join(want, ", ") {
+		t.Fatalf("trace = %v, want %v", got, want)
 	}
 	if events[0].String() == "" {
 		t.Fatal("trace line empty")
@@ -243,43 +243,24 @@ func TestTraceRecordsSequence(t *testing.T) {
 
 func TestDescribeTopology(t *testing.T) {
 	s := NewSimulator(1)
-	p := newTestPath(s, 2)
-	p.Hops[1].Processors = []Processor{&countTap{}}
+	p := newTestChain(s, 2)
+	p.Node(2).Processors = []Processor{&countTap{}}
+	p.Node(1).Taps = []Processor{&countTap{}}
 	d := p.Describe()
-	if d != "client — r0 — r1[tap] — server" {
+	if d != "client — r[tap:tap] — r[tap] — server" {
 		t.Fatalf("Describe = %q", d)
-	}
-}
-
-func TestRouterHopAccounting(t *testing.T) {
-	s := NewSimulator(1)
-	p := newTestPath(s, 4)
-	p.Hops[1].Router = false // a middlebox position, not a router
-	if p.RouterHopCount() != 3 {
-		t.Fatalf("RouterHopCount = %d", p.RouterHopCount())
-	}
-	if p.RouterHopsBefore(2) != 2 {
-		t.Fatalf("RouterHopsBefore(2) = %d", p.RouterHopsBefore(2))
-	}
-	p.Hops[3].Processors = []Processor{dropAll{}}
-	if p.HopIndexOf("dropall") != 3 {
-		t.Fatalf("HopIndexOf = %d", p.HopIndexOf("dropall"))
-	}
-	if p.HopIndexOf("nope") != -1 {
-		t.Fatal("HopIndexOf missing should be -1")
 	}
 }
 
 func TestMTUEnforcement(t *testing.T) {
 	s := NewSimulator(1)
-	p := newTestPath(s, 2)
-	p.MTU = 100
+	p := NewChain(s, 2, Link{Latency: time.Millisecond, MTU: 100}, Link{Latency: time.Millisecond})
 	delivered := 0
 	p.Server = EndpointFunc(func(pkt *packet.Packet) { delivered++ })
-	var dropped bool
+	var events []string
 	p.Trace = func(ev TraceEvent) {
-		if ev.Event == "drop-mtu" {
-			dropped = true
+		if ev.Where == "client" {
+			events = append(events, ev.Event)
 		}
 	}
 	big := packet.NewTCP(cliAddr, 1, srvAddr, 2, packet.FlagACK, 0, 0, make([]byte, 200))
@@ -287,8 +268,14 @@ func TestMTUEnforcement(t *testing.T) {
 	p.SendFromClient(big)
 	p.SendFromClient(small)
 	s.Run(100)
-	if delivered != 1 || !dropped {
-		t.Fatalf("delivered=%d dropped=%v", delivered, dropped)
+	// An MTU is a link attribute, enforced at the link's egress: the
+	// oversized datagram is sent, and gets its wire ID, before the
+	// link drops it.
+	if got := strings.Join(events, ","); delivered != 1 || got != "send,drop-mtu,send" {
+		t.Fatalf("delivered=%d client events=%s, want 1 and send,drop-mtu,send", delivered, got)
+	}
+	if big.Lin.ID == 0 {
+		t.Fatal("MTU-dropped datagram was never stamped")
 	}
 	// Fragments of the big packet fit and get through.
 	big2 := packet.NewTCP(cliAddr, 1, srvAddr, 2, packet.FlagACK, 0, 0, make([]byte, 200))
@@ -307,7 +294,7 @@ func TestMTUEnforcement(t *testing.T) {
 
 func TestRouterDropsBadIPChecksumAndOptions(t *testing.T) {
 	s := NewSimulator(1)
-	p := newTestPath(s, 2)
+	p := newTestChain(s, 2)
 	delivered := 0
 	p.Server = EndpointFunc(func(pkt *packet.Packet) { delivered++ })
 	bad := packet.NewTCP(cliAddr, 1, srvAddr, 2, packet.FlagACK, 0, 0, nil)
@@ -327,13 +314,13 @@ func TestRouterDropsBadIPChecksumAndOptions(t *testing.T) {
 
 func TestTapSeesExpiringPacket(t *testing.T) {
 	// The on-path wiretap must observe packets that expire at its own
-	// hop — the property TTL-limited insertion packets depend on.
+	// node — the property TTL-limited insertion packets depend on.
 	s := NewSimulator(1)
-	p := newTestPath(s, 4)
+	p := newTestChain(s, 4)
 	tap := &countTap{}
-	p.Hops[2].Taps = []Processor{tap}
+	p.Node(3).Taps = []Processor{tap}
 	pkt := packet.NewTCP(cliAddr, 1, srvAddr, 2, packet.FlagSYN, 0, 0, nil)
-	pkt.IP.TTL = 3 // dies exactly at hop index 2
+	pkt.IP.TTL = 3 // dies exactly at the third router, node 3
 	pkt.Finalize()
 	delivered := false
 	p.Server = EndpointFunc(func(*packet.Packet) { delivered = true })
@@ -345,10 +332,10 @@ func TestTapSeesExpiringPacket(t *testing.T) {
 	if delivered {
 		t.Fatal("TTL-3 packet must not reach the server")
 	}
-	// In-path processors at the same hop must NOT see it.
-	p2 := newTestPath(s, 4)
+	// In-path processors at the same node must NOT see it.
+	p2 := newTestChain(s, 4)
 	proc := &countTap{}
-	p2.Hops[2].Processors = []Processor{proc}
+	p2.Node(3).Processors = []Processor{proc}
 	pkt2 := packet.NewTCP(cliAddr, 1, srvAddr, 2, packet.FlagSYN, 0, 0, nil)
 	pkt2.IP.TTL = 3
 	pkt2.Finalize()
@@ -361,7 +348,7 @@ func TestTapSeesExpiringPacket(t *testing.T) {
 
 func TestContextInjectDelay(t *testing.T) {
 	s := NewSimulator(1)
-	p := newTestPath(s, 3)
+	p := newTestChain(s, 3)
 	var deliveredAt time.Duration
 	p.Client = EndpointFunc(func(pkt *packet.Packet) { deliveredAt = s.Now() })
 	inj := processorAdapter{fn: func(ctx *Context, pkt *packet.Packet, dir Direction) Verdict {
@@ -371,11 +358,11 @@ func TestContextInjectDelay(t *testing.T) {
 		}
 		return Pass
 	}}
-	p.Hops[1].Processors = []Processor{inj}
+	p.Node(2).Processors = []Processor{inj}
 	p.SendFromClient(packet.NewTCP(cliAddr, 1, srvAddr, 2, packet.FlagSYN, 0, 0, nil))
 	p.Server = EndpointFunc(func(*packet.Packet) {})
 	s.Run(100)
-	// Reaches hop1 at 2ms; injected +50ms; 2 links back = 2ms.
+	// Reaches the second router at 2ms; injected +50ms; 2 links back = 2ms.
 	if deliveredAt != 54*time.Millisecond {
 		t.Fatalf("deliveredAt = %v, want 54ms", deliveredAt)
 	}

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// This file adds congestion-real links to both substrates: a rated
+// This file adds congestion-real links to the fabric: a rated
 // link serializes packets at a finite bit rate through a finite
 // FIFO queue (tail-drop, optionally RED). Everything is integer
 // virtual-time arithmetic, so shaped campaigns stay bit-identical

@@ -1,7 +1,6 @@
 package netem
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -14,19 +13,24 @@ func mkSeg(t *testing.T) *packet.Packet {
 	return packet.NewTCP(cliAddr, 4000, srvAddr, 80, packet.FlagACK, 1, 1, nil)
 }
 
+// shapedChain is one router between the endpoints, joined by 1 ms
+// links, with the access link shaped to rate and queue.
+func shapedChain(s *Simulator, rate int64, queue int) *Fabric {
+	ms := time.Millisecond
+	return NewChain(s, 1, Link{Latency: ms, Rate: rate, Queue: queue}, Link{Latency: ms})
+}
+
 func TestShapedPathSerializesBackToBack(t *testing.T) {
 	s := NewSimulator(1)
-	p := newTestPath(s, 1)
 	// 40-byte packets at 320 kbit/s serialize in exactly 1ms each.
-	rate := int64(8 * 1000 * wireSize(mkSeg(t)))
-	p.ClientLink.Rate = rate
+	p := shapedChain(s, int64(8*1000*wireSize(mkSeg(t))), 0)
 	var arrivals []time.Duration
 	p.Server = EndpointFunc(func(pkt *packet.Packet) { arrivals = append(arrivals, s.Now()) })
 	for i := 0; i < 3; i++ {
 		p.SendFromClient(mkSeg(t))
 	}
 	s.Run(100)
-	// Client link: 1ms propagation + n×1ms serialization; hop link: 1ms.
+	// Access link: 1ms propagation + n×1ms serialization; next link: 1ms.
 	want := []time.Duration{3 * time.Millisecond, 4 * time.Millisecond, 5 * time.Millisecond}
 	if len(arrivals) != len(want) {
 		t.Fatalf("delivered %d packets, want %d", len(arrivals), len(want))
@@ -40,9 +44,7 @@ func TestShapedPathSerializesBackToBack(t *testing.T) {
 
 func TestShapedPathTailDrop(t *testing.T) {
 	s := NewSimulator(1)
-	p := newTestPath(s, 1)
-	p.ClientLink.Rate = 1000 // 40ms more per 40-byte packet: all five queue
-	p.ClientLink.Queue = 2
+	p := shapedChain(s, 1000, 2) // 40ms more per 40-byte packet: all five queue
 	delivered := 0
 	p.Server = EndpointFunc(func(pkt *packet.Packet) { delivered++ })
 	for i := 0; i < 5; i++ {
@@ -59,46 +61,53 @@ func TestShapedPathTailDrop(t *testing.T) {
 
 func TestUnratedPathAllocatesNoShapers(t *testing.T) {
 	s := NewSimulator(1)
-	p := newTestPath(s, 2)
+	p := newTestChain(s, 2)
 	p.Server = EndpointFunc(func(pkt *packet.Packet) {})
 	p.SendFromClient(mkSeg(t))
 	s.Run(100)
 	if p.shapers != nil {
-		t.Fatal("unrated path built shaper state")
-	}
-	if !p.shapeChk || p.shaped {
-		t.Fatalf("shapeChk=%v shaped=%v, want memoized unshaped", p.shapeChk, p.shaped)
+		t.Fatal("unrated chain built shaper state")
 	}
 }
 
+// TestShapedFabricSerializesAndDescribes shapes one direction of one
+// link of a graph: only that direction queues.
 func TestShapedFabricSerializesAndDescribes(t *testing.T) {
 	s := NewSimulator(1)
-	f := NewFabric(s)
-	c := f.AddNode(&Node{Name: "c"})
-	r := f.AddNode(&Node{Name: "r", Router: true})
-	v := f.AddNode(&Node{Name: "v"})
+	ms := time.Millisecond
 	rate := int64(8 * 1000 * wireSize(mkSeg(t)))
-	f.Connect(c, r, Link{Latency: time.Millisecond, Rate: rate, Queue: 16})
-	f.Connect(r, c, Link{Latency: time.Millisecond})
-	f.Connect(r, v, Link{Latency: time.Millisecond})
-	f.Connect(v, r, Link{Latency: time.Millisecond})
-	f.SetClientNode(c)
-	f.SetServerNode(v)
-	if err := f.Finalize(); err != nil {
+	topo, err := NewTopology(
+		[]Vertex{{Label: "c"}, {Label: "r", Router: true}, {Label: "v"}},
+		[]Edge{
+			{From: 0, To: 1, Link: Link{Latency: ms, Rate: rate, Queue: 16}},
+			{From: 1, To: 0, Link: Link{Latency: ms}},
+			{From: 1, To: 2, Link: Link{Latency: ms}},
+			{From: 2, To: 1, Link: Link{Latency: ms}},
+		}, 0, 2, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
+	f := NewFabric(s, topo)
 	var arrivals []time.Duration
 	f.Server = EndpointFunc(func(pkt *packet.Packet) { arrivals = append(arrivals, s.Now()) })
 	for i := 0; i < 2; i++ {
 		f.SendFromClient(mkSeg(t))
+	}
+	var back []time.Duration
+	f.Client = EndpointFunc(func(pkt *packet.Packet) { back = append(back, s.Now()) })
+	for i := 0; i < 2; i++ {
+		f.SendFromServer(mkSeg(t))
 	}
 	s.Run(100)
 	want := []time.Duration{3 * time.Millisecond, 4 * time.Millisecond}
 	if len(arrivals) != 2 || arrivals[0] != want[0] || arrivals[1] != want[1] {
 		t.Fatalf("arrivals = %v, want %v", arrivals, want)
 	}
-	if d := f.Describe(); !strings.Contains(d, "c>r(1ms,bw=320kbit,queue=16)") {
-		t.Fatalf("Describe missing shaped link attrs: %s", d)
+	if len(back) != 2 || back[0] != 2*ms || back[1] != 2*ms {
+		t.Fatalf("unshaped reverse arrivals = %v, want both at 2ms", back)
+	}
+	if d := f.Describe(); d != "client — r — server" {
+		t.Fatalf("Describe = %q", d)
 	}
 }
 

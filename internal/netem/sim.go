@@ -1,9 +1,11 @@
 // Package netem is a deterministic discrete-event network simulator. It
 // models the measurement environment of the paper: a client and a server
-// joined by a chain of router hops, with middleboxes and the GFW's
-// on-path wiretap attached at arbitrary hops, per-link latency and loss,
-// TTL handling with ICMP Time-Exceeded generation, and full packet
-// tracing for the time-sequence diagrams of Figs. 3 and 4.
+// joined by router hops — a chain (NewChain) or any graph of directed
+// links with per-flow ECMP (NewTopology) — with middleboxes and the
+// GFW's on-path wiretap attached at arbitrary nodes, per-link latency,
+// loss, MTU and bandwidth, TTL handling with ICMP Time-Exceeded
+// generation, and full packet tracing for the time-sequence diagrams of
+// Figs. 3 and 4. One substrate, Fabric, carries every topology.
 package netem
 
 import (
@@ -15,7 +17,7 @@ import (
 
 // PacketHandler is the monomorphic alternative to a scheduled closure:
 // packet deliveries carry (handler, pkt, from, dir) in the event itself
-// instead of allocating a capturing func. Path implements it; so can
+// instead of allocating a capturing func. Fabric implements it; so can
 // any model component with a per-packet timer.
 type PacketHandler interface {
 	HandlePacket(pkt *packet.Packet, from int, dir Direction)

@@ -53,8 +53,8 @@ func (o Origin) String() string {
 // Rules (enforced by the crafting layers, summarized in DESIGN.md):
 //
 //   - ID is the packet's wire identity, assigned exactly once by the
-//     netem path the first time the packet is sent or injected
-//     (Path.StampLineage). Crafting layers never assign IDs.
+//     netem fabric the first time the packet is sent or injected
+//     (Fabric.StampLineage). Crafting layers never assign IDs.
 //   - Parent is the ID of the packet that caused this one: the segment
 //     a challenge ACK answers, the client packet a forged RST punishes,
 //     the intercepted packet an insertion packet shields, the last

@@ -87,8 +87,7 @@ func TestHeaderFields(t *testing.T) {
 
 func TestAttachCapturesLiveTraffic(t *testing.T) {
 	sim := netem.NewSimulator(4)
-	path := &netem.Path{Sim: sim}
-	path.Hops = append(path.Hops, &netem.Hop{Name: "r", Router: true, Latency: time.Millisecond})
+	path := netem.NewChain(sim, 1, netem.Link{}, netem.Link{Latency: time.Millisecond})
 	cli := tcpstack.NewStack(cliAddr, tcpstack.Linux44(), sim)
 	srv := tcpstack.NewStack(srvAddr, tcpstack.Linux44(), sim)
 	cli.AttachClient(path)

@@ -90,10 +90,9 @@ func TestZeroWindowProbe(t *testing.T) {
 // TestRTOBackoffCapped is the regression test for unbounded RTO
 // doubling: exponential backoff must clamp at MaxRTO.
 func TestRTOBackoffCapped(t *testing.T) {
-	sim, p, cli, _ := pair(t, Linux44(), Linux44())
+	sim, _, cli, _ := lossyPair(t, Linux44(), Linux44(), 1.0)
 	cli.Obs = obs.New(obs.NewRegistry(), nil)
 	cli.MaxRTO = time.Second
-	p.ClientLink.LossRate = 1.0
 
 	c := cli.Connect(srvAddr, 80)
 	sim.RunFor(10 * time.Second)

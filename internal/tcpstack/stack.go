@@ -43,7 +43,7 @@ type Stack struct {
 
 	// Dev is the packet device every crafted segment leaves through —
 	// the builders never reach into netem directly. Attach* binds it;
-	// dev is the inline adapter storage for the netem substrates.
+	// dev is the inline adapter storage for a netem fabric end.
 	Dev device.Device
 	dev device.NetemEnd
 
@@ -108,29 +108,28 @@ func NewStack(addr packet.Addr, profile Profile, sim *netem.Simulator) *Stack {
 	}
 }
 
-// AttachClient wires the stack to the client end of a substrate (a
-// linear netem.Path or a graph netem.Fabric): the stack stays the
-// end's inbound endpoint and transmits through an inline NetemEnd
-// device.
-func (s *Stack) AttachClient(n netem.Net) {
-	n.SetClient(s)
-	s.dev = device.NetemEnd{Net: n}
-	s.bindNetemEnd(n)
+// AttachClient wires the stack to the client end of a fabric: the
+// stack stays the end's inbound endpoint and transmits through an
+// inline NetemEnd device.
+func (s *Stack) AttachClient(f *netem.Fabric) {
+	f.Client = s
+	s.dev = device.NetemEnd{Net: f}
+	s.bindNetemEnd(f)
 }
 
-// AttachServer wires the stack to the server end of a substrate.
-func (s *Stack) AttachServer(n netem.Net) {
-	n.SetServer(s)
-	s.dev = device.NetemEnd{Net: n, Server: true}
-	s.bindNetemEnd(n)
+// AttachServer wires the stack to the server end of a fabric.
+func (s *Stack) AttachServer(f *netem.Fabric) {
+	f.Server = s
+	s.dev = device.NetemEnd{Net: f, Server: true}
+	s.bindNetemEnd(f)
 }
 
-func (s *Stack) bindNetemEnd(n netem.Net) {
+func (s *Stack) bindNetemEnd(f *netem.Fabric) {
 	s.Dev = &s.dev
 	// Transmit has the Send hook's exact shape; binding it costs the
 	// same single method value the old direct netem binding did.
 	s.Send = s.dev.Transmit
-	s.Pool = n.PacketPool()
+	s.Pool = f.Pool
 }
 
 // AttachDevice wires the stack to an arbitrary packet device — a pipe,

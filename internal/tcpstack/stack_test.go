@@ -14,15 +14,21 @@ var (
 	srvAddr = packet.AddrFrom4(203, 0, 113, 80)
 )
 
-// pair builds client and server stacks joined by a 3-hop path.
-func pair(t *testing.T, cliProf, srvProf Profile) (*netem.Simulator, *netem.Path, *Stack, *Stack) {
+// pair builds client and server stacks joined by a 3-router chain.
+func pair(t *testing.T, cliProf, srvProf Profile) (*netem.Simulator, *netem.Fabric, *Stack, *Stack) {
+	t.Helper()
+	return lossyPair(t, cliProf, srvProf, 0)
+}
+
+// lossyPair is pair with the client's access link losing packets at
+// rate loss in both directions.
+func lossyPair(t *testing.T, cliProf, srvProf Profile, loss float64) (*netem.Simulator, *netem.Fabric, *Stack, *Stack) {
 	t.Helper()
 	sim := netem.NewSimulator(7)
-	p := &netem.Path{Sim: sim}
-	for i := 0; i < 3; i++ {
-		p.Hops = append(p.Hops, &netem.Hop{Name: "r", Router: true, Latency: time.Millisecond})
-	}
-	p.ClientLink.Latency = time.Millisecond
+	link := netem.Link{Latency: time.Millisecond}
+	access := link
+	access.LossRate = loss
+	p := netem.NewChain(sim, 3, access, link)
 	cli := NewStack(cliAddr, cliProf, sim)
 	srv := NewStack(srvAddr, srvProf, sim)
 	cli.AttachClient(p)
@@ -75,11 +81,10 @@ func TestHandshakeAcrossProfiles(t *testing.T) {
 }
 
 func TestRetransmissionOnLoss(t *testing.T) {
-	sim, p, cli, srv := pair(t, Linux44(), Linux44())
-	echoServer(srv, 80)
 	// Lose 30% of packets on the client link; retransmission must
 	// still complete the exchange.
-	p.ClientLink.LossRate = 0.3
+	sim, _, cli, srv := lossyPair(t, Linux44(), Linux44(), 0.3)
+	echoServer(srv, 80)
 	c := cli.Connect(srvAddr, 80)
 	sim.RunFor(10 * time.Second)
 	if c.State() != Established {
@@ -93,8 +98,7 @@ func TestRetransmissionOnLoss(t *testing.T) {
 }
 
 func TestRetransmissionGivesUp(t *testing.T) {
-	sim, p, cli, _ := pair(t, Linux44(), Linux44())
-	p.ClientLink.LossRate = 1.0
+	sim, _, cli, _ := lossyPair(t, Linux44(), Linux44(), 1.0)
 	c := cli.Connect(srvAddr, 80)
 	sim.RunFor(2 * time.Minute)
 	if c.State() != Closed {
@@ -430,7 +434,7 @@ func TestForgedSynAckDisruptsHandshake(t *testing.T) {
 	sim, p, cli, srv := pair(t, Linux44(), Linux44())
 	echoServer(srv, 80)
 	var clientConn *Conn
-	// Forge at hop 1: respond to the SYN before the server can.
+	// Forge at the second router: respond to the SYN before the server can.
 	forge := processorFunc(func(ctx *netem.Context, pkt *packet.Packet, dir netem.Direction) netem.Verdict {
 		if dir == netem.ToServer && pkt.TCP != nil && pkt.TCP.FlagsOnly(packet.FlagSYN) {
 			f := packet.NewTCP(pkt.IP.Dst, pkt.TCP.DstPort, pkt.IP.Src, pkt.TCP.SrcPort,
@@ -439,7 +443,7 @@ func TestForgedSynAckDisruptsHandshake(t *testing.T) {
 		}
 		return netem.Pass
 	})
-	p.Hops[1].Processors = []netem.Processor{forge}
+	p.Node(2).Processors = []netem.Processor{forge} // the second router
 	clientConn = cli.Connect(srvAddr, 80)
 	sim.Run(2000)
 	// Client is "established" against a phantom; write data and observe

@@ -12,8 +12,7 @@ import (
 func TestLargeTransferOverLossyLink(t *testing.T) {
 	// 64 KiB through 2% loss: segmentation, retransmission and
 	// reassembly must deliver every byte in order.
-	sim, p, cli, srv := pair(t, Linux44(), Linux44())
-	p.ClientLink.LossRate = 0.02
+	sim, _, cli, srv := lossyPair(t, Linux44(), Linux44(), 0.02)
 	payload := make([]byte, 64*1024)
 	for i := range payload {
 		payload[i] = byte(i * 7)

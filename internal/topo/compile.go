@@ -50,22 +50,18 @@ type Options struct {
 // edge identifies a directed link by node index.
 type edge struct{ from, to int }
 
-// Program is a validated, routing-planned topology ready to
-// instantiate. Validation and linearity detection happen once in
-// NewProgram; Instantiate is cheap and allocation-disciplined, so rigs
-// cache Programs per topology shape and stamp out one substrate per
-// trial.
+// Program is a validated topology with its routing planned: NewProgram
+// validates the spec and computes every node's next hops once, into a
+// netem.Topology that Instantiate shares read-only with every trial's
+// fabric. Rigs cache Programs per topology shape and stamp out one
+// fabric per trial, which allocates only the trial's own state.
 type Program struct {
-	spec  Spec
-	index map[string]int
-	links map[edge]LinkSpec
-	// chain is the node order client..server when the topology is a
-	// symmetric linear chain (the netem.Path fast case); nil for graphs.
-	chain []int
+	spec Spec
+	topo *netem.Topology
 }
 
 // Compile is NewProgram + Instantiate for one-shot use.
-func Compile(spec Spec, b Binder, opts Options) (netem.Net, error) {
+func Compile(spec Spec, b Binder, opts Options) (*netem.Fabric, error) {
 	p, err := NewProgram(spec)
 	if err != nil {
 		return nil, err
@@ -73,25 +69,19 @@ func Compile(spec Spec, b Binder, opts Options) (netem.Net, error) {
 	return p.Instantiate(b, opts)
 }
 
-// NewProgram validates spec and plans its compilation: a symmetric
-// linear chain compiles to the allocation-free netem.Path; anything
-// else — parallel branches, asymmetric routes, per-direction
-// attributes, mid-path MTUs — compiles to a netem.Fabric.
+// NewProgram validates spec and plans its routing.
 func NewProgram(spec Spec) (*Program, error) {
-	p := &Program{
-		spec:  spec,
-		index: make(map[string]int, len(spec.Nodes)),
-		links: make(map[edge]LinkSpec, len(spec.Links)),
-	}
+	index := make(map[string]int, len(spec.Nodes))
+	nodes := make([]netem.Vertex, len(spec.Nodes))
 	client, server := -1, -1
 	for i, n := range spec.Nodes {
 		if n.Name == "" {
 			return nil, fmt.Errorf("topo: node %d: empty name", i)
 		}
-		if _, dup := p.index[n.Name]; dup {
+		if _, dup := index[n.Name]; dup {
 			return nil, fmt.Errorf("topo: duplicate node %q", n.Name)
 		}
-		p.index[n.Name] = i
+		index[n.Name] = i
 		switch n.Kind {
 		case KindClient:
 			if client >= 0 {
@@ -107,6 +97,7 @@ func NewProgram(spec Spec) (*Program, error) {
 		if (n.Kind == KindClient || n.Kind == KindServer) && len(n.Attach) > 0 {
 			return nil, fmt.Errorf("topo: node %q: endpoints cannot carry taps or processors", n.Name)
 		}
+		nodes[i] = netem.Vertex{Label: display(n), Router: n.Kind == KindRouter}
 	}
 	if client < 0 {
 		return nil, fmt.Errorf("topo: no client node")
@@ -114,22 +105,24 @@ func NewProgram(spec Spec) (*Program, error) {
 	if server < 0 {
 		return nil, fmt.Errorf("topo: no server node")
 	}
+	seen := make(map[edge]bool, len(spec.Links))
+	edges := make([]netem.Edge, 0, len(spec.Links))
 	for _, l := range spec.Links {
-		from, ok := p.index[l.From]
+		from, ok := index[l.From]
 		if !ok {
 			return nil, fmt.Errorf("topo: link %s>%s: unknown node %q", l.From, l.To, l.From)
 		}
-		to, ok := p.index[l.To]
+		to, ok := index[l.To]
 		if !ok {
 			return nil, fmt.Errorf("topo: link %s>%s: unknown node %q", l.From, l.To, l.To)
 		}
 		if from == to {
 			return nil, fmt.Errorf("topo: link %s>%s: self-link", l.From, l.To)
 		}
-		k := edge{from, to}
-		if _, dup := p.links[k]; dup {
+		if seen[edge{from, to}] {
 			return nil, fmt.Errorf("topo: duplicate link %s>%s", l.From, l.To)
 		}
+		seen[edge{from, to}] = true
 		if l.Latency < 0 {
 			return nil, fmt.Errorf("topo: link %s>%s: negative latency", l.From, l.To)
 		}
@@ -148,119 +141,24 @@ func NewProgram(spec Spec) (*Program, error) {
 		if l.RateBits == 0 && (l.Queue != 0 || l.RED) {
 			return nil, fmt.Errorf("topo: link %s>%s: queue/red require bw", l.From, l.To)
 		}
-		p.links[k] = l
+		edges = append(edges, netem.Edge{From: from, To: to, Link: netem.Link{
+			Latency: l.Latency, LossRate: l.Loss, MTU: l.MTU,
+			Rate: l.RateBits, Queue: l.Queue, RED: l.RED,
+		}})
 	}
-	if err := p.checkReachable(client, server); err != nil {
+	// Routing rejects endpoints that cannot reach each other.
+	t, err := netem.NewTopology(nodes, edges, client, server, spec.ECMPSeed)
+	if err != nil {
 		return nil, err
 	}
-	p.chain = p.linearChain(client, server)
-	return p, nil
-}
-
-// checkReachable verifies both endpoints can reach each other over the
-// directed links.
-func (p *Program) checkReachable(client, server int) error {
-	n := len(p.spec.Nodes)
-	adj := make([][]int, n)
-	for k := range p.links {
-		adj[k.from] = append(adj[k.from], k.to)
-	}
-	reach := func(src, dst int) bool {
-		seen := make([]bool, n)
-		seen[src] = true
-		queue := []int{src}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			if v == dst {
-				return true
-			}
-			for _, u := range adj[v] {
-				if !seen[u] {
-					seen[u] = true
-					queue = append(queue, u)
-				}
-			}
-		}
-		return false
-	}
-	if !reach(client, server) {
-		return fmt.Errorf("topo: no route from client %q to server %q",
-			p.spec.Nodes[client].Name, p.spec.Nodes[server].Name)
-	}
-	if !reach(server, client) {
-		return fmt.Errorf("topo: no route from server %q to client %q",
-			p.spec.Nodes[server].Name, p.spec.Nodes[client].Name)
-	}
-	return nil
-}
-
-// linearChain returns the client..server node order when the topology
-// is the netem.Path shape — a single chain whose every edge has both
-// directions with equal latency and loss, and whose only MTU (if any)
-// sits on the client→first-hop link, the one place Path enforces it.
-// Returns nil for every other shape.
-func (p *Program) linearChain(client, server int) []int {
-	n := len(p.spec.Nodes)
-	// A chain of n nodes has exactly n-1 undirected edges, each present
-	// in both directions.
-	if len(p.links) != 2*(n-1) {
-		return nil
-	}
-	und := make([][]int, n)
-	for k := range p.links {
-		if _, ok := p.links[edge{k.to, k.from}]; !ok {
-			return nil // one-way link: asymmetric, not a Path
-		}
-		if k.from < k.to { // count each undirected edge once
-			und[k.from] = append(und[k.from], k.to)
-			und[k.to] = append(und[k.to], k.from)
-		}
-	}
-	chain := make([]int, 0, n)
-	prev, at := -1, client
-	for {
-		chain = append(chain, at)
-		if at == server {
-			break
-		}
-		var next []int
-		for _, v := range und[at] {
-			if v != prev {
-				next = append(next, v)
-			}
-		}
-		if len(next) != 1 {
-			return nil // branch or dead end
-		}
-		prev, at = at, next[0]
-	}
-	if len(chain) != n {
-		return nil // nodes off the chain
-	}
-	for i := 0; i+1 < len(chain); i++ {
-		fw := p.links[edge{chain[i], chain[i+1]}]
-		rv := p.links[edge{chain[i+1], chain[i]}]
-		if fw.Latency != rv.Latency || fw.Loss != rv.Loss {
-			return nil // Path links are symmetric
-		}
-		if fw.RateBits != rv.RateBits || fw.Queue != rv.Queue || fw.RED != rv.RED {
-			return nil // per-direction shaping needs the Fabric
-		}
-		if rv.MTU != 0 || (fw.MTU != 0 && i != 0) {
-			return nil // Path enforces MTU only on client egress
-		}
-	}
-	return chain
+	return &Program{spec: spec, topo: t}, nil
 }
 
 // Spec returns the program's spec (shared, not copied).
 func (p *Program) Spec() Spec { return p.spec }
 
-// Linear reports whether the program compiles to a netem.Path.
-func (p *Program) Linear() bool { return p.chain != nil }
-
-// display is a node's trace label: Label when set, else Name.
+// display is a node's trace label: Label when set, else Name. netem
+// labels the endpoints client and server whatever their names.
 func display(n NodeSpec) string {
 	if n.Label != "" {
 		return n.Label
@@ -269,105 +167,48 @@ func display(n NodeSpec) string {
 }
 
 // bindInto resolves a node's attachments through b, appending taps and
-// processors in attachment order.
-func bindInto(b Binder, name string, attach []Attachment, taps, procs *[]netem.Processor) error {
-	for _, a := range attach {
+// processors to node in attachment order.
+func bindInto(b Binder, n NodeSpec, node *netem.Node) error {
+	for _, a := range n.Attach {
 		if b == nil {
-			return fmt.Errorf("topo: node %q: no binder for ref %q", name, a.Ref)
+			return fmt.Errorf("topo: node %q: no binder for ref %q", n.Name, a.Ref)
 		}
 		if a.Censor {
 			cb, ok := b.(CensorBinder)
 			if !ok {
-				return fmt.Errorf("topo: node %q: binder cannot resolve censor ref %q", name, a.Ref)
+				return fmt.Errorf("topo: node %q: binder cannot resolve censor ref %q", n.Name, a.Ref)
 			}
 			t, pr, err := cb.BindCensor(a.Ref)
 			if err != nil {
-				return fmt.Errorf("topo: node %q: %w", name, err)
+				return fmt.Errorf("topo: node %q: %w", n.Name, err)
 			}
-			*taps = append(*taps, t...)
-			*procs = append(*procs, pr...)
+			node.Taps = append(node.Taps, t...)
+			node.Processors = append(node.Processors, pr...)
 			continue
 		}
 		chain, err := b.Bind(a.Ref, a.Tap)
 		if err != nil {
-			return fmt.Errorf("topo: node %q: %w", name, err)
+			return fmt.Errorf("topo: node %q: %w", n.Name, err)
 		}
 		if a.Tap {
-			*taps = append(*taps, chain...)
+			node.Taps = append(node.Taps, chain...)
 		} else {
-			*procs = append(*procs, chain...)
+			node.Processors = append(node.Processors, chain...)
 		}
 	}
 	return nil
 }
 
-// Instantiate builds the substrate: a *netem.Path for linear programs,
-// a finalized *netem.Fabric otherwise. Binder calls happen nodes in
-// declaration order, attachments in declaration order, on both shapes.
-func (p *Program) Instantiate(b Binder, opts Options) (netem.Net, error) {
-	if p.chain != nil {
-		return p.instantiatePath(b, opts)
-	}
-	return p.instantiateFabric(b, opts)
-}
-
-// instantiatePath compiles the chain onto the linear fast path. Hops
-// are appended one at a time so the allocation profile matches the
-// hand-built rigs the benchmarks baselined.
-func (p *Program) instantiatePath(b Binder, opts Options) (netem.Net, error) {
-	path := &netem.Path{Sim: opts.Sim, Pool: opts.Pool}
-	cl := p.links[edge{p.chain[0], p.chain[1]}]
-	path.ClientLink.Latency = cl.Latency
-	path.ClientLink.LossRate = cl.Loss
-	path.ClientLink.Rate = cl.RateBits
-	path.ClientLink.Queue = cl.Queue
-	path.ClientLink.RED = cl.RED
-	path.MTU = cl.MTU
-	for i := 1; i+1 < len(p.chain); i++ {
-		n := p.spec.Nodes[p.chain[i]]
-		fw := p.links[edge{p.chain[i], p.chain[i+1]}]
-		hop := &netem.Hop{
-			Name:     display(n),
-			Router:   n.Kind == KindRouter,
-			Latency:  fw.Latency,
-			LossRate: fw.Loss,
-			Rate:     fw.RateBits,
-			Queue:    fw.Queue,
-			RED:      fw.RED,
-		}
-		if err := bindInto(b, n.Name, n.Attach, &hop.Taps, &hop.Processors); err != nil {
-			return nil, err
-		}
-		path.Hops = append(path.Hops, hop)
-	}
-	return path, nil
-}
-
-// instantiateFabric compiles the general graph case.
-func (p *Program) instantiateFabric(b Binder, opts Options) (netem.Net, error) {
-	f := netem.NewFabric(opts.Sim)
+// Instantiate builds one trial's fabric over the program's shared
+// routing. Binder calls happen nodes in declaration order, attachments
+// in declaration order.
+func (p *Program) Instantiate(b Binder, opts Options) (*netem.Fabric, error) {
+	f := netem.NewFabric(opts.Sim, p.topo)
 	f.Pool = opts.Pool
-	f.SetECMPSeed(p.spec.ECMPSeed)
-	for _, n := range p.spec.Nodes {
-		node := &netem.Node{Name: display(n), Router: n.Kind == KindRouter}
-		if err := bindInto(b, n.Name, n.Attach, &node.Taps, &node.Processors); err != nil {
+	for i, n := range p.spec.Nodes {
+		if err := bindInto(b, n, f.Node(i)); err != nil {
 			return nil, err
 		}
-		id := f.AddNode(node)
-		switch n.Kind {
-		case KindClient:
-			f.SetClientNode(id)
-		case KindServer:
-			f.SetServerNode(id)
-		}
-	}
-	for _, l := range p.spec.Links {
-		f.Connect(p.index[l.From], p.index[l.To],
-			netem.Link{Latency: l.Latency, LossRate: l.Loss, MTU: l.MTU,
-				Rate: l.RateBits, Queue: l.Queue, RED: l.RED})
-	}
-	if err := f.Finalize(); err != nil {
-		return nil, err
 	}
 	return f, nil
 }

@@ -17,7 +17,7 @@ func (s stubProc) Process(ctx *netem.Context, pkt *packet.Packet, dir netem.Dire
 	return netem.Pass
 }
 
-// linearSpec is the canonical 2-hop chain the measurement rigs use:
+// linearSpec is a 2-hop chain in the shape the measurement rigs use:
 // client — r0 — r1 — server, symmetric links, tap+middlebox on r0.
 const linearSpec = "node:c(client) node:r0(router,label=r,tap=wiretap,proc=mbox) node:r1(router,label=r) node:s(server) " +
 	"link:c>r0(lat=10ms,loss=0.006,mtu=1500) link:r0>c(lat=10ms,loss=0.006) " +
@@ -41,137 +41,54 @@ func testBinder() BindMap {
 	}
 }
 
-func TestCompileLinearToPath(t *testing.T) {
-	prog, err := NewProgram(MustParseTopo(linearSpec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !prog.Linear() {
-		t.Fatal("chain spec not detected as linear")
-	}
-	sim := netem.NewSimulator(1)
-	n, err := prog.Instantiate(testBinder(), Options{Sim: sim})
-	if err != nil {
-		t.Fatal(err)
-	}
-	path, ok := n.(*netem.Path)
-	if !ok {
-		t.Fatalf("linear program compiled to %T, want *netem.Path", n)
-	}
-	if path.ClientLink.Latency != 10*time.Millisecond || path.ClientLink.LossRate != 0.006 {
-		t.Errorf("client link = %v/%v", path.ClientLink.Latency, path.ClientLink.LossRate)
-	}
-	if path.MTU != 1500 {
-		t.Errorf("MTU = %d, want 1500", path.MTU)
-	}
-	if len(path.Hops) != 2 {
-		t.Fatalf("got %d hops, want 2", len(path.Hops))
-	}
-	// Labels override names in traces: both hops display as "r".
-	if path.Hops[0].Name != "r" || path.Hops[1].Name != "r" {
-		t.Errorf("hop names = %q, %q; want r, r", path.Hops[0].Name, path.Hops[1].Name)
-	}
-	if !path.Hops[0].Router || !path.Hops[1].Router {
-		t.Error("hops not routers")
-	}
-	if len(path.Hops[0].Taps) != 1 || path.Hops[0].Taps[0].Name() != "wiretap" {
-		t.Errorf("hop0 taps = %v", path.Hops[0].Taps)
-	}
-	if len(path.Hops[0].Processors) != 1 || path.Hops[0].Processors[0].Name() != "mbox" {
-		t.Errorf("hop0 processors = %v", path.Hops[0].Processors)
-	}
-	if path.Hops[0].Latency != time.Millisecond || path.Hops[1].Latency != time.Millisecond {
-		t.Errorf("hop latencies = %v, %v", path.Hops[0].Latency, path.Hops[1].Latency)
-	}
-}
-
-// TestCompileShapedChain verifies symmetric bandwidth attributes keep
-// the Path fast case and carry through to the substrate.
+// TestCompileShapedChain verifies a chain's labels, bound attachments
+// and per-link bandwidth carry through to the fabric.
 func TestCompileShapedChain(t *testing.T) {
-	spec := "node:c(client) node:r0(router) node:s(server) " +
+	spec := "node:c(client) node:r0(router,label=r,tap=wiretap,proc=mbox) node:s(server) " +
 		"link:c>r0(lat=1ms,bw=1mbit,queue=16,red) link:r0>c(lat=1ms,bw=1mbit,queue=16,red) " +
 		"link:r0>s(lat=1ms,bw=2mbit) link:s>r0(lat=1ms,bw=2mbit)"
-	prog, err := NewProgram(MustParseTopo(spec))
+	sim := netem.NewSimulator(1)
+	f, err := Compile(MustParseTopo(spec), testBinder(), Options{Sim: sim})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !prog.Linear() {
-		t.Fatal("symmetric shaped chain not detected as linear")
+	// Labels override names; taps precede processors.
+	if d := f.Describe(); d != "client — r[tap:wiretap,mbox] — server" {
+		t.Errorf("Describe = %q", d)
 	}
-	n, err := prog.Instantiate(nil, Options{Sim: netem.NewSimulator(1)})
-	if err != nil {
-		t.Fatal(err)
+	var arrivals []time.Duration
+	f.Server = netem.EndpointFunc(func(*packet.Packet) { arrivals = append(arrivals, sim.Now()) })
+	cli, srv := packet.AddrFrom4(10, 0, 0, 1), packet.AddrFrom4(10, 9, 0, 1)
+	for i := 0; i < 2; i++ {
+		f.SendFromClient(packet.NewTCP(cli, 4000, srv, 80, packet.FlagACK, 1, 1, nil))
 	}
-	path := n.(*netem.Path)
-	if path.ClientLink.Rate != 1_000_000 || path.ClientLink.Queue != 16 || !path.ClientLink.RED {
-		t.Errorf("client link shaping = %d/%d/%v, want 1mbit/16/red",
-			path.ClientLink.Rate, path.ClientLink.Queue, path.ClientLink.RED)
-	}
-	if path.Hops[0].Rate != 2_000_000 || path.Hops[0].Queue != 0 || path.Hops[0].RED {
-		t.Errorf("hop0 shaping = %d/%d/%v, want 2mbit/0/tail-drop",
-			path.Hops[0].Rate, path.Hops[0].Queue, path.Hops[0].RED)
+	sim.Run(100)
+	// 40-byte packets serialize in 320µs at 1 mbit/s and 160µs at
+	// 2 mbit/s, each link adding 1 ms of propagation: the second packet
+	// queues behind the first on the access link.
+	us := time.Microsecond
+	if want := []time.Duration{2480 * us, 2800 * us}; len(arrivals) != 2 || arrivals[0] != want[0] || arrivals[1] != want[1] {
+		t.Errorf("arrivals = %v, want %v", arrivals, want)
 	}
 }
 
-// TestCompileTwoNodeChain covers the degenerate client—server chain:
-// still linear, zero hops.
+// TestCompileTwoNodeChain covers the degenerate client—server chain.
 func TestCompileTwoNodeChain(t *testing.T) {
-	n, err := Compile(MustParseTopo("node:c(client) node:s(server) link:c>s(lat=1ms) link:s>c(lat=1ms)"),
-		nil, Options{Sim: netem.NewSimulator(1)})
+	sim := netem.NewSimulator(1)
+	f, err := Compile(MustParseTopo("node:c(client) node:s(server) link:c>s(lat=1ms) link:s>c(lat=1ms)"),
+		nil, Options{Sim: sim})
 	if err != nil {
 		t.Fatal(err)
 	}
-	path, ok := n.(*netem.Path)
-	if !ok {
-		t.Fatalf("compiled to %T, want *netem.Path", n)
+	if d := f.Describe(); d != "client — server" {
+		t.Errorf("Describe = %q", d)
 	}
-	if len(path.Hops) != 0 {
-		t.Errorf("got %d hops, want 0", len(path.Hops))
-	}
-}
-
-// TestLinearityBoundary checks the shapes that must NOT take the Path
-// fast case even though they parse fine.
-func TestLinearityBoundary(t *testing.T) {
-	cases := []struct{ name, spec string }{
-		{"asymmetric latency",
-			"node:c(client) node:r(router) node:s(server) " +
-				"link:c>r(lat=2ms) link:r>c(lat=3ms) link:r>s(lat=1ms) link:s>r(lat=1ms)"},
-		{"asymmetric loss",
-			"node:c(client) node:r(router) node:s(server) " +
-				"link:c>r(loss=0.1) link:r>c link:r>s link:s>r"},
-		{"mid-path mtu",
-			"node:c(client) node:r(router) node:s(server) " +
-				"link:c>r link:r>c link:r>s(mtu=576) link:s>r"},
-		{"reverse mtu on client link",
-			"node:c(client) node:r(router) node:s(server) " +
-				"link:c>r link:r>c(mtu=1500) link:r>s link:s>r"},
-		{"one-way ring",
-			"node:c(client) node:f(router) node:r(router) node:s(server) " +
-				"link:c>f link:f>s link:s>r link:r>c"},
-		{"asymmetric bandwidth",
-			"node:c(client) node:r(router) node:s(server) " +
-				"link:c>r(bw=1mbit) link:r>c link:r>s link:s>r"},
-		{"asymmetric queue",
-			"node:c(client) node:r(router) node:s(server) " +
-				"link:c>r(bw=1mbit,queue=8) link:r>c(bw=1mbit,queue=16) link:r>s link:s>r"},
-		{"parallel branches", ecmpSpec},
-	}
-	for _, tc := range cases {
-		prog, err := NewProgram(MustParseTopo(tc.spec))
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if prog.Linear() {
-			t.Errorf("%s: detected as linear, want fabric", tc.name)
-		}
-		n, err := prog.Instantiate(testBinder(), Options{Sim: netem.NewSimulator(1)})
-		if err != nil {
-			t.Fatalf("%s: instantiate: %v", tc.name, err)
-		}
-		if _, ok := n.(*netem.Fabric); !ok {
-			t.Errorf("%s: compiled to %T, want *netem.Fabric", tc.name, n)
-		}
+	delivered := false
+	f.Client = netem.EndpointFunc(func(*packet.Packet) { delivered = sim.Now() == time.Millisecond })
+	f.SendFromServer(packet.NewTCP(packet.AddrFrom4(10, 9, 0, 1), 80, packet.AddrFrom4(10, 0, 0, 1), 4000, packet.FlagACK, 1, 1, nil))
+	sim.Run(10)
+	if !delivered {
+		t.Error("server packet not delivered to the client after 1ms")
 	}
 }
 
@@ -180,29 +97,28 @@ func TestCompileFabricECMP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := prog.Instantiate(testBinder(), Options{Sim: netem.NewSimulator(1)})
+	f, err := prog.Instantiate(testBinder(), Options{Sim: netem.NewSimulator(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := n.(*netem.Fabric)
 	cli, srv := packet.AddrFrom4(10, 0, 0, 1), packet.AddrFrom4(10, 9, 0, 1)
 	flow := func(sport uint16) *packet.Packet {
 		return packet.NewTCP(cli, sport, srv, 80, packet.FlagSYN, 1, 0, nil)
 	}
 	// Forward routes go through exactly one of the parallel branches and
-	// are stable per flow.
+	// are stable per flow. The endpoints route under their role labels.
 	sawB1, sawB2 := false, false
 	for sport := uint16(4000); sport < 4032; sport++ {
-		route := strings.Join(f.ForwardRoute(flow(sport)), ">")
+		route := strings.Join(f.Route(netem.ToServer, flow(sport)), ">")
 		switch route {
-		case "c>a>b1>x>s":
+		case "client>a>b1>x>server":
 			sawB1 = true
-		case "c>a>b2>x>s":
+		case "client>a>b2>x>server":
 			sawB2 = true
 		default:
 			t.Fatalf("unexpected forward route %q", route)
 		}
-		if again := strings.Join(f.ForwardRoute(flow(sport)), ">"); again != route {
+		if again := strings.Join(f.Route(netem.ToServer, flow(sport)), ">"); again != route {
 			t.Fatalf("route for sport %d not stable: %q then %q", sport, route, again)
 		}
 	}
@@ -210,18 +126,17 @@ func TestCompileFabricECMP(t *testing.T) {
 		t.Errorf("ECMP never split: b1=%v b2=%v over 32 flows", sawB1, sawB2)
 	}
 	// Reverse route is the asymmetric return path, branch-free.
-	if rev := strings.Join(f.ReverseRoute(flow(4000)), ">"); rev != "s>rr>a>c" {
-		t.Errorf("reverse route = %q, want s>rr>a>c", rev)
+	if rev := strings.Join(f.Route(netem.ToClient, flow(4000)), ">"); rev != "server>rr>a>client" {
+		t.Errorf("reverse route = %q, want server>rr>a>client", rev)
 	}
 	// Same spec, same seed → identical routing on a fresh instance.
-	n2, err := prog.Instantiate(testBinder(), Options{Sim: netem.NewSimulator(99)})
+	f2, err := prog.Instantiate(testBinder(), Options{Sim: netem.NewSimulator(99)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2 := n2.(*netem.Fabric)
 	for sport := uint16(4000); sport < 4032; sport++ {
-		r1 := strings.Join(f.ForwardRoute(flow(sport)), ">")
-		r2 := strings.Join(f2.ForwardRoute(flow(sport)), ">")
+		r1 := strings.Join(f.Route(netem.ToServer, flow(sport)), ">")
+		r2 := strings.Join(f2.Route(netem.ToServer, flow(sport)), ">")
 		if r1 != r2 {
 			t.Fatalf("seeded ECMP not reproducible: sport %d routed %q vs %q", sport, r1, r2)
 		}

@@ -5,9 +5,9 @@
 // per-flow ECMP route selection — with a canonical text encoding that
 // round-trips through ParseTopo, exactly as internal/core's strategy
 // Spec does for evasion strategies. Compilation onto the netem
-// substrate lives in compile.go: linear chains compile to the
-// allocation-free netem.Path, everything else to the graph
-// netem.Fabric.
+// substrate lives in compile.go: NewProgram plans a spec's routing once
+// into a shared netem.Topology, and Instantiate binds one trial's
+// netem.Fabric over it — for a linear chain and a graph alike.
 package topo
 
 import (

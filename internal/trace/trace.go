@@ -1,7 +1,7 @@
 // Package trace builds per-trial causal traces on top of the obs
 // flight recorder. A Tracer taps a trial's Recorder (receiving the
 // complete event stream, beyond the bounded ring) and hooks the netem
-// path (capturing the serialized bytes of every packet at its
+// fabric (capturing the serialized bytes of every packet at its
 // transmission point, annotated with lineage: who crafted it and which
 // packet caused it). The assembled Trace exports as an annotated pcap,
 // as JSONL, and as Chrome trace-event JSON, and renders a
@@ -79,13 +79,12 @@ func (t *Tracer) PathHook(prev func(netem.TraceEvent)) func(netem.TraceEvent) {
 }
 
 // Attach wires the tracer into a trial: the recorder tap for the event
-// stream and the substrate's trace hook for packet bytes. n may be a
-// linear netem.Path or a graph netem.Fabric — the hook contract is the
-// same on both.
-func (t *Tracer) Attach(rec *obs.Recorder, n netem.Net) {
+// stream and the fabric's trace hook for packet bytes, chained in
+// front of any hook already attached.
+func (t *Tracer) Attach(rec *obs.Recorder, f *netem.Fabric) {
 	t.rec = rec
 	rec.Tap(t)
-	n.SetTraceHook(t.PathHook(n.TraceHook()))
+	f.Trace = t.PathHook(f.Trace)
 }
 
 // Meta identifies the trial a trace came from.

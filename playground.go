@@ -33,8 +33,10 @@ type PlaygroundConfig struct {
 // build on: a client stack behind a strategy engine, a GFW wiretap, and
 // an HTTP server.
 type Playground struct {
-	Sim    *Simulator
-	Path   *Path
+	Sim *Simulator
+	// Path is the network between them: client — Hops routers —
+	// server, the GFW tapping router GFWHop (counted from 0).
+	Path   *Fabric
 	GFW    *GFWDevice
 	Client *Stack
 	Server *Stack
@@ -70,15 +72,13 @@ func NewPlayground(cfg PlaygroundConfig) *Playground {
 		ClientAddr: packet.AddrFrom4(10, 0, 0, 1),
 		ServerAddr: packet.AddrFrom4(203, 0, 113, 80),
 	}
-	pg.Path = &netem.Path{Sim: pg.Sim}
-	for i := 0; i < cfg.Hops; i++ {
-		pg.Path.Hops = append(pg.Path.Hops, &netem.Hop{Name: "r", Router: true, Latency: time.Millisecond})
-	}
-	pg.Path.ClientLink.Latency = time.Millisecond
+	link := netem.Link{Latency: time.Millisecond}
+	pg.Path = netem.NewChain(pg.Sim, cfg.Hops, link, link)
 	pg.GFW = gfw.NewDevice("gfw", cfg.GFW, pg.Sim.Rand())
 	pg.GFW.SetClientSide(func(a Addr) bool { return a[0] == 10 })
-	pg.Path.Hops[cfg.GFWHop].Taps = []netem.Processor{pg.GFW}
-	pg.Path.Hops[cfg.GFWHop].Processors = []netem.Processor{pg.GFW.IPFilter()}
+	tap := pg.Path.Node(1 + cfg.GFWHop)
+	tap.Taps = []netem.Processor{pg.GFW}
+	tap.Processors = []netem.Processor{pg.GFW.IPFilter()}
 
 	pg.Client = tcpstack.NewStack(pg.ClientAddr, tcpstack.Linux44(), pg.Sim)
 	pg.Server = tcpstack.NewStack(pg.ServerAddr, cfg.ServerStack, pg.Sim)
