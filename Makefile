@@ -26,8 +26,14 @@ vet:
 test:
 	$(GO) test ./...
 
+# race runs the suite under the race detector, then repeats ten times
+# the two tests of state that parallel campaign workers share: the one
+# DPI automaton every censor device scans, and serial/parallel
+# determinism.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run '^TestSharedMatcher$$' ./internal/dpi
+	$(GO) test -race -count=10 -run '^TestObsSerialParallelDeterminism$$' ./internal/experiment
 
 # fuzz-smoke replays the checked-in seed corpora of the topology and
 # censor spec parsers as ordinary tests (no -fuzz: that would fuzz

@@ -5,8 +5,18 @@
 // OpenVPN-over-TCP.
 package dpi
 
+import (
+	"encoding/binary"
+	"sync"
+)
+
 // Matcher is an Aho–Corasick automaton over byte strings. Matching is
 // case-insensitive (ASCII), since censorship keyword lists are.
+//
+// A built Matcher is read-only: per-stream state lives in each
+// StreamScanner. So NewMatcher builds one automaton per distinct
+// keyword list and every caller — every censor device of every trial,
+// across campaign workers — shares it.
 type Matcher struct {
 	// goto function: one dense 256-way row per node. Node 0 is the root.
 	next [][256]int32
@@ -23,12 +33,55 @@ func lower(b byte) byte {
 	return b
 }
 
-// NewMatcher builds an automaton for the given patterns. Empty patterns
-// are ignored.
+// matchers caches built automata by keyword-list content (see
+// matcherKey). It holds only immutable automata, so sharing one cannot
+// carry state between callers. A hardening rung that edits a keyword
+// list gets its own entry; past maxMatchers distinct lists, NewMatcher
+// builds uncached, so callers that invent keyword lists (fuzzers, a
+// long-lived daemon) cannot grow it without bound.
+var (
+	matchersMu sync.Mutex
+	matchers   = map[string]*Matcher{}
+)
+
+const maxMatchers = 64
+
+// NewMatcher returns the automaton for the given patterns, built once
+// per distinct list and shared read-only by every caller. Empty
+// patterns are ignored.
 func NewMatcher(patterns []string) *Matcher {
+	var buf [64]byte
+	key := matcherKey(buf[:0], patterns)
+	matchersMu.Lock()
+	defer matchersMu.Unlock()
+	if m := matchers[string(key)]; m != nil {
+		return m
+	}
+	m := buildMatcher(patterns)
+	if len(matchers) < maxMatchers {
+		matchers[string(key)] = m
+	}
+	return m
+}
+
+// matcherKey appends an injective encoding of the non-empty patterns —
+// each one's length, then its bytes — so two lists share a key exactly
+// when they build the same automaton.
+func matcherKey(b []byte, patterns []string) []byte {
+	for _, p := range patterns {
+		if p != "" {
+			b = binary.AppendUvarint(b, uint64(len(p)))
+			b = append(b, p...)
+		}
+	}
+	return b
+}
+
+// buildMatcher builds the automaton for patterns.
+func buildMatcher(patterns []string) *Matcher {
 	m := &Matcher{}
 	m.addNode()
-	for idx, p := range patterns {
+	for _, p := range patterns {
 		if p == "" {
 			continue
 		}
@@ -41,7 +94,6 @@ func NewMatcher(patterns []string) *Matcher {
 			}
 			node = m.next[node][c]
 		}
-		_ = idx
 		m.out[node] = append(m.out[node], len(m.patterns)-1)
 	}
 	// BFS to build failure links and convert goto to a full transition
@@ -110,8 +162,9 @@ func (m *Matcher) Contains(data []byte) bool {
 	return false
 }
 
-// Patterns returns the patterns the matcher was built with.
-func (m *Matcher) Patterns() []string { return m.patterns }
+// Patterns returns a copy of the patterns the matcher was built with;
+// the automaton itself is shared and must not change.
+func (m *Matcher) Patterns() []string { return append([]string(nil), m.patterns...) }
 
 // StreamScanner runs a Matcher incrementally over a byte stream,
 // carrying automaton state across chunk boundaries so keywords split

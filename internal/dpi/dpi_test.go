@@ -3,8 +3,10 @@ package dpi
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -52,25 +54,151 @@ func TestMatcherEmptyAndNoPatterns(t *testing.T) {
 	}
 }
 
-func TestMatcherAgainstNaiveSearch(t *testing.T) {
-	patterns := []string{"abc", "bca", "aa", "cab"}
-	m := NewMatcher(patterns)
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		data := make([]byte, int(n))
-		for i := range data {
-			data[i] = "abc"[rng.Intn(3)]
+// naivePatterns is the keyword list the automaton is checked against a
+// naive search with.
+var naivePatterns = []string{"abc", "bca", "aa", "cab"}
+
+// randomABC returns n bytes drawn from {a, b, c}.
+func randomABC(rng *rand.Rand, n int) []byte {
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = "abc"[rng.Intn(3)]
+	}
+	return data
+}
+
+// naiveContains reports whether any pattern occurs in data.
+func naiveContains(data []byte, patterns []string) bool {
+	for _, p := range patterns {
+		if strings.Contains(string(data), p) {
+			return true
 		}
-		want := false
-		for _, p := range patterns {
-			if strings.Contains(string(data), p) {
-				want = true
+	}
+	return false
+}
+
+// naiveMatches counts every occurrence of every pattern in data.
+func naiveMatches(data []byte, patterns []string) int {
+	n := 0
+	for _, p := range patterns {
+		for i := 0; i+len(p) <= len(data); i++ {
+			if string(data[i:i+len(p)]) == p {
+				n++
 			}
 		}
-		return m.Contains(data) == want
+	}
+	return n
+}
+
+func TestMatcherAgainstNaiveSearch(t *testing.T) {
+	m := NewMatcher(naivePatterns)
+	f := func(seed int64, n uint8) bool {
+		data := randomABC(rand.New(rand.NewSource(seed)), int(n))
+		return m.Contains(data) == naiveContains(data, naivePatterns)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSharedMatcher checks the automaton cache: one *Matcher per
+// distinct keyword list, shared safely by concurrent scanners, with
+// Patterns unable to change the shared table. Campaign workers scan
+// one automaton from many goroutines; `make race` runs this test under
+// the race detector.
+func TestSharedMatcher(t *testing.T) {
+	m := NewMatcher(naivePatterns)
+	if NewMatcher(append([]string(nil), naivePatterns...)) != m {
+		t.Fatal("equal keyword lists built two automata")
+	}
+	if NewMatcher([]string{"", "abc", "bca", "", "aa", "cab"}) != m {
+		t.Fatal("empty patterns changed the automaton identity")
+	}
+	for _, other := range [][]string{naivePatterns[:3], {"abc", "bca", "aa", "CAB"}, {"abcbcaaacab"}, {"ab", "cbca", "aa", "cab"}} {
+		if NewMatcher(other) == m {
+			t.Fatalf("%q shares the automaton of %q", other, naivePatterns)
+		}
+	}
+
+	p := m.Patterns()
+	p[0] = "zzz"
+	if got := m.Patterns(); got[0] != "abc" {
+		t.Fatalf("editing Patterns() changed the matcher: %q", got)
+	}
+	if !m.Contains([]byte("xabcx")) || m.Contains([]byte("zzz")) {
+		t.Fatal("editing Patterns() changed matching")
+	}
+
+	const goroutines = 8
+	var wg sync.WaitGroup
+	fresh := make([]*Matcher, goroutines) // a list first built concurrently
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			fresh[seed] = NewMatcher([]string{"built", "concurrently"})
+			shared := NewMatcher(naivePatterns)
+			rng := rand.New(rand.NewSource(seed))
+			sc := shared.NewStreamScanner()
+			for i := 0; i < 200; i++ {
+				data := randomABC(rng, rng.Intn(64))
+				if got, want := shared.Contains(data), naiveContains(data, naivePatterns); got != want {
+					t.Errorf("Contains(%q) = %v, want %v", data, got, want)
+					return
+				}
+				want := naiveMatches(data, naivePatterns)
+				if got := len(shared.Scan(data)); got != want {
+					t.Errorf("Scan(%q) found %d matches, want %d", data, got, want)
+					return
+				}
+				sc.Reset()
+				streamed := 0
+				for rest := data; len(rest) > 0; {
+					k := 1 + rng.Intn(len(rest))
+					streamed += len(sc.Feed(rest[:k]))
+					rest = rest[k:]
+				}
+				if streamed != want {
+					t.Errorf("stream over %q found %d matches, want %d", data, streamed, want)
+					return
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+	for _, f := range fresh[1:] {
+		if f != fresh[0] {
+			t.Fatal("concurrent first builds of one list returned different automata")
+		}
+	}
+}
+
+// TestMatcherCacheBounded checks that callers inventing keyword lists
+// cannot grow the automaton cache past maxMatchers, and that lists past
+// the bound still get a working automaton. It runs on an empty cache
+// and puts the shared one back, so other tests see no difference.
+func TestMatcherCacheBounded(t *testing.T) {
+	matchersMu.Lock()
+	saved := matchers
+	matchers = map[string]*Matcher{}
+	matchersMu.Unlock()
+	defer func() {
+		matchersMu.Lock()
+		matchers = saved
+		matchersMu.Unlock()
+	}()
+
+	for i := 0; i < 2*maxMatchers; i++ {
+		kw := fmt.Sprintf("keyword%d", i)
+		if !NewMatcher([]string{kw}).Contains([]byte("GET /?q=" + kw)) {
+			t.Fatalf("automaton %d misses its keyword", i)
+		}
+	}
+	matchersMu.Lock()
+	n := len(matchers)
+	matchersMu.Unlock()
+	if n != maxMatchers {
+		t.Fatalf("cache holds %d automata, want the bound %d", n, maxMatchers)
 	}
 }
 

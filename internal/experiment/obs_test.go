@@ -476,8 +476,8 @@ func TestObsCausalDeterminism(t *testing.T) {
 // trialAllocBudget is the allocation budget of the trial hot path:
 // BenchmarkTrialHotPath's steady state for an uninstrumented RunOne
 // over an unshaped derived chain on the fabric substrate, with routing
-// shared per program.
-const trialAllocBudget = 122
+// shared per program and keyword automata shared across trials.
+const trialAllocBudget = 99
 
 // requireTrialAllocBudget is the one allocation gate of the trial hot
 // path. It warms a runner, measures RunOne's allocs/op and fails the

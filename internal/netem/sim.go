@@ -30,15 +30,16 @@ type Simulator struct {
 	now   time.Duration
 	seq   uint64
 	steps uint64
-	queue []event
+	heap  []event
+	lanes [numLanes]lane
 	rng   *rand.Rand
 }
 
-// event is a value type: the queue is a plain []event, so scheduling
-// never boxes (the old container/heap path allocated an interface
-// wrapper per Push/Pop). A popped slot is zeroed before reuse so the
-// backing array — which doubles as the free list — retains neither the
-// executed closure nor the delivered packet.
+// event is a value type: the heap is a plain []event and each lane a
+// ring of them, so scheduling never boxes (the old container/heap path
+// allocated an interface wrapper per Push/Pop). A popped slot is zeroed
+// before reuse so the backing arrays — which double as free lists —
+// retain neither the executed closure nor the delivered packet.
 type event struct {
 	at  time.Duration
 	seq uint64 // tie-break for determinism
@@ -73,11 +74,7 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 // At schedules fn to run after delay (relative to now). A zero or
 // negative delay runs on the next step, still in deterministic order.
 func (s *Simulator) At(delay time.Duration, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	s.seq++
-	s.push(event{at: s.now + delay, seq: s.seq, fn: fn})
+	s.schedule(delay, event{fn: fn})
 }
 
 // AtPacket schedules h.HandlePacket(pkt, from, dir) after delay without
@@ -85,22 +82,113 @@ func (s *Simulator) At(delay time.Duration, fn func()) {
 // the (at, seq) order with At, so closure and packet events interleave
 // exactly as their scheduling order dictates.
 func (s *Simulator) AtPacket(delay time.Duration, h PacketHandler, pkt *packet.Packet, from int, dir Direction) {
+	s.schedule(delay, event{h: h, pkt: pkt, from: int32(from), dir: dir})
+}
+
+// The event queue is a 4-ary heap beside numLanes FIFO lanes.
+//
+// Nearly every event is a link crossing scheduled with its link's fixed
+// latency: 98 % of the events a Table 1 sweep schedules are 1 ms hops,
+// with about 30 of them pending at each pop. Events scheduled with one
+// delay already arrive in (at, seq) order — virtual time never runs
+// backwards and seq only grows — so each such event is appended to the
+// FIFO lane of its delay in O(1) instead of being sifted through a heap.
+// A lane is claimed by a delay when it is empty and that delay has no
+// lane; an event whose delay finds no lane (shaped-link queueing delays,
+// rare timers, a fifth delay in flight) goes to the heap. The next event
+// is the least of the heap top and the lane heads, so the total (at,
+// seq) order — and with it every trial — is exactly a single heap's.
+//
+// Heap and lanes grow only to the high-water mark of concurrent events,
+// after which popped slots are recycled: zero allocations in steady
+// state.
+
+// numLanes is the number of FIFO lanes: enough for the delays a trial
+// keeps in flight at once (the 1 ms hop and the 0, 20, 40 and 200 ms
+// timers; only 20 of the 345k events of a 660-trial Table 1 sweep find
+// no lane), few enough that scanning the lane heads stays cheaper than
+// a heap pop.
+const numLanes = 4
+
+// minLaneRing is the length of a lane's first ring, which is stored in
+// the lane itself: a timer lane rarely holds more, so most lanes never
+// allocate, and a trial's lanes together allocate less than the heap
+// alone did.
+const minLaneRing = 4
+
+// lane is a FIFO ring of events scheduled with one delay. The ring is
+// nil until the first push, then first, then doubled copies, so its
+// length is a power of two; the n queued events occupy ring[head],
+// ring[head+1], ... modulo the length, and every other slot is zero.
+type lane struct {
+	delay time.Duration
+	ring  []event
+	head  int
+	n     int
+	first [minLaneRing]event
+}
+
+func (l *lane) push(e event) {
+	if l.ring == nil {
+		l.ring = l.first[:]
+	} else if l.n == len(l.ring) {
+		ring := make([]event, 2*len(l.ring))
+		k := copy(ring, l.ring[l.head:])
+		copy(ring[k:], l.ring[:l.head])
+		l.ring, l.head = ring, 0
+	}
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = e
+	l.n++
+}
+
+func (l *lane) pop() event {
+	e := l.ring[l.head]
+	l.ring[l.head] = event{}
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+	return e
+}
+
+func (l *lane) tail() *event { return &l.ring[(l.head+l.n-1)&(len(l.ring)-1)] }
+
+// schedule stamps e with its time and sequence number and queues it: on
+// its delay's lane, else on the empty lane with the smallest ring (a
+// busy delay's grown ring stays keyed to it while it idles), else on the
+// heap. A lane takes e only if e is not earlier than its tail, so each
+// lane stays sorted by construction, not only because the clock never
+// runs backwards.
+func (s *Simulator) schedule(delay time.Duration, e event) {
 	if delay < 0 {
 		delay = 0
 	}
 	s.seq++
-	s.push(event{at: s.now + delay, seq: s.seq, h: h, pkt: pkt, from: int32(from), dir: dir})
+	e.at, e.seq = s.now+delay, s.seq
+	var free *lane
+	for i := range s.lanes {
+		l := &s.lanes[i]
+		if l.delay == delay && (l.n == 0 || !eventLess(&e, l.tail())) {
+			l.push(e)
+			return
+		}
+		if l.n == 0 && (free == nil || len(l.ring) < len(free.ring)) {
+			free = l
+		}
+	}
+	if free != nil {
+		free.delay = delay
+		free.push(e)
+		return
+	}
+	s.heapPush(e)
 }
 
-// The queue is a 4-ary implicit heap: children of i are 4i+1..4i+4,
+// The heap is a 4-ary implicit heap: children of i are 4i+1..4i+4,
 // parent is (i-1)/4. Compared to the binary container/heap it halves
-// tree depth (fewer sift levels for the mostly-FIFO workload here) and,
-// being monomorphic, costs zero allocations in steady state — append
-// only grows the backing array until the high-water mark of concurrent
-// events, after which popped slots are recycled.
+// tree depth and, being monomorphic, costs zero allocations in steady
+// state.
 
-func (s *Simulator) push(e event) {
-	q := append(s.queue, e)
+func (s *Simulator) heapPush(e event) {
+	q := append(s.heap, e)
 	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / 4
@@ -110,20 +198,20 @@ func (s *Simulator) push(e event) {
 		q[i], q[p] = q[p], q[i]
 		i = p
 	}
-	s.queue = q
+	s.heap = q
 }
 
-// popTop removes the minimum event. The vacated tail slot is zeroed so
+// heapPop removes the minimum event. The vacated tail slot is zeroed so
 // the backing array does not retain the popped closure or packet (long
 // campaigns previously kept every executed closure reachable).
-func (s *Simulator) popTop() event {
-	q := s.queue
+func (s *Simulator) heapPop() event {
+	q := s.heap
 	top := q[0]
 	n := len(q) - 1
 	q[0] = q[n]
 	q[n] = event{}
 	q = q[:n]
-	s.queue = q
+	s.heap = q
 	i := 0
 	for {
 		best := i
@@ -149,13 +237,34 @@ func (s *Simulator) popTop() event {
 	return top
 }
 
-// Step executes the next event. It reports false when the queue is
-// empty.
-func (s *Simulator) Step() bool {
-	if len(s.queue) == 0 {
-		return false
+// fromHeap is next's source index for the heap top; 0..numLanes-1 name
+// lanes.
+const fromHeap = numLanes
+
+// next returns where the earliest pending event sits and the event
+// itself, or (-1, nil) when nothing is pending.
+func (s *Simulator) next() (int, *event) {
+	src, first := -1, (*event)(nil)
+	if len(s.heap) > 0 {
+		src, first = fromHeap, &s.heap[0]
 	}
-	e := s.popTop()
+	for i := range s.lanes {
+		l := &s.lanes[i]
+		if l.n > 0 && (first == nil || eventLess(&l.ring[l.head], first)) {
+			src, first = i, &l.ring[l.head]
+		}
+	}
+	return src, first
+}
+
+// run pops the event next reported at src and executes it.
+func (s *Simulator) run(src int) {
+	var e event
+	if src == fromHeap {
+		e = s.heapPop()
+	} else {
+		e = s.lanes[src].pop()
+	}
 	s.now = e.at
 	s.steps++
 	if e.fn != nil {
@@ -163,6 +272,16 @@ func (s *Simulator) Step() bool {
 	} else {
 		e.h.HandlePacket(e.pkt, int(e.from), e.dir)
 	}
+}
+
+// Step executes the next event. It reports false when the queue is
+// empty.
+func (s *Simulator) Step() bool {
+	src, _ := s.next()
+	if src < 0 {
+		return false
+	}
+	s.run(src)
 	return true
 }
 
@@ -183,13 +302,28 @@ func (s *Simulator) Run(budget int) int {
 
 // RunFor executes events with timestamps up to now+d, then advances the
 // clock to exactly now+d (even if the queue still holds later events).
+// A negative d is clamped to zero, as At clamps negative delays:
+// virtual time never runs backwards.
 func (s *Simulator) RunFor(d time.Duration) {
+	if d < 0 {
+		d = 0
+	}
 	deadline := s.now + d
-	for len(s.queue) > 0 && s.queue[0].at <= deadline {
-		s.Step()
+	for {
+		src, e := s.next()
+		if src < 0 || e.at > deadline {
+			break
+		}
+		s.run(src)
 	}
 	s.now = deadline
 }
 
 // Pending returns the number of queued events.
-func (s *Simulator) Pending() int { return len(s.queue) }
+func (s *Simulator) Pending() int {
+	n := len(s.heap)
+	for i := range s.lanes {
+		n += s.lanes[i].n
+	}
+	return n
+}
