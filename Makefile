@@ -27,13 +27,15 @@ test:
 	$(GO) test ./...
 
 # race runs the suite under the race detector, then repeats ten times
-# the two tests of state that parallel campaign workers share: the one
-# DPI automaton every censor device scans, and serial/parallel
-# determinism.
+# the tests of state that parallel campaign workers share: the one DPI
+# automaton every censor device scans, and serial/parallel determinism
+# of the campaign executor — Table 1, then Table 4, the censor matrix,
+# the ablation and Table 5.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run '^TestSharedMatcher$$' ./internal/dpi
 	$(GO) test -race -count=10 -run '^TestObsSerialParallelDeterminism$$' ./internal/experiment
+	$(GO) test -race -count=10 -run '^TestCampaignSerialParallelDeterminism$$' ./internal/experiment
 
 # fuzz-smoke replays the checked-in seed corpora of the topology and
 # censor spec parsers as ordinary tests (no -fuzz: that would fuzz
@@ -63,10 +65,11 @@ bench-compare:
 	$(GO) run ./cmd/tables -what bench-compare $(OLD) $(NEW)
 
 # bench-gate is the CI allocation-regression gate: re-measure the trial
-# hot path and fail if allocs/trial exceeds the committed
-# BENCH_netem.json baseline by more than 5%. Allocs/op is the one
-# benchmark statistic that is deterministic on shared CI runners;
-# timing drift is diagnosed with bench-compare instead.
+# hot path and the parallel campaign executor, and fail if either's
+# allocs/op exceeds the committed BENCH_netem.json baseline by more
+# than 5%. Allocs/op is the one benchmark statistic that is
+# deterministic on shared CI runners; timing drift is diagnosed with
+# bench-compare instead.
 bench-gate:
 	$(GO) run ./cmd/tables -what bench-gate BENCH_netem.json
 

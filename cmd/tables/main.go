@@ -13,7 +13,8 @@
 // path and the serial/parallel campaign loops and writes the report to
 // -bench-out (BENCH_netem.json); -what bench-compare OLD.json NEW.json
 // diffs two such reports; -what bench-gate COMMITTED.json re-measures
-// allocs/trial and fails when it regresses past the committed figure.
+// allocs/op of a trial and of the parallel campaign and fails when
+// either regresses past its committed figure.
 //
 // -what fleet runs the Table 1 campaign as a sharded, checkpointed
 // fleet: -shards cuts the job cube, -shard-procs bounds concurrency,
@@ -377,8 +378,9 @@ func main() {
 		}
 		fmt.Print(experiment.CompareBenchReports(load(args[0]), load(args[1])))
 	}
-	// CI gate: re-measure allocs/trial against the committed report and
-	// fail the build past the tolerance. Allocation counts are
+	// CI gate: re-measure allocs/op of a trial and of the parallel
+	// campaign against the committed report and fail the build past the
+	// tolerance. Allocation counts are
 	// deterministic, so this holds on loaded CI machines where ns/op
 	// cannot.
 	if *what == "bench-gate" {
@@ -399,11 +401,16 @@ func main() {
 			fmt.Fprintf(os.Stderr, "parse %s: %v\n", args[0], err)
 			os.Exit(1)
 		}
-		measured, limit, ok := experiment.RunBenchGate(*seed, committed, 0)
-		fmt.Printf("bench-gate: trial allocs/op measured=%d committed=%d limit=%d (%.0f%% tolerance)\n",
-			measured, committed.Trial.AllocsPerOp, limit, 100*experiment.BenchGateTolerance)
+		ok := true
+		for _, g := range experiment.RunBenchGate(*seed, committed, 0) {
+			fmt.Printf("bench-gate: %s allocs/op measured=%d committed=%d limit=%d (%.0f%% tolerance)\n",
+				g.Section, g.Measured, g.Committed, g.Limit, 100*experiment.BenchGateTolerance)
+			if !g.OK() {
+				fmt.Fprintf(os.Stderr, "bench-gate: FAIL: %s allocs/op regressed past the committed budget; rerun -what bench and commit the new report if the regression is intended\n", g.Section)
+				ok = false
+			}
+		}
 		if !ok {
-			fmt.Fprintf(os.Stderr, "bench-gate: FAIL: allocs/trial regressed past the committed budget; rerun -what bench and commit the new report if the regression is intended\n")
 			os.Exit(1)
 		}
 		fmt.Println("bench-gate: OK")

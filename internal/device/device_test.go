@@ -151,28 +151,39 @@ func TestPipePoolReleaseAfterDeliver(t *testing.T) {
 		t.Fatalf("PoolOf(pipe) did not surface the attached pool")
 	}
 
-	p := pl.NewTCP(packet.AddrFrom4(10, 0, 0, 1), 40000, packet.AddrFrom4(203, 0, 113, 80), 80,
-		packet.FlagPSH|packet.FlagACK, 1, 2, []byte("hello"))
-	if err := a.WritePacket(p); err != nil {
-		t.Fatalf("WritePacket: %v", err)
+	// The released packet is reused by a later Get without a fresh
+	// allocation. One Get after one Put need not recycle: race builds of
+	// sync.Pool drop a quarter of Puts at random, and a goroutine that
+	// moves to another P between Put and Get misses that P's private
+	// slot. So repeat write → read → Get until a Get is served from the
+	// pool, holding every write to exactly one Put.
+	var p *packet.Packet
+	recycled := false
+	for try := 0; try < 64 && !recycled; try++ {
+		p = pl.NewTCP(packet.AddrFrom4(10, 0, 0, 1), 40000, packet.AddrFrom4(203, 0, 113, 80), 80,
+			packet.FlagPSH|packet.FlagACK, 1, 2, []byte("hello"))
+		puts := pl.Stats().Puts
+		if err := a.WritePacket(p); err != nil {
+			t.Fatalf("WritePacket: %v", err)
+		}
+		if got := pl.Stats().Puts - puts; got != 1 {
+			t.Fatalf("try %d: pool puts after write: got %d want 1", try, got)
+		}
+		got, err := b.ReadPacket()
+		if err != nil {
+			t.Fatalf("ReadPacket: %v", err)
+		}
+		if string(got.Payload) != "hello" {
+			t.Fatalf("payload: got %q", got.Payload)
+		}
+		news := pl.Stats().News
+		q := pl.Get()
+		recycled = pl.Stats().News == news
+		q.Release()
 	}
-	if st := pl.Stats(); st.Puts != 1 {
-		t.Errorf("pool puts after write: got %d want 1", st.Puts)
+	if !recycled {
+		t.Errorf("no released packet was recycled in 64 tries, stats %+v", pl.Stats())
 	}
-	got, err := b.ReadPacket()
-	if err != nil {
-		t.Fatalf("ReadPacket: %v", err)
-	}
-	if string(got.Payload) != "hello" {
-		t.Errorf("payload: got %q", got.Payload)
-	}
-	// The recycled packet is reused by the next Get without a fresh
-	// allocation.
-	q := pl.Get()
-	if st := pl.Stats(); st.Recycled() == 0 {
-		t.Errorf("expected the released packet to be recycled, stats %+v", st)
-	}
-	q.Release()
 
 	// The second write of the same (released) packet is an ownership
 	// bug and must panic rather than corrupt.

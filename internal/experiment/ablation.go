@@ -5,48 +5,23 @@ import (
 	"strings"
 
 	"intango/internal/censor"
-	"intango/internal/core"
-	"intango/internal/gfw"
 	"intango/internal/tcpstack"
 )
 
-// Hardening names a §8 countermeasure configuration of the censor.
-type Hardening struct {
-	Name  string
-	Apply func(cfg *gfw.Config)
-}
-
-// Hardenings returns the §8 ablation ladder: the measured GFW plus
-// each discussed countermeasure.
-func Hardenings() []Hardening {
-	return []Hardening{
-		{Name: "measured (2017)", Apply: func(cfg *gfw.Config) {}},
-		{Name: "+checksum validation", Apply: func(cfg *gfw.Config) { cfg.ValidateTCPChecksum = true }},
-		{Name: "+md5 validation", Apply: func(cfg *gfw.Config) { cfg.ValidateMD5 = true }},
-		{Name: "+trust-after-server-ack", Apply: func(cfg *gfw.Config) { cfg.TrustDataAfterServerACK = true }},
-		{Name: "+all of the above", Apply: func(cfg *gfw.Config) {
-			cfg.ValidateTCPChecksum = true
-			cfg.ValidateMD5 = true
-			cfg.TrustDataAfterServerACK = true
-		}},
-	}
-}
-
-// AblationCensorSpec pairs a Hardenings() rung with the canonical
-// censor-spec edit string expressing the same censor declaratively:
-// the gfw2017 registry spec with the matching harden: statements
-// appended and the detection-miss draw pinned off (param:miss(p=0)),
-// exactly as runHardened pins it via Cal. TestAblationSpecsMatchConfig
-// holds the two constructions to identical behaviour.
+// AblationCensorSpec is one rung of the §8 ablation ladder: the rung's
+// name and the canonical censor spec that expresses it — the gfw2017
+// registry spec with the rung's harden: statements and the
+// detection-miss draw pinned off (param:miss(p=0)), so no cell turns
+// on a missed detection.
 type AblationCensorSpec struct {
 	Hardening string
 	Spec      string
 }
 
-// AblationCensorSpecs returns the §8 ablation ladder as censor-spec
-// edits: the registered gfw2017 variants with the detection-miss draw
-// pinned — each rung a pure text edit of the measured spec, the
-// countermeasures data rather than code toggles.
+// AblationCensorSpecs returns the §8 ablation ladder — the measured GFW
+// plus each discussed countermeasure — as censor-spec edits: the
+// registered gfw2017 variants with the detection-miss draw pinned, each
+// rung a pure text edit of the measured spec.
 func AblationCensorSpecs() []AblationCensorSpec {
 	pinned := func(name string) string {
 		spec, ok := censor.Lookup(name)
@@ -92,42 +67,38 @@ func ablationStrategies() []strategySpec {
 // controlled paths, on a modern server and (for the MD5 arms race) a
 // pre-RFC-2385 server.
 func RunAblation(r *Runner) []AblationCell {
+	c, cells := ablationCube(r)
+	for i, t := range r.runCube(c) {
+		cells[i].Outcome = t.only()
+	}
+	return cells
+}
+
+// ablationCube enumerates the ablation: one single-trial tally per
+// (rung, strategy, server stack) cell, each job carrying its rung's
+// censor spec. Cells differ only by rung and stack — the two stacks
+// share a server name, which seeds the pair RNG — so the labels name
+// both. It returns the cells with Outcome unset.
+func ablationCube(r *Runner) (*Cube, []AblationCell) {
 	vp := VantagePoints()[0]
-	base := Servers(1, r.Cal, r.Seed)[0]
-	base.Mix = EvolvedOnly
-	base.ServerSideFirewall = false
-	base.RouteDynamicsProb = 0
-	base.LossRate = 0
-
+	base := controlledServers(r, 1)[0]
 	stacks := []tcpstack.Profile{tcpstack.Linux44(), tcpstack.Linux2437()}
-
+	c := &Cube{}
 	var cells []AblationCell
-	for _, h := range Hardenings() {
+	for _, rung := range AblationCensorSpecs() {
 		for _, strat := range ablationStrategies() {
 			factory := strat.compile()
 			for _, stack := range stacks {
 				srv := base
 				srv.Stack = stack
-				out := r.runHardened(vp, srv, factory, h)
-				cells = append(cells, AblationCell{
-					Strategy: strat.name, Hardening: h.Name, Server: stack.Name, Outcome: out,
-				})
+				cells = append(cells, AblationCell{Strategy: strat.name, Hardening: rung.Hardening, Server: stack.Name})
+				sink := c.tally(strat.name + "@" + rung.Hardening + "@" + stack.Name)
+				c.jobs = append(c.jobs, trialJob{vp: vp, srv: srv, censor: rung.Spec,
+					factory: factory, sensitive: true, trial: 17, sink: sink})
 			}
 		}
 	}
-	return cells
-}
-
-// runHardened is RunOne with a hardened GFW configuration.
-func (r *Runner) runHardened(vp VantagePoint, srv Server, factory core.Factory, h Hardening) Outcome {
-	saved := r.Cal.DetectionMissProb
-	r.Cal.DetectionMissProb = -1 // deterministic ablation
-	r.HardenGFW = h.Apply
-	defer func() {
-		r.Cal.DetectionMissProb = saved
-		r.HardenGFW = nil
-	}()
-	return r.RunOne(vp, srv, factory, true, 17)
+	return c, cells
 }
 
 // FormatAblation renders the matrix, one block per hardening.

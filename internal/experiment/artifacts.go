@@ -24,7 +24,7 @@ func WriteTable1Campaign(w io.Writer, r *Runner, sc Scale) {
 // outside blocks plus the persistent-INTANG row.
 func WriteTable4Campaign(w io.Writer, r *Runner, sc Scale) {
 	fmt.Fprintf(w, "== Table 4: new strategies (%d servers × %d trials) ==\n", sc.Servers, sc.Trials)
-	inside := RunTable4Parallel(r, VantagePoints(), Servers(sc.Servers, r.Cal, r.Seed), sc.Trials)
+	inside := RunTable4(r, VantagePoints(), Servers(sc.Servers, r.Cal, r.Seed), sc.Trials)
 	inside = append(inside, RunTable4INTANG(r,
 		VantagePoints(), Servers(sc.Servers/2+1, r.Cal, r.Seed), sc.Trials))
 	fmt.Fprint(w, FormatTable4("Inside China", inside))
@@ -32,7 +32,7 @@ func WriteTable4Campaign(w io.Writer, r *Runner, sc Scale) {
 	if outN < 4 {
 		outN = 4
 	}
-	outside := RunTable4Parallel(r, OutsideVantagePoints(),
+	outside := RunTable4(r, OutsideVantagePoints(),
 		OutsideServers(outN, r.Cal, r.Seed), sc.Trials)
 	fmt.Fprint(w, FormatTable4("Outside China", outside))
 	fmt.Fprintln(w)

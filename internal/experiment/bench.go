@@ -134,25 +134,14 @@ func RunBench(seed int64) BenchReport {
 	}
 
 	// Single-trial hot path, the allocs/op headline.
-	trialRes := testing.Benchmark(func(b *testing.B) {
-		r := NewRunner(seed)
-		vp := VantagePoints()[0]
-		srv := Servers(1, r.Cal, seed)[0]
-		factory := core.BuiltinFactories()["teardown-rst/ttl"]
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r.RunOne(vp, srv, factory, true, i)
-		}
-	})
-	rep.Trial = toBenchResult(trialRes, 0) // trials/sec is a campaign-level figure
+	rep.Trial = toBenchResult(testing.Benchmark(benchTrial(seed)), 0) // trials/sec is a campaign-level figure
 
 	// Goodput path: one 64 KiB upload through the bw=1mbit,queue=16
 	// access link, congestion control and the shaper both live.
 	goodputRes := testing.Benchmark(func(b *testing.B) {
 		r := NewRunner(seed)
 		vp := VantagePoints()[6]
-		srv := goodputServers(r, 1)[0]
+		srv := controlledServers(r, 1)[0]
 		s := goodputStrategies()[2] // an inject strategy: the plain congested transfer
 		r.Topo = goodputTopo(vp, srv)
 		b.ReportAllocs()
@@ -186,17 +175,7 @@ func RunBench(seed int64) BenchReport {
 		Recycled: poolStats.Recycled(),
 	}
 
-	parallelRes := testing.Benchmark(func(b *testing.B) {
-		r := NewRunner(seed)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if rows := RunTable1Parallel(r, sc); len(rows) != len(table1Strategies()) {
-				b.Fatalf("rows = %d", len(rows))
-			}
-		}
-	})
-	rep.CampaignParallel = toBenchResult(parallelRes, rep.TrialsPerCampaignOp)
+	rep.CampaignParallel = toBenchResult(testing.Benchmark(benchCampaignParallel(seed)), rep.TrialsPerCampaignOp)
 
 	if base := rep.Baseline.Trial.AllocsPerOp; base > 0 {
 		rep.AllocReductionPct = 100 * (1 - float64(rep.Trial.AllocsPerOp)/float64(base))
@@ -204,20 +183,9 @@ func RunBench(seed int64) BenchReport {
 	return rep
 }
 
-// BenchGateTolerance is the allocs/trial regression budget the CI
-// bench gate allows over the committed report before failing.
-const BenchGateTolerance = 0.05
-
-// RunBenchGate re-measures the single-trial hot path's allocs/op and
-// judges it against the committed report's figure with the given
-// fractional tolerance (<=0 selects BenchGateTolerance). It measures
-// only allocation counts — deterministic under Go's allocator, unlike
-// ns/op — so the gate holds on loaded CI machines.
-func RunBenchGate(seed int64, committed BenchReport, tolerance float64) (measured, limit int64, ok bool) {
-	if tolerance <= 0 {
-		tolerance = BenchGateTolerance
-	}
-	res := testing.Benchmark(func(b *testing.B) {
+// benchTrial benchmarks one RunOne, the unit every campaign multiplies.
+func benchTrial(seed int64) func(b *testing.B) {
+	return func(b *testing.B) {
 		r := NewRunner(seed)
 		vp := VantagePoints()[0]
 		srv := Servers(1, r.Cal, seed)[0]
@@ -227,10 +195,63 @@ func RunBenchGate(seed int64, committed BenchReport, tolerance float64) (measure
 		for i := 0; i < b.N; i++ {
 			r.RunOne(vp, srv, factory, true, i)
 		}
-	})
-	measured = res.AllocsPerOp()
-	limit = int64(float64(committed.Trial.AllocsPerOp) * (1 + tolerance))
-	return measured, limit, measured <= limit
+	}
+}
+
+// benchCampaignParallel benchmarks the Table 1 campaign at
+// BenchCampaignScale through the campaign executor.
+func benchCampaignParallel(seed int64) func(b *testing.B) {
+	return func(b *testing.B) {
+		r := NewRunner(seed)
+		sc := BenchCampaignScale()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if rows := RunTable1Parallel(r, sc); len(rows) != len(table1Strategies()) {
+				b.Fatalf("rows = %d", len(rows))
+			}
+		}
+	}
+}
+
+// BenchGateTolerance is the allocs/op regression budget the CI bench
+// gate allows over the committed report before failing.
+const BenchGateTolerance = 0.05
+
+// BenchGate is one gated section: its re-measured allocs/op, the
+// committed figure, and the limit the tolerance allows.
+type BenchGate struct {
+	Section                    string
+	Measured, Committed, Limit int64
+}
+
+// OK reports whether the measured figure is within the limit.
+func (g BenchGate) OK() bool { return g.Measured <= g.Limit }
+
+// RunBenchGate re-measures allocs/op for the single-trial hot path and
+// for the parallel campaign executor at BenchCampaignScale, and judges
+// each against the committed report's figure with the given fractional
+// tolerance (<=0 selects BenchGateTolerance). It measures only
+// allocation counts — deterministic under Go's allocator, unlike
+// ns/op — so the gate holds on loaded CI machines. The campaign
+// section catches executor regressions a single RunOne cannot see,
+// such as instrumenting trials nobody asked to observe.
+func RunBenchGate(seed int64, committed BenchReport, tolerance float64) []BenchGate {
+	if tolerance <= 0 {
+		tolerance = BenchGateTolerance
+	}
+	gate := func(section string, committed int64, bench func(b *testing.B)) BenchGate {
+		return BenchGate{
+			Section:   section,
+			Measured:  testing.Benchmark(bench).AllocsPerOp(),
+			Committed: committed,
+			Limit:     int64(float64(committed) * (1 + tolerance)),
+		}
+	}
+	return []BenchGate{
+		gate("trial", committed.Trial.AllocsPerOp, benchTrial(seed)),
+		gate("campaign_parallel", committed.CampaignParallel.AllocsPerOp, benchCampaignParallel(seed)),
+	}
 }
 
 // WriteBenchJSON renders the report as indented JSON (the

@@ -7,24 +7,24 @@ import (
 	"testing"
 
 	"intango/internal/censor"
-	"intango/internal/tcpstack"
 )
 
 // TestAblationSpecsCanonical checks the §8 spec-edit ladder is well
-// formed: one rung per Hardenings() entry, in order, each a canonical
-// spec (round-trips through the grammar unchanged) that differs from
-// the measured gfw2017 only by its harden: statements and the pinned
-// detection-miss draw.
+// formed: distinct rungs led by the measured GFW, each a canonical spec
+// (round-trips through the grammar unchanged) that pins the
+// detection-miss draw off and differs from the measured rung only by
+// its harden: statements — which only the measured rung lacks.
 func TestAblationSpecsCanonical(t *testing.T) {
-	hardenings := Hardenings()
 	specs := AblationCensorSpecs()
-	if len(specs) != len(hardenings) {
-		t.Fatalf("%d censor specs for %d hardenings", len(specs), len(hardenings))
+	if len(specs) < 2 || specs[0].Hardening != "measured (2017)" {
+		t.Fatalf("ladder does not start at the measured GFW: %+v", specs)
 	}
+	seen := map[string]bool{}
 	for i, s := range specs {
-		if s.Hardening != hardenings[i].Name {
-			t.Errorf("rung %d: spec names hardening %q, Hardenings() has %q", i, s.Hardening, hardenings[i].Name)
+		if seen[s.Hardening] {
+			t.Errorf("rung %q appears twice", s.Hardening)
 		}
+		seen[s.Hardening] = true
 		spec, err := censor.ParseCensor(s.Spec)
 		if err != nil {
 			t.Errorf("%s: bad spec %q: %v", s.Hardening, s.Spec, err)
@@ -36,50 +36,20 @@ func TestAblationSpecsCanonical(t *testing.T) {
 		if !strings.Contains(s.Spec, "param:miss(p=0)") {
 			t.Errorf("%s: spec %q does not pin the detection-miss draw off", s.Hardening, s.Spec)
 		}
-	}
-}
-
-// TestAblationSpecsMatchConfig is the satellite equivalence proof: each
-// §8 rung built two ways — the legacy route (Config toggles via
-// Runner.HardenGFW plus Cal pinning) and the declarative route (the
-// canonical spec edit compiled through the censor grammar) — must
-// classify every (strategy, server-stack) trial identically.
-func TestAblationSpecsMatchConfig(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full ablation sweep twice over")
-	}
-	vp := VantagePoints()[0]
-	base := Servers(1, DefaultCalibration(), 42)[0]
-	base.Mix = EvolvedOnly
-	base.ServerSideFirewall = false
-	base.RouteDynamicsProb = 0
-	base.LossRate = 0
-	stacks := []tcpstack.Profile{tcpstack.Linux44(), tcpstack.Linux2437()}
-
-	hardenings := Hardenings()
-	specs := AblationCensorSpecs()
-	if len(specs) != len(hardenings) {
-		t.Fatalf("%d censor specs for %d hardenings", len(specs), len(hardenings))
-	}
-	for i, h := range hardenings {
-		for _, strat := range ablationStrategies() {
-			factory := strat.compile()
-			for _, stack := range stacks {
-				srv := base
-				srv.Stack = stack
-
-				legacy := NewRunner(42)
-				cfgOut := legacy.runHardened(vp, srv, factory, h)
-
-				viaSpec := NewRunner(42)
-				viaSpec.Censor = specs[i].Spec
-				specOut := viaSpec.RunOne(vp, srv, factory, true, 17)
-
-				if cfgOut != specOut {
-					t.Errorf("%s / %s / %s: Config-toggled censor = %v, spec-compiled censor = %v",
-						h.Name, strat.name, stack.Name, cfgOut, specOut)
-				}
+		var rest []string
+		hardens := 0
+		for _, stmt := range strings.Fields(s.Spec) {
+			if strings.HasPrefix(stmt, "harden:") {
+				hardens++
+				continue
 			}
+			rest = append(rest, stmt)
+		}
+		if got := strings.Join(rest, " "); got != specs[0].Spec {
+			t.Errorf("%s: spec %q differs from the measured rung beyond harden: statements", s.Hardening, s.Spec)
+		}
+		if (hardens == 0) != (i == 0) {
+			t.Errorf("%s: %d harden: statements", s.Hardening, hardens)
 		}
 	}
 }

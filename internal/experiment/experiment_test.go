@@ -435,13 +435,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("row %d differs:\nserial   %+v\nparallel %+v", i, serial[i], parallel[i])
 		}
 	}
-	r4s := RunTable4(NewRunner(42), VantagePoints()[:3], Servers(3, DefaultCalibration(), 42), 1)
-	r4p := RunTable4Parallel(NewRunner(42), VantagePoints()[:3], Servers(3, DefaultCalibration(), 42), 1)
-	for i := range r4s {
-		if r4s[i] != r4p[i] {
-			t.Fatalf("table4 row %d differs:\n%+v\n%+v", i, r4s[i], r4p[i])
-		}
-	}
 }
 
 func TestWilsonInterval(t *testing.T) {

@@ -98,20 +98,6 @@ func goodputStrategies() []struct {
 	}
 }
 
-// goodputServers returns the controlled server population: evolved
-// censor only, no server-side firewall, no route dynamics, no access
-// loss — so the only variable across arms is the link constraint.
-func goodputServers(r *Runner, n int) []Server {
-	servers := Servers(n, r.Cal, r.Seed)
-	for i := range servers {
-		servers[i].Mix = EvolvedOnly
-		servers[i].ServerSideFirewall = false
-		servers[i].RouteDynamicsProb = 0
-		servers[i].LossRate = 0
-	}
-	return servers
-}
-
 // goodputTopo renders the derived linear topology for (vp, srv) with
 // the client access link shaped to the constrained arm's rate and
 // queue — the same chain the unconstrained arm compiles, plus `bw=`.
@@ -134,7 +120,7 @@ func goodputTopo(vp VantagePoint, srv Server) string {
 // the trial into the goodput.bps / goodput.bytes histograms.
 func (r *Runner) runGoodputTrial(vp VantagePoint, srv Server, factory core.Factory, trial int, reg *obs.Registry) (bps int64, out Outcome) {
 	trialSeed := r.pairSeed(vp, srv) ^ int64(uint64(trial)*0x9e3779b97f4a7c15)
-	rg := r.build(vp, srv, trialSeed, r.packetPool())
+	rg := r.build(vp, srv, r.Censor, trialSeed, r.packetPool())
 	appsim.ServeHTTPUpload(rg.srv, 80)
 	if reg != nil {
 		rg.attachObs(obs.New(reg, obs.NewRecorder(obs.DefaultRingSize, rg.sim.Now)))
@@ -188,7 +174,7 @@ func RunGoodput(r *Runner, sc Scale) []GoodputRow {
 	if nsrv > 3 {
 		nsrv = 3
 	}
-	servers := goodputServers(r, nsrv)
+	servers := controlledServers(r, nsrv)
 	var reg *obs.Registry
 	if r.Obs != nil {
 		reg = r.Obs.Registry

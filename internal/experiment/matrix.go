@@ -60,31 +60,35 @@ func matrixStrategies() []strategySpec {
 // middleboxes — differences between cells are then attributable to the
 // censor alone).
 func RunCensorMatrix(r *Runner, censors []string, trials int) []MatrixCell {
-	vp := VantagePoints()[0]
-	servers := Servers(2, r.Cal, r.Seed)
-	for i := range servers {
-		servers[i].Mix = EvolvedOnly
-		servers[i].ServerSideFirewall = false
-		servers[i].RouteDynamicsProb = 0
-		servers[i].LossRate = 0
-	}
-	saved := r.Censor
-	defer func() { r.Censor = saved }()
-	var cells []MatrixCell
-	for _, c := range censors {
-		r.Censor = c
-		for _, strat := range matrixStrategies() {
-			factory := strat.compile()
-			cell := MatrixCell{Strategy: strat.name, Censor: c}
-			for _, srv := range servers {
-				for trial := 0; trial < trials; trial++ {
-					cell.T.Add(r.RunOne(vp, srv, factory, true, trial))
-				}
-			}
-			cells = append(cells, cell)
-		}
+	c, cells := matrixCube(r, censors, trials)
+	for i, t := range r.runCube(c) {
+		cells[i].T = t
 	}
 	return cells
+}
+
+// matrixCube enumerates the matrix: one tally per (censor, strategy)
+// cell, each job carrying its cell's censor. Cells differ only by
+// censor, so the labels name it. It returns the cells with T unset.
+func matrixCube(r *Runner, censors []string, trials int) (*Cube, []MatrixCell) {
+	vp := VantagePoints()[0]
+	servers := controlledServers(r, 2)
+	c := &Cube{}
+	var cells []MatrixCell
+	for _, cen := range censors {
+		for _, strat := range matrixStrategies() {
+			factory := strat.compile()
+			cells = append(cells, MatrixCell{Strategy: strat.name, Censor: cen})
+			sink := c.tally(strat.name + "@" + cen)
+			for _, srv := range servers {
+				for trial := 0; trial < trials; trial++ {
+					c.jobs = append(c.jobs, trialJob{vp: vp, srv: srv, censor: cen,
+						factory: factory, sensitive: true, trial: trial, sink: sink})
+				}
+			}
+		}
+	}
+	return c, cells
 }
 
 // FormatCensorMatrix renders the matrix, censors as columns.

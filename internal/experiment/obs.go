@@ -17,10 +17,10 @@ const DefaultMaxFailures = 4
 // event volumes for the campaign aggregate, and the flight-recorder
 // traces of a bounded, deterministically chosen set of failing trials.
 //
-// Parallel runs give each worker its own shard (see shard/merge);
-// because counter merging is addition and failure retention is
-// minimum-N by a total trial order, the merged sink is bit-identical to
-// a serial run over the same jobs.
+// The campaign executor gives each job shard its own sink (see
+// shard/merge); because counter merging is addition and failure
+// retention is minimum-N by a total trial order, the merged sink is
+// bit-identical to a serial run over the same jobs.
 type ObsSink struct {
 	// Registry receives every counter increment from the attached
 	// subsystems plus the sink's own trials.* outcome counters.
@@ -55,14 +55,15 @@ func NewObsSink() *ObsSink {
 	return &ObsSink{Registry: obs.NewRegistry(), MaxFailures: DefaultMaxFailures}
 }
 
-// shard returns an empty sink sharing no state with s. RunParallel
-// hands one to each worker so the trial hot path never contends on a
-// lock, then folds them back with merge after the barrier.
+// shard returns an empty sink sharing no state with s. The campaign
+// executor hands one to each shard so the trial hot path never
+// contends on a lock, then folds them back with merge after the
+// barrier.
 func (s *ObsSink) shard() *ObsSink {
 	return &ObsSink{Registry: obs.NewRegistry(), MaxFailures: s.MaxFailures}
 }
 
-// merge folds a worker shard into s. Counter merge is addition, so any
+// merge folds a shard's sink into s. Counter merge is addition, so any
 // merge order yields the same totals.
 func (s *ObsSink) merge(sh *ObsSink) {
 	if sh == nil {
@@ -128,8 +129,8 @@ func (s *ObsSink) compact() {
 }
 
 // Finish puts the retained failures in their final deterministic order
-// and applies the retention bound. RunParallel calls it after merging;
-// serial users call it before reading Failures.
+// and applies the retention bound. The campaign executor calls it
+// after merging; serial users call it before reading Failures.
 func (s *ObsSink) Finish() {
 	sortTraces(s.failures)
 	if s.MaxFailures > 0 && len(s.failures) > s.MaxFailures {

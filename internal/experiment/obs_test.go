@@ -27,27 +27,6 @@ func TestObsSerialParallelDeterminism(t *testing.T) {
 	rowsSerial, obsSerial := run(1, false)
 	rowsPar, obsPar := run(8, false)
 
-	// Per-worker pools arm: private recycling per worker must be just as
-	// invisible as the shared sync.Pool — bit-identical rows and full
-	// snapshots — while the pools actually see the traffic.
-	{
-		r := NewRunner(42)
-		r.Workers = 8
-		r.PerWorkerPool = true
-		r.Obs = NewObsSink()
-		rowsPW := RunTable1Parallel(r, scale)
-		if !reflect.DeepEqual(rowsSerial, rowsPW) {
-			t.Errorf("per-worker pools changed table rows:\nshared: %+v\nper-worker: %+v", rowsSerial, rowsPW)
-		}
-		if !reflect.DeepEqual(obsSerial.Snapshot(), r.Obs.Snapshot()) {
-			t.Errorf("per-worker pools changed the obs snapshot")
-		}
-		ps := r.PoolStats()
-		if ps.Gets == 0 || ps.Recycled() == 0 {
-			t.Errorf("per-worker pools saw no traffic: %+v", ps)
-		}
-	}
-
 	if !reflect.DeepEqual(rowsSerial, rowsPar) {
 		t.Errorf("table rows differ:\nserial: %+v\nparallel: %+v", rowsSerial, rowsPar)
 	}
@@ -260,9 +239,9 @@ func TestObsSerialParallelDeterminism(t *testing.T) {
 	vp := VantagePoints()[0]
 	srv := Servers(1, rTrace.Cal, 42)[0]
 	f := core.BuiltinFactories()["teardown-rst/ttl"]
-	outPlain, _, recPlain := rTrace.runRig(vp, srv, f, true, 0, obs.NewRegistry(), nil, rTrace.packetPool())
+	outPlain, _, recPlain := rTrace.runRig(rTrace.job(vp, srv, f, true, 0), obs.NewRegistry(), nil, rTrace.packetPool())
 	tc := trace.New()
-	outTraced, _, recTraced := rTrace.runRig(vp, srv, f, true, 0, obs.NewRegistry(), tc, rTrace.packetPool())
+	outTraced, _, recTraced := rTrace.runRig(rTrace.job(vp, srv, f, true, 0), obs.NewRegistry(), tc, rTrace.packetPool())
 	if outPlain != outTraced {
 		t.Errorf("tracing changed graph outcome: %v vs %v", outPlain, outTraced)
 	}

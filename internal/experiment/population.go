@@ -202,11 +202,26 @@ func OutsideServers(n int, cal Calibration, seed int64) []Server {
 	return servers
 }
 
+// controlledServers samples n servers on clean controlled paths:
+// evolved censor only, no server-side firewall, no route dynamics, no
+// access loss — so differences between cells are attributable to the
+// strategy, the censor or the link alone.
+func controlledServers(r *Runner, n int) []Server {
+	servers := Servers(n, r.Cal, r.Seed)
+	for i := range servers {
+		servers[i].Mix = EvolvedOnly
+		servers[i].ServerSideFirewall = false
+		servers[i].RouteDynamicsProb = 0
+		servers[i].LossRate = 0
+	}
+	return servers
+}
+
 // gfwConfig builds the device configuration for a path: the compiled
 // censor-spec lowering of the model's registry entry (gfw2017/gfw2013),
 // with the calibration's device probabilities layered on top — Cal is
-// the experiment-level override knob the §8 ablations and sensitivity
-// sweeps turn, so it wins over the spec's measured defaults here.
+// the experiment-level override knob sensitivity sweeps turn, so it
+// wins over the spec's measured defaults here.
 func gfwConfig(model gfw.Model, cal Calibration) gfw.Config {
 	name := censor.GFW2017
 	if model == gfw.ModelKhattak2013 {

@@ -11,9 +11,9 @@ import (
 	"intango/internal/obs"
 )
 
-// ProgressOptions configures live campaign-progress reporting for
-// RunParallel. Reporting only observes atomic counters the workers
-// bump — it never touches the trial hot path's determinism.
+// ProgressOptions configures live campaign-progress reporting for the
+// campaign executor. Reporting only observes atomic counters the
+// workers bump — it never touches the trial hot path's determinism.
 type ProgressOptions struct {
 	// Interval is how often a snapshot line is emitted (default 1s).
 	Interval time.Duration
@@ -139,12 +139,12 @@ type progressTracker struct {
 	addr    string
 }
 
-// newProgressTracker sizes the tracker from the job list (labels are
-// known up-front) and starts the sampler ticker and optional HTTP
-// endpoint.
-func newProgressTracker(jobs []trialJob, opts ProgressOptions) *progressTracker {
+// newProgressTracker sizes the tracker for total jobs under the given
+// labels (known up-front; repeats are counted once) and starts the
+// sampler ticker and optional HTTP endpoint.
+func newProgressTracker(total int, labels []string, opts ProgressOptions) *progressTracker {
 	t := &progressTracker{
-		total:  int64(len(jobs)),
+		total:  int64(total),
 		start:  time.Now(),
 		strats: map[string]*stratCounters{},
 		series: obs.NewTimeSeries(DefaultSeriesCap(opts)),
@@ -152,10 +152,10 @@ func newProgressTracker(jobs []trialJob, opts ProgressOptions) *progressTracker 
 		stop:   make(chan struct{}),
 		wg:     make(chan struct{}),
 	}
-	for _, j := range jobs {
-		if _, ok := t.strats[j.label]; !ok {
-			t.strats[j.label] = &stratCounters{}
-			t.names = append(t.names, j.label)
+	for _, l := range labels {
+		if _, ok := t.strats[l]; !ok {
+			t.strats[l] = &stratCounters{}
+			t.names = append(t.names, l)
 		}
 	}
 	sort.Strings(t.names)

@@ -10,10 +10,7 @@ import (
 // TestProgressTracker exercises the tracker directly: counters, the
 // snapshot math, and the metrics rendering.
 func TestProgressTracker(t *testing.T) {
-	jobs := []trialJob{
-		{label: "a"}, {label: "a"}, {label: "b"}, {label: "b"},
-	}
-	pt := newProgressTracker(jobs, ProgressOptions{
+	pt := newProgressTracker(4, []string{"a", "b"}, ProgressOptions{
 		Interval: time.Hour, // never ticks during the test
 	})
 	pt.note("a", Success)
@@ -69,7 +66,7 @@ func TestProgressMetricsEscaping(t *testing.T) {
 // TestProgressNoteOutOfRange: a future Outcome value must not panic
 // the tracker; it still counts toward done.
 func TestProgressNoteOutOfRange(t *testing.T) {
-	pt := newProgressTracker([]trialJob{{label: "a"}}, ProgressOptions{Interval: time.Hour})
+	pt := newProgressTracker(1, []string{"a"}, ProgressOptions{Interval: time.Hour})
 	pt.note("a", Outcome(99))
 	pt.note("a", Outcome(-1))
 	pt.finish()
@@ -87,7 +84,7 @@ func TestProgressHTTPUnregistered(t *testing.T) {
 		t.Skip("a progress server is registered in this binary")
 	}
 	var buf bytes.Buffer
-	pt := newProgressTracker([]trialJob{{label: "a"}}, ProgressOptions{
+	pt := newProgressTracker(1, []string{"a"}, ProgressOptions{
 		Interval: time.Hour, W: &buf, HTTPAddr: "127.0.0.1:0",
 	})
 	if pt.Addr() != "" {
@@ -99,10 +96,9 @@ func TestProgressHTTPUnregistered(t *testing.T) {
 	pt.finish()
 }
 
-// TestRunParallelProgress: a campaign with progress enabled reports
-// every trial and writes a final summary line, without perturbing
-// results.
-func TestRunParallelProgress(t *testing.T) {
+// TestCampaignProgress: a campaign with progress enabled reports every
+// trial and writes a final summary line, without perturbing results.
+func TestCampaignProgress(t *testing.T) {
 	scale := Scale{VPs: 2, Servers: 2, Trials: 1}
 	var buf bytes.Buffer
 	r := NewRunner(42)

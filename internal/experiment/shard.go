@@ -2,53 +2,77 @@ package experiment
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"intango/internal/core"
 	"intango/internal/obs"
 )
 
-// The shard substrate under internal/fleet: a campaign's job cube built
-// once, deterministic contiguous shards over it, and a serial range
-// runner with checkpoint hooks. Shards accumulate into private tallies
-// and ObsSink shards — the same commutative-merge contract RunParallel
-// relies on — so any partition of the cube, run in any order, possibly
-// killed and resumed from journaled snapshots, folds back to results
-// bit-identical to an uninterrupted serial run.
+// The one campaign executor and the shard substrate it shares with
+// internal/fleet: a campaign's job cube built once, deterministic
+// contiguous shards over it, and a serial range runner with checkpoint
+// hooks. Shards accumulate into private tallies and ObsSinks, and every
+// fold is commutative — tally addition, registry merge, min-N failure
+// retention — so any partition of the cube, run in any order by any
+// number of workers, possibly killed and resumed from journaled
+// snapshots, folds back to results bit-identical to an uninterrupted
+// serial run.
+
+// trialJob is one independent simulation to run.
+type trialJob struct {
+	vp  VantagePoint
+	srv Server
+	// censor fills the topology's GFW device slots: a registry name or
+	// raw censor-spec text, "" for the calibrated GFW population (see
+	// Runner.Censor). A cell that needs another censor carries it here
+	// rather than mutating the shared Runner.
+	censor    string
+	factory   core.Factory
+	sensitive bool
+	trial     int
+	// sink indexes the tally the outcome folds into; that tally's label
+	// names the job in progress counters and failure-retention keys.
+	sink int
+}
 
 // Cube is a campaign's fully enumerated job list plus the tally layout
-// the jobs index into. The enumeration order is a pure function of the
-// runner's seed and the scale, so two processes planning the same
-// campaign derive identical cubes — the property shard plans and
-// checkpoint cursors depend on.
+// the jobs index into: tally i accumulates every job whose sink is i,
+// and labels[i] names it. The enumeration order is a pure function of
+// the runner's seed and the campaign's parameters, so two processes
+// planning the same campaign derive identical cubes — the property
+// shard plans and checkpoint cursors depend on. A label plus the job's
+// (vantage point, server, sensitive, trial) is its failure-retention
+// key, which must be unique within a cube: sortTraces relies on it
+// being a total order.
 type Cube struct {
-	jobs       []trialJob
-	rows       []Table1Row
-	numTallies int
-	labels     []string // strategy label per tally index
-	stratOrder []string // unique strategy labels in first-seen order
+	jobs   []trialJob
+	labels []string
+}
+
+// tally appends a tally slot named label and returns its index.
+func (c *Cube) tally(label string) int {
+	c.labels = append(c.labels, label)
+	return len(c.labels) - 1
 }
 
 // Table1Cube enumerates the Table 1 campaign for (r, sc): every
-// strategy × vantage point × server × trial, sensitive and clean arms.
-// The job order matches RunTable1Parallel exactly.
+// strategy × vantage point × server × trial, sensitive and clean arms,
+// with tallies 2i and 2i+1 holding strategy i's arms (see FoldTable1).
 func Table1Cube(r *Runner, sc Scale) *Cube {
 	vps := VantagePoints()[:min(sc.VPs, 11)]
 	servers := Servers(sc.Servers, r.Cal, r.Seed)
-	specs := table1Strategies()
-	c := &Cube{numTallies: 2 * len(specs)}
-	c.rows = make([]Table1Row, len(specs))
-	c.labels = make([]string, c.numTallies)
-	for i, spec := range specs {
-		c.rows[i] = Table1Row{Strategy: spec.group, Discrepancy: spec.disc}
-		c.labels[2*i] = spec.name
-		c.labels[2*i+1] = spec.name
-		c.stratOrder = append(c.stratOrder, spec.name)
+	c := &Cube{}
+	for _, spec := range table1Strategies() {
 		factory := spec.compile()
+		sens, clean := c.tally(spec.name), c.tally(spec.name)
 		for _, vp := range vps {
 			for _, srv := range servers {
 				for trial := 0; trial < sc.Trials; trial++ {
-					c.jobs = append(c.jobs, trialJob{vp, srv, factory, true, trial, 2 * i, spec.name})
-					c.jobs = append(c.jobs, trialJob{vp, srv, factory, false, trial + sc.Trials, 2*i + 1, spec.name})
+					c.jobs = append(c.jobs,
+						trialJob{vp: vp, srv: srv, censor: r.Censor, factory: factory, sensitive: true, trial: trial, sink: sens},
+						trialJob{vp: vp, srv: srv, censor: r.Censor, factory: factory, trial: trial + sc.Trials, sink: clean})
 				}
 			}
 		}
@@ -60,39 +84,109 @@ func Table1Cube(r *Runner, sc Scale) *Cube {
 func (c *Cube) Len() int { return len(c.jobs) }
 
 // NumTallies returns how many tally sinks the cube's jobs index.
-func (c *Cube) NumTallies() int { return c.numTallies }
+func (c *Cube) NumTallies() int { return len(c.labels) }
 
-// TallyLabel returns the strategy label tally index i accumulates for —
-// how a restored checkpoint frame's tallies are re-attributed to
+// TallyLabel returns the label tally index i accumulates for — how a
+// restored checkpoint frame's tallies are re-attributed to
 // per-strategy progress counters.
 func (c *Cube) TallyLabel(i int) string { return c.labels[i] }
 
-// StrategyLabels returns the cube's unique strategy labels in campaign
+// StrategyLabels returns the cube's unique tally labels in campaign
 // order.
 func (c *Cube) StrategyLabels() []string {
-	return append([]string(nil), c.stratOrder...)
+	var out []string
+	seen := map[string]bool{}
+	for _, l := range c.labels {
+		if !seen[l] {
+			seen[l] = true
+			out = append(out, l)
+		}
+	}
+	return out
 }
 
-// Fold writes the merged tallies into the cube's row skeletons and
-// returns the finished rows. tallies must have NumTallies entries.
-func (c *Cube) Fold(tallies []Tally) []Table1Row {
-	rows := append([]Table1Row(nil), c.rows...)
-	for i := range rows {
-		rows[i].Sensitive = tallies[2*i]
-		rows[i].Clean = tallies[2*i+1]
+// ShardBounds cuts jobs [0, total) into n contiguous shards whose sizes
+// differ by at most one, the remainder spread over the leading shards:
+// shard i covers [b[i], b[i+1]). n is clamped to [1, max(total, 1)] —
+// a shard covers at least one job when any exist.
+func ShardBounds(total, n int) []int {
+	n = max(1, min(n, total))
+	b := make([]int, n+1)
+	for i := 0; i < n; i++ {
+		size := total / n
+		if i < total%n {
+			size++
+		}
+		b[i+1] = b[i] + size
 	}
-	return rows
+	return b
 }
 
-// runParallelCube is RunTable1Parallel over a prebuilt cube.
-func (r *Runner) runParallelCube(c *Cube) []Table1Row {
-	backing := make([]Tally, c.numTallies)
-	tallies := make([]*Tally, c.numTallies)
-	for i := range tallies {
-		tallies[i] = &backing[i]
+// shardsPerWorker is how many contiguous shards the executor cuts per
+// worker. Cubes are strategy-major and trial cost varies by strategy,
+// so workers pull many small shards from a queue instead of one block
+// each: a costly strategy block then cannot idle the other workers at
+// the barrier.
+const shardsPerWorker = 16
+
+// runCube is the campaign executor. It cuts the cube into contiguous
+// shards, runs them through RunCubeRange on r.Workers workers
+// (GOMAXPROCS when unset) pulling shards from a queue, and folds the
+// shards in index order into the returned tallies and r.Obs. Shards
+// get ObsSinks only when r.Obs is attached: an uninstrumented campaign
+// stays on the bare trial hot path.
+func (r *Runner) runCube(c *Cube) []Tally {
+	workers := r.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	r.RunParallel(c.jobs, tallies)
-	return c.Fold(backing)
+	bounds := ShardBounds(len(c.jobs), workers*shardsPerWorker)
+	shards := make([]*ShardState, len(bounds)-1)
+	for i := range shards {
+		var sink *ObsSink
+		if r.Obs != nil {
+			sink = r.Obs.shard()
+		}
+		shards[i] = NewShardState(c, bounds[i], bounds[i+1], sink)
+	}
+	var prog *progressTracker
+	var onTrial func(label string, out Outcome)
+	if r.Progress != nil {
+		prog = newProgressTracker(len(c.jobs), c.labels, *r.Progress)
+		r.progressAddr.Store(prog.Addr())
+		onTrial = prog.note
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < min(workers, len(shards)); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(shards); i = int(next.Add(1) - 1) {
+				r.RunCubeRange(c, shards[i], 0, onTrial, nil)
+			}
+		}()
+	}
+	wg.Wait()
+	if prog != nil {
+		prog.finish()
+		r.progressSeries = prog.Series()
+		r.progressFinal = prog.snapshot()
+		r.progressRan = true
+	}
+	tallies := make([]Tally, len(c.labels))
+	for _, st := range shards {
+		for i, t := range st.Tallies {
+			tallies[i].Merge(t)
+		}
+		if r.Obs != nil {
+			r.Obs.merge(st.Sink)
+		}
+	}
+	if r.Obs != nil {
+		r.Obs.Finish()
+	}
+	return tallies
 }
 
 // DefaultCheckpointEvery is how many trials a shard runs between
@@ -109,15 +203,18 @@ type ShardState struct {
 	Start, End int
 	Cursor     int
 	Tallies    []Tally
-	Sink       *ObsSink
+	// Sink collects the shard's observability; nil runs it
+	// uninstrumented.
+	Sink *ObsSink
 }
 
-// NewShardState returns a fresh state for jobs [start, end) of the cube.
-func NewShardState(c *Cube, start, end int) *ShardState {
+// NewShardState returns a fresh state for jobs [start, end) of the
+// cube, observed into sink (nil for none).
+func NewShardState(c *Cube, start, end int, sink *ObsSink) *ShardState {
 	return &ShardState{
 		Start: start, End: end, Cursor: start,
-		Tallies: make([]Tally, c.numTallies),
-		Sink:    NewObsSink(),
+		Tallies: make([]Tally, len(c.labels)),
+		Sink:    sink,
 	}
 }
 
@@ -147,25 +244,29 @@ func (st *ShardState) Restore(cursor int, tallies []Tally, snap obs.Snapshot) er
 // checkpoint with final reporting whether the range is complete;
 // checkpoint returning false stops the shard at that frame boundary
 // (the coordinator's abort path). onTrial, when non-nil, observes every
-// completed trial (live fleet progress counters; it must not block).
-// Within a shard execution is strictly serial, so Cursor is always the
-// exact resume point.
+// completed trial (live progress counters; it must not block). Within
+// a shard execution is strictly serial, so Cursor is always the exact
+// resume point.
 func (r *Runner) RunCubeRange(c *Cube, st *ShardState, every int, onTrial func(label string, out Outcome), checkpoint func(final bool) bool) {
 	if every <= 0 {
 		every = DefaultCheckpointEvery
 	}
 	since := 0
-	// A shard is one worker: under PerWorkerPool it recycles through its
-	// own private pool, like a RunParallel worker would.
-	pool := r.newWorkerPool()
+	pool := r.packetPool()
 	for st.Cursor < st.End {
-		job := c.jobs[st.Cursor]
-		out := r.runOne(job.vp, job.srv, job.factory, job.sensitive, job.trial, st.Sink, job.label, pool)
+		job := &c.jobs[st.Cursor]
+		label := c.labels[job.sink]
+		out := r.runOne(job, label, st.Sink, pool)
 		st.Tallies[job.sink].Add(out)
 		st.Cursor++
 		since++
+		// A trial never blocks, and on a small GOMAXPROCS the GC's
+		// fractional mark worker runs only at scheduling points: without
+		// this yield each mark phase stretches until async preemption,
+		// and every trial meanwhile pays write barriers.
+		runtime.Gosched()
 		if onTrial != nil {
-			onTrial(job.label, out)
+			onTrial(label, out)
 		}
 		if checkpoint != nil && (since >= every || st.Cursor == st.End) {
 			since = 0
@@ -174,7 +275,9 @@ func (r *Runner) RunCubeRange(c *Cube, st *ShardState, every int, onTrial func(l
 			}
 		}
 	}
-	st.Sink.Finish()
+	if st.Sink != nil {
+		st.Sink.Finish()
+	}
 }
 
 // StrategySpec names one campaign strategy together with its canonical

@@ -120,6 +120,27 @@ func RunTable1(r *Runner, scale Scale) []Table1Row {
 	return rows
 }
 
+// RunTable1Parallel is RunTable1 through the campaign executor: the
+// Table 1 cube fanned out across r.Workers. Results are identical to
+// the serial reference loop for the same seed, and the cube is the one
+// the fleet shard coordinator partitions.
+func RunTable1Parallel(r *Runner, scale Scale) []Table1Row {
+	return FoldTable1(r.runCube(Table1Cube(r, scale)))
+}
+
+// FoldTable1 lays the merged tallies of a Table 1 cube out as the
+// paper's rows: tallies 2i and 2i+1 are strategy i's sensitive and
+// clean arms.
+func FoldTable1(tallies []Tally) []Table1Row {
+	specs := table1Strategies()
+	rows := make([]Table1Row, len(specs))
+	for i, spec := range specs {
+		rows[i] = Table1Row{Strategy: spec.group, Discrepancy: spec.disc,
+			Sensitive: tallies[2*i], Clean: tallies[2*i+1]}
+	}
+	return rows
+}
+
 // FormatTable1 renders the rows in the paper's layout.
 func FormatTable1(rows []Table1Row) string {
 	var b strings.Builder
@@ -132,11 +153,4 @@ func FormatTable1(rows []Table1Row) string {
 			row.Strategy, row.Discrepancy, s, f1, f2, cs, cf1)
 	}
 	return b.String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -59,20 +59,32 @@ func table4Strategies() []table4Spec {
 // inside-China block, OutsideVantagePoints()+OutsideServers for the
 // outside block).
 func RunTable4(r *Runner, vps []VantagePoint, servers []Server, trials int) []Table4Row {
-	var rows []Table4Row
+	tallies := r.runCube(table4Cube(r, vps, servers, trials))
+	specs := table4Strategies()
+	rows := make([]Table4Row, len(specs))
+	for si, spec := range specs {
+		rows[si] = summarizeVPs(spec.label, tallies[si*len(vps):(si+1)*len(vps)])
+	}
+	return rows
+}
+
+// table4Cube enumerates the Table 4 strategy rows: one tally per
+// (strategy, vantage point), strategy-major.
+func table4Cube(r *Runner, vps []VantagePoint, servers []Server, trials int) *Cube {
+	c := &Cube{}
 	for _, spec := range table4Strategies() {
 		factory := spec.compile()
-		perVP := make([]Tally, len(vps))
-		for vi, vp := range vps {
+		for _, vp := range vps {
+			sink := c.tally(spec.name)
 			for _, srv := range servers {
 				for trial := 0; trial < trials; trial++ {
-					perVP[vi].Add(r.RunOne(vp, srv, factory, true, trial))
+					c.jobs = append(c.jobs, trialJob{vp: vp, srv: srv, censor: r.Censor,
+						factory: factory, sensitive: true, trial: trial, sink: sink})
 				}
 			}
 		}
-		rows = append(rows, summarizeVPs(spec.label, perVP))
 	}
-	return rows
+	return c
 }
 
 // RunTable4INTANG reproduces the "INTANG Performance" row: a

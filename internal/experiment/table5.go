@@ -22,31 +22,37 @@ type Table5Cell struct {
 // construction, run the corresponding strategy on a clean controlled
 // path and confirm it evades.
 func RunTable5(r *Runner) []Table5Cell {
-	vp := VantagePoints()[0] // Aliyun profile, benign for these packets
-	servers := Servers(3, r.Cal, r.Seed)
-	for i := range servers {
-		servers[i].Mix = EvolvedOnly
-		servers[i].ServerSideFirewall = false
-		servers[i].RouteDynamicsProb = 0
-		servers[i].LossRate = 0
+	c, cells := table5Cube(r)
+	for i, t := range r.runCube(c) {
+		cells[i].Validated = t.Success == t.Total
 	}
+	return cells
+}
 
-	strategyFor := func(ptype string, d core.Discrepancy) core.Factory {
+// table5Cube enumerates the Table 5 validation: one tally per
+// construction, labelled by its strategy, over three controlled
+// servers. It returns the cells with Validated still unset.
+func table5Cube(r *Runner) (*Cube, []Table5Cell) {
+	vp := VantagePoints()[0] // Aliyun profile, benign for these packets
+	servers := controlledServers(r, 3)
+
+	strategyFor := func(ptype string, d core.Discrepancy) strategySpec {
 		switch ptype {
 		case "SYN":
 			// SYN insertions are exercised by the combined creation
 			// strategy (its insertions are TTL-crafted SYNs).
 			return strategySpec{"creation-resync-desync",
-				"on:handshake[inject(syn,disc=ttl)] on:first-payload[inject(syn,disc=ttl); inject(desync)]"}.compile()
+				"on:handshake[inject(syn,disc=ttl)] on:first-payload[inject(syn,disc=ttl); inject(desync)]"}
 		case "RST":
 			return strategySpec{"teardown-rst/" + d.String(),
-				"on:first-payload[teardown(flags=rst,disc=" + d.String() + ")]"}.compile()
+				"on:first-payload[teardown(flags=rst,disc=" + d.String() + ")]"}
 		default: // Data
 			return strategySpec{"prefill/" + d.String(),
-				"on:first-payload[inject(prefill,disc=" + d.String() + ")]"}.compile()
+				"on:first-payload[inject(prefill,disc=" + d.String() + ")]"}
 		}
 	}
 
+	c := &Cube{}
 	var cells []Table5Cell
 	for _, spec := range []struct {
 		ptype string
@@ -60,17 +66,16 @@ func RunTable5(r *Runner) []Table5Cell {
 		{"Data", core.DiscBadAck},
 		{"Data", core.DiscOldTimestamp},
 	} {
-		cell := Table5Cell{PacketType: spec.ptype, Discrepancy: spec.disc, Preferred: preferred(spec.ptype, spec.disc)}
-		ok := 0
+		cells = append(cells, Table5Cell{PacketType: spec.ptype, Discrepancy: spec.disc, Preferred: preferred(spec.ptype, spec.disc)})
+		strat := strategyFor(spec.ptype, spec.disc)
+		factory := strat.compile()
+		sink := c.tally(strat.name)
 		for _, srv := range servers {
-			if r.RunOne(vp, srv, strategyFor(spec.ptype, spec.disc), true, 0) == Success {
-				ok++
-			}
+			c.jobs = append(c.jobs, trialJob{vp: vp, srv: srv, censor: r.Censor,
+				factory: factory, sensitive: true, sink: sink})
 		}
-		cell.Validated = ok == len(servers)
-		cells = append(cells, cell)
 	}
-	return cells
+	return c, cells
 }
 
 func preferred(ptype string, d core.Discrepancy) bool {

@@ -204,7 +204,7 @@ func FormatTopoDemo(seed int64) string {
 	r.Topo = GraphDemoTopo
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, seed)[0]
-	fab := r.build(vp, srv, 1, r.packetPool()).net
+	fab := r.build(vp, srv, r.Censor, 1, r.packetPool()).net
 	var b strings.Builder
 	b.WriteString("== ECMP multi-device demo (graph fabric) ==\n")
 	b.WriteString("spec:\n  " + overrideProgram(GraphDemoTopo).Spec().String() + "\n")
@@ -250,6 +250,7 @@ func FormatTopoDemo(seed int64) string {
 type rigBinder struct {
 	r        *Runner
 	vp       VantagePoint
+	censor   string // the trial's censor reference; see Runner.Censor
 	rg       *rig
 	trialRng *rand.Rand
 	pairRng  *rand.Rand
@@ -275,12 +276,12 @@ func (b *rigBinder) Bind(ref string, tap bool) ([]netem.Processor, error) {
 		}
 		return nil, fmt.Errorf("ipf ref %q precedes its device", ref)
 	case strings.HasPrefix(ref, "gfw-old"), strings.HasPrefix(ref, "gfw-new"):
-		if b.r.Censor != "" {
+		if b.censor != "" {
 			// Censor override: the device slot is filled by the compiled
 			// censor instead of the calibrated GFW population. Spec
-			// parameters are authoritative — Cal probabilities and
-			// HardenGFW do not apply here.
-			comp, err := censor.Resolve(b.r.Censor)
+			// parameters are authoritative — Cal probabilities do not
+			// apply here.
+			comp, err := censor.Resolve(b.censor)
 			if err != nil {
 				return nil, err
 			}
@@ -299,9 +300,6 @@ func (b *rigBinder) Bind(ref string, tap bool) ([]netem.Processor, error) {
 		}
 		cfg := gfwConfig(model, b.r.Cal)
 		cfg.TorFiltering = b.vp.TorFiltered
-		if b.r.HardenGFW != nil {
-			b.r.HardenGFW(&cfg)
-		}
 		dev := gfw.NewDevice(ref, cfg, b.trialRng)
 		dev.SetRSTResyncs(b.pairRng.Float64() < b.r.Cal.ResyncOnRSTProb)
 		dev.SetSegmentLastWins(b.pairRng.Float64() < b.r.Cal.SegmentLastWinsProb)

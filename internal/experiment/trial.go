@@ -12,7 +12,6 @@ import (
 	"intango/internal/appsim"
 	"intango/internal/censor"
 	"intango/internal/core"
-	"intango/internal/gfw"
 	"intango/internal/intang"
 	"intango/internal/netem"
 	"intango/internal/obs"
@@ -58,33 +57,23 @@ func (o Outcome) String() string {
 type Runner struct {
 	Cal  Calibration
 	Seed int64
-	// HardenGFW, when set, applies §8 countermeasures to every device
-	// the runner builds (the ablation harness sets it).
-	HardenGFW func(cfg *gfw.Config)
 	// Obs, when set, collects counters, throughput aggregates, and
 	// failing-trial flight-recorder traces from every trial. Nil (the
 	// default) leaves the whole stack uninstrumented.
 	Obs *ObsSink
-	// Workers caps RunParallel's fan-out; 0 means GOMAXPROCS.
+	// Workers caps the campaign executor's fan-out; 0 means GOMAXPROCS.
 	Workers int
 	// NoPool disables packet pooling: every trial then allocates its
 	// packets on the heap. The pooling determinism test uses it as the
 	// control arm; campaigns leave it false.
 	NoPool bool
-	// PerWorkerPool gives each RunParallel worker a private packet pool
-	// instead of the shared sync.Pool-backed one — no cross-CPU recycle
-	// traffic on many-core fleets. Serial entry points keep the shared
-	// pool; results are bit-identical either way (pooling only recycles
-	// storage, never changes behaviour), which the determinism test
-	// pins.
-	PerWorkerPool bool
 	// Causal, when set (and Obs is attached), records a full causal
 	// trace — packet bytes with lineage plus the complete event stream —
 	// for every trial and retains the bundle on each failing trial the
 	// sink keeps. Off by default: tracing costs per-packet serialization.
 	Causal bool
 	// Progress, when set, emits periodic campaign-progress snapshots
-	// during RunParallel.
+	// while the campaign executor runs.
 	Progress *ProgressOptions
 	// Topo, when set, is a declarative topology spec (internal/topo
 	// grammar) that replaces the linear path derived from each (vantage
@@ -98,17 +87,17 @@ type Runner struct {
 	// bind with a censor compiled from this reference — a registry name
 	// ("turkmenistan") or raw censor-spec text (internal/censor
 	// grammar). The spec's parameters are authoritative: Cal's device
-	// probabilities and HardenGFW apply only to the default ("")
-	// population. Chain-kind censors (filter-only specs) cannot stand in
-	// for a device; attach those with censor= in a topology spec.
+	// probabilities apply only to the default ("") population.
+	// Chain-kind censors (filter-only specs) cannot stand in for a
+	// device; attach those with censor= in a topology spec.
 	Censor string
 
 	// progressAddr is atomic: callers poll ProgressAddr from other
-	// goroutines while RunParallel is binding the endpoint (the whole
+	// goroutines while the executor is binding the endpoint (the whole
 	// point of a live scrape).
 	progressAddr atomic.Value // string
 	// progressSeries and progressFinal are retained from the tracker
-	// when a progress-enabled RunParallel completes; the health report
+	// when a progress-enabled campaign completes; the health report
 	// builds its throughput curve and final counts from them.
 	progressSeries obs.TimeSeriesSnapshot
 	progressFinal  ProgressSnapshot
@@ -116,15 +105,11 @@ type Runner struct {
 
 	poolOnce sync.Once
 	pool     *packet.Pool
-	// workerPools collects the per-worker pools RunParallel created so
-	// PoolStats can aggregate them with the shared pool.
-	poolMu      sync.Mutex
-	workerPools []*packet.Pool
 }
 
 // packetPool returns the runner's shared packet pool (nil when pooling
-// is disabled). One pool serves every trial and every parallel worker;
-// sync.Pool handles the concurrency.
+// is disabled). One pool serves every trial and every campaign worker;
+// sync.Pool shards itself per P.
 func (r *Runner) packetPool() *packet.Pool {
 	if r.NoPool {
 		return nil
@@ -133,45 +118,15 @@ func (r *Runner) packetPool() *packet.Pool {
 	return r.pool
 }
 
-// workerPool returns the pool one RunParallel worker should thread
-// through its trials: nil when pooling is off, a freshly registered
-// private pool under PerWorkerPool, and the shared pool otherwise.
-func (r *Runner) newWorkerPool() *packet.Pool {
-	if r.NoPool {
-		return nil
-	}
-	if !r.PerWorkerPool {
-		return r.packetPool()
-	}
-	pl := packet.NewPool()
-	r.poolMu.Lock()
-	r.workerPools = append(r.workerPools, pl)
-	r.poolMu.Unlock()
-	return pl
-}
-
-// PoolStats snapshots the packet-pool traffic counters, summed across
-// the shared pool and any per-worker pools. When pooling is disabled
-// (NoPool) or no trial has run yet, there is no pool; the snapshot is
-// explicitly zero rather than a nil-receiver dereference.
+// PoolStats snapshots the packet-pool traffic counters: zero when
+// pooling is disabled (NoPool) or no trial has run yet, as there is
+// then no pool.
 func (r *Runner) PoolStats() packet.PoolStats {
-	var s packet.PoolStats
-	if r.pool != nil {
-		s = r.pool.Stats()
-	}
-	r.poolMu.Lock()
-	for _, pl := range r.workerPools {
-		ps := pl.Stats()
-		s.Gets += ps.Gets
-		s.Puts += ps.Puts
-		s.News += ps.News
-	}
-	r.poolMu.Unlock()
-	return s
+	return r.pool.Stats()
 }
 
 // ProgressAddr returns the bound address of the live progress HTTP
-// endpoint once RunParallel has started it ("" when none configured).
+// endpoint once a campaign has started it ("" when none configured).
 // Safe to poll from another goroutine while a campaign runs.
 func (r *Runner) ProgressAddr() string {
 	if v := r.progressAddr.Load(); v != nil {
@@ -181,12 +136,12 @@ func (r *Runner) ProgressAddr() string {
 }
 
 // ProgressSeries returns the sampled campaign time-series retained
-// from the most recent progress-enabled RunParallel (empty when
+// from the most recent progress-enabled campaign (empty when
 // progress was never configured).
 func (r *Runner) ProgressSeries() obs.TimeSeriesSnapshot { return r.progressSeries }
 
 // FinalProgress returns the closing progress snapshot of the most
-// recent progress-enabled RunParallel; ok is false when progress was
+// recent progress-enabled campaign; ok is false when progress was
 // never configured.
 func (r *Runner) FinalProgress() (ProgressSnapshot, bool) { return r.progressFinal, r.progressRan }
 
@@ -218,10 +173,11 @@ type rig struct {
 // build assembles the (vp, server) substrate for one trial: derive (or
 // override) the declarative topology, fetch its cached compiled
 // Program, and instantiate it with this trial's RNGs bound through the
-// rig binder. Measured paths are linear chains, a Runner.Topo may be
-// any graph; both become one netem.Fabric per trial over the
+// rig binder, which fills the GFW device slots from censorRef (see
+// Runner.Censor). Measured paths are linear chains, a Runner.Topo may
+// be any graph; both become one netem.Fabric per trial over the
 // program's shared routing.
-func (r *Runner) build(vp VantagePoint, srv Server, trialSeed int64, pool *packet.Pool) *rig {
+func (r *Runner) build(vp VantagePoint, srv Server, censorRef string, trialSeed int64, pool *packet.Pool) *rig {
 	rg := &rig{sim: netem.NewSimulator(trialSeed)}
 	trialRng := rg.sim.Rand()
 	pairRng := rand.New(rand.NewSource(r.pairSeed(vp, srv)))
@@ -242,7 +198,7 @@ func (r *Runner) build(vp VantagePoint, srv Server, trialSeed int64, pool *packe
 	}
 
 	prog := r.program(vp, srv, hops)
-	binder := &rigBinder{r: r, vp: vp, rg: rg, trialRng: trialRng, pairRng: pairRng}
+	binder := &rigBinder{r: r, vp: vp, censor: censorRef, rg: rg, trialRng: trialRng, pairRng: pairRng}
 	n, err := prog.Instantiate(binder, topo.Options{Sim: rg.sim, Pool: pool})
 	if err != nil {
 		// Derived specs are valid by construction and overrides are
@@ -313,9 +269,9 @@ func (rg *rig) attachObs(b *obs.Obs) {
 // complete event stream and every wire packet; tracing only observes —
 // it never schedules events or draws randomness, so a traced trial is
 // bit-identical to an untraced one.
-func (r *Runner) runRig(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int, reg *obs.Registry, tc *trace.Tracer, pool *packet.Pool) (Outcome, *rig, *obs.Recorder) {
-	trialSeed := r.pairSeed(vp, srv) ^ int64(uint64(trial)*0x9e3779b97f4a7c15)
-	rg := r.build(vp, srv, trialSeed, pool)
+func (r *Runner) runRig(j *trialJob, reg *obs.Registry, tc *trace.Tracer, pool *packet.Pool) (Outcome, *rig, *obs.Recorder) {
+	trialSeed := r.pairSeed(j.vp, j.srv) ^ int64(uint64(j.trial)*0x9e3779b97f4a7c15)
+	rg := r.build(j.vp, j.srv, j.censor, trialSeed, pool)
 	var rec *obs.Recorder
 	if reg != nil {
 		rec = obs.NewRecorder(obs.DefaultRingSize, rg.sim.Now)
@@ -324,16 +280,18 @@ func (r *Runner) runRig(vp VantagePoint, srv Server, factory core.Factory, sensi
 			tc.Attach(rec, rg.net)
 		}
 	}
-	env := core.DefaultEnv(insertionTTL(srv), rg.sim.Rand())
+	env := core.DefaultEnv(insertionTTL(j.srv), rg.sim.Rand())
 	rg.engine = core.NewEngine(rg.sim, rg.net, rg.cli, env)
-	if factory != nil {
+	// The closure captures the factory, not j: it outlives this call,
+	// and capturing j would move every RunOne's job to the heap.
+	if factory := j.factory; factory != nil {
 		rg.engine.NewStrategy = func(packet.FourTuple) core.Strategy { return factory() }
 	}
-	conn := fetch(rg, srv, sensitive)
+	conn := fetch(rg, j.srv, j.sensitive)
 	if rec != nil {
 		recordStageSpans(rg, conn, reg, rec)
 	}
-	return classify(rg, conn, sensitive), rg, rec
+	return classify(rg, conn, j.sensitive), rg, rec
 }
 
 // Stage histogram names, shared by span recording and the health
@@ -391,10 +349,10 @@ func recordStageSpans(rg *rig, conn *tcpstack.Conn, reg *obs.Registry, rec *obs.
 	span(spanTeardown, rg.net.LastEventAt(), rg.sim.Now())
 }
 
-// runOne runs one trial against an explicit sink (RunParallel hands
-// each worker its own shard here, plus the worker's packet pool).
-// label names the strategy for the failure-trace retention key.
-func (r *Runner) runOne(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int, sink *ObsSink, label string, pool *packet.Pool) Outcome {
+// runOne runs one trial against an explicit sink (the executor hands
+// each shard its own, plus the runner's packet pool). label names the
+// job in the failure-trace retention key.
+func (r *Runner) runOne(j *trialJob, label string, sink *ObsSink, pool *packet.Pool) Outcome {
 	var reg *obs.Registry
 	var tc *trace.Tracer
 	if sink != nil {
@@ -403,30 +361,36 @@ func (r *Runner) runOne(vp VantagePoint, srv Server, factory core.Factory, sensi
 			tc = trace.New()
 		}
 	}
-	out, rg, rec := r.runRig(vp, srv, factory, sensitive, trial, reg, tc, pool)
+	out, rg, rec := r.runRig(j, reg, tc, pool)
 	if sink != nil {
 		var bundle *trace.Trace
 		if tc != nil && out != Success {
 			bundle = tc.Finish(trace.Meta{
-				Strategy: label, VP: vp.Name, Server: srv.Name,
-				Trial: trial, Outcome: out.String(),
+				Strategy: label, VP: j.vp.Name, Server: j.srv.Name,
+				Trial: j.trial, Outcome: out.String(),
 			})
 		}
-		sink.absorb(rg, label, vp.Name, srv.Name, sensitive, trial, out, rec, bundle)
+		sink.absorb(rg, label, j.vp.Name, j.srv.Name, j.sensitive, j.trial, out, rec, bundle)
 	}
 	return out
 }
 
+// job describes one trial of this runner against its configured
+// censor.
+func (r *Runner) job(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int) *trialJob {
+	return &trialJob{vp: vp, srv: srv, censor: r.Censor, factory: factory, sensitive: sensitive, trial: trial}
+}
+
 // RunOne executes a single strategy trial and classifies it.
 func (r *Runner) RunOne(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int) Outcome {
-	return r.runOne(vp, srv, factory, sensitive, trial, r.Obs, "", r.packetPool())
+	return r.runOne(r.job(vp, srv, factory, sensitive, trial), "", r.Obs, r.packetPool())
 }
 
 // RunOneTraced runs one trial with a private flight recorder and
 // returns the classification together with the retained trace — the
 // §3.4 controlled-experiment hook diagnosis builds on.
 func (r *Runner) RunOneTraced(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int) (Outcome, []obs.Event) {
-	out, _, rec := r.runRig(vp, srv, factory, sensitive, trial, obs.NewRegistry(), nil, r.packetPool())
+	out, _, rec := r.runRig(r.job(vp, srv, factory, sensitive, trial), obs.NewRegistry(), nil, r.packetPool())
 	return out, rec.Events()
 }
 
@@ -436,7 +400,7 @@ func (r *Runner) RunOneTraced(vp VantagePoint, srv Server, factory core.Factory,
 // the strategy in the trace meta; pass "" for no strategy.
 func (r *Runner) RunOneCausal(vp VantagePoint, srv Server, factory core.Factory, label string, sensitive bool, trial int) (Outcome, *trace.Trace) {
 	tc := trace.New()
-	out, _, _ := r.runRig(vp, srv, factory, sensitive, trial, obs.NewRegistry(), tc, r.packetPool())
+	out, _, _ := r.runRig(r.job(vp, srv, factory, sensitive, trial), obs.NewRegistry(), tc, r.packetPool())
 	return out, tc.Finish(trace.Meta{
 		Strategy: label, VP: vp.Name, Server: srv.Name,
 		Trial: trial, Outcome: out.String(),
@@ -465,7 +429,7 @@ func fetch(rg *rig, srv Server, sensitive bool) *tcpstack.Conn {
 // Between trials it waits out any active blocklist period, as the
 // paper's methodology did (§3.3).
 func (r *Runner) RunINTANGSeries(vp VantagePoint, srv Server, trials int) []Outcome {
-	rg := r.build(vp, srv, r.pairSeed(vp, srv), r.packetPool())
+	rg := r.build(vp, srv, r.Censor, r.pairSeed(vp, srv), r.packetPool())
 	it := intang.New(rg.sim, rg.net, rg.cli, intang.Options{})
 	it.Engine.Env.InsertionTTL = insertionTTL(srv)
 	if r.Obs != nil {
@@ -509,6 +473,17 @@ func (t *Tally) Add(o Outcome) {
 	default:
 		t.Failure2++
 	}
+}
+
+// only returns the outcome of a one-trial tally.
+func (t Tally) only() Outcome {
+	switch {
+	case t.Success > 0:
+		return Success
+	case t.Failure1 > 0:
+		return Failure1
+	}
+	return Failure2
 }
 
 // Rates returns the percentages (0-100).

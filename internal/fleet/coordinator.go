@@ -216,7 +216,7 @@ func New(r *experiment.Runner, sc experiment.Scale, opts Options) (*Coordinator,
 	for _, p := range c.plan.Shards {
 		sr := &shardRun{plan: p, state: StatePending, series: obs.NewTimeSeries(opts.SeriesCap)}
 		sr.cursor.Store(int64(p.JobStart))
-		sr.st = experiment.NewShardState(cube, p.JobStart, p.JobEnd)
+		sr.st = experiment.NewShardState(cube, p.JobStart, p.JobEnd, experiment.NewObsSink())
 		if opts.Dir != "" {
 			if err := c.restoreShard(sr); err != nil {
 				return nil, err
@@ -643,10 +643,7 @@ func (c *Coordinator) merge() *Result {
 	now := time.Now()
 	for _, sr := range c.shards {
 		for i, t := range sr.st.Tallies {
-			tallies[i].Success += t.Success
-			tallies[i].Failure1 += t.Failure1
-			tallies[i].Failure2 += t.Failure2
-			tallies[i].Total += t.Total
+			tallies[i].Merge(t)
 		}
 		reg.Merge(sr.st.Sink.Registry)
 		trials += sr.st.Sink.Trials()
@@ -663,7 +660,7 @@ func (c *Coordinator) merge() *Result {
 		res.Shards = append(res.Shards, sr.status(now))
 	}
 	res.Tallies = tallies
-	res.Rows = c.cube.Fold(tallies)
+	res.Rows = experiment.FoldTable1(tallies)
 	res.Snapshot = reg.Snapshot()
 	res.Trials = trials
 	res.Failures = refs

@@ -14,11 +14,7 @@
 // a registered server — import internal/experiment/progresshttp.
 package fleet
 
-import (
-	"fmt"
-
-	"intango/internal/experiment"
-)
+import "intango/internal/experiment"
 
 // ShardPlan is one shard's deterministic slice of the campaign job
 // cube: jobs [JobStart, JobEnd) of the canonical enumeration.
@@ -48,28 +44,10 @@ type Plan struct {
 // is clamped to [1, total] (a shard must cover at least one job when
 // any exist).
 func PlanShards(total, n int) []ShardPlan {
-	if n < 1 {
-		n = 1
-	}
-	if n > total {
-		n = max(total, 1)
-	}
-	out := make([]ShardPlan, n)
-	base, rem := 0, 0
-	if n > 0 {
-		base, rem = total/n, total%n
-	}
-	start := 0
+	b := experiment.ShardBounds(total, n)
+	out := make([]ShardPlan, len(b)-1)
 	for i := range out {
-		size := base
-		if i < rem {
-			size++
-		}
-		out[i] = ShardPlan{ID: i, JobStart: start, JobEnd: start + size}
-		start += size
-	}
-	if start != total {
-		panic(fmt.Sprintf("fleet: shard plan covers %d of %d jobs", start, total))
+		out[i] = ShardPlan{ID: i, JobStart: b[i], JobEnd: b[i+1]}
 	}
 	return out
 }
