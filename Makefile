@@ -30,19 +30,24 @@ test:
 # the tests of state that parallel campaign workers share: the one DPI
 # automaton every censor device scans, and serial/parallel determinism
 # of the campaign executor — Table 1, then Table 4, the censor matrix,
-# the ablation and Table 5.
+# the ablation and Table 5 — and five times the journaled executor's
+# kill/resume drill over its second cube, the §8 ablation (workers
+# restoring, journaling and stopping shards while the tracker samples
+# their rows).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run '^TestSharedMatcher$$' ./internal/dpi
 	$(GO) test -race -count=10 -run '^TestObsSerialParallelDeterminism$$' ./internal/experiment
 	$(GO) test -race -count=10 -run '^TestCampaignSerialParallelDeterminism$$' ./internal/experiment
+	$(GO) test -race -count=5 -run '^TestFleetKillResumeBitIdentical$$/^ablation$$' ./internal/fleet
 
 # fuzz-smoke replays the checked-in seed corpora of the topology and
-# censor spec parsers as ordinary tests (no -fuzz: that would fuzz
-# indefinitely).
+# censor spec parsers and of the checkpoint journal and manifest
+# loaders as ordinary tests (no -fuzz: that would fuzz indefinitely).
 fuzz-smoke:
 	$(GO) test -run '^FuzzParseTopo$$' ./internal/topo
 	$(GO) test -run '^FuzzParseCensor$$' ./internal/censor
+	$(GO) test -run '^(FuzzJournal|FuzzManifest)$$' ./internal/experiment
 
 # bench measures the trial hot path, the bandwidth-constrained goodput
 # path (shaper + congestion control live, allocs recorded), and the
@@ -75,7 +80,7 @@ bench-gate:
 
 # bench-obs gates the instrumentation tax. The alloc gate asserts the
 # uninstrumented, unshaped trial — telemetry off, congestion machinery
-# dormant, fleet substrate linked — stays within the hot-path
+# dormant, checkpoint journal linked — stays within the hot-path
 # allocation budget (a hard failure, not a measurement); the benchmark
 # then reports the enabled-arm overhead, which should stay within a
 # few percent.
@@ -89,11 +94,12 @@ health-golden:
 	$(GO) test -run '^TestHealth' -count=1 ./internal/experiment/
 
 # fleet-smoke proves checkpoint/resume end to end with a real SIGKILL:
-# run a sharded campaign that kills itself (-fleet-kill-after) two
+# run a journaled campaign that kills itself (-fleet-kill-after) two
 # checkpoint frames in, resume it from the same checkpoint dir, and
 # require the resumed result document to be byte-identical to a fresh
-# single-shard serial run. Exercises the exact crash path the in-test
-# OnFrame hook cannot: a process that dies without deferred cleanup.
+# unjournaled single-worker run. Exercises the exact crash path the
+# in-test OnFrame hook cannot: a process that dies without deferred
+# cleanup.
 FLEET_TMP := $(shell mktemp -d /tmp/fleet-smoke.XXXXXX)
 fleet-smoke:
 	$(GO) build -o $(FLEET_TMP)/tables ./cmd/tables

@@ -16,13 +16,13 @@
 // allocs/op of a trial and of the parallel campaign and fails when
 // either regresses past its committed figure.
 //
-// -what fleet runs the Table 1 campaign as a sharded, checkpointed
-// fleet: -shards cuts the job cube, -shard-procs bounds concurrency,
-// and -checkpoint-dir journals per-shard frames so a killed campaign
-// resumes from where it stopped (same dir, same flags) with results
-// bit-identical to an uninterrupted run. -progress with an address
-// serves the fleet plane: /shards, /progress, /metrics, /timeseries,
-// /manifest.
+// -what fleet runs the Table 1 campaign through the campaign executor
+// on -shard-procs workers; with -checkpoint-dir it is journaled: the
+// job cube is cut into -shards shards whose frames are journaled there,
+// so a killed campaign resumes from where it stopped (same dir, same
+// flags) with results bit-identical to an uninterrupted run. -progress
+// with an address serves the progress plane, which for a journaled run
+// adds /shards and /manifest to /progress, /metrics and /timeseries.
 package main
 
 import (
@@ -34,7 +34,6 @@ import (
 
 	"intango/internal/core"
 	"intango/internal/experiment"
-	"intango/internal/fleet"
 
 	// Registers the -progress HTTP endpoint implementation; the
 	// experiment package itself stays free of net/http.
@@ -54,8 +53,8 @@ func main() {
 		progress  = flag.String("progress", "", "emit live campaign progress during -what obs, health, or fleet: 'stderr' or an HTTP listen address like 127.0.0.1:8391")
 		healthDir = flag.String("health-dir", "", "directory for the health.json/health.txt artifact pair (-what health or fleet); empty skips writing")
 
-		shards        = flag.Int("shards", 8, "shard count for -what fleet")
-		shardProcs    = flag.Int("shard-procs", 4, "concurrent shards for -what fleet")
+		shards        = flag.Int("shards", 8, "shard count for a journaled -what fleet (with -checkpoint-dir)")
+		shardProcs    = flag.Int("shard-procs", 4, "campaign workers for -what fleet")
 		checkpointDir = flag.String("checkpoint-dir", "", "checkpoint directory for -what fleet: frames are journaled there and an interrupted campaign resumes from them; empty disables checkpointing")
 		ckptEvery     = flag.Int("checkpoint-every", experiment.DefaultCheckpointEvery, "trials between checkpoint frames for -what fleet")
 		resultOut     = flag.String("result-out", "", "path for the deterministic fleet result artifact (-what fleet); empty skips writing")
@@ -260,17 +259,19 @@ func main() {
 	// "-what all" must not pick it up.
 	if *what == "fleet" {
 		ran = true
-		opts := fleet.Options{
-			Shards:          *shards,
-			Procs:           *shardProcs,
-			Dir:             *checkpointDir,
-			CheckpointEvery: *ckptEvery,
-		}
+		r.Workers = *shardProcs
+		r.Obs = experiment.NewObsSink()
+		r.Progress = &experiment.ProgressOptions{}
 		if *progress != "" {
-			opts.W = os.Stderr
+			r.Progress.W = os.Stderr
 			if *progress != "stderr" {
-				opts.HTTPAddr = *progress
+				r.Progress.HTTPAddr = *progress
 			}
+		}
+		opts := experiment.CheckpointOptions{
+			Dir:             *checkpointDir,
+			Shards:          *shards,
+			CheckpointEvery: *ckptEvery,
 		}
 		if *killAfter > 0 {
 			n := *killAfter
@@ -282,23 +283,18 @@ func main() {
 				return nil
 			}
 		}
-		coord, err := fleet.New(r, sc, opts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
-			os.Exit(1)
-		}
 		start := time.Now()
-		res, err := coord.Run()
+		res, err := r.RunCube(experiment.Table1Cube(r, sc), opts)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
 			os.Exit(1)
 		}
 		wall := time.Since(start)
-		fmt.Printf("== Table 1 via fleet (%d shards × %d procs, %d VPs × %d servers × %d trials) ==\n",
-			len(res.Plan.Shards), *shardProcs, sc.VPs, sc.Servers, sc.Trials)
+		fmt.Printf("== Table 1 via fleet (%d procs, %d VPs × %d servers × %d trials) ==\n",
+			*shardProcs, sc.VPs, sc.Servers, sc.Trials)
 		fmt.Print(experiment.FormatTable1(res.Rows))
 		fmt.Println()
-		h := res.Health("table1-fleet-"+*scale, *shardProcs, wall)
+		h := r.BuildHealthReport("table1-fleet-"+*scale, wall)
 		fmt.Print(experiment.FormatHealth(h))
 		if *healthDir != "" {
 			paths, err := experiment.WriteHealthArtifacts(*healthDir, h)

@@ -68,10 +68,18 @@ func ablationStrategies() []strategySpec {
 // pre-RFC-2385 server.
 func RunAblation(r *Runner) []AblationCell {
 	c, cells := ablationCube(r)
-	for i, t := range r.runCube(c) {
+	tallies, _ := r.runCube(c, nil) // unjournaled: cannot fail
+	for i, t := range tallies {
 		cells[i].Outcome = t.only()
 	}
 	return cells
+}
+
+// AblationCube is the §8 ablation's job cube (see RunAblation), for
+// checkpointed runs through RunCube.
+func AblationCube(r *Runner) *Cube {
+	c, _ := ablationCube(r)
+	return c
 }
 
 // ablationCube enumerates the ablation: one single-trial tally per
@@ -83,11 +91,11 @@ func ablationCube(r *Runner) (*Cube, []AblationCell) {
 	vp := VantagePoints()[0]
 	base := controlledServers(r, 1)[0]
 	stacks := []tcpstack.Profile{tcpstack.Linux44(), tcpstack.Linux2437()}
-	c := &Cube{}
+	c := &Cube{name: "ablation"}
 	var cells []AblationCell
 	for _, rung := range AblationCensorSpecs() {
 		for _, strat := range ablationStrategies() {
-			factory := strat.compile()
+			factory := c.compile(strat)
 			for _, stack := range stacks {
 				srv := base
 				srv.Stack = stack

@@ -36,11 +36,11 @@ type HealthReport struct {
 	Goodput    *GoodputHealth    `json:"goodput,omitempty"`
 	Evictions  []EvictionRate    `json:"evictions,omitempty"`
 
-	// Shards and Resume are present only for sharded (fleet) campaigns:
-	// the per-shard outcome table and the summary of what a resumed run
+	// Shards and Resume are present only for journaled campaigns: the
+	// final per-shard rows and the summary of what a resumed run
 	// replayed from its checkpoint journal.
-	Shards []ShardHealth `json:"shards,omitempty"`
-	Resume *ResumeHealth `json:"resume,omitempty"`
+	Shards []ShardProgress `json:"shards,omitempty"`
+	Resume *ResumeHealth   `json:"resume,omitempty"`
 
 	Pool          PoolHealth `json:"pool"`
 	SeriesSamples int        `json:"series_samples"`
@@ -82,19 +82,8 @@ type GoodputHealth struct {
 	P90Bps    uint64  `json:"p90_bps"`
 }
 
-// ShardHealth is one fleet shard's slice of the report.
-type ShardHealth struct {
-	ID      int    `json:"id"`
-	State   string `json:"state"`
-	Jobs    int    `json:"jobs"`
-	Done    int64  `json:"done"`
-	Success int64  `json:"success"`
-	Frames  int    `json:"frames"`
-	Resumed bool   `json:"resumed,omitempty"`
-}
-
-// ResumeHealth summarises what a resumed fleet campaign recovered from
-// its checkpoint directory instead of re-running.
+// ResumeHealth summarises what a resumed journaled campaign recovered
+// from its checkpoint directory instead of re-running.
 type ResumeHealth struct {
 	ResumedShards     int `json:"resumed_shards"`
 	CompletedShards   int `json:"completed_shards"`
@@ -120,8 +109,10 @@ type EvictionRate struct {
 // BuildHealthReport assembles the health digest from the runner's
 // telemetry after a progress-enabled, observed campaign: the sink's
 // registry (stage histograms, eviction counters), the final progress
-// snapshot, the sampled time-series, and the packet pool. It reads —
-// never resets — the underlying state, so it can be called repeatedly.
+// snapshot (with, for a journaled campaign, its shard rows and what
+// the resume recovered), the sampled time-series, and the packet pool.
+// It reads — never resets — the underlying state, so it can be called
+// repeatedly.
 func (r *Runner) BuildHealthReport(campaign string, wall time.Duration) HealthReport {
 	h := HealthReport{
 		Campaign:    campaign,
@@ -138,6 +129,8 @@ func (r *Runner) BuildHealthReport(campaign string, wall time.Duration) HealthRe
 			}
 			h.Strategies = append(h.Strategies, sh)
 		}
+		h.Shards = final.Shards
+		h.Resume = resumeHealth(final.Shards)
 	}
 	series := r.ProgressSeries()
 	h.SeriesSamples = len(series.Points)
@@ -174,22 +167,25 @@ func (r *Runner) BuildHealthReport(campaign string, wall time.Duration) HealthRe
 	return h
 }
 
-// FillFromSnapshot populates the snapshot-derived report sections —
-// stage latencies, goodput, eviction rates — from a merged registry
-// snapshot. The fleet coordinator uses it to build the same health
-// digest from checkpoint-merged state that BuildHealthReport builds
-// from a live runner. Set Trials first: eviction rates normalise by it.
-func (h *HealthReport) FillFromSnapshot(snap obs.Snapshot) {
-	h.Stages = stageLatencies(snap)
-	if hs, ok := snap.Histograms["goodput.bps"]; ok && hs.Count > 0 {
-		h.Goodput = &GoodputHealth{
-			Transfers: hs.Count,
-			MeanBps:   hs.Mean(),
-			P50Bps:    hs.Quantile(0.50),
-			P90Bps:    hs.Quantile(0.90),
+// resumeHealth summarises the resume across shard rows; nil when the
+// campaign restored and quarantined nothing.
+func resumeHealth(shards []ShardProgress) *ResumeHealth {
+	var rh ResumeHealth
+	for _, s := range shards {
+		if s.Resumed {
+			if s.Replayed == s.JobEnd-s.JobStart {
+				rh.CompletedShards++
+			} else {
+				rh.ResumedShards++
+			}
+			rh.ReplayedTrials += s.Replayed
 		}
+		rh.QuarantinedFrames += s.Quarantined
 	}
-	h.Evictions = evictionRates(snap, h.Trials)
+	if rh == (ResumeHealth{}) {
+		return nil
+	}
+	return &rh
 }
 
 // stageLatencies extracts the "span.*" histograms in a fixed stage
@@ -309,7 +305,7 @@ func FormatHealth(h HealthReport) string {
 				note = "resumed"
 			}
 			fmt.Fprintf(&b, "  %4d %-13s %7d %7d %7d %7d %s\n",
-				s.ID, s.State, s.Jobs, s.Done, s.Success, s.Frames, note)
+				s.ID, s.State, s.JobEnd-s.JobStart, s.Done, s.Success, s.Frames, note)
 		}
 	}
 	if r := h.Resume; r != nil {

@@ -61,7 +61,8 @@ func matrixStrategies() []strategySpec {
 // censor alone).
 func RunCensorMatrix(r *Runner, censors []string, trials int) []MatrixCell {
 	c, cells := matrixCube(r, censors, trials)
-	for i, t := range r.runCube(c) {
+	tallies, _ := r.runCube(c, nil) // unjournaled: cannot fail
+	for i, t := range tallies {
 		cells[i].T = t
 	}
 	return cells
@@ -73,11 +74,11 @@ func RunCensorMatrix(r *Runner, censors []string, trials int) []MatrixCell {
 func matrixCube(r *Runner, censors []string, trials int) (*Cube, []MatrixCell) {
 	vp := VantagePoints()[0]
 	servers := controlledServers(r, 2)
-	c := &Cube{}
+	c := &Cube{name: "censors"}
 	var cells []MatrixCell
 	for _, cen := range censors {
 		for _, strat := range matrixStrategies() {
-			factory := strat.compile()
+			factory := c.compile(strat)
 			cells = append(cells, MatrixCell{Strategy: strat.name, Censor: cen})
 			sink := c.tally(strat.name + "@" + cen)
 			for _, srv := range servers {

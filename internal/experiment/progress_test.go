@@ -7,10 +7,16 @@ import (
 	"time"
 )
 
+// labelCube is a cube of n jobs over the given tally labels: all a
+// tracker needs to size itself.
+func labelCube(n int, labels ...string) *Cube {
+	return &Cube{jobs: make([]trialJob, n), labels: labels}
+}
+
 // TestProgressTracker exercises the tracker directly: counters, the
 // snapshot math, and the metrics rendering.
 func TestProgressTracker(t *testing.T) {
-	pt := newProgressTracker(4, []string{"a", "b"}, ProgressOptions{
+	pt := newProgressTracker(labelCube(4, "a", "b"), nil, ProgressOptions{
 		Interval: time.Hour, // never ticks during the test
 	})
 	pt.note("a", Success)
@@ -49,6 +55,26 @@ func TestProgressTracker(t *testing.T) {
 	}
 }
 
+// TestProgressReplayedTrials: trials a journal restored count toward
+// done, the outcome mix and the label counters, but not toward
+// throughput — they were recovered, not run.
+func TestProgressReplayedTrials(t *testing.T) {
+	j := &journal{replayed: []Tally{{Success: 2, Failure2: 1, Total: 3}, {}}}
+	pt := newProgressTracker(labelCube(8, "a", "b"), j, ProgressOptions{Interval: time.Hour})
+	defer pt.finish()
+	s := pt.snapshot()
+	if s.Done != 3 || s.Success != 2 || s.Failure2 != 1 || s.Strategies[0].Done != 3 {
+		t.Fatalf("restored snapshot = %+v", s)
+	}
+	if s.TrialsPerSec != 0 {
+		t.Fatalf("replayed trials counted as throughput: %v trials/s", s.TrialsPerSec)
+	}
+	pt.note("b", Success)
+	if s = pt.snapshot(); s.Done != 4 || s.TrialsPerSec <= 0 {
+		t.Fatalf("fresh trial not counted: %+v", s)
+	}
+}
+
 // TestProgressMetricsEscaping: strategy labels carry raw spec text;
 // the exposition format escapes exactly backslash, quote, and newline
 // and passes non-ASCII through unmodified (%q would corrupt it).
@@ -66,7 +92,7 @@ func TestProgressMetricsEscaping(t *testing.T) {
 // TestProgressNoteOutOfRange: a future Outcome value must not panic
 // the tracker; it still counts toward done.
 func TestProgressNoteOutOfRange(t *testing.T) {
-	pt := newProgressTracker(1, []string{"a"}, ProgressOptions{Interval: time.Hour})
+	pt := newProgressTracker(labelCube(1, "a"), nil, ProgressOptions{Interval: time.Hour})
 	pt.note("a", Outcome(99))
 	pt.note("a", Outcome(-1))
 	pt.finish()
@@ -84,7 +110,7 @@ func TestProgressHTTPUnregistered(t *testing.T) {
 		t.Skip("a progress server is registered in this binary")
 	}
 	var buf bytes.Buffer
-	pt := newProgressTracker(1, []string{"a"}, ProgressOptions{
+	pt := newProgressTracker(labelCube(1, "a"), nil, ProgressOptions{
 		Interval: time.Hour, W: &buf, HTTPAddr: "127.0.0.1:0",
 	})
 	if pt.Addr() != "" {

@@ -1,13 +1,13 @@
 // Package progresshttp serves live campaign-progress snapshots over
 // HTTP: /progress as JSON, /metrics in Prometheus exposition format,
 // and /timeseries as the sampled campaign time-series window (JSON).
-// For fleet campaigns it also serves the fleet plane: /shards (the
-// per-shard state machine), shard-labelled /metrics, per-shard
-// /timeseries stitched across kills, and the /manifest provenance
-// document.
+// For a journaled campaign the same plane adds /shards (the per-shard
+// state machine) and /manifest (the provenance document), /metrics
+// gains the shard-labelled families, and /timeseries carries each
+// shard's curve stitched across kills.
 //
-// It registers itself with the experiment harness and the fleet
-// coordinator from init, so enabling the endpoints is just an import:
+// It registers itself with the experiment harness from init, so
+// enabling the endpoints is just an import:
 //
 //	import _ "intango/internal/experiment/progresshttp"
 //
@@ -25,61 +25,24 @@ import (
 	"net/http"
 
 	"intango/internal/experiment"
-	"intango/internal/fleet"
 )
 
 func init() {
 	experiment.RegisterProgressServer(Serve)
-	fleet.RegisterServer(ServeFleet)
 }
 
 // Serve binds addr and serves feeds until stop is called: /progress
 // (snapshot JSON), /metrics (Prometheus exposition), /timeseries
-// (sampled series JSON). A bind failure is reported on diag (when set)
-// and returns a nil stop with an empty bound address: progress serving
-// must never abort a campaign.
+// (sampled series JSON), and — when feeds carry a Manifest, i.e. a
+// checkpoint journal is attached — /shards (shard rows JSON) and
+// /manifest. A bind failure is reported on diag (when set) and returns
+// a nil stop with an empty bound address: progress serving must never
+// abort a campaign.
 func Serve(feeds experiment.ProgressFeeds, diag io.Writer, addr string) (stop func(), bound string) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		if diag != nil {
 			fmt.Fprintf(diag, "progress: http endpoint unavailable: %v\n", err)
-		}
-		return nil, ""
-	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/progress", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		_ = json.NewEncoder(w).Encode(feeds.Snapshot())
-	})
-	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		io.WriteString(w, feeds.Snapshot().MetricsText())
-	})
-	mux.HandleFunc("/timeseries", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		var series any = struct{}{}
-		if feeds.Series != nil {
-			series = feeds.Series()
-		}
-		_ = json.NewEncoder(w).Encode(series)
-	})
-	srv := &http.Server{Handler: mux}
-	go func() { _ = srv.Serve(ln) }()
-	return func() { _ = srv.Close() }, ln.Addr().String()
-}
-
-// ServeFleet binds addr and serves a fleet's observability plane until
-// stop is called: /shards (per-shard state machine JSON), /progress
-// (aggregated snapshot JSON), /metrics (Prometheus exposition with a
-// shard label plus fleet rollups), /timeseries (fleet curve plus
-// per-shard checkpoint-stitched curves), and /manifest (the campaign
-// provenance document). Bind failures are reported on diag and return
-// a nil stop — fleet observability must never abort a campaign.
-func ServeFleet(feeds fleet.Feeds, diag io.Writer, addr string) (stop func(), bound string) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		if diag != nil {
-			fmt.Fprintf(diag, "fleet: http plane unavailable: %v\n", err)
 		}
 		return nil, ""
 	}
@@ -90,14 +53,16 @@ func ServeFleet(feeds fleet.Feeds, diag io.Writer, addr string) (stop func(), bo
 		}
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/shards", asJSON(func() any { return feeds.Shards() }))
-	mux.HandleFunc("/progress", asJSON(func() any { return feeds.Progress() }))
+	mux.HandleFunc("/progress", asJSON(func() any { return feeds.Snapshot() }))
 	mux.HandleFunc("/timeseries", asJSON(func() any { return feeds.Series() }))
-	mux.HandleFunc("/manifest", asJSON(func() any { return feeds.Manifest() }))
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		io.WriteString(w, feeds.Metrics())
+		io.WriteString(w, feeds.Snapshot().MetricsText())
 	})
+	if feeds.Manifest != nil {
+		mux.HandleFunc("/shards", asJSON(func() any { return feeds.Snapshot().Shards }))
+		mux.HandleFunc("/manifest", asJSON(func() any { return feeds.Manifest() }))
+	}
 	srv := &http.Server{Handler: mux}
 	go func() { _ = srv.Serve(ln) }()
 	return func() { _ = srv.Close() }, ln.Addr().String()

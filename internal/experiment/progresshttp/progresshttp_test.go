@@ -11,7 +11,6 @@ import (
 
 	"intango/internal/experiment"
 	"intango/internal/experiment/progresshttp"
-	"intango/internal/fleet"
 	"intango/internal/obs"
 )
 
@@ -30,7 +29,7 @@ func TestServe(t *testing.T) {
 	}}
 	feeds := experiment.ProgressFeeds{
 		Snapshot: func() experiment.ProgressSnapshot { return snap },
-		Series:   func() obs.TimeSeriesSnapshot { return series },
+		Series:   func() experiment.SeriesView { return experiment.SeriesView{TimeSeriesSnapshot: series} },
 	}
 	stop, addr := progresshttp.Serve(feeds, nil, "127.0.0.1:0")
 	if addr == "" {
@@ -81,6 +80,18 @@ func TestServe(t *testing.T) {
 	resp.Body.Close()
 	if len(ts.Points) != 2 || ts.Points[1].Values["done"] != 3 {
 		t.Fatalf("timeseries = %+v", ts)
+	}
+
+	// Without a journal there is no shard plane.
+	for _, path := range []string{"/shards", "/manifest"} {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s served %d without a journal", path, resp.StatusCode)
+		}
 	}
 }
 
@@ -170,60 +181,54 @@ func TestTimeseriesMidCampaign(t *testing.T) {
 	}
 }
 
-// TestServeFleet drives the fleet plane against fixed feeds: /shards,
-// /progress, /metrics (shard labels + fleet rollups), /timeseries
-// (stitched per-shard curves), and /manifest.
-func TestServeFleet(t *testing.T) {
-	feeds := fleet.Feeds{
-		Shards: func() fleet.ShardsView {
-			return fleet.ShardsView{
-				Campaign: "table1", Total: 40, Done: 13, ShardsDone: 1,
-				Shards: []fleet.ShardStatus{
-					{ID: 0, State: "done", JobStart: 0, JobEnd: 10, Cursor: 10, Done: 10, Success: 7, Frames: 2},
-					{ID: 1, State: "running", JobStart: 10, JobEnd: 20, Cursor: 13, Done: 3, Success: 2, Frames: 1, LastFrameAgeSec: 0.5, Resumed: true},
-				},
-			}
+// TestServeShards drives the journaled plane against fixed feeds:
+// /shards (the shard rows), /progress, /metrics (shard-labelled
+// families plus shard rollups), /timeseries (per-shard curves beside
+// the campaign curve), and /manifest.
+func TestServeShards(t *testing.T) {
+	snap := experiment.ProgressSnapshot{
+		Done: 13, Total: 40, Success: 9,
+		Shards: []experiment.ShardProgress{
+			{ShardPlan: experiment.ShardPlan{ID: 0, JobStart: 0, JobEnd: 10}, State: "done", Cursor: 10, Done: 10, Success: 7, Frames: 2},
+			{ShardPlan: experiment.ShardPlan{ID: 1, JobStart: 10, JobEnd: 20}, State: "running", Cursor: 13, Done: 3, Success: 2, Frames: 1, LastFrameAgeSec: 0.5, Resumed: true, Replayed: 2},
 		},
-		Progress: func() experiment.ProgressSnapshot {
-			return experiment.ProgressSnapshot{Done: 13, Total: 40, Success: 9}
-		},
-		Metrics: func() string {
-			return "fleet_shards 2\nshard_done{shard=\"0\"} 10\nshard_done{shard=\"1\"} 3\n"
-		},
-		Series: func() fleet.SeriesView {
-			return fleet.SeriesView{
-				Fleet: obs.TimeSeriesSnapshot{Points: []obs.SeriesPoint{{T: 0, Values: map[string]float64{"done": 0}}}},
+	}
+	feeds := experiment.ProgressFeeds{
+		Snapshot: func() experiment.ProgressSnapshot { return snap },
+		Series: func() experiment.SeriesView {
+			return experiment.SeriesView{
+				TimeSeriesSnapshot: obs.TimeSeriesSnapshot{Points: []obs.SeriesPoint{{T: 0, Values: map[string]float64{"done": 0}}}},
 				Shards: map[string]obs.TimeSeriesSnapshot{
 					"0": {Points: []obs.SeriesPoint{{T: 0.1, Values: map[string]float64{"done": 10}}}},
 				},
 			}
 		},
-		Manifest: func() fleet.Manifest {
-			return fleet.Manifest{Version: 1, Campaign: "table1", Seed: 42, TotalJobs: 40}
+		Manifest: func() experiment.Manifest {
+			return experiment.Manifest{Version: 2, Campaign: "table1", Seed: 42, TotalJobs: 40}
 		},
 	}
-	stop, addr := progresshttp.ServeFleet(feeds, nil, "127.0.0.1:0")
+	stop, addr := progresshttp.Serve(feeds, nil, "127.0.0.1:0")
 	if addr == "" {
-		t.Fatal("no fleet plane bound")
+		t.Fatal("no plane bound")
 	}
 	defer stop()
 
-	var sv fleet.ShardsView
-	getJSON(t, addr, "/shards", &sv)
-	if len(sv.Shards) != 2 || sv.Shards[1].State != "running" || !sv.Shards[1].Resumed {
-		t.Fatalf("/shards = %+v", sv)
+	var rows []experiment.ShardProgress
+	getJSON(t, addr, "/shards", &rows)
+	if len(rows) != 2 || rows[1].State != "running" || !rows[1].Resumed || rows[1].JobStart != 10 {
+		t.Fatalf("/shards = %+v", rows)
 	}
 	var prog experiment.ProgressSnapshot
 	getJSON(t, addr, "/progress", &prog)
-	if prog.Done != 13 || prog.Total != 40 {
+	if prog.Done != 13 || prog.Total != 40 || len(prog.Shards) != 2 {
 		t.Fatalf("/progress = %+v", prog)
 	}
-	var series fleet.SeriesView
+	var series experiment.SeriesView
 	getJSON(t, addr, "/timeseries", &series)
-	if len(series.Shards["0"].Points) != 1 {
+	if len(series.Points) != 1 || len(series.Shards["0"].Points) != 1 {
 		t.Fatalf("/timeseries = %+v", series)
 	}
-	var man fleet.Manifest
+	var man experiment.Manifest
 	getJSON(t, addr, "/manifest", &man)
 	if man.Campaign != "table1" || man.Seed != 42 {
 		t.Fatalf("/manifest = %+v", man)
@@ -234,8 +239,16 @@ func TestServeFleet(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if !strings.Contains(string(body), `shard_done{shard="1"} 3`) {
-		t.Fatalf("/metrics missing shard label:\n%s", body)
+	for _, want := range []string{
+		"fleet_shards 2", "fleet_shards_done 1",
+		`shard_done{shard="1"} 3`, `shard_cursor{shard="0"} 10`,
+		`shard_last_frame_age_seconds{shard="1"} 0.5`,
+		`shard_state{shard="1",state="running"} 1`,
+		"trials_total 40",
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("/metrics missing %q:\n%s", want, body)
+		}
 	}
 }
 
@@ -254,39 +267,47 @@ func getJSON(t *testing.T, addr, path string, into any) {
 	}
 }
 
-// TestFleetPlaneLiveCampaign: a real coordinator with HTTPAddr set
-// binds the plane through the init-registered hook; the fleet metrics
-// exposition carries shard labels and the manifest carries canonical
-// strategy specs — scraped live, mid-campaign, via the OnFrame hook.
+// TestFleetPlaneLiveCampaign: a journaled campaign with HTTPAddr set
+// binds the plane through the init-registered hook; its metrics
+// exposition carries shard labels — scraped live, mid-campaign, via
+// the OnFrame hook — and /manifest serves the cube's provenance.
 func TestFleetPlaneLiveCampaign(t *testing.T) {
 	r := experiment.NewRunner(42)
-	var coord *fleet.Coordinator
-	scraped := make(chan string, 1)
-	opts := fleet.Options{
-		Shards: 2, Procs: 1, CheckpointEvery: 8, HTTPAddr: "127.0.0.1:0",
+	r.Workers = 1
+	r.Progress = &experiment.ProgressOptions{Interval: time.Hour, HTTPAddr: "127.0.0.1:0"}
+	type scrape struct {
+		metrics string
+		man     experiment.Manifest
+	}
+	scraped := make(chan scrape, 1)
+	opts := experiment.CheckpointOptions{
+		Dir: t.TempDir(), Shards: 2, CheckpointEvery: 8,
 		OnFrame: func(_, total int) error {
-			if total == 1 {
-				resp, err := http.Get("http://" + coord.Addr() + "/metrics")
-				if err != nil {
-					t.Errorf("mid-campaign scrape: %v", err)
-					return nil
-				}
+			if total != 1 {
+				return nil
+			}
+			// A worker goroutine: report with Errorf, never Fatal.
+			var s scrape
+			resp, err := http.Get("http://" + r.ProgressAddr() + "/metrics")
+			if err == nil {
 				body, _ := io.ReadAll(resp.Body)
 				resp.Body.Close()
-				select {
-				case scraped <- string(body):
-				default:
-				}
+				s.metrics = string(body)
+				resp, err = http.Get("http://" + r.ProgressAddr() + "/manifest")
 			}
+			if err == nil {
+				err = json.NewDecoder(resp.Body).Decode(&s.man)
+				resp.Body.Close()
+			}
+			if err != nil {
+				t.Errorf("mid-campaign scrape: %v", err)
+				return nil
+			}
+			scraped <- s
 			return nil
 		},
 	}
-	var err error
-	coord, err = fleet.New(r, experiment.Scale{VPs: 1, Servers: 1, Trials: 1}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := coord.Run()
+	res, err := r.RunCube(experiment.Table1Cube(r, experiment.Scale{VPs: 1, Servers: 1, Trials: 1}), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,43 +315,40 @@ func TestFleetPlaneLiveCampaign(t *testing.T) {
 		t.Fatal("campaign ran no trials")
 	}
 	select {
-	case text := <-scraped:
+	case s := <-scraped:
 		for _, want := range []string{"fleet_shards 2", `shard_cursor{shard="0"}`, "# TYPE shard_done gauge", "trials_total"} {
-			if !strings.Contains(text, want) {
-				t.Errorf("live /metrics missing %q:\n%s", want, text)
+			if !strings.Contains(s.metrics, want) {
+				t.Errorf("live /metrics missing %q:\n%s", want, s.metrics)
 			}
+		}
+		if s.man.Campaign != "table1" || len(s.man.Strategies) == 0 || s.man.Strategies[0].Spec == "" {
+			t.Errorf("live /manifest = %+v", s.man)
 		}
 	default:
 		t.Fatal("no mid-campaign scrape happened")
 	}
 }
 
-// TestFleetPlaneConcurrentScrapeShutdown hammers every fleet endpoint
-// from several goroutines while the campaign runs to completion and
-// the coordinator tears the server down — the race detector's view of
-// the scrape/shutdown window. Requests failing after shutdown are fine;
-// data races and panics are not.
+// TestFleetPlaneConcurrentScrapeShutdown hammers every endpoint of the
+// journaled plane from several goroutines while the campaign runs to
+// completion and the executor tears the server down — the race
+// detector's view of the scrape/shutdown window. Requests failing after
+// shutdown are fine; data races and panics are not.
 func TestFleetPlaneConcurrentScrapeShutdown(t *testing.T) {
 	r := experiment.NewRunner(7)
-	coord, err := fleet.New(r, experiment.Scale{VPs: 1, Servers: 2, Trials: 1}, fleet.Options{
-		Shards: 3, Procs: 2, CheckpointEvery: 4, HTTPAddr: "127.0.0.1:0",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	started := make(chan struct{})
+	r.Workers = 2
+	r.Progress = &experiment.ProgressOptions{Interval: time.Millisecond, HTTPAddr: "127.0.0.1:0"}
+	cube := experiment.Table1Cube(r, experiment.Scale{VPs: 1, Servers: 2, Trials: 1})
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		close(started)
-		if _, err := coord.Run(); err != nil {
-			t.Errorf("fleet run: %v", err)
+		if _, err := r.RunCube(cube, experiment.CheckpointOptions{Dir: t.TempDir(), Shards: 3, CheckpointEvery: 4}); err != nil {
+			t.Errorf("journaled run: %v", err)
 		}
 	}()
-	<-started
 	var addr string
 	for i := 0; i < 2000 && addr == ""; i++ {
-		addr = coord.Addr()
+		addr = r.ProgressAddr()
 		time.Sleep(time.Millisecond)
 	}
 	if addr == "" {

@@ -1,23 +1,22 @@
 package experiment
 
 import (
-	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"intango/internal/core"
-	"intango/internal/obs"
 )
 
-// The one campaign executor and the shard substrate it shares with
-// internal/fleet: a campaign's job cube built once, deterministic
-// contiguous shards over it, and a serial range runner with checkpoint
-// hooks. Shards accumulate into private tallies and ObsSinks, and every
-// fold is commutative — tally addition, registry merge, min-N failure
-// retention — so any partition of the cube, run in any order by any
-// number of workers, possibly killed and resumed from journaled
-// snapshots, folds back to results bit-identical to an uninterrupted
+// The one campaign executor: a campaign's job cube built once,
+// deterministic contiguous shards over it, and a serial range runner
+// with checkpoint hooks that the checkpoint journal (journal.go)
+// drives. Shards accumulate into private tallies and ObsSinks, and
+// every fold is commutative — tally addition, registry merge, min-N
+// failure retention — so any partition of the cube, run in any order
+// by any number of workers, possibly killed and resumed from journaled
+// frames, folds back to results bit-identical to an uninterrupted
 // serial run.
 
 // trialJob is one independent simulation to run.
@@ -47,14 +46,35 @@ type trialJob struct {
 // key, which must be unique within a cube: sortTraces relies on it
 // being a total order.
 type Cube struct {
+	// name identifies the campaign in checkpoint frames, the manifest
+	// and the result document; scale is recorded beside it (zero for
+	// cubes whose size is fixed).
+	name   string
+	scale  Scale
 	jobs   []trialJob
 	labels []string
+	// specs are the distinct strategies the jobs run, in cube order —
+	// the manifest's provenance lines.
+	specs []strategySpec
 }
+
+// table1Campaign names the Table 1 cube, whose result document folds
+// its tallies into the paper's rows.
+const table1Campaign = "table1"
 
 // tally appends a tally slot named label and returns its index.
 func (c *Cube) tally(label string) int {
 	c.labels = append(c.labels, label)
 	return len(c.labels) - 1
+}
+
+// compile compiles s for the cube's jobs and records it for the
+// manifest.
+func (c *Cube) compile(s strategySpec) core.Factory {
+	if !slices.ContainsFunc(c.specs, func(x strategySpec) bool { return x.name == s.name }) {
+		c.specs = append(c.specs, s)
+	}
+	return s.compile()
 }
 
 // Table1Cube enumerates the Table 1 campaign for (r, sc): every
@@ -63,9 +83,9 @@ func (c *Cube) tally(label string) int {
 func Table1Cube(r *Runner, sc Scale) *Cube {
 	vps := VantagePoints()[:min(sc.VPs, 11)]
 	servers := Servers(sc.Servers, r.Cal, r.Seed)
-	c := &Cube{}
+	c := &Cube{name: table1Campaign, scale: sc}
 	for _, spec := range table1Strategies() {
-		factory := spec.compile()
+		factory := c.compile(spec.strategySpec)
 		sens, clean := c.tally(spec.name), c.tally(spec.name)
 		for _, vp := range vps {
 			for _, srv := range servers {
@@ -80,36 +100,11 @@ func Table1Cube(r *Runner, sc Scale) *Cube {
 	return c
 }
 
-// Len returns the number of jobs in the cube.
-func (c *Cube) Len() int { return len(c.jobs) }
-
-// NumTallies returns how many tally sinks the cube's jobs index.
-func (c *Cube) NumTallies() int { return len(c.labels) }
-
-// TallyLabel returns the label tally index i accumulates for — how a
-// restored checkpoint frame's tallies are re-attributed to
-// per-strategy progress counters.
-func (c *Cube) TallyLabel(i int) string { return c.labels[i] }
-
-// StrategyLabels returns the cube's unique tally labels in campaign
-// order.
-func (c *Cube) StrategyLabels() []string {
-	var out []string
-	seen := map[string]bool{}
-	for _, l := range c.labels {
-		if !seen[l] {
-			seen[l] = true
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// ShardBounds cuts jobs [0, total) into n contiguous shards whose sizes
+// shardBounds cuts jobs [0, total) into n contiguous shards whose sizes
 // differ by at most one, the remainder spread over the leading shards:
 // shard i covers [b[i], b[i+1]). n is clamped to [1, max(total, 1)] —
 // a shard covers at least one job when any exist.
-func ShardBounds(total, n int) []int {
+func shardBounds(total, n int) []int {
 	n = max(1, min(n, total))
 	b := make([]int, n+1)
 	for i := 0; i < n; i++ {
@@ -129,30 +124,50 @@ func ShardBounds(total, n int) []int {
 // the barrier.
 const shardsPerWorker = 16
 
-// runCube is the campaign executor. It cuts the cube into contiguous
-// shards, runs them through RunCubeRange on r.Workers workers
-// (GOMAXPROCS when unset) pulling shards from a queue, and folds the
-// shards in index order into the returned tallies and r.Obs. Shards
-// get ObsSinks only when r.Obs is attached: an uninstrumented campaign
-// stays on the bare trial hot path.
-func (r *Runner) runCube(c *Cube) []Tally {
+// runCube is the campaign executor, the one loop that schedules cube
+// shards. It cuts the cube into contiguous shards — the journal's plan
+// when j is set (so a resume derives the same plan on any machine),
+// else shardsPerWorker per worker — runs them through runCubeRange on
+// r.Workers workers (GOMAXPROCS when unset) pulling shards from a
+// queue, and folds the shards in index order into the returned tallies
+// and r.Obs. Shards get ObsSinks only when r.Obs is attached (always
+// for a journaled run: RunCube attaches one, as frames carry each
+// shard's snapshot), and the progress tracker runs only when r.Progress
+// or a journal asks for it: an uninstrumented campaign stays on the
+// bare trial hot path. A
+// journal restores each shard from its last frame and journals new
+// ones; once it stops (ErrStopped, or a failed write) workers pull no
+// more shards and runCube returns the stop error.
+func (r *Runner) runCube(c *Cube, j *journal) ([]Tally, error) {
 	workers := r.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	bounds := ShardBounds(len(c.jobs), workers*shardsPerWorker)
-	shards := make([]*ShardState, len(bounds)-1)
+	bounds := shardBounds(len(c.jobs), workers*shardsPerWorker)
+	if j != nil {
+		bounds = j.bounds
+	}
+	shards := make([]*shardState, len(bounds)-1)
 	for i := range shards {
 		var sink *ObsSink
 		if r.Obs != nil {
 			sink = r.Obs.shard()
 		}
-		shards[i] = NewShardState(c, bounds[i], bounds[i+1], sink)
+		shards[i] = newShardState(c, bounds[i], bounds[i+1], sink)
+	}
+	if j != nil {
+		if err := j.restore(c, shards); err != nil {
+			return nil, err
+		}
 	}
 	var prog *progressTracker
 	var onTrial func(label string, out Outcome)
-	if r.Progress != nil {
-		prog = newProgressTracker(len(c.jobs), c.labels, *r.Progress)
+	if r.Progress != nil || j != nil {
+		var opts ProgressOptions
+		if r.Progress != nil {
+			opts = *r.Progress
+		}
+		prog = newProgressTracker(c, j, opts)
 		r.progressAddr.Store(prog.Addr())
 		onTrial = prog.note
 	}
@@ -163,7 +178,11 @@ func (r *Runner) runCube(c *Cube) []Tally {
 		go func() {
 			defer wg.Done()
 			for i := int(next.Add(1) - 1); i < len(shards); i = int(next.Add(1) - 1) {
-				r.RunCubeRange(c, shards[i], 0, onTrial, nil)
+				if j == nil {
+					r.runCubeRange(c, shards[i], 0, onTrial, nil)
+				} else if !j.run(r, c, shards[i], prog, i) {
+					return
+				}
 			}
 		}()
 	}
@@ -174,91 +193,77 @@ func (r *Runner) runCube(c *Cube) []Tally {
 		r.progressFinal = prog.snapshot()
 		r.progressRan = true
 	}
+	if j != nil {
+		if err := j.stopped(); err != nil {
+			return nil, err
+		}
+	}
 	tallies := make([]Tally, len(c.labels))
 	for _, st := range shards {
-		for i, t := range st.Tallies {
+		for i, t := range st.tallies {
 			tallies[i].Merge(t)
 		}
 		if r.Obs != nil {
-			r.Obs.merge(st.Sink)
+			r.Obs.merge(st.sink)
 		}
 	}
 	if r.Obs != nil {
 		r.Obs.Finish()
 	}
-	return tallies
+	return tallies, nil
 }
 
-// DefaultCheckpointEvery is how many trials a shard runs between
-// checkpoint frames when the coordinator does not override it.
+// DefaultCheckpointEvery is how many trials a journaled shard runs
+// between checkpoint frames when CheckpointOptions does not override
+// it.
 const DefaultCheckpointEvery = 64
 
-// ShardState is the cumulative result of one shard's slice of the cube:
-// jobs [Start, End), of which [Start, Cursor) have been folded into
-// Tallies and Sink. A fresh shard starts with Cursor == Start; a
-// resumed shard restores Cursor, Tallies, and the Sink registry from
-// its last checkpoint frame and continues, producing state bit-identical
-// to an uninterrupted run of the full range.
-type ShardState struct {
-	Start, End int
-	Cursor     int
-	Tallies    []Tally
-	// Sink collects the shard's observability; nil runs it
+// shardState is the cumulative result of one shard's slice of the
+// cube: jobs [start, end), of which [start, cursor) have been folded
+// into tallies and sink. A fresh shard starts with cursor == start; a
+// resumed shard restores cursor, tallies, and the sink from its last
+// checkpoint frame and continues, producing state bit-identical to an
+// uninterrupted run of the full range.
+type shardState struct {
+	start, end int
+	cursor     int
+	tallies    []Tally
+	// sink collects the shard's observability; nil runs it
 	// uninstrumented.
-	Sink *ObsSink
+	sink *ObsSink
 }
 
-// NewShardState returns a fresh state for jobs [start, end) of the
+// newShardState returns a fresh state for jobs [start, end) of the
 // cube, observed into sink (nil for none).
-func NewShardState(c *Cube, start, end int, sink *ObsSink) *ShardState {
-	return &ShardState{
-		Start: start, End: end, Cursor: start,
-		Tallies: make([]Tally, len(c.labels)),
-		Sink:    sink,
+func newShardState(c *Cube, start, end int, sink *ObsSink) *shardState {
+	return &shardState{
+		start: start, end: end, cursor: start,
+		tallies: make([]Tally, len(c.labels)),
+		sink:    sink,
 	}
 }
 
-// Restore rehydrates the state from a checkpoint frame's cumulative
-// payload: the trial cursor, the tallies, and the serialized registry
-// snapshot (folded through the commutative snapshot merge). The
-// restored sink counts the replayed trials but retains no failure
-// traces or per-trial event volumes — those live only in frames (as
-// refs) and in memory.
-func (st *ShardState) Restore(cursor int, tallies []Tally, snap obs.Snapshot) error {
-	if cursor < st.Start || cursor > st.End {
-		return fmt.Errorf("cursor %d outside shard range [%d,%d)", cursor, st.Start, st.End)
-	}
-	if len(tallies) != len(st.Tallies) {
-		return fmt.Errorf("frame carries %d tallies, cube has %d", len(tallies), len(st.Tallies))
-	}
-	st.Cursor = cursor
-	copy(st.Tallies, tallies)
-	st.Sink.Registry.MergeSnapshot(snap)
-	st.Sink.trials = cursor - st.Start
-	return nil
-}
-
-// RunCubeRange executes the shard's remaining jobs [st.Cursor, st.End)
+// runCubeRange executes the shard's remaining jobs [st.cursor, st.end)
 // serially, folding each outcome into st. After every `every` completed
 // trials — and always after the range's final trial — it calls
 // checkpoint with final reporting whether the range is complete;
 // checkpoint returning false stops the shard at that frame boundary
-// (the coordinator's abort path). onTrial, when non-nil, observes every
+// (the journal's stop path). onTrial, when non-nil, observes every
 // completed trial (live progress counters; it must not block). Within
-// a shard execution is strictly serial, so Cursor is always the exact
+// a shard execution is strictly serial, so cursor is always the exact
 // resume point.
-func (r *Runner) RunCubeRange(c *Cube, st *ShardState, every int, onTrial func(label string, out Outcome), checkpoint func(final bool) bool) {
+func (r *Runner) runCubeRange(c *Cube, st *shardState, every int, onTrial func(label string, out Outcome), checkpoint func(final bool) bool) {
 	if every <= 0 {
 		every = DefaultCheckpointEvery
 	}
 	since := 0
 	pool := r.packetPool()
-	for st.Cursor < st.End {
-		job := &c.jobs[st.Cursor]
+	for st.cursor < st.end {
+		job := &c.jobs[st.cursor]
 		label := c.labels[job.sink]
-		out := r.runOne(job, label, st.Sink, pool)
-		st.Tallies[job.sink].Add(out)
-		st.Cursor++
+		out := r.runOne(job, label, st.sink, pool)
+		st.tallies[job.sink].Add(out)
+		st.cursor++
 		since++
 		// A trial never blocks, and on a small GOMAXPROCS the GC's
 		// fractional mark worker runs only at scheduling points: without
@@ -268,36 +273,21 @@ func (r *Runner) RunCubeRange(c *Cube, st *ShardState, every int, onTrial func(l
 		if onTrial != nil {
 			onTrial(label, out)
 		}
-		if checkpoint != nil && (since >= every || st.Cursor == st.End) {
+		if checkpoint != nil && (since >= every || st.cursor == st.end) {
 			since = 0
-			if !checkpoint(st.Cursor == st.End) {
+			if !checkpoint(st.cursor == st.end) {
 				return
 			}
 		}
 	}
-	if st.Sink != nil {
-		st.Sink.Finish()
+	if st.sink != nil {
+		st.sink.Finish()
 	}
 }
 
 // StrategySpec names one campaign strategy together with its canonical
-// spec text — the provenance line a fleet manifest records for it.
+// spec text — the provenance line a checkpoint manifest records for it.
 type StrategySpec struct {
 	Name string `json:"name"`
 	Spec string `json:"spec"`
-}
-
-// Table1StrategySpecs returns the Table 1 strategy set with each spec
-// canonicalized through the grammar round trip, in campaign order.
-func Table1StrategySpecs() []StrategySpec {
-	specs := table1Strategies()
-	out := make([]StrategySpec, len(specs))
-	for i, s := range specs {
-		parsed, err := core.ParseSpec(s.spec)
-		if err != nil {
-			panic(fmt.Sprintf("experiment: bad table spec %s: %v", s.name, err))
-		}
-		out[i] = StrategySpec{Name: s.name, Spec: parsed.String()}
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -20,26 +21,26 @@ func TestCubeRangeMatchesParallel(t *testing.T) {
 
 	r := NewRunner(42)
 	cube := Table1Cube(r, sc)
-	st := NewShardState(cube, 0, cube.Len(), NewObsSink())
+	st := newShardState(cube, 0, len(cube.jobs), NewObsSink())
 	checkpoints := 0
-	r.RunCubeRange(cube, st, 7, nil, func(final bool) bool {
+	r.runCubeRange(cube, st, 7, nil, func(final bool) bool {
 		checkpoints++
 		return true
 	})
-	if st.Cursor != cube.Len() {
-		t.Fatalf("cursor %d, want %d", st.Cursor, cube.Len())
+	if st.cursor != len(cube.jobs) {
+		t.Fatalf("cursor %d, want %d", st.cursor, len(cube.jobs))
 	}
-	if checkpoints < cube.Len()/7 {
-		t.Fatalf("only %d checkpoints for %d jobs at every=7", checkpoints, cube.Len())
+	if checkpoints < len(cube.jobs)/7 {
+		t.Fatalf("only %d checkpoints for %d jobs at every=7", checkpoints, len(cube.jobs))
 	}
-	if gotRows := FoldTable1(st.Tallies); !reflect.DeepEqual(gotRows, wantRows) {
+	if gotRows := FoldTable1(st.tallies); !reflect.DeepEqual(gotRows, wantRows) {
 		t.Errorf("cube range rows differ:\ngot:  %+v\nwant: %+v", gotRows, wantRows)
 	}
-	if got, want := st.Sink.Snapshot(), ref.Obs.Snapshot(); !reflect.DeepEqual(got, want) {
+	if got, want := st.sink.Snapshot(), ref.Obs.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Errorf("cube range snapshot differs:\ngot:  %+v\nwant: %+v", got, want)
 	}
-	st.Sink.Finish()
-	if !reflect.DeepEqual(st.Sink.Failures(), ref.Obs.Failures()) {
+	st.sink.Finish()
+	if !reflect.DeepEqual(st.sink.Failures(), ref.Obs.Failures()) {
 		t.Errorf("cube range failure retention differs")
 	}
 }
@@ -106,7 +107,7 @@ func TestCubeRetentionKeysDistinct(t *testing.T) {
 		trial          int
 	}
 	for name, c := range cubes {
-		if c.Len() == 0 {
+		if len(c.jobs) == 0 {
 			t.Errorf("%s: empty cube", name)
 		}
 		seen := map[key]bool{}
@@ -121,82 +122,122 @@ func TestCubeRetentionKeysDistinct(t *testing.T) {
 }
 
 // TestShardRestoreResumeEquivalence mirrors one kill/resume cycle at
-// the ShardState layer: run to a mid-range checkpoint, serialize the
-// frame payload, restore into a fresh state, finish — the result must
-// equal an uninterrupted run of the same range.
+// the shard-state layer: run to a mid-range checkpoint, cut the frame
+// payload, restore it into a fresh state, finish — the result must
+// equal an uninterrupted run of the same range, retained failures
+// included.
 func TestShardRestoreResumeEquivalence(t *testing.T) {
 	sc := Scale{VPs: 2, Servers: 2, Trials: 1}
 	r := NewRunner(42)
 	cube := Table1Cube(r, sc)
-	start, end := cube.Len()/4, 3*cube.Len()/4
+	start, end := len(cube.jobs)/4, 3*len(cube.jobs)/4
 
-	full := NewShardState(cube, start, end, NewObsSink())
-	r.RunCubeRange(cube, full, 0, nil, nil)
+	full := newShardState(cube, start, end, NewObsSink())
+	r.runCubeRange(cube, full, 0, nil, nil)
 
 	// First leg: stop at the first checkpoint past ten trials.
-	first := NewShardState(cube, start, end, NewObsSink())
+	first := newShardState(cube, start, end, NewObsSink())
 	r2 := NewRunner(42)
-	r2.RunCubeRange(cube, first, 10, nil, func(final bool) bool { return false })
-	if first.Cursor == start || first.Cursor == end {
-		t.Fatalf("first leg stopped at %d of [%d,%d)", first.Cursor, start, end)
+	r2.runCubeRange(cube, first, 10, nil, func(final bool) bool { return false })
+	if first.cursor == start || first.cursor == end {
+		t.Fatalf("first leg stopped at %d of [%d,%d)", first.cursor, start, end)
 	}
 
-	// Frame payload: cursor, tallies, snapshot. Restore and finish.
-	resumed := NewShardState(cube, start, end, NewObsSink())
-	if err := resumed.Restore(first.Cursor, first.Tallies, first.Sink.Snapshot()); err != nil {
-		t.Fatal(err)
+	// Frame payload: cursor, tallies, snapshot, failure refs.
+	first.sink.Finish()
+	f := &frame{
+		Version: FrameVersion, Campaign: cube.name, Cursor: first.cursor,
+		Tallies: first.tallies, Obs: first.sink.Snapshot(),
+		Failures: refsFromTraces(first.sink.Failures()),
 	}
+	if !f.valid(cube.name, 0, start, end, len(cube.labels)) {
+		t.Fatal("honest frame refused")
+	}
+	resumed := newShardState(cube, start, end, NewObsSink())
+	resumed.restore(f)
 	r3 := NewRunner(42)
-	r3.RunCubeRange(cube, resumed, 0, nil, nil)
+	r3.runCubeRange(cube, resumed, 0, nil, nil)
 
-	if !reflect.DeepEqual(resumed.Tallies, full.Tallies) {
-		t.Errorf("resumed tallies differ:\ngot:  %+v\nwant: %+v", resumed.Tallies, full.Tallies)
+	if !reflect.DeepEqual(resumed.tallies, full.tallies) {
+		t.Errorf("resumed tallies differ:\ngot:  %+v\nwant: %+v", resumed.tallies, full.tallies)
 	}
-	if got, want := resumed.Sink.Snapshot(), full.Sink.Snapshot(); !reflect.DeepEqual(got, want) {
+	if got, want := resumed.sink.Snapshot(), full.sink.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Errorf("resumed snapshot differs:\ngot:  %+v\nwant: %+v", got, want)
 	}
-	if resumed.Sink.Trials() != full.Sink.Trials() {
-		t.Errorf("resumed trials %d, want %d", resumed.Sink.Trials(), full.Sink.Trials())
+	if resumed.sink.Trials() != full.sink.Trials() {
+		t.Errorf("resumed trials %d, want %d", resumed.sink.Trials(), full.sink.Trials())
+	}
+	if got, want := refsFromTraces(resumed.sink.Failures()), refsFromTraces(full.sink.Failures()); !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed failure set differs:\ngot:  %+v\nwant: %+v", got, want)
 	}
 }
 
-// TestShardRestoreRejectsBadFrames: cursors outside the shard range and
-// tally vectors that do not match the cube layout are refused — the
-// journal loader quarantines such frames instead of corrupting state.
+// TestShardRestoreRejectsBadFrames: frames that cannot resume their
+// shard — a cursor outside the range, a tally vector that does not
+// match the cube layout, tallies that do not account for the cursor,
+// an early final frame, a failure ref with no failing outcome — are
+// refused; the journal loader quarantines such frames instead of
+// corrupting state.
 func TestShardRestoreRejectsBadFrames(t *testing.T) {
 	r := NewRunner(42)
 	cube := Table1Cube(r, Scale{VPs: 1, Servers: 1, Trials: 1})
-	st := NewShardState(cube, 2, 6, NewObsSink())
-	if err := st.Restore(1, make([]Tally, cube.NumTallies()), NewObsSink().Snapshot()); err == nil {
-		t.Error("cursor below range accepted")
+	n := len(cube.labels)
+	// Shard 1 is jobs [2, 6); at cursor 3 it has run one trial.
+	valid := func() *frame {
+		f := &frame{Version: FrameVersion, Campaign: cube.name, Shard: 1, Cursor: 3, Tallies: make([]Tally, n)}
+		f.Tallies[1] = Tally{Success: 1, Total: 1}
+		return f
 	}
-	if err := st.Restore(7, make([]Tally, cube.NumTallies()), NewObsSink().Snapshot()); err == nil {
-		t.Error("cursor past range accepted")
+	for _, tc := range []struct {
+		name string
+		edit func(f *frame)
+	}{
+		{"version", func(f *frame) { f.Version = 99 }},
+		{"campaign", func(f *frame) { f.Campaign = "ablation" }},
+		{"shard", func(f *frame) { f.Shard = 0 }},
+		{"cursor below range", func(f *frame) { f.Cursor = 1 }},
+		{"cursor past range", func(f *frame) { f.Cursor = 7 }},
+		{"early final", func(f *frame) { f.Final = true }},
+		{"short tally vector", func(f *frame) { f.Tallies = f.Tallies[:2] }},
+		{"tallies exceed cursor", func(f *frame) { f.Tallies[0] = Tally{Success: 1000, Total: 1000} }},
+		{"tallies short of cursor", func(f *frame) { f.Tallies[1] = Tally{} }},
+		{"outcomes miss total", func(f *frame) { f.Tallies[1] = Tally{Total: 1} }},
+		{"negative outcome", func(f *frame) { f.Tallies[1] = Tally{Success: 2, Failure1: -1, Total: 1} }},
+		{"overflowing outcomes", func(f *frame) {
+			f.Tallies[1] = Tally{Success: math.MaxInt, Failure1: math.MaxInt, Failure2: 3, Total: 1}
+		}},
+		{"unknown outcome ref", func(f *frame) { f.Failures = []FailureRef{{Strategy: "none", Outcome: "bogus"}} }},
+		{"success ref", func(f *frame) { f.Failures = []FailureRef{{Strategy: "none", Outcome: "success"}} }},
+	} {
+		f := valid()
+		tc.edit(f)
+		if f.valid(cube.name, 1, 2, 6, n) {
+			t.Errorf("%s: frame accepted", tc.name)
+		}
 	}
-	if err := st.Restore(3, make([]Tally, 2), NewObsSink().Snapshot()); err == nil {
-		t.Error("short tally vector accepted")
-	}
-	if err := st.Restore(3, make([]Tally, cube.NumTallies()), NewObsSink().Snapshot()); err != nil {
-		t.Errorf("valid frame refused: %v", err)
+	f := valid()
+	f.Failures = []FailureRef{{Strategy: "none", Outcome: "failure-2"}}
+	if !f.valid(cube.name, 1, 2, 6, n) {
+		t.Error("valid frame refused")
 	}
 }
 
 // TestTable1StrategySpecsCanonical: the manifest's provenance lines are
 // canonical spec text in campaign order, matching the cube's labels.
 func TestTable1StrategySpecsCanonical(t *testing.T) {
-	specs := Table1StrategySpecs()
-	if len(specs) == 0 {
-		t.Fatal("no strategy specs")
-	}
 	r := NewRunner(42)
 	cube := Table1Cube(r, Scale{VPs: 1, Servers: 1, Trials: 1})
-	labels := cube.StrategyLabels()
-	if len(labels) != len(specs) {
-		t.Fatalf("%d cube labels vs %d specs", len(labels), len(specs))
+	m, err := r.manifest(cube, shardBounds(len(cube.jobs), 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := m.Strategies
+	if len(specs) == 0 || 2*len(specs) != len(m.Labels) {
+		t.Fatalf("%d strategy specs for %d labels", len(specs), len(m.Labels))
 	}
 	for i, s := range specs {
-		if s.Name != labels[i] {
-			t.Errorf("spec %d name %q != cube label %q", i, s.Name, labels[i])
+		if s.Name != m.Labels[2*i] {
+			t.Errorf("spec %d name %q != cube label %q", i, s.Name, m.Labels[2*i])
 		}
 		parsed, err := core.ParseSpec(s.Spec)
 		if err != nil {
@@ -209,9 +250,9 @@ func TestTable1StrategySpecsCanonical(t *testing.T) {
 	}
 }
 
-// TestFleetDisabledZeroAlloc holds the non-fleet trial to the hot-path
-// budget: the shard substrate (cube enumeration, checkpoint hooks,
-// restore plumbing) must cost a plain RunOne nothing.
+// TestFleetDisabledZeroAlloc holds the unjournaled trial to the
+// hot-path budget: the checkpoint journal (cube enumeration, checkpoint
+// hooks, restore plumbing) must cost a plain RunOne nothing.
 func TestFleetDisabledZeroAlloc(t *testing.T) {
-	requireTrialAllocBudget(t, "trial with fleet machinery linked")
+	requireTrialAllocBudget(t, "trial with the checkpoint journal linked")
 }

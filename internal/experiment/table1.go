@@ -123,9 +123,10 @@ func RunTable1(r *Runner, scale Scale) []Table1Row {
 // RunTable1Parallel is RunTable1 through the campaign executor: the
 // Table 1 cube fanned out across r.Workers. Results are identical to
 // the serial reference loop for the same seed, and the cube is the one
-// the fleet shard coordinator partitions.
+// `cmd/tables -what fleet` journals through RunCube.
 func RunTable1Parallel(r *Runner, scale Scale) []Table1Row {
-	return FoldTable1(r.runCube(Table1Cube(r, scale)))
+	tallies, _ := r.runCube(Table1Cube(r, scale), nil) // unjournaled: cannot fail
+	return FoldTable1(tallies)
 }
 
 // FoldTable1 lays the merged tallies of a Table 1 cube out as the

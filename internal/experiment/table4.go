@@ -59,7 +59,7 @@ func table4Strategies() []table4Spec {
 // inside-China block, OutsideVantagePoints()+OutsideServers for the
 // outside block).
 func RunTable4(r *Runner, vps []VantagePoint, servers []Server, trials int) []Table4Row {
-	tallies := r.runCube(table4Cube(r, vps, servers, trials))
+	tallies, _ := r.runCube(table4Cube(r, vps, servers, trials), nil) // unjournaled: cannot fail
 	specs := table4Strategies()
 	rows := make([]Table4Row, len(specs))
 	for si, spec := range specs {
@@ -71,9 +71,9 @@ func RunTable4(r *Runner, vps []VantagePoint, servers []Server, trials int) []Ta
 // table4Cube enumerates the Table 4 strategy rows: one tally per
 // (strategy, vantage point), strategy-major.
 func table4Cube(r *Runner, vps []VantagePoint, servers []Server, trials int) *Cube {
-	c := &Cube{}
+	c := &Cube{name: "table4"}
 	for _, spec := range table4Strategies() {
-		factory := spec.compile()
+		factory := c.compile(spec.strategySpec)
 		for _, vp := range vps {
 			sink := c.tally(spec.name)
 			for _, srv := range servers {

@@ -23,7 +23,8 @@ type Table5Cell struct {
 // path and confirm it evades.
 func RunTable5(r *Runner) []Table5Cell {
 	c, cells := table5Cube(r)
-	for i, t := range r.runCube(c) {
+	tallies, _ := r.runCube(c, nil) // unjournaled: cannot fail
+	for i, t := range tallies {
 		cells[i].Validated = t.Success == t.Total
 	}
 	return cells
@@ -52,7 +53,7 @@ func table5Cube(r *Runner) (*Cube, []Table5Cell) {
 		}
 	}
 
-	c := &Cube{}
+	c := &Cube{name: "table5"}
 	var cells []Table5Cell
 	for _, spec := range []struct {
 		ptype string
@@ -68,7 +69,7 @@ func table5Cube(r *Runner) (*Cube, []Table5Cell) {
 	} {
 		cells = append(cells, Table5Cell{PacketType: spec.ptype, Discrepancy: spec.disc, Preferred: preferred(spec.ptype, spec.disc)})
 		strat := strategyFor(spec.ptype, spec.disc)
-		factory := strat.compile()
+		factory := c.compile(strat)
 		sink := c.tally(strat.name)
 		for _, srv := range servers {
 			c.jobs = append(c.jobs, trialJob{vp: vp, srv: srv, censor: r.Censor,
