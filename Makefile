@@ -33,13 +33,16 @@ test:
 # the ablation and Table 5 — and five times the journaled executor's
 # kill/resume drill over its second cube, the §8 ablation (workers
 # restoring, journaling and stopping shards while the tracker samples
-# their rows).
+# them), and the live-snapshot consistency test (every mid-campaign
+# /progress scrape reads one state of the shards the workers fold
+# trials into).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run '^TestSharedMatcher$$' ./internal/dpi
 	$(GO) test -race -count=10 -run '^TestObsSerialParallelDeterminism$$' ./internal/experiment
 	$(GO) test -race -count=10 -run '^TestCampaignSerialParallelDeterminism$$' ./internal/experiment
 	$(GO) test -race -count=5 -run '^TestFleetKillResumeBitIdentical$$/^ablation$$' ./internal/fleet
+	$(GO) test -race -count=5 -run '^TestFleetPlaneLiveSnapshotsConsistent$$' ./internal/experiment/progresshttp
 
 # fuzz-smoke replays the checked-in seed corpora of the topology and
 # censor spec parsers and of the checkpoint journal and manifest

@@ -217,69 +217,35 @@ func TestPipeTailDrop(t *testing.T) {
 	}
 }
 
-// TestNetemEndPullMode drives a one-router chain through NetemEnd devices on
-// both ends: client writes arrive at the server end's ReadPacket as
-// owned copies.
-func TestNetemEndPullMode(t *testing.T) {
-	sim := netem.NewSimulator(1)
-	path := netem.NewChain(sim, 1, netem.Link{}, netem.Link{Latency: time.Millisecond})
-
-	cli := &NetemEnd{Net: path}
-	srv := &NetemEnd{Net: path, Server: true}
-	cli.Attach()
-	srv.Attach()
-
-	want := mkTCP("through the substrate")
-	if err := cli.WritePacket(want); err != nil {
-		t.Fatalf("WritePacket: %v", err)
-	}
-	sim.RunFor(50 * time.Millisecond)
-	got, err := srv.ReadPacket()
-	if err != nil {
-		t.Fatalf("ReadPacket: %v", err)
-	}
-	if string(got.Payload) != string(want.Payload) || got.Tuple() != want.Tuple() {
-		t.Errorf("delivered packet mismatch: got %v", got)
-	}
-	if got == want {
-		t.Errorf("pull mode must hand out a copy, not the in-flight packet")
-	}
-
-	if Stamp(cli, mkTCP("y")) == 0 {
-		t.Errorf("NetemEnd should stamp lineage through the substrate")
-	}
-
-	srv.Close()
-	if _, err := srv.ReadPacket(); !errors.Is(err, ErrClosed) {
-		t.Errorf("read after close: got %v want ErrClosed", err)
-	}
-	if err := srv.WritePacket(mkTCP("z")); !errors.Is(err, ErrClosed) {
-		t.Errorf("write after close: got %v want ErrClosed", err)
-	}
-}
-
-// TestNetemEndHandlerMode checks the synchronous sink path the engine
-// and stacks ride.
+// TestNetemEndHandlerMode checks the synchronous handler path the
+// engine and stacks ride, now the only one a NetemEnd has: a client
+// write reaches the handler registered as the fabric's server endpoint
+// inside the delivery event, the end stamps lineage and exposes the
+// fabric's pool, and there is nothing to read from it.
 func TestNetemEndHandlerMode(t *testing.T) {
 	sim := netem.NewSimulator(1)
 	path := netem.NewChain(sim, 1, netem.Link{}, netem.Link{Latency: time.Millisecond})
-
-	var gotPayload string
-	srv := &NetemEnd{Net: path, Server: true, Sink: netem.EndpointFunc(func(pkt *packet.Packet) {
-		gotPayload = string(pkt.Payload) // copy: netem recycles pkt after delivery
-	})}
-	srv.Attach()
+	path.Pool = packet.NewPool()
+	var got string
+	path.Server = netem.EndpointFunc(func(pkt *packet.Packet) {
+		got = string(pkt.Payload) // copy: netem recycles pkt after delivery
+	})
 	cli := &NetemEnd{Net: path}
-	cli.Attach()
 
-	if err := cli.WritePacket(mkTCP("sync delivery")); err != nil {
+	if err := cli.WritePacket(mkTCP("through the substrate")); err != nil {
 		t.Fatalf("WritePacket: %v", err)
 	}
 	sim.RunFor(50 * time.Millisecond)
-	if gotPayload != "sync delivery" {
-		t.Errorf("sink saw %q", gotPayload)
+	if got != "through the substrate" {
+		t.Errorf("server endpoint saw %q", got)
 	}
-	if _, err := srv.ReadPacket(); !errors.Is(err, ErrClosed) {
-		t.Errorf("ReadPacket in handler mode: got %v want ErrClosed", err)
+	if Stamp(cli, mkTCP("y")) == 0 {
+		t.Errorf("NetemEnd should stamp lineage through the substrate")
+	}
+	if PoolOf(cli) != path.Pool {
+		t.Errorf("NetemEnd should expose the fabric's pool")
+	}
+	if _, err := cli.ReadPacket(); !errors.Is(err, ErrClosed) {
+		t.Errorf("ReadPacket: got %v want ErrClosed", err)
 	}
 }

@@ -32,23 +32,24 @@ import (
 type Config struct {
 	// Addr is the stack's IPv4 address (required).
 	Addr packet.Addr
-	// Profile is the TCP profile; the zero value means Linux 4.4.
-	Profile tcpstack.Profile
 	// Seed drives the stack's private simulator (ISNs, timer jitter).
 	Seed int64
-	// Tick is the wall-clock granularity of the virtual clock pump
-	// (default 1ms).
-	Tick time.Duration
 	// TimeScale multiplies wall time into virtual time (default 1.0);
 	// >1 makes the stack's timers run fast, matching a proxy world
 	// driven at the same scale.
 	TimeScale float64
-	// DialTimeout bounds Dial's wait for the handshake (default 10s).
-	DialTimeout time.Duration
 	// Hosts resolves names the Dialer sees to addresses on the far
 	// side of the device; literal IPv4 strings always resolve.
 	Hosts map[string]packet.Addr
 }
+
+// The stack runs Linux 4.4's TCP profile, its clock pump ticks every
+// clockTick of wall time, and Dial waits at most dialTimeout for the
+// handshake.
+const (
+	clockTick   = time.Millisecond
+	dialTimeout = 10 * time.Second
+)
 
 // Stack is a userspace TCP/IP endpoint bound to a Device.
 type Stack struct {
@@ -68,22 +69,13 @@ type Stack struct {
 
 // New builds a stack over dev and starts its pumps.
 func New(dev device.Device, cfg Config) *Stack {
-	if cfg.Profile.Name == "" {
-		cfg.Profile = tcpstack.Linux44()
-	}
-	if cfg.Tick <= 0 {
-		cfg.Tick = time.Millisecond
-	}
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
-	}
-	if cfg.DialTimeout <= 0 {
-		cfg.DialTimeout = 10 * time.Second
 	}
 	s := &Stack{cfg: cfg, dev: dev, stop: make(chan struct{})}
 	s.note.L = &s.mu
 	s.sim = netem.NewSimulator(cfg.Seed)
-	s.tcp = tcpstack.NewStack(cfg.Addr, cfg.Profile, s.sim)
+	s.tcp = tcpstack.NewStack(cfg.Addr, tcpstack.Linux44(), s.sim)
 	s.tcp.AttachDevice(dev)
 	s.wg.Add(2)
 	go s.readPump()
@@ -125,7 +117,7 @@ func (s *Stack) readPump() {
 // deadlines are re-checked at tick granularity.
 func (s *Stack) clockPump() {
 	defer s.wg.Done()
-	t := time.NewTicker(s.cfg.Tick)
+	t := time.NewTicker(clockTick)
 	defer t.Stop()
 	last := time.Now()
 	for {
@@ -147,9 +139,9 @@ func (s *Stack) clockPump() {
 }
 
 // Dial opens a TCP connection to raddr:rport through the device and
-// blocks until the handshake completes (or DialTimeout).
+// blocks until the handshake completes (or dialTimeout passes).
 func (s *Stack) Dial(raddr packet.Addr, rport uint16) (net.Conn, error) {
-	return s.dial(raddr, rport, time.Now().Add(s.cfg.DialTimeout))
+	return s.dial(raddr, rport, time.Now().Add(dialTimeout))
 }
 
 func (s *Stack) dial(raddr packet.Addr, rport uint16, deadline time.Time) (net.Conn, error) {
@@ -209,7 +201,7 @@ func (s *Stack) DialContext(ctx context.Context, network, addr string) (net.Conn
 	if !ok {
 		return nil, fmt.Errorf("uis: dial %q: unknown host", addr)
 	}
-	deadline := time.Now().Add(s.cfg.DialTimeout)
+	deadline := time.Now().Add(dialTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}

@@ -143,11 +143,11 @@ func RunBench(seed int64) BenchReport {
 		vp := VantagePoints()[6]
 		srv := controlledServers(r, 1)[0]
 		s := goodputStrategies()[2] // an inject strategy: the plain congested transfer
-		r.Topo = goodputTopo(vp, srv)
+		spec := goodputTopo(vp, srv)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r.runGoodputTrial(vp, srv, s.factory, i, nil)
+			r.runGoodputTrial(vp, srv, spec, s.factory, i, nil)
 		}
 	})
 	rep.GoodputTrial = toBenchResult(goodputRes, 0)

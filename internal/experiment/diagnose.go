@@ -88,10 +88,11 @@ type Diagnosis struct {
 	Residual bool
 }
 
-// Diagnose reruns a trial under controlled variants. A nil factory
-// means no strategy. Each run is fully causally traced: the baseline's
-// bundle is always attached, and each factor re-run that diverges from
-// the baseline keeps its own bundle for offline inspection.
+// Diagnose reruns a trial under controlled variants, each on the
+// runner's censor and topology. A nil factory means no strategy. Each
+// run is fully causally traced: the baseline's bundle is always
+// attached, and each factor re-run that diverges from the baseline
+// keeps its own bundle for offline inspection.
 func (r *Runner) Diagnose(vp VantagePoint, srv Server, strategyName string, trial int) Diagnosis {
 	factory := core.BuiltinFactories()[strategyName]
 	diag := Diagnosis{VP: vp.Name, Server: srv.Name, Strategy: strategyName}
@@ -106,7 +107,7 @@ func (r *Runner) Diagnose(vp VantagePoint, srv Server, strategyName string, tria
 	for _, f := range Factors() {
 		vpCopy, srvCopy, calCopy := vp, srv, r.Cal
 		f.apply(&vpCopy, &srvCopy, &calCopy)
-		sub := &Runner{Cal: calCopy, Seed: r.Seed}
+		sub := &Runner{Cal: calCopy, Seed: r.Seed, Censor: r.Censor, Topo: r.Topo, NoPool: r.NoPool}
 		out, tr := sub.RunOneCausal(vpCopy, srvCopy, factory, strategyName+" -"+f.Name, true, trial)
 		att := Attribution{
 			Factor: f.Name, Outcome: out, Explains: out == Success,

@@ -538,6 +538,35 @@ func TestDiagnoseAttributesFailures(t *testing.T) {
 	}
 }
 
+// TestDiagnoseKeepsRunnerCensor: controlled re-runs keep the runner's
+// censor. A spec censor ignores the calibration's GFW probabilities
+// (see Runner.Censor), so removing a calibration-only factor must
+// reproduce the failing trial event for event rather than re-run it
+// against the calibrated GFW.
+func TestDiagnoseKeepsRunnerCensor(t *testing.T) {
+	r := NewRunner(42)
+	r.Censor = "turkmenistan"
+	vp, srv := VantagePoints()[0], Servers(1, r.Cal, r.Seed)[0]
+	d := r.Diagnose(vp, srv, "teardown-rst/ttl", 0)
+	if d.Baseline != Failure1 {
+		t.Fatalf("%s / %s trial 0 is %v, want the failure-1 this check diagnoses", vp.Name, srv.Name, d.Baseline)
+	}
+	checked := 0
+	for _, att := range d.Attributions {
+		if att.Factor != "gfw-rst-resync" && att.Factor != "gfw-overlap-heterogeneity" {
+			continue
+		}
+		checked++
+		if att.Outcome != d.Baseline || att.FirstDivergence != "" {
+			t.Errorf("without %s: %v, diverged at %q; want the baseline %v with no divergence",
+				att.Factor, att.Outcome, att.FirstDivergence, d.Baseline)
+		}
+	}
+	if checked != 2 {
+		t.Fatalf("checked %d calibration-only factors, want 2", checked)
+	}
+}
+
 func TestDiagnoseSuccessIsEmpty(t *testing.T) {
 	r := NewRunner(42)
 	srv := Servers(1, r.Cal, 42)[0]

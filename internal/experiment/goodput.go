@@ -112,15 +112,16 @@ func goodputTopo(vp VantagePoint, srv Server) string {
 	return spec.String()
 }
 
-// runGoodputTrial uploads GoodputUploadBytes through one rig and
-// returns the goodput observed at the server: delivered bytes over the
+// runGoodputTrial uploads GoodputUploadBytes through one rig on
+// topology topoRef ("" for the pair's derived path) and returns the
+// goodput observed at the server: delivered bytes over the
 // virtual-time window from first to last in-order delivery. All
 // arithmetic is integer on virtual time, so serial and parallel
 // campaigns measure bit-identically. A non-nil reg additionally folds
 // the trial into the goodput.bps / goodput.bytes histograms.
-func (r *Runner) runGoodputTrial(vp VantagePoint, srv Server, factory core.Factory, trial int, reg *obs.Registry) (bps int64, out Outcome) {
+func (r *Runner) runGoodputTrial(vp VantagePoint, srv Server, topoRef string, factory core.Factory, trial int, reg *obs.Registry) (bps int64, out Outcome) {
 	trialSeed := r.pairSeed(vp, srv) ^ int64(uint64(trial)*0x9e3779b97f4a7c15)
-	rg := r.build(vp, srv, r.Censor, trialSeed, r.packetPool())
+	rg := r.build(vp, srv, topoRef, r.Censor, trialSeed, r.packetPool())
 	appsim.ServeHTTPUpload(rg.srv, 80)
 	if reg != nil {
 		rg.attachObs(obs.New(reg, obs.NewRecorder(obs.DefaultRingSize, rg.sim.Now)))
@@ -194,12 +195,10 @@ func RunGoodput(r *Runner, sc Scale) []GoodputRow {
 		var un, con []int64
 		for _, srv := range servers {
 			for trial := 0; trial < sc.Trials; trial++ {
-				r.Topo = ""
-				bps, _ := r.runGoodputTrial(vp, srv, s.factory, trial, reg)
+				bps, _ := r.runGoodputTrial(vp, srv, "", s.factory, trial, reg)
 				un = append(un, bps)
 
-				r.Topo = goodputTopo(vp, srv)
-				bps, out := r.runGoodputTrial(vp, srv, s.factory, trial, reg)
+				bps, out := r.runGoodputTrial(vp, srv, goodputTopo(vp, srv), s.factory, trial, reg)
 				con = append(con, bps)
 				row.Trials++
 				if out == Success {
@@ -207,7 +206,6 @@ func RunGoodput(r *Runner, sc Scale) []GoodputRow {
 				}
 			}
 		}
-		r.Topo = ""
 		row.UnconstrainedBps = median(un)
 		row.ConstrainedBps = median(con)
 		rows = append(rows, row)

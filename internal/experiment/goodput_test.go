@@ -1,6 +1,9 @@
 package experiment
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 // TestCongestionDisabledZeroAlloc holds the unconstrained trial to the
 // hot-path budget: the congestion machinery grown for rated links —
@@ -44,5 +47,21 @@ func TestGoodputReorderCostlier(t *testing.T) {
 	if maxReorder*3 > minInject*2 {
 		t.Errorf("reorder strategies not measurably costlier: best reorder %d bps vs worst inject %d bps",
 			maxReorder, minInject)
+	}
+}
+
+// TestGoodputKeepsRunnerTopo: RunGoodput chooses each link arm's
+// topology itself, so a caller's Runner.Topo neither changes its rows
+// nor is cleared by the call.
+func TestGoodputKeepsRunnerTopo(t *testing.T) {
+	sc := Scale{Servers: 1, Trials: 1}
+	want := RunGoodput(NewRunner(42), sc)
+	r := NewRunner(42)
+	r.Topo = GraphDemoTopo
+	if got := RunGoodput(r, sc); !reflect.DeepEqual(got, want) {
+		t.Errorf("rows with Runner.Topo set differ:\ngot:  %+v\nwant: %+v", got, want)
+	}
+	if r.Topo != GraphDemoTopo {
+		t.Errorf("RunGoodput left Runner.Topo = %q, want the caller's topology", r.Topo)
 	}
 }

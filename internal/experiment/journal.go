@@ -84,7 +84,7 @@ func (res *CubeResult) WriteJSON(w io.Writer) error {
 // its journal's last valid frame, damaged journals are quarantined,
 // and every shard journals a cumulative frame each CheckpointEvery
 // trials and at the end of its range. The live progress tracker then
-// runs too (with r.Progress's options when set), carrying per-shard
+// runs too (with r.Progress's options when set), reading per-shard
 // rows that BuildHealthReport turns into shard and resume sections.
 func (r *Runner) RunCube(c *Cube, opts CheckpointOptions) (*CubeResult, error) {
 	if r.Obs == nil {
@@ -115,21 +115,15 @@ func (r *Runner) RunCube(c *Cube, opts CheckpointOptions) (*CubeResult, error) {
 }
 
 // journal is one journaled run's checkpoint state: the directory and
-// cadence, the manifest and its shard plan, the per-shard progress rows
-// restore builds, and the campaign-wide stop.
+// cadence, the manifest and its shard plan, and the campaign-wide stop.
 type journal struct {
 	dir     string
 	every   int
 	onFrame func(shard, totalFrames int) error
-	// progress is the run's progress configuration: its writer takes
-	// quarantine diagnostics and its SeriesCap bounds each shard curve.
-	progress ProgressOptions
+	// diag, the progress writer when set, takes quarantine diagnostics.
+	diag     io.Writer
 	manifest Manifest
 	bounds   []int
-	// rows and replayed are filled by restore: one progress row per
-	// shard, and the restored tallies summed per tally index.
-	rows     []*shardRow
-	replayed []Tally
 	frames   atomic.Int64
 
 	mu  sync.Mutex // guards err
@@ -158,21 +152,21 @@ func (r *Runner) openJournal(c *Cube, opts CheckpointOptions) (*journal, error) 
 	}
 	j := &journal{dir: opts.Dir, every: opts.CheckpointEvery, onFrame: opts.OnFrame, manifest: m, bounds: bounds}
 	if r.Progress != nil {
-		j.progress = *r.Progress
+		j.diag = r.Progress.W
 	}
 	return j, nil
 }
 
-// restore replays every shard's journal into its state and progress
-// row: a shard whose last valid frame ends its range is done, one with
-// a partial frame resumes at its cursor, and a journal with damaged
-// lines is quarantined — the shard restarts from its last good frame,
-// re-journaled at once, or from scratch when none survives.
+// restore gives every shard its progress row and replays its journal
+// into its state and row: a shard whose last valid frame ends its range
+// is done, one with a partial frame resumes at its cursor, and a
+// journal with damaged lines is quarantined — the shard restarts from
+// its last good frame, re-journaled at once, or from scratch when none
+// survives.
 func (j *journal) restore(c *Cube, shards []*shardState) error {
-	j.replayed = make([]Tally, len(c.labels))
 	for id, st := range shards {
-		row := newShardRow(ShardPlan{ID: id, JobStart: st.start, JobEnd: st.end}, j.progress.SeriesCap)
-		j.rows = append(j.rows, row)
+		row := newShardRow(ShardPlan{ID: id, JobStart: st.start, JobEnd: st.end})
+		st.row = row
 		last, frames, quarantined, err := journalLoad(j.dir, c.name, id, st.start, st.end, len(c.labels))
 		if err != nil {
 			return fmt.Errorf("shard %d journal: %w", id, err)
@@ -181,8 +175,8 @@ func (j *journal) restore(c *Cube, shards []*shardState) error {
 			if err := quarantineJournal(j.dir, id); err != nil {
 				return fmt.Errorf("shard %d quarantine: %w", id, err)
 			}
-			if j.progress.W != nil {
-				fmt.Fprintf(j.progress.W, "checkpoint: shard %d: %d damaged journal lines quarantined\n", id, quarantined)
+			if j.diag != nil {
+				fmt.Fprintf(j.diag, "checkpoint: shard %d: %d damaged journal lines quarantined\n", id, quarantined)
 			}
 			if last != nil {
 				// A done shard never re-runs, so its surviving frame must
@@ -201,9 +195,6 @@ func (j *journal) restore(c *Cube, shards []*shardState) error {
 			continue
 		}
 		st.restore(last)
-		for i, t := range last.Tallies {
-			j.replayed[i].Merge(t)
-		}
 		row.resume(last, frames)
 	}
 	return nil
@@ -212,29 +203,24 @@ func (j *journal) restore(c *Cube, shards []*shardState) error {
 // run executes one shard's remaining range, journaling a frame every
 // j.every trials and at the end of the range, and reports whether the
 // worker should pull another shard (false once the journal stopped).
-func (j *journal) run(r *Runner, c *Cube, st *shardState, prog *progressTracker, id int) bool {
+func (j *journal) run(r *Runner, c *Cube, st *shardState, id int) bool {
 	if j.stopped() != nil {
 		return false
 	}
-	row := j.rows[id]
 	if st.cursor == st.end {
 		return true
 	}
 	w, err := openJournalWriter(j.dir, id, nil)
 	if err != nil {
-		j.fail(id, err)
+		j.fail(st, id, err)
 		return false
 	}
-	row.update(func(p *ShardProgress) { p.State = stateRunning })
+	st.update(func(p *ShardProgress) { p.State = stateRunning })
 	start := time.Now()
-	onTrial := func(label string, out Outcome) {
-		prog.note(label, out)
-		row.note(out)
-	}
-	r.runCubeRange(c, st, j.every, onTrial, func(final bool) bool {
+	r.runCubeRange(c, st, j.every, func(final bool) bool {
 		// Terminal sample first, so the frame's series ends exactly at
 		// this cut — a resumed /timeseries curve has no gap at a kill.
-		row.sample(st, start)
+		st.row.sample(st, start)
 		st.sink.Finish() // the min-N failure set, in retention order
 		f := &frame{
 			Version: FrameVersion, Campaign: c.name, Shard: id,
@@ -242,13 +228,13 @@ func (j *journal) run(r *Runner, c *Cube, st *shardState, prog *progressTracker,
 			Tallies:  st.tallies,
 			Obs:      st.sink.Snapshot(),
 			Failures: refsFromTraces(st.sink.Failures()),
-			Series:   row.series.Snapshot(),
+			Series:   st.row.series.Snapshot(),
 		}
 		if err := w.append(f); err != nil {
-			j.fail(id, err)
+			j.fail(st, id, err)
 			return false
 		}
-		row.framed()
+		st.framed()
 		if j.onFrame != nil {
 			if err := j.onFrame(id, int(j.frames.Add(1))); err != nil {
 				j.stop(fmt.Errorf("%w: %v (checkpoints retained in %s)", ErrStopped, err, j.dir))
@@ -257,9 +243,9 @@ func (j *journal) run(r *Runner, c *Cube, st *shardState, prog *progressTracker,
 		return j.stopped() == nil
 	})
 	if err := w.close(); err != nil {
-		j.fail(id, err)
+		j.fail(st, id, err)
 	}
-	row.update(func(p *ShardProgress) {
+	st.update(func(p *ShardProgress) {
 		switch {
 		case p.State == stateFailed:
 		case st.cursor == st.end:
@@ -288,8 +274,9 @@ func (j *journal) stopped() error {
 	return j.err
 }
 
-// fail marks shard id failed and stops the campaign with its error.
-func (j *journal) fail(id int, err error) {
-	j.rows[id].update(func(p *ShardProgress) { p.State, p.Error = stateFailed, err.Error() })
+// fail marks shard st, index id, failed and stops the campaign with
+// its error.
+func (j *journal) fail(st *shardState, id int, err error) {
+	st.update(func(p *ShardProgress) { p.State, p.Error = stateFailed, err.Error() })
 	j.stop(fmt.Errorf("checkpoint: shard %d: %w", id, err))
 }

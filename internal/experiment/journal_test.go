@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"testing"
+	"time"
 )
 
 // TestShardBounds: contiguous shards covering every job, sizes
@@ -76,7 +77,7 @@ const fuzzShardEnd = 12
 func journalSeeds(t testing.TB, r *Runner, c *Cube) [][]byte {
 	st := newShardState(c, 0, fuzzShardEnd, NewObsSink())
 	var honest []byte
-	r.runCubeRange(c, st, 5, nil, func(bool) bool {
+	r.runCubeRange(c, st, 5, func(bool) bool {
 		st.sink.Finish()
 		var err error
 		honest, err = json.Marshal(&frame{
@@ -110,9 +111,9 @@ func journalSeeds(t testing.TB, r *Runner, c *Cube) [][]byte {
 
 // FuzzJournal loads arbitrary bytes as shard 0's journal and restores
 // them into a small cube. It must never panic; whatever frame survives
-// must account for its cursor exactly and leave the shard consistent;
-// and after restore (which quarantines and re-journals) the journal
-// reloads clean.
+// must account for its cursor exactly and leave the shard — and the
+// progress snapshot read from it — consistent; and after restore (which
+// quarantines and re-journals) the journal reloads clean.
 func FuzzJournal(f *testing.F) {
 	r, c := fuzzCube()
 	for _, seed := range journalSeeds(f, r, c) {
@@ -153,11 +154,14 @@ func FuzzJournal(f *testing.F) {
 				t.Fatalf("restored a succeeding trial as a failure: %+v", tr)
 			}
 		}
-		if row := j.rows[0]; row.done.Load() != int64(ran) {
-			t.Fatalf("progress row done %d, cursor accounts for %d", row.done.Load(), ran)
+		pt := newProgressTracker(c, []*shardState{st}, j, ProgressOptions{Interval: time.Hour})
+		s := pt.snapshot()
+		pt.finish()
+		if row := s.Shards[0]; s.Done != int64(ran) || row.Done != int64(ran) || row.Cursor != st.cursor || row.Replayed != ran || s.TrialsPerSec != 0 {
+			t.Fatalf("restored snapshot %+v, cursor %d accounts for %d trials", s, st.cursor, ran)
 		}
 		last, _, quarantined, err := journalLoad(dir, c.name, 0, 0, fuzzShardEnd, len(c.labels))
-		if err != nil || quarantined != 0 || (last != nil) != j.rows[0].p.Resumed {
+		if err != nil || quarantined != 0 || (last != nil) != st.row.p.Resumed {
 			t.Fatalf("journal after restore: last=%v quarantined=%d err=%v", last != nil, quarantined, err)
 		}
 	})

@@ -8,25 +8,23 @@ import (
 	"intango/internal/trace"
 )
 
-// DefaultMaxFailures is how many failing-trial flight-recorder traces a
-// sink retains by default.
-const DefaultMaxFailures = 4
+// maxFailures is how many failing-trial flight-recorder traces a sink
+// retains.
+const maxFailures = 4
 
 // ObsSink accumulates observability output across a batch of trials: a
 // counter registry shared by every instrumented subsystem, per-trial
 // event volumes for the campaign aggregate, and the flight-recorder
 // traces of a bounded, deterministically chosen set of failing trials.
 //
-// The campaign executor gives each job shard its own sink (see
-// shard/merge); because counter merging is addition and failure
+// The campaign executor gives each job shard its own sink and folds
+// them back with merge; because counter merging is addition and failure
 // retention is minimum-N by a total trial order, the merged sink is
 // bit-identical to a serial run over the same jobs.
 type ObsSink struct {
 	// Registry receives every counter increment from the attached
 	// subsystems plus the sink's own trials.* outcome counters.
 	Registry *obs.Registry
-	// MaxFailures bounds retained failure traces (<=0 keeps none).
-	MaxFailures int
 
 	trials         int
 	eventsPerTrial []int
@@ -52,15 +50,7 @@ type TrialTrace struct {
 
 // NewObsSink returns an empty sink with a fresh registry.
 func NewObsSink() *ObsSink {
-	return &ObsSink{Registry: obs.NewRegistry(), MaxFailures: DefaultMaxFailures}
-}
-
-// shard returns an empty sink sharing no state with s. The campaign
-// executor hands one to each shard so the trial hot path never
-// contends on a lock, then folds them back with merge after the
-// barrier.
-func (s *ObsSink) shard() *ObsSink {
-	return &ObsSink{Registry: obs.NewRegistry(), MaxFailures: s.MaxFailures}
+	return &ObsSink{Registry: obs.NewRegistry()}
 }
 
 // merge folds a shard's sink into s. Counter merge is addition, so any
@@ -110,22 +100,18 @@ func (s *ObsSink) absorbSeries(rg *rig, outcomes []Outcome) {
 }
 
 // compact bounds the failure slice without breaking determinism: once
-// it doubles past MaxFailures, sort by the trial key and keep the
-// smallest MaxFailures. An element is only ever dropped when
-// MaxFailures smaller-keyed elements are already retained, so the
+// it doubles past maxFailures, sort by the trial key and keep the
+// smallest maxFailures. An element is only ever dropped when
+// maxFailures smaller-keyed elements are already retained, so the
 // per-shard minimum-N set survives every compaction — and the global
 // minimum-N set is always contained in the union of shard minimum-N
 // sets, which is what makes serial and parallel retention identical.
 func (s *ObsSink) compact() {
-	if s.MaxFailures <= 0 {
-		s.failures = nil
-		return
-	}
-	if len(s.failures) <= 2*s.MaxFailures {
+	if len(s.failures) <= 2*maxFailures {
 		return
 	}
 	sortTraces(s.failures)
-	s.failures = s.failures[:s.MaxFailures:s.MaxFailures]
+	s.failures = s.failures[:maxFailures:maxFailures]
 }
 
 // Finish puts the retained failures in their final deterministic order
@@ -133,8 +119,8 @@ func (s *ObsSink) compact() {
 // after merging; serial users call it before reading Failures.
 func (s *ObsSink) Finish() {
 	sortTraces(s.failures)
-	if s.MaxFailures > 0 && len(s.failures) > s.MaxFailures {
-		s.failures = s.failures[:s.MaxFailures:s.MaxFailures]
+	if len(s.failures) > maxFailures {
+		s.failures = s.failures[:maxFailures:maxFailures]
 	}
 }
 

@@ -3,19 +3,17 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"intango/internal/obs"
 )
 
 // ProgressOptions configures live campaign-progress reporting for the
-// campaign executor. Reporting only observes atomic counters the
-// workers bump — it never touches the trial hot path's determinism.
+// campaign executor. Reporting only reads the shards' tallies and
+// cursors — it never touches the trial hot path's determinism.
 type ProgressOptions struct {
 	// Interval is how often a snapshot line is emitted (default 1s).
 	Interval time.Duration
@@ -30,10 +28,6 @@ type ProgressOptions struct {
 	// (import the progresshttp subpackage); without one the option is
 	// reported on W and ignored.
 	HTTPAddr string
-	// SeriesCap bounds the sampled time-series ring (default
-	// obs.DefaultSeriesCap). The sampler records one point per
-	// Interval; when full the oldest points are dropped.
-	SeriesCap int
 }
 
 // StrategyProgress is the per-strategy slice of a snapshot.
@@ -170,27 +164,27 @@ func RegisterProgressServer(f func(feeds ProgressFeeds, diag io.Writer, addr str
 	progressServer = f
 }
 
-// labelCounters is one tally label's counters. The map of labels is
-// built complete before workers start, so workers only ever do atomic
-// increments — no locks, no map writes on the hot path.
-type labelCounters struct {
-	done, success atomic.Int64
-}
-
-// progressTracker accumulates campaign progress across workers.
+// progressTracker serves live views of a running campaign. It keeps no
+// counters of its own: every snapshot folds the shards' tallies and
+// cursors, so the live views always agree with each other and with the
+// result document the same shards fold into.
 type progressTracker struct {
-	total    int64
-	start    time.Time
-	done     atomic.Int64
-	outcomes [numOutcomes]atomic.Int64
-	labels   map[string]*labelCounters
-	names    []string // sorted labels
-	series   *obs.TimeSeries
-	// journal, when set, supplies the per-shard rows and the manifest;
-	// replayed counts the trials it restored, which count toward done
-	// but not toward throughput.
-	journal  *journal
+	total  int64
+	start  time.Time
+	shards []*shardState
+	// names are the cube's distinct tally labels, sorted; tally i
+	// counts toward names[label[i]] (labels repeat across tallies).
+	names []string
+	label []int
+	// replayed counts the trials the journal restored, which count
+	// toward done but not toward throughput.
 	replayed int64
+	// series samples the campaign once per Interval, dropping its
+	// oldest points past obs.DefaultSeriesCap.
+	series *obs.TimeSeries
+	// journal, when set, supplies the manifest, and its shards carry
+	// rows.
+	journal *journal
 
 	opts    ProgressOptions
 	stop    chan struct{}
@@ -199,38 +193,30 @@ type progressTracker struct {
 	addr    string
 }
 
-// newProgressTracker sizes the tracker for cube c's jobs and labels
-// (repeats are counted once), seeds it with whatever journal j
-// restored, and starts the sampler ticker and optional HTTP endpoint.
-func newProgressTracker(c *Cube, j *journal, opts ProgressOptions) *progressTracker {
+// newProgressTracker observes cube c's shards, after journal j (when
+// set) restored them, and starts the sampler ticker and optional HTTP
+// endpoint.
+func newProgressTracker(c *Cube, shards []*shardState, j *journal, opts ProgressOptions) *progressTracker {
 	t := &progressTracker{
 		total:   int64(len(c.jobs)),
 		start:   time.Now(),
-		labels:  map[string]*labelCounters{},
-		series:  obs.NewTimeSeries(opts.SeriesCap),
+		shards:  shards,
+		names:   slices.Clone(c.labels),
+		label:   make([]int, len(c.labels)),
+		series:  obs.NewTimeSeries(obs.DefaultSeriesCap),
 		journal: j,
 		opts:    opts,
 		stop:    make(chan struct{}),
 		wg:      make(chan struct{}),
 	}
-	for _, l := range c.labels {
-		if _, ok := t.labels[l]; !ok {
-			t.labels[l] = &labelCounters{}
-			t.names = append(t.names, l)
-		}
+	slices.Sort(t.names)
+	t.names = slices.Compact(t.names)
+	for i, l := range c.labels {
+		t.label[i], _ = slices.BinarySearch(t.names, l)
 	}
-	sort.Strings(t.names)
-	if j != nil {
-		for i, tl := range j.replayed {
-			lc := t.labels[c.labels[i]]
-			lc.done.Add(int64(tl.Total))
-			lc.success.Add(int64(tl.Success))
-			t.done.Add(int64(tl.Total))
-			t.outcomes[Success].Add(int64(tl.Success))
-			t.outcomes[Failure1].Add(int64(tl.Failure1))
-			t.outcomes[Failure2].Add(int64(tl.Failure2))
-		}
-		t.replayed = t.done.Load()
+	// No worker runs yet, so the restored cursors are read unlocked.
+	for _, st := range shards {
+		t.replayed += int64(st.cursor - st.start)
 	}
 	t.sample() // t=0 baseline; finish() adds the closing sample
 	if opts.HTTPAddr != "" {
@@ -242,25 +228,6 @@ func newProgressTracker(c *Cube, j *journal, opts ProgressOptions) *progressTrac
 	}
 	go t.loop(interval)
 	return t
-}
-
-// note records one finished trial. Called from worker goroutines. An
-// out-of-range outcome (a future Outcome value this tracker predates)
-// still counts toward done; it must never panic a live campaign.
-func (t *progressTracker) note(label string, out Outcome) {
-	if t == nil {
-		return
-	}
-	t.done.Add(1)
-	if out >= 0 && int(out) < len(t.outcomes) {
-		t.outcomes[out].Add(1)
-	}
-	if lc := t.labels[label]; lc != nil {
-		lc.done.Add(1)
-		if out == Success {
-			lc.success.Add(1)
-		}
-	}
 }
 
 // sample appends one time-series point from the current snapshot. The
@@ -295,40 +262,47 @@ func (t *progressTracker) seriesView() SeriesView {
 	v := SeriesView{TimeSeriesSnapshot: t.Series()}
 	if t.journal != nil {
 		v.Shards = map[string]obs.TimeSeriesSnapshot{}
-		for _, row := range t.journal.rows {
-			v.Shards[strconv.Itoa(row.p.ID)] = row.series.Snapshot()
+		for id, st := range t.shards {
+			v.Shards[strconv.Itoa(id)] = st.row.series.Snapshot()
 		}
 	}
 	return v
 }
 
-// snapshot assembles the current view.
+// snapshot assembles the current view. It reads each shard once, under
+// the shard's lock, and derives the totals, the label counts and the
+// shard's row from that one read, so in every snapshot done and success
+// agree across the totals, the strategies and the shards.
 func (t *progressTracker) snapshot() ProgressSnapshot {
-	done := t.done.Load()
-	s := ProgressSnapshot{
-		Done: done, Total: t.total,
-		Success:  t.outcomes[Success].Load(),
-		Failure1: t.outcomes[Failure1].Load(),
-		Failure2: t.outcomes[Failure2].Load(),
+	s := ProgressSnapshot{Total: t.total, Strategies: make([]StrategyProgress, len(t.names))}
+	for i, name := range t.names {
+		s.Strategies[i].Strategy = name
+	}
+	now := time.Now()
+	for _, st := range t.shards {
+		var sum Tally
+		st.mu.Lock()
+		for i, tl := range st.tallies {
+			sum.Merge(tl)
+			sp := &s.Strategies[t.label[i]]
+			sp.Done += int64(tl.Total)
+			sp.Success += int64(tl.Success)
+		}
+		if st.row != nil {
+			s.Shards = append(s.Shards, st.row.progress(now, st.cursor, sum))
+		}
+		st.mu.Unlock()
+		s.Done += int64(sum.Total)
+		s.Success += int64(sum.Success)
+		s.Failure1 += int64(sum.Failure1)
+		s.Failure2 += int64(sum.Failure2)
 	}
 	elapsed := time.Since(t.start).Seconds()
 	if elapsed > 0 {
-		s.TrialsPerSec = float64(done-t.replayed) / elapsed
+		s.TrialsPerSec = float64(s.Done-t.replayed) / elapsed
 	}
-	if s.TrialsPerSec > 0 && done < t.total {
-		s.ETASeconds = float64(t.total-done) / s.TrialsPerSec
-	}
-	for _, name := range t.names {
-		lc := t.labels[name]
-		s.Strategies = append(s.Strategies, StrategyProgress{
-			Strategy: name, Done: lc.done.Load(), Success: lc.success.Load(),
-		})
-	}
-	if t.journal != nil {
-		now := time.Now()
-		for _, row := range t.journal.rows {
-			s.Shards = append(s.Shards, row.snapshot(now))
-		}
+	if s.TrialsPerSec > 0 && s.Done < t.total {
+		s.ETASeconds = float64(t.total-s.Done) / s.TrialsPerSec
 	}
 	return s
 }
@@ -443,15 +417,13 @@ type ShardProgress struct {
 	Error       string `json:"error,omitempty"`
 }
 
-// shardRow is the live state behind one ShardProgress: counters the
-// shard's worker bumps per trial, the row's other fields and frame
-// bookkeeping, and the shard's checkpoint-stitched curve — all read
-// concurrently by scrapers.
+// shardRow is a journaled shard's checkpoint bookkeeping, hung off its
+// shardState: the row's journal fields (state, frames, resume,
+// quarantine, error), when it last journaled a frame, and its
+// checkpoint-stitched curve. The shard's mu guards p and lastFrame; a
+// snapshot takes the row's cursor, done and success from the shard.
 type shardRow struct {
-	done, success atomic.Int64 // include replayed trials
-
-	mu        sync.Mutex    // guards p and lastFrame
-	p         ShardProgress // Cursor, Done and Success filled at snapshot
+	p         ShardProgress
 	lastFrame time.Time
 
 	series *obs.TimeSeries
@@ -460,36 +432,20 @@ type shardRow struct {
 	tOffset float64
 }
 
-func newShardRow(plan ShardPlan, seriesCap int) *shardRow {
-	return &shardRow{p: ShardProgress{ShardPlan: plan, State: statePending}, series: obs.NewTimeSeries(seriesCap)}
+func newShardRow(plan ShardPlan) *shardRow {
+	return &shardRow{p: ShardProgress{ShardPlan: plan, State: statePending}, series: obs.NewTimeSeries(obs.DefaultSeriesCap)}
 }
 
-// note counts one finished trial of the shard.
-func (row *shardRow) note(out Outcome) {
-	row.done.Add(1)
-	if out == Success {
-		row.success.Add(1)
-	}
-}
-
-// resume seeds the row from the frame its shard was restored from: the
-// replayed trials count as done, and the frame's curve is stitched in
-// with its original timestamps, so /timeseries crosses the kill point
-// without a gap or reset.
+// resume records the frame the row's shard was restored from, before
+// any worker or tracker reads the shard: the frame's curve is stitched
+// in with its original timestamps, so /timeseries crosses the kill
+// point without a gap or reset.
 func (row *shardRow) resume(f *frame, frames int) {
-	row.mu.Lock()
-	defer row.mu.Unlock()
-	replayed, success := f.Cursor-row.p.JobStart, 0
-	for _, t := range f.Tallies {
-		success += t.Success
-	}
-	row.done.Store(int64(replayed))
-	row.success.Store(int64(success))
 	for _, p := range f.Series.Points {
 		row.series.Append(p)
 	}
 	row.tOffset = f.Series.Last().T
-	row.p.Resumed, row.p.Replayed, row.p.Frames = true, replayed, frames
+	row.p.Resumed, row.p.Replayed, row.p.Frames = true, f.Cursor-row.p.JobStart, frames
 	row.p.State = stateCheckpointed
 	if f.Cursor == row.p.JobEnd {
 		row.p.State = stateDone
@@ -497,7 +453,8 @@ func (row *shardRow) resume(f *frame, frames int) {
 }
 
 // sample appends the shard's curve point at st's current cut, stamped
-// with wall seconds since the shard's run started (after tOffset).
+// with wall seconds since the shard's run started (after tOffset). It
+// runs on the shard's worker, which may read st unlocked.
 func (row *shardRow) sample(st *shardState, start time.Time) {
 	var t Tally
 	for _, x := range st.tallies {
@@ -515,30 +472,28 @@ func (row *shardRow) sample(st *shardState, start time.Time) {
 	})
 }
 
-// update applies f to the row's guarded fields.
-func (row *shardRow) update(f func(p *ShardProgress)) {
-	row.mu.Lock()
-	f(&row.p)
-	row.mu.Unlock()
-}
-
-// framed records one journaled frame.
-func (row *shardRow) framed() {
-	row.mu.Lock()
-	row.p.Frames++
-	row.lastFrame = time.Now()
-	row.mu.Unlock()
-}
-
-// snapshot copies the row for /shards, /progress and the health report.
-func (row *shardRow) snapshot(now time.Time) ShardProgress {
-	row.mu.Lock()
-	defer row.mu.Unlock()
+// progress renders the row for /shards, /progress and the health
+// report, with the shard's cursor and tally sum read under its lock.
+func (row *shardRow) progress(now time.Time, cursor int, sum Tally) ShardProgress {
 	s := row.p
-	s.Done, s.Success = row.done.Load(), row.success.Load()
-	s.Cursor = s.JobStart + int(s.Done)
+	s.Cursor, s.Done, s.Success = cursor, int64(sum.Total), int64(sum.Success)
 	if s.Frames > 0 {
 		s.LastFrameAgeSec = now.Sub(row.lastFrame).Seconds()
 	}
 	return s
+}
+
+// update applies f to the shard's row under the shard's lock.
+func (st *shardState) update(f func(p *ShardProgress)) {
+	st.mu.Lock()
+	f(&st.row.p)
+	st.mu.Unlock()
+}
+
+// framed records one journaled frame on the shard's row.
+func (st *shardState) framed() {
+	st.mu.Lock()
+	st.row.p.Frames++
+	st.row.lastFrame = time.Now()
+	st.mu.Unlock()
 }

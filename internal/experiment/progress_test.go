@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -13,22 +14,27 @@ func labelCube(n int, labels ...string) *Cube {
 	return &Cube{jobs: make([]trialJob, n), labels: labels}
 }
 
-// TestProgressTracker exercises the tracker directly: counters, the
-// snapshot math, and the metrics rendering.
+// TestProgressTracker exercises the tracker directly over two shards:
+// the snapshot folded from their tallies (labels that repeat across
+// tallies counted once, by name), the snapshot math, and the metrics
+// rendering.
 func TestProgressTracker(t *testing.T) {
-	pt := newProgressTracker(labelCube(4, "a", "b"), nil, ProgressOptions{
+	c := labelCube(4, "b", "a", "b")
+	shards := []*shardState{newShardState(c, 0, 2, nil), newShardState(c, 2, 4, nil)}
+	pt := newProgressTracker(c, shards, nil, ProgressOptions{
 		Interval: time.Hour, // never ticks during the test
 	})
-	pt.note("a", Success)
-	pt.note("a", Failure2)
-	pt.note("b", Success)
+	shards[0].fold(0, Success)
+	shards[0].fold(2, Failure2)
+	shards[1].fold(1, Success)
 
 	s := pt.snapshot()
-	if s.Done != 3 || s.Total != 4 || s.Success != 2 || s.Failure2 != 1 {
+	if s.Done != 3 || s.Total != 4 || s.Success != 2 || s.Failure2 != 1 || s.Shards != nil {
 		t.Fatalf("snapshot = %+v", s)
 	}
-	if len(s.Strategies) != 2 || s.Strategies[0].Strategy != "a" || s.Strategies[0].Success != 1 {
-		t.Fatalf("strategies = %+v", s.Strategies)
+	want := []StrategyProgress{{Strategy: "a", Done: 1, Success: 1}, {Strategy: "b", Done: 2, Success: 1}}
+	if !reflect.DeepEqual(s.Strategies, want) {
+		t.Fatalf("strategies = %+v, want %+v", s.Strategies, want)
 	}
 
 	text := s.MetricsText()
@@ -36,7 +42,7 @@ func TestProgressTracker(t *testing.T) {
 		"# TYPE trials_done gauge",
 		"# TYPE strategy_success gauge",
 		"trials_done 3", "trials_total 4",
-		`strategy_success{strategy="a"} 1`,
+		`strategy_success{strategy="b"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, text)
@@ -55,12 +61,14 @@ func TestProgressTracker(t *testing.T) {
 	}
 }
 
-// TestProgressReplayedTrials: trials a journal restored count toward
-// done, the outcome mix and the label counters, but not toward
-// throughput — they were recovered, not run.
+// TestProgressReplayedTrials: trials a journal restored into a shard
+// count toward done, the outcome mix and the label counts, but not
+// toward throughput — they were recovered, not run.
 func TestProgressReplayedTrials(t *testing.T) {
-	j := &journal{replayed: []Tally{{Success: 2, Failure2: 1, Total: 3}, {}}}
-	pt := newProgressTracker(labelCube(8, "a", "b"), j, ProgressOptions{Interval: time.Hour})
+	c := labelCube(8, "a", "b")
+	shards := []*shardState{newShardState(c, 0, 4, nil), newShardState(c, 4, 8, nil)}
+	shards[0].cursor, shards[0].tallies[0] = 3, Tally{Success: 2, Failure2: 1, Total: 3}
+	pt := newProgressTracker(c, shards, nil, ProgressOptions{Interval: time.Hour})
 	defer pt.finish()
 	s := pt.snapshot()
 	if s.Done != 3 || s.Success != 2 || s.Failure2 != 1 || s.Strategies[0].Done != 3 {
@@ -69,7 +77,7 @@ func TestProgressReplayedTrials(t *testing.T) {
 	if s.TrialsPerSec != 0 {
 		t.Fatalf("replayed trials counted as throughput: %v trials/s", s.TrialsPerSec)
 	}
-	pt.note("b", Success)
+	shards[1].fold(1, Success)
 	if s = pt.snapshot(); s.Done != 4 || s.TrialsPerSec <= 0 {
 		t.Fatalf("fresh trial not counted: %+v", s)
 	}
@@ -89,18 +97,6 @@ func TestProgressMetricsEscaping(t *testing.T) {
 	}
 }
 
-// TestProgressNoteOutOfRange: a future Outcome value must not panic
-// the tracker; it still counts toward done.
-func TestProgressNoteOutOfRange(t *testing.T) {
-	pt := newProgressTracker(labelCube(1, "a"), nil, ProgressOptions{Interval: time.Hour})
-	pt.note("a", Outcome(99))
-	pt.note("a", Outcome(-1))
-	pt.finish()
-	if s := pt.snapshot(); s.Done != 2 || s.Success != 0 {
-		t.Fatalf("snapshot = %+v", s)
-	}
-}
-
 // TestProgressHTTPUnregistered: this package deliberately never links
 // net/http, so asking for the endpoint without importing the
 // progresshttp package must degrade to a diagnostic, not a crash or an
@@ -110,7 +106,7 @@ func TestProgressHTTPUnregistered(t *testing.T) {
 		t.Skip("a progress server is registered in this binary")
 	}
 	var buf bytes.Buffer
-	pt := newProgressTracker(labelCube(1, "a"), nil, ProgressOptions{
+	pt := newProgressTracker(labelCube(1, "a"), nil, nil, ProgressOptions{
 		Interval: time.Hour, W: &buf, HTTPAddr: "127.0.0.1:0",
 	})
 	if pt.Addr() != "" {
@@ -152,12 +148,17 @@ func TestCampaignProgress(t *testing.T) {
 	}
 }
 
-// TestProgressNilSafe: a nil tracker (progress disabled) must be inert.
+// TestProgressNilSafe: a nil tracker (progress disabled) must be
+// inert, while its shards still record every trial.
 func TestProgressNilSafe(t *testing.T) {
 	var pt *progressTracker
-	pt.note("x", Success)
+	st := newShardState(labelCube(1, "x"), 0, 1, nil)
+	st.fold(0, Success)
 	pt.finish()
-	if pt.Addr() != "" {
-		t.Fatal("nil tracker has an address")
+	if pt.Addr() != "" || len(pt.Series().Points) != 0 {
+		t.Fatal("nil tracker has an address or a series")
+	}
+	if st.cursor != 1 || st.tallies[0] != (Tally{Success: 1, Total: 1}) {
+		t.Fatalf("shard after one trial: cursor %d, tally %+v", st.cursor, st.tallies[0])
 	}
 }

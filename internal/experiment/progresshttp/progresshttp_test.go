@@ -2,6 +2,7 @@ package progresshttp_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -327,6 +328,105 @@ func TestFleetPlaneLiveCampaign(t *testing.T) {
 	default:
 		t.Fatal("no mid-campaign scrape happened")
 	}
+}
+
+// TestFleetPlaneLiveSnapshotsConsistent: every /progress scrape of a
+// running journaled campaign reads one state. Each checkpoint frame
+// scrapes once from its worker while another goroutine polls
+// throughout, and every snapshot must agree with itself: done and
+// success equal across the totals, the strategies and the shard rows,
+// each shard's done accounted for by its cursor, and the outcome mix
+// summing to done.
+func TestFleetPlaneLiveSnapshotsConsistent(t *testing.T) {
+	r := experiment.NewRunner(7)
+	r.Workers = 2
+	r.Progress = &experiment.ProgressOptions{Interval: time.Millisecond, HTTPAddr: "127.0.0.1:0"}
+	var mu sync.Mutex
+	mid := 0
+	// scrape checks one live snapshot; it runs on worker goroutines, so
+	// it reports with Errorf, never Fatal. It returns false once the
+	// plane is down.
+	scrape := func() bool {
+		resp, err := http.Get("http://" + r.ProgressAddr() + "/progress")
+		if err != nil {
+			return false
+		}
+		var s experiment.ProgressSnapshot
+		err = json.NewDecoder(resp.Body).Decode(&s)
+		resp.Body.Close()
+		if err != nil {
+			return false // shut down mid-response
+		}
+		if err := consistent(s); err != nil {
+			t.Errorf("live snapshot: %v", err)
+		}
+		if s.Done > 0 && s.Done < s.Total {
+			mu.Lock()
+			mid++
+			mu.Unlock()
+		}
+		return true
+	}
+	done := make(chan struct{})
+	polled := make(chan struct{})
+	go func() {
+		defer close(polled)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if r.ProgressAddr() != "" && !scrape() {
+				return
+			}
+		}
+	}()
+	opts := experiment.CheckpointOptions{
+		Dir: t.TempDir(), Shards: 3, CheckpointEvery: 4,
+		OnFrame: func(_, _ int) error {
+			scrape()
+			return nil
+		},
+	}
+	_, err := r.RunCube(experiment.Table1Cube(r, experiment.Scale{VPs: 1, Servers: 2, Trials: 1}), opts)
+	close(done)
+	<-polled
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mid == 0 {
+		t.Fatal("no mid-campaign scrape happened")
+	}
+	final, _ := r.FinalProgress()
+	if err := consistent(final); err != nil || final.Done != final.Total {
+		t.Fatalf("final snapshot %+v: %v", final, err)
+	}
+}
+
+// consistent checks that a snapshot's totals, strategies and shard rows
+// count the same trials.
+func consistent(s experiment.ProgressSnapshot) error {
+	var strategies, shards experiment.StrategyProgress
+	for _, sp := range s.Strategies {
+		strategies.Done += sp.Done
+		strategies.Success += sp.Success
+	}
+	for _, sh := range s.Shards {
+		shards.Done += sh.Done
+		shards.Success += sh.Success
+		if int64(sh.Cursor-sh.JobStart) != sh.Done {
+			return fmt.Errorf("shard %d: cursor %d from %d, done %d", sh.ID, sh.Cursor, sh.JobStart, sh.Done)
+		}
+	}
+	if len(s.Shards) == 0 || strategies.Done != s.Done || shards.Done != s.Done ||
+		strategies.Success != s.Success || shards.Success != s.Success ||
+		s.Success+s.Failure1+s.Failure2 != s.Done {
+		return fmt.Errorf("%d shards; done %d, strategies %d, shards %d; success %d, strategies %d, shards %d; outcomes %d+%d+%d",
+			len(s.Shards), s.Done, strategies.Done, shards.Done, s.Success, strategies.Success, shards.Success,
+			s.Success, s.Failure1, s.Failure2)
+	}
+	return nil
 }
 
 // TestFleetPlaneConcurrentScrapeShutdown hammers every endpoint of the

@@ -132,9 +132,9 @@ const shardsPerWorker = 16
 // queue, and folds the shards in index order into the returned tallies
 // and r.Obs. Shards get ObsSinks only when r.Obs is attached (always
 // for a journaled run: RunCube attaches one, as frames carry each
-// shard's snapshot), and the progress tracker runs only when r.Progress
-// or a journal asks for it: an uninstrumented campaign stays on the
-// bare trial hot path. A
+// shard's snapshot), and the progress tracker, which reads the shards'
+// tallies and cursors, runs only when r.Progress or a journal asks for
+// it: an uninstrumented campaign stays on the bare trial hot path. A
 // journal restores each shard from its last frame and journals new
 // ones; once it stops (ErrStopped, or a failed write) workers pull no
 // more shards and runCube returns the stop error.
@@ -151,7 +151,7 @@ func (r *Runner) runCube(c *Cube, j *journal) ([]Tally, error) {
 	for i := range shards {
 		var sink *ObsSink
 		if r.Obs != nil {
-			sink = r.Obs.shard()
+			sink = NewObsSink() // folded into r.Obs after the barrier
 		}
 		shards[i] = newShardState(c, bounds[i], bounds[i+1], sink)
 	}
@@ -161,15 +161,13 @@ func (r *Runner) runCube(c *Cube, j *journal) ([]Tally, error) {
 		}
 	}
 	var prog *progressTracker
-	var onTrial func(label string, out Outcome)
 	if r.Progress != nil || j != nil {
 		var opts ProgressOptions
 		if r.Progress != nil {
 			opts = *r.Progress
 		}
-		prog = newProgressTracker(c, j, opts)
+		prog = newProgressTracker(c, shards, j, opts)
 		r.progressAddr.Store(prog.Addr())
-		onTrial = prog.note
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -179,8 +177,8 @@ func (r *Runner) runCube(c *Cube, j *journal) ([]Tally, error) {
 			defer wg.Done()
 			for i := int(next.Add(1) - 1); i < len(shards); i = int(next.Add(1) - 1) {
 				if j == nil {
-					r.runCubeRange(c, shards[i], 0, onTrial, nil)
-				} else if !j.run(r, c, shards[i], prog, i) {
+					r.runCubeRange(c, shards[i], 0, nil)
+				} else if !j.run(r, c, shards[i], i) {
 					return
 				}
 			}
@@ -223,14 +221,23 @@ const DefaultCheckpointEvery = 64
 // into tallies and sink. A fresh shard starts with cursor == start; a
 // resumed shard restores cursor, tallies, and the sink from its last
 // checkpoint frame and continues, producing state bit-identical to an
-// uninterrupted run of the full range.
+// uninterrupted run of the full range. Cursor and tallies are the
+// campaign's only per-trial record: live progress reads them too.
 type shardState struct {
 	start, end int
-	cursor     int
-	tallies    []Tally
+	// mu guards cursor, tallies and row's fields against the progress
+	// tracker's readers. Once the workers start, the shard's worker is
+	// their only writer: it takes mu around each write and reads them
+	// without it. (restore writes them before any worker or tracker.)
+	mu      sync.Mutex
+	cursor  int
+	tallies []Tally
 	// sink collects the shard's observability; nil runs it
 	// uninstrumented.
 	sink *ObsSink
+	// row is a journaled shard's checkpoint bookkeeping (see shardRow);
+	// nil when the run is unjournaled.
+	row *shardRow
 }
 
 // newShardState returns a fresh state for jobs [start, end) of the
@@ -243,16 +250,23 @@ func newShardState(c *Cube, start, end int, sink *ObsSink) *shardState {
 	}
 }
 
+// fold records the trial at the shard's cursor, whose outcome out
+// counts toward tally sink, and advances the cursor.
+func (st *shardState) fold(sink int, out Outcome) {
+	st.mu.Lock()
+	st.tallies[sink].Add(out)
+	st.cursor++
+	st.mu.Unlock()
+}
+
 // runCubeRange executes the shard's remaining jobs [st.cursor, st.end)
 // serially, folding each outcome into st. After every `every` completed
 // trials — and always after the range's final trial — it calls
 // checkpoint with final reporting whether the range is complete;
 // checkpoint returning false stops the shard at that frame boundary
-// (the journal's stop path). onTrial, when non-nil, observes every
-// completed trial (live progress counters; it must not block). Within
-// a shard execution is strictly serial, so cursor is always the exact
-// resume point.
-func (r *Runner) runCubeRange(c *Cube, st *shardState, every int, onTrial func(label string, out Outcome), checkpoint func(final bool) bool) {
+// (the journal's stop path). Within a shard execution is strictly
+// serial, so cursor is always the exact resume point.
+func (r *Runner) runCubeRange(c *Cube, st *shardState, every int, checkpoint func(final bool) bool) {
 	if every <= 0 {
 		every = DefaultCheckpointEvery
 	}
@@ -260,19 +274,13 @@ func (r *Runner) runCubeRange(c *Cube, st *shardState, every int, onTrial func(l
 	pool := r.packetPool()
 	for st.cursor < st.end {
 		job := &c.jobs[st.cursor]
-		label := c.labels[job.sink]
-		out := r.runOne(job, label, st.sink, pool)
-		st.tallies[job.sink].Add(out)
-		st.cursor++
+		st.fold(job.sink, r.runOne(job, c.labels[job.sink], st.sink, pool))
 		since++
 		// A trial never blocks, and on a small GOMAXPROCS the GC's
 		// fractional mark worker runs only at scheduling points: without
 		// this yield each mark phase stretches until async preemption,
 		// and every trial meanwhile pays write barriers.
 		runtime.Gosched()
-		if onTrial != nil {
-			onTrial(label, out)
-		}
 		if checkpoint != nil && (since >= every || st.cursor == st.end) {
 			since = 0
 			if !checkpoint(st.cursor == st.end) {

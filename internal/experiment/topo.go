@@ -106,12 +106,12 @@ func shapeKey(vp VantagePoint, srv Server, hops int) topoKey {
 }
 
 // program returns the compiled Program for a trial: the cached derived
-// linear program, or the parsed Runner.Topo override. Programs, and the
-// routing tables they hold, are immutable and shared read-only across
-// trials and workers.
-func (r *Runner) program(vp VantagePoint, srv Server, hops int) *topo.Program {
-	if r.Topo != "" {
-		return overrideProgram(r.Topo)
+// linear program, or the parsed override topoRef when non-empty.
+// Programs, and the routing tables they hold, are immutable and shared
+// read-only across trials and workers.
+func program(topoRef string, vp VantagePoint, srv Server, hops int) *topo.Program {
+	if topoRef != "" {
+		return overrideProgram(topoRef)
 	}
 	key := shapeKey(vp, srv, hops)
 	topoMu.RLock()
@@ -158,7 +158,7 @@ func overrideProgram(text string) *topo.Program {
 // point, server) pair at its measured hop count — what `-what topo`
 // prints. Route dynamics perturb the per-trial shape around this.
 func (r *Runner) TopoSpec(vp VantagePoint, srv Server) topo.Spec {
-	return r.program(vp, srv, srv.Hops).Spec()
+	return program(r.Topo, vp, srv, srv.Hops).Spec()
 }
 
 // GraphDemoTopo is the ECMP demonstration topology: two parallel GFW
@@ -201,10 +201,9 @@ func WriteTopoSpecs(w io.Writer, r *Runner, sc Scale) {
 // returns asymmetrically past both taps.
 func FormatTopoDemo(seed int64) string {
 	r := NewRunner(seed)
-	r.Topo = GraphDemoTopo
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, seed)[0]
-	fab := r.build(vp, srv, r.Censor, 1, r.packetPool()).net
+	fab := r.build(vp, srv, GraphDemoTopo, r.Censor, 1, r.packetPool()).net
 	var b strings.Builder
 	b.WriteString("== ECMP multi-device demo (graph fabric) ==\n")
 	b.WriteString("spec:\n  " + overrideProgram(GraphDemoTopo).Spec().String() + "\n")

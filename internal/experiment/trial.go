@@ -170,14 +170,14 @@ type rig struct {
 	engine  *core.Engine
 }
 
-// build assembles the (vp, server) substrate for one trial: derive (or
-// override) the declarative topology, fetch its cached compiled
-// Program, and instantiate it with this trial's RNGs bound through the
-// rig binder, which fills the GFW device slots from censorRef (see
-// Runner.Censor). Measured paths are linear chains, a Runner.Topo may
-// be any graph; both become one netem.Fabric per trial over the
-// program's shared routing.
-func (r *Runner) build(vp VantagePoint, srv Server, censorRef string, trialSeed int64, pool *packet.Pool) *rig {
+// build assembles the (vp, server) substrate for one trial: derive the
+// declarative topology (or parse topoRef, a Runner.Topo override when
+// non-empty), fetch its cached compiled Program, and instantiate it
+// with this trial's RNGs bound through the rig binder, which fills the
+// GFW device slots from censorRef (see Runner.Censor). Measured paths
+// are linear chains, an override may be any graph; both become one
+// netem.Fabric per trial over the program's shared routing.
+func (r *Runner) build(vp VantagePoint, srv Server, topoRef, censorRef string, trialSeed int64, pool *packet.Pool) *rig {
 	rg := &rig{sim: netem.NewSimulator(trialSeed)}
 	trialRng := rg.sim.Rand()
 	pairRng := rand.New(rand.NewSource(r.pairSeed(vp, srv)))
@@ -197,7 +197,7 @@ func (r *Runner) build(vp VantagePoint, srv Server, censorRef string, trialSeed 
 		hops = 1
 	}
 
-	prog := r.program(vp, srv, hops)
+	prog := program(topoRef, vp, srv, hops)
 	binder := &rigBinder{r: r, vp: vp, censor: censorRef, rg: rg, trialRng: trialRng, pairRng: pairRng}
 	n, err := prog.Instantiate(binder, topo.Options{Sim: rg.sim, Pool: pool})
 	if err != nil {
@@ -271,7 +271,7 @@ func (rg *rig) attachObs(b *obs.Obs) {
 // bit-identical to an untraced one.
 func (r *Runner) runRig(j *trialJob, reg *obs.Registry, tc *trace.Tracer, pool *packet.Pool) (Outcome, *rig, *obs.Recorder) {
 	trialSeed := r.pairSeed(j.vp, j.srv) ^ int64(uint64(j.trial)*0x9e3779b97f4a7c15)
-	rg := r.build(j.vp, j.srv, j.censor, trialSeed, pool)
+	rg := r.build(j.vp, j.srv, r.Topo, j.censor, trialSeed, pool)
 	var rec *obs.Recorder
 	if reg != nil {
 		rec = obs.NewRecorder(obs.DefaultRingSize, rg.sim.Now)
@@ -429,7 +429,7 @@ func fetch(rg *rig, srv Server, sensitive bool) *tcpstack.Conn {
 // Between trials it waits out any active blocklist period, as the
 // paper's methodology did (§3.3).
 func (r *Runner) RunINTANGSeries(vp VantagePoint, srv Server, trials int) []Outcome {
-	rg := r.build(vp, srv, r.Censor, r.pairSeed(vp, srv), r.packetPool())
+	rg := r.build(vp, srv, r.Topo, r.Censor, r.pairSeed(vp, srv), r.packetPool())
 	it := intang.New(rg.sim, rg.net, rg.cli, intang.Options{})
 	it.Engine.Env.InsertionTTL = insertionTTL(srv)
 	if r.Obs != nil {

@@ -37,11 +37,6 @@ type Options struct {
 	// Delta is the initial TTL safety margin subtracted from the
 	// measured hop count (§7.1, δ=2).
 	Delta int
-	// MaxProbeTTL bounds hop-count probing.
-	MaxProbeTTL int
-	// ResponseTimeout is how long a protected connection may stay
-	// silent before INTANG books it as a Failure-1 and adapts.
-	ResponseTimeout time.Duration
 	// AdaptiveDelta lets INTANG converge δ per destination (§7.1): a
 	// timeout (insertion likely hit the server or a server-side
 	// middlebox) raises δ; exhausting the strategy rotation (insertion
@@ -62,14 +57,15 @@ func (o Options) withDefaults() Options {
 	if o.Delta == 0 {
 		o.Delta = 2
 	}
-	if o.MaxProbeTTL == 0 {
-		o.MaxProbeTTL = 32
-	}
-	if o.ResponseTimeout == 0 {
-		o.ResponseTimeout = 6 * time.Second
-	}
 	return o
 }
+
+// Hop-count probing sweeps TTLs up to maxProbeTTL, and a protected
+// connection silent for responseTimeout is booked as a Failure-1.
+const (
+	maxProbeTTL     = 32
+	responseTimeout = 6 * time.Second
+)
 
 // INTANG owns a core.Engine and drives its strategy choice.
 type INTANG struct {
@@ -194,9 +190,7 @@ func (it *INTANG) newStrategy(tuple packet.FourTuple) core.Strategy {
 		it.Obs.Count("intang.flow")
 		it.Obs.Trace("intang", "flow", 0, 0, c.display+" -> "+server.String())
 	}
-	if it.Opts.ResponseTimeout > 0 {
-		it.sim.At(it.Opts.ResponseTimeout, func() { it.reportTimeout(lf) })
-	}
+	it.sim.At(responseTimeout, func() { it.reportTimeout(lf) })
 	return c.factory()
 }
 
@@ -370,7 +364,7 @@ func (it *INTANG) feedback(pkt *packet.Packet) {
 // result lands asynchronously (as the simulation runs) in HopsTo, and
 // the insertion TTL is updated automatically.
 func (it *INTANG) MeasureHops(dst packet.Addr, port uint16) {
-	for ttl := 1; ttl <= it.Opts.MaxProbeTTL; ttl++ {
+	for ttl := 1; ttl <= maxProbeTTL; ttl++ {
 		srcPort := it.probeBase
 		it.probeBase++
 		it.probePorts[srcPort] = ttl

@@ -26,23 +26,24 @@ type Config struct {
 	Strategy string
 	// Seed drives the world's randomness.
 	Seed int64
-	// Hops is the router count client to server (default 8); CensorHop
-	// is where the censor taps (default 2).
-	Hops      int
-	CensorHop int
 	// IdleTimeout expires flows with no traffic for this long on the
 	// wall clock (default 60s).
 	IdleTimeout time.Duration
-	// Tick is the wall-clock granularity driving the world's virtual
-	// clock (default 1ms). TimeScale multiplies wall time into virtual
-	// time (default 1.0) — raise it to compress the censor's 90-second
-	// block windows into test-sized waits.
-	Tick      time.Duration
+	// TimeScale multiplies wall time into virtual time (default 1.0) —
+	// raise it to compress the censor's 90-second block windows into
+	// test-sized waits.
 	TimeScale float64
-	// Shards sizes the flow table (default 16, rounded to a power of
-	// two).
-	Shards int
 }
+
+// The world's fixed shape: a chain of pathHops routers from client to
+// server with the censor tapping at censorHop, a clock pump ticking
+// every clockTick of wall time, and a flow table of flowShards shards.
+const (
+	pathHops   = 8
+	censorHop  = 2
+	clockTick  = time.Millisecond
+	flowShards = 16
+)
 
 // Proxy is a running daemon world: the censored path, its censor
 // devices, an HTTP origin server, and the strategy engine — plus a
@@ -87,20 +88,8 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.Censor == "" {
 		cfg.Censor = "gfw2017"
 	}
-	if cfg.Hops <= 0 {
-		cfg.Hops = 8
-	}
-	if cfg.CensorHop <= 0 {
-		cfg.CensorHop = 2
-	}
-	if cfg.CensorHop >= cfg.Hops {
-		return nil, fmt.Errorf("intangd: censor hop %d outside path of %d hops", cfg.CensorHop, cfg.Hops)
-	}
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = 60 * time.Second
-	}
-	if cfg.Tick <= 0 {
-		cfg.Tick = time.Millisecond
 	}
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
@@ -110,7 +99,7 @@ func New(cfg Config) (*Proxy, error) {
 		cfg:        cfg,
 		sim:        netem.NewSimulator(cfg.Seed),
 		reg:        obs.NewRegistry(),
-		flows:      NewFlowTable(cfg.Shards),
+		flows:      NewFlowTable(flowShards),
 		clientAddr: packet.AddrFrom4(10, 0, 0, 1),
 		serverAddr: packet.AddrFrom4(203, 0, 113, 80),
 		stop:       make(chan struct{}),
@@ -119,14 +108,14 @@ func New(cfg Config) (*Proxy, error) {
 	bundle := obs.New(p.reg, p.rec)
 
 	link := netem.Link{Latency: time.Millisecond}
-	p.path = netem.NewChain(p.sim, cfg.Hops, link, link)
+	p.path = netem.NewChain(p.sim, pathHops, link, link)
 	p.path.Obs = bundle
 
 	comp, err := censor.Resolve(cfg.Censor)
 	if err != nil {
 		return nil, fmt.Errorf("intangd: censor: %w", err)
 	}
-	hop := p.path.Node(1 + cfg.CensorHop)
+	hop := p.path.Node(1 + censorHop)
 	if procs, ok := comp.BuildChain(p.sim.Rand()); ok {
 		hop.Processors = append(hop.Processors, procs...)
 	} else {
@@ -149,7 +138,7 @@ func New(cfg Config) (*Proxy, error) {
 	p.server.Obs = bundle
 	appsim.ServeHTTP(p.server, 80)
 
-	env := core.DefaultEnv(uint8(cfg.Hops-1), p.sim.Rand())
+	env := core.DefaultEnv(pathHops-1, p.sim.Rand())
 	p.engine = core.NewEngine(p.sim, p.path, nil, env)
 	p.engine.Upstream = p.inbound
 	p.engine.NewStrategy = func(packet.FourTuple) core.Strategy {
@@ -294,7 +283,7 @@ func (p *Proxy) inbound(pkt *packet.Packet) {
 // takes the world lock once to drop the engine's matching state.
 func (p *Proxy) clockPump() {
 	defer p.wg.Done()
-	t := time.NewTicker(p.cfg.Tick)
+	t := time.NewTicker(clockTick)
 	defer t.Stop()
 	expireEvery := p.cfg.IdleTimeout / 4
 	if expireEvery < 50*time.Millisecond {
