@@ -60,10 +60,12 @@ fuzz-smoke:
 bench:
 	$(GO) run ./cmd/tables -what bench -bench-out BENCH_netem.json
 
-# bench-smoke runs each hot-path benchmark exactly once — a correctness
-# pass, not a measurement.
+# bench-smoke runs each hot-path benchmark exactly once — the trial,
+# the campaigns and the trial rig build on its own, fresh and on a
+# recycled arena — a correctness pass, not a measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTrialHotPath|BenchmarkCampaign' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkRigBuild' -benchtime 1x ./internal/experiment/
 
 # bench-compare diffs two BENCH_netem.json artifacts:
 #   make bench-compare OLD=old.json NEW=BENCH_netem.json
@@ -84,7 +86,8 @@ bench-gate:
 # bench-obs gates the instrumentation tax. The alloc gate asserts the
 # uninstrumented, unshaped trial — telemetry off, congestion machinery
 # dormant, checkpoint journal linked — stays within the hot-path
-# allocation budget (a hard failure, not a measurement); the benchmark
+# allocation budgets, one-shot and on a warmed campaign arena (a hard
+# failure, not a measurement); the benchmark
 # then reports the enabled-arm overhead, which should stay within a
 # few percent.
 bench-obs:

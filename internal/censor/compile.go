@@ -88,12 +88,13 @@ func (c *Compiled) GFWConfig() (gfw.Config, bool) {
 }
 
 // Build constructs one live instance for a trial. The trial RNG drives
-// per-flow sampled behaviour; the pair RNG pins the per-(client,
+// per-flow sampled behaviour; the pair source pins the per-(client,
 // server) behaviours the paper found stable within a measurement
 // period (§4) — engine devices draw their RST-resync and
-// segment-overlap modes from it. Filter-only specs have no device;
-// use BuildChain.
-func (c *Compiled) Build(name string, trialRng, pairRng *rand.Rand) (Instance, error) {
+// segment-overlap modes from it. Only its Float64 stream is read, so a
+// *rand.Rand or a replay of one's memoized draws will do. Filter-only
+// specs have no device; use BuildChain.
+func (c *Compiled) Build(name string, trialRng *rand.Rand, pairRng interface{ Float64() float64 }) (Instance, error) {
 	switch c.kind {
 	case KindEngine:
 		dev := gfw.NewDevice(name, c.cfg, trialRng)

@@ -277,8 +277,9 @@ func pctDelta(oldV, newV float64) string {
 }
 
 func benchLine(b *strings.Builder, name string, cur, base BenchResult) {
-	fmt.Fprintf(b, "  %-18s %12.0f ns/op (%s vs baseline)   %8d allocs/op (%s)\n",
+	fmt.Fprintf(b, "  %-18s %12.0f ns/op (%s vs baseline)   %9d B/op (%s)   %8d allocs/op (%s)\n",
 		name, cur.NsPerOp, pctDelta(base.NsPerOp, cur.NsPerOp),
+		cur.BytesPerOp, pctDelta(float64(base.BytesPerOp), float64(cur.BytesPerOp)),
 		cur.AllocsPerOp, pctDelta(float64(base.AllocsPerOp), float64(cur.AllocsPerOp)))
 }
 
@@ -292,7 +293,7 @@ func FormatBenchReport(rep BenchReport) string {
 	benchLine(&b, "trial", rep.Trial, rep.Baseline.Trial)
 	if rep.GoodputTrial.NsPerOp > 0 {
 		// No pre-congestion baseline exists for the goodput path; the
-		// line still records ns/op and allocs/op for bench-compare.
+		// line still records ns/op, B/op and allocs/op for bench-compare.
 		benchLine(&b, "goodput trial", rep.GoodputTrial, BenchResult{})
 	}
 	benchLine(&b, "campaign/serial", rep.CampaignSerial, rep.Baseline.CampaignSerial)
@@ -320,11 +321,13 @@ func CompareBenchReports(oldRep, newRep BenchReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== benchmark comparison (old: %s/%s ×%d, new: %s/%s ×%d) ==\n",
 		oldRep.GOOS, oldRep.GOARCH, oldRep.NumCPU, newRep.GOOS, newRep.GOARCH, newRep.NumCPU)
-	fmt.Fprintf(&b, "%-18s %14s %14s %8s   %12s %12s %8s\n",
-		"", "old ns/op", "new ns/op", "Δ", "old allocs", "new allocs", "Δ")
+	fmt.Fprintf(&b, "%-18s %14s %14s %8s   %12s %12s %8s   %12s %12s %8s\n",
+		"", "old ns/op", "new ns/op", "Δ", "old B/op", "new B/op", "Δ", "old allocs", "new allocs", "Δ")
 	row := func(name string, o, n BenchResult) {
-		fmt.Fprintf(&b, "%-18s %14.0f %14.0f %8s   %12d %12d %8s\n",
+		fmt.Fprintf(&b, "%-18s %14.0f %14.0f %8s   %12d %12d %8s   %12d %12d %8s\n",
 			name, o.NsPerOp, n.NsPerOp, strings.TrimSpace(pctDelta(o.NsPerOp, n.NsPerOp)),
+			o.BytesPerOp, n.BytesPerOp,
+			strings.TrimSpace(pctDelta(float64(o.BytesPerOp), float64(n.BytesPerOp))),
 			o.AllocsPerOp, n.AllocsPerOp,
 			strings.TrimSpace(pctDelta(float64(o.AllocsPerOp), float64(n.AllocsPerOp))))
 	}

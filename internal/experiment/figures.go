@@ -19,7 +19,7 @@ func Figure1(r *Runner) string {
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, r.Seed)[0]
 	srv.ServerSideFirewall = true
-	rg := r.build(vp, srv, r.Topo, r.Censor, 1, r.packetPool())
+	rg := r.build(vp, srv, r.Topo, r.Censor, 1, r.oneShot())
 	var b strings.Builder
 	b.WriteString("Fig. 1 — Threat model (on-path GFW between client and server):\n")
 	b.WriteString(rg.net.Describe())
@@ -34,7 +34,7 @@ func Figure1(r *Runner) string {
 func Figure2(r *Runner) string {
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, r.Seed)[0]
-	rg := r.build(vp, srv, r.Topo, r.Censor, 2, r.packetPool())
+	rg := r.build(vp, srv, r.Topo, r.Censor, 2, r.oneShot())
 	it := intang.New(rg.sim, rg.net, rg.cli, intang.Options{Resolver: srv.Addr})
 	it.Engine.Env.InsertionTTL = insertionTTL(srv)
 	appsim.ServeDNSTCP(rg.srv, appsim.Zone{})
@@ -71,7 +71,7 @@ func SequenceDiagram(r *Runner, factoryName, title string) string {
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, r.Seed)[0]
 	srv.Mix = BothModels
-	rg := r.build(vp, srv, r.Topo, r.Censor, 3, r.packetPool())
+	rg := r.build(vp, srv, r.Topo, r.Censor, 3, r.oneShot())
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
 	for _, dev := range rg.devices {

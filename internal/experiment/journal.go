@@ -200,10 +200,11 @@ func (j *journal) restore(c *Cube, shards []*shardState) error {
 	return nil
 }
 
-// run executes one shard's remaining range, journaling a frame every
-// j.every trials and at the end of the range, and reports whether the
-// worker should pull another shard (false once the journal stopped).
-func (j *journal) run(r *Runner, c *Cube, st *shardState, id int) bool {
+// run executes one shard's remaining range on the worker's arena a,
+// journaling a frame every j.every trials and at the end of the range,
+// and reports whether the worker should pull another shard (false once
+// the journal stopped).
+func (j *journal) run(r *Runner, c *Cube, st *shardState, id int, a *arena) bool {
 	if j.stopped() != nil {
 		return false
 	}
@@ -217,7 +218,7 @@ func (j *journal) run(r *Runner, c *Cube, st *shardState, id int) bool {
 	}
 	st.update(func(p *ShardProgress) { p.State = stateRunning })
 	start := time.Now()
-	r.runCubeRange(c, st, j.every, func(final bool) bool {
+	r.runCubeRange(c, st, a, j.every, func(final bool) bool {
 		// Terminal sample first, so the frame's series ends exactly at
 		// this cut — a resumed /timeseries curve has no gap at a kill.
 		st.row.sample(st, start)

@@ -77,7 +77,7 @@ const fuzzShardEnd = 12
 func journalSeeds(t testing.TB, r *Runner, c *Cube) [][]byte {
 	st := newShardState(c, 0, fuzzShardEnd, NewObsSink())
 	var honest []byte
-	r.runCubeRange(c, st, 5, func(bool) bool {
+	r.runCubeRange(c, st, r.newArena(), 5, func(bool) bool {
 		st.sink.Finish()
 		var err error
 		honest, err = json.Marshal(&frame{

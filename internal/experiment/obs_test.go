@@ -239,9 +239,9 @@ func TestObsSerialParallelDeterminism(t *testing.T) {
 	vp := VantagePoints()[0]
 	srv := Servers(1, rTrace.Cal, 42)[0]
 	f := core.BuiltinFactories()["teardown-rst/ttl"]
-	outPlain, _, recPlain := rTrace.runRig(rTrace.job(vp, srv, f, true, 0), obs.NewRegistry(), nil, rTrace.packetPool())
+	outPlain, _, recPlain := rTrace.runRig(rTrace.job(vp, srv, f, true, 0), obs.NewRegistry(), nil, rTrace.oneShot())
 	tc := trace.New()
-	outTraced, _, recTraced := rTrace.runRig(rTrace.job(vp, srv, f, true, 0), obs.NewRegistry(), tc, rTrace.packetPool())
+	outTraced, _, recTraced := rTrace.runRig(rTrace.job(vp, srv, f, true, 0), obs.NewRegistry(), tc, rTrace.oneShot())
 	if outPlain != outTraced {
 		t.Errorf("tracing changed graph outcome: %v vs %v", outPlain, outTraced)
 	}
@@ -455,15 +455,24 @@ func TestObsCausalDeterminism(t *testing.T) {
 // trialAllocBudget is the allocation budget of the trial hot path:
 // BenchmarkTrialHotPath's steady state for an uninstrumented RunOne
 // over an unshaped derived chain on the fabric substrate, with routing
-// shared per program and keyword automata shared across trials.
+// shared per program and keyword automata shared across trials. RunOne
+// builds on a one-shot arena: a new simulator and a fresh pair source.
 const trialAllocBudget = 99
 
+// arenaTrialAllocBudget is the same trial's budget on a campaign
+// worker's warmed arena, which recycles the simulator and replays the
+// pair's memoized draws: five objects fewer, two of them 4.9 KB RNG
+// sources.
+const arenaTrialAllocBudget = 94
+
 // requireTrialAllocBudget is the one allocation gate of the trial hot
-// path. It warms a runner, measures RunOne's allocs/op and fails the
-// test if they exceed trialAllocBudget. Short windows read ~1 high
-// (sync.Pool refills after GC amortize over fewer runs), so the gate
-// allows that amortization slack but nothing that would hide a real
-// per-trial allocation. what names the trial in the failure message.
+// path. It warms a runner and an arena, measures the allocs/op of
+// RunOne and of a trial on the arena, and fails the test if either
+// exceeds its budget. Short windows read ~1 high (sync.Pool refills
+// after GC amortize over fewer runs), so the gate allows that
+// amortization slack but nothing that would hide a real per-trial
+// allocation, such as an arena that hands back a new RNG source. what
+// names the trial in the failure message.
 func requireTrialAllocBudget(t *testing.T, what string) {
 	t.Helper()
 	if raceEnabled {
@@ -473,14 +482,23 @@ func requireTrialAllocBudget(t *testing.T, what string) {
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, 42)[0]
 	f := core.BuiltinFactories()["teardown-rst/ttl"]
+	j := r.job(vp, srv, f, true, 0)
+	a := r.newArena()
 	for i := 0; i < 200; i++ {
 		r.RunOne(vp, srv, f, true, 0) // warm the packet pool past GC churn
+		r.runOne(j, "", nil, a)       // and the arena's queue and memo
 	}
-	avg := testing.AllocsPerRun(1000, func() {
-		r.RunOne(vp, srv, f, true, 0)
-	})
-	if avg > trialAllocBudget+1 {
-		t.Fatalf("%s allocates %.1f/op, budget %d", what, avg, trialAllocBudget)
+	for _, gate := range []struct {
+		path   string
+		budget int
+		trial  func()
+	}{
+		{"RunOne", trialAllocBudget, func() { r.RunOne(vp, srv, f, true, 0) }},
+		{"a warmed arena", arenaTrialAllocBudget, func() { r.runOne(j, "", nil, a) }},
+	} {
+		if avg := testing.AllocsPerRun(1000, gate.trial); avg > float64(gate.budget+1) {
+			t.Fatalf("%s allocates %.1f/op on %s, budget %d", what, avg, gate.path, gate.budget)
+		}
 	}
 }
 

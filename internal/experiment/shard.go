@@ -130,14 +130,16 @@ const shardsPerWorker = 16
 // else shardsPerWorker per worker — runs them through runCubeRange on
 // r.Workers workers (GOMAXPROCS when unset) pulling shards from a
 // queue, and folds the shards in index order into the returned tallies
-// and r.Obs. Shards get ObsSinks only when r.Obs is attached (always
-// for a journaled run: RunCube attaches one, as frames carry each
-// shard's snapshot), and the progress tracker, which reads the shards'
-// tallies and cursors, runs only when r.Progress or a journal asks for
-// it: an uninstrumented campaign stays on the bare trial hot path. A
-// journal restores each shard from its last frame and journals new
-// ones; once it stops (ErrStopped, or a failed write) workers pull no
-// more shards and runCube returns the stop error.
+// and r.Obs. Each worker recycles one arena across every shard it
+// pulls, not one per shard, so its simulator's queue storage grows
+// once per cube. Shards get ObsSinks only when r.Obs is attached
+// (always for a journaled run: RunCube attaches one, as frames carry
+// each shard's snapshot), and the progress tracker, which reads the
+// shards' tallies and cursors, runs only when r.Progress or a journal
+// asks for it: an uninstrumented campaign stays on the bare trial hot
+// path. A journal restores each shard from its last frame and journals
+// new ones; once it stops (ErrStopped, or a failed write) workers pull
+// no more shards and runCube returns the stop error.
 func (r *Runner) runCube(c *Cube, j *journal) ([]Tally, error) {
 	workers := r.Workers
 	if workers <= 0 {
@@ -175,10 +177,11 @@ func (r *Runner) runCube(c *Cube, j *journal) ([]Tally, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			a := r.newArena()
 			for i := int(next.Add(1) - 1); i < len(shards); i = int(next.Add(1) - 1) {
 				if j == nil {
-					r.runCubeRange(c, shards[i], 0, nil)
-				} else if !j.run(r, c, shards[i], i) {
+					r.runCubeRange(c, shards[i], a, 0, nil)
+				} else if !j.run(r, c, shards[i], i, a) {
 					return
 				}
 			}
@@ -260,21 +263,20 @@ func (st *shardState) fold(sink int, out Outcome) {
 }
 
 // runCubeRange executes the shard's remaining jobs [st.cursor, st.end)
-// serially, folding each outcome into st. After every `every` completed
-// trials — and always after the range's final trial — it calls
-// checkpoint with final reporting whether the range is complete;
-// checkpoint returning false stops the shard at that frame boundary
-// (the journal's stop path). Within a shard execution is strictly
-// serial, so cursor is always the exact resume point.
-func (r *Runner) runCubeRange(c *Cube, st *shardState, every int, checkpoint func(final bool) bool) {
+// serially on arena a, folding each outcome into st. After every
+// `every` completed trials — and always after the range's final trial
+// — it calls checkpoint with final reporting whether the range is
+// complete; checkpoint returning false stops the shard at that frame
+// boundary (the journal's stop path). Within a shard execution is
+// strictly serial, so cursor is always the exact resume point.
+func (r *Runner) runCubeRange(c *Cube, st *shardState, a *arena, every int, checkpoint func(final bool) bool) {
 	if every <= 0 {
 		every = DefaultCheckpointEvery
 	}
 	since := 0
-	pool := r.packetPool()
 	for st.cursor < st.end {
 		job := &c.jobs[st.cursor]
-		st.fold(job.sink, r.runOne(job, c.labels[job.sink], st.sink, pool))
+		st.fold(job.sink, r.runOne(job, c.labels[job.sink], st.sink, a))
 		since++
 		// A trial never blocks, and on a small GOMAXPROCS the GC's
 		// fractional mark worker runs only at scheduling points: without

@@ -23,7 +23,7 @@ func TestCubeRangeMatchesParallel(t *testing.T) {
 	cube := Table1Cube(r, sc)
 	st := newShardState(cube, 0, len(cube.jobs), NewObsSink())
 	checkpoints := 0
-	r.runCubeRange(cube, st, 7, func(final bool) bool {
+	r.runCubeRange(cube, st, r.newArena(), 7, func(final bool) bool {
 		checkpoints++
 		return true
 	})
@@ -133,12 +133,12 @@ func TestShardRestoreResumeEquivalence(t *testing.T) {
 	start, end := len(cube.jobs)/4, 3*len(cube.jobs)/4
 
 	full := newShardState(cube, start, end, NewObsSink())
-	r.runCubeRange(cube, full, 0, nil)
+	r.runCubeRange(cube, full, r.newArena(), 0, nil)
 
 	// First leg: stop at the first checkpoint past ten trials.
 	first := newShardState(cube, start, end, NewObsSink())
 	r2 := NewRunner(42)
-	r2.runCubeRange(cube, first, 10, func(final bool) bool { return false })
+	r2.runCubeRange(cube, first, r2.newArena(), 10, func(final bool) bool { return false })
 	if first.cursor == start || first.cursor == end {
 		t.Fatalf("first leg stopped at %d of [%d,%d)", first.cursor, start, end)
 	}
@@ -155,8 +155,12 @@ func TestShardRestoreResumeEquivalence(t *testing.T) {
 	}
 	resumed := newShardState(cube, start, end, NewObsSink())
 	resumed.restore(f)
+	// The resumed leg lands on an arena that has already run another
+	// shard, as a resumed shard may under the executor.
 	r3 := NewRunner(42)
-	r3.runCubeRange(cube, resumed, 0, nil)
+	a3 := r3.newArena()
+	r3.runCubeRange(cube, newShardState(cube, 0, start, nil), a3, 0, nil)
+	r3.runCubeRange(cube, resumed, a3, 0, nil)
 
 	if !reflect.DeepEqual(resumed.tallies, full.tallies) {
 		t.Errorf("resumed tallies differ:\ngot:  %+v\nwant: %+v", resumed.tallies, full.tallies)

@@ -203,7 +203,7 @@ func FormatTopoDemo(seed int64) string {
 	r := NewRunner(seed)
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, seed)[0]
-	fab := r.build(vp, srv, GraphDemoTopo, r.Censor, 1, r.packetPool()).net
+	fab := r.build(vp, srv, GraphDemoTopo, r.Censor, 1, r.oneShot()).net
 	var b strings.Builder
 	b.WriteString("== ECMP multi-device demo (graph fabric) ==\n")
 	b.WriteString("spec:\n  " + overrideProgram(GraphDemoTopo).Spec().String() + "\n")
@@ -252,7 +252,7 @@ type rigBinder struct {
 	censor   string // the trial's censor reference; see Runner.Censor
 	rg       *rig
 	trialRng *rand.Rand
-	pairRng  *rand.Rand
+	pairRng  pairDraws
 	// scratch backs single-processor returns; Bind's contract says the
 	// returned slice is not retained, so one array serves every call.
 	scratch [1]netem.Processor
@@ -284,7 +284,7 @@ func (b *rigBinder) Bind(ref string, tap bool) ([]netem.Processor, error) {
 			if err != nil {
 				return nil, err
 			}
-			dev, err := comp.Build(ref, b.trialRng, b.pairRng)
+			dev, err := comp.Build(ref, b.trialRng, &b.pairRng)
 			if err != nil {
 				return nil, err
 			}
@@ -329,7 +329,7 @@ func (b *rigBinder) BindCensor(ref string) (taps, procs []netem.Processor, err e
 		return nil, chain, nil
 	}
 	name := fmt.Sprintf("censor%d:%s", len(b.rg.devices), ref)
-	dev, err := comp.Build(name, b.trialRng, b.pairRng)
+	dev, err := comp.Build(name, b.trialRng, &b.pairRng)
 	if err != nil {
 		return nil, nil, err
 	}

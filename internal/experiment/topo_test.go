@@ -95,7 +95,7 @@ func TestDerivedTopoMatchesHandBuilt(t *testing.T) {
 	if reparsed := topo.MustParseTopo(text); reparsed.String() != text {
 		t.Errorf("derived spec does not round-trip:\n%s", text)
 	}
-	rg := r.build(vp, srv, r.Topo, r.Censor, 1, r.packetPool())
+	rg := r.build(vp, srv, r.Topo, r.Censor, 1, r.oneShot())
 	nodes := strings.Split(rg.net.Describe(), " — ")
 	if len(nodes) < 3 || nodes[0] != "client" || nodes[len(nodes)-1] != "server" {
 		t.Fatalf("derived fabric drawn as %q", nodes)
@@ -119,7 +119,7 @@ func TestGraphTopoCampaign(t *testing.T) {
 	r := NewRunner(9)
 	r.Topo = GraphDemoTopo
 	srv := Servers(1, r.Cal, 9)[0]
-	rg := r.build(vp, srv, r.Topo, r.Censor, 1, r.packetPool())
+	rg := r.build(vp, srv, r.Topo, r.Censor, 1, r.oneShot())
 	if len(rg.devices) != 2 {
 		t.Fatalf("bound %d devices, want 2 parallel devices", len(rg.devices))
 	}

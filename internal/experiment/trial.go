@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -170,17 +169,17 @@ type rig struct {
 	engine  *core.Engine
 }
 
-// build assembles the (vp, server) substrate for one trial: derive the
-// declarative topology (or parse topoRef, a Runner.Topo override when
-// non-empty), fetch its cached compiled Program, and instantiate it
-// with this trial's RNGs bound through the rig binder, which fills the
-// GFW device slots from censorRef (see Runner.Censor). Measured paths
-// are linear chains, an override may be any graph; both become one
-// netem.Fabric per trial over the program's shared routing.
-func (r *Runner) build(vp VantagePoint, srv Server, topoRef, censorRef string, trialSeed int64, pool *packet.Pool) *rig {
-	rg := &rig{sim: netem.NewSimulator(trialSeed)}
+// build assembles the (vp, server) substrate for one trial on arena a:
+// derive the declarative topology (or parse topoRef, a Runner.Topo
+// override when non-empty), fetch its cached compiled Program, and
+// instantiate it with this trial's RNGs bound through the rig binder,
+// which fills the GFW device slots from censorRef (see Runner.Censor).
+// Measured paths are linear chains, an override may be any graph; both
+// become one netem.Fabric per trial over the program's shared routing.
+// The rig runs on a's simulator, so it is dead once a builds again.
+func (r *Runner) build(vp VantagePoint, srv Server, topoRef, censorRef string, trialSeed int64, a *arena) *rig {
+	rg := &rig{sim: a.simulator(trialSeed)}
 	trialRng := rg.sim.Rand()
-	pairRng := rand.New(rand.NewSource(r.pairSeed(vp, srv)))
 
 	// Route dynamics: the path this trial may be ±2 hops off the
 	// measured count (§3.4). A shift below one hop clamps to a single
@@ -198,8 +197,9 @@ func (r *Runner) build(vp VantagePoint, srv Server, topoRef, censorRef string, t
 	}
 
 	prog := program(topoRef, vp, srv, hops)
-	binder := &rigBinder{r: r, vp: vp, censor: censorRef, rg: rg, trialRng: trialRng, pairRng: pairRng}
-	n, err := prog.Instantiate(binder, topo.Options{Sim: rg.sim, Pool: pool})
+	binder := &rigBinder{r: r, vp: vp, censor: censorRef, rg: rg,
+		trialRng: trialRng, pairRng: a.pairDraws(r.pairSeed(vp, srv))}
+	n, err := prog.Instantiate(binder, topo.Options{Sim: rg.sim, Pool: a.pool})
 	if err != nil {
 		// Derived specs are valid by construction and overrides are
 		// validated at parse; a bind failure here is a programming error.
@@ -261,17 +261,17 @@ func (rg *rig) attachObs(b *obs.Obs) {
 	rg.srv.Obs = b
 }
 
-// runRig executes one constructed trial: optional obs attachment, one
-// HTTP fetch, §3.4 classification. A nil reg runs uninstrumented (the
-// hot path); otherwise a fresh per-trial flight recorder keyed to the
-// simulator's virtual clock is wired through the whole rig. A non-nil
-// tc additionally taps the recorder and the path so the tracer sees the
-// complete event stream and every wire packet; tracing only observes —
-// it never schedules events or draws randomness, so a traced trial is
-// bit-identical to an untraced one.
-func (r *Runner) runRig(j *trialJob, reg *obs.Registry, tc *trace.Tracer, pool *packet.Pool) (Outcome, *rig, *obs.Recorder) {
+// runRig builds and executes one trial on arena a: optional obs
+// attachment, one HTTP fetch, §3.4 classification. A nil reg runs
+// uninstrumented (the hot path); otherwise a fresh per-trial flight
+// recorder keyed to the simulator's virtual clock is wired through the
+// whole rig. A non-nil tc additionally taps the recorder and the path
+// so the tracer sees the complete event stream and every wire packet;
+// tracing only observes — it never schedules events or draws
+// randomness, so a traced trial is bit-identical to an untraced one.
+func (r *Runner) runRig(j *trialJob, reg *obs.Registry, tc *trace.Tracer, a *arena) (Outcome, *rig, *obs.Recorder) {
 	trialSeed := r.pairSeed(j.vp, j.srv) ^ int64(uint64(j.trial)*0x9e3779b97f4a7c15)
-	rg := r.build(j.vp, j.srv, r.Topo, j.censor, trialSeed, pool)
+	rg := r.build(j.vp, j.srv, r.Topo, j.censor, trialSeed, a)
 	var rec *obs.Recorder
 	if reg != nil {
 		rec = obs.NewRecorder(obs.DefaultRingSize, rg.sim.Now)
@@ -349,10 +349,12 @@ func recordStageSpans(rg *rig, conn *tcpstack.Conn, reg *obs.Registry, rec *obs.
 	span(spanTeardown, rg.net.LastEventAt(), rg.sim.Now())
 }
 
-// runOne runs one trial against an explicit sink (the executor hands
-// each shard its own, plus the runner's packet pool). label names the
-// job in the failure-trace retention key.
-func (r *Runner) runOne(j *trialJob, label string, sink *ObsSink, pool *packet.Pool) Outcome {
+// runOne runs one trial on arena a against an explicit sink (the
+// executor hands each shard its own, and each worker its arena). label
+// names the job in the failure-trace retention key. Everything the sink
+// keeps is copied out of the rig before runOne returns, so a may build
+// the next trial.
+func (r *Runner) runOne(j *trialJob, label string, sink *ObsSink, a *arena) Outcome {
 	var reg *obs.Registry
 	var tc *trace.Tracer
 	if sink != nil {
@@ -361,7 +363,7 @@ func (r *Runner) runOne(j *trialJob, label string, sink *ObsSink, pool *packet.P
 			tc = trace.New()
 		}
 	}
-	out, rg, rec := r.runRig(j, reg, tc, pool)
+	out, rg, rec := r.runRig(j, reg, tc, a)
 	if sink != nil {
 		var bundle *trace.Trace
 		if tc != nil && out != Success {
@@ -383,14 +385,14 @@ func (r *Runner) job(vp VantagePoint, srv Server, factory core.Factory, sensitiv
 
 // RunOne executes a single strategy trial and classifies it.
 func (r *Runner) RunOne(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int) Outcome {
-	return r.runOne(r.job(vp, srv, factory, sensitive, trial), "", r.Obs, r.packetPool())
+	return r.runOne(r.job(vp, srv, factory, sensitive, trial), "", r.Obs, r.oneShot())
 }
 
 // RunOneTraced runs one trial with a private flight recorder and
 // returns the classification together with the retained trace — the
 // §3.4 controlled-experiment hook diagnosis builds on.
 func (r *Runner) RunOneTraced(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int) (Outcome, []obs.Event) {
-	out, _, rec := r.runRig(r.job(vp, srv, factory, sensitive, trial), obs.NewRegistry(), nil, r.packetPool())
+	out, _, rec := r.runRig(r.job(vp, srv, factory, sensitive, trial), obs.NewRegistry(), nil, r.oneShot())
 	return out, rec.Events()
 }
 
@@ -400,7 +402,7 @@ func (r *Runner) RunOneTraced(vp VantagePoint, srv Server, factory core.Factory,
 // the strategy in the trace meta; pass "" for no strategy.
 func (r *Runner) RunOneCausal(vp VantagePoint, srv Server, factory core.Factory, label string, sensitive bool, trial int) (Outcome, *trace.Trace) {
 	tc := trace.New()
-	out, _, _ := r.runRig(r.job(vp, srv, factory, sensitive, trial), obs.NewRegistry(), tc, r.packetPool())
+	out, _, _ := r.runRig(r.job(vp, srv, factory, sensitive, trial), obs.NewRegistry(), tc, r.oneShot())
 	return out, tc.Finish(trace.Meta{
 		Strategy: label, VP: vp.Name, Server: srv.Name,
 		Trial: trial, Outcome: out.String(),
@@ -429,7 +431,7 @@ func fetch(rg *rig, srv Server, sensitive bool) *tcpstack.Conn {
 // Between trials it waits out any active blocklist period, as the
 // paper's methodology did (§3.3).
 func (r *Runner) RunINTANGSeries(vp VantagePoint, srv Server, trials int) []Outcome {
-	rg := r.build(vp, srv, r.Topo, r.Censor, r.pairSeed(vp, srv), r.packetPool())
+	rg := r.build(vp, srv, r.Topo, r.Censor, r.pairSeed(vp, srv), r.oneShot())
 	it := intang.New(rg.sim, rg.net, rg.cli, intang.Options{})
 	it.Engine.Env.InsertionTTL = insertionTTL(srv)
 	if r.Obs != nil {

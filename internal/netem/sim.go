@@ -65,6 +65,24 @@ func NewSimulator(seed int64) *Simulator {
 	return &Simulator{rng: rand.New(rand.NewSource(seed))}
 }
 
+// Reset returns s to NewSimulator(seed)'s state while keeping its
+// queue storage: the clock and counters restart at zero, every pending
+// event is dropped with its slot zeroed (so nothing pins a packet or a
+// closure), and the RNG is reseeded in place, which yields a fresh
+// source's stream without allocating one. Objects built against s
+// before the reset must not be used after it.
+func (s *Simulator) Reset(seed int64) {
+	s.now, s.seq, s.steps = 0, 0, 0
+	clear(s.heap)
+	s.heap = s.heap[:0]
+	for i := range s.lanes {
+		l := &s.lanes[i]
+		clear(l.ring)
+		l.head, l.n = 0, 0
+	}
+	s.rng.Seed(seed)
+}
+
 // Now returns the current virtual time.
 func (s *Simulator) Now() time.Duration { return s.now }
 
@@ -135,6 +153,7 @@ func (l *lane) push(e event) {
 		ring := make([]event, 2*len(l.ring))
 		k := copy(ring, l.ring[l.head:])
 		copy(ring[k:], l.ring[:l.head])
+		clear(l.ring) // first outlives the move; keep it from pinning
 		l.ring, l.head = ring, 0
 	}
 	l.ring[(l.head+l.n)&(len(l.ring)-1)] = e

@@ -1,7 +1,9 @@
 package netem
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -165,5 +167,107 @@ func TestRunForNegativeDuration(t *testing.T) {
 	s.RunFor(5 * time.Millisecond)
 	if s.Now() != 10*time.Millisecond || len(got) != 2 || got[0] != 10 || got[1] != 11 {
 		t.Fatalf("now %v, ran %v; want 10ms and [10 11]", s.Now(), got)
+	}
+}
+
+// replaySchedule runs a scripted schedule on s — closure and packet
+// events over zero, fixed and odd delays, each spawning more — and
+// returns what every event saw: its name, the virtual time and two
+// draws from s's RNG, followed by the step count.
+func replaySchedule(s *Simulator) []string {
+	delays := []time.Duration{0, time.Millisecond, 3 * time.Millisecond, 20 * time.Millisecond,
+		40 * time.Millisecond, 200 * time.Millisecond, 216 * time.Millisecond}
+	var log []string
+	var depths []int // the generations event i may still spawn
+	var spawn func(depth int)
+	run := func(i int) {
+		log = append(log, fmt.Sprintf("%d@%v:%d/%v", i, s.Now(), s.Rand().Intn(1000), s.Rand().Float64()))
+		if depths[i] > 0 {
+			spawn(depths[i] - 1)
+			spawn(depths[i] - 1)
+		}
+	}
+	spawn = func(depth int) {
+		i := len(depths)
+		depths = append(depths, depth)
+		if i%2 == 0 {
+			s.At(delays[i%len(delays)], func() { run(i) })
+		} else {
+			s.AtPacket(delays[i%len(delays)], indexHandler(run), nil, i, ToClient)
+		}
+	}
+	for i := 0; i < 24; i++ {
+		spawn(3)
+	}
+	s.Run(1 << 20)
+	return append(log, fmt.Sprintf("steps %d", s.Steps()))
+}
+
+// TestSimulatorReset leaves events pending on the heap and on every
+// lane, one lane grown past its inline ring, then resets: the clock,
+// the counters and the queue must be empty with every slot zeroed, and
+// a scripted schedule must then run exactly as on a new simulator with
+// the same seed — same pop order, same RNG draws.
+func TestSimulatorReset(t *testing.T) {
+	s := NewSimulator(3)
+	pkt := packet.NewTCP(packet.AddrFrom4(10, 0, 0, 1), 1, packet.AddrFrom4(10, 0, 0, 2), 2, packet.FlagSYN, 1, 0, nil)
+	h := indexHandler(func(int) {})
+	for i := 0; i < 3*minLaneRing; i++ {
+		s.AtPacket(time.Millisecond, h, pkt, i, ToServer)
+	}
+	for _, d := range []time.Duration{20 * time.Millisecond, 40 * time.Millisecond, 200 * time.Millisecond,
+		216 * time.Millisecond, time.Second} {
+		s.At(d, func() { s.Rand().Int63() })
+		s.At(d, func() {})
+	}
+	s.Rand().Float64()
+	s.RunFor(500 * time.Microsecond)
+	s.Step()
+	if s.Now() == 0 || s.Steps() == 0 || len(s.heap) == 0 {
+		t.Fatalf("mix left now %v, steps %d, %d heap events; want all non-zero", s.Now(), s.Steps(), len(s.heap))
+	}
+	grown := false
+	for li := range s.lanes {
+		l := &s.lanes[li]
+		if l.n == 0 {
+			t.Fatalf("lane %d (delay %v) holds no pending event", li, l.delay)
+		}
+		grown = grown || len(l.ring) > minLaneRing
+	}
+	if !grown {
+		t.Fatal("no lane grew past its inline ring")
+	}
+
+	s.Reset(11)
+	if s.Now() != 0 || s.Steps() != 0 || s.Pending() != 0 {
+		t.Fatalf("after Reset: now %v, steps %d, pending %d; want all zero", s.Now(), s.Steps(), s.Pending())
+	}
+	for i, e := range s.heap[:cap(s.heap)] {
+		if !isZero(&e) {
+			t.Fatalf("heap slot %d holds %+v after Reset", i, e)
+		}
+	}
+	for li := range s.lanes {
+		l := &s.lanes[li]
+		for i := range l.ring {
+			if !isZero(&l.ring[i]) {
+				t.Fatalf("lane %d ring slot %d holds %+v after Reset", li, i, l.ring[i])
+			}
+		}
+		for i := range l.first {
+			if !isZero(&l.first[i]) {
+				t.Fatalf("lane %d inline slot %d holds %+v after Reset", li, i, l.first[i])
+			}
+		}
+	}
+
+	got, want := replaySchedule(s), replaySchedule(NewSimulator(11))
+	if !slices.Equal(got, want) {
+		t.Fatalf("reset simulator diverged from a new one:\n got %v\nwant %v", got, want)
+	}
+	// Twice in a row, and after a run that drained: the same again.
+	s.Reset(11)
+	if got := replaySchedule(s); !slices.Equal(got, want) {
+		t.Fatalf("second reset diverged:\n got %v\nwant %v", got, want)
 	}
 }
