@@ -45,12 +45,16 @@ race:
 	$(GO) test -race -count=5 -run '^TestFleetPlaneLiveSnapshotsConsistent$$' ./internal/experiment/progresshttp
 
 # fuzz-smoke replays the checked-in seed corpora of the topology and
-# censor spec parsers and of the checkpoint journal and manifest
-# loaders as ordinary tests (no -fuzz: that would fuzz indefinitely).
+# censor spec parsers, of the checkpoint journal and manifest loaders,
+# and of the differential tests that hold the GFW's stream reassembly
+# and IP fragment assembly to their per-byte reference models, as
+# ordinary tests (no -fuzz: that would fuzz indefinitely).
 fuzz-smoke:
 	$(GO) test -run '^FuzzParseTopo$$' ./internal/topo
 	$(GO) test -run '^FuzzParseCensor$$' ./internal/censor
 	$(GO) test -run '^(FuzzJournal|FuzzManifest)$$' ./internal/experiment
+	$(GO) test -run '^FuzzStreamInsert$$' ./internal/gfw
+	$(GO) test -run '^FuzzFragmentAssemble$$' ./internal/packet
 
 # bench measures the trial hot path, the bandwidth-constrained goodput
 # path (shaper + congestion control live, allocs recorded), and the
@@ -75,11 +79,12 @@ bench-compare:
 	$(GO) run ./cmd/tables -what bench-compare $(OLD) $(NEW)
 
 # bench-gate is the CI allocation-regression gate: re-measure the trial
-# hot path and the parallel campaign executor, and fail if either's
-# allocs/op exceeds the committed BENCH_netem.json baseline by more
-# than 5%. Allocs/op is the one benchmark statistic that is
-# deterministic on shared CI runners; timing drift is diagnosed with
-# bench-compare instead.
+# hot path, the goodput trial (one 64 KiB upload over the shaped link)
+# and the parallel campaign executor, and fail if any one's allocs/op
+# exceeds the committed BENCH_netem.json baseline by more than 5%.
+# Allocs/op is the one benchmark statistic that is deterministic on
+# shared CI runners; timing drift is diagnosed with bench-compare
+# instead.
 bench-gate:
 	$(GO) run ./cmd/tables -what bench-gate BENCH_netem.json
 

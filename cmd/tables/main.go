@@ -13,8 +13,8 @@
 // path and the serial/parallel campaign loops and writes the report to
 // -bench-out (BENCH_netem.json); -what bench-compare OLD.json NEW.json
 // diffs two such reports; -what bench-gate COMMITTED.json re-measures
-// allocs/op of a trial and of the parallel campaign and fails when
-// either regresses past its committed figure.
+// allocs/op of a trial, a goodput trial and the parallel campaign and
+// fails when any regresses past its committed figure.
 //
 // -what fleet runs the Table 1 campaign through the campaign executor
 // on -shard-procs workers; with -checkpoint-dir it is journaled: the
@@ -374,9 +374,9 @@ func main() {
 		}
 		fmt.Print(experiment.CompareBenchReports(load(args[0]), load(args[1])))
 	}
-	// CI gate: re-measure allocs/op of a trial and of the parallel
-	// campaign against the committed report and fail the build past the
-	// tolerance. Allocation counts are
+	// CI gate: re-measure allocs/op of a trial, a goodput trial and the
+	// parallel campaign against the committed report and fail the build
+	// past the tolerance. Allocation counts are
 	// deterministic, so this holds on loaded CI machines where ns/op
 	// cannot.
 	if *what == "bench-gate" {

@@ -8,6 +8,7 @@ package appsim
 import (
 	"bytes"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"intango/internal/dnsmsg"
@@ -47,54 +48,81 @@ func HTTPRequest(host, uri string) []byte {
 // much of a constrained uplink an evasion strategy leaves for data.
 func HTTPUpload(host, uri string, size int) []byte {
 	head := fmt.Sprintf("POST %s HTTP/1.1\r\nHost: %s\r\nUser-Agent: intango\r\nContent-Length: %d\r\n\r\n", uri, host, size)
-	req := make([]byte, 0, len(head)+size)
-	req = append(req, head...)
-	for i := 0; i < size; i++ {
-		req = append(req, 'a'+byte(i%26))
+	req := make([]byte, len(head)+size)
+	body := req[copy(req, head):]
+	// The body repeats the alphabet: write it once, then keep doubling
+	// the written prefix (a multiple of 26 bytes) into the rest.
+	n := copy(body, "abcdefghijklmnopqrstuvwxyz")
+	for n < size {
+		n += copy(body[n:], body[:n])
 	}
 	return req
 }
 
 // ServeHTTPUpload installs an HTTP/1.1 server that consumes a POST
 // body of the declared Content-Length and answers 200 once the upload
-// is complete. Like ServeHTTP, the response never echoes the request.
+// is complete. It parses each request head once, when its blank line
+// arrives, and answers a malformed Content-Length with 400 and a
+// close. Like ServeHTTP, the response never echoes the request.
 func ServeHTTPUpload(stack *tcpstack.Stack, port uint16) {
 	stack.Listen(port, func(c *tcpstack.Conn) {
-		served := 0
+		// served counts the bytes of answered requests; head and want
+		// frame the pending request once its head is parsed (head is
+		// zero until then).
+		served, head, want := 0, 0, 0
 		c.OnData = func([]byte) {
 			buf := c.Received()[served:]
-			if !HTTPResponseComplete(buf) {
-				// Same framing rule as a response: headers plus declared
-				// body length. Incomplete upload — keep reading.
-				return
-			}
-			idx := bytes.Index(buf, []byte("\r\n\r\n"))
-			want := 0
-			for _, line := range strings.Split(string(buf[:idx]), "\r\n") {
-				if k, v, ok := strings.Cut(line, ":"); ok && strings.EqualFold(strings.TrimSpace(k), "content-length") {
-					fmt.Sscanf(strings.TrimSpace(v), "%d", &want)
+			if head == 0 {
+				idx := bytes.Index(buf, []byte("\r\n\r\n"))
+				if idx < 0 {
+					return
 				}
+				n, ok := contentLength(buf[:idx])
+				if !ok {
+					c.OnData = nil // answered and closing: ignore the rest
+					c.Write([]byte("HTTP/1.1 400 Bad Request\r\nServer: sim\r\nContent-Length: 0\r\n\r\n"))
+					c.Close()
+					return
+				}
+				head, want = idx+4, n
 			}
-			served += idx + 4 + want
+			if len(buf)-head < want {
+				return // incomplete upload: keep reading
+			}
+			served += head + want
+			head, want = 0, 0
 			c.Write([]byte("HTTP/1.1 200 OK\r\nServer: sim\r\nContent-Length: 2\r\n\r\nok"))
 		}
 	})
 }
 
 // HTTPResponseComplete reports whether buf contains a complete HTTP
-// response (headers plus declared body).
+// response (headers plus declared body). A negative or non-numeric
+// Content-Length never completes.
 func HTTPResponseComplete(buf []byte) bool {
 	head, rest, ok := bytes.Cut(buf, []byte("\r\n\r\n"))
 	if !ok {
 		return false
 	}
-	want := 0
+	want, ok := contentLength(head)
+	return ok && len(rest) >= want
+}
+
+// contentLength returns the Content-Length an HTTP head declares (the
+// last one wins; zero when absent). ok is false when a value is
+// negative or not a decimal number.
+func contentLength(head []byte) (n int, ok bool) {
 	for _, line := range strings.Split(string(head), "\r\n") {
-		if k, v, ok := strings.Cut(line, ":"); ok && strings.EqualFold(strings.TrimSpace(k), "content-length") {
-			fmt.Sscanf(strings.TrimSpace(v), "%d", &want)
+		k, v, found := strings.Cut(line, ":")
+		if !found || !strings.EqualFold(strings.TrimSpace(k), "content-length") {
+			continue
+		}
+		var err error
+		if n, err = strconv.Atoi(strings.TrimSpace(v)); err != nil || n < 0 {
+			return 0, false
 		}
 	}
-	return len(rest) >= want
+	return n, true
 }
 
 // Zone maps domain names to addresses for the resolver apps.

@@ -178,3 +178,64 @@ func TestHTTPSRedirectEchoesURI(t *testing.T) {
 		t.Fatalf("fallback redirect missing: %q", c2.Received())
 	}
 }
+
+func TestHTTPUploadBody(t *testing.T) {
+	for _, size := range []int{0, 1, 25, 26, 27, 52, 1000, 64 << 10} {
+		req := HTTPUpload("a.com", "/up", size)
+		head, body, ok := bytes.Cut(req, []byte("\r\n\r\n"))
+		if !ok || len(body) != size {
+			t.Fatalf("size %d: body is %d bytes", size, len(body))
+		}
+		if n, ok := contentLength(head); !ok || n != size {
+			t.Fatalf("size %d: Content-Length %d, ok=%v", size, n, ok)
+		}
+		for i, b := range body {
+			if b != 'a'+byte(i%26) {
+				t.Fatalf("size %d: body[%d] = %q", size, i, b)
+			}
+		}
+	}
+}
+
+func TestHTTPUploadServerAnswersEachUpload(t *testing.T) {
+	sim, cli, srv := pair(t)
+	ServeHTTPUpload(srv, 80)
+	c := cli.Connect(srvAddr, 80)
+	sim.RunFor(100 * time.Millisecond)
+	for i := 1; i <= 2; i++ {
+		c.Write(HTTPUpload("a.com", "/up", 20000))
+		sim.RunFor(time.Second)
+		if n := bytes.Count(c.Received(), []byte("200 OK")); n != i {
+			t.Fatalf("after upload %d: %d responses", i, n)
+		}
+	}
+}
+
+// TestHTTPUploadServerRejectsMalformedLength is the regression test for
+// a panic: a negative Content-Length drove the served offset below
+// zero, and the next delivery sliced Received() out of range. A
+// negative or non-numeric length is malformed: the server answers 400
+// and closes, and later data is ignored.
+func TestHTTPUploadServerRejectsMalformedLength(t *testing.T) {
+	for _, length := range []string{"-1000", "-1", "banana", "12x", ""} {
+		sim, cli, srv := pair(t)
+		ServeHTTPUpload(srv, 80)
+		c := cli.Connect(srvAddr, 80)
+		sim.RunFor(100 * time.Millisecond)
+		c.Write([]byte("POST /up HTTP/1.1\r\nHost: a.com\r\nContent-Length: " + length + "\r\n\r\n" +
+			"body bytes that follow the head"))
+		sim.RunFor(time.Second)
+		c.Write(bytes.Repeat([]byte("more"), 500))
+		sim.RunFor(time.Second)
+		got := c.Received()
+		if !bytes.HasPrefix(got, []byte("HTTP/1.1 400 Bad Request\r\n")) || bytes.Contains(got, []byte("200 OK")) {
+			t.Fatalf("Content-Length %q: response %q", length, got)
+		}
+		if c.State() != tcpstack.CloseWait {
+			t.Fatalf("Content-Length %q: client state %v, want the server to have closed", length, c.State())
+		}
+		if HTTPResponseComplete([]byte("HTTP/1.1 200 OK\r\nContent-Length: " + length + "\r\n\r\nabc")) {
+			t.Fatalf("Content-Length %q: response reported complete", length)
+		}
+	}
+}

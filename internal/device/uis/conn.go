@@ -31,8 +31,9 @@ type Conn struct {
 func newConn(s *Stack, tc *tcpstack.Conn) *Conn {
 	c := &Conn{stack: s, tc: tc}
 	tc.OnData = func(data []byte) {
-		// Delivery path: s.mu held. The stack recycles the packet the
-		// bytes came from, so copy.
+		// Delivery path: s.mu held. The chunk is a view of the
+		// connection's Received(), so copy into the buffer Read
+		// consumes.
 		c.buf = append(c.buf, data...)
 	}
 	return c

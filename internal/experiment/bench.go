@@ -136,21 +136,7 @@ func RunBench(seed int64) BenchReport {
 	// Single-trial hot path, the allocs/op headline.
 	rep.Trial = toBenchResult(testing.Benchmark(benchTrial(seed)), 0) // trials/sec is a campaign-level figure
 
-	// Goodput path: one 64 KiB upload through the bw=1mbit,queue=16
-	// access link, congestion control and the shaper both live.
-	goodputRes := testing.Benchmark(func(b *testing.B) {
-		r := NewRunner(seed)
-		vp := VantagePoints()[6]
-		srv := controlledServers(r, 1)[0]
-		s := goodputStrategies()[2] // an inject strategy: the plain congested transfer
-		spec := goodputTopo(vp, srv)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			r.runGoodputTrial(vp, srv, spec, s.factory, i, nil)
-		}
-	})
-	rep.GoodputTrial = toBenchResult(goodputRes, 0)
+	rep.GoodputTrial = toBenchResult(testing.Benchmark(benchGoodputTrial(seed)), 0)
 
 	sc := BenchCampaignScale()
 	rep.TrialsPerCampaignOp = 2 * len(table1Strategies()) * sc.VPs * sc.Servers * sc.Trials
@@ -198,6 +184,24 @@ func benchTrial(seed int64) func(b *testing.B) {
 	}
 }
 
+// benchGoodputTrial benchmarks one 64 KiB upload through the
+// bw=1mbit,queue=16 access link, congestion control and the shaper
+// both live.
+func benchGoodputTrial(seed int64) func(b *testing.B) {
+	return func(b *testing.B) {
+		r := NewRunner(seed)
+		vp := VantagePoints()[6]
+		srv := controlledServers(r, 1)[0]
+		s := goodputStrategies()[2] // an inject strategy: the plain congested transfer
+		spec := goodputTopo(vp, srv)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			r.runGoodputTrial(vp, srv, spec, s.factory, i, nil)
+		}
+	}
+}
+
 // benchCampaignParallel benchmarks the Table 1 campaign at
 // BenchCampaignScale through the campaign executor.
 func benchCampaignParallel(seed int64) func(b *testing.B) {
@@ -228,14 +232,17 @@ type BenchGate struct {
 // OK reports whether the measured figure is within the limit.
 func (g BenchGate) OK() bool { return g.Measured <= g.Limit }
 
-// RunBenchGate re-measures allocs/op for the single-trial hot path and
-// for the parallel campaign executor at BenchCampaignScale, and judges
-// each against the committed report's figure with the given fractional
-// tolerance (<=0 selects BenchGateTolerance). It measures only
-// allocation counts — deterministic under Go's allocator, unlike
-// ns/op — so the gate holds on loaded CI machines. The campaign
-// section catches executor regressions a single RunOne cannot see,
-// such as instrumenting trials nobody asked to observe.
+// RunBenchGate re-measures allocs/op for the single-trial hot path,
+// the goodput trial and the parallel campaign executor at
+// BenchCampaignScale, and judges each against the committed report's
+// figure with the given fractional tolerance (<=0 selects
+// BenchGateTolerance). It measures only allocation counts —
+// deterministic under Go's allocator, unlike ns/op — so the gate holds
+// on loaded CI machines. The goodput section guards the bulk path a
+// short trial never exercises (per-segment reassembly, fragment
+// assembly and receive buffers); the campaign section catches executor
+// regressions a single RunOne cannot see, such as instrumenting trials
+// nobody asked to observe.
 func RunBenchGate(seed int64, committed BenchReport, tolerance float64) []BenchGate {
 	if tolerance <= 0 {
 		tolerance = BenchGateTolerance
@@ -250,6 +257,7 @@ func RunBenchGate(seed int64, committed BenchReport, tolerance float64) []BenchG
 	}
 	return []BenchGate{
 		gate("trial", committed.Trial.AllocsPerOp, benchTrial(seed)),
+		gate("goodput_trial", committed.GoodputTrial.AllocsPerOp, benchGoodputTrial(seed)),
 		gate("campaign_parallel", committed.CampaignParallel.AllocsPerOp, benchCampaignParallel(seed)),
 	}
 }

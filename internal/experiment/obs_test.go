@@ -455,15 +455,17 @@ func TestObsCausalDeterminism(t *testing.T) {
 // trialAllocBudget is the allocation budget of the trial hot path:
 // BenchmarkTrialHotPath's steady state for an uninstrumented RunOne
 // over an unshaped derived chain on the fabric substrate, with routing
-// shared per program and keyword automata shared across trials. RunOne
-// builds on a one-shot arena: a new simulator and a fresh pair source.
-const trialAllocBudget = 99
+// shared per program and keyword automata shared across trials, and
+// in-order segments delivered without a per-segment copy in the GFW
+// stream and the TCP receive path. RunOne builds on a one-shot arena:
+// a new simulator and a fresh pair source.
+const trialAllocBudget = 89
 
 // arenaTrialAllocBudget is the same trial's budget on a campaign
 // worker's warmed arena, which recycles the simulator and replays the
 // pair's memoized draws: five objects fewer, two of them 4.9 KB RNG
 // sources.
-const arenaTrialAllocBudget = 94
+const arenaTrialAllocBudget = 84
 
 // requireTrialAllocBudget is the one allocation gate of the trial hot
 // path. It warms a runner and an arena, measures the allocs/op of

@@ -22,6 +22,11 @@ func (d *Device) inspect(ctx *netem.Context, key packet.FourTuple, t *tcb, pkt *
 	// Protocol identification over the reassembled prefix.
 	if t.classified == dpi.ProtoUnknown && t.stream.scanned >= 3 {
 		t.classified = dpi.ClassifyClientStream(t.sport, t.stream.contiguous())
+		if t.classified != dpi.ProtoUnknown && t.sport != 53 {
+			// Only the classifier and the DNS-over-TCP check below read
+			// the prefix: a classified non-DNS flow need not keep it.
+			t.stream.dropPrefix()
+		}
 	}
 
 	type1Hit := d.cfg.Type1 && wasInOrder && d.matcher.Contains(pkt.Payload)

@@ -1,6 +1,8 @@
 package gfw
 
 import (
+	"slices"
+
 	"intango/internal/dpi"
 	"intango/internal/packet"
 )
@@ -86,19 +88,35 @@ func (t *tcb) fromClient(pkt *packet.Packet) bool {
 // stream reassembles the client→server byte stream for the detection
 // engine. Bytes that have been scanned are immutable (the DPI engine
 // consumed them); unscanned out-of-order bytes are resolved by the
-// device's overlap policy.
+// device's overlap policy. Only those are buffered, and their coverage
+// is kept as ranges: an in-order segment with nothing pending goes
+// straight to the scanner, and no step costs a pass per byte.
 type stream struct {
-	base    packet.Seq // sequence number of buf[0]
+	base    packet.Seq // sequence number of stream offset 0
 	started bool
-	buf     []byte
-	cover   []bool
 	scanned int // contiguous prefix already fed to the scanner
 	window  int
 	scanner *dpi.StreamScanner
+
+	// keep retains the scanned prefix in prefix for the protocol
+	// classifiers (contiguous); a stream nothing classifies drops it.
+	keep   bool
+	prefix []byte
+
+	// pend buffers out-of-order bytes: pend[i] is stream offset
+	// pbase+i. have lists the stream-offset ranges of pend that hold
+	// unscanned data, sorted, disjoint and never adjacent; nothing is
+	// pending when it is empty.
+	pend  []byte
+	pbase int
+	have  []span
 }
 
-func newStream(window int, scanner *dpi.StreamScanner) *stream {
-	return &stream{window: window, scanner: scanner}
+// span is the half-open stream-offset range [lo, hi).
+type span struct{ lo, hi int }
+
+func newStream(window int, scanner *dpi.StreamScanner, keep bool) *stream {
+	return &stream{window: window, scanner: scanner, keep: keep}
 }
 
 // rebase resets the stream to a new base sequence (TCB creation or
@@ -109,10 +127,17 @@ func newStream(window int, scanner *dpi.StreamScanner) *stream {
 func (s *stream) rebase(seq packet.Seq) {
 	s.base = seq
 	s.started = true
-	s.buf = s.buf[:0]
-	s.cover = s.cover[:0]
 	s.scanned = 0
+	s.prefix = s.prefix[:0]
+	s.have = s.have[:0]
 	s.scanner.Reset()
+}
+
+// dropPrefix stops retaining the scanned prefix: no classifier will
+// read contiguous again.
+func (s *stream) dropPrefix() {
+	s.keep = false
+	s.prefix = nil
 }
 
 // accepts reports whether a segment at seq is within the reassembly
@@ -132,41 +157,86 @@ func (s *stream) insert(seq packet.Seq, data []byte, lastWins bool) []dpi.Match 
 	if len(data) == 0 || !s.accepts(seq, len(data)) {
 		return nil
 	}
-	off := int(seq.Diff(s.base))
-	end := off + len(data)
-	if end > len(s.buf) {
-		// Grow both buffers to end in one step (append-zero loops are
-		// quadratic against large out-of-order jumps within the window).
-		s.buf = append(s.buf, make([]byte, end-len(s.buf))...)
-		s.cover = append(s.cover, make([]bool, end-len(s.cover))...)
+	lo := int(seq.Diff(s.base))
+	hi := lo + len(data)
+	if hi <= s.scanned {
+		return nil // already consumed by the engine: first copy wins
 	}
-	for i, b := range data {
-		at := off + i
-		if at < s.scanned {
-			continue // already consumed by the engine: first copy wins
+	if lo < s.scanned {
+		data, lo = data[s.scanned-lo:], s.scanned
+	}
+	if len(s.have) == 0 {
+		if lo == s.scanned {
+			return s.feed(data)
 		}
-		if s.cover[at] && !lastWins {
-			continue
+		s.pend, s.pbase = s.pend[:0], s.scanned
+	}
+	if n := hi - s.pbase - len(s.pend); n > 0 {
+		s.pend = reserve(s.pend, n)[:hi-s.pbase]
+	}
+	// Write data wherever the policy lets it win: everywhere under
+	// last-wins, only into the gaps between held ranges under
+	// first-wins.
+	at := lo
+	if !lastWins {
+		for _, h := range s.have {
+			if h.lo >= hi {
+				break
+			}
+			if h.lo > at {
+				copy(s.pend[at-s.pbase:h.lo-s.pbase], data[at-lo:])
+			}
+			at = max(at, h.hi)
 		}
-		s.buf[at] = b
-		s.cover[at] = true
 	}
-	// Feed any newly contiguous prefix to the scanner.
-	newEnd := s.scanned
-	for newEnd < len(s.cover) && s.cover[newEnd] {
-		newEnd++
+	if at < hi {
+		copy(s.pend[at-s.pbase:], data[at-lo:])
 	}
-	if newEnd == s.scanned {
-		return nil
+	s.hold(span{lo, hi})
+	// Ranges never touch, so at most the first one joins the prefix.
+	if h := s.have[0]; h.lo == s.scanned {
+		s.have = slices.Delete(s.have, 0, 1)
+		return s.feed(s.pend[h.lo-s.pbase : h.hi-s.pbase])
 	}
-	chunk := s.buf[s.scanned:newEnd]
-	s.scanned = newEnd
+	return nil
+}
+
+// hold merges r into have, absorbing every range it overlaps or
+// touches.
+func (s *stream) hold(r span) {
+	i := 0
+	for i < len(s.have) && s.have[i].hi < r.lo {
+		i++
+	}
+	j := i
+	for ; j < len(s.have) && s.have[j].lo <= r.hi; j++ {
+		r = span{min(r.lo, s.have[j].lo), max(r.hi, s.have[j].hi)}
+	}
+	s.have = slices.Replace(s.have, i, j, r)
+}
+
+// feed hands the next contiguous bytes to the scanner.
+func (s *stream) feed(chunk []byte) []dpi.Match {
+	s.scanned += len(chunk)
+	if s.keep {
+		s.prefix = append(reserve(s.prefix, len(chunk)), chunk...)
+	}
 	return s.scanner.Feed(chunk)
 }
 
+// reserve returns b with room for n more bytes, doubling its capacity
+// when it must reallocate: append's ~1.25x steps for large slices would
+// allocate about four times a 64 KiB buffer's final size on the way.
+func reserve(b []byte, n int) []byte {
+	if len(b)+n > cap(b) {
+		b = append(make([]byte, 0, max(2*cap(b), len(b)+n)), b...)
+	}
+	return b
+}
+
 // contiguous returns the scanned prefix of the stream (used by the
-// protocol classifier).
-func (s *stream) contiguous() []byte { return s.buf[:s.scanned] }
+// protocol classifiers); it is empty once the prefix is dropped.
+func (s *stream) contiguous() []byte { return s.prefix }
 
 // nextSeq returns the sequence number just past the scanned prefix.
 func (s *stream) nextSeq() packet.Seq { return s.base.Add(s.scanned) }

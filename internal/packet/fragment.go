@@ -2,6 +2,7 @@ package packet
 
 import (
 	"fmt"
+	"slices"
 	"time"
 )
 
@@ -128,6 +129,7 @@ type Reassembler struct {
 	order   []seriesRef // series in creation order; may hold stale refs
 	evicted uint64
 	lastNow time.Duration
+	spans   [][2]int // complete's scratch: a series' piece spans
 }
 
 // seriesRef pins an order entry to a specific series incarnation, so a
@@ -200,61 +202,56 @@ func (r *Reassembler) AddAt(p *Packet, now time.Duration) (*Packet, error) {
 		s.totalLen = piece.off + len(piece.data)
 	}
 	s.pieces = append(s.pieces, piece)
-	if !s.haveLast {
-		return nil, nil
-	}
-	buf, ok := s.assemble(r.Policy)
-	if !ok {
+	if !s.haveLast || !r.complete(s) {
 		return nil, nil
 	}
 	delete(r.series, key)
 	hdr := p.IP.Clone()
 	hdr.Flags &^= IPFlagMoreFragments
 	hdr.FragOffset = 0
-	hdr.SetLengths(len(buf))
-	wire := hdr.SerializeTo(nil, len(buf), SerializeOptions{ComputeChecksums: true, FixLengths: true})
-	wire = append(wire, buf...)
-	return Parse(wire)
+	hdr.SetLengths(s.totalLen)
+	wire := make([]byte, 0, hdr.HeaderLen()+s.totalLen)
+	wire = hdr.SerializeTo(wire, s.totalLen, SerializeOptions{ComputeChecksums: true, FixLengths: true})
+	return Parse(s.assemble(wire, r.Policy))
 }
 
-// assemble tries to build the full byte range [0, totalLen). It reports
-// ok=false while gaps remain.
-func (s *fragSeries) assemble(policy OverlapPolicy) ([]byte, bool) {
-	buf := make([]byte, s.totalLen)
-	written := make([]bool, s.totalLen)
-	pieces := s.pieces
-	if policy == FirstWins {
-		// Apply in arrival order but never overwrite.
-		for _, pc := range pieces {
-			for i, b := range pc.data {
-				at := pc.off + i
-				if at >= len(buf) {
-					break
-				}
-				if !written[at] {
-					buf[at] = b
-					written[at] = true
-				}
-			}
+// assemble appends the byte range [0, totalLen) of a complete series to
+// dst. Pieces are copied in policy order, so the winning copy of an
+// overlapped byte is written last: arrival order for LastWins, reverse
+// arrival order for FirstWins.
+func (s *fragSeries) assemble(dst []byte, policy OverlapPolicy) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, s.totalLen)...)
+	buf := dst[start:]
+	n := len(s.pieces)
+	for i := range s.pieces {
+		pc := s.pieces[i]
+		if policy == FirstWins {
+			pc = s.pieces[n-1-i]
 		}
-	} else {
-		for _, pc := range pieces {
-			for i, b := range pc.data {
-				at := pc.off + i
-				if at >= len(buf) {
-					break
-				}
-				buf[at] = b
-				written[at] = true
-			}
+		if pc.off < len(buf) {
+			copy(buf[pc.off:], pc.data)
 		}
 	}
-	for _, w := range written {
-		if !w {
-			return nil, false
-		}
+	return dst
+}
+
+// complete reports whether the pieces' spans cover [0, totalLen) of
+// series s, sorting them by offset in the reassembler's scratch.
+func (r *Reassembler) complete(s *fragSeries) bool {
+	r.spans = r.spans[:0]
+	for _, pc := range s.pieces {
+		r.spans = append(r.spans, [2]int{pc.off, pc.off + len(pc.data)})
 	}
-	return buf, true
+	slices.SortFunc(r.spans, func(a, b [2]int) int { return a[0] - b[0] })
+	covered := 0
+	for _, sp := range r.spans {
+		if sp[0] > covered {
+			break
+		}
+		covered = max(covered, sp[1])
+	}
+	return covered >= s.totalLen
 }
 
 // expire evicts series whose TTL has elapsed at virtual time now,

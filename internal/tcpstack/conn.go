@@ -58,7 +58,10 @@ type segment struct {
 	fin  bool
 }
 
-// outSeg is sent-but-unacknowledged data awaiting acknowledgment.
+// outSeg is sent-but-unacknowledged data awaiting acknowledgment. Its
+// data is a view of the send buffer's bytes, not a copy: Write only
+// appends to sendBuf and pump only advances its start, so bytes once
+// sent are never overwritten.
 type outSeg struct {
 	seq     packet.Seq
 	data    []byte
@@ -137,10 +140,13 @@ type Conn struct {
 	peerWnd      int
 	closePending bool
 
+	// recvBuf holds every in-order byte received; it grows by doubling.
 	recvBuf []byte
 
 	// OnData is called with each chunk of newly in-order application
-	// data.
+	// data. The chunk is a view of the tail of Received(), not a copy:
+	// it stays valid (recvBuf only appends), but it must not be
+	// modified.
 	OnData func(data []byte)
 	// OnStateChange is called after every state transition.
 	OnStateChange func(from, to State)
@@ -269,7 +275,7 @@ func (c *Conn) transmit(flags uint8, seq, ack packet.Seq, payload []byte) {
 
 // sendData queues payload for reliable delivery and transmits it.
 func (c *Conn) sendData(flags uint8, payload []byte) {
-	seg := outSeg{seq: c.sndNxt, data: append([]byte(nil), payload...), flags: flags}
+	seg := outSeg{seq: c.sndNxt, data: payload, flags: flags}
 	c.retx = append(c.retx, seg)
 	c.transmit(flags, seg.seq, c.rcvNxt, seg.data)
 	c.sndNxt = c.sndNxt.Add(len(payload))
@@ -570,7 +576,13 @@ func (c *Conn) ingestData(pkt *packet.Packet) {
 		return
 	}
 
-	if segLen > 0 {
+	switch {
+	case segLen == 0:
+	case seq.AtOrBefore(c.rcvNxt) && end.After(c.rcvNxt) && len(c.ooo) == 0:
+		// New in-order bytes with nothing queued: deliver them without
+		// copying the segment first.
+		c.deliver(pkt.Payload[c.rcvNxt.Diff(seq):])
+	default:
 		c.enqueue(segment{seq: seq, data: append([]byte(nil), pkt.Payload...)})
 	}
 	if fin {
@@ -611,20 +623,8 @@ func (c *Conn) drain() {
 			}
 			if s.seq.AtOrBefore(c.rcvNxt) {
 				// Overlaps the edge: take the new part.
-				skip := int(c.rcvNxt.Diff(s.seq))
-				chunk := s.data[skip:]
-				if c.FirstDataAt == 0 && len(chunk) > 0 {
-					c.FirstDataAt = c.stack.Sim.Now()
-				}
-				if len(chunk) > 0 {
-					c.LastDataAt = c.stack.Sim.Now()
-				}
-				c.recvBuf = append(c.recvBuf, chunk...)
-				c.rcvNxt = c.rcvNxt.Add(len(chunk))
 				c.ooo = append(c.ooo[:i], c.ooo[i+1:]...)
-				if c.OnData != nil {
-					c.OnData(chunk)
-				}
+				c.deliver(s.data[c.rcvNxt.Diff(s.seq):])
 				progress = true
 				break
 			}
@@ -634,6 +634,25 @@ func (c *Conn) drain() {
 		c.finAt = false
 		c.rcvNxt = c.rcvNxt.Add(1)
 		c.peerFin()
+	}
+}
+
+// deliver appends a non-empty chunk of in-order data to recvBuf,
+// doubling its capacity when full, and hands the new tail to OnData.
+func (c *Conn) deliver(chunk []byte) {
+	now := c.stack.Sim.Now()
+	if c.FirstDataAt == 0 {
+		c.FirstDataAt = now
+	}
+	c.LastDataAt = now
+	start := len(c.recvBuf)
+	if need := start + len(chunk); need > cap(c.recvBuf) {
+		c.recvBuf = append(make([]byte, 0, max(2*cap(c.recvBuf), need)), c.recvBuf...)
+	}
+	c.recvBuf = append(c.recvBuf, chunk...)
+	c.rcvNxt = c.rcvNxt.Add(len(chunk))
+	if c.OnData != nil {
+		c.OnData(c.recvBuf[start:])
 	}
 }
 
