@@ -46,30 +46,35 @@ race:
 
 # fuzz-smoke replays the checked-in seed corpora of the topology and
 # censor spec parsers, of the checkpoint journal and manifest loaders,
-# and of the differential tests that hold the GFW's stream reassembly
-# and IP fragment assembly to their per-byte reference models, as
-# ordinary tests (no -fuzz: that would fuzz indefinitely).
+# of the differential tests that hold the GFW's stream reassembly and
+# IP fragment assembly to their per-byte reference models, and of the
+# simulator's event order against a sorted reference, as ordinary
+# tests (no -fuzz: that would fuzz indefinitely).
 fuzz-smoke:
 	$(GO) test -run '^FuzzParseTopo$$' ./internal/topo
 	$(GO) test -run '^FuzzParseCensor$$' ./internal/censor
 	$(GO) test -run '^(FuzzJournal|FuzzManifest)$$' ./internal/experiment
 	$(GO) test -run '^FuzzStreamInsert$$' ./internal/gfw
 	$(GO) test -run '^FuzzFragmentAssemble$$' ./internal/packet
+	$(GO) test -run '^FuzzSimulatorOrder$$' ./internal/netem
 
 # bench measures the trial hot path, the bandwidth-constrained goodput
-# path (shaper + congestion control live, allocs recorded), and the
-# serial/parallel campaign loops, writing BENCH_netem.json (ns/trial,
-# allocs/trial, trials/sec, pool traffic, and the recorded pre-pooling
+# path (shaper + congestion control live, allocs recorded), the
+# serial/parallel campaign loops and the layer benchmarks (the netem
+# event loop at a campaign's queue shape, the trial RNG's reseed and
+# draws), writing BENCH_netem.json (ns/trial, allocs/trial, trials/sec,
+# pool traffic, the layers section, and the recorded pre-pooling
 # baseline for comparison).
 bench:
 	$(GO) run ./cmd/tables -what bench -bench-out BENCH_netem.json
 
 # bench-smoke runs each hot-path benchmark exactly once — the trial,
-# the campaigns and the trial rig build on its own, fresh and on a
-# recycled arena — a correctness pass, not a measurement.
+# the campaigns, the trial rig build on its own, fresh and on a
+# recycled arena, and the layer benchmarks `make bench` records — a
+# correctness pass, not a measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTrialHotPath|BenchmarkCampaign' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'BenchmarkRigBuild' -benchtime 1x ./internal/experiment/
+	$(GO) test -run '^$$' -bench 'BenchmarkRigBuild|BenchmarkLayers' -benchtime 1x ./internal/experiment/
 
 # bench-compare diffs two BENCH_netem.json artifacts:
 #   make bench-compare OLD=old.json NEW=BENCH_netem.json
@@ -79,9 +84,10 @@ bench-compare:
 	$(GO) run ./cmd/tables -what bench-compare $(OLD) $(NEW)
 
 # bench-gate is the CI allocation-regression gate: re-measure the trial
-# hot path, the goodput trial (one 64 KiB upload over the shaped link)
-# and the parallel campaign executor, and fail if any one's allocs/op
-# exceeds the committed BENCH_netem.json baseline by more than 5%.
+# hot path, the goodput trial (one 64 KiB upload over the shaped link),
+# the parallel campaign executor and each layer benchmark, and fail if
+# any one's allocs/op exceeds the committed BENCH_netem.json baseline
+# by more than 5% (the layers commit 0, so they must stay at 0).
 # Allocs/op is the one benchmark statistic that is deterministic on
 # shared CI runners; timing drift is diagnosed with bench-compare
 # instead.

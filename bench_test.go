@@ -11,7 +11,6 @@ package intango
 
 import (
 	"testing"
-	"time"
 
 	"intango/internal/core"
 	"intango/internal/dpi"
@@ -274,47 +273,6 @@ func BenchmarkSimulatorEvents(b *testing.B) {
 	}
 	sim.At(1, tick)
 	sim.Run(b.N + 1)
-}
-
-// BenchmarkSimulatorMix measures the event loop at a campaign's queue
-// shape, where BenchmarkSimulatorEvents never holds more than one
-// event: 33 events pending at every pop, 31 of them 1 ms link hops
-// scheduled through AtPacket and two timers cycling through 200, 40
-// and 20 ms. A Table 1 sweep pops with about 32 events pending, 94 % of
-// them 1 ms hops.
-func BenchmarkSimulatorMix(b *testing.B) {
-	m := &simMix{sim: netem.NewSimulator(1)}
-	m.rearm = m.timer
-	for i := 0; i < 31; i++ {
-		m.sim.AtPacket(time.Millisecond, m, nil, 0, netem.ToServer)
-	}
-	for i := 0; i < 2; i++ {
-		m.timer()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	m.sim.Run(b.N)
-}
-
-// simMix keeps BenchmarkSimulatorMix's queue at a fixed size: every
-// event it runs schedules its successor.
-type simMix struct {
-	sim    *netem.Simulator
-	timers int
-	rearm  func() // timer, bound once so re-arming allocates nothing
-}
-
-var simMixTimers = [...]time.Duration{200 * time.Millisecond, 40 * time.Millisecond, 20 * time.Millisecond}
-
-// HandlePacket relays a hop onto the next 1 ms link.
-func (m *simMix) HandlePacket(pkt *packet.Packet, from int, dir netem.Direction) {
-	m.sim.AtPacket(time.Millisecond, m, pkt, from, dir)
-}
-
-// timer re-arms itself with the next of the three timer delays.
-func (m *simMix) timer() {
-	m.timers++
-	m.sim.At(simMixTimers[m.timers%len(simMixTimers)], m.rearm)
 }
 
 // BenchmarkEvasionTrial measures one complete protected fetch

@@ -92,7 +92,7 @@ func (c *Compiled) GFWConfig() (gfw.Config, bool) {
 // server) behaviours the paper found stable within a measurement
 // period (§4) — engine devices draw their RST-resync and
 // segment-overlap modes from it. Only its Float64 stream is read, so a
-// *rand.Rand or a replay of one's memoized draws will do. Filter-only
+// *rand.Rand or a netem.Source will do. Filter-only
 // specs have no device; use BuildChain.
 func (c *Compiled) Build(name string, trialRng *rand.Rand, pairRng interface{ Float64() float64 }) (Instance, error) {
 	switch c.kind {

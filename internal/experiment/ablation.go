@@ -88,19 +88,23 @@ func AblationCube(r *Runner) *Cube {
 // share a server name, which seeds the pair RNG — so the labels name
 // both. It returns the cells with Outcome unset.
 func ablationCube(r *Runner) (*Cube, []AblationCell) {
-	vp := VantagePoints()[0]
+	vp := &VantagePoints()[0]
 	base := controlledServers(r, 1)[0]
-	stacks := []tcpstack.Profile{tcpstack.Linux44(), tcpstack.Linux2437()}
+	var servers []Server
+	for _, stack := range []tcpstack.Profile{tcpstack.Linux44(), tcpstack.Linux2437()} {
+		srv := base
+		srv.Stack = stack
+		servers = append(servers, srv)
+	}
 	c := &Cube{name: "ablation"}
 	var cells []AblationCell
 	for _, rung := range AblationCensorSpecs() {
 		for _, strat := range ablationStrategies() {
 			factory := c.compile(strat)
-			for _, stack := range stacks {
-				srv := base
-				srv.Stack = stack
-				cells = append(cells, AblationCell{Strategy: strat.name, Hardening: rung.Hardening, Server: stack.Name})
-				sink := c.tally(strat.name + "@" + rung.Hardening + "@" + stack.Name)
+			for si := range servers {
+				srv := &servers[si]
+				cells = append(cells, AblationCell{Strategy: strat.name, Hardening: rung.Hardening, Server: srv.Stack.Name})
+				sink := c.tally(strat.name + "@" + rung.Hardening + "@" + srv.Stack.Name)
 				c.jobs = append(c.jobs, trialJob{vp: vp, srv: srv, censor: rung.Spec,
 					factory: factory, sensitive: true, trial: 17, sink: sink})
 			}

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -15,11 +14,11 @@ import (
 // the same job, down to the events left pending at the end. A field
 // Reset misses, an event that survives it (every event pending at a
 // trial's end lies beyond the next trial's 8.5 s window, so only the
-// pending count shows it), or a memo that hands one pair another's
-// draws shows up at the first trial it touches, where the campaign
-// tests compare only tallies. The matrix runs engine and inline
-// censors on one pair, so its memo is read to different depths; Table
-// 1's two-device servers read four draws.
+// pending count shows it), or a reseed that leaves one pair's source
+// partly on another's stream shows up at the first trial it touches,
+// where the campaign tests compare only tallies. The matrix runs engine
+// and inline censors on one pair, so its pair source is read to
+// different depths; Table 1's two-device servers read four draws.
 func TestArenaMatchesFreshRigs(t *testing.T) {
 	if raceEnabled {
 		// One goroutine: the detector finds nothing here, only cost.
@@ -36,7 +35,7 @@ func TestArenaMatchesFreshRigs(t *testing.T) {
 			j := &c.jobs[i]
 			out, rg, rec := r.runRig(j, regArena, nil, a)
 			steps, pending, total, events := rg.sim.Steps(), rg.sim.Pending(), rec.Total(), rec.Events()
-			wantOut, wantRg, wantRec := r.runRig(j, regFresh, nil, r.oneShot())
+			wantOut, wantRg, wantRec := r.runRig(j, regFresh, nil, r.newArena())
 			switch {
 			case out != wantOut:
 				t.Fatalf("%s job %d (%s ~ %s, trial %d): arena outcome %v, fresh %v",
@@ -54,36 +53,8 @@ func TestArenaMatchesFreshRigs(t *testing.T) {
 	if got, want := regArena.Snapshot(), regFresh.Snapshot(); !reflect.DeepEqual(got, want) {
 		t.Errorf("arena counters differ from fresh rigs':\narena: %+v\nfresh: %+v", got.Counters, want.Counters)
 	}
-	if len(a.pairs) == 0 || trials == 0 {
-		t.Fatalf("%d trials memoized %d pairs; the comparison is vacuous", trials, len(a.pairs))
-	}
-}
-
-// TestPairDrawsReplayFreshSource reads pair streams through cursors of
-// one recycling arena, to depths past the memo's first chunk so it
-// must grow, and through cursors of a one-shot arena; every draw must
-// equal a fresh source's, and only the recycling arena keeps a memo.
-func TestPairDrawsReplayFreshSource(t *testing.T) {
-	r := NewRunner(1)
-	a, one := r.newArena(), r.oneShot()
-	seeds := []int64{-3, 0, 42}
-	for _, depth := range []int{2, 0, 4, 3*pairDrawChunk + 1, 1, 2 * pairDrawChunk} {
-		for _, seed := range seeds {
-			want := rand.New(rand.NewSource(seed))
-			recycled, fresh := a.pairDraws(seed), one.pairDraws(seed)
-			for k := 0; k < depth; k++ {
-				w := want.Float64()
-				if got := recycled.Float64(); got != w {
-					t.Fatalf("seed %d draw %d at depth %d: memo replays %v, fresh source %v", seed, k, depth, got, w)
-				}
-				if got := fresh.Float64(); got != w {
-					t.Fatalf("seed %d draw %d: one-shot cursor %v, fresh source %v", seed, k, got, w)
-				}
-			}
-		}
-	}
-	if len(a.pairs) != len(seeds) || one.pairs != nil {
-		t.Fatalf("memos: recycling arena %d (want %d), one-shot %v (want none)", len(a.pairs), len(seeds), one.pairs)
+	if a.sim == nil || a.pair == nil || trials == 0 {
+		t.Fatalf("%d trials left the arena's simulator %p and pair source %p; the comparison is vacuous", trials, a.sim, a.pair)
 	}
 }
 
@@ -99,7 +70,7 @@ func BenchmarkRigBuild(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			r.build(vp, srv, r.Topo, r.Censor, seed(i), r.oneShot())
+			r.build(vp, srv, r.Topo, r.Censor, seed(i), r.newArena())
 		}
 	})
 	b.Run("recycled", func(b *testing.B) {

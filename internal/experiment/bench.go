@@ -1,10 +1,11 @@
 package experiment
 
 // The persistent benchmark harness behind `make bench`: it measures the
-// trial hot path and the serial/parallel campaign loops in-process (via
-// testing.Benchmark, so the numbers are directly comparable with
-// `go test -bench`), embeds the pre-pooling seed baseline, and renders
-// the whole thing as BENCH_netem.json so regressions are a diff away.
+// trial hot path, the serial/parallel campaign loops and the layer
+// benchmarks in-process (via testing.Benchmark, so the numbers are
+// directly comparable with `go test -bench`), embeds the pre-pooling
+// seed baseline, and renders the whole thing as BENCH_netem.json so
+// regressions are a diff away.
 
 import (
 	"encoding/json"
@@ -13,8 +14,10 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"intango/internal/core"
+	"intango/internal/netem"
 	"intango/internal/packet"
 )
 
@@ -103,9 +106,100 @@ type BenchReport struct {
 	// Pool is the serial campaign runner's packet-pool traffic.
 	Pool BenchPoolStats `json:"pool"`
 
+	// Layers measures single layers in isolation (see benchLayers).
+	// Absent from reports older than the layer ledger.
+	Layers []BenchLayer `json:"layers,omitempty"`
+
 	// AllocReductionPct is 100*(1 - trial allocs / baseline trial
 	// allocs): the headline number the pooling work is judged by.
 	AllocReductionPct float64 `json:"alloc_reduction_pct"`
+}
+
+// BenchLayer is one layer benchmark: what one unit of a layer's work
+// costs on its own.
+type BenchLayer struct {
+	Name        string  `json:"name"`
+	NsPerOp     float64 `json:"ns_per_op"`
+	BytesPerOp  int64   `json:"bytes_per_op"`
+	AllocsPerOp int64   `json:"allocs_per_op"`
+}
+
+// benchLayers are the layer benchmarks `make bench` records and
+// `make bench-gate` gates, by name.
+var benchLayers = []struct {
+	name  string
+	bench func(*testing.B)
+}{
+	{"netem_event_loop", benchEventLoop},
+	{"netem_rng_reseed", benchTrialRNG},
+}
+
+// layer returns the named layer's result, zero when absent.
+func (rep BenchReport) layer(name string) BenchLayer {
+	for _, l := range rep.Layers {
+		if l.Name == name {
+			return l
+		}
+	}
+	return BenchLayer{Name: name}
+}
+
+// benchEventLoop runs the netem event loop at a campaign's queue shape:
+// 33 events pending at every pop, 31 of them 1 ms link hops scheduled
+// through AtPacket and two timers cycling through 200, 40 and 20 ms. A
+// Table 1 sweep pops with about 32 events pending, 94 % of them 1 ms
+// hops. One op is one event.
+func benchEventLoop(b *testing.B) {
+	m := &simMix{sim: netem.NewSimulator(1)}
+	m.rearm = m.timer
+	for i := 0; i < 31; i++ {
+		m.sim.AtPacket(time.Millisecond, m, nil, 0, netem.ToServer)
+	}
+	for i := 0; i < 2; i++ {
+		m.timer()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	m.sim.Run(b.N)
+}
+
+// simMix keeps benchEventLoop's queue at a fixed size: every event it
+// runs schedules its successor.
+type simMix struct {
+	sim    *netem.Simulator
+	timers int
+	rearm  func() // timer, bound once so re-arming allocates nothing
+}
+
+var simMixTimers = [...]time.Duration{200 * time.Millisecond, 40 * time.Millisecond, 20 * time.Millisecond}
+
+// HandlePacket relays a hop onto the next 1 ms link.
+func (m *simMix) HandlePacket(pkt *packet.Packet, link int, dir netem.Direction) {
+	m.sim.AtPacket(time.Millisecond, m, pkt, link, dir)
+}
+
+// timer re-arms itself with the next of the three timer delays.
+func (m *simMix) timer() {
+	m.timers++
+	m.sim.At(simMixTimers[m.timers%len(simMixTimers)], m.rearm)
+}
+
+// trialDraws is how many draws a Table 1 trial takes from its trial
+// RNG at perfbench's campaign scale: 46.6 on average.
+const trialDraws = 47
+
+// benchTrialRNG resets a simulator, reseeding its trial RNG, as a
+// campaign arena does before each trial, and takes a trial's draws.
+// One op is one trial's reseed and draws.
+func benchTrialRNG(b *testing.B) {
+	sim := netem.NewSimulator(1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sim.Reset(int64(i))
+		for k := 0; k < trialDraws; k++ {
+			sim.Rand().Float64()
+		}
+	}
 }
 
 func toBenchResult(r testing.BenchmarkResult, trialsPerOp int) BenchResult {
@@ -162,6 +256,14 @@ func RunBench(seed int64) BenchReport {
 	}
 
 	rep.CampaignParallel = toBenchResult(testing.Benchmark(benchCampaignParallel(seed)), rep.TrialsPerCampaignOp)
+
+	for _, l := range benchLayers {
+		res := testing.Benchmark(l.bench)
+		rep.Layers = append(rep.Layers, BenchLayer{
+			Name: l.name, NsPerOp: float64(res.T.Nanoseconds()) / float64(res.N),
+			BytesPerOp: res.AllocedBytesPerOp(), AllocsPerOp: res.AllocsPerOp(),
+		})
+	}
 
 	if base := rep.Baseline.Trial.AllocsPerOp; base > 0 {
 		rep.AllocReductionPct = 100 * (1 - float64(rep.Trial.AllocsPerOp)/float64(base))
@@ -233,10 +335,12 @@ type BenchGate struct {
 func (g BenchGate) OK() bool { return g.Measured <= g.Limit }
 
 // RunBenchGate re-measures allocs/op for the single-trial hot path,
-// the goodput trial and the parallel campaign executor at
-// BenchCampaignScale, and judges each against the committed report's
-// figure with the given fractional tolerance (<=0 selects
-// BenchGateTolerance). It measures only allocation counts —
+// the goodput trial, the parallel campaign executor at
+// BenchCampaignScale and every layer benchmark, and judges each against
+// the committed report's figure with the given fractional tolerance
+// (<=0 selects BenchGateTolerance); a layer committing 0 allocs/op, or
+// missing from an older report, must measure 0. It measures only
+// allocation counts —
 // deterministic under Go's allocator, unlike ns/op — so the gate holds
 // on loaded CI machines. The goodput section guards the bulk path a
 // short trial never exercises (per-segment reassembly, fragment
@@ -255,11 +359,15 @@ func RunBenchGate(seed int64, committed BenchReport, tolerance float64) []BenchG
 			Limit:     int64(float64(committed) * (1 + tolerance)),
 		}
 	}
-	return []BenchGate{
+	gates := []BenchGate{
 		gate("trial", committed.Trial.AllocsPerOp, benchTrial(seed)),
 		gate("goodput_trial", committed.GoodputTrial.AllocsPerOp, benchGoodputTrial(seed)),
 		gate("campaign_parallel", committed.CampaignParallel.AllocsPerOp, benchCampaignParallel(seed)),
 	}
+	for _, l := range benchLayers {
+		gates = append(gates, gate("layers/"+l.name, committed.layer(l.name).AllocsPerOp, l.bench))
+	}
+	return gates
 }
 
 // WriteBenchJSON renders the report as indented JSON (the
@@ -313,6 +421,10 @@ func FormatBenchReport(rep BenchReport) string {
 		safePct(rep.Pool.Recycled, rep.Pool.Gets))
 	fmt.Fprintf(&b, "  %-18s %.1f%% fewer allocs per trial than the pre-pooling seed\n",
 		"headline", rep.AllocReductionPct)
+	for _, l := range rep.Layers {
+		fmt.Fprintf(&b, "  %-18s %12.1f ns/op   %9d B/op   %8d allocs/op\n",
+			l.Name, l.NsPerOp, l.BytesPerOp, l.AllocsPerOp)
+	}
 	return b.String()
 }
 
@@ -345,6 +457,11 @@ func CompareBenchReports(oldRep, newRep BenchReport) string {
 	}
 	row("campaign/serial", oldRep.CampaignSerial, newRep.CampaignSerial)
 	row("campaign/parallel", oldRep.CampaignParallel, newRep.CampaignParallel)
+	for _, l := range newRep.Layers {
+		o := oldRep.layer(l.Name)
+		row(l.Name, BenchResult{NsPerOp: o.NsPerOp, BytesPerOp: o.BytesPerOp, AllocsPerOp: o.AllocsPerOp},
+			BenchResult{NsPerOp: l.NsPerOp, BytesPerOp: l.BytesPerOp, AllocsPerOp: l.AllocsPerOp})
+	}
 	if oldRep.CampaignParallel.TrialsPerSec > 0 && newRep.CampaignParallel.TrialsPerSec > 0 {
 		fmt.Fprintf(&b, "%-18s %14.0f %14.0f %8s   (parallel trials/sec)\n", "throughput",
 			oldRep.CampaignParallel.TrialsPerSec, newRep.CampaignParallel.TrialsPerSec,

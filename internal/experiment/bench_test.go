@@ -27,3 +27,11 @@ func TestBenchReportsShowBytes(t *testing.T) {
 		}
 	}
 }
+
+// BenchmarkLayers runs the layer benchmarks `make bench` records in
+// BENCH_netem.json's layers section, one sub-benchmark each.
+func BenchmarkLayers(b *testing.B) {
+	for _, l := range benchLayers {
+		b.Run(l.name, l.bench)
+	}
+}

@@ -121,7 +121,7 @@ func goodputTopo(vp VantagePoint, srv Server) string {
 // the trial into the goodput.bps / goodput.bytes histograms.
 func (r *Runner) runGoodputTrial(vp VantagePoint, srv Server, topoRef string, factory core.Factory, trial int, reg *obs.Registry) (bps int64, out Outcome) {
 	trialSeed := r.pairSeed(vp, srv) ^ int64(uint64(trial)*0x9e3779b97f4a7c15)
-	rg := r.build(vp, srv, topoRef, r.Censor, trialSeed, r.oneShot())
+	rg := r.build(vp, srv, topoRef, r.Censor, trialSeed, r.newArena())
 	appsim.ServeHTTPUpload(rg.srv, 80)
 	if reg != nil {
 		rg.attachObs(obs.New(reg, obs.NewRecorder(obs.DefaultRingSize, rg.sim.Now)))

@@ -72,7 +72,7 @@ func RunCensorMatrix(r *Runner, censors []string, trials int) []MatrixCell {
 // cell, each job carrying its cell's censor. Cells differ only by
 // censor, so the labels name it. It returns the cells with T unset.
 func matrixCube(r *Runner, censors []string, trials int) (*Cube, []MatrixCell) {
-	vp := VantagePoints()[0]
+	vp := &VantagePoints()[0]
 	servers := controlledServers(r, 2)
 	c := &Cube{name: "censors"}
 	var cells []MatrixCell
@@ -81,9 +81,9 @@ func matrixCube(r *Runner, censors []string, trials int) (*Cube, []MatrixCell) {
 			factory := c.compile(strat)
 			cells = append(cells, MatrixCell{Strategy: strat.name, Censor: cen})
 			sink := c.tally(strat.name + "@" + cen)
-			for _, srv := range servers {
+			for si := range servers {
 				for trial := 0; trial < trials; trial++ {
-					c.jobs = append(c.jobs, trialJob{vp: vp, srv: srv, censor: cen,
+					c.jobs = append(c.jobs, trialJob{vp: vp, srv: &servers[si], censor: cen,
 						factory: factory, sensitive: true, trial: trial, sink: sink})
 				}
 			}

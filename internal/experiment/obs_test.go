@@ -239,9 +239,9 @@ func TestObsSerialParallelDeterminism(t *testing.T) {
 	vp := VantagePoints()[0]
 	srv := Servers(1, rTrace.Cal, 42)[0]
 	f := core.BuiltinFactories()["teardown-rst/ttl"]
-	outPlain, _, recPlain := rTrace.runRig(rTrace.job(vp, srv, f, true, 0), obs.NewRegistry(), nil, rTrace.oneShot())
+	outPlain, _, recPlain := rTrace.runRig(rTrace.job(vp, srv, f, true, 0), obs.NewRegistry(), nil, rTrace.newArena())
 	tc := trace.New()
-	outTraced, _, recTraced := rTrace.runRig(rTrace.job(vp, srv, f, true, 0), obs.NewRegistry(), tc, rTrace.oneShot())
+	outTraced, _, recTraced := rTrace.runRig(rTrace.job(vp, srv, f, true, 0), obs.NewRegistry(), tc, rTrace.newArena())
 	if outPlain != outTraced {
 		t.Errorf("tracing changed graph outcome: %v vs %v", outPlain, outTraced)
 	}
@@ -457,14 +457,15 @@ func TestObsCausalDeterminism(t *testing.T) {
 // over an unshaped derived chain on the fabric substrate, with routing
 // shared per program and keyword automata shared across trials, and
 // in-order segments delivered without a per-segment copy in the GFW
-// stream and the TCP receive path. RunOne builds on a one-shot arena:
-// a new simulator and a fresh pair source.
+// stream and the TCP receive path. RunOne builds on a new arena: a new
+// simulator and pair source, and copies of the vantage point and server
+// its job points at.
 const trialAllocBudget = 89
 
 // arenaTrialAllocBudget is the same trial's budget on a campaign
-// worker's warmed arena, which recycles the simulator and replays the
-// pair's memoized draws: five objects fewer, two of them 4.9 KB RNG
-// sources.
+// worker's warmed arena, which resets the simulator and reseeds the
+// pair source in place, and whose jobs point into their cube: five
+// objects fewer, two of them holding 4.9 KB RNG sources.
 const arenaTrialAllocBudget = 84
 
 // requireTrialAllocBudget is the one allocation gate of the trial hot
@@ -488,7 +489,7 @@ func requireTrialAllocBudget(t *testing.T, what string) {
 	a := r.newArena()
 	for i := 0; i < 200; i++ {
 		r.RunOne(vp, srv, f, true, 0) // warm the packet pool past GC churn
-		r.runOne(j, "", nil, a)       // and the arena's queue and memo
+		r.runOne(j, "", nil, a)       // and the arena's queue
 	}
 	for _, gate := range []struct {
 		path   string

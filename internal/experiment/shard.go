@@ -19,10 +19,13 @@ import (
 // frames, folds back to results bit-identical to an uninterrupted
 // serial run.
 
-// trialJob is one independent simulation to run.
+// trialJob is one independent simulation to run. It points at its
+// vantage point and server in the slices its cube was built from
+// instead of holding copies, which keeps a job at 64 bytes
+// (TestTrialJobSize): a cube holds one job per trial.
 type trialJob struct {
-	vp  VantagePoint
-	srv Server
+	vp  *VantagePoint
+	srv *Server
 	// censor fills the topology's GFW device slots: a registry name or
 	// raw censor-spec text, "" for the calibrated GFW population (see
 	// Runner.Censor). A cell that needs another censor carries it here
@@ -87,8 +90,10 @@ func Table1Cube(r *Runner, sc Scale) *Cube {
 	for _, spec := range table1Strategies() {
 		factory := c.compile(spec.strategySpec)
 		sens, clean := c.tally(spec.name), c.tally(spec.name)
-		for _, vp := range vps {
-			for _, srv := range servers {
+		for vi := range vps {
+			vp := &vps[vi]
+			for si := range servers {
+				srv := &servers[si]
 				for trial := 0; trial < sc.Trials; trial++ {
 					c.jobs = append(c.jobs,
 						trialJob{vp: vp, srv: srv, censor: r.Censor, factory: factory, sensitive: true, trial: trial, sink: sens},

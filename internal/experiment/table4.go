@@ -74,9 +74,11 @@ func table4Cube(r *Runner, vps []VantagePoint, servers []Server, trials int) *Cu
 	c := &Cube{name: "table4"}
 	for _, spec := range table4Strategies() {
 		factory := c.compile(spec.strategySpec)
-		for _, vp := range vps {
+		for vi := range vps {
+			vp := &vps[vi]
 			sink := c.tally(spec.name)
-			for _, srv := range servers {
+			for si := range servers {
+				srv := &servers[si]
 				for trial := 0; trial < trials; trial++ {
 					c.jobs = append(c.jobs, trialJob{vp: vp, srv: srv, censor: r.Censor,
 						factory: factory, sensitive: true, trial: trial, sink: sink})

@@ -34,7 +34,7 @@ func RunTable5(r *Runner) []Table5Cell {
 // construction, labelled by its strategy, over three controlled
 // servers. It returns the cells with Validated still unset.
 func table5Cube(r *Runner) (*Cube, []Table5Cell) {
-	vp := VantagePoints()[0] // Aliyun profile, benign for these packets
+	vp := &VantagePoints()[0] // Aliyun profile, benign for these packets
 	servers := controlledServers(r, 3)
 
 	strategyFor := func(ptype string, d core.Discrepancy) strategySpec {
@@ -71,8 +71,8 @@ func table5Cube(r *Runner) (*Cube, []Table5Cell) {
 		strat := strategyFor(spec.ptype, spec.disc)
 		factory := c.compile(strat)
 		sink := c.tally(strat.name)
-		for _, srv := range servers {
-			c.jobs = append(c.jobs, trialJob{vp: vp, srv: srv, censor: r.Censor,
+		for si := range servers {
+			c.jobs = append(c.jobs, trialJob{vp: vp, srv: &servers[si], censor: r.Censor,
 				factory: factory, sensitive: true, sink: sink})
 		}
 	}

@@ -26,7 +26,9 @@ import (
 // topoKey identifies a derived linear topology shape. Everything else
 // about a trial (device behaviours, middlebox RNG, endpoints) binds at
 // instantiation time, so one cached Program serves every trial with
-// the same shape.
+// the same shape. The key holds the server's sampled loss rate, so
+// every population has shapes of its own: the derived programs are
+// cached per Runner (Runner.programs), which its population bounds.
 type topoKey struct {
 	hops, gfwHop int
 	profile      middlebox.ProfileName
@@ -35,9 +37,10 @@ type topoKey struct {
 	loss         float64
 }
 
+// topoOverride caches parsed Runner.Topo specs by their text, which
+// only configuration supplies.
 var (
 	topoMu       sync.RWMutex
-	topoPrograms = make(map[topoKey]*topo.Program)
 	topoOverride = make(map[string]*topo.Program)
 )
 
@@ -105,18 +108,18 @@ func shapeKey(vp VantagePoint, srv Server, hops int) topoKey {
 	}
 }
 
-// program returns the compiled Program for a trial: the cached derived
-// linear program, or the parsed override topoRef when non-empty.
+// program returns the compiled Program for a trial: the derived linear
+// program, cached on r, or the parsed override topoRef when non-empty.
 // Programs, and the routing tables they hold, are immutable and shared
 // read-only across trials and workers.
-func program(topoRef string, vp VantagePoint, srv Server, hops int) *topo.Program {
+func (r *Runner) program(topoRef string, vp VantagePoint, srv Server, hops int) *topo.Program {
 	if topoRef != "" {
 		return overrideProgram(topoRef)
 	}
 	key := shapeKey(vp, srv, hops)
-	topoMu.RLock()
-	prog := topoPrograms[key]
-	topoMu.RUnlock()
+	r.progMu.RLock()
+	prog := r.programs[key]
+	r.progMu.RUnlock()
 	if prog != nil {
 		return prog
 	}
@@ -124,9 +127,12 @@ func program(topoRef string, vp VantagePoint, srv Server, hops int) *topo.Progra
 	if err != nil {
 		panic(fmt.Sprintf("experiment: derived topology invalid: %v", err))
 	}
-	topoMu.Lock()
-	topoPrograms[key] = prog
-	topoMu.Unlock()
+	r.progMu.Lock()
+	if r.programs == nil {
+		r.programs = make(map[topoKey]*topo.Program)
+	}
+	r.programs[key] = prog
+	r.progMu.Unlock()
 	return prog
 }
 
@@ -158,7 +164,7 @@ func overrideProgram(text string) *topo.Program {
 // point, server) pair at its measured hop count — what `-what topo`
 // prints. Route dynamics perturb the per-trial shape around this.
 func (r *Runner) TopoSpec(vp VantagePoint, srv Server) topo.Spec {
-	return program(r.Topo, vp, srv, srv.Hops).Spec()
+	return r.program(r.Topo, vp, srv, srv.Hops).Spec()
 }
 
 // GraphDemoTopo is the ECMP demonstration topology: two parallel GFW
@@ -203,7 +209,7 @@ func FormatTopoDemo(seed int64) string {
 	r := NewRunner(seed)
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, seed)[0]
-	fab := r.build(vp, srv, GraphDemoTopo, r.Censor, 1, r.oneShot()).net
+	fab := r.build(vp, srv, GraphDemoTopo, r.Censor, 1, r.newArena()).net
 	var b strings.Builder
 	b.WriteString("== ECMP multi-device demo (graph fabric) ==\n")
 	b.WriteString("spec:\n  " + overrideProgram(GraphDemoTopo).Spec().String() + "\n")
@@ -252,7 +258,7 @@ type rigBinder struct {
 	censor   string // the trial's censor reference; see Runner.Censor
 	rg       *rig
 	trialRng *rand.Rand
-	pairRng  pairDraws
+	pairRng  *netem.Source
 	// scratch backs single-processor returns; Bind's contract says the
 	// returned slice is not retained, so one array serves every call.
 	scratch [1]netem.Processor
@@ -284,7 +290,7 @@ func (b *rigBinder) Bind(ref string, tap bool) ([]netem.Processor, error) {
 			if err != nil {
 				return nil, err
 			}
-			dev, err := comp.Build(ref, b.trialRng, &b.pairRng)
+			dev, err := comp.Build(ref, b.trialRng, b.pairRng)
 			if err != nil {
 				return nil, err
 			}
@@ -329,7 +335,7 @@ func (b *rigBinder) BindCensor(ref string) (taps, procs []netem.Processor, err e
 		return nil, chain, nil
 	}
 	name := fmt.Sprintf("censor%d:%s", len(b.rg.devices), ref)
-	dev, err := comp.Build(name, b.trialRng, &b.pairRng)
+	dev, err := comp.Build(name, b.trialRng, b.pairRng)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,6 +10,38 @@ import (
 	"intango/internal/packet"
 	"intango/internal/topo"
 )
+
+// TestDerivedProgramsStayOnRunner runs a quick Table 1 campaign on
+// runners of three seeds — three server populations, whose sampled
+// loss rates key topology shapes of their own — and requires each
+// runner's derived programs to stay with it: the package-level cache,
+// which holds parsed override specs only, does not grow, and a runner
+// caches only shapes of its own servers.
+func TestDerivedProgramsStayOnRunner(t *testing.T) {
+	topoMu.RLock()
+	before := len(topoOverride)
+	topoMu.RUnlock()
+	sc := Scale{VPs: 2, Servers: 2, Trials: 1}
+	for _, seed := range []int64{1, 2, 3} {
+		r := NewRunner(seed)
+		RunTable1Parallel(r, sc)
+		servers := Servers(sc.Servers, r.Cal, seed)
+		if len(r.programs) == 0 {
+			t.Fatalf("seed %d: the campaign cached no programs on its runner", seed)
+		}
+		for k := range r.programs {
+			if !slices.ContainsFunc(servers, func(s Server) bool { return s.LossRate == k.loss }) {
+				t.Fatalf("seed %d: runner caches shape %+v, whose loss rate none of its servers has", seed, k)
+			}
+		}
+	}
+	topoMu.RLock()
+	after := len(topoOverride)
+	topoMu.RUnlock()
+	if after != before {
+		t.Fatalf("package-level program cache grew from %d to %d entries", before, after)
+	}
+}
 
 // TestRouteDynamicsHopUnderflow is the regression test for the ±2 hop
 // jitter on short measured paths: at srv.Hops = 2 the −2 draw used to
@@ -95,7 +128,7 @@ func TestDerivedTopoMatchesHandBuilt(t *testing.T) {
 	if reparsed := topo.MustParseTopo(text); reparsed.String() != text {
 		t.Errorf("derived spec does not round-trip:\n%s", text)
 	}
-	rg := r.build(vp, srv, r.Topo, r.Censor, 1, r.oneShot())
+	rg := r.build(vp, srv, r.Topo, r.Censor, 1, r.newArena())
 	nodes := strings.Split(rg.net.Describe(), " — ")
 	if len(nodes) < 3 || nodes[0] != "client" || nodes[len(nodes)-1] != "server" {
 		t.Fatalf("derived fabric drawn as %q", nodes)
@@ -119,7 +152,7 @@ func TestGraphTopoCampaign(t *testing.T) {
 	r := NewRunner(9)
 	r.Topo = GraphDemoTopo
 	srv := Servers(1, r.Cal, 9)[0]
-	rg := r.build(vp, srv, r.Topo, r.Censor, 1, r.oneShot())
+	rg := r.build(vp, srv, r.Topo, r.Censor, 1, r.newArena())
 	if len(rg.devices) != 2 {
 		t.Fatalf("bound %d devices, want 2 parallel devices", len(rg.devices))
 	}

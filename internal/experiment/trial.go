@@ -104,6 +104,12 @@ type Runner struct {
 
 	poolOnce sync.Once
 	pool     *packet.Pool
+
+	// programs caches the derived topology programs of this runner's
+	// trials by shape (see Runner.program); progMu guards it against
+	// the campaign workers.
+	progMu   sync.RWMutex
+	programs map[topoKey]*topo.Program
 }
 
 // packetPool returns the runner's shared packet pool (nil when pooling
@@ -196,9 +202,9 @@ func (r *Runner) build(vp VantagePoint, srv Server, topoRef, censorRef string, t
 		hops = 1
 	}
 
-	prog := program(topoRef, vp, srv, hops)
+	prog := r.program(topoRef, vp, srv, hops)
 	binder := &rigBinder{r: r, vp: vp, censor: censorRef, rg: rg,
-		trialRng: trialRng, pairRng: a.pairDraws(r.pairSeed(vp, srv))}
+		trialRng: trialRng, pairRng: a.pairSource(r.pairSeed(vp, srv))}
 	n, err := prog.Instantiate(binder, topo.Options{Sim: rg.sim, Pool: a.pool})
 	if err != nil {
 		// Derived specs are valid by construction and overrides are
@@ -270,8 +276,8 @@ func (rg *rig) attachObs(b *obs.Obs) {
 // tracing only observes — it never schedules events or draws
 // randomness, so a traced trial is bit-identical to an untraced one.
 func (r *Runner) runRig(j *trialJob, reg *obs.Registry, tc *trace.Tracer, a *arena) (Outcome, *rig, *obs.Recorder) {
-	trialSeed := r.pairSeed(j.vp, j.srv) ^ int64(uint64(j.trial)*0x9e3779b97f4a7c15)
-	rg := r.build(j.vp, j.srv, r.Topo, j.censor, trialSeed, a)
+	trialSeed := r.pairSeed(*j.vp, *j.srv) ^ int64(uint64(j.trial)*0x9e3779b97f4a7c15)
+	rg := r.build(*j.vp, *j.srv, r.Topo, j.censor, trialSeed, a)
 	var rec *obs.Recorder
 	if reg != nil {
 		rec = obs.NewRecorder(obs.DefaultRingSize, rg.sim.Now)
@@ -280,14 +286,14 @@ func (r *Runner) runRig(j *trialJob, reg *obs.Registry, tc *trace.Tracer, a *are
 			tc.Attach(rec, rg.net)
 		}
 	}
-	env := core.DefaultEnv(insertionTTL(j.srv), rg.sim.Rand())
+	env := core.DefaultEnv(insertionTTL(*j.srv), rg.sim.Rand())
 	rg.engine = core.NewEngine(rg.sim, rg.net, rg.cli, env)
 	// The closure captures the factory, not j: it outlives this call,
 	// and capturing j would move every RunOne's job to the heap.
 	if factory := j.factory; factory != nil {
 		rg.engine.NewStrategy = func(packet.FourTuple) core.Strategy { return factory() }
 	}
-	conn := fetch(rg, j.srv, j.sensitive)
+	conn := fetch(rg, *j.srv, j.sensitive)
 	if rec != nil {
 		recordStageSpans(rg, conn, reg, rec)
 	}
@@ -380,19 +386,19 @@ func (r *Runner) runOne(j *trialJob, label string, sink *ObsSink, a *arena) Outc
 // job describes one trial of this runner against its configured
 // censor.
 func (r *Runner) job(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int) *trialJob {
-	return &trialJob{vp: vp, srv: srv, censor: r.Censor, factory: factory, sensitive: sensitive, trial: trial}
+	return &trialJob{vp: &vp, srv: &srv, censor: r.Censor, factory: factory, sensitive: sensitive, trial: trial}
 }
 
 // RunOne executes a single strategy trial and classifies it.
 func (r *Runner) RunOne(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int) Outcome {
-	return r.runOne(r.job(vp, srv, factory, sensitive, trial), "", r.Obs, r.oneShot())
+	return r.runOne(r.job(vp, srv, factory, sensitive, trial), "", r.Obs, r.newArena())
 }
 
 // RunOneTraced runs one trial with a private flight recorder and
 // returns the classification together with the retained trace — the
 // §3.4 controlled-experiment hook diagnosis builds on.
 func (r *Runner) RunOneTraced(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int) (Outcome, []obs.Event) {
-	out, _, rec := r.runRig(r.job(vp, srv, factory, sensitive, trial), obs.NewRegistry(), nil, r.oneShot())
+	out, _, rec := r.runRig(r.job(vp, srv, factory, sensitive, trial), obs.NewRegistry(), nil, r.newArena())
 	return out, rec.Events()
 }
 
@@ -402,7 +408,7 @@ func (r *Runner) RunOneTraced(vp VantagePoint, srv Server, factory core.Factory,
 // the strategy in the trace meta; pass "" for no strategy.
 func (r *Runner) RunOneCausal(vp VantagePoint, srv Server, factory core.Factory, label string, sensitive bool, trial int) (Outcome, *trace.Trace) {
 	tc := trace.New()
-	out, _, _ := r.runRig(r.job(vp, srv, factory, sensitive, trial), obs.NewRegistry(), tc, r.oneShot())
+	out, _, _ := r.runRig(r.job(vp, srv, factory, sensitive, trial), obs.NewRegistry(), tc, r.newArena())
 	return out, tc.Finish(trace.Meta{
 		Strategy: label, VP: vp.Name, Server: srv.Name,
 		Trial: trial, Outcome: out.String(),
@@ -431,7 +437,7 @@ func fetch(rg *rig, srv Server, sensitive bool) *tcpstack.Conn {
 // Between trials it waits out any active blocklist period, as the
 // paper's methodology did (§3.3).
 func (r *Runner) RunINTANGSeries(vp VantagePoint, srv Server, trials int) []Outcome {
-	rg := r.build(vp, srv, r.Topo, r.Censor, r.pairSeed(vp, srv), r.oneShot())
+	rg := r.build(vp, srv, r.Topo, r.Censor, r.pairSeed(vp, srv), r.newArena())
 	it := intang.New(rg.sim, rg.net, rg.cli, intang.Options{})
 	it.Engine.Env.InsertionTTL = insertionTTL(srv)
 	if r.Obs != nil {

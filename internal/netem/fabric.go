@@ -122,7 +122,8 @@ func (f *Fabric) flowHash(pkt *packet.Packet) uint64 {
 
 // route picks the next hop leaving `from` toward the endpoint dir
 // points at, or nil where there is none. Only branch points hash the
-// flow. It is pure: emit-time and fire-time calls agree.
+// flow. It runs once per hop, when the packet is emitted; the crossing
+// event carries the chosen link to the far end.
 func (f *Fabric) route(from int, dir Direction, pkt *packet.Packet) *hop {
 	cands := f.topo.next[dir][from]
 	switch len(cands) {
@@ -147,7 +148,6 @@ func (f *Fabric) trace(idx, ev int, dir Direction, pkt *packet.Packet) {
 	if ev == evSend || ev == evInject {
 		f.StampLineage(pkt)
 	}
-	where := f.topo.nodes[idx].Label
 	if f.Obs != nil && ev != evFwd {
 		var seq uint32
 		var flags uint8
@@ -155,10 +155,10 @@ func (f *Fabric) trace(idx, ev int, dir Direction, pkt *packet.Packet) {
 			seq = uint32(pkt.TCP.Seq)
 			flags = pkt.TCP.Flags
 		}
-		f.Obs.TracePkt("netem", eventLabels[ev], pkt.Lin.ID, pkt.Lin.Parent, seq, flags, where+" "+dir.String())
+		f.Obs.TracePkt("netem", eventLabels[ev], pkt.Lin.ID, pkt.Lin.Parent, seq, flags, f.topo.nodes[idx].Label+" "+dir.String())
 	}
 	if f.Trace != nil {
-		f.Trace(TraceEvent{Time: f.Sim.Now(), Where: where, Event: eventLabels[ev], Dir: dir, Pkt: pkt})
+		f.Trace(TraceEvent{Time: f.Sim.Now(), Where: f.topo.nodes[idx].Label, Event: eventLabels[ev], Dir: dir, Pkt: pkt})
 	}
 }
 
@@ -216,10 +216,10 @@ func (f *Fabric) SendFromServer(pkt *packet.Packet) {
 // emitFrom schedules pkt's crossing of the link leaving `from` toward
 // dir's endpoint. inject marks mid-path injections (forged packets,
 // rebuilt datagrams, ICMP). The crossing rides a monomorphic packet
-// event (AtPacket) rather than a closure, so steady-state emission
-// allocates nothing. On a rated link the token bucket adds queueing
-// and serialization delay ahead of the propagation latency, or drops
-// the packet at a full queue.
+// event (AtPacket) carrying the routed link's index rather than a
+// closure, so steady-state emission allocates nothing. On a rated link
+// the token bucket adds queueing and serialization delay ahead of the
+// propagation latency, or drops the packet at a full queue.
 func (f *Fabric) emitFrom(from int, dir Direction, pkt *packet.Packet, extraDelay time.Duration, inject bool) {
 	if inject {
 		f.trace(from, evInject, dir, pkt)
@@ -240,7 +240,7 @@ func (f *Fabric) emitFrom(from int, dir Direction, pkt *packet.Packet, extraDela
 	delay := extraDelay + h.Latency
 	if h.Rate > 0 {
 		if f.shapers == nil {
-			f.shapers = make([]*linkShaper, f.topo.links)
+			f.shapers = make([]*linkShaper, len(f.topo.links))
 		}
 		sh := f.shapers[h.link]
 		if sh == nil {
@@ -255,14 +255,14 @@ func (f *Fabric) emitFrom(from int, dir Direction, pkt *packet.Packet, extraDela
 		}
 		delay += qd
 	}
-	f.Sim.AtPacket(delay, f, pkt, from, dir)
+	f.Sim.AtPacket(delay, f, pkt, h.link, dir)
 }
 
-// HandlePacket implements PacketHandler: pkt finished crossing the
-// link leaving `from`. The next hop is recomputed (route is pure) and
-// loss is drawn from the simulation PRNG at fire time.
-func (f *Fabric) HandlePacket(pkt *packet.Packet, from int, dir Direction) {
-	h := f.route(from, dir, pkt)
+// HandlePacket implements PacketHandler: pkt finished crossing
+// directed link `link`, which emitFrom routed. Loss is drawn from the
+// simulation PRNG at fire time.
+func (f *Fabric) HandlePacket(pkt *packet.Packet, link int, dir Direction) {
+	h := &f.topo.links[link]
 	if h.LossRate > 0 && f.Sim.Rand().Float64() < h.LossRate {
 		f.trace(h.to, evDropLoss, dir, pkt)
 		f.release(pkt)

@@ -16,11 +16,12 @@ import (
 )
 
 // PacketHandler is the monomorphic alternative to a scheduled closure:
-// packet deliveries carry (handler, pkt, from, dir) in the event itself
-// instead of allocating a capturing func. Fabric implements it; so can
-// any model component with a per-packet timer.
+// packet deliveries carry (handler, pkt, arg, dir) in the event itself
+// instead of allocating a capturing func. arg is the int AtPacket was
+// given: Fabric passes the directed link the packet is crossing. Fabric
+// implements it; so can any model component with a per-packet timer.
 type PacketHandler interface {
-	HandlePacket(pkt *packet.Packet, from int, dir Direction)
+	HandlePacket(pkt *packet.Packet, arg int, dir Direction)
 }
 
 // Simulator owns virtual time and the event queue. All model code runs
@@ -33,22 +34,25 @@ type Simulator struct {
 	heap  []event
 	lanes [numLanes]lane
 	rng   *rand.Rand
+	src   Source // rng's source
 }
 
-// event is a value type: the heap is a plain []event and each lane a
-// ring of them, so scheduling never boxes (the old container/heap path
-// allocated an interface wrapper per Push/Pop). A popped slot is zeroed
-// before reuse so the backing arrays — which double as free lists —
-// retain neither the executed closure nor the delivered packet.
+// event is one queue slot. The heap is a plain []event and each lane a
+// ring of them, so scheduling never boxes. Events are written and read
+// in place: schedule stamps (at, seq) into a vacant slot and At or
+// AtPacket fills in the payload, and run copies the payload out and
+// zeroes the slot before it dispatches. Every vacant slot is zero, so
+// the backing arrays — which double as free lists — retain neither an
+// executed closure nor a delivered packet.
 type event struct {
 	at  time.Duration
 	seq uint64 // tie-break for determinism
 	fn  func()
 	// Packet-event fields, used when fn is nil.
-	h    PacketHandler
-	pkt  *packet.Packet
-	from int32
-	dir  Direction
+	h   PacketHandler
+	pkt *packet.Packet
+	arg int32
+	dir Direction
 }
 
 // eventLess orders events by (at, seq) — the same strict total order as
@@ -60,9 +64,13 @@ func eventLess(a, b *event) bool {
 	return a.seq < b.seq
 }
 
-// NewSimulator returns a simulator seeded for deterministic runs.
+// NewSimulator returns a simulator seeded for deterministic runs. Its
+// RNG is math/rand's stream for seed (see Source).
 func NewSimulator(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed))}
+	s := new(Simulator)
+	s.src.Seed(seed)
+	s.rng = rand.New(&s.src)
+	return s
 }
 
 // Reset returns s to NewSimulator(seed)'s state while keeping its
@@ -92,15 +100,16 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 // At schedules fn to run after delay (relative to now). A zero or
 // negative delay runs on the next step, still in deterministic order.
 func (s *Simulator) At(delay time.Duration, fn func()) {
-	s.schedule(delay, event{fn: fn})
+	s.schedule(delay).fn = fn
 }
 
-// AtPacket schedules h.HandlePacket(pkt, from, dir) after delay without
-// allocating: the arguments ride in the event value itself. It shares
-// the (at, seq) order with At, so closure and packet events interleave
+// AtPacket schedules h.HandlePacket(pkt, arg, dir) after delay without
+// allocating: the arguments ride in the event itself. It shares the
+// (at, seq) order with At, so closure and packet events interleave
 // exactly as their scheduling order dictates.
-func (s *Simulator) AtPacket(delay time.Duration, h PacketHandler, pkt *packet.Packet, from int, dir Direction) {
-	s.schedule(delay, event{h: h, pkt: pkt, from: int32(from), dir: dir})
+func (s *Simulator) AtPacket(delay time.Duration, h PacketHandler, pkt *packet.Packet, arg int, dir Direction) {
+	e := s.schedule(delay)
+	e.h, e.pkt, e.arg, e.dir = h, pkt, int32(arg), dir
 }
 
 // The event queue is a 4-ary heap beside numLanes FIFO lanes.
@@ -117,8 +126,15 @@ func (s *Simulator) AtPacket(delay time.Duration, h PacketHandler, pkt *packet.P
 // is the least of the heap top and the lane heads, so the total (at,
 // seq) order — and with it every trial — is exactly a single heap's.
 //
+// An event is written into the slot it waits in and read from there
+// once, so a hop on a lane costs one slot write and one read; only the
+// heap moves events, as it sifts. The slot schedule returns stays valid
+// only until the next schedule, since a push may regrow the ring or the
+// heap under it, and run empties the head slot before dispatching, as
+// the handler may schedule more.
+//
 // Heap and lanes grow only to the high-water mark of concurrent events,
-// after which popped slots are recycled: zero allocations in steady
+// after which vacated slots are reused: zero allocations in steady
 // state.
 
 // numLanes is the number of FIFO lanes: enough for the delays a trial
@@ -146,7 +162,8 @@ type lane struct {
 	first [minLaneRing]event
 }
 
-func (l *lane) push(e event) {
+// push appends a vacant slot stamped (at, seq) and returns it.
+func (l *lane) push(at time.Duration, seq uint64) *event {
 	if l.ring == nil {
 		l.ring = l.first[:]
 	} else if l.n == len(l.ring) {
@@ -156,38 +173,38 @@ func (l *lane) push(e event) {
 		clear(l.ring) // first outlives the move; keep it from pinning
 		l.ring, l.head = ring, 0
 	}
-	l.ring[(l.head+l.n)&(len(l.ring)-1)] = e
+	e := &l.ring[(l.head+l.n)&(len(l.ring)-1)]
+	e.at, e.seq = at, seq
 	l.n++
-}
-
-func (l *lane) pop() event {
-	e := l.ring[l.head]
-	l.ring[l.head] = event{}
-	l.head = (l.head + 1) & (len(l.ring) - 1)
-	l.n--
 	return e
 }
 
-func (l *lane) tail() *event { return &l.ring[(l.head+l.n-1)&(len(l.ring)-1)] }
+// pop zeroes the head slot and advances past it.
+func (l *lane) pop() {
+	l.ring[l.head] = event{}
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+}
 
-// schedule stamps e with its time and sequence number and queues it: on
+// schedule stamps the next sequence number and the time delay from now
+// into a vacant slot and returns it for the caller to fill: a slot on
 // its delay's lane, else on the empty lane with the smallest ring (a
-// busy delay's grown ring stays keyed to it while it idles), else on the
-// heap. A lane takes e only if e is not earlier than its tail, so each
-// lane stays sorted by construction, not only because the clock never
-// runs backwards.
-func (s *Simulator) schedule(delay time.Duration, e event) {
+// busy delay's grown ring stays keyed to it while it idles), else on
+// the heap. A new event's seq exceeds every queued one's, so a lane
+// takes it only if its tail is not due later, and each lane stays
+// sorted by construction, not only because the clock never runs
+// backwards.
+func (s *Simulator) schedule(delay time.Duration) *event {
 	if delay < 0 {
 		delay = 0
 	}
 	s.seq++
-	e.at, e.seq = s.now+delay, s.seq
+	at := s.now + delay
 	var free *lane
 	for i := range s.lanes {
 		l := &s.lanes[i]
-		if l.delay == delay && (l.n == 0 || !eventLess(&e, l.tail())) {
-			l.push(e)
-			return
+		if l.delay == delay && (l.n == 0 || l.ring[(l.head+l.n-1)&(len(l.ring)-1)].at <= at) {
+			return l.push(at, s.seq)
 		}
 		if l.n == 0 && (free == nil || len(l.ring) < len(free.ring)) {
 			free = l
@@ -195,10 +212,9 @@ func (s *Simulator) schedule(delay time.Duration, e event) {
 	}
 	if free != nil {
 		free.delay = delay
-		free.push(e)
-		return
+		return free.push(at, s.seq)
 	}
-	s.heapPush(e)
+	return s.heapPush(at, s.seq)
 }
 
 // The heap is a 4-ary implicit heap: children of i are 4i+1..4i+4,
@@ -206,54 +222,56 @@ func (s *Simulator) schedule(delay time.Duration, e event) {
 // tree depth and, being monomorphic, costs zero allocations in steady
 // state.
 
-func (s *Simulator) heapPush(e event) {
-	q := append(s.heap, e)
+// heapPush opens a vacant slot for (at, seq) — the newest seq, so it
+// rises past every parent due later — and returns it.
+func (s *Simulator) heapPush(at time.Duration, seq uint64) *event {
+	s.heap = append(s.heap, event{})
+	q := s.heap
 	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !eventLess(&q[i], &q[p]) {
+		if q[p].at <= at {
 			break
 		}
-		q[i], q[p] = q[p], q[i]
+		q[i] = q[p]
 		i = p
 	}
-	s.heap = q
+	q[i] = event{at: at, seq: seq}
+	return &q[i]
 }
 
-// heapPop removes the minimum event. The vacated tail slot is zeroed so
-// the backing array does not retain the popped closure or packet (long
-// campaigns previously kept every executed closure reachable).
-func (s *Simulator) heapPop() event {
+// heapPop removes the top event, moving the last one into its place
+// and sifting it down. The vacated tail slot is zeroed so the backing
+// array does not retain the popped closure or packet.
+func (s *Simulator) heapPop() {
 	q := s.heap
-	top := q[0]
 	n := len(q) - 1
-	q[0] = q[n]
+	last := q[n]
 	q[n] = event{}
 	q = q[:n]
 	s.heap = q
+	if n == 0 {
+		return
+	}
 	i := 0
 	for {
-		best := i
 		c := 4*i + 1
 		if c >= n {
 			break
 		}
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for ; c < end; c++ {
+		best := c
+		for end := min(c+4, n); c < end; c++ {
 			if eventLess(&q[c], &q[best]) {
 				best = c
 			}
 		}
-		if best == i {
+		if !eventLess(&q[best], &last) {
 			break
 		}
-		q[i], q[best] = q[best], q[i]
+		q[i] = q[best]
 		i = best
 	}
-	return top
+	q[i] = last
 }
 
 // fromHeap is next's source index for the heap top; 0..numLanes-1 name
@@ -276,31 +294,34 @@ func (s *Simulator) next() (int, *event) {
 	return src, first
 }
 
-// run pops the event next reported at src and executes it.
-func (s *Simulator) run(src int) {
-	var e event
+// run executes e, the event next reported at src: it copies e's
+// payload out, empties e's slot and advances the queue, then
+// dispatches — the handler may schedule into the slot e was, or regrow
+// the ring or heap e lived in.
+func (s *Simulator) run(src int, e *event) {
+	at, fn, h, pkt, arg, dir := e.at, e.fn, e.h, e.pkt, e.arg, e.dir
 	if src == fromHeap {
-		e = s.heapPop()
+		s.heapPop()
 	} else {
-		e = s.lanes[src].pop()
+		s.lanes[src].pop()
 	}
-	s.now = e.at
+	s.now = at
 	s.steps++
-	if e.fn != nil {
-		e.fn()
+	if fn != nil {
+		fn()
 	} else {
-		e.h.HandlePacket(e.pkt, int(e.from), e.dir)
+		h.HandlePacket(pkt, int(arg), dir)
 	}
 }
 
 // Step executes the next event. It reports false when the queue is
 // empty.
 func (s *Simulator) Step() bool {
-	src, _ := s.next()
+	src, e := s.next()
 	if src < 0 {
 		return false
 	}
-	s.run(src)
+	s.run(src, e)
 	return true
 }
 
@@ -333,7 +354,7 @@ func (s *Simulator) RunFor(d time.Duration) {
 		if src < 0 || e.at > deadline {
 			break
 		}
-		s.run(src)
+		s.run(src, e)
 	}
 	s.now = deadline
 }

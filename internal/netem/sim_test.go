@@ -25,14 +25,14 @@ func (o order) less(p order) bool {
 }
 
 // indexHandler is a PacketHandler that runs the event whose index
-// rides in the from argument.
+// rides in the arg argument.
 type indexHandler func(i int)
 
-func (f indexHandler) HandlePacket(_ *packet.Packet, from int, _ Direction) { f(from) }
+func (f indexHandler) HandlePacket(_ *packet.Packet, arg int, _ Direction) { f(arg) }
 
 // isZero reports whether a queue slot holds no event.
 func isZero(e *event) bool {
-	return e.at == 0 && e.seq == 0 && e.fn == nil && e.h == nil && e.pkt == nil && e.from == 0 && e.dir == 0
+	return e.at == 0 && e.seq == 0 && e.fn == nil && e.h == nil && e.pkt == nil && e.arg == 0 && e.dir == 0
 }
 
 // requireVacantSlotsZeroed fails unless every heap and lane slot that
@@ -242,24 +242,7 @@ func TestSimulatorReset(t *testing.T) {
 	if s.Now() != 0 || s.Steps() != 0 || s.Pending() != 0 {
 		t.Fatalf("after Reset: now %v, steps %d, pending %d; want all zero", s.Now(), s.Steps(), s.Pending())
 	}
-	for i, e := range s.heap[:cap(s.heap)] {
-		if !isZero(&e) {
-			t.Fatalf("heap slot %d holds %+v after Reset", i, e)
-		}
-	}
-	for li := range s.lanes {
-		l := &s.lanes[li]
-		for i := range l.ring {
-			if !isZero(&l.ring[i]) {
-				t.Fatalf("lane %d ring slot %d holds %+v after Reset", li, i, l.ring[i])
-			}
-		}
-		for i := range l.first {
-			if !isZero(&l.first[i]) {
-				t.Fatalf("lane %d inline slot %d holds %+v after Reset", li, i, l.first[i])
-			}
-		}
-	}
+	requireAllSlotsZeroed(t, s)
 
 	got, want := replaySchedule(s), replaySchedule(NewSimulator(11))
 	if !slices.Equal(got, want) {

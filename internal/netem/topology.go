@@ -60,8 +60,10 @@ type Topology struct {
 	nodes  []Vertex
 	client int
 	server int
-	// links counts the directed links, sizing a Fabric's shapers.
-	links int
+	// links holds every directed link as a hop from its tail, by link
+	// index: a crossing event names its link, and the index keys a
+	// Fabric's shapers.
+	links []hop
 	// next holds, by Direction and then node, the equal-cost next hops
 	// toward that direction's endpoint in ascending neighbour order.
 	next     [2][][]hop
@@ -81,8 +83,10 @@ func NewTopology(nodes []Vertex, edges []Edge, client, server int, ecmpSeed uint
 	}
 	out := make([][]hop, n)
 	radj := make([][]int, n)
+	links := make([]hop, len(edges))
 	for i, e := range edges {
-		out[e.From] = append(out[e.From], hop{to: e.To, link: i, Link: e.Link})
+		links[i] = hop{to: e.To, link: i, Link: e.Link}
+		out[e.From] = append(out[e.From], links[i])
 		radj[e.To] = append(radj[e.To], e.From)
 	}
 	for _, hs := range out {
@@ -99,7 +103,7 @@ func NewTopology(nodes []Vertex, edges []Edge, client, server int, ecmpSeed uint
 		nodes:    append([]Vertex(nil), nodes...),
 		client:   client,
 		server:   server,
-		links:    len(edges),
+		links:    links,
 		ecmpSeed: ecmpSeed,
 	}
 	t.nodes[client].Label, t.nodes[server].Label = "client", "server"
