@@ -116,21 +116,21 @@ health-golden:
 # require the resumed result document to be byte-identical to a fresh
 # unjournaled single-worker run. Exercises the exact crash path the
 # in-test OnFrame hook cannot: a process that dies without deferred
-# cleanup.
-FLEET_TMP := $(shell mktemp -d /tmp/fleet-smoke.XXXXXX)
+# cleanup. Its scratch directory is made here and removed on every
+# exit, failure included, so no other target leaves one behind.
 fleet-smoke:
-	$(GO) build -o $(FLEET_TMP)/tables ./cmd/tables
-	-$(FLEET_TMP)/tables -what fleet -scale quick -shards 4 -shard-procs 2 \
-		-checkpoint-dir $(FLEET_TMP)/ckpt -checkpoint-every 8 \
-		-fleet-kill-after 2 -result-out $(FLEET_TMP)/killed.json >/dev/null 2>&1
-	$(FLEET_TMP)/tables -what fleet -scale quick -shards 4 -shard-procs 2 \
-		-checkpoint-dir $(FLEET_TMP)/ckpt -checkpoint-every 8 \
-		-result-out $(FLEET_TMP)/resumed.json >/dev/null
-	$(FLEET_TMP)/tables -what fleet -scale quick -shards 1 -shard-procs 1 \
-		-result-out $(FLEET_TMP)/serial.json >/dev/null
-	cmp $(FLEET_TMP)/resumed.json $(FLEET_TMP)/serial.json
+	tmp=$$(mktemp -d /tmp/fleet-smoke.XXXXXX) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o $$tmp/tables ./cmd/tables && \
+	{ $$tmp/tables -what fleet -scale quick -shards 4 -shard-procs 2 \
+		-checkpoint-dir $$tmp/ckpt -checkpoint-every 8 \
+		-fleet-kill-after 2 -result-out $$tmp/killed.json >/dev/null 2>&1 || true; } && \
+	$$tmp/tables -what fleet -scale quick -shards 4 -shard-procs 2 \
+		-checkpoint-dir $$tmp/ckpt -checkpoint-every 8 \
+		-result-out $$tmp/resumed.json >/dev/null && \
+	$$tmp/tables -what fleet -scale quick -shards 1 -shard-procs 1 \
+		-result-out $$tmp/serial.json >/dev/null && \
+	cmp $$tmp/resumed.json $$tmp/serial.json
 	@echo "fleet-smoke: kill/resume result is bit-identical to serial"
-	@rm -rf $(FLEET_TMP)
 
 # intangd-smoke boots the live evasion daemon against a fully pinned
 # gfw2017 (no sampled probabilities), then drives the whole loop from
@@ -139,24 +139,24 @@ fleet-smoke:
 # now censored, and a /flows scrape that must show both flows — the
 # evaded one under its strategy and the censored one with got_rst. The
 # censored fetch runs last so its 90-second pair blocklist never sits
-# in the smoke's way.
-INTANGD_TMP := $(shell mktemp -d /tmp/intangd-smoke.XXXXXX)
+# in the smoke's way. Like fleet-smoke, it removes its scratch
+# directory on every exit.
 INTANGD_CENSOR := tcb:evolved detect:keywords(ultrasurf) react:reset(type1) react:reset(type2) react:block(dur=1m30s) param:miss(p=0) param:resync(p=0) param:seglastwins(p=0)
 intangd-smoke:
-	$(GO) build -o $(INTANGD_TMP)/intangd ./cmd/intangd
-	$(INTANGD_TMP)/intangd serve -ports-file $(INTANGD_TMP)/ports.env \
+	tmp=$$(mktemp -d /tmp/intangd-smoke.XXXXXX) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -o $$tmp/intangd ./cmd/intangd || exit 1; \
+	$$tmp/intangd serve -ports-file $$tmp/ports.env \
 		-strategy teardown-reversal -censor '$(INTANGD_CENSOR)' \
-		> $(INTANGD_TMP)/serve.log 2>&1 & \
+		> $$tmp/serve.log 2>&1 & \
 	pid=$$!; \
-	for i in $$(seq 100); do [ -s $(INTANGD_TMP)/ports.env ] && break; sleep 0.1; done; \
-	. $(INTANGD_TMP)/ports.env; \
-	$(INTANGD_TMP)/intangd fetch -addr $$proxy -uri '/search?q=ultrasurf' -expect ok && \
-	$(INTANGD_TMP)/intangd strategy -plane $$plane pass >/dev/null && \
-	$(INTANGD_TMP)/intangd fetch -addr $$proxy -uri '/search?q=ultrasurf' -expect blocked && \
-	$(INTANGD_TMP)/intangd flows -plane $$plane > $(INTANGD_TMP)/flows.json; \
+	for i in $$(seq 100); do [ -s $$tmp/ports.env ] && break; sleep 0.1; done; \
+	. $$tmp/ports.env; \
+	$$tmp/intangd fetch -addr $$proxy -uri '/search?q=ultrasurf' -expect ok && \
+	$$tmp/intangd strategy -plane $$plane pass >/dev/null && \
+	$$tmp/intangd fetch -addr $$proxy -uri '/search?q=ultrasurf' -expect blocked && \
+	$$tmp/intangd flows -plane $$plane > $$tmp/flows.json; \
 	status=$$?; kill $$pid 2>/dev/null; wait $$pid 2>/dev/null; \
-	[ $$status -eq 0 ] || { cat $(INTANGD_TMP)/serve.log; exit $$status; }; \
-	grep -q 'teardown-reversal' $(INTANGD_TMP)/flows.json && \
-	grep -q '"got_rst":true' $(INTANGD_TMP)/flows.json
+	[ $$status -eq 0 ] || { cat $$tmp/serve.log; exit $$status; }; \
+	grep -q 'teardown-reversal' $$tmp/flows.json && \
+	grep -q '"got_rst":true' $$tmp/flows.json
 	@echo "intangd-smoke: evaded, switched live, censored, flows observed"
-	@rm -rf $(INTANGD_TMP)

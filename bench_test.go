@@ -278,7 +278,7 @@ func BenchmarkSimulatorEvents(b *testing.B) {
 // BenchmarkEvasionTrial measures one complete protected fetch
 // (handshake, strategy volley, detection-free response).
 func BenchmarkEvasionTrial(b *testing.B) {
-	factory := core.BuiltinFactories()["teardown-reversal"]
+	factory, _, _ := core.ResolveStrategy("teardown-reversal")
 	for i := 0; i < b.N; i++ {
 		pg := NewPlayground(PlaygroundConfig{Seed: int64(i)})
 		conn := pg.Fetch("/?q=ultrasurf", factory)
@@ -297,7 +297,7 @@ func BenchmarkTrialHotPath(b *testing.B) {
 	r := experiment.NewRunner(42)
 	vp := experiment.VantagePoints()[0]
 	srv := experiment.Servers(1, r.Cal, 42)[0]
-	factory := core.BuiltinFactories()["teardown-rst/ttl"]
+	factory, _, _ := core.ResolveStrategy("teardown-rst/ttl")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.RunOne(vp, srv, factory, true, i)

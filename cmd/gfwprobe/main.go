@@ -27,7 +27,6 @@ func probe(model gfw.Model, rstResync bool) (*netem.Simulator, func(p *packet.Pa
 	cfg := gfw.Config{Model: model, Keywords: []string{"ultrasurf"}, DetectionMissProb: -1, ResyncOnRSTProb: 1}
 	dev := gfw.NewDevice("gfw", cfg, sim.Rand())
 	dev.SetRSTResyncs(rstResync)
-	dev.SetClientSide(func(a packet.Addr) bool { return a[0] == 10 })
 	var events []string
 	dev.OnEvent = func(ev gfw.Event) { events = append(events, ev.Kind+":"+ev.Detail) }
 	path := netem.NewChain(sim, 4, netem.Link{}, netem.Link{Latency: time.Millisecond})

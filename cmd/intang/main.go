@@ -49,7 +49,6 @@ func main() {
 
 	cfg := gfw.Config{Model: gfw.ModelEvolved2017, Keywords: []string{*keyword}, DetectionMissProb: -1}
 	dev := gfw.NewDevice("gfw", cfg, sim.Rand())
-	dev.SetClientSide(func(a packet.Addr) bool { return a[0] == 10 })
 	path.Node(3).Taps = []netem.Processor{dev} // the third router
 
 	cliAddr := packet.AddrFrom4(10, 0, 0, 1)
@@ -75,8 +74,8 @@ func main() {
 	default:
 		// A registered name or raw spec text, e.g.
 		// -strategy 'on:first-payload[teardown(flags=rst,disc=ttl)]'.
-		factory, _, ok := core.ResolveStrategy(*strategy)
-		if !ok {
+		factory, _, err := core.ResolveStrategy(*strategy)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "unknown strategy %q: not a registered name (try -list) and not spec text\n", *strategy)
 			os.Exit(2)
 		}

@@ -48,7 +48,7 @@ func main() {
 		scale     = flag.String("scale", "quick", "campaign scale: quick, mid, paper")
 		seed      = flag.Int64("seed", 42, "population/campaign seed")
 		benchOut  = flag.String("bench-out", "BENCH_netem.json", "report path for -what bench")
-		strategy  = flag.String("strategy", "teardown-rst/ttl", "strategy for -what explain")
+		strategy  = flag.String("strategy", "teardown-rst/ttl", "strategy for -what explain: a registered name or spec text")
 		traceDir  = flag.String("trace-dir", "", "directory for causal trace bundles (-what explain and diagnose); empty skips writing")
 		progress  = flag.String("progress", "", "emit live campaign progress during -what obs, health, or fleet: 'stderr' or an HTTP listen address like 127.0.0.1:8391")
 		healthDir = flag.String("health-dir", "", "directory for the health.json/health.txt artifact pair (-what health or fleet); empty skips writing")
@@ -152,7 +152,7 @@ func main() {
 			fmt.Print(experiment.FormatDiagnosis(strat, counts))
 		}
 		fmt.Println("example controlled re-run (flight-recorder divergence per factor):")
-		factory := core.BuiltinFactories()["teardown-rst/ttl"]
+		factory, _, _ := core.ResolveStrategy("teardown-rst/ttl")
 	example:
 		for _, vp := range vps {
 			for _, srv := range servers {
@@ -175,6 +175,10 @@ func main() {
 	}
 	// Strict equality: a narrative re-run, not a paper artifact.
 	if *what == "explain" {
+		if _, _, err := core.ResolveStrategy(*strategy); err != nil {
+			fmt.Fprintf(os.Stderr, "unknown -strategy %q: not a registered name (see -what strategies) and not spec text\n", *strategy)
+			os.Exit(2)
+		}
 		ran = true
 		vps := experiment.VantagePoints()[:sc.VPs]
 		servers := experiment.Servers(sc.Servers, r.Cal, *seed)

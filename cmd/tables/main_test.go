@@ -74,3 +74,39 @@ func TestUnknownScaleExits2(t *testing.T) {
 		t.Errorf("printed %q before rejecting the scale", out)
 	}
 }
+
+// TestUnknownStrategyExits2 checks that -what explain refuses a
+// -strategy that is neither a registered name nor spec text, instead of
+// narrating a no-strategy trial under that name.
+func TestUnknownStrategyExits2(t *testing.T) {
+	out, stderr, code := runTables(t, "-what", "explain", "-strategy", "no-such-strategy", "-scale", "quick")
+	if code != 2 {
+		t.Fatalf("exit code %d, want 2 (stdout %q)", code, out)
+	}
+	if !bytes.Contains(stderr, []byte("-what strategies")) {
+		t.Errorf("stderr %q does not point at -what strategies", stderr)
+	}
+	if len(out) != 0 {
+		t.Errorf("printed %q before rejecting the strategy", out)
+	}
+}
+
+// TestExplainAcceptsSpecText checks that -what explain resolves spec
+// text as cmd/intang and intangd do: the canonical spec of
+// teardown-rst/ttl narrates the same trial as the name.
+func TestExplainAcceptsSpecText(t *testing.T) {
+	byName, stderr, code := runTables(t, "-what", "explain", "-strategy", "teardown-rst/ttl")
+	if code != 0 {
+		t.Fatalf("by name: exit code %d: %s", code, stderr)
+	}
+	bySpec, stderr, code := runTables(t, "-what", "explain", "-strategy", "on:first-payload[teardown(flags=rst,disc=ttl)]")
+	if code != 0 {
+		t.Fatalf("by spec: exit code %d: %s", code, stderr)
+	}
+	// The first line labels the trial with the -strategy text.
+	_, nameBody, _ := bytes.Cut(byName, []byte("\n"))
+	_, specBody, _ := bytes.Cut(bySpec, []byte("\n"))
+	if len(nameBody) == 0 || !bytes.Equal(nameBody, specBody) {
+		t.Errorf("spec text narrated another trial:\nby name:\n%s\nby spec:\n%s", byName, bySpec)
+	}
+}

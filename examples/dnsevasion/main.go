@@ -30,7 +30,6 @@ func main() {
 			PoisonedDomains:   []string{"dropbox.com"},
 			DetectionMissProb: -1,
 		}, sim.Rand())
-		dev.SetClientSide(func(a packet.Addr) bool { return a[0] == 10 })
 		path.Node(3).Taps = []netem.Processor{dev} // the third router
 
 		resolver := tcpstack.NewStack(resolverAddr, tcpstack.Linux44(), sim)

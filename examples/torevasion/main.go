@@ -28,7 +28,6 @@ func buildPath(filtered bool, seed int64) (*netem.Simulator, *netem.Fabric, *gfw
 		ActiveProbeDelay:  10 * time.Second,
 		DetectionMissProb: -1,
 	}, sim.Rand())
-	dev.SetClientSide(func(a packet.Addr) bool { return a[0] == 10 })
 	path.Node(4).Taps = []netem.Processor{dev} // the fourth router
 	path.Node(4).Processors = []netem.Processor{dev.IPFilter()}
 	srv := tcpstack.NewStack(bridge, tcpstack.Linux44(), sim)

@@ -51,8 +51,6 @@ type Blocker struct {
 	// blackhole expires.
 	pairBlock map[[2]packet.Addr]time.Duration
 
-	clientSide func(packet.Addr) bool
-
 	// Stage marks for span profiling, mirroring gfw.Device.
 	firstPktAt time.Duration
 	lastPktAt  time.Duration
@@ -89,9 +87,6 @@ func (b *Blocker) Name() string { return b.name }
 
 // SetObs implements Instance.
 func (b *Blocker) SetObs(o *obs.Obs) { b.Obs = o }
-
-// SetClientSide implements Instance.
-func (b *Blocker) SetClientSide(f func(packet.Addr) bool) { b.clientSide = f }
 
 // Stat implements Instance.
 func (b *Blocker) Stat(kind string) int { return b.Stats[kind] }
@@ -192,7 +187,7 @@ func (b *Blocker) processUDP(ctx *netem.Context, pkt *packet.Packet) {
 				resp := ctx.Pool().NewUDP(pkt.IP.Dst, 53, pkt.IP.Src, pkt.UDP.SrcPort, payload)
 				resp.Lin = packet.Lineage{Origin: packet.OriginGFW, Parent: pkt.Lin.ID}
 				dirOut := netem.ToServer
-				if b.towardClientEnd(pkt.IP.Src) {
+				if gfw.ClientSide(pkt.IP.Src) {
 					dirOut = netem.ToClient
 				}
 				ctx.Inject(dirOut, resp, 0)
@@ -201,13 +196,6 @@ func (b *Blocker) processUDP(ctx *netem.Context, pkt *packet.Packet) {
 		}
 	}
 	b.blockPair(pkt.IP.Src, pkt.IP.Dst, pkt)
-}
-
-func (b *Blocker) towardClientEnd(addr packet.Addr) bool {
-	if b.clientSide != nil {
-		return b.clientSide(addr)
-	}
-	return addr[0] == 10
 }
 
 // blockPair starts (or refreshes) the residual blackhole for an

@@ -24,9 +24,6 @@ type Instance interface {
 	Filter() netem.Processor
 	// SetObs mirrors device events into the shared observability layer.
 	SetObs(*obs.Obs)
-	// SetClientSide registers the predicate identifying client-end
-	// addresses, used to aim injected packets.
-	SetClientSide(func(packet.Addr) bool)
 	// Stat returns the count of one event kind.
 	Stat(kind string) int
 	// ClearStats resets the event counters (series runners reuse one
@@ -65,7 +62,7 @@ func (k Kind) String() string {
 }
 
 // Compiled is a validated, lowered censor spec ready to stamp out
-// per-trial instances. Compilation is pure — Build draws all sampled
+// per-trial instances. Compilation is pure — Attach draws all sampled
 // behaviour from the RNGs it is handed — so one Compiled is cached and
 // shared across every trial and worker.
 type Compiled struct {
@@ -87,53 +84,65 @@ func (c *Compiled) GFWConfig() (gfw.Config, bool) {
 	return c.cfg, c.kind == KindEngine
 }
 
-// Build constructs one live instance for a trial. The trial RNG drives
-// per-flow sampled behaviour; the pair source pins the per-(client,
-// server) behaviours the paper found stable within a measurement
-// period (§4) — engine devices draw their RST-resync and
+// Attach resolves ref (a registry name or raw censor-spec text),
+// builds one live instance of it named name and puts it on node. It is
+// the one place a compiled censor joins a world.
+//
+// A device censor contributes its on-path tap and, when filter is set,
+// its in-path companion (Filter) after the node's processors; a caller
+// that places the companion itself, as a topology's ipf: reference
+// does, passes false. A filter-only censor contributes its middlebox
+// chain as processors, and Attach returns a nil Instance.
+//
+// The trial RNG drives per-flow sampled behaviour; the pair source pins
+// the per-(client, server) behaviours the paper found stable within a
+// measurement period (§4) — engine devices draw their RST-resync and
 // segment-overlap modes from it. Only its Float64 stream is read, so a
-// *rand.Rand or a netem.Source will do. Filter-only
-// specs have no device; use BuildChain.
-func (c *Compiled) Build(name string, trialRng *rand.Rand, pairRng interface{ Float64() float64 }) (Instance, error) {
+// *rand.Rand or a netem.Source will do.
+func Attach(node *netem.Node, ref, name string, filter bool, trialRng *rand.Rand, pairRng interface{ Float64() float64 }) (Instance, error) {
+	c, err := Resolve(ref)
+	if err != nil {
+		return nil, err
+	}
+	var inst Instance
 	switch c.kind {
 	case KindEngine:
 		dev := gfw.NewDevice(name, c.cfg, trialRng)
 		dev.SetRSTResyncs(pairRng.Float64() < c.cfg.ResyncOnRSTProb)
 		dev.SetSegmentLastWins(pairRng.Float64() < c.cfg.SegmentLastWinsProb)
-		return dev, nil
+		inst = dev
 	case KindInline:
-		return NewBlocker(name, c.blk, trialRng), nil
+		inst = NewBlocker(name, c.blk, trialRng)
 	default:
-		return nil, fmt.Errorf("censor: %q compiles to a filter chain, not a device", c.spec.String())
+		for _, f := range c.spec.Filters {
+			node.Processors = append(node.Processors, chainFilter(f, trialRng))
+		}
+		return nil, nil
 	}
+	node.Taps = append(node.Taps, inst)
+	if filter {
+		node.Processors = append(node.Processors, inst.Filter())
+	}
+	return inst, nil
 }
 
-// BuildChain constructs the in-path processor chain of a filter-only
-// spec; ok is false for specs that compile to a device.
-func (c *Compiled) BuildChain(rng *rand.Rand) ([]netem.Processor, bool) {
-	if c.kind != KindChain {
-		return nil, false
+// chainFilter builds the middlebox processor of one filter: statement.
+func chainFilter(f Filter, rng *rand.Rand) netem.Processor {
+	switch f.Kind {
+	case "fragdrop":
+		return middlebox.FragmentDropper{}
+	case "reassemble":
+		return middlebox.NewFragmentReassembler()
+	case "checksum":
+		return middlebox.ChecksumValidator{}
+	case "flagless":
+		return middlebox.FlaglessDropper{}
 	}
-	procs := make([]netem.Processor, 0, len(c.spec.Filters))
-	for _, f := range c.spec.Filters {
-		switch f.Kind {
-		case "fragdrop":
-			procs = append(procs, middlebox.FragmentDropper{})
-		case "reassemble":
-			procs = append(procs, middlebox.NewFragmentReassembler())
-		case "checksum":
-			procs = append(procs, middlebox.ChecksumValidator{})
-		case "flagless":
-			procs = append(procs, middlebox.FlaglessDropper{})
-		case "flag":
-			flag, name := packet.FlagFIN, "fin-dropper"
-			if f.Flag == "rst" {
-				flag, name = packet.FlagRST, "rst-dropper"
-			}
-			procs = append(procs, middlebox.NewFlagDropper(name, flag, f.P, rng))
-		}
+	flag, name := packet.FlagFIN, "fin-dropper"
+	if f.Flag == "rst" {
+		flag, name = packet.FlagRST, "rst-dropper"
 	}
-	return procs, true
+	return middlebox.NewFlagDropper(name, flag, f.P, rng)
 }
 
 // MustCompile is Compile for statically-known specs; it panics on

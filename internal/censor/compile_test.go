@@ -1,6 +1,7 @@
 package censor
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"intango/internal/gfw"
+	"intango/internal/netem"
 	"intango/internal/packet"
 )
 
@@ -116,49 +118,75 @@ func TestTurkmenistanLowering(t *testing.T) {
 	}
 }
 
-// TestChainLowering checks a filter-only spec builds the middlebox
+// TestChainLowering checks a filter-only spec attaches the middlebox
 // processor chain in statement order.
 func TestChainLowering(t *testing.T) {
 	c := MustResolve("mbox-unicom-tj")
 	if c.Kind() != KindChain {
 		t.Fatalf("kind = %v", c.Kind())
 	}
-	procs, ok := c.BuildChain(rand.New(rand.NewSource(1)))
-	if !ok {
-		t.Fatal("BuildChain not ok for chain spec")
+	var node netem.Node
+	if _, err := Attach(&node, "mbox-unicom-tj", "x", true, rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2))); err != nil {
+		t.Fatal(err)
 	}
 	var names []string
-	for _, p := range procs {
+	for _, p := range node.Processors {
 		names = append(names, p.Name())
 	}
 	want := "frag-reassembler checksum-validator flagless-dropper fin-dropper"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("chain = %q, want %q", got, want)
 	}
-	if _, err := c.Build("x", rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2))); err == nil {
-		t.Error("Build succeeded for a chain spec, want error")
+}
+
+// TestBuildKinds checks Attach stamps out the right device type per
+// kind, and that a caller binding the companion itself (filter false)
+// gets the tap alone.
+func TestBuildKinds(t *testing.T) {
+	for _, tc := range []struct{ ref, want string }{
+		{GFW2017, "*gfw.Device"},
+		{Turkmenistan, "*censor.Blocker"},
+	} {
+		var node netem.Node
+		inst, err := Attach(&node, tc.ref, "d", false, rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%T", inst); got != tc.want {
+			t.Errorf("%s: Attach built %s, want %s", tc.ref, got, tc.want)
+		}
+		if len(node.Taps) != 1 || node.Taps[0] != inst || len(node.Processors) != 0 {
+			t.Errorf("%s: node holds taps %v and processors %v, want the tap alone", tc.ref, node.Taps, node.Processors)
+		}
 	}
 }
 
-// TestBuildKinds checks Build stamps out the right device type per
-// kind and BuildChain refuses device specs.
-func TestBuildKinds(t *testing.T) {
-	eng, err := MustResolve(GFW2017).Build("e", rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatal(err)
+// TestAttachRegistry attaches every registered censor to an empty
+// node: a device censor leaves its tap and then its companion filter,
+// a filter-only censor its chain as processors and no instance.
+func TestAttachRegistry(t *testing.T) {
+	for _, e := range Registry() {
+		var node netem.Node
+		inst, err := Attach(&node, e.Name, "c", true, rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2)))
+		if err != nil {
+			t.Errorf("%s: %v", e.Name, err)
+			continue
+		}
+		if c := MustResolve(e.Name); c.Kind() == KindChain {
+			if inst != nil || len(node.Taps) != 0 || len(node.Processors) != len(c.Spec().Filters) {
+				t.Errorf("%s: chain left instance %v, %d taps, %d processors; want none, 0, %d",
+					e.Name, inst, len(node.Taps), len(node.Processors), len(c.Spec().Filters))
+			}
+			continue
+		}
+		if inst == nil || inst.Name() != "c" || len(node.Taps) != 1 || node.Taps[0] != inst ||
+			len(node.Processors) != 1 || node.Processors[0].Name() != inst.Filter().Name() {
+			t.Errorf("%s: device left instance %v, taps %v, processors %v; want the tap, then its filter",
+				e.Name, inst, node.Taps, node.Processors)
+		}
 	}
-	if _, ok := eng.(*gfw.Device); !ok {
-		t.Errorf("engine Build = %T", eng)
-	}
-	inl, err := MustResolve(Turkmenistan).Build("i", rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := inl.(*Blocker); !ok {
-		t.Errorf("inline Build = %T", inl)
-	}
-	if _, ok := MustResolve(GFW2017).BuildChain(rand.New(rand.NewSource(1))); ok {
-		t.Error("BuildChain ok for an engine spec")
+	if _, err := Attach(&netem.Node{}, "no-such-censor", "c", true, rand.New(rand.NewSource(1)), rand.New(rand.NewSource(2))); err == nil {
+		t.Error("Attach resolved an unknown reference")
 	}
 }
 

@@ -91,7 +91,7 @@ var (
 
 // Resolve compiles a censor reference — a registry name or raw spec
 // text — caching the result. Compiled censors are immutable and shared
-// across trials and workers; Build stamps out per-trial devices.
+// across trials and workers; Attach stamps out per-trial devices.
 func Resolve(ref string) (*Compiled, error) {
 	compiledMu.RLock()
 	c := compiledCache[ref]

@@ -82,6 +82,18 @@ func newTrialRig(t *testing.T, cfg gfw.Config, factory Factory, middle []netem.P
 	return r
 }
 
+// builtin compiles the registered strategy alias.
+func builtin(t *testing.T, alias string) Factory {
+	t.Helper()
+	for _, e := range Registry() {
+		if e.Alias == alias {
+			return e.Spec.FactoryAs(alias)
+		}
+	}
+	t.Fatalf("no registered strategy %q", alias)
+	return nil
+}
+
 // runTrial performs one sensitive GET and classifies the outcome with
 // the §3.4 notation: Failure 2 requires resets attributable to the GFW
 // (its injection signature), not just any RST.
@@ -119,11 +131,11 @@ func TestNoStrategyIsCensored(t *testing.T) {
 func TestTCBCreationOldVsEvolved(t *testing.T) {
 	// Worked against the 2013 model; the evolved model resynchronizes
 	// from the extra SYN and catches the keyword (§4).
-	r := newTrialRig(t, old(), NewTCBCreation(DiscTTL), nil)
+	r := newTrialRig(t, old(), builtin(t, "tcb-creation-syn/ttl"), nil)
 	if got := r.runTrial(t); got != Success {
 		t.Fatalf("old model: %v, want success", got)
 	}
-	r2 := newTrialRig(t, evolved(), NewTCBCreation(DiscTTL), nil)
+	r2 := newTrialRig(t, evolved(), builtin(t, "tcb-creation-syn/ttl"), nil)
 	if got := r2.runTrial(t); got != Failure2 {
 		t.Fatalf("evolved model: %v, want failure-2", got)
 	}
@@ -131,7 +143,7 @@ func TestTCBCreationOldVsEvolved(t *testing.T) {
 
 func TestInOrderPrefill(t *testing.T) {
 	for _, d := range []Discrepancy{DiscTTL, DiscBadChecksum, DiscBadAck, DiscNoFlag, DiscMD5, DiscOldTimestamp} {
-		r := newTrialRig(t, evolved(), NewInOrderPrefill(d), nil)
+		r := newTrialRig(t, evolved(), SpecInOrderPrefill(d).Factory(), nil)
 		if got := r.runTrial(t); got != Success {
 			t.Fatalf("prefill/%v: %v, want success", d, got)
 		}
@@ -139,7 +151,7 @@ func TestInOrderPrefill(t *testing.T) {
 }
 
 func TestPrefillOldTimestampAgainstOldModel(t *testing.T) {
-	r := newTrialRig(t, old(), NewInOrderPrefill(DiscTTL), nil)
+	r := newTrialRig(t, old(), builtin(t, "prefill/ttl"), nil)
 	if got := r.runTrial(t); got != Success {
 		t.Fatalf("old model prefill: %v", got)
 	}
@@ -147,24 +159,24 @@ func TestPrefillOldTimestampAgainstOldModel(t *testing.T) {
 
 func TestTeardownRSTDependsOnDeviceRSTBehaviour(t *testing.T) {
 	cfgDown := evolved() // ResyncOnRSTProb 0: RST tears down
-	r := newTrialRig(t, cfgDown, NewTCBTeardown(packet.FlagRST, DiscTTL), nil)
+	r := newTrialRig(t, cfgDown, builtin(t, "teardown-rst/ttl"), nil)
 	if got := r.runTrial(t); got != Success {
 		t.Fatalf("teardown device: %v, want success", got)
 	}
 	cfgResync := evolved()
 	cfgResync.ResyncOnRSTProb = 1 // RST sends the TCB to resync: the request resyncs it
-	r2 := newTrialRig(t, cfgResync, NewTCBTeardown(packet.FlagRST, DiscTTL), nil)
+	r2 := newTrialRig(t, cfgResync, builtin(t, "teardown-rst/ttl"), nil)
 	if got := r2.runTrial(t); got != Failure2 {
 		t.Fatalf("resync device: %v, want failure-2", got)
 	}
 }
 
 func TestTeardownFINFailsAgainstEvolved(t *testing.T) {
-	r := newTrialRig(t, evolved(), NewTCBTeardown(packet.FlagFIN|packet.FlagACK, DiscTTL), nil)
+	r := newTrialRig(t, evolved(), builtin(t, "teardown-fin/ttl"), nil)
 	if got := r.runTrial(t); got != Failure2 {
 		t.Fatalf("FIN vs evolved: %v, want failure-2", got)
 	}
-	r2 := newTrialRig(t, old(), NewTCBTeardown(packet.FlagFIN|packet.FlagACK, DiscTTL), nil)
+	r2 := newTrialRig(t, old(), builtin(t, "teardown-fin/ttl"), nil)
 	if got := r2.runTrial(t); got != Success {
 		t.Fatalf("FIN vs old: %v, want success", got)
 	}
@@ -174,12 +186,12 @@ func TestImprovedTeardownBeatsBothRSTBehaviours(t *testing.T) {
 	for _, prob := range []float64{0, 1} {
 		cfg := evolved()
 		cfg.ResyncOnRSTProb = prob
-		r := newTrialRig(t, cfg, NewImprovedTeardown(), nil)
+		r := newTrialRig(t, cfg, builtin(t, "improved-teardown"), nil)
 		if got := r.runTrial(t); got != Success {
 			t.Fatalf("improved teardown (resync prob %v): %v, want success", prob, got)
 		}
 	}
-	r := newTrialRig(t, old(), NewImprovedTeardown(), nil)
+	r := newTrialRig(t, old(), builtin(t, "improved-teardown"), nil)
 	if got := r.runTrial(t); got != Success {
 		t.Fatalf("improved teardown vs old: %v", got)
 	}
@@ -187,7 +199,7 @@ func TestImprovedTeardownBeatsBothRSTBehaviours(t *testing.T) {
 
 func TestImprovedPrefill(t *testing.T) {
 	for _, cfg := range []gfw.Config{evolved(), old()} {
-		r := newTrialRig(t, cfg, NewImprovedPrefill(), nil)
+		r := newTrialRig(t, cfg, builtin(t, "improved-prefill"), nil)
 		if got := r.runTrial(t); got != Success {
 			t.Fatalf("%v: %v, want success", cfg.Model, got)
 		}
@@ -196,7 +208,7 @@ func TestImprovedPrefill(t *testing.T) {
 
 func TestResyncDesyncBeatsBothModels(t *testing.T) {
 	for _, cfg := range []gfw.Config{evolved(), old()} {
-		r := newTrialRig(t, cfg, NewResyncDesync(), nil)
+		r := newTrialRig(t, cfg, builtin(t, "creation-resync-desync"), nil)
 		if got := r.runTrial(t); got != Success {
 			t.Fatalf("%v: %v, want success", cfg.Model, got)
 		}
@@ -205,7 +217,7 @@ func TestResyncDesyncBeatsBothModels(t *testing.T) {
 
 func TestTCBReversalBeatsBothModels(t *testing.T) {
 	for _, cfg := range []gfw.Config{evolved(), old()} {
-		r := newTrialRig(t, cfg, NewTCBReversal(), nil)
+		r := newTrialRig(t, cfg, builtin(t, "teardown-reversal"), nil)
 		if got := r.runTrial(t); got != Success {
 			t.Fatalf("%v: %v, want success", cfg.Model, got)
 		}
@@ -213,7 +225,7 @@ func TestTCBReversalBeatsBothModels(t *testing.T) {
 	// Also against a resync-on-RST evolved device.
 	cfg := evolved()
 	cfg.ResyncOnRSTProb = 1
-	r := newTrialRig(t, cfg, NewTCBReversal(), nil)
+	r := newTrialRig(t, cfg, builtin(t, "teardown-reversal"), nil)
 	if got := r.runTrial(t); got != Success {
 		t.Fatalf("reversal vs resync-on-RST: %v", got)
 	}
@@ -223,14 +235,14 @@ func TestOutOfOrderTCPSegOverlapPolicy(t *testing.T) {
 	// Old-style devices prefer the later copy: junk wins, evasion works.
 	cfg := evolved()
 	cfg.SegmentLastWinsProb = 1
-	r := newTrialRig(t, cfg, NewOutOfOrderTCPSeg(), nil)
+	r := newTrialRig(t, cfg, builtin(t, "ooo-tcpseg"), nil)
 	if got := r.runTrial(t); got != Success {
 		t.Fatalf("last-wins device: %v, want success", got)
 	}
 	// Evolved devices that keep the first copy see the real data.
 	cfg2 := evolved()
 	cfg2.SegmentLastWinsProb = 0
-	r2 := newTrialRig(t, cfg2, NewOutOfOrderTCPSeg(), nil)
+	r2 := newTrialRig(t, cfg2, builtin(t, "ooo-tcpseg"), nil)
 	if got := r2.runTrial(t); got != Failure2 {
 		t.Fatalf("first-wins device: %v, want failure-2", got)
 	}
@@ -239,7 +251,7 @@ func TestOutOfOrderTCPSegOverlapPolicy(t *testing.T) {
 func TestOutOfOrderIPFrag(t *testing.T) {
 	// With no middlebox interference the fragment decoy blinds the GFW
 	// (it keeps the first copy) while the server keeps the real data.
-	r := newTrialRig(t, evolved(), NewOutOfOrderIPFrag(), nil)
+	r := newTrialRig(t, evolved(), builtin(t, "ooo-ipfrag"), nil)
 	if got := r.runTrial(t); got != Success {
 		t.Fatalf("no middleboxes: %v, want success", got)
 	}
@@ -248,7 +260,7 @@ func TestOutOfOrderIPFrag(t *testing.T) {
 func TestWrongInsertionTTLCausesFailure1(t *testing.T) {
 	// An insertion RST whose TTL overshoots the GFW reaches the server
 	// and kills the real connection: Failure 1 (§3.4 network dynamics).
-	r := newTrialRig(t, evolved(), NewTCBTeardown(packet.FlagRST, DiscTTL), nil)
+	r := newTrialRig(t, evolved(), builtin(t, "teardown-rst/ttl"), nil)
 	r.engine.Env.InsertionTTL = 64 // wrong: reaches the server
 	if got := r.runTrial(t); got != Failure1 {
 		t.Fatalf("outcome = %v, want failure-1", got)
@@ -256,7 +268,7 @@ func TestWrongInsertionTTLCausesFailure1(t *testing.T) {
 }
 
 func TestInsertionRepeats(t *testing.T) {
-	r := newTrialRig(t, evolved(), NewImprovedTeardown(), nil)
+	r := newTrialRig(t, evolved(), builtin(t, "improved-teardown"), nil)
 	var insertions int
 	r.engine.OnOutboundRaw = func(em Emission) {
 		if em.Insertion {

@@ -3,7 +3,6 @@ package core
 import (
 	"time"
 
-	"intango/internal/device"
 	"intango/internal/netem"
 	"intango/internal/packet"
 	"intango/internal/tcpstack"
@@ -14,15 +13,11 @@ import (
 // instantiates a per-connection Strategy, applies it to outbound
 // packets, and re-sends insertion packets to survive loss.
 //
-// The engine emits through the device boundary: in a simulated trial
-// Dev is a NetemEnd wrapping the client end of the substrate, and in
-// the live proxy it is whatever packet carrier the daemon runs on. The
-// engine itself stays the client-side netem.Endpoint in simulation, so
-// inbound delivery is unchanged.
+// The engine is the client end of its fabric: it emits from that end
+// and is the end's netem.Endpoint, in a simulated trial and in the live
+// proxy alike.
 type Engine struct {
 	Sim *netem.Simulator
-	// Dev is the packet device the engine emits onto.
-	Dev device.Device
 	// Stack, when set, receives inbound packets (the in-simulation
 	// client). A daemon-mode engine leaves it nil and sets Upstream.
 	Stack *tcpstack.Stack
@@ -58,15 +53,8 @@ type Engine struct {
 	sentAny     bool
 
 	flows map[packet.FourTuple]*flowState
-
-	// dev is the inline adapter storage NewEngine binds over a netem
-	// substrate — a value field, so the Device boundary costs no extra
-	// heap object per trial.
-	dev device.NetemEnd
-	// pool and stamper cache the device's capabilities so the per-
-	// packet path does no interface re-assertion.
-	pool    *packet.Pool
-	stamper device.LineageStamper
+	// net is the fabric whose client end the engine holds.
+	net *netem.Fabric
 }
 
 type flowState struct {
@@ -81,34 +69,13 @@ func NewEngine(sim *netem.Simulator, f *netem.Fabric, stack *tcpstack.Stack, env
 	e := &Engine{
 		Sim: sim, Stack: stack, Env: env,
 		flows: make(map[packet.FourTuple]*flowState),
+		net:   f,
 	}
-	e.dev = device.NetemEnd{Net: f}
-	e.Dev = &e.dev
-	e.bindDev()
 	if stack != nil {
 		stack.Send = e.Outbound
 	}
 	f.Client = e
 	return e
-}
-
-// NewEngineOn wires an engine directly onto a packet device — the
-// daemon entry point, where there is no netem substrate to claim an
-// endpoint on. The caller pumps client traffic into Outbound and
-// receives the return path via Upstream (or a Stack, if it sets one).
-func NewEngineOn(sim *netem.Simulator, dev device.Device, env Env) *Engine {
-	e := &Engine{
-		Sim: sim, Dev: dev, Env: env,
-		flows: make(map[packet.FourTuple]*flowState),
-	}
-	e.bindDev()
-	return e
-}
-
-// bindDev caches the device's pool and lineage capabilities.
-func (e *Engine) bindDev() {
-	e.pool = device.PoolOf(e.Dev)
-	e.stamper, _ = e.Dev.(device.LineageStamper)
 }
 
 // StrategyFor returns the live strategy instance for a flow, if any.
@@ -131,9 +98,7 @@ func (e *Engine) Outbound(pkt *packet.Packet) {
 	}
 	// Assign the wire ID now, before strategies run, so insertion
 	// packets crafted from this one can record it as lineage parent.
-	if e.stamper != nil {
-		e.stamper.StampLineage(pkt)
-	}
+	e.net.StampLineage(pkt)
 	tuple := pkt.Tuple()
 	fs := e.flows[tuple]
 	if fs == nil {
@@ -218,7 +183,7 @@ func (e *Engine) emit(emissions []Emission) {
 			case em.Insertion:
 				// Each wave sends its own copy; pooled clones let the
 				// path recycle them at end-of-life.
-				clone := e.pool.Clone(em.Pkt)
+				clone := e.net.Pool.Clone(em.Pkt)
 				e.Sim.At(delay+em.Delay, func() { e.send(Emission{Pkt: clone, Insertion: true}) })
 			case last:
 				p := em.Pkt
@@ -238,7 +203,7 @@ func (e *Engine) send(em Emission) {
 	if e.OnOutboundRaw != nil {
 		e.OnOutboundRaw(em)
 	}
-	_ = e.Dev.WritePacket(em.Pkt)
+	e.net.SendFromClient(em.Pkt)
 }
 
 // Deliver implements netem.Endpoint for the client end.

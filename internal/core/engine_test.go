@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"intango/internal/gfw"
+	"intango/internal/netem"
 	"intango/internal/packet"
 	"intango/internal/tcpstack"
 )
@@ -64,7 +65,7 @@ func TestEngineTracksFlowState(t *testing.T) {
 }
 
 func TestEngineStrategyForAndReset(t *testing.T) {
-	r := newTrialRig(t, evolved(), NewImprovedTeardown(), nil)
+	r := newTrialRig(t, evolved(), builtin(t, "improved-teardown"), nil)
 	c := r.cli.Connect(srvAddr, 80)
 	r.sim.RunFor(100 * time.Millisecond)
 	tuple := packet.FourTuple{SrcAddr: cliAddr, SrcPort: c.LocalPort(), DstAddr: srvAddr, DstPort: 80}
@@ -96,6 +97,47 @@ func TestEngineOnOutboundConsumes(t *testing.T) {
 	}
 }
 
+// TestEngineIsFabricClientEnd checks that the engine emits from its
+// fabric's client end with nothing in between: what it sends reaches
+// the handler registered as the fabric's server endpoint inside the
+// delivery event, an outbound packet gets its wire ID before strategies
+// run, and every insertion wave sends a clone from the fabric's pool.
+func TestEngineIsFabricClientEnd(t *testing.T) {
+	sim := netem.NewSimulator(1)
+	f := netem.NewChain(sim, 1, netem.Link{}, netem.Link{Latency: time.Millisecond})
+	f.Pool = packet.NewPool()
+	var got []string
+	f.Server = netem.EndpointFunc(func(pkt *packet.Packet) {
+		if len(pkt.Payload) > 0 {
+			got = append(got, string(pkt.Payload)) // copy: netem recycles pkt after delivery
+		}
+	})
+	e := NewEngine(sim, f, nil, DefaultEnv(5, sim.Rand()))
+	factory := builtin(t, "teardown-rst/ttl")
+	e.NewStrategy = func(packet.FourTuple) Strategy { return factory() }
+	insertions, pooled := 0, 0
+	e.OnOutboundRaw = func(em Emission) {
+		if em.Insertion {
+			insertions++
+			if em.Pkt.Pooled() {
+				pooled++
+			}
+		}
+	}
+	pkt := packet.NewTCP(cliAddr, 40000, srvAddr, 80, packet.FlagPSH|packet.FlagACK, 1000, 2000, []byte("through the fabric"))
+	e.Outbound(pkt)
+	if pkt.Lin.ID == 0 {
+		t.Error("the engine did not stamp the outbound packet's wire ID")
+	}
+	sim.RunFor(time.Second)
+	if len(got) != 1 || got[0] != "through the fabric" {
+		t.Errorf("server endpoint saw payloads %q", got)
+	}
+	if insertions == 0 || pooled != insertions {
+		t.Errorf("%d of %d insertion clones came from the fabric's pool", pooled, insertions)
+	}
+}
+
 func TestEngineNonTCPPassThrough(t *testing.T) {
 	r := newTrialRig(t, evolved(), nil, nil)
 	got := 0
@@ -110,7 +152,7 @@ func TestEngineNonTCPPassThrough(t *testing.T) {
 func TestEngineRepeatWavesPreserveOrder(t *testing.T) {
 	// Each wave must contain the insertions in their original order so
 	// (SYN, desync) pairs keep their causality (Fig. 3).
-	r := newTrialRig(t, evolved(), NewResyncDesync(), nil)
+	r := newTrialRig(t, evolved(), builtin(t, "creation-resync-desync"), nil)
 	type sent struct {
 		flags uint8
 		seq   packet.Seq
@@ -188,7 +230,7 @@ func TestSharedStrategyInstanceAcrossFlows(t *testing.T) {
 }
 
 func TestWestChamberKillsOwnConnection(t *testing.T) {
-	r := newTrialRig(t, evolved(), NewWestChamber(), nil)
+	r := newTrialRig(t, evolved(), builtin(t, "west-chamber"), nil)
 	if got := r.runTrial(t); got != Failure1 {
 		t.Fatalf("west-chamber outcome = %v, want failure-1 (its bare RST reaches the server)", got)
 	}
@@ -197,14 +239,14 @@ func TestWestChamberKillsOwnConnection(t *testing.T) {
 func TestMD5RequestAgainstHardenedGFW(t *testing.T) {
 	cfg := evolved()
 	cfg.ValidateMD5 = true // §8 hardened censor
-	r := newTrialRig(t, cfg, NewMD5TaggedRequest(), nil)
+	r := newTrialRig(t, cfg, builtin(t, "md5-request"), nil)
 	// Against a modern server the MD5-tagged request is ignored by the
 	// server too: Failure 1.
 	if got := r.runTrial(t); got != Failure1 {
 		t.Fatalf("vs linux-4.4: %v, want failure-1", got)
 	}
 	// Against a pre-RFC-2385 server it sails through.
-	r2 := newTrialRig(t, cfg, NewMD5TaggedRequest(), nil)
+	r2 := newTrialRig(t, cfg, builtin(t, "md5-request"), nil)
 	r2.srv.Profile = tcpstack.Linux2437()
 	if got := r2.runTrial(t); got != Success {
 		t.Fatalf("vs linux-2.4.37: %v, want success", got)

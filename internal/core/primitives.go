@@ -627,12 +627,7 @@ func (s Spec) FactoryAs(alias string) Factory {
 	return func() Strategy { return c }
 }
 
-// CompileSpec parses and compiles a spec in one step.
-func CompileSpec(input string) (Factory, error) {
-	return CompileSpecAs("", input)
-}
-
-// CompileSpecAs is CompileSpec with a display alias.
+// CompileSpecAs parses input and compiles it under a display alias.
 func CompileSpecAs(alias, input string) (Factory, error) {
 	spec, err := ParseSpec(input)
 	if err != nil {

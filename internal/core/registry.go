@@ -178,71 +178,6 @@ func SpecMD5TaggedRequest() Spec {
 	}}}
 }
 
-// --- legacy Factory constructors, now spec-backed ---
-
-// NewTCBCreation returns "TCB creation with SYN" with the given
-// insertion discrepancy (Table 1 rows: TTL, bad checksum).
-func NewTCBCreation(d Discrepancy) Factory {
-	return SpecTCBCreation(d).FactoryAs("tcb-creation-syn/" + d.String())
-}
-
-// NewOutOfOrderIPFrag returns the out-of-order IP-fragment strategy.
-func NewOutOfOrderIPFrag() Factory {
-	return SpecOutOfOrderIPFrag().FactoryAs("ooo-ipfrag")
-}
-
-// NewOutOfOrderTCPSeg returns the out-of-order TCP-segment strategy.
-func NewOutOfOrderTCPSeg() Factory {
-	return SpecOutOfOrderTCPSeg().FactoryAs("ooo-tcpseg")
-}
-
-// NewInOrderPrefill returns in-order data overlapping with the given
-// insertion discrepancies (one junk copy per discrepancy).
-func NewInOrderPrefill(discs ...Discrepancy) Factory {
-	alias := "prefill"
-	for _, d := range discs {
-		alias += "/" + d.String()
-	}
-	return SpecInOrderPrefill(discs...).FactoryAs(alias)
-}
-
-// NewTCBTeardown returns TCB teardown with the given flags and
-// discrepancy.
-func NewTCBTeardown(flags uint8, d Discrepancy) Factory {
-	return SpecTCBTeardown(flags, d).FactoryAs(
-		"teardown-" + legacyFlagSlug(flags) + "/" + d.String())
-}
-
-// NewImprovedTeardown returns the §7.1 improved teardown.
-func NewImprovedTeardown() Factory {
-	return SpecImprovedTeardown().FactoryAs("improved-teardown")
-}
-
-// NewImprovedPrefill returns the §7.1 improved prefill.
-func NewImprovedPrefill() Factory {
-	return SpecImprovedPrefill().FactoryAs("improved-prefill")
-}
-
-// NewResyncDesync returns the Fig. 3 combined strategy.
-func NewResyncDesync() Factory {
-	return SpecResyncDesync().FactoryAs("creation-resync-desync")
-}
-
-// NewTCBReversal returns the Fig. 4 combined strategy.
-func NewTCBReversal() Factory {
-	return SpecTCBReversal().FactoryAs("teardown-reversal")
-}
-
-// NewWestChamber returns the West Chamber baseline.
-func NewWestChamber() Factory {
-	return SpecWestChamber().FactoryAs("west-chamber")
-}
-
-// NewMD5TaggedRequest returns the §8 MD5-tagged-request strategy.
-func NewMD5TaggedRequest() Factory {
-	return SpecMD5TaggedRequest().FactoryAs("md5-request")
-}
-
 // Registry lists every built-in strategy in paper-table order: the
 // Table 1 existing strategies, then the Table 4 improved/new ones,
 // then the §2/§8 extras.
@@ -288,21 +223,28 @@ func BuiltinFactories() map[string]Factory {
 
 // ResolveStrategy resolves a strategy key — a legacy alias, a canonical
 // spec string, or any parseable spec text — to a Factory plus the
-// canonical spec string that identifies it.
-func ResolveStrategy(key string) (Factory, string, bool) {
+// canonical spec string that identifies it. "", "none" and "pass" all
+// name the passthrough baseline, whose canonical string is "pass". It
+// is the one way a strategy name becomes a strategy; a key that is
+// neither a name nor spec text is an error carrying the parser's.
+func ResolveStrategy(key string) (Factory, string, error) {
+	if key == "" {
+		key = "none"
+	}
 	for _, e := range Registry() {
 		if e.Alias == key {
-			return e.Spec.FactoryAs(e.Alias), e.Spec.String(), true
+			return e.Spec.FactoryAs(e.Alias), e.Spec.String(), nil
 		}
 	}
-	if spec, err := ParseSpec(key); err == nil {
-		canon := spec.String()
-		if alias, ok := AliasFor(canon); ok {
-			return spec.FactoryAs(alias), canon, true
-		}
-		return spec.Factory(), canon, true
+	spec, err := ParseSpec(key)
+	if err != nil {
+		return nil, "", fmt.Errorf("strategy %q is not a registered name, and not spec text: %w", key, err)
 	}
-	return nil, "", false
+	canon := spec.String()
+	if alias, ok := AliasFor(canon); ok {
+		return spec.FactoryAs(alias), canon, nil
+	}
+	return spec.Factory(), canon, nil
 }
 
 // AliasFor maps a canonical spec string back to its registered legacy

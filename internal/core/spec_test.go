@@ -47,9 +47,9 @@ func TestFactoryNamesMatchAliases(t *testing.T) {
 		if got := e.Spec.FactoryAs(e.Alias)().Name(); got != e.Alias {
 			t.Errorf("FactoryAs(%q)().Name() = %q", e.Alias, got)
 		}
-		f, _, ok := ResolveStrategy(e.Alias)
-		if !ok {
-			t.Errorf("ResolveStrategy(%q) failed", e.Alias)
+		f, _, err := ResolveStrategy(e.Alias)
+		if err != nil {
+			t.Errorf("ResolveStrategy(%q): %v", e.Alias, err)
 			continue
 		}
 		if got := f().Name(); got != e.Alias {

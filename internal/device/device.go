@@ -1,12 +1,10 @@
-// Package device defines the single packet-I/O boundary everything
-// above the wire speaks: the strategy engine, the TCP stacks, the live
-// proxy daemon, and the discrete-event simulator all move raw IPv4
-// datagrams through a Device. The paper's INTANG prototype sat on
-// netfilter-queue; this boundary is the same seam, abstracted so one
-// engine body serves both the simulated substrate (a netem.Fabric
-// behind a NetemEnd adapter) and live packet carriers
-// (the in-memory Pipe, the userspace-stack dialer in device/uis, or a
-// future TUN/pcap device).
+// Package device defines the packet-I/O boundary between the live
+// proxy daemon and its clients: raw IPv4 datagrams cross it through a
+// Device — the in-memory Pipe, with the userspace-stack dialer in
+// device/uis on the far end, or a future TUN/pcap device. The paper's
+// INTANG prototype sat on netfilter-queue; this boundary is the same
+// seam. Inside a world, the strategy engine and the TCP stacks are the
+// ends of their netem.Fabric and need no device.
 package device
 
 import (
@@ -25,20 +23,12 @@ var ErrClosed = errors.New("device: closed")
 // (pool-aware devices recycle it once the bytes are on the wire).
 // Packets returned by ReadPacket belong to the caller.
 //
-// Devices may additionally implement LineageStamper and Pooled; use
-// Stamp and PoolOf instead of asserting by hand.
+// Devices may additionally implement Pooled; use PoolOf instead of
+// asserting by hand.
 type Device interface {
 	ReadPacket() (*packet.Packet, error)
 	WritePacket(pkt *packet.Packet) error
 	Close() error
-}
-
-// LineageStamper is implemented by devices that can assign wire IDs
-// for causal tracing (a netem fabric end does; dumb carriers don't).
-type LineageStamper interface {
-	// StampLineage assigns pkt its wire ID if it does not have one yet
-	// and returns the ID.
-	StampLineage(pkt *packet.Packet) uint32
 }
 
 // Pooled is implemented by devices backed by a packet.Pool; crafting
@@ -47,15 +37,6 @@ type LineageStamper interface {
 type Pooled interface {
 	// PacketPool returns the device's pool (nil when pooling is off).
 	PacketPool() *packet.Pool
-}
-
-// Stamp assigns pkt a wire ID through d when d supports lineage
-// stamping, and returns the ID (zero otherwise).
-func Stamp(d Device, pkt *packet.Packet) uint32 {
-	if s, ok := d.(LineageStamper); ok {
-		return s.StampLineage(pkt)
-	}
-	return 0
 }
 
 // PoolOf returns d's packet pool when d is pool-backed, else nil (the

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"intango/internal/netem"
 	"intango/internal/packet"
 )
 
@@ -214,38 +213,5 @@ func TestPipeTailDrop(t *testing.T) {
 		if _, err := b.ReadPacket(); err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
-	}
-}
-
-// TestNetemEndHandlerMode checks the synchronous handler path the
-// engine and stacks ride, now the only one a NetemEnd has: a client
-// write reaches the handler registered as the fabric's server endpoint
-// inside the delivery event, the end stamps lineage and exposes the
-// fabric's pool, and there is nothing to read from it.
-func TestNetemEndHandlerMode(t *testing.T) {
-	sim := netem.NewSimulator(1)
-	path := netem.NewChain(sim, 1, netem.Link{}, netem.Link{Latency: time.Millisecond})
-	path.Pool = packet.NewPool()
-	var got string
-	path.Server = netem.EndpointFunc(func(pkt *packet.Packet) {
-		got = string(pkt.Payload) // copy: netem recycles pkt after delivery
-	})
-	cli := &NetemEnd{Net: path}
-
-	if err := cli.WritePacket(mkTCP("through the substrate")); err != nil {
-		t.Fatalf("WritePacket: %v", err)
-	}
-	sim.RunFor(50 * time.Millisecond)
-	if got != "through the substrate" {
-		t.Errorf("server endpoint saw %q", got)
-	}
-	if Stamp(cli, mkTCP("y")) == 0 {
-		t.Errorf("NetemEnd should stamp lineage through the substrate")
-	}
-	if PoolOf(cli) != path.Pool {
-		t.Errorf("NetemEnd should expose the fabric's pool")
-	}
-	if _, err := cli.ReadPacket(); !errors.Is(err, ErrClosed) {
-		t.Errorf("ReadPacket: got %v want ErrClosed", err)
 	}
 }

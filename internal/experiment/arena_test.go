@@ -33,9 +33,9 @@ func TestArenaMatchesFreshRigs(t *testing.T) {
 	for _, c := range []*Cube{Table1Cube(r, QuickScale()), matrix} {
 		for i := range c.jobs {
 			j := &c.jobs[i]
-			out, rg, rec := r.runRig(j, regArena, nil, a)
+			out, rg, rec := r.runRig(j, j.vp, j.srv, regArena, nil, a)
 			steps, pending, total, events := rg.sim.Steps(), rg.sim.Pending(), rec.Total(), rec.Events()
-			wantOut, wantRg, wantRec := r.runRig(j, regFresh, nil, r.newArena())
+			wantOut, wantRg, wantRec := r.runRig(j, j.vp, j.srv, regFresh, nil, r.newArena())
 			switch {
 			case out != wantOut:
 				t.Fatalf("%s job %d (%s ~ %s, trial %d): arena outcome %v, fresh %v",

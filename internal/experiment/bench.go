@@ -277,7 +277,7 @@ func benchTrial(seed int64) func(b *testing.B) {
 		r := NewRunner(seed)
 		vp := VantagePoints()[0]
 		srv := Servers(1, r.Cal, seed)[0]
-		factory := core.BuiltinFactories()["teardown-rst/ttl"]
+		factory, _, _ := core.ResolveStrategy("teardown-rst/ttl")
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

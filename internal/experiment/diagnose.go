@@ -89,12 +89,13 @@ type Diagnosis struct {
 }
 
 // Diagnose reruns a trial under controlled variants, each on the
-// runner's censor and topology. A nil factory means no strategy. Each
+// runner's censor and topology. A strategy name that does not resolve
+// (core.ResolveStrategy) means no strategy. Each
 // run is fully causally traced: the baseline's bundle is always
 // attached, and each factor re-run that diverges from the baseline
 // keeps its own bundle for offline inspection.
 func (r *Runner) Diagnose(vp VantagePoint, srv Server, strategyName string, trial int) Diagnosis {
-	factory := core.BuiltinFactories()[strategyName]
+	factory, _, _ := core.ResolveStrategy(strategyName)
 	diag := Diagnosis{VP: vp.Name, Server: srv.Name, Strategy: strategyName}
 	var baseTr *trace.Trace
 	diag.Baseline, baseTr = r.RunOneCausal(vp, srv, factory, strategyName, true, trial)
@@ -172,7 +173,7 @@ func sanitizeName(s string) string {
 // "quantify the impact of each" (§3.4).
 func (r *Runner) DiagnoseCampaign(strategyName string, vps []VantagePoint, servers []Server, trials int) map[string]int {
 	counts := map[string]int{}
-	factory := core.BuiltinFactories()[strategyName]
+	factory, _, _ := core.ResolveStrategy(strategyName)
 	for _, vp := range vps {
 		for _, srv := range servers {
 			for trial := 0; trial < trials; trial++ {

@@ -334,7 +334,7 @@ func TestRunOneDeterministic(t *testing.T) {
 	r := NewRunner(7)
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, 7)[0]
-	f := core.BuiltinFactories()["improved-teardown"]
+	f, _, _ := core.ResolveStrategy("improved-teardown")
 	a := r.RunOne(vp, srv, f, true, 3)
 	b := r.RunOne(vp, srv, f, true, 3)
 	if a != b {
@@ -493,10 +493,11 @@ func TestDiagnoseAttributesFailures(t *testing.T) {
 	// resync-on-RST. Find one by sweeping.
 	servers := Servers(30, r.Cal, 42)
 	vps := VantagePoints()
+	f, _, _ := core.ResolveStrategy("teardown-rst/ttl")
 	var found *Diagnosis
 	for _, vp := range vps {
 		for _, srv := range servers {
-			if r.RunOne(vp, srv, core.BuiltinFactories()["teardown-rst/ttl"], true, 0) == Failure2 {
+			if r.RunOne(vp, srv, f, true, 0) == Failure2 {
 				d := r.Diagnose(vp, srv, "teardown-rst/ttl", 0)
 				found = &d
 				break

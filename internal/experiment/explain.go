@@ -10,9 +10,11 @@ import (
 // FindFailingTrial deterministically locates the first failing
 // sensitive trial of a strategy over the population, scanning vantage
 // points, then servers, then trial indices in order. ok is false when
-// every trial in the sweep succeeds.
+// every trial in the sweep succeeds. The strategy is a registered name
+// or spec text (core.ResolveStrategy); one that resolves to nothing
+// runs no strategy, here and in Explain.
 func (r *Runner) FindFailingTrial(strategyName string, vps []VantagePoint, servers []Server, trials int) (vp VantagePoint, srv Server, trial int, ok bool) {
-	factory := core.BuiltinFactories()[strategyName]
+	factory, _, _ := core.ResolveStrategy(strategyName)
 	for _, v := range vps {
 		for _, s := range servers {
 			for t := 0; t < trials; t++ {
@@ -30,7 +32,7 @@ func (r *Runner) FindFailingTrial(strategyName string, vps []VantagePoint, serve
 // it did, and which packet caused what — together with the trace for
 // bundle export.
 func (r *Runner) Explain(vp VantagePoint, srv Server, strategyName string, trial int) (string, *trace.Trace) {
-	factory := core.BuiltinFactories()[strategyName]
+	factory, _, _ := core.ResolveStrategy(strategyName)
 	_, tr := r.RunOneCausal(vp, srv, factory, strategyName, true, trial)
 	return tr.Narrative(), tr
 }

@@ -105,7 +105,7 @@ func SequenceDiagram(r *Runner, factoryName, title string) string {
 	}
 	env := core.DefaultEnv(insertionTTL(srv), rg.sim.Rand())
 	rg.engine = core.NewEngine(rg.sim, rg.net, rg.cli, env)
-	factory := core.BuiltinFactories()[factoryName]
+	factory, _, _ := core.ResolveStrategy(factoryName)
 	rg.engine.NewStrategy = func(packet.FourTuple) core.Strategy { return factory() }
 	conn := fetch(rg, srv, true)
 	fmt.Fprintf(&b, "outcome: %v\n", classify(rg, conn, true))

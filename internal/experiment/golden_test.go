@@ -65,8 +65,8 @@ func TestTableSpecsMatchRegistry(t *testing.T) {
 		if canon := spec.String(); canon != s.spec {
 			t.Errorf("%s: spec %q is not canonical (want %q)", s.name, s.spec, canon)
 		}
-		_, registered, ok := core.ResolveStrategy(s.name)
-		if !ok {
+		_, registered, err := core.ResolveStrategy(s.name)
+		if err != nil {
 			// Not a registry alias (e.g. ad-hoc Table 5 constructions):
 			// parseability is all we require.
 			continue

@@ -68,7 +68,10 @@ func goodputStrategies() []struct {
 	name, class string
 	factory     core.Factory
 } {
-	builtin := core.BuiltinFactories()
+	registered := func(name string) core.Factory {
+		f, _, _ := core.ResolveStrategy(name)
+		return f
+	}
 	sustained := func(name string, rule core.Rule) core.Factory {
 		return core.Spec{Rules: []core.Rule{rule}}.FactoryAs(name)
 	}
@@ -92,9 +95,9 @@ func goodputStrategies() []struct {
 				core.DuplicateAction{Fill: core.FillJunk, Pos: core.PosAfter},
 			},
 		})},
-		{"teardown-rst/ttl", "inject", builtin["teardown-rst/ttl"]},
-		{"improved-teardown", "inject", builtin["improved-teardown"]},
-		{"prefill/ttl", "inject", builtin["prefill/ttl"]},
+		{"teardown-rst/ttl", "inject", registered("teardown-rst/ttl")},
+		{"improved-teardown", "inject", registered("improved-teardown")},
+		{"prefill/ttl", "inject", registered("prefill/ttl")},
 	}
 }
 

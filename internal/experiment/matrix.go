@@ -140,17 +140,15 @@ func FormatCensorMatrix(cells []MatrixCell) string {
 // an IP null-route can stop. Returns the built censor instance and the
 // fresh connection's outcome.
 func proberDemoSession(seed int64, obfs bool) (censor.Instance, bool) {
-	comp := censor.MustResolve(censor.TorProber)
 	sim := netem.NewSimulator(seed)
 	link := netem.Link{Latency: time.Millisecond}
 	path := netem.NewChain(sim, 9, link, link)
-	inst, err := comp.Build("tor-prober", sim.Rand(), rand.New(rand.NewSource(seed^0x70726f6265)))
+	// The censor sits at the fourth router.
+	inst, err := censor.Attach(path.Node(4), censor.TorProber, "tor-prober", true,
+		sim.Rand(), rand.New(rand.NewSource(seed^0x70726f6265)))
 	if err != nil {
 		panic(fmt.Sprintf("experiment: build tor-prober: %v", err))
 	}
-	inst.SetClientSide(func(a packet.Addr) bool { return a[0] == 10 })
-	path.Node(4).Taps = []netem.Processor{inst} // the fourth router
-	path.Node(4).Processors = []netem.Processor{inst.Filter()}
 
 	bridge := packet.AddrFrom4(52, 3, 17, 99)
 	srv := tcpstack.NewStack(bridge, tcpstack.Linux44(), sim)

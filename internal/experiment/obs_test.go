@@ -238,10 +238,10 @@ func TestObsSerialParallelDeterminism(t *testing.T) {
 	rTrace.Topo = GraphDemoTopo
 	vp := VantagePoints()[0]
 	srv := Servers(1, rTrace.Cal, 42)[0]
-	f := core.BuiltinFactories()["teardown-rst/ttl"]
-	outPlain, _, recPlain := rTrace.runRig(rTrace.job(vp, srv, f, true, 0), obs.NewRegistry(), nil, rTrace.newArena())
+	f, _, _ := core.ResolveStrategy("teardown-rst/ttl")
+	outPlain, _, recPlain := rTrace.runRig(rTrace.job(f, true, 0), &vp, &srv, obs.NewRegistry(), nil, rTrace.newArena())
 	tc := trace.New()
-	outTraced, _, recTraced := rTrace.runRig(rTrace.job(vp, srv, f, true, 0), obs.NewRegistry(), tc, rTrace.newArena())
+	outTraced, _, recTraced := rTrace.runRig(rTrace.job(f, true, 0), &vp, &srv, obs.NewRegistry(), tc, rTrace.newArena())
 	if outPlain != outTraced {
 		t.Errorf("tracing changed graph outcome: %v vs %v", outPlain, outTraced)
 	}
@@ -270,7 +270,7 @@ func TestObsDoesNotPerturbOutcomes(t *testing.T) {
 	vp := VantagePoints()[0]
 	bare := NewRunner(7)
 	srv := Servers(3, bare.Cal, 7)
-	f := core.BuiltinFactories()["teardown-rst/ttl"]
+	f, _, _ := core.ResolveStrategy("teardown-rst/ttl")
 	instr := NewRunner(7)
 	instr.Obs = NewObsSink()
 	for si, s := range srv {
@@ -293,7 +293,7 @@ func TestRunOneTraced(t *testing.T) {
 	r := NewRunner(7)
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, 7)[0]
-	f := core.BuiltinFactories()["improved-teardown"]
+	f, _, _ := core.ResolveStrategy("improved-teardown")
 	out, events := r.RunOneTraced(vp, srv, f, true, 3)
 	if out != r.RunOne(vp, srv, f, true, 3) {
 		t.Error("traced run classified differently from plain run")
@@ -341,7 +341,7 @@ func TestFirstDivergence(t *testing.T) {
 func TestDiagnoseDivergence(t *testing.T) {
 	r := NewRunner(42)
 	servers := Servers(30, r.Cal, 42)
-	f := core.BuiltinFactories()["teardown-rst/ttl"]
+	f, _, _ := core.ResolveStrategy("teardown-rst/ttl")
 	for _, vp := range VantagePoints() {
 		for _, srv := range servers {
 			if r.RunOne(vp, srv, f, true, 0) == Success {
@@ -370,7 +370,7 @@ func TestDiagnoseDivergence(t *testing.T) {
 // site), "enabled" attaches the registry and flight recorder.
 func BenchmarkObsOverhead(b *testing.B) {
 	vp := VantagePoints()[0]
-	f := core.BuiltinFactories()["improved-teardown"]
+	f, _, _ := core.ResolveStrategy("improved-teardown")
 	b.Run("disabled", func(b *testing.B) {
 		r := NewRunner(7)
 		srv := Servers(1, r.Cal, 7)[0]
@@ -458,14 +458,13 @@ func TestObsCausalDeterminism(t *testing.T) {
 // shared per program and keyword automata shared across trials, and
 // in-order segments delivered without a per-segment copy in the GFW
 // stream and the TCP receive path. RunOne builds on a new arena: a new
-// simulator and pair source, and copies of the vantage point and server
-// its job points at.
-const trialAllocBudget = 89
+// simulator and pair source. Its vantage point and server stay on its
+// stack, passed beside the job.
+const trialAllocBudget = 87
 
 // arenaTrialAllocBudget is the same trial's budget on a campaign
 // worker's warmed arena, which resets the simulator and reseeds the
-// pair source in place, and whose jobs point into their cube: five
-// objects fewer, two of them holding 4.9 KB RNG sources.
+// pair source in place: three allocations fewer.
 const arenaTrialAllocBudget = 84
 
 // requireTrialAllocBudget is the one allocation gate of the trial hot
@@ -484,12 +483,12 @@ func requireTrialAllocBudget(t *testing.T, what string) {
 	r := NewRunner(42)
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, 42)[0]
-	f := core.BuiltinFactories()["teardown-rst/ttl"]
-	j := r.job(vp, srv, f, true, 0)
+	f, _, _ := core.ResolveStrategy("teardown-rst/ttl")
+	j := r.job(f, true, 0)
 	a := r.newArena()
 	for i := 0; i < 200; i++ {
-		r.RunOne(vp, srv, f, true, 0) // warm the packet pool past GC churn
-		r.runOne(j, "", nil, a)       // and the arena's queue
+		r.RunOne(vp, srv, f, true, 0)      // warm the packet pool past GC churn
+		r.runOne(j, &vp, &srv, "", nil, a) // and the arena's queue
 	}
 	for _, gate := range []struct {
 		path   string
@@ -497,7 +496,7 @@ func requireTrialAllocBudget(t *testing.T, what string) {
 		trial  func()
 	}{
 		{"RunOne", trialAllocBudget, func() { r.RunOne(vp, srv, f, true, 0) }},
-		{"a warmed arena", arenaTrialAllocBudget, func() { r.runOne(j, "", nil, a) }},
+		{"a warmed arena", arenaTrialAllocBudget, func() { r.runOne(j, &vp, &srv, "", nil, a) }},
 	} {
 		if avg := testing.AllocsPerRun(1000, gate.trial); avg > float64(gate.budget+1) {
 			t.Fatalf("%s allocates %.1f/op on %s, budget %d", what, avg, gate.path, gate.budget)

@@ -22,7 +22,9 @@ import (
 // trialJob is one independent simulation to run. It points at its
 // vantage point and server in the slices its cube was built from
 // instead of holding copies, which keeps a job at 64 bytes
-// (TestTrialJobSize): a cube holds one job per trial.
+// (TestTrialJobSize): a cube holds one job per trial. The executor
+// hands them to runOne beside the job; a one-shot job (Runner.job)
+// leaves them nil.
 type trialJob struct {
 	vp  *VantagePoint
 	srv *Server
@@ -281,7 +283,7 @@ func (r *Runner) runCubeRange(c *Cube, st *shardState, a *arena, every int, chec
 	since := 0
 	for st.cursor < st.end {
 		job := &c.jobs[st.cursor]
-		st.fold(job.sink, r.runOne(job, c.labels[job.sink], st.sink, a))
+		st.fold(job.sink, r.runOne(job, job.vp, job.srv, c.labels[job.sink], st.sink, a))
 		since++
 		// A trial never blocks, and on a small GOMAXPROCS the GC's
 		// fractional mark worker runs only at scheduling points: without

@@ -88,7 +88,6 @@ func (r *Runner) runDNSSeries(vp VantagePoint, resolver Resolver, realAddr packe
 		cfg.PoisonedDomains = []string{"dropbox.com"}
 	}
 	dev := gfw.NewDevice("gfw", cfg, sim.Rand())
-	dev.SetClientSide(func(a packet.Addr) bool { return a[0] == 10 })
 	path.Node(4).Taps = []netem.Processor{dev} // the fourth router
 	// The Tianjin anomaly: a stateful firewall beyond the GFW on the
 	// resolver paths that (usually) honors the RST insertion packets.

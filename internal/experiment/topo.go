@@ -236,8 +236,8 @@ func FormatTopoDemo(seed int64) string {
 	return b.String()
 }
 
-// rigBinder resolves a topology's attachment references into the live
-// processors of one trial, drawing from the trial and pair RNGs in
+// rigBinder binds a topology's attachments onto the nodes of one
+// trial's fabric, drawing from the trial and pair RNGs in
 // node-declaration order — the same draw sequence the hand-built rigs
 // used. The reference vocabulary:
 //
@@ -249,9 +249,8 @@ func FormatTopoDemo(seed int64) string {
 //	                for the inline blocker)
 //	server-fw       server-side stateful firewall
 //
-// It also implements topo.CensorBinder, so censor= attachments resolve
-// through the internal/censor registry (heterogeneous zoos on fabric
-// branches).
+// censor= attachments resolve through the internal/censor registry
+// (heterogeneous zoos on fabric branches).
 type rigBinder struct {
 	r        *Runner
 	vp       VantagePoint
@@ -259,45 +258,44 @@ type rigBinder struct {
 	rg       *rig
 	trialRng *rand.Rand
 	pairRng  *netem.Source
-	// scratch backs single-processor returns; Bind's contract says the
-	// returned slice is not retained, so one array serves every call.
-	scratch [1]netem.Processor
 }
 
 // Bind implements topo.Binder.
-func (b *rigBinder) Bind(ref string, tap bool) ([]netem.Processor, error) {
+func (b *rigBinder) Bind(node *netem.Node, a topo.Attachment) error {
+	ref := a.Ref
+	if a.Censor {
+		// Instance names carry a per-rig ordinal so two attachments of
+		// the same censor stay distinguishable in traces and stats.
+		return b.attach(node, ref, fmt.Sprintf("censor%d:%s", len(b.rg.devices), ref), true)
+	}
 	switch {
 	case strings.HasPrefix(ref, "mbox:"):
 		// Always called, even for profiles with no middleboxes: the
 		// chain constructor consumes trial RNG identically either way.
-		return middlebox.BuildProfile(middlebox.ProfileName(ref[len("mbox:"):]), b.trialRng), nil
+		place(node, a.Tap, middlebox.BuildProfile(middlebox.ProfileName(ref[len("mbox:"):]), b.trialRng)...)
 	case strings.HasPrefix(ref, "ipf:"):
 		name := ref[len("ipf:"):]
 		for _, dev := range b.rg.devices {
 			if dev.Name() == name {
-				b.scratch[0] = dev.Filter()
-				return b.scratch[:1], nil
+				place(node, a.Tap, dev.Filter())
+				return nil
 			}
 		}
-		return nil, fmt.Errorf("ipf ref %q precedes its device", ref)
+		if b.censor != "" {
+			// A filter-only censor filled the slot with its chain, which
+			// has no companion to bind.
+			if comp, err := censor.Resolve(b.censor); err == nil && comp.Kind() == censor.KindChain {
+				return nil
+			}
+		}
+		return fmt.Errorf("ipf ref %q precedes its device", ref)
 	case strings.HasPrefix(ref, "gfw-old"), strings.HasPrefix(ref, "gfw-new"):
 		if b.censor != "" {
 			// Censor override: the device slot is filled by the compiled
 			// censor instead of the calibrated GFW population. Spec
 			// parameters are authoritative — Cal probabilities do not
-			// apply here.
-			comp, err := censor.Resolve(b.censor)
-			if err != nil {
-				return nil, err
-			}
-			dev, err := comp.Build(ref, b.trialRng, b.pairRng)
-			if err != nil {
-				return nil, err
-			}
-			dev.SetClientSide(func(a packet.Addr) bool { return a[0] == 10 })
-			b.rg.devices = append(b.rg.devices, dev)
-			b.scratch[0] = dev
-			return b.scratch[:1], nil
+			// apply here. The slot's ipf: reference places the companion.
+			return b.attach(node, b.censor, ref, false)
 		}
 		model := gfw.ModelEvolved2017
 		if strings.HasPrefix(ref, "gfw-old") {
@@ -308,40 +306,33 @@ func (b *rigBinder) Bind(ref string, tap bool) ([]netem.Processor, error) {
 		dev := gfw.NewDevice(ref, cfg, b.trialRng)
 		dev.SetRSTResyncs(b.pairRng.Float64() < b.r.Cal.ResyncOnRSTProb)
 		dev.SetSegmentLastWins(b.pairRng.Float64() < b.r.Cal.SegmentLastWinsProb)
-		dev.SetClientSide(func(a packet.Addr) bool { return a[0] == 10 })
 		b.rg.devices = append(b.rg.devices, dev)
-		b.scratch[0] = dev
-		return b.scratch[:1], nil
+		place(node, a.Tap, dev)
 	case ref == "server-fw":
-		b.scratch[0] = middlebox.NewStatefulFirewall("server-side-fw", false)
-		return b.scratch[:1], nil
+		place(node, a.Tap, middlebox.NewStatefulFirewall("server-side-fw", false))
 	default:
-		return nil, fmt.Errorf("unknown attachment ref %q", ref)
+		return fmt.Errorf("unknown attachment ref %q", ref)
 	}
+	return nil
 }
 
-// BindCensor implements topo.CensorBinder: a censor= attachment builds
-// one live instance from the registry (or raw spec text) at the node,
-// returning its tap plus its in-path companion; filter-only censors
-// contribute just a processor chain. Instance names carry a per-rig
-// ordinal so two attachments of the same censor stay distinguishable
-// in traces and stats.
-func (b *rigBinder) BindCensor(ref string) (taps, procs []netem.Processor, err error) {
-	comp, err := censor.Resolve(ref)
-	if err != nil {
-		return nil, nil, err
+// attach puts one instance of the censor ref, named name, on node and
+// records it among the rig's devices (a filter-only censor adds none).
+func (b *rigBinder) attach(node *netem.Node, ref, name string, filter bool) error {
+	dev, err := censor.Attach(node, ref, name, filter, b.trialRng, b.pairRng)
+	if dev != nil {
+		b.rg.devices = append(b.rg.devices, dev)
 	}
-	if chain, ok := comp.BuildChain(b.trialRng); ok {
-		return nil, chain, nil
+	return err
+}
+
+// place appends procs to node's taps or to its processors.
+func place(node *netem.Node, tap bool, procs ...netem.Processor) {
+	if tap {
+		node.Taps = append(node.Taps, procs...)
+	} else {
+		node.Processors = append(node.Processors, procs...)
 	}
-	name := fmt.Sprintf("censor%d:%s", len(b.rg.devices), ref)
-	dev, err := comp.Build(name, b.trialRng, b.pairRng)
-	if err != nil {
-		return nil, nil, err
-	}
-	dev.SetClientSide(func(a packet.Addr) bool { return a[0] == 10 })
-	b.rg.devices = append(b.rg.devices, dev)
-	return []netem.Processor{dev}, []netem.Processor{dev.Filter()}, nil
 }
 
 // GraphZooTopo is the heterogeneous censor-zoo demonstration topology:

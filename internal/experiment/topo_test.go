@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"intango/internal/censor"
 	"intango/internal/core"
 	"intango/internal/netem"
 	"intango/internal/packet"
@@ -54,7 +55,7 @@ func TestRouteDynamicsHopUnderflow(t *testing.T) {
 	srv.Hops = 2
 	srv.GFWHop = 2 // clamps onto the shortened path
 	srv.RouteDynamicsProb = 1.0
-	f := core.BuiltinFactories()["teardown-rst/ttl"]
+	f, _, _ := core.ResolveStrategy("teardown-rst/ttl")
 	sawShift := false
 	for trial := 0; trial < 24; trial++ {
 		out := r.RunOne(vp, srv, f, true, trial)
@@ -81,7 +82,7 @@ func TestRouteDynamicsHopUnderflow(t *testing.T) {
 // when pooling is disabled or untouched, and live counters otherwise.
 func TestPoolStatsBothArms(t *testing.T) {
 	vp := VantagePoints()[0]
-	f := core.BuiltinFactories()["teardown-rst/ttl"]
+	f, _, _ := core.ResolveStrategy("teardown-rst/ttl")
 
 	fresh := NewRunner(5)
 	if got := fresh.PoolStats(); got != (packet.PoolStats{}) {
@@ -171,11 +172,36 @@ func TestGraphTopoCampaign(t *testing.T) {
 	if !sawB1 || !sawB2 {
 		t.Errorf("ECMP never split flows across branches: b1=%v b2=%v", sawB1, sawB2)
 	}
-	f := core.BuiltinFactories()["teardown-rst/ttl"]
+	f, _, _ := core.ResolveStrategy("teardown-rst/ttl")
 	for trial := 0; trial < 4; trial++ {
 		out := r.RunOne(vp, srv, f, true, trial)
 		if again := r.RunOne(vp, srv, f, true, trial); again != out {
 			t.Fatalf("graph trial %d not deterministic: %v then %v", trial, out, again)
+		}
+	}
+}
+
+// TestRunnerCensorAcceptsEveryRegistered runs one trial per (VP,
+// server) pair with each registered censor as Runner.Censor, filter-
+// only chains included, over derived paths with one GFW slot, with
+// both models' slots and with a server-side firewall. A chain has no
+// device to inject, so none of its trials is a Failure 2.
+func TestRunnerCensorAcceptsEveryRegistered(t *testing.T) {
+	r := NewRunner(42)
+	vps := VantagePoints()[:2]
+	servers := Servers(3, r.Cal, 42)
+	servers[0].Mix = EvolvedOnly
+	servers[1].Mix = BothModels
+	servers[2].ServerSideFirewall = true
+	for _, e := range censor.Registry() {
+		r.Censor = e.Name
+		chain := censor.MustResolve(e.Name).Kind() == censor.KindChain
+		for _, vp := range vps {
+			for _, srv := range servers {
+				if out := r.RunOne(vp, srv, nil, true, 0); chain && out == Failure2 {
+					t.Errorf("%s: %s ~ %s: failure-2 with no device to inject", e.Name, vp.Name, srv.Name)
+				}
+			}
 		}
 	}
 }

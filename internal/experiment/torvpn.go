@@ -41,7 +41,6 @@ func (r *Runner) torRig(vp VantagePoint, bridge packet.Addr, seedExtra int64) (*
 	cfg.TorFiltering = vp.TorFiltered
 	cfg.ActiveProbeDelay = 15 * time.Second
 	dev := gfw.NewDevice("gfw", cfg, sim.Rand())
-	dev.SetClientSide(func(a packet.Addr) bool { return a[0] == 10 })
 	path.Node(4).Taps = []netem.Processor{dev} // the fourth router
 	path.Node(4).Processors = []netem.Processor{dev.IPFilter()}
 
@@ -154,7 +153,6 @@ func RunVPN(r *Runner) []VPNResult {
 			cfg := gfwConfig(gfw.ModelEvolved2017, r.Cal)
 			cfg.VPNFiltering = filtering
 			dev := gfw.NewDevice("gfw", cfg, sim.Rand())
-			dev.SetClientSide(func(a packet.Addr) bool { return a[0] == 10 })
 			path.Node(4).Taps = []netem.Processor{dev} // the fourth router
 			srv := tcpstack.NewStack(packet.AddrFrom4(203, 0, 113, 194), tcpstack.Linux44(), sim)
 			srv.AttachServer(path)

@@ -86,9 +86,8 @@ type Runner struct {
 	// bind with a censor compiled from this reference — a registry name
 	// ("turkmenistan") or raw censor-spec text (internal/censor
 	// grammar). The spec's parameters are authoritative: Cal's device
-	// probabilities apply only to the default ("") population.
-	// Chain-kind censors (filter-only specs) cannot stand in for a
-	// device; attach those with censor= in a topology spec.
+	// probabilities apply only to the default ("") population. A
+	// filter-only censor fills each slot with its middlebox chain.
 	Censor string
 
 	// progressAddr is atomic: callers poll ProgressAddr from other
@@ -267,17 +266,18 @@ func (rg *rig) attachObs(b *obs.Obs) {
 	rg.srv.Obs = b
 }
 
-// runRig builds and executes one trial on arena a: optional obs
-// attachment, one HTTP fetch, §3.4 classification. A nil reg runs
+// runRig builds and executes one trial of j between vp and srv on
+// arena a: optional obs attachment, one HTTP fetch, §3.4
+// classification. A nil reg runs
 // uninstrumented (the hot path); otherwise a fresh per-trial flight
 // recorder keyed to the simulator's virtual clock is wired through the
 // whole rig. A non-nil tc additionally taps the recorder and the path
 // so the tracer sees the complete event stream and every wire packet;
 // tracing only observes — it never schedules events or draws
 // randomness, so a traced trial is bit-identical to an untraced one.
-func (r *Runner) runRig(j *trialJob, reg *obs.Registry, tc *trace.Tracer, a *arena) (Outcome, *rig, *obs.Recorder) {
-	trialSeed := r.pairSeed(*j.vp, *j.srv) ^ int64(uint64(j.trial)*0x9e3779b97f4a7c15)
-	rg := r.build(*j.vp, *j.srv, r.Topo, j.censor, trialSeed, a)
+func (r *Runner) runRig(j *trialJob, vp *VantagePoint, srv *Server, reg *obs.Registry, tc *trace.Tracer, a *arena) (Outcome, *rig, *obs.Recorder) {
+	trialSeed := r.pairSeed(*vp, *srv) ^ int64(uint64(j.trial)*0x9e3779b97f4a7c15)
+	rg := r.build(*vp, *srv, r.Topo, j.censor, trialSeed, a)
 	var rec *obs.Recorder
 	if reg != nil {
 		rec = obs.NewRecorder(obs.DefaultRingSize, rg.sim.Now)
@@ -286,14 +286,14 @@ func (r *Runner) runRig(j *trialJob, reg *obs.Registry, tc *trace.Tracer, a *are
 			tc.Attach(rec, rg.net)
 		}
 	}
-	env := core.DefaultEnv(insertionTTL(*j.srv), rg.sim.Rand())
+	env := core.DefaultEnv(insertionTTL(*srv), rg.sim.Rand())
 	rg.engine = core.NewEngine(rg.sim, rg.net, rg.cli, env)
 	// The closure captures the factory, not j: it outlives this call,
 	// and capturing j would move every RunOne's job to the heap.
 	if factory := j.factory; factory != nil {
 		rg.engine.NewStrategy = func(packet.FourTuple) core.Strategy { return factory() }
 	}
-	conn := fetch(rg, *j.srv, j.sensitive)
+	conn := fetch(rg, *srv, j.sensitive)
 	if rec != nil {
 		recordStageSpans(rg, conn, reg, rec)
 	}
@@ -355,12 +355,14 @@ func recordStageSpans(rg *rig, conn *tcpstack.Conn, reg *obs.Registry, rec *obs.
 	span(spanTeardown, rg.net.LastEventAt(), rg.sim.Now())
 }
 
-// runOne runs one trial on arena a against an explicit sink (the
-// executor hands each shard its own, and each worker its arena). label
-// names the job in the failure-trace retention key. Everything the sink
-// keeps is copied out of the rig before runOne returns, so a may build
-// the next trial.
-func (r *Runner) runOne(j *trialJob, label string, sink *ObsSink, a *arena) Outcome {
+// runOne runs one trial of j between vp and srv on arena a against an
+// explicit sink (the executor hands each shard its own, and each worker
+// its arena). label names the job in the failure-trace retention key.
+// The VP and server travel beside the job rather than through it: a
+// job's contents escape, so RunOne's parameters would move to the heap
+// if its job pointed at them. Everything the sink keeps is copied out
+// of the rig before runOne returns, so a may build the next trial.
+func (r *Runner) runOne(j *trialJob, vp *VantagePoint, srv *Server, label string, sink *ObsSink, a *arena) Outcome {
 	var reg *obs.Registry
 	var tc *trace.Tracer
 	if sink != nil {
@@ -369,36 +371,36 @@ func (r *Runner) runOne(j *trialJob, label string, sink *ObsSink, a *arena) Outc
 			tc = trace.New()
 		}
 	}
-	out, rg, rec := r.runRig(j, reg, tc, a)
+	out, rg, rec := r.runRig(j, vp, srv, reg, tc, a)
 	if sink != nil {
 		var bundle *trace.Trace
 		if tc != nil && out != Success {
 			bundle = tc.Finish(trace.Meta{
-				Strategy: label, VP: j.vp.Name, Server: j.srv.Name,
+				Strategy: label, VP: vp.Name, Server: srv.Name,
 				Trial: j.trial, Outcome: out.String(),
 			})
 		}
-		sink.absorb(rg, label, j.vp.Name, j.srv.Name, j.sensitive, j.trial, out, rec, bundle)
+		sink.absorb(rg, label, vp.Name, srv.Name, j.sensitive, j.trial, out, rec, bundle)
 	}
 	return out
 }
 
 // job describes one trial of this runner against its configured
-// censor.
-func (r *Runner) job(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int) *trialJob {
-	return &trialJob{vp: &vp, srv: &srv, censor: r.Censor, factory: factory, sensitive: sensitive, trial: trial}
+// censor; the caller passes the VP and server beside it.
+func (r *Runner) job(factory core.Factory, sensitive bool, trial int) *trialJob {
+	return &trialJob{censor: r.Censor, factory: factory, sensitive: sensitive, trial: trial}
 }
 
 // RunOne executes a single strategy trial and classifies it.
 func (r *Runner) RunOne(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int) Outcome {
-	return r.runOne(r.job(vp, srv, factory, sensitive, trial), "", r.Obs, r.newArena())
+	return r.runOne(r.job(factory, sensitive, trial), &vp, &srv, "", r.Obs, r.newArena())
 }
 
 // RunOneTraced runs one trial with a private flight recorder and
 // returns the classification together with the retained trace — the
 // §3.4 controlled-experiment hook diagnosis builds on.
 func (r *Runner) RunOneTraced(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int) (Outcome, []obs.Event) {
-	out, _, rec := r.runRig(r.job(vp, srv, factory, sensitive, trial), obs.NewRegistry(), nil, r.newArena())
+	out, _, rec := r.runRig(r.job(factory, sensitive, trial), &vp, &srv, obs.NewRegistry(), nil, r.newArena())
 	return out, rec.Events()
 }
 
@@ -408,7 +410,7 @@ func (r *Runner) RunOneTraced(vp VantagePoint, srv Server, factory core.Factory,
 // the strategy in the trace meta; pass "" for no strategy.
 func (r *Runner) RunOneCausal(vp VantagePoint, srv Server, factory core.Factory, label string, sensitive bool, trial int) (Outcome, *trace.Trace) {
 	tc := trace.New()
-	out, _, _ := r.runRig(r.job(vp, srv, factory, sensitive, trial), obs.NewRegistry(), tc, r.newArena())
+	out, _, _ := r.runRig(r.job(factory, sensitive, trial), &vp, &srv, obs.NewRegistry(), tc, r.newArena())
 	return out, tc.Finish(trace.Meta{
 		Strategy: label, VP: vp.Name, Server: srv.Name,
 		Trial: trial, Outcome: out.String(),

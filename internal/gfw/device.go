@@ -40,10 +40,6 @@ type Device struct {
 	rstResyncs  bool
 	segLastWins bool
 
-	// clientSide identifies which addresses live on the client end of
-	// the device's path, to aim injected packets.
-	clientSide clientSideFunc
-
 	// probes tracks in-flight active-prober connections (§7.3).
 	probes    map[packet.FourTuple]*probeState
 	proberSeq int

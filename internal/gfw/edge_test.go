@@ -58,7 +58,6 @@ func TestTwoDevicesSameHopBothDetect(t *testing.T) {
 	// each keeps its own TCB.
 	r := newRig(t, evolvedCfg())
 	oldDev := NewDevice("gfw-old", Config{Model: ModelKhattak2013, Keywords: []string{keyword}, DetectionMissProb: -1}, r.sim.Rand())
-	oldDev.SetClientSide(func(a packet.Addr) bool { return a[0] == 10 })
 	r.path.Node(3).Taps = append(r.path.Node(3).Taps, oldDev)
 	c := r.get(t, "/?q="+keyword)
 	if !c.GotRST {

@@ -207,21 +207,10 @@ func (d *Device) injectTypedResets(ctx *netem.Context, src packet.Addr, sport ui
 // end of the path holding addr.
 func (d *Device) injectToward(ctx *netem.Context, dst packet.Addr, pkt *packet.Packet) {
 	dir := netem.ToServer
-	if d.towardClientEnd(ctx, dst) {
+	if ClientSide(dst) {
 		dir = netem.ToClient
 	}
 	ctx.Inject(dir, pkt, 0)
-}
-
-// towardClientEnd decides which path direction reaches addr. The
-// experiment topology registers the client-end address set on the
-// device via SetClientSide; absent that, heuristically treat the
-// 10.0.0.0/8 range as the client side.
-func (d *Device) towardClientEnd(ctx *netem.Context, addr packet.Addr) bool {
-	if d.clientSide != nil {
-		return d.clientSide(addr)
-	}
-	return addr[0] == 10
 }
 
 // processUDP applies DNS poisoning to client→resolver queries (§2.1).

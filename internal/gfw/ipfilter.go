@@ -5,14 +5,10 @@ import (
 	"intango/internal/packet"
 )
 
-// clientSideFunc tells the device which addresses live on the client
-// end of its path.
-type clientSideFunc func(addr packet.Addr) bool
-
-// SetClientSide registers the predicate identifying client-end
-// addresses, used to aim injected packets. The experiment topology
-// calls this when attaching the device to a path.
-func (d *Device) SetClientSide(f func(addr packet.Addr) bool) { d.clientSide = f }
+// ClientSide reports whether addr lives on the client end of a path,
+// which is how censors aim the packets they inject. Every world places
+// its clients in 10.0.0.0/8 and its servers outside it.
+func ClientSide(addr packet.Addr) bool { return addr[0] == 10 }
 
 // IsIPBlocked reports whether addr has been null-routed (Tor active
 // probing aftermath, §7.3).

@@ -74,6 +74,7 @@ type INTANG struct {
 	Store  *kvstore.CachedStore
 
 	sim   *netem.Simulator
+	net   *netem.Fabric
 	stack *tcpstack.Stack
 
 	// candidates are Opts.Candidates resolved once at New: the display
@@ -139,6 +140,7 @@ func New(sim *netem.Simulator, f *netem.Fabric, stack *tcpstack.Stack, opts Opti
 		Opts:       opts,
 		Store:      kvstore.NewCachedStore(1024, func() time.Duration { return sim.Now() }),
 		sim:        sim,
+		net:        f,
 		stack:      stack,
 		byCanon:    make(map[string]*candidate),
 		rotation:   make(map[packet.Addr]int),
@@ -172,7 +174,7 @@ func cacheKey(addr packet.Addr) string { return "strategy:" + addr.String() }
 // Unresolvable keys degrade to a passthrough under their own name, as
 // the old registry-miss path did.
 func resolveCandidate(key string) candidate {
-	if f, canon, ok := core.ResolveStrategy(key); ok {
+	if f, canon, err := core.ResolveStrategy(key); err == nil {
 		return candidate{display: key, canon: canon, factory: f}
 	}
 	return candidate{display: key, canon: key,
@@ -374,7 +376,7 @@ func (it *INTANG) MeasureHops(dst packet.Addr, port uint16) {
 		probe.Finalize()
 		delay := time.Duration(ttl) * time.Millisecond
 		p := probe
-		it.sim.At(delay, func() { it.Engine.Dev.WritePacket(p) })
+		it.sim.At(delay, func() { it.net.SendFromClient(p) })
 	}
 	it.Stats["hop-probe-sweeps"]++
 }

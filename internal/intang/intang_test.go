@@ -278,7 +278,6 @@ func newRigGFWNearServer(t *testing.T, opts Options) *rig {
 	r := &rig{sim: netem.NewSimulator(33)}
 	cfg := gfw.Config{Model: gfw.ModelEvolved2017, Keywords: []string{keyword}, DetectionMissProb: -1}
 	r.dev = gfw.NewDevice("gfw", cfg, r.sim.Rand())
-	r.dev.SetClientSide(func(a packet.Addr) bool { return a[0] == 10 })
 	link := netem.Link{Latency: time.Millisecond}
 	r.path = netem.NewChain(r.sim, 6, link, link)
 	r.path.Node(6).Taps = []netem.Processor{r.dev} // the sixth (last) router

@@ -111,26 +111,14 @@ func New(cfg Config) (*Proxy, error) {
 	p.path = netem.NewChain(p.sim, pathHops, link, link)
 	p.path.Obs = bundle
 
-	comp, err := censor.Resolve(cfg.Censor)
+	var err error
+	p.cen, err = censor.Attach(p.path.Node(1+censorHop), cfg.Censor, "gfw", true,
+		p.sim.Rand(), rand.New(rand.NewSource(cfg.Seed+1)))
 	if err != nil {
 		return nil, fmt.Errorf("intangd: censor: %w", err)
 	}
-	hop := p.path.Node(1 + censorHop)
-	if procs, ok := comp.BuildChain(p.sim.Rand()); ok {
-		hop.Processors = append(hop.Processors, procs...)
-	} else {
-		pairRng := rand.New(rand.NewSource(cfg.Seed + 1))
-		inst, err := comp.Build("gfw", p.sim.Rand(), pairRng)
-		if err != nil {
-			return nil, fmt.Errorf("intangd: censor: %w", err)
-		}
-		inst.SetClientSide(func(a packet.Addr) bool { return a[0] == p.clientAddr[0] })
-		inst.SetObs(bundle)
-		hop.Taps = append(hop.Taps, inst)
-		if f := inst.Filter(); f != nil {
-			hop.Processors = append(hop.Processors, f)
-		}
-		p.cen = inst
+	if p.cen != nil {
+		p.cen.SetObs(bundle)
 	}
 
 	p.server = tcpstack.NewStack(p.serverAddr, tcpstack.Linux44(), p.sim)
@@ -180,30 +168,17 @@ func (p *Proxy) FlowViews() []FlowView { return p.flows.Snapshot(time.Now()) }
 // FlowCount returns the number of live flows.
 func (p *Proxy) FlowCount() int { return p.flows.Len() }
 
-// ResolveStrategy maps a strategy reference — ""/"none"/"pass", a
-// builtin name, or raw spec text — to a display name and factory (nil
-// factory = passthrough).
-func ResolveStrategy(ref string) (string, core.Factory, error) {
-	switch ref {
-	case "", "none", "pass":
-		return "pass", nil, nil
-	}
-	if f, ok := core.BuiltinFactories()[ref]; ok {
-		return ref, f, nil
-	}
-	spec, err := core.ParseSpec(ref)
-	if err != nil {
-		return "", nil, fmt.Errorf("intangd: strategy %q: %w", ref, err)
-	}
-	return ref, spec.FactoryAs(ref), nil
-}
-
 // SetStrategy switches the strategy applied to NEW flows; in-flight
-// flows keep the strategy they opened with.
+// flows keep the strategy they opened with. New flows show under ref as
+// given, or under "pass" when ref names the passthrough baseline.
 func (p *Proxy) SetStrategy(ref string) error {
-	name, factory, err := ResolveStrategy(ref)
+	factory, canon, err := core.ResolveStrategy(ref)
 	if err != nil {
-		return err
+		return fmt.Errorf("intangd: %w", err)
+	}
+	name := ref
+	if canon == "pass" {
+		name, factory = "pass", nil
 	}
 	p.mu.Lock()
 	p.stratName, p.stratFactory = name, factory

@@ -153,22 +153,26 @@ func TestProxyStrategySwitchAndBlockWindow(t *testing.T) {
 }
 
 // TestResolveStrategy covers the three reference forms the daemon and
-// its plane accept.
+// its plane accept: the passthrough spellings show as "pass", a builtin
+// name and raw spec text as given, and a reference that is neither is
+// refused and leaves the strategy as it was.
 func TestResolveStrategy(t *testing.T) {
-	for _, ref := range []string{"", "none", "pass"} {
-		name, f, err := intangd.ResolveStrategy(ref)
-		if err != nil || f != nil || name != "pass" {
-			t.Errorf("ResolveStrategy(%q) = %q, %v, %v", ref, name, f, err)
+	p, err := intangd.New(intangd.Config{Censor: testCensor, Seed: 7})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	defer p.Close()
+	const spec = "on:first-payload[teardown(flags=rst,disc=ttl)]"
+	for _, tc := range []struct{ ref, want string }{
+		{"", "pass"}, {"none", "pass"}, {"pass", "pass"},
+		{"teardown-reversal", "teardown-reversal"},
+		{spec, spec},
+	} {
+		if err := p.SetStrategy(tc.ref); err != nil || p.Strategy() != tc.want {
+			t.Errorf("SetStrategy(%q): %v, Strategy() = %q, want %q", tc.ref, err, p.Strategy(), tc.want)
 		}
 	}
-	name, f, err := intangd.ResolveStrategy("teardown-reversal")
-	if err != nil || f == nil || name != "teardown-reversal" {
-		t.Errorf("builtin: %q, %v, %v", name, f, err)
-	}
-	if _, f, err := intangd.ResolveStrategy("on:first-payload[teardown(flags=rst,disc=ttl)]"); err != nil || f == nil {
-		t.Errorf("raw spec: %v, %v", f, err)
-	}
-	if _, _, err := intangd.ResolveStrategy("no-such-strategy-!!!"); err == nil {
-		t.Errorf("garbage ref resolved")
+	if err := p.SetStrategy("no-such-strategy-!!!"); err == nil || p.Strategy() != spec {
+		t.Errorf("garbage ref: %v, Strategy() = %q", err, p.Strategy())
 	}
 }

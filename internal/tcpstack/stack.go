@@ -41,12 +41,6 @@ type Stack struct {
 	// strategy engine interposes here).
 	Send func(pkt *packet.Packet)
 
-	// Dev is the packet device every crafted segment leaves through —
-	// the builders never reach into netem directly. Attach* binds it;
-	// dev is the inline adapter storage for a netem fabric end.
-	Dev device.Device
-	dev device.NetemEnd
-
 	// InitialRTO and MaxRetries control retransmission. MinRTO and
 	// MaxRTO clamp the RFC 6298 sampled estimate: the 200ms floor
 	// matches Linux (and always binds at simulated RTTs, preserving
@@ -109,26 +103,17 @@ func NewStack(addr packet.Addr, profile Profile, sim *netem.Simulator) *Stack {
 }
 
 // AttachClient wires the stack to the client end of a fabric: the
-// stack stays the end's inbound endpoint and transmits through an
-// inline NetemEnd device.
+// stack is the end's endpoint and transmits from it.
 func (s *Stack) AttachClient(f *netem.Fabric) {
 	f.Client = s
-	s.dev = device.NetemEnd{Net: f}
-	s.bindNetemEnd(f)
+	s.Send = f.SendFromClient
+	s.Pool = f.Pool
 }
 
 // AttachServer wires the stack to the server end of a fabric.
 func (s *Stack) AttachServer(f *netem.Fabric) {
 	f.Server = s
-	s.dev = device.NetemEnd{Net: f, Server: true}
-	s.bindNetemEnd(f)
-}
-
-func (s *Stack) bindNetemEnd(f *netem.Fabric) {
-	s.Dev = &s.dev
-	// Transmit has the Send hook's exact shape; binding it costs the
-	// same single method value the old direct netem binding did.
-	s.Send = s.dev.Transmit
+	s.Send = f.SendFromServer
 	s.Pool = f.Pool
 }
 
@@ -136,7 +121,6 @@ func (s *Stack) bindNetemEnd(f *netem.Fabric) {
 // a userspace carrier, anything on the Device boundary. Inbound
 // traffic is the caller's to pump (read the device, call Deliver).
 func (s *Stack) AttachDevice(d device.Device) {
-	s.Dev = d
 	s.Send = func(pkt *packet.Packet) { _ = d.WritePacket(pkt) }
 	s.Pool = device.PoolOf(d)
 }

@@ -7,37 +7,16 @@ import (
 	"intango/internal/packet"
 )
 
-// Binder resolves a spec's symbolic attachment references ("gfw-new",
-// "client-mbox") into live netem processors at compile time. Bind is
-// called once per attachment, nodes in declaration order and
-// attachments in declaration order — so a binder that constructs
-// stateful devices (whose constructors draw from a trial PRNG) sees a
-// deterministic call sequence. The returned slice is not retained;
-// binders may reuse a scratch slice across calls.
+// Binder binds a spec's symbolic attachments onto the nodes of one
+// trial's fabric. Bind is called once per attachment, nodes in
+// declaration order and attachments in declaration order — so a binder
+// that constructs stateful devices (whose constructors draw from a
+// trial PRNG) sees a deterministic call sequence. It appends what a
+// tap attachment names to node.Taps and what a processor attachment
+// names to node.Processors; a censor attachment puts the censor's tap
+// and its in-path companion on the node.
 type Binder interface {
-	Bind(ref string, tap bool) ([]netem.Processor, error)
-}
-
-// CensorBinder is the optional Binder extension that resolves censor=
-// attachments. BindCensor builds one live censor instance for the ref
-// (a registry name or raw censor-spec text) and returns its on-path
-// tap chain plus its in-path companion chain; either may be empty.
-// Binders without it reject censor= attachments.
-type CensorBinder interface {
-	BindCensor(ref string) (taps, procs []netem.Processor, err error)
-}
-
-// BindMap is the simple Binder: a map from reference to processor
-// chain. Missing references are errors.
-type BindMap map[string][]netem.Processor
-
-// Bind implements Binder.
-func (m BindMap) Bind(ref string, tap bool) ([]netem.Processor, error) {
-	procs, ok := m[ref]
-	if !ok {
-		return nil, fmt.Errorf("topo: unbound ref %q", ref)
-	}
-	return procs, nil
+	Bind(node *netem.Node, a Attachment) error
 }
 
 // Options carries the runtime pieces a compiled topology binds to.
@@ -58,15 +37,6 @@ type edge struct{ from, to int }
 type Program struct {
 	spec Spec
 	topo *netem.Topology
-}
-
-// Compile is NewProgram + Instantiate for one-shot use.
-func Compile(spec Spec, b Binder, opts Options) (*netem.Fabric, error) {
-	p, err := NewProgram(spec)
-	if err != nil {
-		return nil, err
-	}
-	return p.Instantiate(b, opts)
 }
 
 // NewProgram validates spec and plans its routing.
@@ -166,39 +136,6 @@ func display(n NodeSpec) string {
 	return n.Name
 }
 
-// bindInto resolves a node's attachments through b, appending taps and
-// processors to node in attachment order.
-func bindInto(b Binder, n NodeSpec, node *netem.Node) error {
-	for _, a := range n.Attach {
-		if b == nil {
-			return fmt.Errorf("topo: node %q: no binder for ref %q", n.Name, a.Ref)
-		}
-		if a.Censor {
-			cb, ok := b.(CensorBinder)
-			if !ok {
-				return fmt.Errorf("topo: node %q: binder cannot resolve censor ref %q", n.Name, a.Ref)
-			}
-			t, pr, err := cb.BindCensor(a.Ref)
-			if err != nil {
-				return fmt.Errorf("topo: node %q: %w", n.Name, err)
-			}
-			node.Taps = append(node.Taps, t...)
-			node.Processors = append(node.Processors, pr...)
-			continue
-		}
-		chain, err := b.Bind(a.Ref, a.Tap)
-		if err != nil {
-			return fmt.Errorf("topo: node %q: %w", n.Name, err)
-		}
-		if a.Tap {
-			node.Taps = append(node.Taps, chain...)
-		} else {
-			node.Processors = append(node.Processors, chain...)
-		}
-	}
-	return nil
-}
-
 // Instantiate builds one trial's fabric over the program's shared
 // routing. Binder calls happen nodes in declaration order, attachments
 // in declaration order.
@@ -206,8 +143,13 @@ func (p *Program) Instantiate(b Binder, opts Options) (*netem.Fabric, error) {
 	f := netem.NewFabric(opts.Sim, p.topo)
 	f.Pool = opts.Pool
 	for i, n := range p.spec.Nodes {
-		if err := bindInto(b, n, f.Node(i)); err != nil {
-			return nil, err
+		for _, a := range n.Attach {
+			if b == nil {
+				return nil, fmt.Errorf("topo: node %q: no binder for ref %q", n.Name, a.Ref)
+			}
+			if err := b.Bind(f.Node(i), a); err != nil {
+				return nil, fmt.Errorf("topo: node %q: %w", n.Name, err)
+			}
 		}
 	}
 	return f, nil

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -34,6 +35,33 @@ const ecmpSpec = "node:c(client) node:a(router) node:b1(router,tap=wiretap) node
 	"link:b1>a(lat=2ms) link:b2>a(lat=2ms) " +
 	"ecmp(seed=1)"
 
+// BindMap is the simple Binder: a map from reference to processor
+// chain. Missing references are errors.
+type BindMap map[string][]netem.Processor
+
+// Bind implements Binder.
+func (m BindMap) Bind(node *netem.Node, a Attachment) error {
+	procs, ok := m[a.Ref]
+	if !ok {
+		return fmt.Errorf("topo: unbound ref %q", a.Ref)
+	}
+	if a.Tap {
+		node.Taps = append(node.Taps, procs...)
+	} else {
+		node.Processors = append(node.Processors, procs...)
+	}
+	return nil
+}
+
+// compile is NewProgram + Instantiate for one-shot use.
+func compile(spec Spec, b Binder, opts Options) (*netem.Fabric, error) {
+	p, err := NewProgram(spec)
+	if err != nil {
+		return nil, err
+	}
+	return p.Instantiate(b, opts)
+}
+
 func testBinder() BindMap {
 	return BindMap{
 		"wiretap": {stubProc{name: "wiretap"}},
@@ -48,7 +76,7 @@ func TestCompileShapedChain(t *testing.T) {
 		"link:c>r0(lat=1ms,bw=1mbit,queue=16,red) link:r0>c(lat=1ms,bw=1mbit,queue=16,red) " +
 		"link:r0>s(lat=1ms,bw=2mbit) link:s>r0(lat=1ms,bw=2mbit)"
 	sim := netem.NewSimulator(1)
-	f, err := Compile(MustParseTopo(spec), testBinder(), Options{Sim: sim})
+	f, err := compile(MustParseTopo(spec), testBinder(), Options{Sim: sim})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +103,7 @@ func TestCompileShapedChain(t *testing.T) {
 // TestCompileTwoNodeChain covers the degenerate client—server chain.
 func TestCompileTwoNodeChain(t *testing.T) {
 	sim := netem.NewSimulator(1)
-	f, err := Compile(MustParseTopo("node:c(client) node:s(server) link:c>s(lat=1ms) link:s>c(lat=1ms)"),
+	f, err := compile(MustParseTopo("node:c(client) node:s(server) link:c>s(lat=1ms) link:s>c(lat=1ms)"),
 		nil, Options{Sim: sim})
 	if err != nil {
 		t.Fatal(err)

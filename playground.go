@@ -75,7 +75,6 @@ func NewPlayground(cfg PlaygroundConfig) *Playground {
 	link := netem.Link{Latency: time.Millisecond}
 	pg.Path = netem.NewChain(pg.Sim, cfg.Hops, link, link)
 	pg.GFW = gfw.NewDevice("gfw", cfg.GFW, pg.Sim.Rand())
-	pg.GFW.SetClientSide(func(a Addr) bool { return a[0] == 10 })
 	tap := pg.Path.Node(1 + cfg.GFWHop)
 	tap.Taps = []netem.Processor{pg.GFW}
 	tap.Processors = []netem.Processor{pg.GFW.IPFilter()}
