@@ -3,8 +3,8 @@ GO ?= go
 .PHONY: check build fmt vet test race fuzz-smoke bench-smoke bench bench-compare bench-gate bench-obs health-golden fleet-smoke intangd-smoke
 
 # check is the fast gate: build, formatting, vet, tests (which include
-# the health-report golden and the hot-path alloc gate), the
-# topology parser's fuzz seed corpus, and a single-iteration pass over
+# the health-report golden and the hot-path alloc gate), the fuzz seed
+# corpora (see fuzz-smoke), and a single-iteration pass over
 # the hot-path benchmarks so a broken benchmark can't sit unnoticed
 # until the next `make bench`. The race detector runs as its own target
 # (and its own CI job) because it multiplies test time severalfold.
@@ -44,8 +44,10 @@ race:
 	$(GO) test -race -count=5 -run '^TestFleetKillResumeBitIdentical$$/^ablation$$' ./internal/fleet
 	$(GO) test -race -count=5 -run '^TestFleetPlaneLiveSnapshotsConsistent$$' ./internal/experiment/progresshttp
 
-# fuzz-smoke replays the checked-in seed corpora of the topology and
-# censor spec parsers, of the checkpoint journal and manifest loaders,
+# fuzz-smoke replays the checked-in seed corpora of the topology,
+# censor and strategy spec parsers (the strategy grammar's parser also
+# builds every registered strategy from its text), of the checkpoint
+# journal and manifest loaders,
 # of the differential tests that hold the GFW's stream reassembly and
 # IP fragment assembly to their per-byte reference models, and of the
 # simulator's event order against a sorted reference, as ordinary
@@ -53,6 +55,7 @@ race:
 fuzz-smoke:
 	$(GO) test -run '^FuzzParseTopo$$' ./internal/topo
 	$(GO) test -run '^FuzzParseCensor$$' ./internal/censor
+	$(GO) test -run '^FuzzParseSpec$$' ./internal/core
 	$(GO) test -run '^(FuzzJournal|FuzzManifest)$$' ./internal/experiment
 	$(GO) test -run '^FuzzStreamInsert$$' ./internal/gfw
 	$(GO) test -run '^FuzzFragmentAssemble$$' ./internal/packet
@@ -94,13 +97,13 @@ bench-compare:
 bench-gate:
 	$(GO) run ./cmd/tables -what bench-gate BENCH_netem.json
 
-# bench-obs gates the instrumentation tax. The alloc gate asserts the
+# bench-obs gates the disabled arm only: it fails if the
 # uninstrumented, unshaped trial — telemetry off, congestion machinery
-# dormant, checkpoint journal linked — stays within the hot-path
-# allocation budgets, one-shot and on a warmed campaign arena (a hard
-# failure, not a measurement); the benchmark
-# then reports the enabled-arm overhead, which should stay within a
-# few percent.
+# dormant, checkpoint journal linked — exceeds the hot-path allocation
+# budgets, one-shot or on a warmed campaign arena. The benchmark that
+# follows reports the enabled arm's overhead without gating it; on 2
+# vCPUs it last read +29 % to +58 % (disabled ~41-51 µs, enabled
+# ~56-80 µs per trial).
 bench-obs:
 	$(GO) test -run '^TestTelemetryDisabledZeroAlloc$$' -count=1 ./internal/experiment/
 	$(GO) test -run '^$$' -bench BenchmarkObsOverhead -benchtime 2s ./internal/experiment/

@@ -73,10 +73,10 @@ func main() {
 		engine = core.NewEngine(sim, path, cli, core.DefaultEnv(hops-1, sim.Rand()))
 	default:
 		// A registered name or raw spec text, e.g.
-		// -strategy 'on:first-payload[teardown(flags=rst,disc=ttl)]'.
+		// -strategy 'on:first-payload[teardown(flags=rst,disc=md5)]'.
 		factory, _, err := core.ResolveStrategy(*strategy)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "unknown strategy %q: not a registered name (try -list) and not spec text\n", *strategy)
+			fmt.Fprintf(os.Stderr, "-strategy: %v\n(-list shows the registered names)\n", err)
 			os.Exit(2)
 		}
 		engine = core.NewEngine(sim, path, cli, core.DefaultEnv(hops-1, sim.Rand()))

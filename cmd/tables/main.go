@@ -176,7 +176,7 @@ func main() {
 	// Strict equality: a narrative re-run, not a paper artifact.
 	if *what == "explain" {
 		if _, _, err := core.ResolveStrategy(*strategy); err != nil {
-			fmt.Fprintf(os.Stderr, "unknown -strategy %q: not a registered name (see -what strategies) and not spec text\n", *strategy)
+			fmt.Fprintf(os.Stderr, "-strategy: %v\n(-what strategies lists the registered names)\n", err)
 			os.Exit(2)
 		}
 		ran = true

@@ -77,17 +77,26 @@ func TestUnknownScaleExits2(t *testing.T) {
 
 // TestUnknownStrategyExits2 checks that -what explain refuses a
 // -strategy that is neither a registered name nor spec text, instead of
-// narrating a no-strategy trial under that name.
+// narrating a no-strategy trial under that name, and that the refusal
+// shows the parser's message beside the -what strategies hint: a
+// mistyped spec says what is wrong with it.
 func TestUnknownStrategyExits2(t *testing.T) {
-	out, stderr, code := runTables(t, "-what", "explain", "-strategy", "no-such-strategy", "-scale", "quick")
-	if code != 2 {
-		t.Fatalf("exit code %d, want 2 (stdout %q)", code, out)
-	}
-	if !bytes.Contains(stderr, []byte("-what strategies")) {
-		t.Errorf("stderr %q does not point at -what strategies", stderr)
-	}
-	if len(out) != 0 {
-		t.Errorf("printed %q before rejecting the strategy", out)
+	for _, tc := range []struct{ strategy, want string }{
+		{"no-such-strategy", `spec: rule must start with "on:<phase>"`},
+		{"on:first-payload[teardown(flags=rst,disc=tll)]", `unknown discrepancy "tll"`},
+	} {
+		out, stderr, code := runTables(t, "-what", "explain", "-strategy", tc.strategy, "-scale", "quick")
+		if code != 2 {
+			t.Fatalf("%s: exit code %d, want 2 (stdout %q)", tc.strategy, code, out)
+		}
+		for _, want := range []string{"-what strategies", tc.want} {
+			if !bytes.Contains(stderr, []byte(want)) {
+				t.Errorf("%s: stderr %q does not contain %q", tc.strategy, stderr, want)
+			}
+		}
+		if len(out) != 0 {
+			t.Errorf("%s: printed %q before rejecting the strategy", tc.strategy, out)
+		}
 	}
 }
 

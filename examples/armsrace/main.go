@@ -31,7 +31,7 @@ var flagVocab = []string{"rst", "rstack", "finack"}
 
 // mutant is one candidate strategy in the race.
 type mutant struct {
-	origin string // winner alias it was derived from ("" for the winner itself)
+	origin string // winner name it was derived from ("" for the winner itself)
 	spec   intango.StrategySpec
 }
 
@@ -83,18 +83,18 @@ func enumerate() []mutant {
 		seen[canon] = true
 		pop = append(pop, mutant{origin, spec})
 	}
-	byAlias := make(map[string]intango.StrategySpec)
+	byName := make(map[string]string)
 	for _, e := range intango.RegisteredStrategies() {
-		byAlias[e.Alias] = e.Spec
+		byName[e.Name] = e.Spec
 	}
-	for _, alias := range winners {
-		spec, ok := byAlias[alias]
-		if !ok {
-			panic("unknown winner " + alias)
+	for _, name := range winners {
+		spec, err := intango.ParseSpec(byName[name])
+		if err != nil {
+			panic("winner " + name + ": " + err.Error())
 		}
 		add("", spec)
-		for _, m := range mutations(spec.String()) {
-			add(alias, m)
+		for _, m := range mutations(byName[name]) {
+			add(name, m)
 		}
 	}
 	return pop

@@ -58,8 +58,8 @@ type (
 	// (see ParseSpec / CompileSpec and DESIGN.md "Strategy
 	// composition").
 	StrategySpec = core.Spec
-	// StrategyEntry pairs a built-in strategy's table alias with its
-	// spec.
+	// StrategyEntry pairs a built-in strategy's table name with its
+	// canonical spec text.
 	StrategyEntry = core.Entry
 	// Engine is the client-side interception engine strategies run in.
 	Engine = core.Engine
@@ -126,9 +126,9 @@ func ParseSpec(text string) (StrategySpec, error) { return core.ParseSpec(text) 
 // usable with Playground.Fetch or an Engine.
 func CompileSpec(spec StrategySpec) StrategyFactory { return spec.Factory() }
 
-// RegisteredStrategies lists the built-in suite as (alias, spec) pairs
-// in table order — the same inventory `cmd/tables -what strategies`
-// prints.
+// RegisteredStrategies lists the built-in suite as (name, spec text)
+// pairs in table order — the same inventory `cmd/tables -what
+// strategies` prints.
 func RegisteredStrategies() []StrategyEntry { return core.Registry() }
 
 // NewINTANG wires an INTANG instance between a client stack and the

@@ -82,16 +82,14 @@ func newTrialRig(t *testing.T, cfg gfw.Config, factory Factory, middle []netem.P
 	return r
 }
 
-// builtin compiles the registered strategy alias.
-func builtin(t *testing.T, alias string) Factory {
+// builtin compiles the registered strategy called name.
+func builtin(t *testing.T, name string) Factory {
 	t.Helper()
-	for _, e := range Registry() {
-		if e.Alias == alias {
-			return e.Spec.FactoryAs(alias)
-		}
+	f, _, err := ResolveStrategy(name)
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("no registered strategy %q", alias)
-	return nil
+	return f
 }
 
 // runTrial performs one sensitive GET and classifies the outcome with
@@ -143,7 +141,7 @@ func TestTCBCreationOldVsEvolved(t *testing.T) {
 
 func TestInOrderPrefill(t *testing.T) {
 	for _, d := range []Discrepancy{DiscTTL, DiscBadChecksum, DiscBadAck, DiscNoFlag, DiscMD5, DiscOldTimestamp} {
-		r := newTrialRig(t, evolved(), SpecInOrderPrefill(d).Factory(), nil)
+		r := newTrialRig(t, evolved(), MustParseSpec("on:first-payload[inject(prefill,disc="+d.String()+")]").Factory(), nil)
 		if got := r.runTrial(t); got != Success {
 			t.Fatalf("prefill/%v: %v, want success", d, got)
 		}
@@ -296,6 +294,9 @@ func TestDiscrepancyStringsAndTable5(t *testing.T) {
 	}
 }
 
+// TestBuiltinFactoriesComplete checks that the suite intango.Strategies
+// hands out has every paper strategy, each compiled from its
+// registered spec.
 func TestBuiltinFactoriesComplete(t *testing.T) {
 	m := BuiltinFactories()
 	want := []string{
@@ -310,9 +311,9 @@ func TestBuiltinFactoriesComplete(t *testing.T) {
 		if !ok {
 			t.Fatalf("missing factory %q", name)
 		}
-		s := f()
-		if s.Name() != name && name != "none" {
-			t.Fatalf("factory %q builds strategy %q", name, s.Name())
+		_, canon, _ := ResolveStrategy(name)
+		if got := f().(*Compiled).spec.String(); got != canon {
+			t.Fatalf("factory %q compiles %q, want %q", name, got, canon)
 		}
 	}
 }

@@ -17,7 +17,6 @@ type recordingStrategy struct {
 	pkts  []uint8 // flag sets seen
 }
 
-func (r *recordingStrategy) Name() string { return "recording" }
 func (r *recordingStrategy) Outbound(f *Flow, pkt *packet.Packet) []Emission {
 	r.flows = append(r.flows, *f)
 	r.pkts = append(r.pkts, pkt.TCP.Flags)
@@ -65,11 +64,12 @@ func TestEngineTracksFlowState(t *testing.T) {
 }
 
 func TestEngineStrategyForAndReset(t *testing.T) {
-	r := newTrialRig(t, evolved(), builtin(t, "improved-teardown"), nil)
+	factory := builtin(t, "improved-teardown")
+	r := newTrialRig(t, evolved(), factory, nil)
 	c := r.cli.Connect(srvAddr, 80)
 	r.sim.RunFor(100 * time.Millisecond)
 	tuple := packet.FourTuple{SrcAddr: cliAddr, SrcPort: c.LocalPort(), DstAddr: srvAddr, DstPort: 80}
-	if s, ok := r.engine.StrategyFor(tuple); !ok || s.Name() != "improved-teardown" {
+	if s, ok := r.engine.StrategyFor(tuple); !ok || s != factory() {
 		t.Fatalf("StrategyFor = %v %v", s, ok)
 	}
 	r.engine.Reset()
@@ -198,7 +198,7 @@ func TestSharedStrategyInstanceAcrossFlows(t *testing.T) {
 	// connections through one engine must each get their own insertions
 	// — if the first connection's one-shot consumed shared state, the
 	// second would sail out unprotected.
-	r := newTrialRig(t, evolved(), SpecImprovedTeardown().FactoryAs("improved-teardown"), nil)
+	r := newTrialRig(t, evolved(), builtin(t, "improved-teardown"), nil)
 	insertions := make(map[uint16]int) // client port → insertion count
 	r.engine.OnOutboundRaw = func(em Emission) {
 		if em.Insertion {

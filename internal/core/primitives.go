@@ -527,28 +527,12 @@ func (f *Flow) execStateFor(rules int) *execState {
 // Compiled executes a Spec against the Strategy interface. It is
 // immutable and goroutine-safe; all mutable state lives on the Flow.
 type Compiled struct {
-	spec  Spec
-	alias string
+	spec Spec
 	// labels[i][j] is Rules[i].Actions[j].encode(), interned at compile
 	// time so the hot path can stamp packet lineage with one integer
 	// store, re-encoding nothing.
 	labels [][]packet.CrafterRef
 }
-
-// Name implements Strategy: the legacy alias when one was registered,
-// otherwise the canonical spec text.
-func (c *Compiled) Name() string {
-	if c.alias != "" {
-		return c.alias
-	}
-	return c.spec.String()
-}
-
-// Spec returns the compiled spec.
-func (c *Compiled) Spec() Spec { return c.spec }
-
-// Canonical returns the canonical spec encoding regardless of alias.
-func (c *Compiled) Canonical() string { return c.spec.String() }
 
 // Outbound implements Strategy: run every rule whose trigger fires and
 // return the transformed plan.
@@ -612,10 +596,7 @@ func triggerFires(tr Trigger, st *execState, i int, f *Flow, pkt *packet.Packet)
 
 // Factory returns a Factory handing out one shared compiled executor;
 // per-flow state lives on the Flow, so sharing is safe.
-func (s Spec) Factory() Factory { return s.FactoryAs("") }
-
-// FactoryAs is Factory with a legacy display alias for Name().
-func (s Spec) FactoryAs(alias string) Factory {
+func (s Spec) Factory() Factory {
 	labels := make([][]packet.CrafterRef, len(s.Rules))
 	for i := range s.Rules {
 		labels[i] = make([]packet.CrafterRef, len(s.Rules[i].Actions))
@@ -623,15 +604,6 @@ func (s Spec) FactoryAs(alias string) Factory {
 			labels[i][j] = packet.InternCrafter(act.encode())
 		}
 	}
-	c := &Compiled{spec: s, alias: alias, labels: labels}
+	c := &Compiled{spec: s, labels: labels}
 	return func() Strategy { return c }
-}
-
-// CompileSpecAs parses input and compiles it under a display alias.
-func CompileSpecAs(alias, input string) (Factory, error) {
-	spec, err := ParseSpec(input)
-	if err != nil {
-		return nil, err
-	}
-	return spec.FactoryAs(alias), nil
 }

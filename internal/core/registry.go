@@ -2,276 +2,144 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-
-	"intango/internal/packet"
 )
 
-// This file defines every strategy of the paper's Tables 1, 4 and 5 as
-// a Spec built from the primitives of primitives.go, registered under
-// its legacy name. The monolithic per-strategy implementations are
-// gone: a strategy is now data, and the registry is just the naming
-// layer over it.
-
-// Entry is one registered strategy: its legacy display name (the alias
-// used in table output and the INTANG stats) and its spec.
+// Entry is one registered strategy: its name (the label used in table
+// output and the INTANG stats) and its canonical spec text, which
+// round-trips through ParseSpec unchanged.
 type Entry struct {
-	// Alias is the legacy Name() string, e.g. "improved-teardown".
-	Alias string
-	// Spec is the declarative definition; Spec.String() is the
-	// canonical identity the result cache and tools key off.
-	Spec Spec
+	Name string
+	Spec string
 }
 
-// legacyFlagSlug names teardown flags the way the pre-spec registry
-// did ("teardown-fin" is FIN|ACK — the spec vocabulary says "finack").
-func legacyFlagSlug(flags uint8) string {
-	switch flags {
-	case packet.FlagRST:
-		return "rst"
-	case packet.FlagRST | packet.FlagACK:
-		return "rstack"
-	case packet.FlagFIN, packet.FlagFIN | packet.FlagACK:
-		return "fin"
-	default:
-		return packet.FlagString(flags)
-	}
+// registry is every built-in strategy in paper-table order: the Table
+// 1 existing strategies, then the Table 4 improved/new ones, then the
+// §2/§8 extras. A strategy is data; this table is the only place a
+// registered strategy's spec is written.
+var registry = []Entry{
+	// The no-strategy baseline.
+	{"none", "pass"},
+	// TCB creation with SYN (§3.2): a fake-sequence SYN insertion packet
+	// before the real handshake creates a false TCB on the (old) GFW,
+	// so the real connection is out of its window.
+	{"tcb-creation-syn/ttl", "on:handshake[inject(syn,disc=ttl)]"},
+	{"tcb-creation-syn/bad-checksum", "on:handshake[inject(syn,disc=bad-checksum)]"},
+	// Out-of-order IP-fragment overlap (§3.2): fragment so the head
+	// carries no payload, send junk copies of the tails first (the GFW
+	// keeps the first copy of overlapping fragments), then the real
+	// tails, then the gap-filling head. rexmit re-fragments
+	// retransmissions so a lossy path never sees the request whole.
+	{"ooo-ipfrag", "on:first-payload(min=16,rexmit)[fragment(ip); reorder(head-last); duplicate(tails,fill=junk,pos=before)]"},
+	// The TCP-segment variant (§3.2): real tail first, junk copy second
+	// (the old GFW prefers the later out-of-order copy; the server keeps
+	// the first), then the head. The split lands right after the method
+	// token, before any keyword.
+	{"ooo-tcpseg", "on:first-payload(min=4)[fragment(tcp,at=4); reorder(head-last); duplicate(tails,fill=junk,pos=after)]"},
+	// In-order data overlapping (§3.2): junk insertion copies shadowing
+	// the real request fill the GFW's buffer first; the server never
+	// accepts them thanks to the discrepancy.
+	{"prefill/ttl", "on:first-payload[inject(prefill,disc=ttl)]"},
+	{"prefill/bad-ack", "on:first-payload[inject(prefill,disc=bad-ack)]"},
+	{"prefill/bad-checksum", "on:first-payload[inject(prefill,disc=bad-checksum)]"},
+	{"prefill/no-flag", "on:first-payload[inject(prefill,disc=no-flag)]"},
+	// TCB teardown (§3.2): a RST, RST/ACK or FIN insertion packet after
+	// the handshake deactivates the GFW's TCB before the request. The
+	// "fin" names keep the pre-spec registry's spelling of FIN|ACK.
+	{"teardown-rst/ttl", "on:first-payload[teardown(flags=rst,disc=ttl)]"},
+	{"teardown-rst/bad-checksum", "on:first-payload[teardown(flags=rst,disc=bad-checksum)]"},
+	{"teardown-rstack/ttl", "on:first-payload[teardown(flags=rstack,disc=ttl)]"},
+	{"teardown-rstack/bad-checksum", "on:first-payload[teardown(flags=rstack,disc=bad-checksum)]"},
+	{"teardown-fin/ttl", "on:first-payload[teardown(flags=finack,disc=ttl)]"},
+	{"teardown-fin/bad-checksum", "on:first-payload[teardown(flags=finack,disc=bad-checksum)]"},
+	// §7.1 Improved TCB Teardown: RST insertions (TTL- and MD5-based,
+	// per Table 5) followed by a desynchronization packet, so a GFW that
+	// answers the RST by entering the resynchronization state is steered
+	// onto a garbage sequence.
+	{"improved-teardown", "on:first-payload[teardown(flags=rst,disc=ttl); teardown(flags=rst,disc=md5); inject(desync)]"},
+	// §7.1 Improved In-order Data Overlapping: junk insertion packets
+	// built from the MD5 and old-timestamp discrepancies, which no
+	// middlebox in the study dropped.
+	{"improved-prefill", "on:first-payload[inject(prefill,disc=md5); inject(prefill,disc=old-timestamp)]"},
+	// Fig. 3, TCB Creation + Resync/Desync: a fake-sequence SYN before
+	// the handshake defeats the old GFW model; a second SYN insertion
+	// after the handshake forces the evolved model into the
+	// resynchronization state, where the desynchronization packet
+	// strands it on a garbage sequence. (The post-handshake SYN triggers
+	// on first payload, not the SYN/ACK ACK: earlier and the GFW would
+	// just resynchronize from the SYN/ACK, §5.2.)
+	{"creation-resync-desync", "on:handshake[inject(syn,disc=ttl)] on:first-payload[inject(syn,disc=ttl); inject(desync)]"},
+	// Fig. 4, TCB Teardown + TCB Reversal: a SYN/ACK insertion before
+	// the handshake makes the evolved GFW create a reversed TCB; RST
+	// insertions after the handshake tear down the old model's TCB. The
+	// SYN/ACK carries the TTL discrepancy so it cannot reach the server,
+	// whose LISTEN socket would answer with a RST and tear the reversed
+	// TCB right back down (§5.2).
+	{"teardown-reversal", "on:handshake[inject(synack,disc=ttl)] on:first-payload[teardown(flags=rst,disc=ttl); teardown(flags=rst,disc=md5)]"},
+	// The West Chamber Project baseline (§2, [25]): bare RST/FIN
+	// teardown packets with no server-side discrepancy. They tear the
+	// GFW's TCB down, but they also reach the server and kill the real
+	// connection — which is why the paper found the tool ineffective.
+	{"west-chamber", "on:first-payload[teardown(flags=rst); teardown(flags=finack)]"},
+	// The §8 arms-race counter-counter-measure: if the GFW hardens
+	// itself to ignore packets with unsolicited MD5 options, tagging the
+	// *real* request with one makes it invisible to the censor while
+	// servers that never check the option process it normally.
+	{"md5-request", "on:payload[tamper(md5)]"},
 }
 
-func onHandshake(actions ...Action) Rule {
-	return Rule{Trigger: Trigger{Phase: PhaseHandshake}, Actions: actions}
-}
+// Registry lists every built-in strategy in paper-table order.
+func Registry() []Entry { return slices.Clone(registry) }
 
-func onFirstPayload(actions ...Action) Rule {
-	return Rule{Trigger: Trigger{Phase: PhaseFirstPayload}, Actions: actions}
-}
-
-// --- spec constructors for the paper's strategies ---
-
-// SpecTCBCreation is "TCB creation with SYN" (§3.2): a fake-sequence
-// SYN insertion packet before the real handshake, creating a false TCB
-// on the (old) GFW so the real connection is out of its window.
-func SpecTCBCreation(d Discrepancy) Spec {
-	return Spec{Rules: []Rule{onHandshake(InjectAction{Kind: InjectSYN, Disc: d})}}
-}
-
-// SpecOutOfOrderIPFrag is the out-of-order IP-fragment overlap (§3.2):
-// fragment so the head carries no payload, send junk copies of the
-// tails first (the GFW keeps the first copy of overlapping fragments),
-// then the real tails, then the gap-filling head. rexmit re-fragments
-// retransmissions so a lossy path never sees the request whole.
-func SpecOutOfOrderIPFrag() Spec {
-	return Spec{Rules: []Rule{{
-		Trigger: Trigger{Phase: PhaseFirstPayload, Min: 16, Rexmit: true},
-		Actions: []Action{
-			FragmentAction{Layer: LayerIP},
-			ReorderAction{},
-			DuplicateAction{Fill: FillJunk, Pos: PosBefore},
-		},
-	}}}
-}
-
-// SpecOutOfOrderTCPSeg is the TCP-segment variant (§3.2): real tail
-// first, junk copy second (the old GFW prefers the later out-of-order
-// copy; the server keeps the first), then the head. The split lands
-// right after the method token, before any keyword.
-func SpecOutOfOrderTCPSeg() Spec {
-	return Spec{Rules: []Rule{{
-		Trigger: Trigger{Phase: PhaseFirstPayload, Min: 4},
-		Actions: []Action{
-			FragmentAction{Layer: LayerTCP, At: 4},
-			ReorderAction{},
-			DuplicateAction{Fill: FillJunk, Pos: PosAfter},
-		},
-	}}}
-}
-
-// SpecInOrderPrefill is in-order data overlapping (§3.2): junk
-// insertion copies shadowing the real request fill the GFW's buffer
-// first; the server never accepts them thanks to the discrepancy.
-func SpecInOrderPrefill(discs ...Discrepancy) Spec {
-	acts := make([]Action, len(discs))
-	for i, d := range discs {
-		acts[i] = InjectAction{Kind: InjectPrefill, Disc: d}
-	}
-	return Spec{Rules: []Rule{onFirstPayload(acts...)}}
-}
-
-// SpecTCBTeardown sends a RST, RST/ACK or FIN insertion packet after
-// the handshake to deactivate the GFW's TCB before the request (§3.2).
-func SpecTCBTeardown(flags uint8, d Discrepancy) Spec {
-	return Spec{Rules: []Rule{onFirstPayload(TeardownAction{Flags: flags, Disc: d})}}
-}
-
-// SpecImprovedTeardown is the §7.1 "Improved TCB Teardown": RST
-// insertions (TTL- and MD5-based, per Table 5) followed by a
-// desynchronization packet, so a GFW that answers the RST by entering
-// the resynchronization state is steered onto a garbage sequence.
-func SpecImprovedTeardown() Spec {
-	return Spec{Rules: []Rule{onFirstPayload(
-		TeardownAction{Flags: packet.FlagRST, Disc: DiscTTL},
-		TeardownAction{Flags: packet.FlagRST, Disc: DiscMD5},
-		InjectAction{Kind: InjectDesync, Disc: DiscNone},
-	)}}
-}
-
-// SpecImprovedPrefill is the §7.1 "Improved In-order Data Overlapping":
-// junk insertion packets built from the MD5 and old-timestamp
-// discrepancies, which no middlebox in the study dropped.
-func SpecImprovedPrefill() Spec {
-	return SpecInOrderPrefill(DiscMD5, DiscOldTimestamp)
-}
-
-// SpecResyncDesync is the Fig. 3 combined strategy: "TCB Creation +
-// Resync/Desync". A fake-sequence SYN before the handshake defeats the
-// old GFW model; a second SYN insertion after the handshake forces the
-// evolved model into the resynchronization state, where the
-// desynchronization packet strands it on a garbage sequence. (The
-// post-handshake SYN triggers on first payload, not the SYN/ACK ACK:
-// earlier and the GFW would just resynchronize from the SYN/ACK, §5.2.)
-func SpecResyncDesync() Spec {
-	return Spec{Rules: []Rule{
-		onHandshake(InjectAction{Kind: InjectSYN, Disc: DiscTTL}),
-		onFirstPayload(
-			InjectAction{Kind: InjectSYN, Disc: DiscTTL},
-			InjectAction{Kind: InjectDesync, Disc: DiscNone},
-		),
-	}}
-}
-
-// SpecTCBReversal is the Fig. 4 combined strategy: "TCB Teardown + TCB
-// Reversal". A SYN/ACK insertion before the handshake makes the
-// evolved GFW create a reversed TCB; RST insertions after the
-// handshake tear down the old model's TCB. The SYN/ACK carries the TTL
-// discrepancy so it cannot reach the server, whose LISTEN socket would
-// answer with a RST and tear the reversed TCB right back down (§5.2).
-func SpecTCBReversal() Spec {
-	return Spec{Rules: []Rule{
-		onHandshake(InjectAction{Kind: InjectSYNACK, Disc: DiscTTL}),
-		onFirstPayload(
-			TeardownAction{Flags: packet.FlagRST, Disc: DiscTTL},
-			TeardownAction{Flags: packet.FlagRST, Disc: DiscMD5},
-		),
-	}}
-}
-
-// SpecWestChamber is the West Chamber Project baseline (§2, [25]):
-// bare RST/FIN teardown packets with no server-side discrepancy. They
-// tear the GFW's TCB down, but they also reach the server and kill the
-// real connection — which is why the paper found the tool ineffective.
-func SpecWestChamber() Spec {
-	return Spec{Rules: []Rule{onFirstPayload(
-		TeardownAction{Flags: packet.FlagRST, Disc: DiscNone},
-		TeardownAction{Flags: packet.FlagFIN | packet.FlagACK, Disc: DiscNone},
-	)}}
-}
-
-// SpecMD5TaggedRequest is the §8 arms-race counter-counter-measure: if
-// the GFW hardens itself to ignore packets with unsolicited MD5
-// options, tagging the *real* request with one makes it invisible to
-// the censor while servers that never check the option process it
-// normally.
-func SpecMD5TaggedRequest() Spec {
-	return Spec{Rules: []Rule{{
-		Trigger: Trigger{Phase: PhasePayload},
-		Actions: []Action{TamperAction{Kind: TamperMD5}},
-	}}}
-}
-
-// Registry lists every built-in strategy in paper-table order: the
-// Table 1 existing strategies, then the Table 4 improved/new ones,
-// then the §2/§8 extras.
-func Registry() []Entry {
-	entries := []Entry{
-		{"none", Spec{}},
-		{"tcb-creation-syn/ttl", SpecTCBCreation(DiscTTL)},
-		{"tcb-creation-syn/bad-checksum", SpecTCBCreation(DiscBadChecksum)},
-		{"ooo-ipfrag", SpecOutOfOrderIPFrag()},
-		{"ooo-tcpseg", SpecOutOfOrderTCPSeg()},
-	}
-	for _, d := range []Discrepancy{DiscTTL, DiscBadAck, DiscBadChecksum, DiscNoFlag} {
-		entries = append(entries, Entry{"prefill/" + d.String(), SpecInOrderPrefill(d)})
-	}
-	for _, flags := range []uint8{packet.FlagRST, packet.FlagRST | packet.FlagACK, packet.FlagFIN | packet.FlagACK} {
-		for _, d := range []Discrepancy{DiscTTL, DiscBadChecksum} {
-			entries = append(entries, Entry{
-				"teardown-" + legacyFlagSlug(flags) + "/" + d.String(),
-				SpecTCBTeardown(flags, d),
-			})
-		}
-	}
-	return append(entries,
-		Entry{"improved-teardown", SpecImprovedTeardown()},
-		Entry{"improved-prefill", SpecImprovedPrefill()},
-		Entry{"creation-resync-desync", SpecResyncDesync()},
-		Entry{"teardown-reversal", SpecTCBReversal()},
-		Entry{"west-chamber", SpecWestChamber()},
-		Entry{"md5-request", SpecMD5TaggedRequest()},
-	)
-}
-
-// BuiltinFactories returns the full strategy suite keyed by legacy
-// name: the Table 1 existing strategies and the Table 4 improved/new
-// ones, every one compiled from its spec.
+// BuiltinFactories returns the full strategy suite keyed by name: the
+// Table 1 existing strategies and the Table 4 improved/new ones, every
+// one compiled from its spec.
 func BuiltinFactories() map[string]Factory {
-	m := make(map[string]Factory)
-	for _, e := range Registry() {
-		m[e.Alias] = e.Spec.FactoryAs(e.Alias)
+	m := make(map[string]Factory, len(registry))
+	for _, e := range registry {
+		m[e.Name] = MustParseSpec(e.Spec).Factory()
 	}
 	return m
 }
 
-// ResolveStrategy resolves a strategy key — a legacy alias, a canonical
-// spec string, or any parseable spec text — to a Factory plus the
-// canonical spec string that identifies it. "", "none" and "pass" all
-// name the passthrough baseline, whose canonical string is "pass". It
-// is the one way a strategy name becomes a strategy; a key that is
-// neither a name nor spec text is an error carrying the parser's.
+// ResolveStrategy resolves a strategy key — a registered name or any
+// parseable spec text — to a Factory plus the canonical spec string
+// that identifies it. "", "none" and "pass" all name the passthrough
+// baseline, whose canonical string is "pass". It is the one way a
+// strategy name becomes a strategy; a key that is neither a name nor
+// spec text is an error carrying the parser's. A registered entry's
+// text is already canonical, so only spec text given as the key is
+// re-encoded.
 func ResolveStrategy(key string) (Factory, string, error) {
 	if key == "" {
 		key = "none"
 	}
-	for _, e := range Registry() {
-		if e.Alias == key {
-			return e.Spec.FactoryAs(e.Alias), e.Spec.String(), nil
-		}
+	text, registered := key, false
+	if i := slices.IndexFunc(registry, func(e Entry) bool { return e.Name == key }); i >= 0 {
+		text, registered = registry[i].Spec, true
 	}
-	spec, err := ParseSpec(key)
+	spec, err := ParseSpec(text)
 	if err != nil {
 		return nil, "", fmt.Errorf("strategy %q is not a registered name, and not spec text: %w", key, err)
 	}
-	canon := spec.String()
-	if alias, ok := AliasFor(canon); ok {
-		return spec.FactoryAs(alias), canon, nil
+	if !registered {
+		text = spec.String()
 	}
-	return spec.Factory(), canon, nil
-}
-
-// AliasFor maps a canonical spec string back to its registered legacy
-// name, if any.
-func AliasFor(canon string) (string, bool) {
-	for _, e := range Registry() {
-		if e.Spec.String() == canon {
-			return e.Alias, true
-		}
-	}
-	return "", false
+	return spec.Factory(), text, nil
 }
 
 // FormatStrategyTable renders the name ↔ spec table that
 // `cmd/tables -what strategies` prints.
 func FormatStrategyTable() string {
-	entries := Registry()
 	width := 0
-	for _, e := range entries {
-		if len(e.Alias) > width {
-			width = len(e.Alias)
-		}
+	for _, e := range registry {
+		width = max(width, len(e.Name))
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-*s  %s\n", width, "name", "spec")
-	for _, e := range entries {
-		fmt.Fprintf(&b, "%-*s  %s\n", width, e.Alias, e.Spec.String())
+	for _, e := range registry {
+		fmt.Fprintf(&b, "%-*s  %s\n", width, e.Name, e.Spec)
 	}
 	return b.String()
 }

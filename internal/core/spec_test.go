@@ -2,11 +2,12 @@ package core
 
 import (
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-// TestRegisteredNamesGolden pins every registered strategy alias: a
+// TestRegisteredNamesGolden pins every registered strategy name: a
 // rename breaks the INTANG result cache, the table runners and any
 // downstream config referring to strategies by name, so it must be a
 // conscious change (regenerate with
@@ -18,7 +19,7 @@ func TestRegisteredNamesGolden(t *testing.T) {
 	}
 	var names []string
 	for _, e := range Registry() {
-		names = append(names, e.Alias)
+		names = append(names, e.Name)
 	}
 	got := strings.Join(names, "\n") + "\n"
 	if got != string(want) {
@@ -26,7 +27,7 @@ func TestRegisteredNamesGolden(t *testing.T) {
 	}
 }
 
-// TestStrategyTableGolden pins the full `-what strategies` dump — alias
+// TestStrategyTableGolden pins the full `-what strategies` dump — name
 // and canonical spec for the whole suite.
 func TestStrategyTableGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/strategies.golden")
@@ -39,43 +40,88 @@ func TestStrategyTableGolden(t *testing.T) {
 	}
 }
 
-// TestFactoryNamesMatchAliases checks that the factory a registry entry
-// builds reports the registered alias as its Name() — the string every
-// stats key, trace line and table row uses.
+// TestFactoryNamesMatchAliases checks that the suite BuiltinFactories
+// hands out is keyed by exactly the registered names, and that the
+// factory under each name — there and from ResolveStrategy — compiles
+// that name's registered spec, so a strategy's label and its behaviour
+// cannot part.
 func TestFactoryNamesMatchAliases(t *testing.T) {
+	m := BuiltinFactories()
+	if len(m) != len(Registry()) {
+		t.Errorf("BuiltinFactories has %d entries, the registry %d", len(m), len(Registry()))
+	}
 	for _, e := range Registry() {
-		if got := e.Spec.FactoryAs(e.Alias)().Name(); got != e.Alias {
-			t.Errorf("FactoryAs(%q)().Name() = %q", e.Alias, got)
-		}
-		f, _, err := ResolveStrategy(e.Alias)
-		if err != nil {
-			t.Errorf("ResolveStrategy(%q): %v", e.Alias, err)
+		f, ok := m[e.Name]
+		if !ok {
+			t.Errorf("BuiltinFactories has no %q", e.Name)
 			continue
 		}
-		if got := f().Name(); got != e.Alias {
-			t.Errorf("ResolveStrategy(%q) factory Name() = %q", e.Alias, got)
+		if got := f().(*Compiled).spec.String(); got != e.Spec {
+			t.Errorf("BuiltinFactories()[%q] compiles %q, want %q", e.Name, got, e.Spec)
+		}
+		r, _, err := ResolveStrategy(e.Name)
+		if err != nil {
+			t.Errorf("ResolveStrategy(%q): %v", e.Name, err)
+			continue
+		}
+		if got := r().(*Compiled).spec.String(); got != e.Spec {
+			t.Errorf("ResolveStrategy(%q) factory compiles %q, want %q", e.Name, got, e.Spec)
 		}
 	}
 }
 
-// TestSpecRoundTrip checks Parse∘String is the identity on every
-// registered spec — the property that makes canonical spec strings a
-// stable strategy identity.
+// TestSpecRoundTrip holds the registry to canonical text: Parse∘String
+// is the identity on every entry's spec — the property that makes
+// canonical spec strings a stable strategy identity — and resolving an
+// entry's name yields that text and a strategy compiled from it.
 func TestSpecRoundTrip(t *testing.T) {
 	for _, e := range Registry() {
-		canon := e.Spec.String()
-		back, err := ParseSpec(canon)
+		spec, err := ParseSpec(e.Spec)
 		if err != nil {
-			t.Errorf("%s: ParseSpec(%q): %v", e.Alias, canon, err)
+			t.Errorf("%s: ParseSpec(%q): %v", e.Name, e.Spec, err)
 			continue
 		}
-		if back.String() != canon {
-			t.Errorf("%s: round trip %q -> %q", e.Alias, canon, back.String())
+		if canon := spec.String(); canon != e.Spec {
+			t.Errorf("%s: registered spec %q is not canonical (want %q)", e.Name, e.Spec, canon)
+		}
+		f, canon, err := ResolveStrategy(e.Name)
+		if err != nil {
+			t.Errorf("ResolveStrategy(%q): %v", e.Name, err)
+			continue
+		}
+		if canon != e.Spec {
+			t.Errorf("ResolveStrategy(%q) canonical %q, want %q", e.Name, canon, e.Spec)
+		}
+		if got := f().(*Compiled).spec; !reflect.DeepEqual(got, spec) {
+			t.Errorf("ResolveStrategy(%q) compiled %q, want %q", e.Name, got, spec)
 		}
 	}
 	// And on the baseline.
 	if s := MustParseSpec("pass"); s.String() != "pass" || len(s.Rules) != 0 {
 		t.Errorf("pass round trip: %q (%d rules)", s.String(), len(s.Rules))
+	}
+}
+
+// TestResolveStrategyCanonical checks the canonical string ResolveStrategy
+// returns for keys that are not registered names: spec text is
+// re-encoded, so every spelling of one strategy — a registered one
+// included — resolves to the same identity, and the passthrough
+// spellings all resolve to "pass".
+func TestResolveStrategyCanonical(t *testing.T) {
+	for _, tc := range []struct{ key, want string }{
+		{"", "pass"},
+		{"none", "pass"},
+		{"  pass ", "pass"},
+		{"on:segment[fragment(tcp)]", "on:segment[fragment(tcp,at=4)]"},
+		{"on:first-payload[ teardown( flags=rst , disc=ttl ) ]", "on:first-payload[teardown(flags=rst,disc=ttl)]"},
+	} {
+		if _, canon, err := ResolveStrategy(tc.key); err != nil || canon != tc.want {
+			t.Errorf("ResolveStrategy(%q) = %q, %v; want %q", tc.key, canon, err, tc.want)
+		}
+	}
+	if _, _, err := ResolveStrategy("on:first-payload[inject(syn,disc=tll)]"); err == nil ||
+		!strings.Contains(err.Error(), `unknown discrepancy "tll"`) {
+		t.Errorf("misspelt discrepancy: error %v does not carry the parser's message", err)
 	}
 }
 
@@ -153,7 +199,7 @@ func TestParseSpecErrors(t *testing.T) {
 // to the same string.
 func FuzzParseSpec(f *testing.F) {
 	for _, e := range Registry() {
-		f.Add(e.Spec.String())
+		f.Add(e.Spec)
 	}
 	f.Add("pass")
 	f.Add("on:handshake[]")

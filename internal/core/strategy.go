@@ -54,8 +54,6 @@ type Flow struct {
 // packets around them. Implementations are per-connection and may keep
 // state across calls.
 type Strategy interface {
-	// Name is the strategy's identifier (matching the paper's tables).
-	Name() string
 	// Outbound intercepts one client packet and returns the emission
 	// sequence that replaces it (usually including the packet itself).
 	Outbound(f *Flow, pkt *packet.Packet) []Emission
@@ -66,9 +64,6 @@ type Factory func() Strategy
 
 // Passthrough is the no-strategy baseline.
 type Passthrough struct{}
-
-// Name implements Strategy.
-func (Passthrough) Name() string { return "none" }
 
 // Outbound implements Strategy.
 func (Passthrough) Outbound(f *Flow, pkt *packet.Packet) []Emission {

@@ -47,19 +47,18 @@ type AblationCell struct {
 	Outcome   Outcome
 }
 
-// ablationStrategies lists the strategies the ablation sweeps —
-// Table 4's winners plus the two arms-race baselines — each defined by
-// its spec.
-func ablationStrategies() []strategySpec {
-	t4 := table4Strategies()
-	return []strategySpec{
-		t4[0].strategySpec, // improved-teardown
-		t4[1].strategySpec, // improved-prefill
-		t4[2].strategySpec, // creation-resync-desync
-		t4[3].strategySpec, // teardown-reversal
-		{"prefill/bad-checksum", "on:first-payload[inject(prefill,disc=bad-checksum)]"},
-		{"west-chamber", "on:first-payload[teardown(flags=rst); teardown(flags=finack)]"},
-		{"md5-request", "on:payload[tamper(md5)]"},
+// ablationStrategies names the registered strategies the ablation
+// sweeps: Table 4's winners, the bad-checksum prefill and West Chamber
+// baselines, and the §8 MD5-tagged request.
+func ablationStrategies() []string {
+	return []string{
+		"improved-teardown",
+		"improved-prefill",
+		"creation-resync-desync",
+		"teardown-reversal",
+		"prefill/bad-checksum",
+		"west-chamber",
+		"md5-request",
 	}
 }
 
@@ -100,11 +99,11 @@ func ablationCube(r *Runner) (*Cube, []AblationCell) {
 	var cells []AblationCell
 	for _, rung := range AblationCensorSpecs() {
 		for _, strat := range ablationStrategies() {
-			factory := c.compile(strat)
+			factory := c.strategy(strat, "")
 			for si := range servers {
 				srv := &servers[si]
-				cells = append(cells, AblationCell{Strategy: strat.name, Hardening: rung.Hardening, Server: srv.Stack.Name})
-				sink := c.tally(strat.name + "@" + rung.Hardening + "@" + srv.Stack.Name)
+				cells = append(cells, AblationCell{Strategy: strat, Hardening: rung.Hardening, Server: srv.Stack.Name})
+				sink := c.tally(strat + "@" + rung.Hardening + "@" + srv.Stack.Name)
 				c.jobs = append(c.jobs, trialJob{vp: vp, srv: srv, censor: rung.Spec,
 					factory: factory, sensitive: true, trial: 17, sink: sink})
 			}

@@ -294,12 +294,13 @@ func benchGoodputTrial(seed int64) func(b *testing.B) {
 		r := NewRunner(seed)
 		vp := VantagePoints()[6]
 		srv := controlledServers(r, 1)[0]
-		s := goodputStrategies()[2] // an inject strategy: the plain congested transfer
+		// An inject strategy: the plain congested transfer.
+		factory, _, _ := core.ResolveStrategy("teardown-rst/ttl")
 		spec := goodputTopo(vp, srv)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r.runGoodputTrial(vp, srv, spec, s.factory, i, nil)
+			r.runGoodputTrial(vp, srv, spec, factory, i, nil)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"testing"
 
@@ -43,36 +44,95 @@ func TestTablesMatchGolden(t *testing.T) {
 	}
 }
 
-// TestTableSpecsMatchRegistry checks every strategy the campaign tables
-// define inline: the spec text must parse, and when its name is a
-// registered alias, the inline spec must be the registered one — the
-// tables and the registry may not silently diverge.
+// TestTableSpecsMatchRegistry checks the strategies every tally cube
+// runs against the registry: each name the Table 1, Table 4 and
+// ablation tables give is registered, a cube strategy under a
+// registered name carries that name's registered spec, and every other
+// (the ad-hoc Table 5 and matrix constructions) carries canonical spec
+// text, so the name a campaign prints is the strategy it ran.
 func TestTableSpecsMatchRegistry(t *testing.T) {
-	var all []strategySpec
+	registered := map[string]string{}
+	for _, e := range core.Registry() {
+		registered[e.Name] = e.Spec
+	}
+	var names []string
 	for _, s := range table1Strategies() {
-		all = append(all, s.strategySpec)
+		names = append(names, s.name)
 	}
 	for _, s := range table4Strategies() {
-		all = append(all, s.strategySpec)
+		names = append(names, s.name)
 	}
-	all = append(all, ablationStrategies()...)
-	for _, s := range all {
-		spec, err := core.ParseSpec(s.spec)
+	names = append(names, ablationStrategies()...)
+	for _, name := range names {
+		if _, ok := registered[name]; !ok {
+			t.Errorf("table strategy %q is not registered", name)
+		}
+	}
+	r := NewRunner(42)
+	table5, _ := table5Cube(r)
+	matrix, _ := matrixCube(r, MatrixCensors(), 1)
+	for _, c := range []*Cube{
+		Table1Cube(r, QuickScale()),
+		table4Cube(r, VantagePoints(), Servers(1, r.Cal, r.Seed), 1),
+		table5,
+		AblationCube(r),
+		matrix,
+	} {
+		for _, s := range c.specs {
+			if want, ok := registered[s.Name]; ok {
+				if s.Spec != want {
+					t.Errorf("%s: %s runs %q, registered spec %q", c.name, s.Name, s.Spec, want)
+				}
+				continue
+			}
+			spec, err := core.ParseSpec(s.Spec)
+			if err != nil {
+				t.Errorf("%s: %s: bad spec %q: %v", c.name, s.Name, s.Spec, err)
+				continue
+			}
+			if canon := spec.String(); canon != s.Spec {
+				t.Errorf("%s: %s: spec %q is not canonical (want %q)", c.name, s.Name, s.Spec, canon)
+			}
+		}
+	}
+}
+
+// TestCubeStrategiesGolden pins the manifest's Labels and Strategies
+// (name plus canonical spec) of every tally cube: Table 1 at quick
+// scale, Table 4, Table 5, the §8 ablation and the censor matrix. Both
+// fields are part of the resume fingerprint, so a change here refuses
+// every existing checkpoint directory of that cube.
+func TestCubeStrategiesGolden(t *testing.T) {
+	const golden = "testdata/cube_strategies.golden"
+	r := NewRunner(42)
+	table5, _ := table5Cube(r)
+	matrix, _ := matrixCube(r, MatrixCensors(), 1)
+	var got bytes.Buffer
+	for _, c := range []*Cube{
+		Table1Cube(r, QuickScale()),
+		table4Cube(r, VantagePoints(), Servers(1, r.Cal, r.Seed), 1),
+		table5,
+		AblationCube(r),
+		matrix,
+	} {
+		m, err := r.manifest(c, shardBounds(len(c.jobs), 1))
 		if err != nil {
-			t.Errorf("%s: bad spec %q: %v", s.name, s.spec, err)
-			continue
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		if canon := spec.String(); canon != s.spec {
-			t.Errorf("%s: spec %q is not canonical (want %q)", s.name, s.spec, canon)
+		fmt.Fprintf(&got, "== %s ==\nlabels:\n", m.Campaign)
+		for _, l := range m.Labels {
+			fmt.Fprintf(&got, "  %s\n", l)
 		}
-		_, registered, err := core.ResolveStrategy(s.name)
-		if err != nil {
-			// Not a registry alias (e.g. ad-hoc Table 5 constructions):
-			// parseability is all we require.
-			continue
+		fmt.Fprintln(&got, "strategies:")
+		for _, s := range m.Strategies {
+			fmt.Fprintf(&got, "  %-24s %s\n", s.Name, s.Spec)
 		}
-		if registered != spec.String() {
-			t.Errorf("%s: table spec %q != registered spec %q", s.name, spec.String(), registered)
-		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("cube labels or strategies drifted from %s:\ngot:\n%swant:\n%s", golden, got.Bytes(), want)
 	}
 }

@@ -54,7 +54,8 @@ type GoodputRow struct {
 }
 
 // goodputStrategies is the demo matrix: the two duplicate/reorder
-// primitives against three insertion-only strategies.
+// primitives against three insertion-only strategies, each the
+// registered strategy of its name unless a spec is given.
 //
 // The reorder entries are the sustained forms of the registry's
 // one-shot specs: the trigger fires on every payload segment, the way
@@ -64,40 +65,13 @@ type GoodputRow struct {
 // the registry's header-sized fragments turn one MSS segment into a
 // 60-packet burst, which no finite router queue survives. The inject
 // entries are the registry strategies unchanged.
-func goodputStrategies() []struct {
-	name, class string
-	factory     core.Factory
-} {
-	registered := func(name string) core.Factory {
-		f, _, _ := core.ResolveStrategy(name)
-		return f
-	}
-	sustained := func(name string, rule core.Rule) core.Factory {
-		return core.Spec{Rules: []core.Rule{rule}}.FactoryAs(name)
-	}
-	return []struct {
-		name, class string
-		factory     core.Factory
-	}{
-		{"ooo-ipfrag", "reorder", sustained("ooo-ipfrag", core.Rule{
-			Trigger: core.Trigger{Phase: core.PhasePayload, Min: 16},
-			Actions: []core.Action{
-				core.FragmentAction{Layer: core.LayerIP, At: 512},
-				core.ReorderAction{},
-				core.DuplicateAction{Fill: core.FillJunk, Pos: core.PosBefore},
-			},
-		})},
-		{"ooo-tcpseg", "reorder", sustained("ooo-tcpseg", core.Rule{
-			Trigger: core.Trigger{Phase: core.PhasePayload, Min: 8},
-			Actions: []core.Action{
-				core.FragmentAction{Layer: core.LayerTCP, At: 4},
-				core.ReorderAction{},
-				core.DuplicateAction{Fill: core.FillJunk, Pos: core.PosAfter},
-			},
-		})},
-		{"teardown-rst/ttl", "inject", registered("teardown-rst/ttl")},
-		{"improved-teardown", "inject", registered("improved-teardown")},
-		{"prefill/ttl", "inject", registered("prefill/ttl")},
+func goodputStrategies() []struct{ name, class, spec string } {
+	return []struct{ name, class, spec string }{
+		{"ooo-ipfrag", "reorder", "on:payload(min=16)[fragment(ip,at=512); reorder(head-last); duplicate(tails,fill=junk,pos=before)]"},
+		{"ooo-tcpseg", "reorder", "on:payload(min=8)[fragment(tcp,at=4); reorder(head-last); duplicate(tails,fill=junk,pos=after)]"},
+		{"teardown-rst/ttl", "inject", ""},
+		{"improved-teardown", "inject", ""},
+		{"prefill/ttl", "inject", ""},
 	}
 }
 
@@ -195,13 +169,14 @@ func RunGoodput(r *Runner, sc Scale) []GoodputRow {
 	var rows []GoodputRow
 	for _, s := range goodputStrategies() {
 		row := GoodputRow{Strategy: s.name, Class: s.class}
+		factory, _ := mustResolve(s.name, s.spec)
 		var un, con []int64
 		for _, srv := range servers {
 			for trial := 0; trial < sc.Trials; trial++ {
-				bps, _ := r.runGoodputTrial(vp, srv, "", s.factory, trial, reg)
+				bps, _ := r.runGoodputTrial(vp, srv, "", factory, trial, reg)
 				un = append(un, bps)
 
-				bps, out := r.runGoodputTrial(vp, srv, goodputTopo(vp, srv), s.factory, trial, reg)
+				bps, out := r.runGoodputTrial(vp, srv, goodputTopo(vp, srv), factory, trial, reg)
 				con = append(con, bps)
 				row.Trials++
 				if out == Success {

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 
 	"intango/internal/censor"
-	"intango/internal/core"
 	"intango/internal/topo"
 )
 
@@ -53,23 +52,18 @@ type Manifest struct {
 }
 
 // manifest assembles the provenance document for cube c cut at bounds,
-// canonicalizing every strategy, censor and topology spec through its
-// grammar.
+// canonicalizing every censor and topology spec through its grammar
+// (the cube resolved its strategies to canonical text when it was
+// built).
 func (r *Runner) manifest(c *Cube, bounds []int) (Manifest, error) {
 	m := Manifest{
-		Version:   ManifestVersion,
-		Campaign:  c.name,
-		Seed:      r.Seed,
-		Scale:     c.scale,
-		TotalJobs: len(c.jobs),
-		Labels:    c.labels,
-	}
-	for _, s := range c.specs {
-		spec, err := core.ParseSpec(s.spec)
-		if err != nil {
-			return Manifest{}, fmt.Errorf("manifest: strategy %s: %w", s.name, err)
-		}
-		m.Strategies = append(m.Strategies, StrategySpec{Name: s.name, Spec: spec.String()})
+		Version:    ManifestVersion,
+		Campaign:   c.name,
+		Seed:       r.Seed,
+		Scale:      c.scale,
+		TotalJobs:  len(c.jobs),
+		Labels:     c.labels,
+		Strategies: c.specs,
 	}
 	seen := map[string]bool{}
 	for _, j := range c.jobs {

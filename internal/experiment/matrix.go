@@ -39,13 +39,13 @@ func MatrixCensors() []string {
 // baseline, a TCB-teardown attack (GFW-specific state manipulation),
 // out-of-order segmentation (poisons seq-based reassembly), and a
 // segmentation that cuts inside the keyword itself — useless against a
-// reassembling censor, decisive against per-packet DPI.
-func matrixStrategies() []strategySpec {
-	t1 := table1Strategies()
-	return []strategySpec{
-		t1[0].strategySpec, // none
-		t1[9].strategySpec, // teardown-rst/ttl
-		t1[4].strategySpec, // ooo-tcpseg
+// reassembling censor, decisive against per-packet DPI. Each is the
+// registered strategy of its name unless a spec is given.
+func matrixStrategies() []struct{ name, spec string } {
+	return []struct{ name, spec string }{
+		{"none", ""},
+		{"teardown-rst/ttl", ""},
+		{"ooo-tcpseg", ""},
 		// "GET /search?q=ultrasurf": byte 18 is mid-keyword, so neither
 		// segment carries the keyword whole. Succeeds only when the
 		// server accepts the crafted segments — strict stacks drop them
@@ -78,7 +78,7 @@ func matrixCube(r *Runner, censors []string, trials int) (*Cube, []MatrixCell) {
 	var cells []MatrixCell
 	for _, cen := range censors {
 		for _, strat := range matrixStrategies() {
-			factory := c.compile(strat)
+			factory := c.strategy(strat.name, strat.spec)
 			cells = append(cells, MatrixCell{Strategy: strat.name, Censor: cen})
 			sink := c.tally(strat.name + "@" + cen)
 			for si := range servers {

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"intango/internal/obs"
-	"intango/internal/trace"
 )
 
 // maxFailures is how many failing-trial flight-recorder traces a sink
@@ -43,9 +42,6 @@ type TrialTrace struct {
 	// Dropped counts ring-evicted events preceding Events.
 	Dropped uint64
 	Events  []obs.Event
-	// Bundle is the full causal trace, retained only when the runner
-	// ran with Causal set; nil otherwise.
-	Bundle *trace.Trace
 }
 
 // NewObsSink returns an empty sink with a fresh registry.
@@ -68,7 +64,7 @@ func (s *ObsSink) merge(sh *ObsSink) {
 
 // absorb records one finished trial: the simulator's event count, the
 // outcome, the flight-recorder volume, and — on failure — the trace.
-func (s *ObsSink) absorb(rg *rig, label, vp, srv string, sensitive bool, trial int, out Outcome, rec *obs.Recorder, bundle *trace.Trace) {
+func (s *ObsSink) absorb(rg *rig, label, vp, srv string, sensitive bool, trial int, out Outcome, rec *obs.Recorder) {
 	rg.net.FlushCounters()
 	s.Registry.Add("netem.events", rg.sim.Steps())
 	s.Registry.Inc("trials.total")
@@ -80,7 +76,6 @@ func (s *ObsSink) absorb(rg *rig, label, vp, srv string, sensitive bool, trial i
 			Strategy: label, VP: vp, Server: srv,
 			Sensitive: sensitive, Trial: trial, Outcome: out,
 			Dropped: rec.Dropped(), Events: rec.Events(),
-			Bundle: bundle,
 		})
 		s.compact()
 	}

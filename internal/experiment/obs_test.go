@@ -287,17 +287,19 @@ func TestObsDoesNotPerturbOutcomes(t *testing.T) {
 	}
 }
 
-// TestRunOneTraced: the flight recorder yields a non-empty trace with
-// nondecreasing virtual timestamps.
+// TestRunOneTraced: a causal trace's event stream is non-empty, with
+// nondecreasing virtual timestamps, and the traced trial classifies as
+// the plain one does.
 func TestRunOneTraced(t *testing.T) {
 	r := NewRunner(7)
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, 7)[0]
 	f, _, _ := core.ResolveStrategy("improved-teardown")
-	out, events := r.RunOneTraced(vp, srv, f, true, 3)
+	out, tr := r.RunOneCausal(vp, srv, f, "improved-teardown", true, 3)
 	if out != r.RunOne(vp, srv, f, true, 3) {
 		t.Error("traced run classified differently from plain run")
 	}
+	events := tr.Events
 	if len(events) == 0 {
 		t.Fatal("trace is empty")
 	}
@@ -388,68 +390,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 			r.RunOne(vp, srv, f, true, 3)
 		}
 	})
-}
-
-// TestObsCausalDeterminism extends the headline guarantee to causal
-// tracing: with Causal set, serial and parallel runs produce identical
-// results including the retained trace bundles; and turning tracing on
-// changes nothing about outcomes, counters, or flight-recorder events
-// — it only adds the bundles.
-func TestObsCausalDeterminism(t *testing.T) {
-	scale := Scale{VPs: 2, Servers: 2, Trials: 1}
-	run := func(workers int, causal bool) ([]Table1Row, *ObsSink) {
-		r := NewRunner(42)
-		r.Workers = workers
-		r.Causal = causal
-		r.Obs = NewObsSink()
-		rows := RunTable1Parallel(r, scale)
-		return rows, r.Obs
-	}
-	rowsOff, obsOff := run(1, false)
-	rowsOn, obsOn := run(1, true)
-	rowsOnPar, obsOnPar := run(8, true)
-
-	if !reflect.DeepEqual(rowsOff, rowsOn) {
-		t.Errorf("causal tracing changed table rows:\noff: %+v\non: %+v", rowsOff, rowsOn)
-	}
-	if !reflect.DeepEqual(rowsOn, rowsOnPar) {
-		t.Errorf("causal serial/parallel rows differ")
-	}
-	if !reflect.DeepEqual(obsOff.Snapshot().Counters, obsOn.Snapshot().Counters) {
-		t.Errorf("causal tracing changed counters")
-	}
-	// Serial vs parallel with tracing on: bundles and all.
-	if !reflect.DeepEqual(obsOn.Failures(), obsOnPar.Failures()) {
-		t.Errorf("causal serial/parallel failure traces (with bundles) differ")
-	}
-	// On vs off: identical apart from the attached bundles.
-	strip := func(ts []TrialTrace) []TrialTrace {
-		out := append([]TrialTrace(nil), ts...)
-		for i := range out {
-			out[i].Bundle = nil
-		}
-		return out
-	}
-	if !reflect.DeepEqual(strip(obsOn.Failures()), strip(obsOff.Failures())) {
-		t.Errorf("causal tracing perturbed the flight-recorder traces")
-	}
-	fails := obsOn.Failures()
-	if len(fails) == 0 {
-		t.Fatal("no failures retained; causal determinism check is vacuous")
-	}
-	for _, f := range fails {
-		if f.Bundle == nil {
-			t.Fatalf("failing trial %s/%s/%d retained no bundle", f.VP, f.Server, f.Trial)
-		}
-		if len(f.Bundle.Packets) == 0 || len(f.Bundle.Events) == 0 {
-			t.Fatalf("bundle for %s/%s/%d is empty", f.VP, f.Server, f.Trial)
-		}
-	}
-	for _, f := range obsOff.Failures() {
-		if f.Bundle != nil {
-			t.Fatal("bundle retained with tracing off")
-		}
-	}
 }
 
 // trialAllocBudget is the allocation budget of the trial hot path:

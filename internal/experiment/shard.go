@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"cmp"
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -58,9 +60,9 @@ type Cube struct {
 	scale  Scale
 	jobs   []trialJob
 	labels []string
-	// specs are the distinct strategies the jobs run, in cube order —
-	// the manifest's provenance lines.
-	specs []strategySpec
+	// specs are the distinct strategies the jobs run, in cube order,
+	// with their canonical spec text — the manifest's provenance lines.
+	specs []StrategySpec
 }
 
 // table1Campaign names the Table 1 cube, whose result document folds
@@ -73,13 +75,27 @@ func (c *Cube) tally(label string) int {
 	return len(c.labels) - 1
 }
 
-// compile compiles s for the cube's jobs and records it for the
-// manifest.
-func (c *Cube) compile(s strategySpec) core.Factory {
-	if !slices.ContainsFunc(c.specs, func(x strategySpec) bool { return x.name == s.name }) {
-		c.specs = append(c.specs, s)
+// strategy resolves the strategy called name for the cube's jobs and
+// records it for the manifest: ref is its spec text, or "" for the
+// registered strategy of that name.
+func (c *Cube) strategy(name, ref string) core.Factory {
+	f, canon := mustResolve(name, ref)
+	if !slices.ContainsFunc(c.specs, func(s StrategySpec) bool { return s.Name == name }) {
+		c.specs = append(c.specs, StrategySpec{Name: name, Spec: canon})
 	}
-	return s.compile()
+	return f
+}
+
+// mustResolve resolves a campaign table's strategy called name — ref
+// is its spec text, or "" for the registered strategy of that name —
+// to its factory and canonical spec text. The tables are compile-time
+// data, so an entry that does not resolve is a bug and panics.
+func mustResolve(name, ref string) (core.Factory, string) {
+	f, canon, err := core.ResolveStrategy(cmp.Or(ref, name))
+	if err != nil {
+		panic(fmt.Sprintf("experiment: strategy %s: %v", name, err))
+	}
+	return f, canon
 }
 
 // Table1Cube enumerates the Table 1 campaign for (r, sc): every
@@ -90,7 +106,7 @@ func Table1Cube(r *Runner, sc Scale) *Cube {
 	servers := Servers(sc.Servers, r.Cal, r.Seed)
 	c := &Cube{name: table1Campaign, scale: sc}
 	for _, spec := range table1Strategies() {
-		factory := c.compile(spec.strategySpec)
+		factory := c.strategy(spec.name, "")
 		sens, clean := c.tally(spec.name), c.tally(spec.name)
 		for vi := range vps {
 			vp := &vps[vi]

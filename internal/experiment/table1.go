@@ -3,8 +3,6 @@ package experiment
 import (
 	"fmt"
 	"strings"
-
-	"intango/internal/core"
 )
 
 // Scale controls how much of the full campaign a run covers. The paper
@@ -32,68 +30,30 @@ type Table1Row struct {
 	Clean       Tally
 }
 
-// strategySpec defines one campaign strategy as data: the registry
-// alias (used for observability retention labels and human output) and
-// the spec text the factory is compiled from. The alias must agree
-// with the core registry — TestTableSpecsMatchRegistry pins that.
-type strategySpec struct {
-	name string
-	spec string
-}
-
-// compile builds the factory for a strategy spec, panicking on a
-// malformed definition (these are compile-time tables, not user input).
-func (s strategySpec) compile() core.Factory {
-	f, err := core.CompileSpecAs(s.name, s.spec)
-	if err != nil {
-		panic(fmt.Sprintf("experiment: bad spec for %s: %v", s.name, err))
-	}
-	return f
-}
-
 // table1Spec is one Table 1 row definition: paper labels plus the
-// strategy spec.
+// registered strategy the row runs.
 type table1Spec struct {
-	group, disc string
-	strategySpec
+	group, disc, name string
 }
 
-// table1Strategies lists the Table 1 rows in paper order, each defined
-// by its spec.
+// table1Strategies lists the Table 1 rows in paper order.
 func table1Strategies() []table1Spec {
-	row := func(group, disc, name, spec string) table1Spec {
-		return table1Spec{group, disc, strategySpec{name, spec}}
-	}
 	return []table1Spec{
-		row("No Strategy", "N/A", "none", "pass"),
-		row("TCB creation with SYN", "TTL", "tcb-creation-syn/ttl",
-			"on:handshake[inject(syn,disc=ttl)]"),
-		row("TCB creation with SYN", "Bad checksum", "tcb-creation-syn/bad-checksum",
-			"on:handshake[inject(syn,disc=bad-checksum)]"),
-		row("Reassembly out-of-order data", "IP fragments", "ooo-ipfrag",
-			"on:first-payload(min=16,rexmit)[fragment(ip); reorder(head-last); duplicate(tails,fill=junk,pos=before)]"),
-		row("Reassembly out-of-order data", "TCP segments", "ooo-tcpseg",
-			"on:first-payload(min=4)[fragment(tcp,at=4); reorder(head-last); duplicate(tails,fill=junk,pos=after)]"),
-		row("Reassembly in-order data", "TTL", "prefill/ttl",
-			"on:first-payload[inject(prefill,disc=ttl)]"),
-		row("Reassembly in-order data", "Bad ACK number", "prefill/bad-ack",
-			"on:first-payload[inject(prefill,disc=bad-ack)]"),
-		row("Reassembly in-order data", "Bad checksum", "prefill/bad-checksum",
-			"on:first-payload[inject(prefill,disc=bad-checksum)]"),
-		row("Reassembly in-order data", "No TCP flag", "prefill/no-flag",
-			"on:first-payload[inject(prefill,disc=no-flag)]"),
-		row("TCB teardown with RST", "TTL", "teardown-rst/ttl",
-			"on:first-payload[teardown(flags=rst,disc=ttl)]"),
-		row("TCB teardown with RST", "Bad checksum", "teardown-rst/bad-checksum",
-			"on:first-payload[teardown(flags=rst,disc=bad-checksum)]"),
-		row("TCB teardown with RST/ACK", "TTL", "teardown-rstack/ttl",
-			"on:first-payload[teardown(flags=rstack,disc=ttl)]"),
-		row("TCB teardown with RST/ACK", "Bad checksum", "teardown-rstack/bad-checksum",
-			"on:first-payload[teardown(flags=rstack,disc=bad-checksum)]"),
-		row("TCB teardown with FIN", "TTL", "teardown-fin/ttl",
-			"on:first-payload[teardown(flags=finack,disc=ttl)]"),
-		row("TCB teardown with FIN", "Bad checksum", "teardown-fin/bad-checksum",
-			"on:first-payload[teardown(flags=finack,disc=bad-checksum)]"),
+		{"No Strategy", "N/A", "none"},
+		{"TCB creation with SYN", "TTL", "tcb-creation-syn/ttl"},
+		{"TCB creation with SYN", "Bad checksum", "tcb-creation-syn/bad-checksum"},
+		{"Reassembly out-of-order data", "IP fragments", "ooo-ipfrag"},
+		{"Reassembly out-of-order data", "TCP segments", "ooo-tcpseg"},
+		{"Reassembly in-order data", "TTL", "prefill/ttl"},
+		{"Reassembly in-order data", "Bad ACK number", "prefill/bad-ack"},
+		{"Reassembly in-order data", "Bad checksum", "prefill/bad-checksum"},
+		{"Reassembly in-order data", "No TCP flag", "prefill/no-flag"},
+		{"TCB teardown with RST", "TTL", "teardown-rst/ttl"},
+		{"TCB teardown with RST", "Bad checksum", "teardown-rst/bad-checksum"},
+		{"TCB teardown with RST/ACK", "TTL", "teardown-rstack/ttl"},
+		{"TCB teardown with RST/ACK", "Bad checksum", "teardown-rstack/bad-checksum"},
+		{"TCB teardown with FIN", "TTL", "teardown-fin/ttl"},
+		{"TCB teardown with FIN", "Bad checksum", "teardown-fin/bad-checksum"},
 	}
 }
 
@@ -106,7 +66,7 @@ func RunTable1(r *Runner, scale Scale) []Table1Row {
 	var rows []Table1Row
 	for _, spec := range table1Strategies() {
 		row := Table1Row{Strategy: spec.group, Discrepancy: spec.disc}
-		factory := spec.compile()
+		factory, _ := mustResolve(spec.name, "")
 		for _, vp := range vps {
 			for _, srv := range servers {
 				for trial := 0; trial < scale.Trials; trial++ {

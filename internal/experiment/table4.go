@@ -33,24 +33,18 @@ type Table4Row struct {
 }
 
 // table4Spec is one §7.1 strategy row definition: paper label plus the
-// strategy spec.
+// registered strategy the row runs.
 type table4Spec struct {
-	label string
-	strategySpec
+	label, name string
 }
 
-// table4Strategies lists the §7.1 strategy rows, each defined by its
-// spec.
+// table4Strategies lists the §7.1 strategy rows.
 func table4Strategies() []table4Spec {
 	return []table4Spec{
-		{"Improved TCB Teardown", strategySpec{"improved-teardown",
-			"on:first-payload[teardown(flags=rst,disc=ttl); teardown(flags=rst,disc=md5); inject(desync)]"}},
-		{"Improved In-order Data Overlapping", strategySpec{"improved-prefill",
-			"on:first-payload[inject(prefill,disc=md5); inject(prefill,disc=old-timestamp)]"}},
-		{"TCB Creation + Resync/Desync", strategySpec{"creation-resync-desync",
-			"on:handshake[inject(syn,disc=ttl)] on:first-payload[inject(syn,disc=ttl); inject(desync)]"}},
-		{"TCB Teardown + TCB Reversal", strategySpec{"teardown-reversal",
-			"on:handshake[inject(synack,disc=ttl)] on:first-payload[teardown(flags=rst,disc=ttl); teardown(flags=rst,disc=md5)]"}},
+		{"Improved TCB Teardown", "improved-teardown"},
+		{"Improved In-order Data Overlapping", "improved-prefill"},
+		{"TCB Creation + Resync/Desync", "creation-resync-desync"},
+		{"TCB Teardown + TCB Reversal", "teardown-reversal"},
 	}
 }
 
@@ -73,7 +67,7 @@ func RunTable4(r *Runner, vps []VantagePoint, servers []Server, trials int) []Ta
 func table4Cube(r *Runner, vps []VantagePoint, servers []Server, trials int) *Cube {
 	c := &Cube{name: "table4"}
 	for _, spec := range table4Strategies() {
-		factory := c.compile(spec.strategySpec)
+		factory := c.strategy(spec.name, "")
 		for vi := range vps {
 			vp := &vps[vi]
 			sink := c.tally(spec.name)

@@ -37,40 +37,29 @@ func table5Cube(r *Runner) (*Cube, []Table5Cell) {
 	vp := &VantagePoints()[0] // Aliyun profile, benign for these packets
 	servers := controlledServers(r, 3)
 
-	strategyFor := func(ptype string, d core.Discrepancy) strategySpec {
-		switch ptype {
-		case "SYN":
-			// SYN insertions are exercised by the combined creation
-			// strategy (its insertions are TTL-crafted SYNs).
-			return strategySpec{"creation-resync-desync",
-				"on:handshake[inject(syn,disc=ttl)] on:first-payload[inject(syn,disc=ttl); inject(desync)]"}
-		case "RST":
-			return strategySpec{"teardown-rst/" + d.String(),
-				"on:first-payload[teardown(flags=rst,disc=" + d.String() + ")]"}
-		default: // Data
-			return strategySpec{"prefill/" + d.String(),
-				"on:first-payload[inject(prefill,disc=" + d.String() + ")]"}
-		}
-	}
-
 	c := &Cube{name: "table5"}
 	var cells []Table5Cell
-	for _, spec := range []struct {
-		ptype string
-		disc  core.Discrepancy
+	// Each construction runs a strategy built on exactly that insertion
+	// packet: the registered one of that name, or the spec text given
+	// where the registry has none.
+	for _, cell := range []struct {
+		ptype      string
+		disc       core.Discrepancy
+		name, spec string
 	}{
-		{"SYN", core.DiscTTL},
-		{"RST", core.DiscTTL},
-		{"RST", core.DiscMD5},
-		{"Data", core.DiscTTL},
-		{"Data", core.DiscMD5},
-		{"Data", core.DiscBadAck},
-		{"Data", core.DiscOldTimestamp},
+		// SYN insertions are exercised by the combined creation
+		// strategy (its insertions are TTL-crafted SYNs).
+		{"SYN", core.DiscTTL, "creation-resync-desync", ""},
+		{"RST", core.DiscTTL, "teardown-rst/ttl", ""},
+		{"RST", core.DiscMD5, "teardown-rst/md5", "on:first-payload[teardown(flags=rst,disc=md5)]"},
+		{"Data", core.DiscTTL, "prefill/ttl", ""},
+		{"Data", core.DiscMD5, "prefill/md5", "on:first-payload[inject(prefill,disc=md5)]"},
+		{"Data", core.DiscBadAck, "prefill/bad-ack", ""},
+		{"Data", core.DiscOldTimestamp, "prefill/old-timestamp", "on:first-payload[inject(prefill,disc=old-timestamp)]"},
 	} {
-		cells = append(cells, Table5Cell{PacketType: spec.ptype, Discrepancy: spec.disc, Preferred: preferred(spec.ptype, spec.disc)})
-		strat := strategyFor(spec.ptype, spec.disc)
-		factory := c.compile(strat)
-		sink := c.tally(strat.name)
+		cells = append(cells, Table5Cell{PacketType: cell.ptype, Discrepancy: cell.disc, Preferred: preferred(cell.ptype, cell.disc)})
+		factory := c.strategy(cell.name, cell.spec)
+		sink := c.tally(cell.name)
 		for si := range servers {
 			c.jobs = append(c.jobs, trialJob{vp: vp, srv: &servers[si], censor: r.Censor,
 				factory: factory, sensitive: true, sink: sink})

@@ -66,11 +66,6 @@ type Runner struct {
 	// packets on the heap. The pooling determinism test uses it as the
 	// control arm; campaigns leave it false.
 	NoPool bool
-	// Causal, when set (and Obs is attached), records a full causal
-	// trace — packet bytes with lineage plus the complete event stream —
-	// for every trial and retains the bundle on each failing trial the
-	// sink keeps. Off by default: tracing costs per-packet serialization.
-	Causal bool
 	// Progress, when set, emits periodic campaign-progress snapshots
 	// while the campaign executor runs.
 	Progress *ProgressOptions
@@ -364,23 +359,12 @@ func recordStageSpans(rg *rig, conn *tcpstack.Conn, reg *obs.Registry, rec *obs.
 // of the rig before runOne returns, so a may build the next trial.
 func (r *Runner) runOne(j *trialJob, vp *VantagePoint, srv *Server, label string, sink *ObsSink, a *arena) Outcome {
 	var reg *obs.Registry
-	var tc *trace.Tracer
 	if sink != nil {
 		reg = sink.Registry
-		if r.Causal {
-			tc = trace.New()
-		}
 	}
-	out, rg, rec := r.runRig(j, vp, srv, reg, tc, a)
+	out, rg, rec := r.runRig(j, vp, srv, reg, nil, a)
 	if sink != nil {
-		var bundle *trace.Trace
-		if tc != nil && out != Success {
-			bundle = tc.Finish(trace.Meta{
-				Strategy: label, VP: vp.Name, Server: srv.Name,
-				Trial: j.trial, Outcome: out.String(),
-			})
-		}
-		sink.absorb(rg, label, vp.Name, srv.Name, j.sensitive, j.trial, out, rec, bundle)
+		sink.absorb(rg, label, vp.Name, srv.Name, j.sensitive, j.trial, out, rec)
 	}
 	return out
 }
@@ -394,14 +378,6 @@ func (r *Runner) job(factory core.Factory, sensitive bool, trial int) *trialJob 
 // RunOne executes a single strategy trial and classifies it.
 func (r *Runner) RunOne(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int) Outcome {
 	return r.runOne(r.job(factory, sensitive, trial), &vp, &srv, "", r.Obs, r.newArena())
-}
-
-// RunOneTraced runs one trial with a private flight recorder and
-// returns the classification together with the retained trace — the
-// §3.4 controlled-experiment hook diagnosis builds on.
-func (r *Runner) RunOneTraced(vp VantagePoint, srv Server, factory core.Factory, sensitive bool, trial int) (Outcome, []obs.Event) {
-	out, _, rec := r.runRig(r.job(factory, sensitive, trial), &vp, &srv, obs.NewRegistry(), nil, r.newArena())
-	return out, rec.Events()
 }
 
 // RunOneCausal runs one trial with full causal tracing — lineage-

@@ -24,7 +24,7 @@ import (
 type Options struct {
 	// Candidates is the ordered list of strategies to try against a
 	// server with no cached result — registry names ("improved-teardown")
-	// or raw spec text ("on:first-payload[teardown(flags=rst,disc=ttl)]").
+	// or raw spec text ("on:first-payload[teardown(flags=rst,disc=md5)]").
 	// Defaults to the paper's best performers (Table 4), strongest
 	// first.
 	Candidates []string
