@@ -132,7 +132,9 @@ func CompileSpec(spec StrategySpec) StrategyFactory { return spec.Factory() }
 func RegisteredStrategies() []StrategyEntry { return core.Registry() }
 
 // NewINTANG wires an INTANG instance between a client stack and the
-// client end of a fabric (a Playground's Path, for one).
+// client end of a fabric (a Playground's Path, for one). It panics on a
+// candidate in opts that neither names a registered strategy nor
+// parses as spec text, with the parser's message.
 func NewINTANG(sim *Simulator, f *Fabric, stack *Stack, opts INTANGOptions) *INTANG {
 	return intang.New(sim, f, stack, opts)
 }

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"intango/internal/core"
+	"intango/internal/gfw"
 	"intango/internal/netem"
 	"intango/internal/packet"
 )
@@ -132,6 +133,8 @@ var benchLayers = []struct {
 }{
 	{"netem_event_loop", benchEventLoop},
 	{"netem_rng_reseed", benchTrialRNG},
+	{"netem_router_hop", benchRouterHop},
+	{"gfw_block_volley", benchBlockVolley},
 }
 
 // layer returns the named layer's result, zero when absent.
@@ -199,6 +202,65 @@ func benchTrialRNG(b *testing.B) {
 		for k := 0; k < trialDraws; k++ {
 			sim.Rand().Float64()
 		}
+	}
+}
+
+// routerHops is benchRouterHop's chain length: as many plain routers
+// as a TTL of 64 crosses with one to spare.
+const routerHops = 62
+
+// benchRouterHop runs one packet at a time across a chain of plain
+// routers on 1 ms links, each endpoint answering a delivery with a new
+// pooled packet back. One op is one event: routerHops of every
+// routerHops+1 are a packet crossing one router (header check, TTL,
+// route, schedule), the last a delivery and the send it answers with.
+func benchRouterHop(b *testing.B) {
+	sim := netem.NewSimulator(1)
+	link := netem.Link{Latency: time.Millisecond}
+	f := netem.NewChain(sim, routerHops, link, link)
+	f.Pool = packet.NewPool()
+	cli, srv := packet.AddrFrom4(10, 0, 0, 1), packet.AddrFrom4(203, 0, 113, 80)
+	f.Server = netem.EndpointFunc(func(*packet.Packet) {
+		f.SendFromServer(f.Pool.NewTCP(srv, 80, cli, 40000, packet.FlagACK, 1, 1, nil))
+	})
+	f.Client = netem.EndpointFunc(func(*packet.Packet) {
+		f.SendFromClient(f.Pool.NewTCP(cli, 40000, srv, 80, packet.FlagACK, 1, 1, nil))
+	})
+	f.SendFromClient(f.Pool.NewTCP(cli, 40000, srv, 80, packet.FlagACK, 1, 1, nil))
+	b.ReportAllocs()
+	b.ResetTimer()
+	sim.Run(b.N)
+}
+
+// benchBlockVolley measures the GFW's answer to a packet of a blocked
+// pair (§2.1): a type-2 device that detected the keyword sees one more
+// client ACK and injects three resets toward each end, which the fabric
+// then delivers. The links have no latency, so the 90 s block never
+// lapses. One op is one volley, drained.
+func benchBlockVolley(b *testing.B) {
+	sim := netem.NewSimulator(1)
+	f := netem.NewChain(sim, 1, netem.Link{}, netem.Link{})
+	f.Pool = packet.NewPool()
+	dev := gfw.NewDevice("gfw", gfw.Config{Model: gfw.ModelEvolved2017, Keywords: []string{Keyword},
+		DetectionMissProb: -1}, sim.Rand())
+	f.Node(1).Taps = []netem.Processor{dev}
+	cli, srv := packet.AddrFrom4(10, 0, 0, 1), packet.AddrFrom4(203, 0, 113, 80)
+	f.SendFromClient(packet.NewTCP(cli, 40000, srv, 80, packet.FlagSYN, 1000, 0, nil))
+	f.SendFromServer(packet.NewTCP(srv, 80, cli, 40000, packet.FlagSYN|packet.FlagACK, 5000, 1001, nil))
+	f.SendFromClient(packet.NewTCP(cli, 40000, srv, 80, packet.FlagACK, 1001, 5001, nil))
+	f.SendFromClient(packet.NewTCP(cli, 40000, srv, 80, packet.FlagPSH|packet.FlagACK, 1001, 5001,
+		[]byte("GET /search?q="+Keyword+" HTTP/1.1\r\n\r\n")))
+	sim.Run(1000)
+	if !dev.PairBlocked(cli, srv, sim.Now()) {
+		b.Fatal("the keyword request did not block the pair")
+	}
+	ctx := &netem.Context{Sim: sim, Net: f, Node: 1}
+	ack := packet.NewTCP(cli, 40000, srv, 80, packet.FlagACK, 1040, 5001, nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dev.Process(ctx, ack, netem.ToServer)
+		sim.Run(1000)
 	}
 }
 

@@ -133,7 +133,9 @@ type dnsQueryCtx struct {
 }
 
 // New wires an INTANG instance between stack and the client end of a
-// fabric.
+// fabric. Candidate lists are code, so New panics with
+// core.ResolveStrategy's message on a candidate that neither names a
+// registered strategy nor parses as spec text.
 func New(sim *netem.Simulator, f *netem.Fabric, stack *tcpstack.Stack, opts Options) *INTANG {
 	opts = opts.withDefaults()
 	it := &INTANG{
@@ -154,7 +156,10 @@ func New(sim *netem.Simulator, f *netem.Fabric, stack *tcpstack.Stack, opts Opti
 	}
 	it.candidates = make([]candidate, len(opts.Candidates))
 	for i, key := range opts.Candidates {
-		c := resolveCandidate(key)
+		c, err := resolveCandidate(key)
+		if err != nil {
+			panic("intang: candidate: " + err.Error())
+		}
 		it.candidates[i] = c
 		it.byCanon[c.canon] = &it.candidates[i]
 	}
@@ -170,15 +175,11 @@ func New(sim *netem.Simulator, f *netem.Fabric, stack *tcpstack.Stack, opts Opti
 func cacheKey(addr packet.Addr) string { return "strategy:" + addr.String() }
 
 // resolveCandidate turns a candidate key (registry name or spec text)
-// into its display name, canonical spec string, and compiled factory.
-// Unresolvable keys degrade to a passthrough under their own name, as
-// the old registry-miss path did.
-func resolveCandidate(key string) candidate {
-	if f, canon, err := core.ResolveStrategy(key); err == nil {
-		return candidate{display: key, canon: canon, factory: f}
-	}
-	return candidate{display: key, canon: key,
-		factory: func() core.Strategy { return core.Passthrough{} }}
+// into its display name, canonical spec string, and compiled factory,
+// or returns core.ResolveStrategy's error for a key that is neither.
+func resolveCandidate(key string) (candidate, error) {
+	f, canon, err := core.ResolveStrategy(key)
+	return candidate{display: key, canon: canon, factory: f}, err
 }
 
 // newStrategy picks the most promising strategy for a new flow (§6).
@@ -257,8 +258,10 @@ func (it *INTANG) chooseCandidate(server packet.Addr) candidate {
 			return *c
 		}
 		// A cached spec outside the candidate set (written by an earlier
-		// configuration): still honour it.
-		return resolveCandidate(v)
+		// configuration): still honour it, unless it no longer resolves.
+		if c, err := resolveCandidate(v); err == nil {
+			return c
+		}
 	}
 	if it.Obs != nil {
 		it.Obs.Count("intang.cache-miss")

@@ -2,10 +2,13 @@ package intang
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
 	"intango/internal/appsim"
+	"intango/internal/core"
 	"intango/internal/dnsmsg"
 	"intango/internal/gfw"
 	"intango/internal/middlebox"
@@ -314,5 +317,41 @@ func TestProbePoisonedDomains(t *testing.T) {
 	list := PoisonedList(results)
 	if len(list) != 2 || list[0] != "www.dropbox.com" || list[1] != "www.facebook.com" {
 		t.Fatalf("poisoned list = %v", list)
+	}
+}
+
+// TestNewRefusesUnresolvableCandidate: a candidate that neither names a
+// registered strategy nor parses as spec text is a programming error,
+// so New panics with the resolver's message instead of running flows
+// with no strategy under the misspelt name.
+func TestNewRefusesUnresolvableCandidate(t *testing.T) {
+	_, _, want := core.ResolveStrategy("improved-teardwn")
+	if want == nil {
+		t.Fatal("the misspelt name resolved")
+	}
+	defer func() {
+		got := recover()
+		if got == nil {
+			t.Fatal("New accepted an unresolvable candidate")
+		}
+		if msg := fmt.Sprint(got); !strings.Contains(msg, want.Error()) {
+			t.Fatalf("panic %q does not carry the resolver's message %q", msg, want)
+		}
+	}()
+	sim := netem.NewSimulator(1)
+	link := netem.Link{Latency: time.Millisecond}
+	path := netem.NewChain(sim, 2, link, link)
+	New(sim, path, tcpstack.NewStack(cliAddr, tcpstack.Linux44(), sim),
+		Options{Candidates: []string{"improved-teardown", "improved-teardwn"}})
+}
+
+// TestCachedSpecThatNoLongerResolves: a cached record that is not a
+// strategy (the store outlives configurations) is ignored, and the
+// server gets its rotation candidate rather than no strategy.
+func TestCachedSpecThatNoLongerResolves(t *testing.T) {
+	r := newRig(t, gfw.Config{Model: gfw.ModelEvolved2017}, Options{})
+	r.it.Store.Set(cacheKey(srvAddr), "improved-teardwn", time.Minute)
+	if got := r.it.ChooseStrategy(srvAddr); got != "teardown-reversal" {
+		t.Fatalf("strategy = %q, want the first rotation candidate", got)
 	}
 }

@@ -13,8 +13,9 @@ import (
 type Node struct {
 	// Taps are on-path observers (§2.1): they see every packet that
 	// arrives at the node — including packets about to expire here —
-	// before TTL processing, cannot drop, and must not mutate. The GFW
-	// wiretap attaches here.
+	// before TTL processing, cannot drop, and must not mutate: the
+	// node's router trusts a header an earlier router verified. The
+	// GFW wiretap attaches here.
 	Taps []Processor
 	// Processors are in-path devices (middleboxes): they run after TTL
 	// processing and may mutate or Drop.
@@ -297,8 +298,9 @@ func (f *Fabric) arriveAt(idx int, dir Direction, pkt *packet.Packet) {
 		// and, in this model, discard datagrams carrying IP options —
 		// the §5.3 observation that IP-layer discrepancies "are often
 		// dropped by routers or middleboxes" and therefore make poor
-		// insertion packets.
-		if !pkt.IP.VerifyChecksum() {
+		// insertion packets. A header an earlier router verified, and
+		// nothing since could rewrite, is not summed again.
+		if !pkt.RouterVerify() {
 			f.trace(idx, evDropIPck, dir, pkt)
 			f.release(pkt)
 			return
@@ -315,6 +317,11 @@ func (f *Fabric) arriveAt(idx int, dir Direction, pkt *packet.Packet) {
 			return
 		}
 		pkt.IP.DecrementTTL()
+	}
+	if len(node.Processors) > 0 {
+		// In-path processors may rewrite the header: the next router
+		// verifies it afresh.
+		pkt.ClearVerified()
 	}
 	for _, proc := range node.Processors {
 		if proc.Process(ctx, pkt, dir) == Drop {

@@ -1,6 +1,8 @@
 package netem
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -365,6 +367,41 @@ func TestContextInjectDelay(t *testing.T) {
 	// Reaches the second router at 2ms; injected +50ms; 2 links back = 2ms.
 	if deliveredAt != 54*time.Millisecond {
 		t.Fatalf("deliveredAt = %v, want 54ms", deliveredAt)
+	}
+}
+
+// TestRouterReverifiesAfterProcessor: a router that verified a header
+// lets the next router skip the checksum, but not once a processor has
+// had the packet. A processor at router 1 that rewrites the TTL without
+// fixing the checksum gets the packet dropped as drop-ipck at router 2;
+// without it the packet crosses every router with a checksum that
+// DecrementTTL kept valid.
+func TestRouterReverifiesAfterProcessor(t *testing.T) {
+	for _, rewrite := range []bool{false, true} {
+		s := NewSimulator(1)
+		p := newTestChain(s, 3)
+		var events []string
+		p.Trace = func(ev TraceEvent) { events = append(events, fmt.Sprintf("%v %s", ev.Time, ev.Event)) }
+		if rewrite {
+			p.Node(1).Processors = []Processor{processorAdapter{fn: func(_ *Context, pkt *packet.Packet, _ Direction) Verdict {
+				pkt.IP.TTL = 30
+				return Pass
+			}}}
+		}
+		var atServer *packet.Packet
+		p.Server = EndpointFunc(func(pkt *packet.Packet) { atServer = pkt })
+		p.SendFromClient(packet.NewTCP(cliAddr, 1, srvAddr, 80, packet.FlagSYN, 0, 0, nil))
+		s.Run(100)
+		if !rewrite {
+			if atServer == nil || atServer.IP.TTL != 61 || !atServer.IP.VerifyChecksum() {
+				t.Fatalf("untouched packet: delivered %v; events %v", atServer, events)
+			}
+			continue
+		}
+		want := []string{"0s send", "1ms fwd", "2ms drop-ipck"}
+		if atServer != nil || !slices.Equal(events, want) {
+			t.Fatalf("rewritten header: delivered %v, events %v; want %v", atServer, events, want)
+		}
 	}
 }
 

@@ -84,9 +84,12 @@ func (s *Simulator) Reset(seed int64) {
 	clear(s.heap)
 	s.heap = s.heap[:0]
 	for i := range s.lanes {
+		// Popped slots are already zero: empty only the live ones.
 		l := &s.lanes[i]
-		clear(l.ring)
-		l.head, l.n = 0, 0
+		for l.n > 0 {
+			l.pop()
+		}
+		l.head = 0
 	}
 	s.rng.Seed(seed)
 }

@@ -254,3 +254,39 @@ func TestSimulatorReset(t *testing.T) {
 		t.Fatalf("second reset diverged:\n got %v\nwant %v", got, want)
 	}
 }
+
+// TestSimulatorResetWrappedLane resets with a lane's pending events
+// wrapped past the end of its ring, on the inline ring and on a grown
+// one: Reset clears only the live slots, so both runs of them, before
+// and after the wrap, must come back zero.
+func TestSimulatorResetWrappedLane(t *testing.T) {
+	pkt := packet.NewTCP(packet.AddrFrom4(10, 0, 0, 1), 1, packet.AddrFrom4(10, 0, 0, 2), 2, packet.FlagSYN, 1, 0, nil)
+	h := indexHandler(func(int) {})
+	for _, size := range []int{minLaneRing, 4 * minLaneRing} {
+		s := NewSimulator(3)
+		for i := 0; i < size; i++ {
+			s.AtPacket(time.Millisecond, h, pkt, i, ToServer)
+		}
+		// Pop half at their common time, then refill: the new tail
+		// wraps to the front of the ring.
+		for i := 0; i < size/2; i++ {
+			s.Step()
+		}
+		for i := 0; i < size/2; i++ {
+			s.AtPacket(time.Millisecond, h, pkt, i, ToServer)
+		}
+		l := &s.lanes[0]
+		if len(l.ring) != size || l.n != size || l.head != size/2 {
+			t.Fatalf("ring %d: len %d, n %d, head %d; want a full ring wrapped at %d",
+				size, len(l.ring), l.n, l.head, size/2)
+		}
+		s.Reset(11)
+		if s.Pending() != 0 {
+			t.Fatalf("ring %d: %d events pending after Reset", size, s.Pending())
+		}
+		requireAllSlotsZeroed(t, s)
+		if got, want := replaySchedule(s), replaySchedule(NewSimulator(11)); !slices.Equal(got, want) {
+			t.Fatalf("ring %d: reset simulator diverged from a new one:\n got %v\nwant %v", size, got, want)
+		}
+	}
+}

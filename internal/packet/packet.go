@@ -64,6 +64,12 @@ type Packet struct {
 	// untouched — and only read when tracing is enabled.
 	Lin Lineage
 
+	// hdrVerified marks an IP header a router found valid (see
+	// RouterVerify). It lives on the packet, not the header, so copying
+	// a header never copies it, and a fresh or cloned packet starts
+	// without it.
+	hdrVerified bool
+
 	// Pooling support: the owning pool plus inline header and buffer
 	// storage reused across incarnations (see pool.go). All zero for
 	// ordinary heap packets, whose Use*/SetPayload calls then simply
@@ -111,6 +117,23 @@ func (p *Packet) SegLen() int {
 func (p *Packet) EndSeq() Seq {
 	return p.TCP.Seq.Add(p.SegLen())
 }
+
+// RouterVerify reports whether the IP header checksum is valid, as a
+// forwarding router checks it (RFC 1812 §5.2.2), and marks the packet
+// when it is, so later routers skip the sum: DecrementTTL's incremental
+// update keeps a valid checksum valid. Whatever may rewrite the header
+// of a packet in flight must clear the mark first (ClearVerified), as
+// the fabric does before a node's in-path processors run.
+func (p *Packet) RouterVerify() bool {
+	if !p.hdrVerified {
+		p.hdrVerified = p.IP.VerifyChecksum()
+	}
+	return p.hdrVerified
+}
+
+// ClearVerified drops the mark RouterVerify leaves, so the next router
+// verifies the header afresh.
+func (p *Packet) ClearVerified() { p.hdrVerified = false }
 
 // Serialize encodes the full datagram to wire bytes.
 func (p *Packet) Serialize(opts SerializeOptions) []byte {

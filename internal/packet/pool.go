@@ -105,6 +105,7 @@ func (p *Packet) reset() {
 	p.TCP, p.UDP, p.ICMP = nil, nil, nil
 	p.Payload = nil
 	p.BadTCPChecksum = false
+	p.hdrVerified = false
 	p.Lin = Lineage{}
 	p.payloadBuf = p.payloadBuf[:0]
 	p.optBuf = p.optBuf[:0]

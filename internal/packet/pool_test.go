@@ -167,3 +167,46 @@ func TestPooledTimeExceededMatchesHeap(t *testing.T) {
 		poolReply.Release()
 	}
 }
+
+// TestRouterVerifyMark: a router's verified mark survives DecrementTTL,
+// which keeps the checksum valid, and is trusted until cleared — so it
+// must not carry over to a clone, a pool clone or a recycled packet.
+func TestRouterVerifyMark(t *testing.T) {
+	pl := NewPool()
+	src, dst := AddrFrom4(10, 0, 0, 1), AddrFrom4(203, 0, 113, 80)
+	p := pl.NewTCP(src, 1, dst, 2, FlagACK, 1, 1, nil)
+	if !p.RouterVerify() {
+		t.Fatal("a finalized header failed verification")
+	}
+	p.IP.DecrementTTL()
+	if !p.IP.VerifyChecksum() || !p.RouterVerify() {
+		t.Fatal("DecrementTTL broke a verified header")
+	}
+	p.IP.TTL = 30 // rewritten without fixing the checksum
+	if !p.RouterVerify() {
+		t.Fatal("the mark was not trusted")
+	}
+	for name, c := range map[string]*Packet{"Clone": p.Clone(), "Pool.Clone": pl.Clone(p)} {
+		if c.RouterVerify() {
+			t.Errorf("%s carried the mark over a stale checksum", name)
+		}
+	}
+	p.ClearVerified()
+	if p.RouterVerify() {
+		t.Error("a stale checksum passed after ClearVerified")
+	}
+	// sync.Pool may drop a Put, so cycle until a packet comes back.
+	for i := 0; i < 100; i++ {
+		p.hdrVerified = true
+		p.Release()
+		q := pl.Get()
+		if q == p {
+			if q.hdrVerified {
+				t.Fatal("a recycled packet kept the mark")
+			}
+			return
+		}
+		p = q
+	}
+	t.Fatal("Get never recycled a released packet")
+}

@@ -168,6 +168,11 @@ type Conn struct {
 	FirstDataAt time.Duration
 	LastDataAt  time.Duration
 
+	// oowNext is the earliest virtual time the per-socket ACK-loop
+	// limit lets this connection answer another ignored segment (see
+	// ackLimited); zero until the limit first lets one out.
+	oowNext time.Duration
+
 	// causeID is the causal-tracing wire ID of the most recent inbound
 	// segment this connection processed. Outgoing segments record it as
 	// their lineage parent — the proximate cause of the transmission
@@ -435,7 +440,9 @@ func (c *Conn) handleSegment(pkt *packet.Packet) {
 			c.transmit(packet.FlagSYN|packet.FlagACK, c.iss, c.rcvNxt, nil)
 			return
 		}
-		c.sendAck()
+		if !c.ackLimited(pkt, d.Reason) {
+			c.sendAck()
+		}
 		return
 	case AbortConn:
 		c.GotRST = true
@@ -447,6 +454,42 @@ func (c *Conn) handleSegment(pkt *packet.Packet) {
 		return
 	}
 	c.accept(pkt)
+}
+
+// challengeACKLimit is Linux's host-wide RFC 5961 budget
+// (tcp_challenge_ack_limit, 3.6 to 4.6): at most this many challenge
+// ACKs per second. Only the 3.14, 4.0 and 4.4 profiles send challenge
+// ACKs, and all three have it, so it is a constant, not a Profile field.
+const challengeACKLimit = 100
+
+// ackLimited reports whether Linux's ACK-loop limits suppress the ACK
+// answering pkt, an ignored segment (tcp_send_challenge_ack and
+// tcp_oow_rate_limited). The per-socket limit comes first: at most one
+// answer per Profile.InvalidRateLimit, except to a segment carrying
+// data or a FIN and no SYN, which is always answered and does not
+// restart the interval. RFC 5961 challenge ACKs then draw on the
+// stack's budget of challengeACKLimit per virtual second.
+func (c *Conn) ackLimited(pkt *packet.Packet, reason string) bool {
+	s := c.stack
+	now := s.Sim.Now()
+	if lim := s.Profile.InvalidRateLimit; lim > 0 && (pkt.SegLen() == 0 || pkt.TCP.HasFlag(packet.FlagSYN)) {
+		if now < c.oowNext {
+			s.Obs.Count("tcpstack.ack-ratelimited")
+			return true
+		}
+		c.oowNext = now + lim
+	}
+	if reason == "rst-in-window-challenge-ack" || reason == "syn-challenge-ack" {
+		if sec := now / time.Second; sec != s.challengeSec {
+			s.challengeSec, s.challenges = sec, 0
+		}
+		s.challenges++
+		if s.challenges > challengeACKLimit {
+			s.Obs.Count("tcpstack.challenge-ack-limited")
+			return true
+		}
+	}
+	return false
 }
 
 // accept processes an acceptable segment.

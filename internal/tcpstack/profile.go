@@ -8,9 +8,19 @@
 // 2.6.34 and 2.4.37. Each of those stacks is available here as a
 // Profile; the Disposition function is the executable form of that
 // analysis and is what internal/ignorepath enumerates against.
+//
+// The profiles also carry the kernels' ACK-loop limits, which decide
+// whether an ignored segment is answered, not its disposition under
+// Classify. Without them a censor that resets every packet of a
+// blocked pair and a server that challenges every reset would
+// ping-pong for as long as the block lasts.
 package tcpstack
 
-import "intango/internal/packet"
+import (
+	"time"
+
+	"intango/internal/packet"
+)
 
 // SYNPolicy describes how a stack treats a SYN arriving on an
 // ESTABLISHED connection.
@@ -88,6 +98,16 @@ type Profile struct {
 	// The zero value is CUBIC, the Linux default since 2.6.19; older
 	// profiles set Reno.
 	Congestion CongestionAlgo
+
+	// InvalidRateLimit is the per-socket ACK-loop limit of Linux's
+	// "tcp: mitigate ACK loops" series (4.0; tcp_oow_rate_limited,
+	// sysctl tcp_invalid_ratelimit, 500 ms by default): a connection
+	// answers at most one ignored segment per interval with an ACK.
+	// As in the kernel, a segment that carries data or a FIN and no SYN
+	// is exempt, being unlikely to be part of an ACK loop. Zero, for
+	// the older kernels, means no limit. Mainline is modelled:
+	// distribution kernels backported the limit to some 3.x releases.
+	InvalidRateLimit time.Duration
 }
 
 func baseProfile(name string) Profile {
@@ -103,7 +123,8 @@ func baseProfile(name string) Profile {
 	}
 }
 
-// Linux44 models Linux 4.4 — the kernel the paper analyses in depth.
+// Linux44 models Linux 4.4 — the kernel the paper analyses in depth —
+// with the 4.0 per-socket ACK-loop limit.
 func Linux44() Profile {
 	p := baseProfile("linux-4.4")
 	p.ValidatesMD5 = true
@@ -111,11 +132,12 @@ func Linux44() Profile {
 	p.RequiresACKFlag = true
 	p.SYNInEstablished = SYNChallengeACK
 	p.RSTValidation = RSTExactSeq
+	p.InvalidRateLimit = 500 * time.Millisecond
 	return p
 }
 
 // Linux40 models Linux 4.0; §5.3 found no divergence from 4.4 along the
-// studied axes.
+// studied axes, and 4.0 introduced the per-socket ACK-loop limit.
 func Linux40() Profile {
 	p := Linux44()
 	p.Name = "linux-4.0"
@@ -123,16 +145,19 @@ func Linux40() Profile {
 }
 
 // Linux314 models Linux 3.14: identical to 4.4 except that a SYN on an
-// ESTABLISHED connection is silently ignored (§5.3).
+// ESTABLISHED connection is silently ignored (§5.3), and that it
+// predates the per-socket ACK-loop limit: only the host-wide challenge
+// ACK budget (Linux 3.6) bounds its answers.
 func Linux314() Profile {
 	p := Linux44()
 	p.Name = "linux-3.14"
 	p.SYNInEstablished = SYNIgnore
+	p.InvalidRateLimit = 0
 	return p
 }
 
 // Linux2634 models Linux 2.6.34: accepts data packets without the ACK
-// flag, pre-RFC-5961 RST/SYN validation.
+// flag, pre-RFC-5961 RST/SYN validation, no ACK-loop limit.
 func Linux2634() Profile {
 	p := baseProfile("linux-2.6.34")
 	p.ValidatesMD5 = true // TCP-MD5 landed in 2.6.20

@@ -59,7 +59,10 @@ type Stack struct {
 	// Obs, when set, counts every non-Accept disposition (challenge
 	// ACKs, PAWS/MD5/checksum rejections, RST validation outcomes) and
 	// retransmission as "tcpstack.<reason>" and records them in the
-	// flight recorder. Nil (the default) costs one branch per segment.
+	// flight recorder, and counts the answers the ACK-loop limits
+	// suppress as "tcpstack.ack-ratelimited" (per socket) and
+	// "tcpstack.challenge-ack-limited" (host-wide). Nil (the default)
+	// costs one branch per segment.
 	Obs *obs.Obs
 
 	// Pool, when set, supplies recycled packets for every segment the
@@ -72,6 +75,12 @@ type Stack struct {
 	// listeners). Wraparound regression tests pin it just below 2^32 so
 	// handshakes and data transfer cross the 32-bit boundary.
 	ForceISS func() packet.Seq
+
+	// challengeSec and challenges count the RFC 5961 challenge ACKs
+	// asked for in the current virtual second, sent or not, against
+	// challengeACKLimit.
+	challengeSec time.Duration
+	challenges   int
 
 	conns     map[connKey]*Conn
 	listeners map[uint16]Acceptor
