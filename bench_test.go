@@ -13,7 +13,6 @@ import (
 	"testing"
 
 	"intango/internal/core"
-	"intango/internal/dpi"
 	"intango/internal/experiment"
 	"intango/internal/gfw"
 	"intango/internal/ignorepath"
@@ -220,24 +219,6 @@ func BenchmarkPacketParse(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := packet.Parse(wire); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDPIScan measures the Aho–Corasick engine over a 1 KiB
-// payload with a realistic keyword list.
-func BenchmarkDPIScan(b *testing.B) {
-	keywords := []string{"ultrasurf", "falun", "freegate", "dynaweb", "tiananmen", "vpn over tcp"}
-	m := dpi.NewMatcher(keywords)
-	payload := make([]byte, 1024)
-	for i := range payload {
-		payload[i] = byte('a' + i%26)
-	}
-	b.SetBytes(int64(len(payload)))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if m.Contains(payload) {
-			b.Fatal("unexpected match")
 		}
 	}
 }

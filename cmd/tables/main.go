@@ -10,11 +10,13 @@
 // Table 1 campaign with the observability layer attached and dumps
 // counters (text and JSON), throughput aggregates, and the flight
 // recorder of one failing trial. -what bench measures the trial hot
-// path and the serial/parallel campaign loops and writes the report to
+// path, the goodput trial, the serial/parallel campaign loops and the
+// layer benchmarks, five runs each, and writes the report to
 // -bench-out (BENCH_netem.json); -what bench-compare OLD.json NEW.json
 // diffs two such reports; -what bench-gate COMMITTED.json re-measures
-// allocs/op of a trial, a goodput trial and the parallel campaign and
-// fails when any regresses past its committed figure.
+// allocs/op of a trial, a goodput trial, the parallel campaign and
+// each layer, and the goodput trial's B/op, and fails when any
+// regresses past its committed figure.
 //
 // -what fleet runs the Table 1 campaign through the campaign executor
 // on -shard-procs workers; with -checkpoint-dir it is journaled: the
@@ -336,7 +338,7 @@ func main() {
 	// campaigns, so "-what all" must not pick it up either.
 	if *what == "bench" {
 		ran = true
-		fmt.Println("== benchmarking trial hot path and campaigns (this takes a few seconds) ==")
+		fmt.Println("== benchmarking trial hot path, campaigns and layers, five runs each (this takes about 30 seconds) ==")
 		rep := experiment.RunBench(*seed)
 		fmt.Print(experiment.FormatBenchReport(rep))
 		f, err := os.Create(*benchOut)
@@ -378,10 +380,12 @@ func main() {
 		}
 		fmt.Print(experiment.CompareBenchReports(load(args[0]), load(args[1])))
 	}
-	// CI gate: re-measure allocs/op of a trial, a goodput trial and the
-	// parallel campaign against the committed report and fail the build
-	// past the tolerance. Allocation counts are
-	// deterministic, so this holds on loaded CI machines where ns/op
+	// CI gate: re-measure allocs/op of a trial, a goodput trial, the
+	// parallel campaign and each layer, and the goodput trial's B/op,
+	// against the committed report and fail the build past the
+	// tolerance. Allocation varies far less than ns/op (only the
+	// parallel campaign's count moves between runs, within the
+	// tolerance), so this holds on loaded CI machines where ns/op
 	// cannot.
 	if *what == "bench-gate" {
 		ran = true
@@ -403,10 +407,10 @@ func main() {
 		}
 		ok := true
 		for _, g := range experiment.RunBenchGate(*seed, committed, 0) {
-			fmt.Printf("bench-gate: %s allocs/op measured=%d committed=%d limit=%d (%.0f%% tolerance)\n",
-				g.Section, g.Measured, g.Committed, g.Limit, 100*experiment.BenchGateTolerance)
+			fmt.Printf("bench-gate: %s %s measured=%d committed=%d limit=%d (%.0f%% tolerance)\n",
+				g.Section, g.Unit, g.Measured, g.Committed, g.Limit, 100*experiment.BenchGateTolerance)
 			if !g.OK() {
-				fmt.Fprintf(os.Stderr, "bench-gate: FAIL: %s allocs/op regressed past the committed budget; rerun -what bench and commit the new report if the regression is intended\n", g.Section)
+				fmt.Fprintf(os.Stderr, "bench-gate: FAIL: %s %s regressed past the committed budget; rerun -what bench and commit the new report if the regression is intended\n", g.Section, g.Unit)
 				ok = false
 			}
 		}

@@ -59,11 +59,17 @@ func HTTPUpload(host, uri string, size int) []byte {
 	return req
 }
 
+// uploadReserve caps the receive buffer ServeHTTPUpload reserves for a
+// body it has not seen yet, so a header declaring a huge length cannot
+// make it allocate; past the cap the buffer doubles as data arrives.
+const uploadReserve = 1 << 20
+
 // ServeHTTPUpload installs an HTTP/1.1 server that consumes a POST
 // body of the declared Content-Length and answers 200 once the upload
 // is complete. It parses each request head once, when its blank line
-// arrives, and answers a malformed Content-Length with 400 and a
-// close. Like ServeHTTP, the response never echoes the request.
+// arrives, reserves the receive buffer for the body (up to
+// uploadReserve), and answers a malformed Content-Length with 400 and
+// a close. Like ServeHTTP, the response never echoes the request.
 func ServeHTTPUpload(stack *tcpstack.Stack, port uint16) {
 	stack.Listen(port, func(c *tcpstack.Conn) {
 		// served counts the bytes of answered requests; head and want
@@ -85,6 +91,7 @@ func ServeHTTPUpload(stack *tcpstack.Stack, port uint16) {
 					return
 				}
 				head, want = idx+4, n
+				c.Grow(min(want-(len(buf)-head), uploadReserve))
 			}
 			if len(buf)-head < want {
 				return // incomplete upload: keep reading

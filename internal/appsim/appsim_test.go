@@ -239,3 +239,31 @@ func TestHTTPUploadServerRejectsMalformedLength(t *testing.T) {
 		}
 	}
 }
+
+// TestHTTPUploadServerReservesBody: once the server has parsed a
+// head, it reserves its receive buffer for the declared body, but
+// never more than uploadReserve, so a header declaring a terabyte
+// allocates nothing of the kind.
+func TestHTTPUploadServerReservesBody(t *testing.T) {
+	for _, tc := range []struct {
+		length  string
+		reserve int
+	}{
+		{"20000", 20000},
+		{"1099511627776", uploadReserve},
+	} {
+		sim, cli, srv := pair(t)
+		ServeHTTPUpload(srv, 80)
+		c := cli.Connect(srvAddr, 80)
+		sim.RunFor(100 * time.Millisecond)
+		c.Write([]byte("POST /up HTTP/1.1\r\nHost: a.com\r\nContent-Length: " + tc.length + "\r\n\r\n"))
+		sim.RunFor(time.Second)
+		sc, ok := srv.Conn(80, cliAddr, c.LocalPort())
+		if !ok {
+			t.Fatalf("Content-Length %s: no server connection", tc.length)
+		}
+		if got := cap(sc.Received()) - len(sc.Received()); got != tc.reserve {
+			t.Fatalf("Content-Length %s: reserved %d bytes, want %d", tc.length, got, tc.reserve)
+		}
+	}
+}

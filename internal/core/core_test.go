@@ -117,6 +117,24 @@ func (r *trialRig) runTrial(t *testing.T) Outcome {
 func evolved() gfw.Config { return gfw.Config{Model: gfw.ModelEvolved2017} }
 func old() gfw.Config     { return gfw.Config{Model: gfw.ModelKhattak2013} }
 
+// TestJunkFiller pins the decoy filler: ABCDEFGHIJKLM repeated, cut at
+// any length, whether allocated or written over a clone's payload.
+func TestJunkFiller(t *testing.T) {
+	for _, n := range []int{0, 1, 12, 13, 14, 26, 27, 100, 1460} {
+		over := bytes.Repeat([]byte("ultrasurf"), n/9+1)[:n]
+		for _, b := range [][]byte{junk(n), fillJunk(over)} {
+			if len(b) != n {
+				t.Fatalf("n=%d: %d bytes", n, len(b))
+			}
+			for i, c := range b {
+				if c != 'A'+byte(i%13) {
+					t.Fatalf("n=%d: byte %d is %q", n, i, c)
+				}
+			}
+		}
+	}
+}
+
 func TestNoStrategyIsCensored(t *testing.T) {
 	for _, cfg := range []gfw.Config{evolved(), old()} {
 		r := newTrialRig(t, cfg, nil, nil)

@@ -142,11 +142,15 @@ func (e *Env) Apply(pkt *packet.Packet, d Discrepancy) *packet.Packet {
 	return pkt
 }
 
-// junk fills a buffer with keyword-free filler.
-func junk(n int) []byte {
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = 'A' + byte(i%13)
+// junk returns n bytes of keyword-free filler.
+func junk(n int) []byte { return fillJunk(make([]byte, n)) }
+
+// fillJunk overwrites b with the filler ABCDEFGHIJKLM, repeated: it
+// writes the pattern once, then keeps doubling the written prefix into
+// the rest.
+func fillJunk(b []byte) []byte {
+	for n := copy(b, "ABCDEFGHIJKLM"); n < len(b); {
+		n += copy(b[n:], b[:n])
 	}
 	return b
 }

@@ -396,7 +396,7 @@ func (a DuplicateAction) apply(pl *plan) {
 		last = i
 		copyPkt := pc.em.Pkt.Clone()
 		if a.Fill == FillJunk {
-			copyPkt.Payload = junk(len(copyPkt.Payload))
+			fillJunk(copyPkt.Payload) // the clone's own copy
 		}
 		copyPkt.Finalize()
 		copyPkt.Lin.Origin = packet.OriginStrategy

@@ -18,9 +18,15 @@ import (
 // keyword list and every caller — every censor device of every trial,
 // across campaign workers — shares it.
 type Matcher struct {
-	// goto function: one dense 256-way row per node. Node 0 is the root.
-	next [][256]int32
-	fail []int32
+	// delta is the transition function, one 256-entry row per node
+	// (1 KiB), indexed node<<8 | b, with ASCII case folded into the
+	// columns. A target node with outputs is stored complemented, so a
+	// step is one load and a sign test. Node 0 is the root, which has
+	// no outputs.
+	delta []int32
+	// stay marks the bytes whose root transition leads back to the
+	// root: at the root, scanning skips them without a table load.
+	stay [256]bool
 	// out[i] holds the pattern indices that end at node i.
 	out      [][]int
 	patterns []string
@@ -79,8 +85,12 @@ func matcherKey(b []byte, patterns []string) []byte {
 
 // buildMatcher builds the automaton for patterns.
 func buildMatcher(patterns []string) *Matcher {
-	m := &Matcher{}
-	m.addNode()
+	m := &Matcher{out: [][]int{nil}}
+	// next is the goto function, one dense row per node, completed into
+	// the full transition function by the BFS below; fail holds the
+	// failure links. Both live only while building.
+	next := [][256]int32{{}}
+	fail := []int32{0}
 	for _, p := range patterns {
 		if p == "" {
 			continue
@@ -89,19 +99,19 @@ func buildMatcher(patterns []string) *Matcher {
 		node := int32(0)
 		for i := 0; i < len(p); i++ {
 			c := lower(p[i])
-			if m.next[node][c] == 0 {
-				m.next[node][c] = m.addNode()
+			if next[node][c] == 0 {
+				next = append(next, [256]int32{})
+				fail = append(fail, 0)
+				m.out = append(m.out, nil)
+				next[node][c] = int32(len(next) - 1)
 			}
-			node = m.next[node][c]
+			node = next[node][c]
 		}
 		m.out[node] = append(m.out[node], len(m.patterns)-1)
 	}
-	// BFS to build failure links and convert goto to a full transition
-	// function.
-	queue := make([]int32, 0, len(m.next))
+	queue := make([]int32, 0, len(next))
 	for c := 0; c < 256; c++ {
-		if n := m.next[0][c]; n != 0 {
-			m.fail[n] = 0
+		if n := next[0][c]; n != 0 {
 			queue = append(queue, n)
 		}
 	}
@@ -109,24 +119,30 @@ func buildMatcher(patterns []string) *Matcher {
 		u := queue[0]
 		queue = queue[1:]
 		for c := 0; c < 256; c++ {
-			v := m.next[u][c]
+			v := next[u][c]
 			if v == 0 {
-				m.next[u][c] = m.next[m.fail[u]][c]
+				next[u][c] = next[fail[u]][c]
 				continue
 			}
-			m.fail[v] = m.next[m.fail[u]][c]
-			m.out[v] = append(m.out[v], m.out[m.fail[v]]...)
+			fail[v] = next[fail[u]][c]
+			m.out[v] = append(m.out[v], m.out[fail[v]]...)
 			queue = append(queue, v)
 		}
 	}
+	m.delta = make([]int32, len(next)<<8)
+	for u := range next {
+		for c := 0; c < 256; c++ {
+			v := next[u][lower(byte(c))]
+			if len(m.out[v]) > 0 {
+				v = ^v
+			}
+			m.delta[u<<8|c] = v
+		}
+	}
+	for c := range m.stay {
+		m.stay[c] = m.delta[c] == 0
+	}
 	return m
-}
-
-func (m *Matcher) addNode() int32 {
-	m.next = append(m.next, [256]int32{})
-	m.fail = append(m.fail, 0)
-	m.out = append(m.out, nil)
-	return int32(len(m.next) - 1)
 }
 
 // Match is one pattern occurrence.
@@ -139,23 +155,23 @@ type Match struct {
 
 // Scan returns every pattern occurrence in data.
 func (m *Matcher) Scan(data []byte) []Match {
-	var matches []Match
-	node := int32(0)
-	for i := 0; i < len(data); i++ {
-		node = m.next[node][lower(data[i])]
-		for _, pi := range m.out[node] {
-			matches = append(matches, Match{Pattern: m.patterns[pi], End: i + 1})
-		}
-	}
-	return matches
+	return (&StreamScanner{m: m}).Feed(data)
 }
 
 // Contains reports whether any pattern occurs in data.
 func (m *Matcher) Contains(data []byte) bool {
+	delta, stay := m.delta, &m.stay // held in registers across the loop
 	node := int32(0)
 	for i := 0; i < len(data); i++ {
-		node = m.next[node][lower(data[i])]
-		if len(m.out[node]) > 0 {
+		if node == 0 {
+			for i < len(data) && stay[data[i]] {
+				i++
+			}
+			if i == len(data) {
+				break
+			}
+		}
+		if node = delta[int(node)<<8|int(data[i])]; node < 0 {
 			return true
 		}
 	}
@@ -185,12 +201,25 @@ func (m *Matcher) NewStreamScanner() *StreamScanner {
 // with End offsets relative to the whole stream.
 func (s *StreamScanner) Feed(chunk []byte) []Match {
 	var matches []Match
+	m, node := s.m, s.node
+	delta, stay := m.delta, &m.stay // held in registers across the loop
 	for i := 0; i < len(chunk); i++ {
-		s.node = s.m.next[s.node][lower(chunk[i])]
-		for _, pi := range s.m.out[s.node] {
-			matches = append(matches, Match{Pattern: s.m.patterns[pi], End: s.off + i + 1})
+		if node == 0 {
+			for i < len(chunk) && stay[chunk[i]] {
+				i++
+			}
+			if i == len(chunk) {
+				break
+			}
+		}
+		if node = delta[int(node)<<8|int(chunk[i])]; node < 0 {
+			node = ^node
+			for _, pi := range m.out[node] {
+				matches = append(matches, Match{Pattern: m.patterns[pi], End: s.off + i + 1})
+			}
 		}
 	}
+	s.node = node
 	s.off += len(chunk)
 	return matches
 }

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -309,5 +311,162 @@ func TestProtocolStrings(t *testing.T) {
 		if p.String() == "" {
 			t.Fatal("empty protocol name")
 		}
+	}
+}
+
+// foldASCII lowers the ASCII letters of s, as the matcher does.
+func foldASCII(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		b[i] = lower(c)
+	}
+	return string(b)
+}
+
+// naiveFoldedScan is the reference FuzzMatcherStream holds the
+// automaton to: every occurrence of every pattern in data, compared
+// with ASCII case folded, sorted by End and then pattern.
+func naiveFoldedScan(data []byte, patterns []string) []Match {
+	text := foldASCII(string(data))
+	var out []Match
+	for _, p := range patterns {
+		fp := foldASCII(p)
+		for i := 0; i+len(fp) <= len(text); i++ {
+			if text[i:i+len(fp)] == fp {
+				out = append(out, Match{Pattern: p, End: i + len(fp)})
+			}
+		}
+	}
+	sortMatches(out)
+	return out
+}
+
+func sortMatches(ms []Match) {
+	sort.Slice(ms, func(i, j int) bool {
+		if ms[i].End != ms[j].End {
+			return ms[i].End < ms[j].End
+		}
+		return ms[i].Pattern < ms[j].Pattern
+	})
+}
+
+// FuzzMatcherStream holds the automaton to a case-folded naive search
+// over arbitrary data — mixed case, bytes ≥ 0x80 — fed in arbitrary
+// chunks: every (pattern, End) pair must match, the scanner's offset
+// must count every byte, and Contains and Scan must agree with the
+// stream. keywords is split at '|' into the pattern list; cuts gives
+// the chunk lengths, one byte each (zero is an empty chunk), and the
+// rest of data goes in one last chunk.
+func FuzzMatcherStream(f *testing.F) {
+	f.Add("ultrasurf", []byte("POST /upload HTTP/1.1\r\n\r\nabcdefghijklmnopqrstuvwxyz ultrasurf ULTRAsurf"), []byte{30, 5, 1})
+	f.Add("ultrasurf|falun|freegate|dynaweb|tiananmen|vpn over tcp", []byte("GET /?q=FaLuN+VPN over TCP&x=tiananmenfreegat"), []byte{12, 0, 3})
+	f.Add("he|she|hers|HIS", []byte("uSHErs his HiS"), []byte{1, 1, 1, 1})
+	f.Add("aa|a|aaa", []byte("aAaAa"), []byte{2})
+	f.Add("\xc0\xffz|Z\x80", []byte("\xc0\xffZ\x80\xc0\xffz"), []byte{1, 2})
+	f.Add("abc|bca|aa|cab", []byte("abcabcaabca"), []byte{})
+	f.Add("", []byte("anything"), []byte{4})
+	f.Add("x||x|X", []byte("xXx"), []byte{0, 1, 0})
+	// Keyword pieces in random case among random bytes, cut at random.
+	rng := rand.New(rand.NewSource(24))
+	keywords := []string{"ultrasurf", "falun", "freegate", "dynaweb", "tiananmen", "vpn over tcp"}
+	for i := 0; i < 8; i++ {
+		var data []byte
+		for len(data) < 200 {
+			if kw := keywords[rng.Intn(len(keywords))]; rng.Intn(2) == 0 {
+				for _, c := range []byte(kw[:1+rng.Intn(len(kw))]) {
+					if rng.Intn(3) == 0 {
+						c ^= 0x20
+					}
+					data = append(data, c)
+				}
+			} else {
+				data = append(data, byte(rng.Intn(256)))
+			}
+		}
+		cuts := make([]byte, rng.Intn(6))
+		rng.Read(cuts)
+		f.Add(strings.Join(keywords[:1+rng.Intn(len(keywords))], "|"), data, cuts)
+	}
+	f.Fuzz(func(t *testing.T, keywords string, data, cuts []byte) {
+		m := buildMatcher(strings.Split(keywords, "|"))
+		want := naiveFoldedScan(data, m.patterns)
+
+		sc := m.NewStreamScanner()
+		var got []Match
+		rest := data
+		for _, c := range cuts {
+			k := min(int(c), len(rest))
+			got = append(got, sc.Feed(rest[:k])...)
+			rest = rest[k:]
+		}
+		got = append(got, sc.Feed(rest)...)
+		sortMatches(got)
+		if !reflect.DeepEqual(got, want) && len(got)+len(want) > 0 {
+			t.Fatalf("stream over %q in chunks %v: %v, naive search %v", data, cuts, got, want)
+		}
+		if sc.Offset() != len(data) {
+			t.Fatalf("offset %d after %d bytes", sc.Offset(), len(data))
+		}
+		scan := m.Scan(data)
+		sortMatches(scan)
+		if !reflect.DeepEqual(scan, want) && len(scan)+len(want) > 0 {
+			t.Fatalf("Scan(%q) = %v, naive search %v", data, scan, want)
+		}
+		if got := m.Contains(data); got != (len(want) > 0) {
+			t.Fatalf("Contains(%q) = %v with %d matches", data, got, len(want))
+		}
+	})
+}
+
+// TestClassifyHorizon checks the bound the GFW stops keeping a stream's
+// prefix at: for any port but 53, a prefix of at least ClassifyHorizon
+// bytes that classifies as unknown stays unknown however it continues.
+// The prefixes are cut from streams that do classify — every HTTP
+// method, TLS and Tor ClientHellos, an OpenVPN reset — with a byte
+// sometimes changed, so a classifier reading past the horizon would
+// turn one of their extensions known. Every HTTP method must fit
+// within the horizon: a longer one fails here instead of silently
+// changing the model.
+func TestClassifyHorizon(t *testing.T) {
+	for _, m := range httpMethods {
+		if len(m) > ClassifyHorizon {
+			t.Errorf("HTTP method %q is longer than ClassifyHorizon (%d)", m, ClassifyHorizon)
+		}
+	}
+	hello := append([]byte{tlsRecordHandshake, 3, 1, 0, 60, tlsClientHello}, bytes.Repeat([]byte{0x11}, 20)...)
+	streams := [][]byte{
+		hello,
+		append(append([]byte{}, hello...), TorCipherMarker...),
+		append([]byte{0x00, 0x20, 0x38}, bytes.Repeat([]byte{0xaa}, 30)...),
+		[]byte("ABCDEFGHIJKLMABCDEFGHIJKLM"),
+	}
+	for _, m := range httpMethods {
+		streams = append(streams, []byte(m+"/upload HTTP/1.1\r\n"))
+	}
+	f := func(seed int64, port uint16) bool {
+		if port == 53 {
+			port = 80
+		}
+		rng := rand.New(rand.NewSource(seed))
+		s := append([]byte(nil), streams[rng.Intn(len(streams))]...)
+		s = append(s, randomABC(rng, rng.Intn(16))...)
+		if rng.Intn(2) == 0 {
+			s[rng.Intn(len(s))] ^= byte(1 + rng.Intn(255))
+		}
+		for k := ClassifyHorizon; k <= len(s); k++ {
+			if ClassifyClientStream(port, s[:k]) != ProtoUnknown {
+				continue
+			}
+			for j := k + 1; j <= len(s); j++ {
+				if p := ClassifyClientStream(port, s[:j]); p != ProtoUnknown {
+					t.Logf("port %d: %q is unknown, but its extension %q is %v", port, s[:k], s[:j], p)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -39,6 +39,14 @@ func (p Protocol) String() string {
 
 var httpMethods = []string{"GET ", "POST ", "HEAD ", "PUT ", "DELETE ", "OPTIONS ", "CONNECT "}
 
+// ClassifyHorizon is how many leading bytes ClassifyClientStream can
+// decide ProtoUnknown from: the longest HTTP method with its space.
+// The TLS check reads 6 bytes and the OpenVPN check 3, and the Tor
+// check runs only on a recognised ClientHello. So a stream of at least
+// ClassifyHorizon bytes that classifies as unknown stays unknown
+// however it continues, as the GFW names a flow from its first bytes.
+const ClassifyHorizon = 8
+
 // ClassifyClientStream identifies the application protocol from the
 // first bytes a client sends, together with the destination port —
 // mirroring how DPI boxes pick a parser.

@@ -3,20 +3,25 @@ package experiment
 // The persistent benchmark harness behind `make bench`: it measures the
 // trial hot path, the serial/parallel campaign loops and the layer
 // benchmarks in-process (via testing.Benchmark, so the numbers are
-// directly comparable with `go test -bench`), embeds the pre-pooling
-// seed baseline, and renders the whole thing as BENCH_netem.json so
-// regressions are a diff away.
+// directly comparable with `go test -bench`), benchRuns times each
+// with the median ns/op and its range recorded, embeds the
+// pre-pooling seed baseline, and renders the whole thing as
+// BENCH_netem.json so regressions are a diff away.
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"intango/internal/appsim"
 	"intango/internal/core"
+	"intango/internal/dpi"
 	"intango/internal/gfw"
 	"intango/internal/netem"
 	"intango/internal/packet"
@@ -53,7 +58,11 @@ func BenchCampaignScale() Scale { return Scale{VPs: 3, Servers: 2, Trials: 1} }
 
 // BenchResult is one measured benchmark, in go-test units.
 type BenchResult struct {
-	NsPerOp      float64 `json:"ns_per_op"`
+	NsPerOp float64 `json:"ns_per_op"`
+	// NsPerOpMin and NsPerOpMax bound ns/op over the runs NsPerOp is
+	// the median of. Absent from reports older than the spread.
+	NsPerOpMin   float64 `json:"ns_per_op_min,omitempty"`
+	NsPerOpMax   float64 `json:"ns_per_op_max,omitempty"`
 	BytesPerOp   int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp  int64   `json:"allocs_per_op"`
 	TrialsPerSec float64 `json:"trials_per_sec,omitempty"`
@@ -119,10 +128,8 @@ type BenchReport struct {
 // BenchLayer is one layer benchmark: what one unit of a layer's work
 // costs on its own.
 type BenchLayer struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
+	Name string `json:"name"`
+	BenchResult
 }
 
 // benchLayers are the layer benchmarks `make bench` records and
@@ -135,6 +142,8 @@ var benchLayers = []struct {
 	{"netem_rng_reseed", benchTrialRNG},
 	{"netem_router_hop", benchRouterHop},
 	{"gfw_block_volley", benchBlockVolley},
+	{"dpi_scan", benchDPIScan},
+	{"dpi_stream_feed", benchStreamFeed},
 }
 
 // layer returns the named layer's result, zero when absent.
@@ -264,12 +273,65 @@ func benchBlockVolley(b *testing.B) {
 	}
 }
 
-func toBenchResult(r testing.BenchmarkResult, trialsPerOp int) BenchResult {
-	out := BenchResult{
-		NsPerOp:     float64(r.NsPerOp()),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-		AllocsPerOp: r.AllocsPerOp(),
+// benchDPIScan runs the keyword automaton over a 1 KiB payload of
+// repeated alphabet with a six-keyword list, as a type-1 device checks
+// one segment. Five of the six keywords start with a distinct letter,
+// so 5 bytes in 26 leave the automaton's root. One op is one scan.
+func benchDPIScan(b *testing.B) {
+	m := dpi.NewMatcher([]string{"ultrasurf", "falun", "freegate", "dynaweb", "tiananmen", "vpn over tcp"})
+	payload := make([]byte, 1024)
+	for i := range payload {
+		payload[i] = byte('a' + i%26)
 	}
+	b.SetBytes(int64(len(payload)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if m.Contains(payload) {
+			b.Fatal("unexpected match")
+		}
+	}
+}
+
+// benchStreamFeed feeds a type-2 device's stream scanner, keyword
+// Keyword, one 1,460-byte segment of the goodput upload body, as the
+// GFW scans each segment of an upload. One op is one segment.
+func benchStreamFeed(b *testing.B) {
+	body := appsim.HTTPUpload("upload.example", "/upload", 2*1460)
+	seg := body[len(body)-1460:]
+	sc := dpi.NewMatcher([]string{Keyword}).NewStreamScanner()
+	b.SetBytes(int64(len(seg)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if sc.Feed(seg) != nil {
+			b.Fatal("unexpected match")
+		}
+	}
+}
+
+// benchRuns is how many times `make bench` runs each section and each
+// layer. It records the median ns/op with the range, so a reader can
+// tell a change from the machine's noise; B/op and allocs/op come from
+// the first run.
+const benchRuns = 5
+
+// benchRunTime is the length of each run (go test's -benchtime): five
+// runs of the default second would keep `make bench` over a minute.
+const benchRunTime = 400 * time.Millisecond
+
+// measure runs bench benchRuns times. trialsPerOp, when positive,
+// turns the median into trials/sec.
+func measure(bench func(*testing.B), trialsPerOp int) BenchResult {
+	var out BenchResult
+	ns := make([]float64, benchRuns)
+	for i := range ns {
+		r := testing.Benchmark(bench)
+		if i == 0 {
+			out.BytesPerOp, out.AllocsPerOp = r.AllocedBytesPerOp(), r.AllocsPerOp()
+		}
+		ns[i] = float64(r.T.Nanoseconds()) / float64(r.N)
+	}
+	sort.Float64s(ns)
+	out.NsPerOp, out.NsPerOpMin, out.NsPerOpMax = ns[len(ns)/2], ns[0], ns[len(ns)-1]
 	if trialsPerOp > 0 && out.NsPerOp > 0 {
 		out.TrialsPerSec = float64(trialsPerOp) / (out.NsPerOp / 1e9)
 	}
@@ -278,8 +340,16 @@ func toBenchResult(r testing.BenchmarkResult, trialsPerOp int) BenchResult {
 
 // RunBench measures the hot path and both campaign modes and returns
 // the full report. Each section uses a fresh Runner so pool statistics
-// and RNG streams are attributable.
+// and RNG streams are attributable. Each run lasts benchRunTime: it
+// sets go test's -test.benchtime, which testing.Init registers, for
+// its duration.
 func RunBench(seed int64) BenchReport {
+	testing.Init()
+	benchtime := flag.Lookup("test.benchtime").Value
+	defer benchtime.Set(benchtime.String())
+	if err := benchtime.Set(benchRunTime.String()); err != nil {
+		panic(err)
+	}
 	rep := BenchReport{
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
@@ -290,15 +360,15 @@ func RunBench(seed int64) BenchReport {
 	}
 
 	// Single-trial hot path, the allocs/op headline.
-	rep.Trial = toBenchResult(testing.Benchmark(benchTrial(seed)), 0) // trials/sec is a campaign-level figure
+	rep.Trial = measure(benchTrial(seed), 0) // trials/sec is a campaign-level figure
 
-	rep.GoodputTrial = toBenchResult(testing.Benchmark(benchGoodputTrial(seed)), 0)
+	rep.GoodputTrial = measure(benchGoodputTrial(seed), 0)
 
 	sc := BenchCampaignScale()
 	rep.TrialsPerCampaignOp = 2 * len(table1Strategies()) * sc.VPs * sc.Servers * sc.Trials
 
 	var poolStats packet.PoolStats
-	serialRes := testing.Benchmark(func(b *testing.B) {
+	rep.CampaignSerial = measure(func(b *testing.B) {
 		r := NewRunner(seed)
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -308,8 +378,7 @@ func RunBench(seed int64) BenchReport {
 			}
 		}
 		poolStats = r.PoolStats()
-	})
-	rep.CampaignSerial = toBenchResult(serialRes, rep.TrialsPerCampaignOp)
+	}, rep.TrialsPerCampaignOp)
 	rep.Pool = BenchPoolStats{
 		Gets:     poolStats.Gets,
 		Puts:     poolStats.Puts,
@@ -317,14 +386,10 @@ func RunBench(seed int64) BenchReport {
 		Recycled: poolStats.Recycled(),
 	}
 
-	rep.CampaignParallel = toBenchResult(testing.Benchmark(benchCampaignParallel(seed)), rep.TrialsPerCampaignOp)
+	rep.CampaignParallel = measure(benchCampaignParallel(seed), rep.TrialsPerCampaignOp)
 
 	for _, l := range benchLayers {
-		res := testing.Benchmark(l.bench)
-		rep.Layers = append(rep.Layers, BenchLayer{
-			Name: l.name, NsPerOp: float64(res.T.Nanoseconds()) / float64(res.N),
-			BytesPerOp: res.AllocedBytesPerOp(), AllocsPerOp: res.AllocsPerOp(),
-		})
+		rep.Layers = append(rep.Layers, BenchLayer{Name: l.name, BenchResult: measure(l.bench, 0)})
 	}
 
 	if base := rep.Baseline.Trial.AllocsPerOp; base > 0 {
@@ -359,10 +424,11 @@ func benchGoodputTrial(seed int64) func(b *testing.B) {
 		// An inject strategy: the plain congested transfer.
 		factory, _, _ := core.ResolveStrategy("teardown-rst/ttl")
 		spec := goodputTopo(vp, srv)
+		upload := goodputUpload(srv)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r.runGoodputTrial(vp, srv, spec, factory, i, nil)
+			r.runGoodputTrial(vp, srv, spec, factory, upload, i, nil)
 		}
 	}
 }
@@ -387,10 +453,11 @@ func benchCampaignParallel(seed int64) func(b *testing.B) {
 // gate allows over the committed report before failing.
 const BenchGateTolerance = 0.05
 
-// BenchGate is one gated section: its re-measured allocs/op, the
-// committed figure, and the limit the tolerance allows.
+// BenchGate is one gated figure: a section's re-measured allocs/op or
+// B/op (Unit), the committed figure, and the limit the tolerance
+// allows.
 type BenchGate struct {
-	Section                    string
+	Section, Unit              string
 	Measured, Committed, Limit int64
 }
 
@@ -399,36 +466,41 @@ func (g BenchGate) OK() bool { return g.Measured <= g.Limit }
 
 // RunBenchGate re-measures allocs/op for the single-trial hot path,
 // the goodput trial, the parallel campaign executor at
-// BenchCampaignScale and every layer benchmark, and judges each against
-// the committed report's figure with the given fractional tolerance
-// (<=0 selects BenchGateTolerance); a layer committing 0 allocs/op, or
-// missing from an older report, must measure 0. It measures only
-// allocation counts —
-// deterministic under Go's allocator, unlike ns/op — so the gate holds
-// on loaded CI machines. The goodput section guards the bulk path a
-// short trial never exercises (per-segment reassembly, fragment
-// assembly and receive buffers); the campaign section catches executor
-// regressions a single RunOne cannot see, such as instrumenting trials
-// nobody asked to observe.
+// BenchCampaignScale and every layer benchmark, and the goodput
+// trial's B/op, and judges each against the committed report's figure
+// with the given fractional tolerance (<=0 selects
+// BenchGateTolerance); a layer committing 0 allocs/op, or missing from
+// an older report, must measure 0. It measures only allocation — which
+// varies far less than ns/op — so the gate holds on loaded CI
+// machines. The trial's, the goodput trial's and the layers' counts
+// repeat exactly; the parallel campaign's does not at GOMAXPROCS 2
+// (five runs read 21,057–21,100), and the tolerance absorbs that. The
+// goodput section guards the bulk path a short trial never exercises
+// (per-segment reassembly and scanning, fragment assembly and receive
+// buffers): its B/op catches a byte diet regressing, which allocs/op
+// alone cannot see. The campaign section catches executor regressions
+// a single RunOne cannot see, such as instrumenting trials nobody
+// asked to observe.
 func RunBenchGate(seed int64, committed BenchReport, tolerance float64) []BenchGate {
 	if tolerance <= 0 {
 		tolerance = BenchGateTolerance
 	}
-	gate := func(section string, committed int64, bench func(b *testing.B)) BenchGate {
-		return BenchGate{
-			Section:   section,
-			Measured:  testing.Benchmark(bench).AllocsPerOp(),
-			Committed: committed,
-			Limit:     int64(float64(committed) * (1 + tolerance)),
-		}
+	judge := func(section, unit string, measured, committed int64) BenchGate {
+		return BenchGate{Section: section, Unit: unit, Measured: measured, Committed: committed,
+			Limit: int64(float64(committed) * (1 + tolerance))}
 	}
+	allocs := func(section string, committed int64, bench func(b *testing.B)) BenchGate {
+		return judge(section, "allocs/op", testing.Benchmark(bench).AllocsPerOp(), committed)
+	}
+	goodput := testing.Benchmark(benchGoodputTrial(seed))
 	gates := []BenchGate{
-		gate("trial", committed.Trial.AllocsPerOp, benchTrial(seed)),
-		gate("goodput_trial", committed.GoodputTrial.AllocsPerOp, benchGoodputTrial(seed)),
-		gate("campaign_parallel", committed.CampaignParallel.AllocsPerOp, benchCampaignParallel(seed)),
+		allocs("trial", committed.Trial.AllocsPerOp, benchTrial(seed)),
+		judge("goodput_trial", "allocs/op", goodput.AllocsPerOp(), committed.GoodputTrial.AllocsPerOp),
+		judge("goodput_trial", "B/op", goodput.AllocedBytesPerOp(), committed.GoodputTrial.BytesPerOp),
+		allocs("campaign_parallel", committed.CampaignParallel.AllocsPerOp, benchCampaignParallel(seed)),
 	}
 	for _, l := range benchLayers {
-		gates = append(gates, gate("layers/"+l.name, committed.layer(l.name).AllocsPerOp, l.bench))
+		gates = append(gates, allocs("layers/"+l.name, committed.layer(l.name).AllocsPerOp, l.bench))
 	}
 	return gates
 }
@@ -455,9 +527,18 @@ func pctDelta(oldV, newV float64) string {
 	return fmt.Sprintf("%+5.1f%%", 100*(newV-oldV)/oldV)
 }
 
+// spread renders a result's ns/op range over its runs relative to
+// the median, "n/a" for a report older than the spread.
+func spread(r BenchResult) string {
+	if r.NsPerOpMax == 0 || r.NsPerOp == 0 {
+		return "n/a"
+	}
+	return fmt.Sprintf("%.1f%%", 100*(r.NsPerOpMax-r.NsPerOpMin)/r.NsPerOp)
+}
+
 func benchLine(b *strings.Builder, name string, cur, base BenchResult) {
-	fmt.Fprintf(b, "  %-18s %12.0f ns/op (%s vs baseline)   %9d B/op (%s)   %8d allocs/op (%s)\n",
-		name, cur.NsPerOp, pctDelta(base.NsPerOp, cur.NsPerOp),
+	fmt.Fprintf(b, "  %-18s %12.0f ns/op, spread %5s (%s vs baseline)   %9d B/op (%s)   %8d allocs/op (%s)\n",
+		name, cur.NsPerOp, spread(cur), pctDelta(base.NsPerOp, cur.NsPerOp),
 		cur.BytesPerOp, pctDelta(float64(base.BytesPerOp), float64(cur.BytesPerOp)),
 		cur.AllocsPerOp, pctDelta(float64(base.AllocsPerOp), float64(cur.AllocsPerOp)))
 }
@@ -485,8 +566,8 @@ func FormatBenchReport(rep BenchReport) string {
 	fmt.Fprintf(&b, "  %-18s %.1f%% fewer allocs per trial than the pre-pooling seed\n",
 		"headline", rep.AllocReductionPct)
 	for _, l := range rep.Layers {
-		fmt.Fprintf(&b, "  %-18s %12.1f ns/op   %9d B/op   %8d allocs/op\n",
-			l.Name, l.NsPerOp, l.BytesPerOp, l.AllocsPerOp)
+		fmt.Fprintf(&b, "  %-18s %12.1f ns/op, spread %5s   %9d B/op   %8d allocs/op\n",
+			l.Name, l.NsPerOp, spread(l.BenchResult), l.BytesPerOp, l.AllocsPerOp)
 	}
 	return b.String()
 }
@@ -499,16 +580,19 @@ func safePct(part, whole uint64) float64 {
 }
 
 // CompareBenchReports diffs two BENCH_netem.json files (typically an
-// old artifact vs a fresh `make bench` run) section by section.
+// old artifact vs a fresh `make bench` run) section by section. Beside
+// each ns/op delta it prints both sides' spread (the range over the
+// runs relative to the median; n/a for a report older than it), so a
+// delta inside the noise reads as such.
 func CompareBenchReports(oldRep, newRep BenchReport) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== benchmark comparison (old: %s/%s ×%d, new: %s/%s ×%d) ==\n",
 		oldRep.GOOS, oldRep.GOARCH, oldRep.NumCPU, newRep.GOOS, newRep.GOARCH, newRep.NumCPU)
-	fmt.Fprintf(&b, "%-18s %14s %14s %8s   %12s %12s %8s   %12s %12s %8s\n",
-		"", "old ns/op", "new ns/op", "Δ", "old B/op", "new B/op", "Δ", "old allocs", "new allocs", "Δ")
+	fmt.Fprintf(&b, "%-18s %14s %14s %8s %15s   %12s %12s %8s   %12s %12s %8s\n",
+		"", "old ns/op", "new ns/op", "Δ", "spread old/new", "old B/op", "new B/op", "Δ", "old allocs", "new allocs", "Δ")
 	row := func(name string, o, n BenchResult) {
-		fmt.Fprintf(&b, "%-18s %14.0f %14.0f %8s   %12d %12d %8s   %12d %12d %8s\n",
-			name, o.NsPerOp, n.NsPerOp, strings.TrimSpace(pctDelta(o.NsPerOp, n.NsPerOp)),
+		fmt.Fprintf(&b, "%-18s %14.0f %14.0f %8s %15s   %12d %12d %8s   %12d %12d %8s\n",
+			name, o.NsPerOp, n.NsPerOp, strings.TrimSpace(pctDelta(o.NsPerOp, n.NsPerOp)), spread(o)+"/"+spread(n),
 			o.BytesPerOp, n.BytesPerOp,
 			strings.TrimSpace(pctDelta(float64(o.BytesPerOp), float64(n.BytesPerOp))),
 			o.AllocsPerOp, n.AllocsPerOp,
@@ -521,9 +605,7 @@ func CompareBenchReports(oldRep, newRep BenchReport) string {
 	row("campaign/serial", oldRep.CampaignSerial, newRep.CampaignSerial)
 	row("campaign/parallel", oldRep.CampaignParallel, newRep.CampaignParallel)
 	for _, l := range newRep.Layers {
-		o := oldRep.layer(l.Name)
-		row(l.Name, BenchResult{NsPerOp: o.NsPerOp, BytesPerOp: o.BytesPerOp, AllocsPerOp: o.AllocsPerOp},
-			BenchResult{NsPerOp: l.NsPerOp, BytesPerOp: l.BytesPerOp, AllocsPerOp: l.AllocsPerOp})
+		row(l.Name, oldRep.layer(l.Name).BenchResult, l.BenchResult)
 	}
 	if oldRep.CampaignParallel.TrialsPerSec > 0 && newRep.CampaignParallel.TrialsPerSec > 0 {
 		fmt.Fprintf(&b, "%-18s %14.0f %14.0f %8s   (parallel trials/sec)\n", "throughput",

@@ -89,14 +89,21 @@ func goodputTopo(vp VantagePoint, srv Server) string {
 	return spec.String()
 }
 
-// runGoodputTrial uploads GoodputUploadBytes through one rig on
-// topology topoRef ("" for the pair's derived path) and returns the
-// goodput observed at the server: delivered bytes over the
-// virtual-time window from first to last in-order delivery. All
+// goodputUpload renders the upload a goodput trial sends to srv. The
+// connection copies what it is given, so one rendering serves every
+// trial against srv.
+func goodputUpload(srv Server) []byte {
+	return appsim.HTTPUpload(srv.Name, "/upload", GoodputUploadBytes)
+}
+
+// runGoodputTrial sends upload (goodputUpload's rendering for srv)
+// through one rig on topology topoRef ("" for the pair's derived path)
+// and returns the goodput observed at the server: delivered bytes over
+// the virtual-time window from first to last in-order delivery. All
 // arithmetic is integer on virtual time, so serial and parallel
 // campaigns measure bit-identically. A non-nil reg additionally folds
 // the trial into the goodput.bps / goodput.bytes histograms.
-func (r *Runner) runGoodputTrial(vp VantagePoint, srv Server, topoRef string, factory core.Factory, trial int, reg *obs.Registry) (bps int64, out Outcome) {
+func (r *Runner) runGoodputTrial(vp VantagePoint, srv Server, topoRef string, factory core.Factory, upload []byte, trial int, reg *obs.Registry) (bps int64, out Outcome) {
 	trialSeed := r.pairSeed(vp, srv) ^ int64(uint64(trial)*0x9e3779b97f4a7c15)
 	rg := r.build(vp, srv, topoRef, r.Censor, trialSeed, r.newArena())
 	appsim.ServeHTTPUpload(rg.srv, 80)
@@ -118,7 +125,7 @@ func (r *Runner) runGoodputTrial(vp VantagePoint, srv Server, topoRef string, fa
 		// dropped on Aliyun paths, reassembled ahead of the GFW
 		// elsewhere — and the goodput column would measure censorship,
 		// not congestion.)
-		conn.Write(appsim.HTTPUpload(srv.Name, "/upload", GoodputUploadBytes))
+		conn.Write(upload)
 	}
 	rg.sim.RunFor(30 * time.Second)
 
@@ -153,6 +160,10 @@ func RunGoodput(r *Runner, sc Scale) []GoodputRow {
 		nsrv = 3
 	}
 	servers := controlledServers(r, nsrv)
+	uploads := make([][]byte, len(servers))
+	for i, srv := range servers {
+		uploads[i] = goodputUpload(srv)
+	}
 	var reg *obs.Registry
 	if r.Obs != nil {
 		reg = r.Obs.Registry
@@ -171,12 +182,12 @@ func RunGoodput(r *Runner, sc Scale) []GoodputRow {
 		row := GoodputRow{Strategy: s.name, Class: s.class}
 		factory, _ := mustResolve(s.name, s.spec)
 		var un, con []int64
-		for _, srv := range servers {
+		for i, srv := range servers {
 			for trial := 0; trial < sc.Trials; trial++ {
-				bps, _ := r.runGoodputTrial(vp, srv, "", factory, trial, reg)
+				bps, _ := r.runGoodputTrial(vp, srv, "", factory, uploads[i], trial, reg)
 				un = append(un, bps)
 
-				bps, out := r.runGoodputTrial(vp, srv, goodputTopo(vp, srv), factory, trial, reg)
+				bps, out := r.runGoodputTrial(vp, srv, goodputTopo(vp, srv), factory, uploads[i], trial, reg)
 				con = append(con, bps)
 				row.Trials++
 				if out == Success {

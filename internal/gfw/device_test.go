@@ -8,6 +8,7 @@ import (
 
 	"intango/internal/appsim"
 	"intango/internal/dnsmsg"
+	"intango/internal/dpi"
 	"intango/internal/netem"
 	"intango/internal/packet"
 	"intango/internal/tcpstack"
@@ -246,6 +247,87 @@ func TestResyncFollowsClientData(t *testing.T) {
 	}
 	if r.countEvents("detect") != 1 {
 		t.Fatal("keyword after resync not detected")
+	}
+}
+
+// TestResyncReclassifiesUnknownPrefix: a stream still unknown after
+// dpi.ClassifyHorizon bytes stops keeping its prefix, but a resync
+// starts classification over on the new base, so the HTTP request the
+// TCB resynchronizes onto is named HTTP.
+func TestResyncReclassifiesUnknownPrefix(t *testing.T) {
+	r := newRig(t, evolvedCfg())
+	send := func(p *packet.Packet) {
+		p.IP.TTL = 3
+		p.Finalize()
+		r.path.SendFromClient(p)
+		r.sim.RunFor(50 * time.Millisecond)
+	}
+	syn := packet.NewTCP(cliAddr, 4003, srvAddr, 80, packet.FlagSYN, 1000, 0, nil)
+	send(syn)
+	key := syn.Tuple().Canonical()
+	junk := []byte("ABCDEFGHIJKLMABCDEFGHIJKLM")
+	send(packet.NewTCP(cliAddr, 4003, srvAddr, 80, packet.FlagPSH|packet.FlagACK, 1001, 1, junk[:dpi.ClassifyHorizon]))
+	send(packet.NewTCP(cliAddr, 4003, srvAddr, 80, packet.FlagPSH|packet.FlagACK, packet.Seq(1001+dpi.ClassifyHorizon), 1, junk[dpi.ClassifyHorizon:]))
+	tc := r.dev.tcbs[key]
+	if tc == nil || tc.classified != dpi.ProtoUnknown || tc.stream.scanned != len(junk) {
+		t.Fatalf("junk stream: tcb %+v", tc)
+	}
+	send(packet.NewTCP(cliAddr, 4003, srvAddr, 80, packet.FlagSYN, 5000, 0, nil))
+	if st, _ := r.dev.TCBState(syn.Tuple()); st != "RESYNC" {
+		t.Fatalf("state after a second SYN = %q, want RESYNC", st)
+	}
+	send(packet.NewTCP(cliAddr, 4003, srvAddr, 80, packet.FlagPSH|packet.FlagACK, 777777, 1,
+		[]byte("GET /index.html HTTP/1.1\r\nHost: example.com\r\n\r\n")))
+	if r.countEvents("resync-applied") != 1 {
+		t.Fatal("no resynchronization applied")
+	}
+	if tc.classified != dpi.ProtoHTTP {
+		t.Fatalf("after the resync the request classifies %v, want http", tc.classified)
+	}
+}
+
+// TestClassifyMethodSplitBeforeHorizon: a prefix shorter than
+// dpi.ClassifyHorizon is not given up on, so an eight-byte method
+// whose space arrives in the next segment still names the flow.
+func TestClassifyMethodSplitBeforeHorizon(t *testing.T) {
+	r := newRig(t, evolvedCfg())
+	send := func(p *packet.Packet) {
+		p.IP.TTL = 3
+		p.Finalize()
+		r.path.SendFromClient(p)
+		r.sim.RunFor(50 * time.Millisecond)
+	}
+	syn := packet.NewTCP(cliAddr, 4004, srvAddr, 443, packet.FlagSYN, 1000, 0, nil)
+	send(syn)
+	send(packet.NewTCP(cliAddr, 4004, srvAddr, 443, packet.FlagPSH|packet.FlagACK, 1001, 1, []byte("CONNECT")))
+	send(packet.NewTCP(cliAddr, 4004, srvAddr, 443, packet.FlagPSH|packet.FlagACK, 1008, 1,
+		[]byte(" example.com:443 HTTP/1.1\r\n\r\n")))
+	if tc := r.dev.tcbs[syn.Tuple().Canonical()]; tc == nil || tc.classified != dpi.ProtoHTTP {
+		t.Fatalf("CONNECT split after seven bytes: tcb %+v, want http", tc)
+	}
+}
+
+// TestUnknownStreamKeepsNoPrefix: once a stream is unknown past
+// dpi.ClassifyHorizon bytes, the GFW keeps none of it, however much
+// more arrives.
+func TestUnknownStreamKeepsNoPrefix(t *testing.T) {
+	r := newRig(t, evolvedCfg())
+	c := r.cli.Connect(srvAddr, 80)
+	r.sim.RunFor(100 * time.Millisecond)
+	for i := 0; i < 4; i++ {
+		c.Write(bytes.Repeat([]byte("ABCDEFGHIJKLM"), 100))
+		r.sim.RunFor(200 * time.Millisecond)
+	}
+	if len(r.dev.tcbs) != 1 {
+		t.Fatalf("%d TCBs, want 1", len(r.dev.tcbs))
+	}
+	for _, tc := range r.dev.tcbs {
+		if tc.stream.scanned != 4*1300 {
+			t.Fatalf("scanned %d bytes, want %d", tc.stream.scanned, 4*1300)
+		}
+		if tc.classified != dpi.ProtoUnknown || tc.stream.keep || cap(tc.stream.prefix) != 0 {
+			t.Fatalf("unknown stream: classified %v, keep %v, prefix capacity %d", tc.classified, tc.stream.keep, cap(tc.stream.prefix))
+		}
 	}
 }
 

@@ -20,12 +20,17 @@ func (d *Device) inspect(ctx *netem.Context, key packet.FourTuple, t *tcb, pkt *
 	}
 
 	// Protocol identification over the reassembled prefix.
-	if t.classified == dpi.ProtoUnknown && t.stream.scanned >= 3 {
+	if t.classified == dpi.ProtoUnknown && t.stream.keep && t.stream.scanned >= 3 {
 		t.classified = dpi.ClassifyClientStream(t.sport, t.stream.contiguous())
-		if t.classified != dpi.ProtoUnknown && t.sport != 53 {
+		switch {
+		case t.classified != dpi.ProtoUnknown && t.sport != 53:
 			// Only the classifier and the DNS-over-TCP check below read
 			// the prefix: a classified non-DNS flow need not keep it.
-			t.stream.dropPrefix()
+			t.stream.dropPrefix(true)
+		case t.classified == dpi.ProtoUnknown && t.stream.scanned >= dpi.ClassifyHorizon:
+			// Unknown this far in, the flow stays unknown however it
+			// continues, until a resync starts the stream over.
+			t.stream.dropPrefix(false)
 		}
 	}
 

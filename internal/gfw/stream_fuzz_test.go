@@ -84,7 +84,8 @@ const (
 // FuzzStreamInsert drives stream and the per-byte refStream through
 // the same operations — inserts in order, overlapping, out of order and
 // past the window, rebases to arbitrary (wrapping) sequence numbers,
-// and prefix drops at random points, as classification does — under
+// and prefix drops at random points, for a flow the classifiers named
+// or one they can no longer name, as classification does — under
 // either overlap policy, and requires identical matches, nextSeq and,
 // while the prefix is kept, contiguous after every step.
 //
@@ -92,7 +93,7 @@ const (
 // 4-byte operations. An operation's first byte picks its kind; an
 // insert reads a signed offset from the scanned end (bytes 1–2) and a
 // length and data source (byte 3), a rebase a sequence number (bytes
-// 1–3).
+// 1–3), a prefix drop whether the flow was named (byte 1, odd).
 func FuzzStreamInsert(f *testing.F) {
 	op := func(kind byte, args ...byte) []byte { return append([]byte{kind}, args...) }
 	seeds := [][]byte{
@@ -141,7 +142,7 @@ func FuzzStreamInsert(f *testing.F) {
 				got.rebase(seq)
 				want.rebase(seq)
 			case 1:
-				got.dropPrefix()
+				got.dropPrefix(p[1]&1 == 1)
 			default:
 				delta := int(int16(uint16(p[1])<<8|uint16(p[2]))) % (window + 50)
 				n := int(p[3] & 0x7f)

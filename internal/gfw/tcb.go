@@ -98,10 +98,11 @@ type stream struct {
 	window  int
 	scanner *dpi.StreamScanner
 
-	// keep retains the scanned prefix in prefix for the protocol
-	// classifiers (contiguous); a stream nothing classifies drops it.
-	keep   bool
-	prefix []byte
+	// classify marks a stream the protocol classifiers read. keep
+	// retains its scanned prefix in prefix for them (contiguous) until
+	// they name the flow or can no longer name it (dropPrefix).
+	classify, keep bool
+	prefix         []byte
 
 	// pend buffers out-of-order bytes: pend[i] is stream offset
 	// pbase+i. have lists the stream-offset ranges of pend that hold
@@ -115,27 +116,33 @@ type stream struct {
 // span is the half-open stream-offset range [lo, hi).
 type span struct{ lo, hi int }
 
-func newStream(window int, scanner *dpi.StreamScanner, keep bool) *stream {
-	return &stream{window: window, scanner: scanner, keep: keep}
+func newStream(window int, scanner *dpi.StreamScanner, classify bool) *stream {
+	return &stream{window: window, scanner: scanner, classify: classify, keep: classify}
 }
 
 // rebase resets the stream to a new base sequence (TCB creation or
 // resynchronization). Already-scanned bytes are discarded; the scanner
 // keeps its automaton state so keywords spanning a resync boundary are
 // still only found if genuinely contiguous — matching a DPI engine that
-// processes the stream as it goes.
+// processes the stream as it goes. Classification starts over on the
+// new base, so a stream the classifiers have not named keeps its
+// prefix again.
 func (s *stream) rebase(seq packet.Seq) {
 	s.base = seq
 	s.started = true
 	s.scanned = 0
+	s.keep = s.classify
 	s.prefix = s.prefix[:0]
 	s.have = s.have[:0]
 	s.scanner.Reset()
 }
 
-// dropPrefix stops retaining the scanned prefix: no classifier will
-// read contiguous again.
-func (s *stream) dropPrefix() {
+// dropPrefix stops retaining the scanned prefix. Once the classifiers
+// have named the flow, no classifier reads contiguous again; a flow
+// they can no longer name from this base keeps it again after a
+// rebase.
+func (s *stream) dropPrefix(named bool) {
+	s.classify = s.classify && !named
 	s.keep = false
 	s.prefix = nil
 }

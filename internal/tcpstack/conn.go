@@ -140,7 +140,8 @@ type Conn struct {
 	peerWnd      int
 	closePending bool
 
-	// recvBuf holds every in-order byte received; it grows by doubling.
+	// recvBuf holds every in-order byte received; it grows by doubling
+	// unless a reader reserved room for what is coming (Grow).
 	recvBuf []byte
 
 	// OnData is called with each chunk of newly in-order application
@@ -187,6 +188,16 @@ func (c *Conn) State() State { return c.state }
 
 // Received returns all application data received so far.
 func (c *Conn) Received() []byte { return c.recvBuf }
+
+// Grow guarantees room for n more received bytes without another
+// allocation, as bytes.Buffer.Grow does: a reader that knows how much
+// is coming reserves it once instead of letting the buffer double its
+// way up.
+func (c *Conn) Grow(n int) {
+	if need := len(c.recvBuf) + n; need > cap(c.recvBuf) {
+		c.recvBuf = append(make([]byte, 0, need), c.recvBuf...)
+	}
+}
 
 // LocalPort returns the local port.
 func (c *Conn) LocalPort() uint16 { return c.local.port }
@@ -435,14 +446,15 @@ func (c *Conn) handleSegment(pkt *packet.Packet) {
 	case Ignore:
 		return
 	case IgnoreWithAck:
+		if c.ackLimited(pkt, d.Reason) {
+			return
+		}
 		if d.Reason == "syn-retransmit" && c.state == SynRecv {
 			// A retransmitted SYN re-elicits the SYN/ACK.
 			c.transmit(packet.FlagSYN|packet.FlagACK, c.iss, c.rcvNxt, nil)
 			return
 		}
-		if !c.ackLimited(pkt, d.Reason) {
-			c.sendAck()
-		}
+		c.sendAck()
 		return
 	case AbortConn:
 		c.GotRST = true
@@ -464,10 +476,11 @@ const challengeACKLimit = 100
 
 // ackLimited reports whether Linux's ACK-loop limits suppress the ACK
 // answering pkt, an ignored segment (tcp_send_challenge_ack and
-// tcp_oow_rate_limited). The per-socket limit comes first: at most one
-// answer per Profile.InvalidRateLimit, except to a segment carrying
-// data or a FIN and no SYN, which is always answered and does not
-// restart the interval. RFC 5961 challenge ACKs then draw on the
+// tcp_oow_rate_limited), or the SYN/ACK answering a retransmitted SYN
+// in SYN_RECV (tcp_check_req). The per-socket limit comes first: at
+// most one answer per Profile.InvalidRateLimit, except to a segment
+// carrying data or a FIN and no SYN, which is always answered and does
+// not restart the interval. RFC 5961 challenge ACKs then draw on the
 // stack's budget of challengeACKLimit per virtual second.
 func (c *Conn) ackLimited(pkt *packet.Packet, reason string) bool {
 	s := c.stack
@@ -523,6 +536,9 @@ func (c *Conn) accept(pkt *packet.Packet) {
 	case SynRecv:
 		if tcp.HasFlag(packet.FlagACK) && tcp.Ack == c.sndNxt {
 			c.ackAdvance(tcp.Ack)
+			// The established socket starts its ACK-loop interval
+			// afresh (tcp_create_openreq_child).
+			c.oowNext = 0
 			c.setState(Established)
 		}
 		// Data may ride on the handshake-completing ACK: fall through.

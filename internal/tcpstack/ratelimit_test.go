@@ -199,3 +199,71 @@ func TestChallengeACKBudget(t *testing.T) {
 		})
 	}
 }
+
+// TestSynRecvRetransmitLimit holds a listener's answers to retransmitted
+// SYNs to the per-socket ACK-loop limit, as Linux ≥ 4.0's tcp_check_req
+// passes them through tcp_oow_rate_limited
+// (LINUX_MIB_TCPACKSKIPPEDSYNRECV): one SYN and five retransmissions at
+// one instant draw the first SYN/ACK and one retransmitted SYN/ACK from
+// Linux 4.4, and another retransmission 500 ms later draws one more.
+// Linux 3.14 answers every one. The established connection starts its
+// interval afresh, as tcp_create_openreq_child zeroes
+// last_oow_ack_time.
+func TestSynRecvRetransmitLimit(t *testing.T) {
+	for _, tc := range []struct {
+		prof       Profile
+		atOnce     int // SYN/ACKs for one SYN and five retransmissions
+		limitedNow int // of which the limit suppressed
+	}{
+		{Linux44(), 2, 4},
+		{Linux314(), 6, 0},
+	} {
+		t.Run(tc.prof.Name, func(t *testing.T) {
+			sim, _, _, srv := pair(t, Linux44(), tc.prof)
+			var sc *Conn
+			srv.Listen(80, func(c *Conn) { sc = c })
+			reg := obs.NewRegistry()
+			srv.Obs = obs.New(reg, nil)
+			synacks := 0
+			srv.Send = func(p *packet.Packet) {
+				if p.TCP.FlagsOnly(packet.FlagSYN | packet.FlagACK) {
+					synacks++
+				}
+			}
+			syn := func() *packet.Packet {
+				return packet.NewTCP(cliAddr, 40000, srvAddr, 80, packet.FlagSYN, 1000, 0, nil)
+			}
+			for i := 0; i < 6; i++ {
+				srv.Deliver(syn())
+			}
+			if synacks != tc.atOnce {
+				t.Fatalf("one SYN and five retransmissions drew %d SYN/ACKs, want %d", synacks, tc.atOnce)
+			}
+			if n := reg.Value("tcpstack.ack-ratelimited"); n != uint64(tc.limitedNow) {
+				t.Errorf("tcpstack.ack-ratelimited = %d, want %d", n, tc.limitedNow)
+			}
+			sim.RunFor(500 * time.Millisecond)
+			synacks = 0
+			srv.Deliver(syn())
+			if synacks != 1 {
+				t.Fatalf("a retransmission 500 ms later drew %d SYN/ACKs, want 1", synacks)
+			}
+			if tc.prof.InvalidRateLimit == 0 {
+				return
+			}
+			// Complete the handshake: the established socket may answer
+			// a dataless segment at once, although its SYN_RECV interval
+			// has not run out.
+			srv.Deliver(packet.NewTCP(cliAddr, 40000, srvAddr, 80, packet.FlagACK, 1001, sc.SndNxt(), nil))
+			if sc.State() != Established {
+				t.Fatalf("state %v after the handshake's ACK", sc.State())
+			}
+			answers := 0
+			srv.Send = func(*packet.Packet) { answers++ }
+			srv.Deliver(packet.NewTCP(cliAddr, 40000, srvAddr, 80, packet.FlagACK, 1001, sc.SndNxt().Add(99999), nil))
+			if answers != 1 {
+				t.Fatalf("the established socket answered %d of 1 dataless ack-for-unsent-data", answers)
+			}
+		})
+	}
+}
