@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race fuzz-smoke bench-smoke bench bench-compare bench-gate bench-obs health-golden fleet-smoke intangd-smoke
+.PHONY: check build fmt vet test race fuzz-smoke bench-smoke bench bench-compare bench-gate bench-obs health-golden fleet-smoke intangd-smoke loc
 
 # check is the fast gate: build, formatting, vet, tests (which include
 # the health-report golden and the hot-path alloc gate), the fuzz seed
@@ -46,8 +46,9 @@ race:
 
 # fuzz-smoke replays the checked-in seed corpora of the topology,
 # censor and strategy spec parsers (the strategy grammar's parser also
-# builds every registered strategy from its text), of the checkpoint
-# journal and manifest loaders,
+# builds every registered strategy from its text), of the daemon's
+# /strategy POST body over loopback, of the checkpoint journal and
+# manifest loaders,
 # of the differential tests that hold the GFW's stream reassembly and
 # IP fragment assembly to their per-byte reference models, of the
 # keyword automaton against a case-folded naive search over chunked
@@ -58,6 +59,7 @@ fuzz-smoke:
 	$(GO) test -run '^FuzzParseTopo$$' ./internal/topo
 	$(GO) test -run '^FuzzParseCensor$$' ./internal/censor
 	$(GO) test -run '^FuzzParseSpec$$' ./internal/core
+	$(GO) test -run '^FuzzStrategyPOST$$' ./internal/intangd
 	$(GO) test -run '^(FuzzJournal|FuzzManifest)$$' ./internal/experiment
 	$(GO) test -run '^FuzzStreamInsert$$' ./internal/gfw
 	$(GO) test -run '^FuzzMatcherStream$$' ./internal/dpi
@@ -171,3 +173,10 @@ intangd-smoke:
 	grep -q 'teardown-reversal' $$tmp/flows.json && \
 	grep -q '"got_rst":true' $$tmp/flows.json
 	@echo "intangd-smoke: evaded, switched live, censored, flows observed"
+
+# loc prints the tracked size of the code: lines of non-test Go outside
+# perfbench/, then the same count without blank and comment-only lines.
+LOC_GO = find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' -exec cat {} +
+loc:
+	@echo "non-test Go lines: $$($(LOC_GO) | wc -l)"
+	@echo "without blank and comment-only lines: $$($(LOC_GO) | grep -cvE '^[[:space:]]*(//.*)?$$')"

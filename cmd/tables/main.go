@@ -154,23 +154,16 @@ func main() {
 			fmt.Print(experiment.FormatDiagnosis(strat, counts))
 		}
 		fmt.Println("example controlled re-run (flight-recorder divergence per factor):")
-		factory, _, _ := core.ResolveStrategy("teardown-rst/ttl")
-	example:
-		for _, vp := range vps {
-			for _, srv := range servers {
-				if r.RunOne(vp, srv, factory, true, 0) != experiment.Success {
-					d := r.Diagnose(vp, srv, "teardown-rst/ttl", 0)
-					fmt.Print(experiment.FormatDiagnosisDetail(d))
-					if *traceDir != "" {
-						paths, err := experiment.WriteDiagnosisBundles(d, *traceDir)
-						if err != nil {
-							fmt.Fprintf(os.Stderr, "write trace bundles: %v\n", err)
-							os.Exit(1)
-						}
-						fmt.Printf("wrote %d trace bundle files under %s\n", len(paths), *traceDir)
-					}
-					break example
+		if vp, srv, trial, ok := r.FindFailingTrial("teardown-rst/ttl", vps, servers, 1); ok {
+			d := r.Diagnose(vp, srv, "teardown-rst/ttl", trial)
+			fmt.Print(experiment.FormatDiagnosisDetail(d))
+			if *traceDir != "" {
+				paths, err := experiment.WriteDiagnosisBundles(d, *traceDir)
+				if err != nil {
+					fmt.Fprintf(os.Stderr, "write trace bundles: %v\n", err)
+					os.Exit(1)
 				}
+				fmt.Printf("wrote %d trace bundle files under %s\n", len(paths), *traceDir)
 			}
 		}
 		fmt.Println()

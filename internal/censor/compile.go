@@ -145,16 +145,6 @@ func chainFilter(f Filter, rng *rand.Rand) netem.Processor {
 	return middlebox.NewFlagDropper(name, flag, f.P, rng)
 }
 
-// MustCompile is Compile for statically-known specs; it panics on
-// error.
-func MustCompile(spec Spec) *Compiled {
-	c, err := Compile(spec)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
 // Compile validates the spec's composition and lowers it onto its
 // target. The grammar is deliberately wider than any one target: the
 // stateful engine cannot blackhole (its wiretap position can only

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"intango/internal/packet"
+	"intango/internal/spectext"
 )
 
 // Detect is one detection rule.
@@ -98,16 +99,16 @@ func (r React) String() string {
 		}
 		return s + ")"
 	case "block":
-		return "react:block(dur=" + r.Dur.String() + ")"
+		return "react:block(dur=" + spectext.Duration(r.Dur) + ")"
 	case "drop":
-		return "react:drop(dur=" + r.Dur.String() + ")"
+		return "react:drop(dur=" + spectext.Duration(r.Dur) + ")"
 	case "poison":
 		if r.HasIP {
 			return "react:poison(ip=" + formatAddr(r.IP) + ")"
 		}
 		return "react:poison"
 	case "probe":
-		return "react:probe(delay=" + r.Delay.String() + ")"
+		return "react:probe(delay=" + spectext.Duration(r.Delay) + ")"
 	}
 	return "react:" + r.Kind
 }
@@ -207,37 +208,37 @@ func MustParseCensor(input string) Spec {
 // Compile, not here — except a few that would make the encoding
 // ambiguous.
 func ParseCensor(input string) (Spec, error) {
-	p := &censorParser{s: input}
+	sc := spectext.NewScanner("censor", input)
 	var spec Spec
-	p.space()
-	if p.eof() {
-		return Spec{}, fmt.Errorf("censor: empty input")
+	sc.Space()
+	if sc.EOF() {
+		return Spec{}, sc.Errorf("empty input")
 	}
 	for {
-		p.space()
-		if p.eof() {
+		sc.Space()
+		if sc.EOF() {
 			return spec, nil
 		}
-		head := p.ident()
-		if head == "" || !p.consume(':') {
-			return Spec{}, fmt.Errorf("censor: expected tcb:, detect:, filter:, react:, harden: or param:, got %q", p.rest())
+		head := sc.Run(spectext.Alnum)
+		if head == "" || !sc.Consume(':') {
+			return Spec{}, sc.Errorf("expected tcb:, detect:, filter:, react:, harden: or param:, got %q", sc.Rest())
 		}
 		var err error
 		switch head {
 		case "tcb":
-			err = p.tcb(&spec)
+			err = parseTCB(sc, &spec)
 		case "detect":
-			err = p.detect(&spec)
+			err = parseDetect(sc, &spec)
 		case "filter":
-			err = p.filter(&spec)
+			err = parseFilter(sc, &spec)
 		case "react":
-			err = p.react(&spec)
+			err = parseReact(sc, &spec)
 		case "harden":
-			err = p.harden(&spec)
+			err = parseHarden(sc, &spec)
 		case "param":
-			err = p.param(&spec)
+			err = parseParam(sc, &spec)
 		default:
-			return Spec{}, fmt.Errorf("censor: unknown statement %q", head)
+			return Spec{}, sc.Errorf("unknown statement %q", head)
 		}
 		if err != nil {
 			return Spec{}, err
@@ -245,112 +246,13 @@ func ParseCensor(input string) (Spec, error) {
 	}
 }
 
-type censorParser struct {
-	s string
-	i int
-}
-
-func (p *censorParser) eof() bool    { return p.i >= len(p.s) }
-func (p *censorParser) rest() string { return p.s[p.i:] }
-
-func (p *censorParser) space() {
-	for !p.eof() && (p.s[p.i] == ' ' || p.s[p.i] == '\t' || p.s[p.i] == '\n' || p.s[p.i] == '\r') {
-		p.i++
-	}
-}
-
-func (p *censorParser) consume(c byte) bool {
-	if !p.eof() && p.s[p.i] == c {
-		p.i++
-		return true
-	}
-	return false
-}
-
-func identByte(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
-}
-
-// valueByte covers attribute values: words, word lists joined with
-// '+', dotted quads, durations, signed numbers.
-func valueByte(c byte) bool {
-	return identByte(c) || c == '-' || c == '_' || c == '.' || c == '+'
-}
-
-// ident consumes a run of identifier bytes (possibly empty).
-func (p *censorParser) ident() string {
-	start := p.i
-	for !p.eof() && identByte(p.s[p.i]) {
-		p.i++
-	}
-	return p.s[start:p.i]
-}
-
-// arg is one parsed attribute: bare ("type1") or key=value.
-type arg struct {
-	key string // "" for a bare token
-	val string
-}
-
-// label names the attribute in errors: the key for key=value, the
-// token itself when bare.
-func (a arg) label() string {
-	if a.key != "" {
-		return a.key
-	}
-	return a.val
-}
-
-// args parses an optional parenthesised attribute list.
-func (p *censorParser) args(owner string) ([]arg, error) {
-	if !p.consume('(') {
-		return nil, nil
-	}
-	var out []arg
-	for {
-		p.space()
-		if p.consume(')') {
-			return out, nil
-		}
-		start := p.i
-		for !p.eof() && valueByte(p.s[p.i]) {
-			p.i++
-		}
-		tok := p.s[start:p.i]
-		if tok == "" {
-			return nil, fmt.Errorf("censor: %s: expected attribute, got %q", owner, p.rest())
-		}
-		a := arg{val: tok}
-		if p.consume('=') {
-			a.key = tok
-			start = p.i
-			for !p.eof() && valueByte(p.s[p.i]) {
-				p.i++
-			}
-			a.val = p.s[start:p.i]
-			if a.val == "" {
-				return nil, fmt.Errorf("censor: %s: missing value for %q", owner, a.key)
-			}
-		}
-		out = append(out, a)
-		p.space()
-		if p.consume(',') {
-			continue
-		}
-		if p.consume(')') {
-			return out, nil
-		}
-		return nil, fmt.Errorf("censor: %s: expected ',' or ')', got %q", owner, p.rest())
-	}
-}
-
-func (p *censorParser) tcb(spec *Spec) error {
-	model := p.ident()
+func parseTCB(sc *spectext.Scanner, spec *Spec) error {
+	model := sc.Run(spectext.Alnum)
 	if model != "evolved" && model != "khattak" {
-		return fmt.Errorf("censor: tcb: unknown model %q (want evolved or khattak)", model)
+		return sc.Errorf("tcb: unknown model %q (want evolved or khattak)", model)
 	}
 	if spec.TCB != "" {
-		return fmt.Errorf("censor: duplicate tcb statement")
+		return sc.Errorf("duplicate tcb statement")
 	}
 	spec.TCB = model
 	return nil
@@ -370,46 +272,46 @@ func words(owner, list string) ([]string, error) {
 	return parts, nil
 }
 
-func (p *censorParser) detect(spec *Spec) error {
-	kind := p.ident()
+func parseDetect(sc *spectext.Scanner, spec *Spec) error {
+	kind := sc.Run(spectext.Alnum)
 	owner := "detect:" + kind
-	args, err := p.args(owner)
+	args, err := sc.Args(owner, spectext.Word)
 	if err != nil {
 		return err
 	}
 	d := Detect{Kind: kind}
 	switch kind {
 	case "keywords", "dns", "host":
-		if len(args) == 0 || args[0].key != "" {
-			return fmt.Errorf("censor: %s: missing word list", owner)
+		if len(args) == 0 || args[0].Key != "" {
+			return sc.Errorf("%s: missing word list", owner)
 		}
-		d.Words, err = words(owner, args[0].val)
+		d.Words, err = words(owner, args[0].Val)
 		if err != nil {
 			return err
 		}
 		for _, a := range args[1:] {
-			if a.key == "dir" && a.val == "both" && kind == "keywords" {
+			if a.Key == "dir" && a.Val == "both" && kind == "keywords" {
 				d.Both = true
 				continue
 			}
-			return fmt.Errorf("censor: %s: unknown argument %q", owner, a.label())
+			return sc.Errorf("%s: unknown argument %q", owner, a.Label())
 		}
 	case "proto":
-		if len(args) != 1 || args[0].key != "" || (args[0].val != "tor" && args[0].val != "openvpn") {
-			return fmt.Errorf("censor: detect:proto: want proto(tor) or proto(openvpn)")
+		if len(args) != 1 || args[0].Key != "" || (args[0].Val != "tor" && args[0].Val != "openvpn") {
+			return sc.Errorf("detect:proto: want proto(tor) or proto(openvpn)")
 		}
-		d.Words = []string{args[0].val}
+		d.Words = []string{args[0].Val}
 	default:
-		return fmt.Errorf("censor: detect: unknown kind %q (want keywords, dns, host or proto)", kind)
+		return sc.Errorf("detect: unknown kind %q (want keywords, dns, host or proto)", kind)
 	}
 	spec.Detects = append(spec.Detects, d)
 	return nil
 }
 
-func (p *censorParser) filter(spec *Spec) error {
-	kind := p.ident()
+func parseFilter(sc *spectext.Scanner, spec *Spec) error {
+	kind := sc.Run(spectext.Alnum)
 	owner := "filter:" + kind
-	args, err := p.args(owner)
+	args, err := sc.Args(owner, spectext.Word)
 	if err != nil {
 		return err
 	}
@@ -417,130 +319,130 @@ func (p *censorParser) filter(spec *Spec) error {
 	switch kind {
 	case "fragdrop", "reassemble", "checksum", "flagless":
 		if len(args) != 0 {
-			return fmt.Errorf("censor: %s: takes no arguments", owner)
+			return sc.Errorf("%s: takes no arguments", owner)
 		}
 	case "flag":
-		if len(args) != 2 || args[0].key != "" || args[1].key != "p" {
-			return fmt.Errorf("censor: filter:flag: want flag(fin|rst,p=F)")
+		if len(args) != 2 || args[0].Key != "" || args[1].Key != "p" {
+			return sc.Errorf("filter:flag: want flag(fin|rst,p=F)")
 		}
-		if args[0].val != "fin" && args[0].val != "rst" {
-			return fmt.Errorf("censor: filter:flag: unknown flag %q (want fin or rst)", args[0].val)
+		if args[0].Val != "fin" && args[0].Val != "rst" {
+			return sc.Errorf("filter:flag: unknown flag %q (want fin or rst)", args[0].Val)
 		}
-		f.Flag = args[0].val
-		f.P, err = prob(owner, args[1].val)
+		f.Flag = args[0].Val
+		f.P, err = prob(owner, args[1].Val)
 		if err != nil {
 			return err
 		}
 	default:
-		return fmt.Errorf("censor: filter: unknown kind %q (want fragdrop, reassemble, checksum, flagless or flag)", kind)
+		return sc.Errorf("filter: unknown kind %q (want fragdrop, reassemble, checksum, flagless or flag)", kind)
 	}
 	spec.Filters = append(spec.Filters, f)
 	return nil
 }
 
-func (p *censorParser) react(spec *Spec) error {
-	kind := p.ident()
+func parseReact(sc *spectext.Scanner, spec *Spec) error {
+	kind := sc.Run(spectext.Alnum)
 	owner := "react:" + kind
-	args, err := p.args(owner)
+	args, err := sc.Args(owner, spectext.Word)
 	if err != nil {
 		return err
 	}
 	r := React{Kind: kind}
 	switch kind {
 	case "reset":
-		if len(args) == 0 || args[0].key != "" || (args[0].val != "type1" && args[0].val != "type2") {
-			return fmt.Errorf("censor: react:reset: want reset(type1) or reset(type2)")
+		if len(args) == 0 || args[0].Key != "" || (args[0].Val != "type1" && args[0].Val != "type2") {
+			return sc.Errorf("react:reset: want reset(type1) or reset(type2)")
 		}
 		r.Type = 1
-		if args[0].val == "type2" {
+		if args[0].Val == "type2" {
 			r.Type = 2
 		}
 		for _, a := range args[1:] {
-			if a.key != "offsets" || r.Type != 2 {
-				return fmt.Errorf("censor: react:reset: unknown argument %q", a.label())
+			if a.Key != "offsets" || r.Type != 2 {
+				return sc.Errorf("react:reset: unknown argument %q", a.Label())
 			}
-			for _, s := range strings.Split(a.val, "+") {
+			for _, s := range strings.Split(a.Val, "+") {
 				n, err := strconv.Atoi(s)
 				if err != nil || n < 0 {
-					return fmt.Errorf("censor: react:reset: bad offset %q", s)
+					return sc.Errorf("react:reset: bad offset %q", s)
 				}
 				r.Offsets = append(r.Offsets, n)
 			}
 		}
 	case "block", "drop":
-		if len(args) != 1 || args[0].key != "dur" {
-			return fmt.Errorf("censor: %s: want %s(dur=D)", owner, kind)
+		if len(args) != 1 || args[0].Key != "dur" {
+			return sc.Errorf("%s: want %s(dur=D)", owner, kind)
 		}
-		d, err := time.ParseDuration(args[0].val)
+		d, err := time.ParseDuration(args[0].Val)
 		if err != nil || d <= 0 {
-			return fmt.Errorf("censor: %s: bad dur %q", owner, args[0].val)
+			return sc.Errorf("%s: bad dur %q", owner, args[0].Val)
 		}
 		r.Dur = d
 	case "poison":
-		if len(args) > 1 || (len(args) == 1 && args[0].key != "ip") {
-			return fmt.Errorf("censor: react:poison: want poison or poison(ip=A.B.C.D)")
+		if len(args) > 1 || (len(args) == 1 && args[0].Key != "ip") {
+			return sc.Errorf("react:poison: want poison or poison(ip=A.B.C.D)")
 		}
 		if len(args) == 1 {
-			a, err := parseAddr(args[0].val)
+			a, err := parseAddr(args[0].Val)
 			if err != nil {
-				return fmt.Errorf("censor: react:poison: bad ip %q", args[0].val)
+				return sc.Errorf("react:poison: bad ip %q", args[0].Val)
 			}
 			r.IP, r.HasIP = a, true
 		}
 	case "probe":
-		if len(args) != 1 || args[0].key != "delay" {
-			return fmt.Errorf("censor: react:probe: want probe(delay=D)")
+		if len(args) != 1 || args[0].Key != "delay" {
+			return sc.Errorf("react:probe: want probe(delay=D)")
 		}
-		d, err := time.ParseDuration(args[0].val)
+		d, err := time.ParseDuration(args[0].Val)
 		if err != nil || d <= 0 {
-			return fmt.Errorf("censor: react:probe: bad delay %q", args[0].val)
+			return sc.Errorf("react:probe: bad delay %q", args[0].Val)
 		}
 		r.Delay = d
 	default:
-		return fmt.Errorf("censor: react: unknown kind %q (want reset, block, drop, poison or probe)", kind)
+		return sc.Errorf("react: unknown kind %q (want reset, block, drop, poison or probe)", kind)
 	}
 	spec.Reacts = append(spec.Reacts, r)
 	return nil
 }
 
-func (p *censorParser) harden(spec *Spec) error {
-	kind := p.ident()
+func parseHarden(sc *spectext.Scanner, spec *Spec) error {
+	kind := sc.Run(spectext.Alnum)
 	switch kind {
 	case "checksum", "md5", "trustack":
 	default:
-		return fmt.Errorf("censor: harden: unknown countermeasure %q (want checksum, md5 or trustack)", kind)
+		return sc.Errorf("harden: unknown countermeasure %q (want checksum, md5 or trustack)", kind)
 	}
 	for _, h := range spec.Hardens {
 		if h == kind {
-			return fmt.Errorf("censor: duplicate harden:%s", kind)
+			return sc.Errorf("duplicate harden:%s", kind)
 		}
 	}
 	spec.Hardens = append(spec.Hardens, kind)
 	return nil
 }
 
-func (p *censorParser) param(spec *Spec) error {
-	kind := p.ident()
+func parseParam(sc *spectext.Scanner, spec *Spec) error {
+	kind := sc.Run(spectext.Alnum)
 	owner := "param:" + kind
 	switch kind {
 	case "miss", "resync", "seglastwins":
 	default:
-		return fmt.Errorf("censor: param: unknown parameter %q (want miss, resync or seglastwins)", kind)
+		return sc.Errorf("param: unknown parameter %q (want miss, resync or seglastwins)", kind)
 	}
-	args, err := p.args(owner)
+	args, err := sc.Args(owner, spectext.Word)
 	if err != nil {
 		return err
 	}
-	if len(args) != 1 || args[0].key != "p" {
-		return fmt.Errorf("censor: %s: want %s(p=F)", owner, kind)
+	if len(args) != 1 || args[0].Key != "p" {
+		return sc.Errorf("%s: want %s(p=F)", owner, kind)
 	}
-	f, err := prob(owner, args[0].val)
+	f, err := prob(owner, args[0].Val)
 	if err != nil {
 		return err
 	}
 	for _, q := range spec.Params {
 		if q.Kind == kind {
-			return fmt.Errorf("censor: duplicate param:%s", kind)
+			return sc.Errorf("duplicate param:%s", kind)
 		}
 	}
 	spec.Params = append(spec.Params, Param{Kind: kind, P: f})

@@ -51,6 +51,24 @@ func TestForgivingWhitespace(t *testing.T) {
 	}
 }
 
+// TestMicrosecondDurationsRoundTrip checks that sub-millisecond
+// durations encode as text the parser reads back: "us", not the micro
+// sign time.Duration.String writes.
+func TestMicrosecondDurationsRoundTrip(t *testing.T) {
+	in := "react:drop(dur=1500ns) react:probe(delay=2us)"
+	want := "react:drop(dur=1.5us) react:probe(delay=2us)"
+	spec, err := ParseCensor(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := spec.String(); got != want {
+		t.Fatalf("got %q, want %q", got, want)
+	}
+	if again, err := ParseCensor(want); err != nil || again.String() != want {
+		t.Errorf("canonical %q does not parse back to itself: %v", want, err)
+	}
+}
+
 // TestParseCensorFields spot-checks the structured decomposition of the
 // headline spec.
 func TestParseCensorFields(t *testing.T) {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"intango/internal/spectext"
 )
 
 // This file is the declarative half of the strategy layer: a Spec is a
@@ -142,30 +144,31 @@ func MustParseSpec(input string) Spec {
 //	          "duplicate" | "tamper" | "delay"
 //	arg     = ident | key "=" value
 //
-// Whitespace between tokens is forgiving on input; String always emits
-// the canonical spacing.
+// Whitespace (including line breaks) between tokens is forgiving on
+// input; String always emits the canonical spacing.
 func ParseSpec(input string) (Spec, error) {
-	p := &specParser{s: input}
-	p.space()
-	if p.eof() {
-		return Spec{}, fmt.Errorf("spec: empty input")
+	sc := spectext.NewScanner("spec", input)
+	sc.Space()
+	if sc.EOF() {
+		return Spec{}, sc.Errorf("empty input")
 	}
-	save := p.i
-	if p.ident() == "pass" {
-		p.space()
-		if p.eof() {
+	// Look ahead on a copy: a leading word other than "pass" starts a
+	// rule.
+	if peek := *sc; peek.Run(spectext.Word) == "pass" {
+		*sc = peek
+		sc.Space()
+		if sc.EOF() {
 			return Spec{}, nil
 		}
-		return Spec{}, fmt.Errorf("spec: unexpected text after \"pass\": %q", p.rest())
+		return Spec{}, sc.Errorf("unexpected text after \"pass\": %q", sc.Rest())
 	}
-	p.i = save
 	var spec Spec
 	for {
-		p.space()
-		if p.eof() {
+		sc.Space()
+		if sc.EOF() {
 			return spec, nil
 		}
-		r, err := p.rule()
+		r, err := parseRule(sc)
 		if err != nil {
 			return Spec{}, err
 		}
@@ -173,148 +176,70 @@ func ParseSpec(input string) (Spec, error) {
 	}
 }
 
-type specParser struct {
-	s string
-	i int
-}
-
-func (p *specParser) eof() bool { return p.i >= len(p.s) }
-
-func (p *specParser) rest() string { return p.s[p.i:] }
-
-func (p *specParser) space() {
-	for !p.eof() && (p.s[p.i] == ' ' || p.s[p.i] == '\t') {
-		p.i++
-	}
-}
-
-func identByte(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' ||
-		c >= '0' && c <= '9' || c == '-' || c == '_' || c == '+' || c == '.'
-}
-
-// ident consumes a run of identifier bytes (possibly empty).
-func (p *specParser) ident() string {
-	start := p.i
-	for !p.eof() && identByte(p.s[p.i]) {
-		p.i++
-	}
-	return p.s[start:p.i]
-}
-
-func (p *specParser) consume(c byte) bool {
-	if !p.eof() && p.s[p.i] == c {
-		p.i++
-		return true
-	}
-	return false
-}
-
-type specArg struct {
-	key string // "" for a bare positional token
-	val string
-}
-
-// args parses an optional parenthesised argument list.
-func (p *specParser) args(owner string) ([]specArg, error) {
-	if !p.consume('(') {
-		return nil, nil
-	}
-	var out []specArg
-	for {
-		p.space()
-		if p.consume(')') {
-			return out, nil
-		}
-		tok := p.ident()
-		if tok == "" {
-			return nil, fmt.Errorf("spec: %s: expected argument, got %q", owner, p.rest())
-		}
-		a := specArg{val: tok}
-		if p.consume('=') {
-			a.key = tok
-			a.val = p.ident()
-			if a.val == "" {
-				return nil, fmt.Errorf("spec: %s: missing value for %q", owner, a.key)
-			}
-		}
-		out = append(out, a)
-		p.space()
-		if p.consume(',') {
-			continue
-		}
-		if p.consume(')') {
-			return out, nil
-		}
-		return nil, fmt.Errorf("spec: %s: expected ',' or ')', got %q", owner, p.rest())
-	}
-}
-
-func (p *specParser) rule() (Rule, error) {
+func parseRule(sc *spectext.Scanner) (Rule, error) {
 	var r Rule
-	if !strings.HasPrefix(p.rest(), "on:") {
-		return r, fmt.Errorf("spec: rule must start with \"on:<phase>\", got %q", p.rest())
+	if !sc.Prefix("on:") {
+		return r, sc.Errorf("rule must start with \"on:<phase>\", got %q", sc.Rest())
 	}
-	p.i += len("on:")
-	name := p.ident()
+	name := sc.Run(spectext.Word)
 	ph, ok := parsePhase(name)
 	if !ok {
-		return r, fmt.Errorf("spec: unknown phase %q", name)
+		return r, sc.Errorf("unknown phase %q", name)
 	}
 	r.Trigger.Phase = ph
-	args, err := p.args("trigger on:" + name)
+	args, err := sc.Args("trigger on:"+name, spectext.Word)
 	if err != nil {
 		return r, err
 	}
 	for _, a := range args {
 		switch {
-		case a.key == "" && a.val == "rexmit":
+		case a.Key == "" && a.Val == "rexmit":
 			r.Trigger.Rexmit = true
-		case a.key == "min":
-			n, err := strconv.Atoi(a.val)
+		case a.Key == "min":
+			n, err := strconv.Atoi(a.Val)
 			if err != nil || n < 0 {
-				return r, fmt.Errorf("spec: trigger on:%s: bad min %q", name, a.val)
+				return r, sc.Errorf("trigger on:%s: bad min %q", name, a.Val)
 			}
 			r.Trigger.Min = n
 		default:
-			return r, fmt.Errorf("spec: trigger on:%s: unknown argument %q", name, a.val)
+			return r, sc.Errorf("trigger on:%s: unknown argument %q", name, a.Val)
 		}
 	}
-	p.space()
-	if !p.consume('[') {
-		return r, fmt.Errorf("spec: missing '[' after %s", r.Trigger.String())
+	sc.Space()
+	if !sc.Consume('[') {
+		return r, sc.Errorf("missing '[' after %s", r.Trigger.String())
 	}
-	p.space()
-	if p.consume(']') {
+	sc.Space()
+	if sc.Consume(']') {
 		return r, nil
 	}
 	for {
-		p.space()
-		act, err := p.action()
+		sc.Space()
+		act, err := parseAction(sc)
 		if err != nil {
 			return r, err
 		}
 		r.Actions = append(r.Actions, act)
-		p.space()
-		if p.consume(';') {
+		sc.Space()
+		if sc.Consume(';') {
 			continue
 		}
-		if p.consume(']') {
+		if sc.Consume(']') {
 			return r, nil
 		}
-		if p.eof() {
-			return r, fmt.Errorf("spec: missing ']' to close %s", r.Trigger.String())
+		if sc.EOF() {
+			return r, sc.Errorf("missing ']' to close %s", r.Trigger.String())
 		}
-		return r, fmt.Errorf("spec: expected ';' or ']', got %q", p.rest())
+		return r, sc.Errorf("expected ';' or ']', got %q", sc.Rest())
 	}
 }
 
-func (p *specParser) action() (Action, error) {
-	name := p.ident()
+func parseAction(sc *spectext.Scanner) (Action, error) {
+	name := sc.Run(spectext.Word)
 	if name == "" {
-		return nil, fmt.Errorf("spec: expected primitive name, got %q", p.rest())
+		return nil, sc.Errorf("expected primitive name, got %q", sc.Rest())
 	}
-	args, err := p.args(name)
+	args, err := sc.Args(name, spectext.Word)
 	if err != nil {
 		return nil, err
 	}
@@ -322,7 +247,7 @@ func (p *specParser) action() (Action, error) {
 }
 
 // buildAction validates one primitive invocation.
-func buildAction(name string, args []specArg) (Action, error) {
+func buildAction(name string, args []spectext.Arg) (Action, error) {
 	bad := func(format string, a ...any) (Action, error) {
 		return nil, fmt.Errorf("spec: "+name+": "+format, a...)
 	}
@@ -331,21 +256,21 @@ func buildAction(name string, args []specArg) (Action, error) {
 		act := InjectAction{Disc: DiscNone}
 		kindSet := false
 		for _, a := range args {
-			switch a.key {
+			switch a.Key {
 			case "":
-				k, ok := parseInjectKind(a.val)
+				k, ok := parseInjectKind(a.Val)
 				if !ok {
-					return bad("unknown kind %q", a.val)
+					return bad("unknown kind %q", a.Val)
 				}
 				act.Kind, kindSet = k, true
 			case "disc":
-				d, ok := ParseDiscrepancy(a.val)
+				d, ok := ParseDiscrepancy(a.Val)
 				if !ok {
-					return bad("unknown discrepancy %q", a.val)
+					return bad("unknown discrepancy %q", a.Val)
 				}
 				act.Disc = d
 			default:
-				return bad("unknown argument %q", a.key)
+				return bad("unknown argument %q", a.Key)
 			}
 		}
 		if !kindSet {
@@ -356,21 +281,21 @@ func buildAction(name string, args []specArg) (Action, error) {
 		act := TeardownAction{Disc: DiscNone}
 		flagsSet := false
 		for _, a := range args {
-			switch a.key {
+			switch a.Key {
 			case "flags":
-				fl, ok := parseFlagsToken(a.val)
+				fl, ok := parseFlagsToken(a.Val)
 				if !ok {
-					return bad("unknown flags %q", a.val)
+					return bad("unknown flags %q", a.Val)
 				}
 				act.Flags, flagsSet = fl, true
 			case "disc":
-				d, ok := ParseDiscrepancy(a.val)
+				d, ok := ParseDiscrepancy(a.Val)
 				if !ok {
-					return bad("unknown discrepancy %q", a.val)
+					return bad("unknown discrepancy %q", a.Val)
 				}
 				act.Disc = d
 			default:
-				return bad("unknown argument %q", a.val)
+				return bad("unknown argument %q", a.Val)
 			}
 		}
 		if !flagsSet {
@@ -381,24 +306,24 @@ func buildAction(name string, args []specArg) (Action, error) {
 		act := FragmentAction{}
 		laySet := false
 		for _, a := range args {
-			switch a.key {
+			switch a.Key {
 			case "":
-				switch a.val {
+				switch a.Val {
 				case "ip":
 					act.Layer, laySet = LayerIP, true
 				case "tcp":
 					act.Layer, laySet = LayerTCP, true
 				default:
-					return bad("unknown layer %q", a.val)
+					return bad("unknown layer %q", a.Val)
 				}
 			case "at":
-				n, err := strconv.Atoi(a.val)
+				n, err := strconv.Atoi(a.Val)
 				if err != nil || n <= 0 {
-					return bad("bad at %q", a.val)
+					return bad("bad at %q", a.Val)
 				}
 				act.At = n
 			default:
-				return bad("unknown argument %q", a.val)
+				return bad("unknown argument %q", a.Val)
 			}
 		}
 		if !laySet {
@@ -409,7 +334,7 @@ func buildAction(name string, args []specArg) (Action, error) {
 		}
 		return act, nil
 	case "reorder":
-		if len(args) != 1 || args[0].key != "" || args[0].val != "head-last" {
+		if len(args) != 1 || args[0].Key != "" || args[0].Val != "head-last" {
 			return bad("want reorder(head-last)")
 		}
 		return ReorderAction{}, nil
@@ -417,32 +342,32 @@ func buildAction(name string, args []specArg) (Action, error) {
 		act := DuplicateAction{Fill: FillJunk, Pos: PosBefore}
 		selSet := false
 		for _, a := range args {
-			switch a.key {
+			switch a.Key {
 			case "":
-				if a.val != "tails" {
-					return bad("unknown selector %q", a.val)
+				if a.Val != "tails" {
+					return bad("unknown selector %q", a.Val)
 				}
 				selSet = true
 			case "fill":
-				switch a.val {
+				switch a.Val {
 				case "junk":
 					act.Fill = FillJunk
 				case "copy":
 					act.Fill = FillCopy
 				default:
-					return bad("unknown fill %q", a.val)
+					return bad("unknown fill %q", a.Val)
 				}
 			case "pos":
-				switch a.val {
+				switch a.Val {
 				case "before":
 					act.Pos = PosBefore
 				case "after":
 					act.Pos = PosAfter
 				default:
-					return bad("unknown pos %q", a.val)
+					return bad("unknown pos %q", a.Val)
 				}
 			default:
-				return bad("unknown argument %q", a.val)
+				return bad("unknown argument %q", a.Val)
 			}
 		}
 		if !selSet {
@@ -455,36 +380,36 @@ func buildAction(name string, args []specArg) (Action, error) {
 		}
 		a := args[0]
 		switch {
-		case a.key == "" && a.val == "md5":
+		case a.Key == "" && a.Val == "md5":
 			return TamperAction{Kind: TamperMD5}, nil
-		case a.key == "ttl":
-			n, err := strconv.Atoi(a.val)
+		case a.Key == "ttl":
+			n, err := strconv.Atoi(a.Val)
 			if err != nil || n < 1 || n > 255 {
-				return bad("bad ttl %q", a.val)
+				return bad("bad ttl %q", a.Val)
 			}
 			return TamperAction{Kind: TamperTTL, TTL: uint8(n)}, nil
-		case a.key == "flags":
-			fl, ok := parseFlagsToken(a.val)
+		case a.Key == "flags":
+			fl, ok := parseFlagsToken(a.Val)
 			if !ok {
-				return bad("unknown flags %q", a.val)
+				return bad("unknown flags %q", a.Val)
 			}
 			return TamperAction{Kind: TamperFlags, Flags: fl}, nil
-		case a.key == "seq":
-			n, err := strconv.Atoi(a.val)
+		case a.Key == "seq":
+			n, err := strconv.Atoi(a.Val)
 			if err != nil || n == 0 {
-				return bad("bad seq delta %q", a.val)
+				return bad("bad seq delta %q", a.Val)
 			}
 			return TamperAction{Kind: TamperSeq, Delta: n}, nil
 		default:
-			return bad("unknown argument %q", a.val)
+			return bad("unknown argument %q", a.Val)
 		}
 	case "delay":
-		if len(args) != 1 || args[0].key != "ms" {
+		if len(args) != 1 || args[0].Key != "ms" {
 			return bad("want delay(ms=N)")
 		}
-		n, err := strconv.Atoi(args[0].val)
+		n, err := strconv.Atoi(args[0].Val)
 		if err != nil || n <= 0 {
-			return bad("bad ms %q", args[0].val)
+			return bad("bad ms %q", args[0].Val)
 		}
 		return DelayAction{Ms: n}, nil
 	default:

@@ -137,6 +137,10 @@ func TestParseSpecNormalizes(t *testing.T) {
 		{"on:payload[inject(desync,disc=none)]", "on:payload[inject(desync)]"},
 		{"on:payload[tamper(seq=8)]", "on:payload[tamper(seq=+8)]"},
 		{"on:payload[fragment(ip,at=512)]", "on:payload[fragment(ip,at=512)]"},
+		// Line breaks separate tokens, as in censor and topology text.
+		{"\tpass\r\n", "pass"},
+		{"on:handshake[inject(syn)]\r\non:first-payload[\n\tteardown(flags=rst,\r\n disc=ttl)\n]\n",
+			"on:handshake[inject(syn)] on:first-payload[teardown(flags=rst,disc=ttl)]"},
 	} {
 		got, err := ParseSpec(tc.in)
 		if err != nil {
@@ -182,6 +186,7 @@ func TestParseSpecErrors(t *testing.T) {
 		{"on:first-payload[delay(ms=0)]", `spec: delay: bad ms "0"`},
 		{"on:first-payload[inject(syn]", "spec: inject: expected ',' or ')'"},
 		{"on:first-payload[inject(disc=)]", `spec: inject: missing value for "disc"`},
+		{"on:first-payload[inject(,)]", "spec: inject: expected attribute"},
 	} {
 		_, err := ParseSpec(tc.in)
 		if err == nil {
@@ -208,6 +213,7 @@ func FuzzParseSpec(f *testing.F) {
 	f.Add("on:first-payload[inject(")
 	f.Add("on:first-payload[delay(ms=99]]")
 	f.Add("on:segment[duplicate(tails,fill=copy,pos=after)]")
+	f.Add("on:handshake[inject(syn)]\r\non:first-payload[\n\tteardown(flags=rst,\r\n disc=ttl)\n]")
 	f.Fuzz(func(t *testing.T, input string) {
 		spec, err := ParseSpec(input)
 		if err != nil {

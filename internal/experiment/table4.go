@@ -109,9 +109,9 @@ func summarizeVPs(label string, perVP []Tally) Table4Row {
 		}
 		n++
 		s, f1, f2 := tally.Rates()
-		sMin, sMax, sSum = minF(sMin, s), maxF(sMax, s), sSum+s
-		f1Min, f1Max, f1Sum = minF(f1Min, f1), maxF(f1Max, f1), f1Sum+f1
-		f2Min, f2Max, f2Sum = minF(f2Min, f2), maxF(f2Max, f2), f2Sum+f2
+		sMin, sMax, sSum = min(sMin, s), max(sMax, s), sSum+s
+		f1Min, f1Max, f1Sum = min(f1Min, f1), max(f1Max, f1), f1Sum+f1
+		f2Min, f2Max, f2Sum = min(f2Min, f2), max(f2Max, f2), f2Sum+f2
 	}
 	if n == 0 {
 		return row
@@ -120,20 +120,6 @@ func summarizeVPs(label string, perVP []Tally) Table4Row {
 	row.Failure1 = [3]float64{f1Min, f1Max, f1Sum / float64(n)}
 	row.Failure2 = [3]float64{f2Min, f2Max, f2Sum / float64(n)}
 	return row
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // FormatTable4 renders one block (inside or outside China).

@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"bytes"
 	"fmt"
 	"hash/fnv"
 	"sync"
@@ -479,13 +478,4 @@ func (t Tally) Rates() (s, f1, f2 float64) {
 	}
 	n := float64(t.Total)
 	return 100 * float64(t.Success) / n, 100 * float64(t.Failure1) / n, 100 * float64(t.Failure2) / n
-}
-
-// responseBytes is a test helper confirming the server actually spoke
-// HTTP.
-func responseBytes(conn *tcpstack.Conn) []byte {
-	if idx := bytes.Index(conn.Received(), []byte("\r\n\r\n")); idx >= 0 {
-		return conn.Received()[:idx]
-	}
-	return conn.Received()
 }

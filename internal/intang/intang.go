@@ -241,12 +241,6 @@ func (it *INTANG) ChooseStrategy(server packet.Addr) string {
 	return it.chooseCandidate(server).display
 }
 
-// ChooseSpec is ChooseStrategy in canonical spec form — the identity
-// the per-server result cache stores.
-func (it *INTANG) ChooseSpec(server packet.Addr) string {
-	return it.chooseCandidate(server).canon
-}
-
 // chooseCandidate resolves the cached winner (a canonical spec string)
 // or falls back to the rotation (§6).
 func (it *INTANG) chooseCandidate(server packet.Addr) candidate {

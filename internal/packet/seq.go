@@ -40,11 +40,3 @@ func (s Seq) Min(t Seq) Seq {
 	}
 	return t
 }
-
-// Max returns the later of s and t in sequence space.
-func (s Seq) Max(t Seq) Seq {
-	if s.After(t) {
-		return s
-	}
-	return t
-}

@@ -232,14 +232,14 @@ func (c *Conn) sampleRTT(r time.Duration) {
 // exactly.
 func (c *Conn) currentRTO() time.Duration {
 	if c.srtt == 0 {
-		return c.stack.InitialRTO
+		return InitialRTO
 	}
 	rto := c.srtt + 4*c.rttvar
-	if rto < c.stack.MinRTO {
-		rto = c.stack.MinRTO
+	if rto < MinRTO {
+		rto = MinRTO
 	}
-	if c.stack.MaxRTO > 0 && rto > c.stack.MaxRTO {
-		rto = c.stack.MaxRTO
+	if rto > MaxRTO {
+		rto = MaxRTO
 	}
 	return rto
 }
@@ -293,8 +293,8 @@ func (c *Conn) onPersistTimer(gen int) {
 		c.transmit(packet.FlagPSH|packet.FlagACK, c.probeSeq, c.rcvNxt, []byte{c.probeData})
 	}
 	c.persistRTO *= 2
-	if c.stack.MaxRTO > 0 && c.persistRTO > c.stack.MaxRTO {
-		c.persistRTO = c.stack.MaxRTO
+	if c.persistRTO > MaxRTO {
+		c.persistRTO = MaxRTO
 	}
 	c.armPersist()
 }

@@ -90,16 +90,20 @@ func TestZeroWindowProbe(t *testing.T) {
 // TestRTOBackoffCapped is the regression test for unbounded RTO
 // doubling: exponential backoff must clamp at MaxRTO.
 func TestRTOBackoffCapped(t *testing.T) {
-	sim, _, cli, _ := lossyPair(t, Linux44(), Linux44(), 1.0)
+	sim, p, cli, srv := pair(t, Linux44(), Linux44())
 	cli.Obs = obs.New(obs.NewRegistry(), nil)
-	cli.MaxRTO = time.Second
+	c, _ := establish(t, sim, cli, srv)
 
-	c := cli.Connect(srvAddr, 80)
-	sim.RunFor(10 * time.Second)
-	// Uncapped doubling from 200ms gives up after 25.4s; capped at 1s
-	// it gives up inside 6s.
+	// Six doublings from the 200ms floor never reach the ceiling, so
+	// start from a sampled RTO of seconds, then make the path go dark.
+	c.rto = 6 * time.Second
+	p.Server = netem.EndpointFunc(func(*packet.Packet) {})
+	c.Write([]byte("x"))
+	sim.RunFor(300 * time.Second)
+	// Capped at 60s, the seventh timeout gives up 270s after the write;
+	// uncapped doubling would wait 762s.
 	if c.State() != Closed || c.AbortReason != "retransmission-limit" {
-		t.Fatalf("state=%v reason=%q, want capped backoff to give up within 10s",
+		t.Fatalf("state=%v reason=%q, want capped backoff to give up within 300s",
 			c.State(), c.AbortReason)
 	}
 	if n := cli.Obs.Registry().Value("tcpstack.rto-capped"); n == 0 {
@@ -184,7 +188,7 @@ func TestRTTSamplingFeedsRTO(t *testing.T) {
 	if c.srtt > 50*time.Millisecond {
 		t.Fatalf("srtt = %v, want ~8ms", c.srtt)
 	}
-	if got := c.currentRTO(); got != cli.MinRTO {
-		t.Fatalf("currentRTO = %v, want MinRTO %v", got, cli.MinRTO)
+	if got := c.currentRTO(); got != MinRTO {
+		t.Fatalf("currentRTO = %v, want MinRTO %v", got, MinRTO)
 	}
 }

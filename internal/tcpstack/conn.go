@@ -245,7 +245,7 @@ func (c *Conn) setState(s State) {
 			c.local.addr.String()+" "+from.String()+">"+s.String())
 	}
 	if s == TimeWait {
-		c.stack.Sim.At(c.stack.TimeWaitDuration, func() {
+		c.stack.Sim.At(TimeWaitDuration, func() {
 			if c.state == TimeWait {
 				c.abort("")
 				c.AbortReason = "closed"
@@ -331,7 +331,7 @@ func (c *Conn) onRetxTimer(gen int) {
 	}
 	seg := &c.retx[0]
 	seg.retries++
-	if seg.retries > c.stack.MaxRetries {
+	if seg.retries > MaxRetries {
 		if c.stack.Obs != nil {
 			c.stack.Obs.Count("tcpstack.retransmission-limit")
 			c.stack.Obs.Trace("tcpstack", "retransmission-limit", uint32(seg.seq), seg.flags, "")
@@ -346,8 +346,8 @@ func (c *Conn) onRetxTimer(gen int) {
 	c.onRetxTimeout()
 	c.transmit(seg.flags, seg.seq, c.rcvNxt, seg.data)
 	c.rto *= 2
-	if c.stack.MaxRTO > 0 && c.rto > c.stack.MaxRTO {
-		c.rto = c.stack.MaxRTO
+	if c.rto > MaxRTO {
+		c.rto = MaxRTO
 		if c.stack.Obs != nil {
 			c.stack.Obs.Count("tcpstack.rto-capped")
 		}

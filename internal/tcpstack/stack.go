@@ -23,6 +23,20 @@ type Acceptor func(c *Conn)
 // UDPHandler receives UDP datagrams addressed to a bound port.
 type UDPHandler func(src packet.Addr, srcPort uint16, payload []byte)
 
+// InitialRTO and MaxRetries control retransmission. MinRTO and MaxRTO
+// clamp the RFC 6298 sampled estimate: the 200ms floor matches Linux
+// (and always binds at simulated RTTs, preserving pre-sampling
+// timing), the 60s ceiling caps exponential backoff. TimeWaitDuration
+// is how long TIME_WAIT lingers before the connection entry is
+// reclaimed.
+const (
+	InitialRTO       = 200 * time.Millisecond
+	MinRTO           = 200 * time.Millisecond
+	MaxRTO           = 60 * time.Second
+	MaxRetries       = 6
+	TimeWaitDuration = 500 * time.Millisecond
+)
+
 // ObserveFunc, when set on a Stack, sees every (segment, disposition)
 // pair its connections classify — the hook the ignore-path analysis and
 // tests use.
@@ -40,18 +54,6 @@ type Stack struct {
 	// AttachClient/AttachServer/AttachDevice or set it directly (the
 	// strategy engine interposes here).
 	Send func(pkt *packet.Packet)
-
-	// InitialRTO and MaxRetries control retransmission. MinRTO and
-	// MaxRTO clamp the RFC 6298 sampled estimate: the 200ms floor
-	// matches Linux (and always binds at simulated RTTs, preserving
-	// pre-sampling timing), the 60s ceiling caps exponential backoff.
-	InitialRTO time.Duration
-	MinRTO     time.Duration
-	MaxRTO     time.Duration
-	MaxRetries int
-	// TimeWaitDuration is how long TIME_WAIT lingers before the
-	// connection entry is reclaimed.
-	TimeWaitDuration time.Duration
 
 	// Observe, when set, sees every classified segment.
 	Observe ObserveFunc
@@ -92,18 +94,13 @@ type Stack struct {
 // NewStack creates a stack for addr with the given profile.
 func NewStack(addr packet.Addr, profile Profile, sim *netem.Simulator) *Stack {
 	return &Stack{
-		Addr:             addr,
-		Profile:          profile,
-		Sim:              sim,
-		InitialRTO:       200 * time.Millisecond,
-		MinRTO:           200 * time.Millisecond,
-		MaxRTO:           60 * time.Second,
-		MaxRetries:       6,
-		TimeWaitDuration: 500 * time.Millisecond,
-		conns:            make(map[connKey]*Conn),
-		listeners:        make(map[uint16]Acceptor),
-		udp:              make(map[uint16]UDPHandler),
-		nextPort:         32768,
+		Addr:      addr,
+		Profile:   profile,
+		Sim:       sim,
+		conns:     make(map[connKey]*Conn),
+		listeners: make(map[uint16]Acceptor),
+		udp:       make(map[uint16]UDPHandler),
+		nextPort:  32768,
 		// Hosts resolve overlapping fragments in favour of the newest
 		// copy — the behaviour the out-of-order IP-fragment evasion of
 		// §3.2 relies on at the server.
@@ -209,7 +206,7 @@ func (s *Stack) ConnectFrom(lport uint16, raddr packet.Addr, rport uint16) *Conn
 }
 
 func (s *Stack) newConn(lport uint16, raddr packet.Addr, rport uint16) *Conn {
-	c := &Conn{stack: s, rto: s.InitialRTO, rcvWnd: s.Profile.WindowSize}
+	c := &Conn{stack: s, rto: InitialRTO, rcvWnd: s.Profile.WindowSize}
 	c.initCongestion()
 	c.local.addr, c.local.port = s.Addr, lport
 	c.remote.addr, c.remote.port = raddr, rport

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"intango/internal/netem"
+	"intango/internal/spectext"
 )
 
 // Kind classifies a node.
@@ -129,7 +130,7 @@ type LinkSpec struct {
 func (l LinkSpec) String() string {
 	var args []string
 	if l.Latency != 0 {
-		args = append(args, "lat="+l.Latency.String())
+		args = append(args, "lat="+spectext.Duration(l.Latency))
 	}
 	if l.Loss != 0 {
 		args = append(args, "loss="+strconv.FormatFloat(l.Loss, 'g', -1, 64))
@@ -210,249 +211,147 @@ func MustParseTopo(input string) Spec {
 // names, link endpoints, reachability) happen in NewProgram, not here
 // — except a few that would make the encoding ambiguous.
 func ParseTopo(input string) (Spec, error) {
-	p := &topoParser{s: input}
+	sc := spectext.NewScanner("topo", input)
 	var spec Spec
 	seenEcmp := false
-	p.space()
-	if p.eof() {
-		return Spec{}, fmt.Errorf("topo: empty input")
+	sc.Space()
+	if sc.EOF() {
+		return Spec{}, sc.Errorf("empty input")
 	}
 	for {
-		p.space()
-		if p.eof() {
+		sc.Space()
+		if sc.EOF() {
 			return spec, nil
 		}
 		switch {
-		case strings.HasPrefix(p.rest(), "node:"):
-			p.i += len("node:")
-			n, err := p.node()
+		case sc.Prefix("node:"):
+			n, err := parseNode(sc)
 			if err != nil {
 				return Spec{}, err
 			}
 			spec.Nodes = append(spec.Nodes, n)
-		case strings.HasPrefix(p.rest(), "link:"):
-			p.i += len("link:")
-			l, err := p.link()
+		case sc.Prefix("link:"):
+			l, err := parseLink(sc)
 			if err != nil {
 				return Spec{}, err
 			}
 			spec.Links = append(spec.Links, l)
-		case strings.HasPrefix(p.rest(), "ecmp"):
-			p.i += len("ecmp")
-			seed, err := p.ecmp()
+		case sc.Prefix("ecmp"):
+			seed, err := parseECMP(sc)
 			if err != nil {
 				return Spec{}, err
 			}
 			if seenEcmp {
-				return Spec{}, fmt.Errorf("topo: duplicate ecmp statement")
+				return Spec{}, sc.Errorf("duplicate ecmp statement")
 			}
 			seenEcmp = true
 			spec.ECMPSeed = seed
 		default:
-			return Spec{}, fmt.Errorf("topo: expected node:, link: or ecmp, got %q", p.rest())
+			return Spec{}, sc.Errorf("expected node:, link: or ecmp, got %q", sc.Rest())
 		}
 	}
 }
 
-type topoParser struct {
-	s string
-	i int
-}
-
-func (p *topoParser) eof() bool    { return p.i >= len(p.s) }
-func (p *topoParser) rest() string { return p.s[p.i:] }
-
-func (p *topoParser) space() {
-	for !p.eof() && (p.s[p.i] == ' ' || p.s[p.i] == '\t' || p.s[p.i] == '\n' || p.s[p.i] == '\r') {
-		p.i++
-	}
-}
-
-func nameByte(c byte) bool {
-	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' ||
-		c >= '0' && c <= '9' || c == '-' || c == '_' || c == '.' || c == '+'
-}
-
-// refByte additionally allows ':' so bindings can namespace their
-// references ("ipf:gfw-new").
-func refByte(c byte) bool { return nameByte(c) || c == ':' }
-
-// name consumes a run of name bytes (possibly empty).
-func (p *topoParser) name() string {
-	start := p.i
-	for !p.eof() && nameByte(p.s[p.i]) {
-		p.i++
-	}
-	return p.s[start:p.i]
-}
-
-// ref consumes a run of reference bytes (possibly empty).
-func (p *topoParser) ref() string {
-	start := p.i
-	for !p.eof() && refByte(p.s[p.i]) {
-		p.i++
-	}
-	return p.s[start:p.i]
-}
-
-func (p *topoParser) consume(c byte) bool {
-	if !p.eof() && p.s[p.i] == c {
-		p.i++
-		return true
-	}
-	return false
-}
-
-// arg is one parsed attribute: bare ("router") or key=value.
-type arg struct {
-	key string // "" for a bare token
-	val string
-}
-
-// label names the attribute in errors: the key for key=value, the
-// token itself when bare.
-func (a arg) label() string {
-	if a.key != "" {
-		return a.key
-	}
-	return a.val
-}
-
-// args parses an optional parenthesised attribute list.
-func (p *topoParser) args(owner string) ([]arg, error) {
-	if !p.consume('(') {
-		return nil, nil
-	}
-	var out []arg
-	for {
-		p.space()
-		if p.consume(')') {
-			return out, nil
-		}
-		tok := p.name()
-		if tok == "" {
-			return nil, fmt.Errorf("topo: %s: expected attribute, got %q", owner, p.rest())
-		}
-		a := arg{val: tok}
-		if p.consume('=') {
-			a.key = tok
-			a.val = p.ref()
-			if a.val == "" {
-				return nil, fmt.Errorf("topo: %s: missing value for %q", owner, a.key)
-			}
-		}
-		out = append(out, a)
-		p.space()
-		if p.consume(',') {
-			continue
-		}
-		if p.consume(')') {
-			return out, nil
-		}
-		return nil, fmt.Errorf("topo: %s: expected ',' or ')', got %q", owner, p.rest())
-	}
-}
-
-func (p *topoParser) node() (NodeSpec, error) {
+func parseNode(sc *spectext.Scanner) (NodeSpec, error) {
 	var n NodeSpec
-	n.Name = p.name()
+	n.Name = sc.Run(spectext.Word)
 	if n.Name == "" {
-		return n, fmt.Errorf("topo: node: missing name, got %q", p.rest())
+		return n, sc.Errorf("node: missing name, got %q", sc.Rest())
 	}
-	args, err := p.args("node:" + n.Name)
+	args, err := sc.Args("node:"+n.Name, spectext.Ref)
 	if err != nil {
 		return n, err
 	}
 	for _, a := range args {
 		switch {
-		case a.key == "" && a.val == "client":
+		case a.Key == "" && a.Val == "client":
 			if n.Kind != KindPlain {
-				return n, fmt.Errorf("topo: node:%s: conflicting kind %q", n.Name, a.val)
+				return n, sc.Errorf("node:%s: conflicting kind %q", n.Name, a.Val)
 			}
 			n.Kind = KindClient
-		case a.key == "" && a.val == "server":
+		case a.Key == "" && a.Val == "server":
 			if n.Kind != KindPlain {
-				return n, fmt.Errorf("topo: node:%s: conflicting kind %q", n.Name, a.val)
+				return n, sc.Errorf("node:%s: conflicting kind %q", n.Name, a.Val)
 			}
 			n.Kind = KindServer
-		case a.key == "" && a.val == "router":
+		case a.Key == "" && a.Val == "router":
 			if n.Kind != KindPlain {
-				return n, fmt.Errorf("topo: node:%s: conflicting kind %q", n.Name, a.val)
+				return n, sc.Errorf("node:%s: conflicting kind %q", n.Name, a.Val)
 			}
 			n.Kind = KindRouter
-		case a.key == "label":
-			n.Label = a.val
-		case a.key == "tap":
-			n.Attach = append(n.Attach, Attachment{Tap: true, Ref: a.val})
-		case a.key == "proc":
-			n.Attach = append(n.Attach, Attachment{Ref: a.val})
-		case a.key == "censor":
-			n.Attach = append(n.Attach, Attachment{Censor: true, Ref: a.val})
+		case a.Key == "label":
+			n.Label = a.Val
+		case a.Key == "tap":
+			n.Attach = append(n.Attach, Attachment{Tap: true, Ref: a.Val})
+		case a.Key == "proc":
+			n.Attach = append(n.Attach, Attachment{Ref: a.Val})
+		case a.Key == "censor":
+			n.Attach = append(n.Attach, Attachment{Censor: true, Ref: a.Val})
 		default:
-			return n, fmt.Errorf("topo: node:%s: unknown attribute %q", n.Name, a.label())
+			return n, sc.Errorf("node:%s: unknown attribute %q", n.Name, a.Label())
 		}
 	}
 	return n, nil
 }
 
-func (p *topoParser) link() (LinkSpec, error) {
+func parseLink(sc *spectext.Scanner) (LinkSpec, error) {
 	var l LinkSpec
-	l.From = p.name()
+	l.From = sc.Run(spectext.Word)
 	if l.From == "" {
-		return l, fmt.Errorf("topo: link: missing source node, got %q", p.rest())
+		return l, sc.Errorf("link: missing source node, got %q", sc.Rest())
 	}
-	if !p.consume('>') {
-		return l, fmt.Errorf("topo: link:%s: expected '>', got %q", l.From, p.rest())
+	if !sc.Consume('>') {
+		return l, sc.Errorf("link:%s: expected '>', got %q", l.From, sc.Rest())
 	}
-	l.To = p.name()
+	l.To = sc.Run(spectext.Word)
 	if l.To == "" {
-		return l, fmt.Errorf("topo: link:%s>: missing target node, got %q", l.From, p.rest())
+		return l, sc.Errorf("link:%s>: missing target node, got %q", l.From, sc.Rest())
 	}
 	owner := "link:" + l.From + ">" + l.To
-	args, err := p.args(owner)
+	args, err := sc.Args(owner, spectext.Ref)
 	if err != nil {
 		return l, err
 	}
 	for _, a := range args {
-		switch a.key {
+		switch a.Key {
 		case "lat":
-			d, err := time.ParseDuration(a.val)
+			d, err := time.ParseDuration(a.Val)
 			if err != nil || d < 0 {
-				return l, fmt.Errorf("topo: %s: bad lat %q", owner, a.val)
+				return l, sc.Errorf("%s: bad lat %q", owner, a.Val)
 			}
 			l.Latency = d
 		case "loss":
-			f, err := strconv.ParseFloat(a.val, 64)
+			f, err := strconv.ParseFloat(a.Val, 64)
 			if err != nil || f < 0 || f >= 1 {
-				return l, fmt.Errorf("topo: %s: bad loss %q (want [0,1))", owner, a.val)
+				return l, sc.Errorf("%s: bad loss %q (want [0,1))", owner, a.Val)
 			}
 			l.Loss = f
 		case "mtu":
-			m, err := strconv.Atoi(a.val)
+			m, err := strconv.Atoi(a.Val)
 			if err != nil || m <= 0 {
-				return l, fmt.Errorf("topo: %s: bad mtu %q", owner, a.val)
+				return l, sc.Errorf("%s: bad mtu %q", owner, a.Val)
 			}
 			l.MTU = m
 		case "bw":
-			bits, err := parseRate(a.val)
+			bits, err := parseRate(a.Val)
 			if err != nil {
-				return l, fmt.Errorf("topo: %s: bad bw %q", owner, a.val)
+				return l, sc.Errorf("%s: bad bw %q", owner, a.Val)
 			}
 			l.RateBits = bits
 		case "queue":
-			q, err := strconv.Atoi(a.val)
+			q, err := strconv.Atoi(a.Val)
 			if err != nil || q <= 0 {
-				return l, fmt.Errorf("topo: %s: bad queue %q", owner, a.val)
+				return l, sc.Errorf("%s: bad queue %q", owner, a.Val)
 			}
 			l.Queue = q
 		case "":
-			if a.val == "red" {
+			if a.Val == "red" {
 				l.RED = true
 				continue
 			}
-			return l, fmt.Errorf("topo: %s: unknown attribute %q", owner, a.label())
+			return l, sc.Errorf("%s: unknown attribute %q", owner, a.Label())
 		default:
-			return l, fmt.Errorf("topo: %s: unknown attribute %q", owner, a.label())
+			return l, sc.Errorf("%s: unknown attribute %q", owner, a.Label())
 		}
 	}
 	return l, nil
@@ -481,20 +380,20 @@ func parseRate(s string) (int64, error) {
 	return n * mult, nil
 }
 
-func (p *topoParser) ecmp() (uint64, error) {
-	args, err := p.args("ecmp")
+func parseECMP(sc *spectext.Scanner) (uint64, error) {
+	args, err := sc.Args("ecmp", spectext.Ref)
 	if err != nil {
 		return 0, err
 	}
-	if len(args) != 1 || args[0].key != "seed" {
-		return 0, fmt.Errorf("topo: ecmp: want ecmp(seed=N)")
+	if len(args) != 1 || args[0].Key != "seed" {
+		return 0, sc.Errorf("ecmp: want ecmp(seed=N)")
 	}
-	seed, err := strconv.ParseUint(args[0].val, 10, 64)
+	seed, err := strconv.ParseUint(args[0].Val, 10, 64)
 	if err != nil {
-		return 0, fmt.Errorf("topo: ecmp: bad seed %q", args[0].val)
+		return 0, sc.Errorf("ecmp: bad seed %q", args[0].Val)
 	}
 	if seed == 0 {
-		return 0, fmt.Errorf("topo: ecmp: seed must be nonzero (zero is the unseeded default)")
+		return 0, sc.Errorf("ecmp: seed must be nonzero (zero is the unseeded default)")
 	}
 	return seed, nil
 }

@@ -25,6 +25,9 @@ func TestParseTopoRoundTrip(t *testing.T) {
 			"link:c>r0(lat=1ms,bw=1mbit,queue=16) link:r0>c(lat=1ms,bw=1mbit,queue=16) " +
 			"link:r0>s(lat=1ms) link:s>r0(lat=1ms)",
 		"node:c(client) node:s(server) link:c>s(lat=1ms,bw=500kbit,red) link:s>c(lat=1ms,bw=2gbit)",
+		// Sub-millisecond latencies spell the micro sign "u", or the
+		// canonical text would not parse back.
+		"node:c(client) node:s(server) link:c>s(lat=1.5us) link:s>c(lat=999ns)",
 		"node:c(client) node:b1(router,censor=gfw2017) node:b2(router,censor=turkmenistan) node:s(server) " +
 			"link:c>b1 link:c>b2 link:b1>s link:b2>s link:s>b1 " +
 			"ecmp(seed=9)",
