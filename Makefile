@@ -33,9 +33,11 @@ test:
 # the ablation and Table 5 — and five times the journaled executor's
 # kill/resume drill over its second cube, the §8 ablation (workers
 # restoring, journaling and stopping shards while the tracker samples
-# them), and the live-snapshot consistency test (every mid-campaign
+# them), the live-snapshot consistency test (every mid-campaign
 # /progress scrape reads one state of the shards the workers fold
-# trials into).
+# trials into), and the tests of a live world's one lock and shared
+# clock: the daemon under concurrent flows, expiry and plane scrapes,
+# and the userspace-stack pair tests.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=10 -run '^TestSharedMatcher$$' ./internal/dpi
@@ -43,6 +45,8 @@ race:
 	$(GO) test -race -count=10 -run '^TestCampaignSerialParallelDeterminism$$' ./internal/experiment
 	$(GO) test -race -count=5 -run '^TestFleetKillResumeBitIdentical$$/^ablation$$' ./internal/fleet
 	$(GO) test -race -count=5 -run '^TestFleetPlaneLiveSnapshotsConsistent$$' ./internal/experiment/progresshttp
+	$(GO) test -race -count=5 -run '^TestProxyConcurrentFlowsWithPlaneScrape$$' ./internal/intangd
+	$(GO) test -race -count=5 ./internal/device/uis
 
 # fuzz-smoke replays the checked-in seed corpora of the topology,
 # censor and strategy spec parsers (the strategy grammar's parser also

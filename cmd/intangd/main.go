@@ -74,7 +74,7 @@ func serve(args []string) error {
 		strat     = fs.String("strategy", "", "initial strategy: builtin name, raw spec, or 'pass'")
 		seed      = fs.Int64("seed", 1, "world seed")
 		idle      = fs.Duration("idle", 60*time.Second, "idle-flow expiry timeout")
-		timescale = fs.Float64("timescale", 1, "virtual seconds per wall second on the censored path")
+		timescale = fs.Float64("timescale", 1, "virtual seconds per wall second on the world clock the censored path and the client stack share")
 		portsFile = fs.String("ports-file", "", "write bound addresses here (shell-sourceable) once listening")
 	)
 	fs.Parse(args)
@@ -92,9 +92,8 @@ func serve(args []string) error {
 	defer p.Close()
 
 	stack := uis.New(p.ClientDevice(), uis.Config{
-		Addr:      p.ClientAddr(),
-		Seed:      *seed + 1,
-		TimeScale: *timescale,
+		Addr: p.ClientAddr(),
+		Seed: *seed + 1,
 	})
 	defer stack.Close()
 

@@ -2,7 +2,6 @@ package censor
 
 import (
 	"math/rand"
-	"strings"
 	"time"
 
 	"intango/internal/dnsmsg"
@@ -161,7 +160,7 @@ func (b *Blocker) processTCP(pkt *packet.Packet, dir netem.Direction) {
 		return
 	}
 	if dir == netem.ToServer && len(b.cfg.Hosts) > 0 {
-		if info, ok := dpi.ParseHTTPRequest(pkt.Payload); ok && suffixMatch(info.Host, b.cfg.Hosts) {
+		if info, ok := dpi.ParseHTTPRequest(pkt.Payload); ok && gfw.DomainMatch(info.Host, b.cfg.Hosts) {
 			b.event("detect-host", pkt, info.Host)
 			b.blockPair(pkt.IP.Src, pkt.IP.Dst, pkt)
 		}
@@ -176,7 +175,7 @@ func (b *Blocker) processUDP(ctx *netem.Context, pkt *packet.Packet) {
 		return
 	}
 	name, ok := dpi.DNSUDPQueryName(pkt.Payload)
-	if !ok || !suffixMatch(name, b.cfg.Domains) {
+	if !ok || !gfw.DomainMatch(name, b.cfg.Domains) {
 		return
 	}
 	b.event("detect-dns", pkt, name)
@@ -201,26 +200,14 @@ func (b *Blocker) processUDP(ctx *netem.Context, pkt *packet.Packet) {
 // blockPair starts (or refreshes) the residual blackhole for an
 // address pair.
 func (b *Blocker) blockPair(src, dst packet.Addr, cause *packet.Packet) {
-	b.pairBlock[blockerPairKey(src, dst)] = b.now + b.cfg.BlockDuration
+	b.pairBlock[gfw.PairKey(src, dst)] = b.now + b.cfg.BlockDuration
 	b.event("block", cause, "")
-}
-
-func blockerPairKey(a, b packet.Addr) [2]packet.Addr {
-	for i := range a {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return [2]packet.Addr{a, b}
-			}
-			return [2]packet.Addr{b, a}
-		}
-	}
-	return [2]packet.Addr{a, b}
 }
 
 // PairBlocked reports whether the address pair is currently
 // blackholed.
 func (b *Blocker) PairBlocked(x, y packet.Addr, now time.Duration) bool {
-	exp, ok := b.pairBlock[blockerPairKey(x, y)]
+	exp, ok := b.pairBlock[gfw.PairKey(x, y)]
 	return ok && now < exp
 }
 
@@ -239,7 +226,7 @@ type flowFilter struct{ b *Blocker }
 func (f *flowFilter) Name() string { return f.b.name + "-flowfilter" }
 
 func (f *flowFilter) Process(ctx *netem.Context, pkt *packet.Packet, dir netem.Direction) netem.Verdict {
-	key := blockerPairKey(pkt.IP.Src, pkt.IP.Dst)
+	key := gfw.PairKey(pkt.IP.Src, pkt.IP.Dst)
 	exp, ok := f.b.pairBlock[key]
 	if !ok {
 		return netem.Pass
@@ -250,16 +237,4 @@ func (f *flowFilter) Process(ctx *netem.Context, pkt *packet.Packet, dir netem.D
 	}
 	f.b.event("drop-flow", pkt, "")
 	return netem.Drop
-}
-
-// suffixMatch reports whether name equals, or is a subdomain of, any
-// entry in list.
-func suffixMatch(name string, list []string) bool {
-	name = strings.ToLower(name)
-	for _, dom := range list {
-		if name == dom || strings.HasSuffix(name, "."+dom) {
-			return true
-		}
-	}
-	return false
 }

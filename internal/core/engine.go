@@ -101,7 +101,7 @@ func (e *Engine) Outbound(pkt *packet.Packet) {
 	e.net.StampLineage(pkt)
 	tuple := pkt.Tuple()
 	fs := e.flows[tuple]
-	if fs == nil {
+	if fs == nil || Reconnects(pkt.TCP, fs.flow.ISS) {
 		fs = &flowState{flow: Flow{Tuple: tuple, Env: &e.Env}}
 		if e.NewStrategy != nil {
 			fs.strat = e.NewStrategy(tuple)
@@ -138,6 +138,16 @@ func (e *Engine) Outbound(pkt *packet.Packet) {
 	f.DataSent += len(pkt.Payload)
 
 	e.emit(emissions)
+}
+
+// Reconnects reports whether tcp, leaving the client on a tuple whose
+// flow began with initial sequence number iss, opens a new connection
+// on that tuple: a bare SYN with another sequence number. A
+// retransmitted SYN keeps its flow. A long-running engine sees tuples
+// reused once the client's ephemeral ports wrap, and a new connection
+// must not inherit a finished flow whose one-shot triggers have fired.
+func Reconnects(tcp *packet.TCPHeader, iss packet.Seq) bool {
+	return tcp != nil && tcp.FlagsOnly(packet.FlagSYN) && tcp.Seq != iss
 }
 
 // emit sends a volley. Insertion packets are sent in Env.Repeat waves

@@ -253,3 +253,65 @@ func TestMD5RequestAgainstHardenedGFW(t *testing.T) {
 	}
 	_ = gfw.Config{}
 }
+
+// TestReusedTupleGetsFreshFlow: a second connection on a finished
+// connection's 4-tuple, which a long-running engine sees once the
+// client's ephemeral ports wrap, opens a fresh flow with a fresh
+// strategy, so its handshake trigger fires again and its keyword goes
+// out protected.
+func TestReusedTupleGetsFreshFlow(t *testing.T) {
+	r := newTrialRig(t, evolved(), nil, nil)
+	factory := builtin(t, "teardown-reversal")
+	strategies := 0
+	r.engine.NewStrategy = func(packet.FourTuple) Strategy {
+		strategies++
+		return factory()
+	}
+	synacks := make([]int, 2) // handshake-trigger insertions per connection
+	conn := 0
+	r.engine.OnOutboundRaw = func(em Emission) {
+		if em.Insertion && em.Pkt.TCP.FlagsOnly(packet.FlagSYN|packet.FlagACK) {
+			synacks[conn]++
+		}
+	}
+	for conn = 0; conn < 2; conn++ {
+		c := r.cli.ConnectFrom(40000, srvAddr, 80)
+		r.sim.RunFor(2 * time.Second)
+		if c.State() != tcpstack.Established {
+			t.Fatalf("connection %d state = %v", conn, c.State())
+		}
+		c.Write([]byte("GET /?q=" + keyword + " HTTP/1.1\r\nHost: example.com\r\n\r\n"))
+		r.sim.RunFor(5 * time.Second)
+		if !bytes.Contains(c.Received(), []byte("200 OK")) {
+			t.Fatalf("connection %d on the reused tuple did not evade (detections: %d)", conn, r.dev.Stats["detect"])
+		}
+		c.Close()
+		r.sim.RunFor(5 * time.Second)
+	}
+	if strategies != 2 {
+		t.Errorf("engine built %d strategies for two connections on one tuple, want 2", strategies)
+	}
+	for i, n := range synacks {
+		if n == 0 {
+			t.Errorf("connection %d sent no handshake-trigger insertion", i)
+		}
+	}
+}
+
+// TestRetransmittedSYNKeepsFlow: a SYN resent with its flow's ISS is a
+// retransmission, not a new connection, so the flow and its strategy
+// stay.
+func TestRetransmittedSYNKeepsFlow(t *testing.T) {
+	r := newTrialRig(t, evolved(), nil, nil)
+	strategies := 0
+	r.engine.NewStrategy = func(packet.FourTuple) Strategy {
+		strategies++
+		return nil
+	}
+	for i := 0; i < 3; i++ {
+		r.engine.Outbound(packet.NewTCP(cliAddr, 40000, srvAddr, 80, packet.FlagSYN, 7, 0, nil))
+	}
+	if strategies != 1 {
+		t.Errorf("three copies of one SYN built %d strategies, want 1", strategies)
+	}
+}

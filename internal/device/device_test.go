@@ -21,7 +21,7 @@ func mkTCP(payload string) *packet.Packet {
 // a pipe and checks the parsed far-side packets field-for-field: the
 // pipe must behave like a wire, not a pointer queue.
 func TestPipeRoundTripFidelity(t *testing.T) {
-	a, b := NewPipe(0)
+	a, b := NewPipe(nil, 0)
 	defer a.Close()
 
 	want := mkTCP("GET /search?q=ultrasurf HTTP/1.1\r\n\r\n")
@@ -86,7 +86,7 @@ func TestPipeRoundTripFidelity(t *testing.T) {
 // TestPipeHalfClose: after one end closes, the peer drains what was
 // already in flight, then reads fail; writes fail on both sides.
 func TestPipeHalfClose(t *testing.T) {
-	a, b := NewPipe(0)
+	a, b := NewPipe(nil, 0)
 	for i := 0; i < 3; i++ {
 		if err := a.WritePacket(mkTCP("buffered")); err != nil {
 			t.Fatalf("WritePacket: %v", err)
@@ -116,7 +116,7 @@ func TestPipeHalfClose(t *testing.T) {
 // wake with ErrClosed when either its own end or the peer closes.
 func TestPipeCloseUnblocksReader(t *testing.T) {
 	for _, who := range []string{"own", "peer"} {
-		a, b := NewPipe(0)
+		a, b := NewPipe(nil, 0)
 		done := make(chan error, 1)
 		go func() {
 			_, err := b.ReadPacket()
@@ -139,68 +139,10 @@ func TestPipeCloseUnblocksReader(t *testing.T) {
 	}
 }
 
-// TestPipePoolReleaseAfterDeliver: with a pool attached, a written
-// packet goes back to the pool exactly once its bytes are encoded, so
-// a userspace stack over a pipe recycles like one over netem.
-func TestPipePoolReleaseAfterDeliver(t *testing.T) {
-	pl := packet.NewPool()
-	a, b := NewPipe(0)
-	a.SetPool(pl)
-	if PoolOf(a) != pl {
-		t.Fatalf("PoolOf(pipe) did not surface the attached pool")
-	}
-
-	// The released packet is reused by a later Get without a fresh
-	// allocation. One Get after one Put need not recycle: race builds of
-	// sync.Pool drop a quarter of Puts at random, and a goroutine that
-	// moves to another P between Put and Get misses that P's private
-	// slot. So repeat write → read → Get until a Get is served from the
-	// pool, holding every write to exactly one Put.
-	var p *packet.Packet
-	recycled := false
-	for try := 0; try < 64 && !recycled; try++ {
-		p = pl.NewTCP(packet.AddrFrom4(10, 0, 0, 1), 40000, packet.AddrFrom4(203, 0, 113, 80), 80,
-			packet.FlagPSH|packet.FlagACK, 1, 2, []byte("hello"))
-		puts := pl.Stats().Puts
-		if err := a.WritePacket(p); err != nil {
-			t.Fatalf("WritePacket: %v", err)
-		}
-		if got := pl.Stats().Puts - puts; got != 1 {
-			t.Fatalf("try %d: pool puts after write: got %d want 1", try, got)
-		}
-		got, err := b.ReadPacket()
-		if err != nil {
-			t.Fatalf("ReadPacket: %v", err)
-		}
-		if string(got.Payload) != "hello" {
-			t.Fatalf("payload: got %q", got.Payload)
-		}
-		news := pl.Stats().News
-		q := pl.Get()
-		recycled = pl.Stats().News == news
-		q.Release()
-	}
-	if !recycled {
-		t.Errorf("no released packet was recycled in 64 tries, stats %+v", pl.Stats())
-	}
-
-	// The second write of the same (released) packet is an ownership
-	// bug and must panic rather than corrupt.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Errorf("double write of a pool packet did not panic")
-			}
-		}()
-		_ = a.WritePacket(p)
-	}()
-	_ = b.Close()
-}
-
 // TestPipeTailDrop: a bounded pipe drops overflow instead of blocking
 // the writer.
 func TestPipeTailDrop(t *testing.T) {
-	a, b := NewPipe(2)
+	a, b := NewPipe(nil, 2)
 	for i := 0; i < 5; i++ {
 		if err := a.WritePacket(mkTCP("x")); err != nil {
 			t.Fatalf("WritePacket %d: %v", i, err)

@@ -3,6 +3,7 @@ package device
 import (
 	"sync"
 
+	"intango/internal/netem"
 	"intango/internal/packet"
 )
 
@@ -14,17 +15,12 @@ import (
 //
 // Writes never block: each end has a receive queue, and when a
 // capacity is set the queue tail-drops like a full NIC ring (Dropped
-// counts the losses). That property is load-bearing — the proxy writes
-// into a pipe while holding its world lock, and a blocking write there
+// counts the losses). That property is load-bearing — both ends write
+// while holding their world's clock lock, and a blocking write there
 // would deadlock against a reader waiting for that lock.
 type PipeEnd struct {
-	name string
 	peer *PipeEnd
-	// pool, when set, receives every written packet back after its
-	// bytes are encoded: the writer hands ownership to the device, and
-	// the device releases to the pool exactly where netem would have —
-	// after delivery onto the wire.
-	pool *packet.Pool
+	clk  *netem.Clock
 
 	mu      sync.Mutex
 	rd      sync.Cond
@@ -35,26 +31,20 @@ type PipeEnd struct {
 	cap     int
 }
 
-// NewPipe returns the two connected ends of a packet pipe. capacity
-// bounds each direction's receive queue (0 means unbounded); overflow
-// tail-drops.
-func NewPipe(capacity int) (*PipeEnd, *PipeEnd) {
-	a := &PipeEnd{name: "a", cap: capacity}
-	b := &PipeEnd{name: "b", cap: capacity}
+// NewPipe returns the two connected ends of a packet pipe in the world
+// clk keeps. capacity bounds each direction's receive queue (0 means
+// unbounded); overflow tail-drops.
+func NewPipe(clk *netem.Clock, capacity int) (*PipeEnd, *PipeEnd) {
+	a := &PipeEnd{clk: clk, cap: capacity}
+	b := &PipeEnd{clk: clk, cap: capacity}
 	a.rd.L = &a.mu
 	b.rd.L = &b.mu
 	a.peer, b.peer = b, a
 	return a, b
 }
 
-// SetPool attaches a pool this end releases written packets to once
-// they are serialized (see PipeEnd). Callers that keep ownership of
-// their packets — or whose packets belong to another layer — leave it
-// nil.
-func (e *PipeEnd) SetPool(pl *packet.Pool) { e.pool = pl }
-
-// PacketPool implements Pooled.
-func (e *PipeEnd) PacketPool() *packet.Pool { return e.pool }
+// Clock returns the clock both ends of the pipe share.
+func (e *PipeEnd) Clock() *netem.Clock { return e.clk }
 
 // Dropped returns how many inbound datagrams this end's full queue
 // discarded.
@@ -64,14 +54,10 @@ func (e *PipeEnd) Dropped() uint64 {
 	return e.dropped
 }
 
-// WritePacket serializes pkt and queues the bytes at the peer.
-// Ownership of pkt transfers to the device: with a pool attached the
-// packet is recycled here, otherwise it is simply left for the GC.
+// WritePacket serializes pkt and queues the bytes at the peer; pkt
+// stays the caller's.
 func (e *PipeEnd) WritePacket(pkt *packet.Packet) error {
 	data := pkt.Serialize(packet.SerializeOptions{})
-	if e.pool != nil {
-		pkt.Release()
-	}
 	e.mu.Lock()
 	closed := e.closed
 	e.mu.Unlock()

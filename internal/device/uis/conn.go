@@ -15,8 +15,8 @@ import (
 var ErrReset = errors.New("uis: connection reset by peer")
 
 // Conn adapts one tcpstack connection to net.Conn. All state is
-// guarded by the owning stack's mutex; OnData runs on the delivery
-// path with that mutex already held, so the callback only appends.
+// guarded by the owning stack's clock; OnData runs on the delivery
+// path with that lock already held, so the callback only appends.
 type Conn struct {
 	stack *Stack
 	tc    *tcpstack.Conn
@@ -31,8 +31,8 @@ type Conn struct {
 func newConn(s *Stack, tc *tcpstack.Conn) *Conn {
 	c := &Conn{stack: s, tc: tc}
 	tc.OnData = func(data []byte) {
-		// Delivery path: s.mu held. The chunk is a view of the
-		// connection's Received(), so copy into the buffer Read
+		// Delivery path: the clock's lock is held. The chunk is a view
+		// of the connection's Received(), so copy into the buffer Read
 		// consumes.
 		c.buf = append(c.buf, data...)
 	}
@@ -52,8 +52,8 @@ func eofState(st tcpstack.State) bool {
 // Read blocks until buffered data, EOF, reset, deadline, or close.
 func (c *Conn) Read(b []byte) (int, error) {
 	s := c.stack
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.clk.Lock()
+	defer s.clk.Unlock()
 	for {
 		if len(c.buf) > 0 {
 			n := copy(b, c.buf)
@@ -73,17 +73,17 @@ func (c *Conn) Read(b []byte) (int, error) {
 		if !c.readDeadline.IsZero() && time.Now().After(c.readDeadline) {
 			return 0, os.ErrDeadlineExceeded
 		}
-		// The clock pump broadcasts every tick, so deadline checks
+		// The clock's pump broadcasts every tick, so deadline checks
 		// rerun at tick granularity.
-		s.note.Wait()
+		s.clk.Tick.Wait()
 	}
 }
 
 // Write queues data on the connection.
 func (c *Conn) Write(b []byte) (int, error) {
 	s := c.stack
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.clk.Lock()
+	defer s.clk.Unlock()
 	if c.closed {
 		return 0, net.ErrClosed
 	}
@@ -104,13 +104,13 @@ func (c *Conn) Write(b []byte) (int, error) {
 // Close starts an orderly shutdown (FIN after queued data).
 func (c *Conn) Close() error {
 	s := c.stack
-	s.mu.Lock()
+	s.clk.Lock()
 	if !c.closed {
 		c.closed = true
 		c.tc.Close()
 	}
-	s.mu.Unlock()
-	s.note.Broadcast()
+	s.clk.Unlock()
+	s.clk.Tick.Broadcast()
 	return nil
 }
 
@@ -128,27 +128,27 @@ func (c *Conn) RemoteAddr() net.Addr {
 
 // SetDeadline sets both read and write deadlines.
 func (c *Conn) SetDeadline(t time.Time) error {
-	c.stack.mu.Lock()
+	c.stack.clk.Lock()
 	c.readDeadline, c.writeDeadline = t, t
-	c.stack.mu.Unlock()
-	c.stack.note.Broadcast()
+	c.stack.clk.Unlock()
+	c.stack.clk.Tick.Broadcast()
 	return nil
 }
 
 // SetReadDeadline sets the read deadline.
 func (c *Conn) SetReadDeadline(t time.Time) error {
-	c.stack.mu.Lock()
+	c.stack.clk.Lock()
 	c.readDeadline = t
-	c.stack.mu.Unlock()
-	c.stack.note.Broadcast()
+	c.stack.clk.Unlock()
+	c.stack.clk.Tick.Broadcast()
 	return nil
 }
 
 // SetWriteDeadline sets the write deadline.
 func (c *Conn) SetWriteDeadline(t time.Time) error {
-	c.stack.mu.Lock()
+	c.stack.clk.Lock()
 	c.writeDeadline = t
-	c.stack.mu.Unlock()
-	c.stack.note.Broadcast()
+	c.stack.clk.Unlock()
+	c.stack.clk.Tick.Broadcast()
 	return nil
 }

@@ -5,17 +5,19 @@
 // and whatever sits on the far side of the device (the intangd proxy,
 // a simulated censored path, a test pipe) sees honest wire traffic.
 //
-// Internally the stack owns a private discrete-event simulator that a
-// wall-clock pump advances, so the tcpstack's virtual timers (RTO,
-// persist, TIME_WAIT) fire in real time. One mutex serializes the
-// simulator, the TCP state machines, and the connection buffers; the
-// read pump and the clock pump are the only goroutines that take it
-// besides callers.
+// The stack has no clock of its own: its tcpstack schedules its
+// virtual timers (RTO, persist, TIME_WAIT) on the simulator of the
+// device's netem.Clock, whose pump fires them in real time, and the
+// clock's lock serializes the TCP state machines and the connection
+// buffers together with the rest of that world. Callers block on the
+// clock's Tick, which the pump broadcasts after every advance and the
+// read pump after every delivery.
 package uis
 
 import (
 	"context"
 	"fmt"
+	"math/rand"
 	"net"
 	"os"
 	"strconv"
@@ -32,65 +34,51 @@ import (
 type Config struct {
 	// Addr is the stack's IPv4 address (required).
 	Addr packet.Addr
-	// Seed drives the stack's private simulator (ISNs, timer jitter).
+	// Seed drives the stack's initial sequence numbers, from a source
+	// of its own: the world's random stream does not move as clients
+	// connect.
 	Seed int64
-	// TimeScale multiplies wall time into virtual time (default 1.0);
-	// >1 makes the stack's timers run fast, matching a proxy world
-	// driven at the same scale.
-	TimeScale float64
 	// Hosts resolves names the Dialer sees to addresses on the far
 	// side of the device; literal IPv4 strings always resolve.
 	Hosts map[string]packet.Addr
 }
 
-// The stack runs Linux 4.4's TCP profile, its clock pump ticks every
-// clockTick of wall time, and Dial waits at most dialTimeout for the
-// handshake.
-const (
-	clockTick   = time.Millisecond
-	dialTimeout = 10 * time.Second
-)
+// The stack runs Linux 4.4's TCP profile, and Dial waits at most
+// dialTimeout for the handshake.
+const dialTimeout = 10 * time.Second
 
-// Stack is a userspace TCP/IP endpoint bound to a Device.
+// Stack is a userspace TCP/IP endpoint bound to a Device. Its state is
+// guarded by the device's clock.
 type Stack struct {
-	cfg Config
-	dev device.Device
-
-	mu   sync.Mutex
-	note sync.Cond
-	sim  *netem.Simulator
+	cfg  Config
+	dev  device.Device
+	clk  *netem.Clock
 	tcp  *tcpstack.Stack
 	down bool // device closed under us
 
-	stop chan struct{}
-	once sync.Once
-	wg   sync.WaitGroup
+	wg sync.WaitGroup
 }
 
-// New builds a stack over dev and starts its pumps.
+// New builds a stack over dev, on dev's clock, and starts its read
+// pump.
 func New(dev device.Device, cfg Config) *Stack {
-	if cfg.TimeScale <= 0 {
-		cfg.TimeScale = 1
-	}
-	s := &Stack{cfg: cfg, dev: dev, stop: make(chan struct{})}
-	s.note.L = &s.mu
-	s.sim = netem.NewSimulator(cfg.Seed)
-	s.tcp = tcpstack.NewStack(cfg.Addr, tcpstack.Linux44(), s.sim)
-	s.tcp.AttachDevice(dev)
-	s.wg.Add(2)
+	s := &Stack{cfg: cfg, dev: dev, clk: dev.Clock()}
+	s.tcp = tcpstack.NewStack(cfg.Addr, tcpstack.Linux44(), s.clk.Sim)
+	// A write to a closed device is lost on the wire; the read pump
+	// sees the close and takes the stack down.
+	s.tcp.Send = func(pkt *packet.Packet) { _ = dev.WritePacket(pkt) }
+	iss := rand.New(netem.NewSource(cfg.Seed))
+	s.tcp.ForceISS = func() packet.Seq { return packet.Seq(iss.Uint32()) }
+	s.wg.Add(1)
 	go s.readPump()
-	go s.clockPump()
 	return s
 }
 
-// Close stops the pumps and closes the underlying device.
+// Close closes the underlying device and waits for the read pump.
 func (s *Stack) Close() error {
-	s.once.Do(func() {
-		close(s.stop)
-		s.dev.Close() // unblocks the read pump
-	})
+	err := s.dev.Close() // unblocks the read pump
 	s.wg.Wait()
-	return nil
+	return err
 }
 
 // readPump moves inbound datagrams from the device into the TCP stack.
@@ -99,42 +87,16 @@ func (s *Stack) readPump() {
 	for {
 		pkt, err := s.dev.ReadPacket()
 		if err != nil {
-			s.mu.Lock()
+			s.clk.Lock()
 			s.down = true
-			s.mu.Unlock()
-			s.note.Broadcast()
+			s.clk.Unlock()
+			s.clk.Tick.Broadcast()
 			return
 		}
-		s.mu.Lock()
+		s.clk.Lock()
 		s.tcp.Deliver(pkt)
-		s.mu.Unlock()
-		s.note.Broadcast()
-	}
-}
-
-// clockPump advances the private simulator with the wall clock, firing
-// the stack's virtual timers. Every tick also wakes blocked readers so
-// deadlines are re-checked at tick granularity.
-func (s *Stack) clockPump() {
-	defer s.wg.Done()
-	t := time.NewTicker(clockTick)
-	defer t.Stop()
-	last := time.Now()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case now := <-t.C:
-			el := now.Sub(last)
-			last = now
-			if s.cfg.TimeScale != 1 {
-				el = time.Duration(float64(el) * s.cfg.TimeScale)
-			}
-			s.mu.Lock()
-			s.sim.RunFor(el)
-			s.mu.Unlock()
-			s.note.Broadcast()
-		}
+		s.clk.Unlock()
+		s.clk.Tick.Broadcast()
 	}
 }
 
@@ -145,8 +107,8 @@ func (s *Stack) Dial(raddr packet.Addr, rport uint16) (net.Conn, error) {
 }
 
 func (s *Stack) dial(raddr packet.Addr, rport uint16, deadline time.Time) (net.Conn, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.clk.Lock()
+	defer s.clk.Unlock()
 	if s.down {
 		return nil, device.ErrClosed
 	}
@@ -167,7 +129,7 @@ func (s *Stack) dial(raddr packet.Addr, rport uint16, deadline time.Time) (net.C
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return nil, fmt.Errorf("uis: dial %v:%d: %w", raddr, rport, os.ErrDeadlineExceeded)
 		}
-		s.note.Wait()
+		s.clk.Tick.Wait()
 	}
 }
 
@@ -225,11 +187,11 @@ func (s *Stack) resolve(host string) (packet.Addr, bool) {
 
 // Listen binds a TCP listener on port.
 func (s *Stack) Listen(port uint16) (net.Listener, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.clk.Lock()
+	defer s.clk.Unlock()
 	l := &Listener{stack: s, port: port}
 	s.tcp.Listen(port, func(tc *tcpstack.Conn) {
-		// Runs under s.mu (delivery path).
+		// Runs under the clock's lock (delivery path).
 		l.pending = append(l.pending, newConn(s, tc))
 	})
 	return l, nil
@@ -246,10 +208,10 @@ type Listener struct {
 // Accept blocks until a handshake lands on the listener's port.
 func (l *Listener) Accept() (net.Conn, error) {
 	s := l.stack
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.clk.Lock()
+	defer s.clk.Unlock()
 	for len(l.pending) == 0 && !l.closed && !s.down {
-		s.note.Wait()
+		s.clk.Tick.Wait()
 	}
 	if l.closed || s.down {
 		return nil, device.ErrClosed
@@ -262,10 +224,10 @@ func (l *Listener) Accept() (net.Conn, error) {
 // Close stops the listener (established connections live on).
 func (l *Listener) Close() error {
 	s := l.stack
-	s.mu.Lock()
+	s.clk.Lock()
 	l.closed = true
-	s.mu.Unlock()
-	s.note.Broadcast()
+	s.clk.Unlock()
+	s.clk.Tick.Broadcast()
 	return nil
 }
 

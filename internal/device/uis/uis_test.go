@@ -6,17 +6,22 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"intango/internal/device"
 	"intango/internal/device/uis"
+	"intango/internal/netem"
 	"intango/internal/packet"
 )
 
+// newPair joins two stacks with a pipe on one running clock.
 func newPair(t *testing.T) (cli, srv *uis.Stack) {
 	t.Helper()
-	a, b := device.NewPipe(0)
+	clk := netem.NewClock(1, 1)
+	clk.Start()
+	a, b := device.NewPipe(clk, 0)
 	srv = uis.New(a, uis.Config{
 		Addr: packet.AddrFrom4(203, 0, 113, 80),
 		Seed: 2,
@@ -29,6 +34,7 @@ func newPair(t *testing.T) (cli, srv *uis.Stack) {
 	t.Cleanup(func() {
 		cli.Close()
 		srv.Close()
+		clk.Stop()
 	})
 	return cli, srv
 }
@@ -148,5 +154,44 @@ func TestDialRefused(t *testing.T) {
 	_, err := cli.Dial(packet.AddrFrom4(203, 0, 113, 80), 4444)
 	if err == nil {
 		t.Fatalf("Dial succeeded against a closed port")
+	}
+}
+
+// TestClockDrivesBlockedDials: two stacks on one stopped Clock dial
+// peers that never answer, and a single Advance fires both stacks' SYN
+// retransmissions to the limit, failing both dials with no wall-clock
+// wait.
+func TestClockDrivesBlockedDials(t *testing.T) {
+	clk := netem.NewClock(1, 1) // never started: only Advance moves it
+	srv := packet.AddrFrom4(203, 0, 113, 80)
+	var peers []*device.PipeEnd
+	errs := make(chan error, 2)
+	for i := 0; i < 2; i++ {
+		a, b := device.NewPipe(clk, 0)
+		cli := uis.New(b, uis.Config{Addr: packet.AddrFrom4(10, 0, 0, byte(1+i)), Seed: int64(i)})
+		t.Cleanup(func() { cli.Close() })
+		peers = append(peers, a)
+		go func() {
+			_, err := cli.Dial(srv, 80)
+			errs <- err
+		}()
+	}
+	// The SYN on the wire means its dial holds the clock's lock until
+	// it waits on Tick, and its retransmission timer is armed.
+	for _, peer := range peers {
+		if pkt, err := peer.ReadPacket(); err != nil || pkt.TCP == nil || !pkt.TCP.FlagsOnly(packet.FlagSYN) {
+			t.Fatalf("first packet: %v, %v; want a SYN", pkt, err)
+		}
+	}
+	clk.Advance(time.Minute)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-errs:
+			if err == nil || !strings.Contains(err.Error(), "retransmission-limit") {
+				t.Errorf("dial: got %v, want retransmission-limit", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a dial still blocked after the clock passed every retransmission")
+		}
 	}
 }

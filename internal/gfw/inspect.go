@@ -39,7 +39,7 @@ func (d *Device) inspect(ctx *netem.Context, key packet.FourTuple, t *tcb, pkt *
 
 	// DNS-over-TCP: censored domain in the query stream (§7.2).
 	if d.cfg.Type2 && t.sport == 53 {
-		if name, ok := dpi.DNSTCPQueryName(t.stream.contiguous()); ok && d.domainPoisoned(name) {
+		if name, ok := dpi.DNSTCPQueryName(t.stream.contiguous()); ok && DomainMatch(name, d.cfg.PoisonedDomains) {
 			type2Hit = true
 		}
 	}
@@ -76,9 +76,11 @@ func (d *Device) inspect(ctx *netem.Context, key packet.FourTuple, t *tcb, pkt *
 	}
 }
 
-func (d *Device) domainPoisoned(name string) bool {
+// DomainMatch reports whether name equals, or is a subdomain of, any
+// entry in list, ignoring the case of name.
+func DomainMatch(name string, list []string) bool {
 	name = strings.ToLower(name)
-	for _, dom := range d.cfg.PoisonedDomains {
+	for _, dom := range list {
 		if name == dom || strings.HasSuffix(name, "."+dom) {
 			return true
 		}
@@ -90,12 +92,14 @@ func (d *Device) domainPoisoned(name string) bool {
 // client/server address pair. cause is the packet whose detection
 // triggered the entry.
 func (d *Device) blockPair(ctx *netem.Context, client, server packet.Addr, cause *packet.Packet) {
-	key := pairKey(client, server)
+	key := PairKey(client, server)
 	d.pairBlock[key] = ctx.Sim.Now() + d.cfg.BlockDuration
 	d.eventPkt("block", packet.FourTuple{SrcAddr: client, DstAddr: server}, cause, "")
 }
 
-func pairKey(a, b packet.Addr) [2]packet.Addr {
+// PairKey orders an address pair, so both directions of a flow key one
+// blocklist entry.
+func PairKey(a, b packet.Addr) [2]packet.Addr {
 	for i := range a {
 		if a[i] != b[i] {
 			if a[i] < b[i] {
@@ -109,7 +113,7 @@ func pairKey(a, b packet.Addr) [2]packet.Addr {
 
 // PairBlocked reports whether the address pair is currently blocked.
 func (d *Device) PairBlocked(a, b packet.Addr, now time.Duration) bool {
-	exp, ok := d.pairBlock[pairKey(a, b)]
+	exp, ok := d.pairBlock[PairKey(a, b)]
 	return ok && now < exp
 }
 
@@ -121,12 +125,12 @@ func (d *Device) enforceBlocklist(ctx *netem.Context, pkt *packet.Packet) bool {
 	if !d.cfg.Type2 {
 		return false
 	}
-	exp, ok := d.pairBlock[pairKey(pkt.IP.Src, pkt.IP.Dst)]
+	exp, ok := d.pairBlock[PairKey(pkt.IP.Src, pkt.IP.Dst)]
 	if !ok {
 		return false
 	}
 	if ctx.Sim.Now() >= exp {
-		delete(d.pairBlock, pairKey(pkt.IP.Src, pkt.IP.Dst))
+		delete(d.pairBlock, PairKey(pkt.IP.Src, pkt.IP.Dst))
 		return false
 	}
 	tcp := pkt.TCP
@@ -224,7 +228,7 @@ func (d *Device) processUDP(ctx *netem.Context, pkt *packet.Packet) {
 		return
 	}
 	name, ok := dpi.DNSUDPQueryName(pkt.Payload)
-	if !ok || !d.domainPoisoned(name) {
+	if !ok || !DomainMatch(name, d.cfg.PoisonedDomains) {
 		return
 	}
 	query, err := dnsmsg.Decode(pkt.Payload)

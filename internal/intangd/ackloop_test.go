@@ -35,9 +35,9 @@ func TestCensoredFetchBoundsChallengeACKs(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	var log eventLog
-	p.mu.Lock()
+	p.clk.Lock()
 	p.rec.Tap(&log)
-	p.mu.Unlock()
+	p.clk.Unlock()
 	cli := uis.New(p.ClientDevice(), uis.Config{
 		Addr:  p.ClientAddr(),
 		Seed:  1,
@@ -56,10 +56,10 @@ func TestCensoredFetchBoundsChallengeACKs(t *testing.T) {
 		t.Fatalf("censored fetch succeeded: %d", resp.StatusCode)
 	}
 	// Let the blocklist run on: an unbounded loop keeps going.
-	p.AdvanceVirtual(5 * time.Second)
+	p.clk.Advance(5 * time.Second)
 
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.clk.Lock()
+	defer p.clk.Unlock()
 	challenged := map[uint32]bool{}
 	for _, e := range log {
 		if e.Subsys == "tcpstack" && (e.Verb == "rst-in-window-challenge-ack" || e.Verb == "syn-challenge-ack") {

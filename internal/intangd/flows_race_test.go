@@ -12,91 +12,15 @@ import (
 	"intango/internal/appsim"
 	"intango/internal/device/uis"
 	"intango/internal/intangd"
-	"intango/internal/packet"
 )
-
-// TestFlowTableConcurrency hammers the sharded table directly:
-// concurrent setup (outbound touches on fresh tuples), traffic on both
-// directions, teardown via Expire, and snapshot scrapes — the shapes
-// the daemon runs simultaneously. The race detector is the real
-// assertion; the counts at the end are a sanity floor.
-func TestFlowTableConcurrency(t *testing.T) {
-	ft := intangd.NewFlowTable(8)
-	const workers = 8
-	const flowsPerWorker = 50
-
-	var writers, loops sync.WaitGroup
-	stop := make(chan struct{})
-
-	// Scraper: Snapshot + Len in a tight loop while writers run.
-	loops.Add(1)
-	go func() {
-		defer loops.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			ft.Snapshot(time.Now())
-			ft.Len()
-		}
-	}()
-
-	// Expirer: everything idle for >1ms goes; writers keep re-creating.
-	loops.Add(1)
-	go func() {
-		defer loops.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			ft.Expire(time.Now(), time.Millisecond)
-			time.Sleep(200 * time.Microsecond)
-		}
-	}()
-
-	for w := 0; w < workers; w++ {
-		writers.Add(1)
-		go func(w int) {
-			defer writers.Done()
-			src := packet.AddrFrom4(10, 0, byte(w), 1)
-			dst := packet.AddrFrom4(203, 0, 113, 80)
-			for i := 0; i < flowsPerWorker; i++ {
-				out := packet.NewTCP(src, uint16(10000+i), dst, 80, packet.FlagPSH|packet.FlagACK, 1, 1, []byte("x"))
-				in := packet.NewTCP(dst, 80, src, uint16(10000+i), packet.FlagACK|packet.FlagRST, 1, 2, nil)
-				for j := 0; j < 5; j++ {
-					ft.TouchOutbound(out, "pass", time.Now(), 0)
-					ft.TouchInbound(in, time.Now(), 0)
-				}
-			}
-		}(w)
-	}
-
-	// Let writers finish, then stop the background loops.
-	done := make(chan struct{})
-	go func() { writers.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("flow table hammer wedged")
-	}
-	close(stop)
-	loops.Wait()
-
-	// Everything idle now; a final expire drains the table.
-	ft.Expire(time.Now().Add(time.Hour), time.Millisecond)
-	if n := ft.Len(); n != 0 {
-		t.Errorf("table not drained: %d flows left", n)
-	}
-}
 
 // TestProxyConcurrentFlowsWithPlaneScrape runs the whole daemon hot:
 // concurrent client connections opening, transferring and closing
 // through the engine while /flows and /metrics are scraped over real
 // HTTP mid-traffic, then a short idle timeout expires the leftovers.
+// Every one of them takes the world lock — the clients' stack, the
+// proxy's packet pumps, the clock's pump, the expiry loop and the
+// plane — so under the race detector this is the test of the one lock.
 func TestProxyConcurrentFlowsWithPlaneScrape(t *testing.T) {
 	p, err := intangd.New(intangd.Config{
 		Censor:      testCensor,

@@ -4,36 +4,40 @@
 // counterpart of the per-trial experiment rig — same engine, same
 // censor devices, same observability plane, but flows arrive
 // concurrently from outside instead of being scripted one at a time.
+// The world and the clients on its device run on one netem.Clock: one
+// simulator, one wall-clock pump, and one lock that every packet, timer
+// and control-plane call takes.
 package intangd
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
+	"intango/internal/core"
 	"intango/internal/packet"
 )
 
-// FlowInfo is the per-flow record the daemon keeps alongside the
+// flowInfo is the per-flow record the daemon keeps alongside the
 // engine's strategy state: traffic counters, liveness timestamps on
 // both clocks, and the TCP teardown signals seen from the network side.
-type FlowInfo struct {
-	Tuple    packet.FourTuple
-	Strategy string
+type flowInfo struct {
+	tuple    packet.FourTuple
+	iss      packet.Seq // the client's, from the SYN that opened the flow
+	strategy string
 
-	OutPkts  uint64
-	InPkts   uint64
-	OutBytes uint64
-	InBytes  uint64
+	outPkts  uint64
+	inPkts   uint64
+	outBytes uint64
+	inBytes  uint64
 
-	GotRST  bool // RST arrived from the network side (censor or server)
-	FINSeen bool // orderly close observed in either direction
+	gotRST  bool // RST arrived from the network side (censor or server)
+	finSeen bool // orderly close observed in either direction
 
-	OpenedWall time.Time
-	LastWall   time.Time
-	OpenedVirt time.Duration
-	LastVirt   time.Duration
+	openedWall time.Time
+	lastWall   time.Time
+	openedVirt time.Duration
+	lastVirt   time.Duration
 }
 
 // FlowView is the JSON shape /flows serves.
@@ -51,54 +55,11 @@ type FlowView struct {
 	VirtMS   int64  `json:"virt_ms"` // virtual-clock lifetime
 }
 
-type flowShard struct {
-	mu    sync.Mutex
-	flows map[packet.FourTuple]*FlowInfo
-}
-
-// FlowTable is the daemon's sharded per-flow state table. Shard count
-// is a power of two; a flow's shard comes from an FNV-1a hash of its
-// canonical tuple, so both directions of a connection land on the same
-// shard without allocating a key.
-type FlowTable struct {
-	shards []flowShard
-	mask   uint32
-}
-
-// NewFlowTable builds a table with at least n shards (n rounds up to a
-// power of two; n<=0 means 16).
-func NewFlowTable(n int) *FlowTable {
-	if n <= 0 {
-		n = 16
-	}
-	size := 1
-	for size < n {
-		size <<= 1
-	}
-	t := &FlowTable{shards: make([]flowShard, size), mask: uint32(size - 1)}
-	for i := range t.shards {
-		t.shards[i].flows = make(map[packet.FourTuple]*FlowInfo)
-	}
-	return t
-}
-
-// shardFor hashes the canonical tuple inline (FNV-1a over the 12
-// addr/port bytes) — no per-packet allocation.
-func (t *FlowTable) shardFor(k packet.FourTuple) *flowShard {
-	h := uint32(2166136261)
-	step := func(b byte) { h = (h ^ uint32(b)) * 16777619 }
-	for i := 0; i < 4; i++ {
-		step(k.SrcAddr[i])
-	}
-	step(byte(k.SrcPort >> 8))
-	step(byte(k.SrcPort))
-	for i := 0; i < 4; i++ {
-		step(k.DstAddr[i])
-	}
-	step(byte(k.DstPort >> 8))
-	step(byte(k.DstPort))
-	return &t.shards[h&t.mask]
-}
+// flowTable is the daemon's per-flow state, keyed by canonical tuple so
+// both directions of a connection find one record. It has no lock of
+// its own: it lives under the world lock, which every packet that
+// touches it already holds.
+type flowTable map[packet.FourTuple]*flowInfo
 
 func pktBytes(pkt *packet.Packet) uint64 {
 	if n := pkt.IP.TotalLength; n > 0 {
@@ -107,114 +68,90 @@ func pktBytes(pkt *packet.Packet) uint64 {
 	return uint64(len(pkt.Payload))
 }
 
-// TouchOutbound records a client-side packet, creating the flow record
-// (stamped with the strategy in force) on first sight. Returns true
-// when this packet opened a new flow.
-func (t *FlowTable) TouchOutbound(pkt *packet.Packet, strategy string, wall time.Time, virt time.Duration) bool {
+// touchOutbound records a client-side packet, opening a flow record
+// (stamped with the strategy in force) on first sight of the tuple or
+// when a SYN reconnects it (core.Reconnects), as the engine opens a
+// new flow. Returns true when this packet opened a flow.
+func (t flowTable) touchOutbound(pkt *packet.Packet, strategy string, wall time.Time, virt time.Duration) bool {
 	key := pkt.Tuple().Canonical()
-	sh := t.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	fi, ok := sh.flows[key]
-	if !ok {
-		fi = &FlowInfo{
-			Tuple: pkt.Tuple(), Strategy: strategy,
-			OpenedWall: wall, OpenedVirt: virt,
+	fi, ok := t[key]
+	opened := !ok || core.Reconnects(pkt.TCP, fi.iss)
+	if opened {
+		fi = &flowInfo{
+			tuple: pkt.Tuple(), strategy: strategy,
+			openedWall: wall, openedVirt: virt,
 		}
-		sh.flows[key] = fi
+		if pkt.TCP != nil && pkt.TCP.FlagsOnly(packet.FlagSYN) {
+			fi.iss = pkt.TCP.Seq
+		}
+		t[key] = fi
 	}
-	fi.OutPkts++
-	fi.OutBytes += pktBytes(pkt)
-	fi.LastWall, fi.LastVirt = wall, virt
+	fi.outPkts++
+	fi.outBytes += pktBytes(pkt)
+	fi.lastWall, fi.lastVirt = wall, virt
 	if pkt.TCP != nil && pkt.TCP.HasFlag(packet.FlagFIN) {
-		fi.FINSeen = true
+		fi.finSeen = true
 	}
-	return !ok
+	return opened
 }
 
-// TouchInbound records a network-side packet for an already-open flow;
+// touchInbound records a network-side packet for an already-open flow;
 // packets for unknown flows (e.g. censor injections racing expiry) are
 // counted by the caller's registry but create no record.
-func (t *FlowTable) TouchInbound(pkt *packet.Packet, wall time.Time, virt time.Duration) {
-	key := pkt.Tuple().Canonical()
-	sh := t.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	fi, ok := sh.flows[key]
+func (t flowTable) touchInbound(pkt *packet.Packet, wall time.Time, virt time.Duration) {
+	fi, ok := t[pkt.Tuple().Canonical()]
 	if !ok {
 		return
 	}
-	fi.InPkts++
-	fi.InBytes += pktBytes(pkt)
-	fi.LastWall, fi.LastVirt = wall, virt
+	fi.inPkts++
+	fi.inBytes += pktBytes(pkt)
+	fi.lastWall, fi.lastVirt = wall, virt
 	if pkt.TCP != nil {
 		if pkt.TCP.HasFlag(packet.FlagRST) {
-			fi.GotRST = true
+			fi.gotRST = true
 		}
 		if pkt.TCP.HasFlag(packet.FlagFIN) {
-			fi.FINSeen = true
+			fi.finSeen = true
 		}
 	}
 }
 
-// Len returns the live flow count.
-func (t *FlowTable) Len() int {
-	n := 0
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		n += len(sh.flows)
-		sh.mu.Unlock()
-	}
-	return n
-}
-
-// Expire removes flows idle (wall clock) for longer than idle and
+// expire removes flows idle (wall clock) for longer than idle and
 // returns their canonical tuples so the caller can drop the engine's
 // matching strategy state.
-func (t *FlowTable) Expire(now time.Time, idle time.Duration) []packet.FourTuple {
+func (t flowTable) expire(now time.Time, idle time.Duration) []packet.FourTuple {
 	var expired []packet.FourTuple
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for key, fi := range sh.flows {
-			if now.Sub(fi.LastWall) >= idle {
-				delete(sh.flows, key)
-				expired = append(expired, key)
-			}
+	for key, fi := range t {
+		if now.Sub(fi.lastWall) >= idle {
+			delete(t, key)
+			expired = append(expired, key)
 		}
-		sh.mu.Unlock()
 	}
 	return expired
 }
 
-// Snapshot renders the table for /flows, oldest flow first.
-func (t *FlowTable) Snapshot(now time.Time) []FlowView {
-	var out []FlowView
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for _, fi := range sh.flows {
-			state := "active"
-			switch {
-			case fi.GotRST:
-				state = "reset"
-			case fi.FINSeen:
-				state = "closing"
-			}
-			out = append(out, FlowView{
-				Tuple:    tupleString(fi.Tuple),
-				Strategy: fi.Strategy,
-				State:    state,
-				OutPkts:  fi.OutPkts, InPkts: fi.InPkts,
-				OutBytes: fi.OutBytes, InBytes: fi.InBytes,
-				GotRST: fi.GotRST,
-				AgeMS:  now.Sub(fi.OpenedWall).Milliseconds(),
-				IdleMS: now.Sub(fi.LastWall).Milliseconds(),
-				VirtMS: (fi.LastVirt - fi.OpenedVirt).Milliseconds(),
-			})
+// snapshot renders the table for /flows, oldest flow first.
+func (t flowTable) snapshot(now time.Time) []FlowView {
+	out := make([]FlowView, 0, len(t))
+	for _, fi := range t {
+		state := "active"
+		switch {
+		case fi.gotRST:
+			state = "reset"
+		case fi.finSeen:
+			state = "closing"
 		}
-		sh.mu.Unlock()
+		out = append(out, FlowView{
+			Tuple:    tupleString(fi.tuple),
+			Strategy: fi.strategy,
+			State:    state,
+			OutPkts:  fi.outPkts, InPkts: fi.inPkts,
+			OutBytes: fi.outBytes, InBytes: fi.inBytes,
+			GotRST: fi.gotRST,
+			AgeMS:  now.Sub(fi.openedWall).Milliseconds(),
+			IdleMS: now.Sub(fi.lastWall).Milliseconds(),
+			VirtMS: (fi.lastVirt - fi.openedVirt).Milliseconds(),
+		})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].AgeMS != out[j].AgeMS {

@@ -16,9 +16,8 @@ import (
 //	/strategy  GET current; POST ?set=<ref> (or body) to switch
 //	/healthz   liveness
 //
-// The packet path never touches this handler: /flows reads the sharded
-// flow table, /metrics snapshots atomic counters, and only /strategy
-// briefly takes the world lock.
+// The packet path never waits on /metrics, which snapshots atomic
+// counters; /flows and /strategy briefly take the world lock.
 func (p *Proxy) ServePlane(addr string) (stop func(), bound string, err error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

@@ -29,20 +29,18 @@ type Config struct {
 	// IdleTimeout expires flows with no traffic for this long on the
 	// wall clock (default 60s).
 	IdleTimeout time.Duration
-	// TimeScale multiplies wall time into virtual time (default 1.0) —
+	// TimeScale multiplies wall time into virtual time (default 1.0) on
+	// the world's clock, which the clients on ClientDevice share —
 	// raise it to compress the censor's 90-second block windows into
 	// test-sized waits.
 	TimeScale float64
 }
 
 // The world's fixed shape: a chain of pathHops routers from client to
-// server with the censor tapping at censorHop, a clock pump ticking
-// every clockTick of wall time, and a flow table of flowShards shards.
+// server with the censor tapping at censorHop.
 const (
-	pathHops   = 8
-	censorHop  = 2
-	clockTick  = time.Millisecond
-	flowShards = 16
+	pathHops  = 8
+	censorHop = 2
 )
 
 // Proxy is a running daemon world: the censored path, its censor
@@ -50,16 +48,15 @@ const (
 // packet pipe whose far end is handed to clients (usually wrapped in a
 // uis.Stack so stock net code can dial through it).
 //
-// One mutex serializes the world — the simulator, the engine, and the
-// censor devices; the client pump and the clock pump are the only
-// goroutines that take it besides control-plane calls. The flow table
-// has its own sharded locks so /flows scrapes never stall the packet
-// path on the world lock.
+// The world runs on one netem.Clock, which the pipe hands to the
+// clients' stacks too. Its lock serializes everything on it — the
+// simulator, the engine, the censor devices, the flow table and the
+// clients' TCP state; the clock's pump, the packet pumps, the expiry
+// loop and control-plane calls each take it.
 type Proxy struct {
 	cfg Config
 
-	mu     sync.Mutex // world lock
-	sim    *netem.Simulator
+	clk    *netem.Clock // the world's clock and lock
 	path   *netem.Fabric
 	cen    censor.Instance // nil for chain-only censors
 	engine *core.Engine
@@ -70,7 +67,7 @@ type Proxy struct {
 
 	reg   *obs.Registry
 	rec   *obs.Recorder
-	flows *FlowTable
+	flows flowTable
 
 	cdev *device.PipeEnd // proxy-side client boundary
 	ext  *device.PipeEnd // handed to clients
@@ -91,29 +88,27 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.IdleTimeout <= 0 {
 		cfg.IdleTimeout = 60 * time.Second
 	}
-	if cfg.TimeScale <= 0 {
-		cfg.TimeScale = 1
-	}
 
 	p := &Proxy{
 		cfg:        cfg,
-		sim:        netem.NewSimulator(cfg.Seed),
+		clk:        netem.NewClock(cfg.Seed, cfg.TimeScale),
 		reg:        obs.NewRegistry(),
-		flows:      NewFlowTable(flowShards),
+		flows:      make(flowTable),
 		clientAddr: packet.AddrFrom4(10, 0, 0, 1),
 		serverAddr: packet.AddrFrom4(203, 0, 113, 80),
 		stop:       make(chan struct{}),
 	}
-	p.rec = obs.NewRecorder(obs.DefaultRingSize, p.sim.Now)
+	sim := p.clk.Sim
+	p.rec = obs.NewRecorder(obs.DefaultRingSize, sim.Now)
 	bundle := obs.New(p.reg, p.rec)
 
 	link := netem.Link{Latency: time.Millisecond}
-	p.path = netem.NewChain(p.sim, pathHops, link, link)
+	p.path = netem.NewChain(sim, pathHops, link, link)
 	p.path.Obs = bundle
 
 	var err error
 	p.cen, err = censor.Attach(p.path.Node(1+censorHop), cfg.Censor, "gfw", true,
-		p.sim.Rand(), rand.New(rand.NewSource(cfg.Seed+1)))
+		sim.Rand(), rand.New(rand.NewSource(cfg.Seed+1)))
 	if err != nil {
 		return nil, fmt.Errorf("intangd: censor: %w", err)
 	}
@@ -121,16 +116,17 @@ func New(cfg Config) (*Proxy, error) {
 		p.cen.SetObs(bundle)
 	}
 
-	p.server = tcpstack.NewStack(p.serverAddr, tcpstack.Linux44(), p.sim)
+	p.server = tcpstack.NewStack(p.serverAddr, tcpstack.Linux44(), sim)
 	p.server.AttachServer(p.path)
 	p.server.Obs = bundle
 	appsim.ServeHTTP(p.server, 80)
 
-	env := core.DefaultEnv(pathHops-1, p.sim.Rand())
-	p.engine = core.NewEngine(p.sim, p.path, nil, env)
+	env := core.DefaultEnv(pathHops-1, sim.Rand())
+	p.engine = core.NewEngine(sim, p.path, nil, env)
 	p.engine.Upstream = p.inbound
 	p.engine.NewStrategy = func(packet.FourTuple) core.Strategy {
-		// Runs under p.mu (the engine is only entered with it held).
+		// Runs under the world lock (the engine is only entered with it
+		// held).
 		if p.stratFactory == nil {
 			return nil
 		}
@@ -141,17 +137,20 @@ func New(cfg Config) (*Proxy, error) {
 		return nil, err
 	}
 
-	ext, cdev := device.NewPipe(4096)
-	p.ext, p.cdev = ext, cdev
+	p.ext, p.cdev = device.NewPipe(p.clk, 4096)
 
+	p.clk.Start()
 	p.wg.Add(2)
 	go p.clientPump()
-	go p.clockPump()
+	go p.expireLoop()
 	return p, nil
 }
 
 // ClientDevice returns the packet device clients attach to (feed it to
-// uis.New for a net.Conn-shaped dialer).
+// uis.New for a net.Conn-shaped dialer). Its Clock is the world's:
+// Advance on it runs the censored path and the clients' timers forward
+// together, without waiting on the wall clock — the lever for skipping
+// a censor block window.
 func (p *Proxy) ClientDevice() device.Device { return p.ext }
 
 // ClientAddr is the address clients must send from; ServerAddr is the
@@ -163,10 +162,18 @@ func (p *Proxy) ServerAddr() packet.Addr { return p.serverAddr }
 func (p *Proxy) Registry() *obs.Registry { return p.reg }
 
 // FlowViews snapshots the flow table for /flows.
-func (p *Proxy) FlowViews() []FlowView { return p.flows.Snapshot(time.Now()) }
+func (p *Proxy) FlowViews() []FlowView {
+	p.clk.Lock()
+	defer p.clk.Unlock()
+	return p.flows.snapshot(time.Now())
+}
 
 // FlowCount returns the number of live flows.
-func (p *Proxy) FlowCount() int { return p.flows.Len() }
+func (p *Proxy) FlowCount() int {
+	p.clk.Lock()
+	defer p.clk.Unlock()
+	return len(p.flows)
+}
 
 // SetStrategy switches the strategy applied to NEW flows; in-flight
 // flows keep the strategy they opened with. New flows show under ref as
@@ -180,44 +187,36 @@ func (p *Proxy) SetStrategy(ref string) error {
 	if canon == "pass" {
 		name, factory = "pass", nil
 	}
-	p.mu.Lock()
+	p.clk.Lock()
 	p.stratName, p.stratFactory = name, factory
-	p.mu.Unlock()
+	p.clk.Unlock()
 	return nil
 }
 
 // Strategy returns the name applied to new flows.
 func (p *Proxy) Strategy() string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.clk.Lock()
+	defer p.clk.Unlock()
 	return p.stratName
 }
 
 // CensorStat reads one censor event counter (0 when the censor is a
 // chain-only spec with no stats).
 func (p *Proxy) CensorStat(kind string) int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.clk.Lock()
+	defer p.clk.Unlock()
 	if p.cen == nil {
 		return 0
 	}
 	return p.cen.Stat(kind)
 }
 
-// AdvanceVirtual runs the world's virtual clock forward by d without
-// waiting on the wall clock — operational lever for skipping a censor
-// block window (and what the tests use instead of sleeping 90s).
-func (p *Proxy) AdvanceVirtual(d time.Duration) {
-	p.mu.Lock()
-	p.sim.RunFor(d)
-	p.mu.Unlock()
-}
-
-// Close stops the pumps and severs the client boundary.
+// Close stops the clock and the loops and severs the client boundary.
 func (p *Proxy) Close() error {
 	p.once.Do(func() {
 		close(p.stop)
 		p.cdev.Close() // unblocks the client pump; peers see ErrClosed
+		p.clk.Stop()
 	})
 	p.wg.Wait()
 	return nil
@@ -231,14 +230,14 @@ func (p *Proxy) clientPump() {
 		if err != nil {
 			return
 		}
-		p.mu.Lock()
-		if p.flows.TouchOutbound(pkt, p.stratName, time.Now(), p.sim.Now()) {
+		p.clk.Lock()
+		if p.flows.touchOutbound(pkt, p.stratName, time.Now(), p.clk.Sim.Now()) {
 			p.reg.Inc("intangd.flows-opened")
 		}
 		p.reg.Inc("intangd.pkts-out")
 		p.reg.Add("intangd.bytes-out", pktBytes(pkt))
 		p.engine.Outbound(pkt)
-		p.mu.Unlock()
+		p.clk.Unlock()
 	}
 }
 
@@ -247,50 +246,32 @@ func (p *Proxy) clientPump() {
 // and the pipe serializes synchronously, so handing it over copies by
 // construction.
 func (p *Proxy) inbound(pkt *packet.Packet) {
-	p.flows.TouchInbound(pkt, time.Now(), p.sim.Now())
+	p.flows.touchInbound(pkt, time.Now(), p.clk.Sim.Now())
 	p.reg.Inc("intangd.pkts-in")
 	p.reg.Add("intangd.bytes-in", pktBytes(pkt))
 	_ = p.cdev.WritePacket(pkt)
 }
 
-// clockPump advances the world with the wall clock and expires idle
-// flows. Expiry prunes the flow table under its own shard locks, then
-// takes the world lock once to drop the engine's matching state.
-func (p *Proxy) clockPump() {
+// expireLoop expires idle flows: one critical section prunes the flow
+// table and drops the engine's matching state.
+func (p *Proxy) expireLoop() {
 	defer p.wg.Done()
-	t := time.NewTicker(clockTick)
+	t := time.NewTicker(max(p.cfg.IdleTimeout/4, 50*time.Millisecond))
 	defer t.Stop()
-	expireEvery := p.cfg.IdleTimeout / 4
-	if expireEvery < 50*time.Millisecond {
-		expireEvery = 50 * time.Millisecond
-	}
-	ex := time.NewTicker(expireEvery)
-	defer ex.Stop()
-	last := time.Now()
 	for {
 		select {
 		case <-p.stop:
 			return
 		case now := <-t.C:
-			el := now.Sub(last)
-			last = now
-			if p.cfg.TimeScale != 1 {
-				el = time.Duration(float64(el) * p.cfg.TimeScale)
-			}
-			p.mu.Lock()
-			p.sim.RunFor(el)
-			p.mu.Unlock()
-		case now := <-ex.C:
-			expired := p.flows.Expire(now, p.cfg.IdleTimeout)
-			if len(expired) == 0 {
-				continue
-			}
-			p.mu.Lock()
+			p.clk.Lock()
+			expired := p.flows.expire(now, p.cfg.IdleTimeout)
 			for _, tuple := range expired {
 				p.engine.DropFlow(tuple)
 			}
-			p.mu.Unlock()
-			p.reg.Add("intangd.flows-expired", uint64(len(expired)))
+			p.clk.Unlock()
+			if len(expired) > 0 {
+				p.reg.Add("intangd.flows-expired", uint64(len(expired)))
+			}
 		}
 	}
 }

@@ -1,15 +1,19 @@
 package intangd_test
 
 import (
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
+	"intango/internal/appsim"
 	"intango/internal/device/uis"
 	"intango/internal/intangd"
 	"intango/internal/packet"
+	"intango/internal/tcpstack"
 )
 
 // testCensor is the measured gfw2017 with every sampled probability
@@ -137,7 +141,7 @@ func TestProxyStrategySwitchAndBlockWindow(t *testing.T) {
 
 	// The censored pair is now on the 90s blocklist; skip it on the
 	// virtual clock instead of waiting out wall time.
-	p.AdvanceVirtual(2 * time.Minute)
+	p.ClientDevice().Clock().Advance(2 * time.Minute)
 
 	if err := p.SetStrategy("teardown-reversal"); err != nil {
 		t.Fatalf("SetStrategy back: %v", err)
@@ -174,5 +178,83 @@ func TestResolveStrategy(t *testing.T) {
 	}
 	if err := p.SetStrategy("no-such-strategy-!!!"); err == nil || p.Strategy() != spec {
 		t.Errorf("garbage ref: %v, Strategy() = %q", err, p.Strategy())
+	}
+}
+
+// TestReusedClientTupleEvades: two keyword fetches from one client
+// 4-tuple, which a long-running daemon sees once a client's ephemeral
+// ports wrap, both evade. The second SYN opens a new flow in the
+// engine, so its strategy starts afresh, and a new record in the flow
+// table. The client is a bare tcpstack on the world's clock, which
+// can pin its local port.
+func TestReusedClientTupleEvades(t *testing.T) {
+	p, err := intangd.New(intangd.Config{Censor: testCensor, Strategy: "teardown-reversal", Seed: 7})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	dev := p.ClientDevice()
+	clk := dev.Clock()
+	cli := tcpstack.NewStack(p.ClientAddr(), tcpstack.Linux44(), clk.Sim)
+	cli.Send = func(pkt *packet.Packet) { _ = dev.WritePacket(pkt) }
+	pumped := make(chan struct{})
+	go func() {
+		defer close(pumped)
+		for {
+			pkt, err := dev.ReadPacket()
+			if err != nil {
+				return
+			}
+			clk.Lock()
+			cli.Deliver(pkt)
+			clk.Unlock()
+			clk.Tick.Broadcast()
+		}
+	}()
+	t.Cleanup(func() {
+		dev.Close()
+		<-pumped
+		p.Close()
+	})
+
+	fetch := func() error {
+		clk.Lock()
+		defer clk.Unlock()
+		deadline := time.Now().Add(10 * time.Second)
+		wait := func(done func() bool) error {
+			for !done() {
+				if time.Now().After(deadline) {
+					return errors.New("timed out")
+				}
+				clk.Tick.Wait()
+			}
+			return nil
+		}
+		c := cli.ConnectFrom(40000, p.ServerAddr(), 80)
+		if err := wait(func() bool { return c.State() != tcpstack.SynSent && c.State() != tcpstack.SynRecv }); err != nil {
+			return fmt.Errorf("handshake: %w", err)
+		}
+		if c.State() != tcpstack.Established {
+			return fmt.Errorf("handshake ended in %v", c.State())
+		}
+		c.Write(appsim.HTTPRequest("origin.example", "/search?q=ultrasurf"))
+		if err := wait(func() bool { return c.GotRST || appsim.HTTPResponseComplete(c.Received()) }); err != nil {
+			return fmt.Errorf("response: %w", err)
+		}
+		if c.GotRST {
+			return errors.New("reset")
+		}
+		c.Close()
+		return nil
+	}
+	for i := 0; i < 2; i++ {
+		if err := fetch(); err != nil {
+			t.Fatalf("fetch %d from port 40000: %v (censor detections: %d)", i, err, p.CensorStat("detect"))
+		}
+	}
+	if got := p.Registry().Value("intangd.flows-opened"); got != 2 {
+		t.Errorf("flows-opened = %d after two connections on one tuple, want 2", got)
+	}
+	if got := p.CensorStat("detect"); got != 0 {
+		t.Errorf("censor detections = %d, want 0", got)
 	}
 }

@@ -234,14 +234,7 @@ func (c *Conn) currentRTO() time.Duration {
 	if c.srtt == 0 {
 		return InitialRTO
 	}
-	rto := c.srtt + 4*c.rttvar
-	if rto < MinRTO {
-		rto = MinRTO
-	}
-	if rto > MaxRTO {
-		rto = MaxRTO
-	}
-	return rto
+	return min(max(c.srtt+4*c.rttvar, MinRTO), MaxRTO)
 }
 
 // armPersist starts the zero-window probe timer (RFC 9293 §3.8.6.1)
@@ -292,10 +285,7 @@ func (c *Conn) onPersistTimer(gen int) {
 		}
 		c.transmit(packet.FlagPSH|packet.FlagACK, c.probeSeq, c.rcvNxt, []byte{c.probeData})
 	}
-	c.persistRTO *= 2
-	if c.persistRTO > MaxRTO {
-		c.persistRTO = MaxRTO
-	}
+	c.persistRTO = min(2*c.persistRTO, MaxRTO)
 	c.armPersist()
 }
 

@@ -726,10 +726,3 @@ func (c *Conn) peerFin() {
 		c.setState(TimeWait)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

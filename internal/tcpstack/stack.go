@@ -3,7 +3,6 @@ package tcpstack
 import (
 	"time"
 
-	"intango/internal/device"
 	"intango/internal/netem"
 	"intango/internal/obs"
 	"intango/internal/packet"
@@ -51,8 +50,8 @@ type Stack struct {
 	Sim     *netem.Simulator
 
 	// Send transmits a packet into the network. Bind it with
-	// AttachClient/AttachServer/AttachDevice or set it directly (the
-	// strategy engine interposes here).
+	// AttachClient/AttachServer or set it directly (the strategy engine
+	// interposes here, and a userspace stack writes to its device).
 	Send func(pkt *packet.Packet)
 
 	// Observe, when set, sees every classified segment.
@@ -72,10 +71,12 @@ type Stack struct {
 	// nil pool falls back to heap allocation transparently.
 	Pool *packet.Pool
 
-	// ForceISS, when set, overrides the random initial send sequence
-	// number for new connections (both ConnectFrom and accepted
-	// listeners). Wraparound regression tests pin it just below 2^32 so
-	// handshakes and data transfer cross the 32-bit boundary.
+	// ForceISS, when set, overrides the simulator's draw of the initial
+	// send sequence number for new connections (both ConnectFrom and
+	// accepted listeners). Wraparound regression tests pin it just below
+	// 2^32 so handshakes and data transfer cross the 32-bit boundary; a
+	// userspace stack draws from a source of its own, so its connections
+	// leave the world's random stream alone.
 	ForceISS func() packet.Seq
 
 	// challengeSec and challenges count the RFC 5961 challenge ACKs
@@ -121,14 +122,6 @@ func (s *Stack) AttachServer(f *netem.Fabric) {
 	f.Server = s
 	s.Send = f.SendFromServer
 	s.Pool = f.Pool
-}
-
-// AttachDevice wires the stack to an arbitrary packet device — a pipe,
-// a userspace carrier, anything on the Device boundary. Inbound
-// traffic is the caller's to pump (read the device, call Deliver).
-func (s *Stack) AttachDevice(d device.Device) {
-	s.Send = func(pkt *packet.Packet) { _ = d.WritePacket(pkt) }
-	s.Pool = device.PoolOf(d)
 }
 
 func (s *Stack) send(pkt *packet.Packet) {
@@ -184,8 +177,8 @@ func (s *Stack) Connect(raddr packet.Addr, rport uint16) *Conn {
 	return s.ConnectFrom(s.AllocPort(), raddr, rport)
 }
 
-// chooseISS draws the initial send sequence number, honoring the
-// ForceISS test hook.
+// chooseISS draws the initial send sequence number, honoring
+// ForceISS.
 func (s *Stack) chooseISS() packet.Seq {
 	if s.ForceISS != nil {
 		return s.ForceISS()
