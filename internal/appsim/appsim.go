@@ -17,10 +17,20 @@ import (
 	"intango/internal/tcpstack"
 )
 
+// httpPage is ServeHTTP's one answer, rendered once.
+var httpPage = func() []byte {
+	body := "<html><body>it works</body></html>"
+	return []byte(fmt.Sprintf("HTTP/1.1 200 OK\r\nServer: sim\r\nContent-Length: %d\r\n\r\n%s", len(body), body))
+}()
+
 // ServeHTTP installs a minimal HTTP/1.1 server on port. It answers
 // every complete request with a 200 page; the page never echoes the
 // request (mirroring the §3.3 site selection, which excluded servers
 // that copy the URI into the response and so trip response censorship).
+// Once a connection has answered a request, the client's FIN closes
+// the server's side too, so a served connection does not linger in
+// CLOSE_WAIT. A FIN that arrives before any request (an evasion
+// strategy's insertion can reach the server first) leaves it open.
 func ServeHTTP(stack *tcpstack.Stack, port uint16) {
 	stack.Listen(port, func(c *tcpstack.Conn) {
 		served := 0
@@ -30,10 +40,15 @@ func ServeHTTP(stack *tcpstack.Stack, port uint16) {
 			if idx < 0 {
 				return
 			}
+			if served == 0 {
+				c.OnStateChange = func(_, to tcpstack.State) {
+					if to == tcpstack.CloseWait {
+						c.Close()
+					}
+				}
+			}
 			served += idx + 4
-			body := "<html><body>it works</body></html>"
-			c.Write([]byte(fmt.Sprintf(
-				"HTTP/1.1 200 OK\r\nServer: sim\r\nContent-Length: %d\r\n\r\n%s", len(body), body)))
+			c.Write(httpPage)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package device
 
 import (
 	"errors"
+	"strconv"
 	"testing"
 	"time"
 
@@ -155,5 +156,30 @@ func TestPipeTailDrop(t *testing.T) {
 		if _, err := b.ReadPacket(); err != nil {
 			t.Fatalf("read %d: %v", i, err)
 		}
+	}
+}
+
+// TestPipeOrderAcrossReuse interleaves writes and reads, keeping at
+// most three datagrams unread, so the queue drains, refills its array
+// and moves its unread datagrams to the front: every datagram comes out
+// once and in order, and the capacity bounds the unread ones only.
+func TestPipeOrderAcrossReuse(t *testing.T) {
+	a, b := NewPipe(nil, 3)
+	next, want := 0, 0
+	for i := 0; i < 64; i++ {
+		for w := min(1+i%3, 3-(next-want)); w > 0; w-- {
+			a.WritePacket(mkTCP(strconv.Itoa(next)))
+			next++
+		}
+		for r := min(1+i*7%4, next-want); r > 0; r-- {
+			pkt, err := b.ReadPacket()
+			if err != nil || string(pkt.Payload) != strconv.Itoa(want) {
+				t.Fatalf("read: %v, %v; want payload %d", pkt, err, want)
+			}
+			want++
+		}
+	}
+	if got := b.Dropped(); got != 0 {
+		t.Errorf("dropped %d with at most 3 unread", got)
 	}
 }

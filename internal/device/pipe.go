@@ -22,9 +22,13 @@ type PipeEnd struct {
 	peer *PipeEnd
 	clk  *netem.Clock
 
-	mu      sync.Mutex
-	rd      sync.Cond
+	mu sync.Mutex
+	rd sync.Cond
+	// queue[head:] holds the datagrams not yet read. Once they are all
+	// read the queue starts again at the front of its array, so a
+	// queue that drains allocates nothing per datagram.
 	queue   [][]byte
+	head    int
 	closed  bool
 	peerOff bool
 	dropped uint64
@@ -73,10 +77,17 @@ func (e *PipeEnd) push(data []byte) error {
 		e.mu.Unlock()
 		return ErrClosed
 	}
-	if e.cap > 0 && len(e.queue) >= e.cap {
+	if e.cap > 0 && len(e.queue)-e.head >= e.cap {
 		e.dropped++
 		e.mu.Unlock()
 		return nil
+	}
+	if len(e.queue) == cap(e.queue) && e.head > 0 {
+		// Full to the end of its array: move the unread datagrams to
+		// the front instead of growing.
+		n := copy(e.queue, e.queue[e.head:])
+		clear(e.queue[n:])
+		e.queue, e.head = e.queue[:n], 0
 	}
 	e.queue = append(e.queue, data)
 	e.mu.Unlock()
@@ -90,15 +101,18 @@ func (e *PipeEnd) push(data []byte) error {
 // drain a real socket gives.
 func (e *PipeEnd) ReadPacket() (*packet.Packet, error) {
 	e.mu.Lock()
-	for len(e.queue) == 0 && !e.closed && !e.peerOff {
+	for e.head == len(e.queue) && !e.closed && !e.peerOff {
 		e.rd.Wait()
 	}
-	if len(e.queue) == 0 {
+	if e.head == len(e.queue) {
 		e.mu.Unlock()
 		return nil, ErrClosed
 	}
-	data := e.queue[0]
-	e.queue = e.queue[1:]
+	data := e.queue[e.head]
+	e.queue[e.head] = nil
+	if e.head++; e.head == len(e.queue) {
+		e.queue, e.head = e.queue[:0], 0
+	}
 	e.mu.Unlock()
 	return packet.Parse(data)
 }

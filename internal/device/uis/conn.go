@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"sync"
 	"time"
 
 	"intango/internal/tcpstack"
@@ -15,11 +16,13 @@ import (
 var ErrReset = errors.New("uis: connection reset by peer")
 
 // Conn adapts one tcpstack connection to net.Conn. All state is
-// guarded by the owning stack's clock; OnData runs on the delivery
-// path with that lock already held, so the callback only appends.
+// guarded by the owning stack's clock; OnData and OnStateChange run on
+// the delivery path or in a timer with that lock already held, so the
+// callbacks only record and wake.
 type Conn struct {
 	stack *Stack
 	tc    *tcpstack.Conn
+	wake  sync.Cond // the wait queue of a blocked Read or dial
 
 	buf    []byte // received, not yet Read
 	closed bool   // local Close called
@@ -28,13 +31,23 @@ type Conn struct {
 	writeDeadline time.Time
 }
 
+// newConn wraps tc, with the clock's lock held. Once tc closes no
+// caller can block on the connection, so the stack forgets it.
 func newConn(s *Stack, tc *tcpstack.Conn) *Conn {
 	c := &Conn{stack: s, tc: tc}
+	c.wake.L = &s.clk.Mutex
+	s.conns[c] = struct{}{}
 	tc.OnData = func(data []byte) {
-		// Delivery path: the clock's lock is held. The chunk is a view
-		// of the connection's Received(), so copy into the buffer Read
-		// consumes.
+		// The chunk is a view of the connection's Received(), so copy
+		// into the buffer Read consumes.
 		c.buf = append(c.buf, data...)
+		c.wake.Broadcast()
+	}
+	tc.OnStateChange = func(_, to tcpstack.State) {
+		if to == tcpstack.Closed {
+			delete(s.conns, c)
+		}
+		c.wake.Broadcast()
 	}
 	return c
 }
@@ -70,12 +83,10 @@ func (c *Conn) Read(b []byte) (int, error) {
 		case s.down:
 			return 0, io.ErrUnexpectedEOF
 		}
-		if !c.readDeadline.IsZero() && time.Now().After(c.readDeadline) {
+		if expired(c.readDeadline) {
 			return 0, os.ErrDeadlineExceeded
 		}
-		// The clock's pump broadcasts every tick, so deadline checks
-		// rerun at tick granularity.
-		s.clk.Tick.Wait()
+		s.wait(&c.wake, c.readDeadline)
 	}
 }
 
@@ -90,7 +101,7 @@ func (c *Conn) Write(b []byte) (int, error) {
 	if c.tc.GotRST {
 		return 0, ErrReset
 	}
-	if !c.writeDeadline.IsZero() && time.Now().After(c.writeDeadline) {
+	if expired(c.writeDeadline) {
 		return 0, os.ErrDeadlineExceeded
 	}
 	st := c.tc.State()
@@ -109,8 +120,8 @@ func (c *Conn) Close() error {
 		c.closed = true
 		c.tc.Close()
 	}
+	c.wake.Broadcast()
 	s.clk.Unlock()
-	s.clk.Tick.Broadcast()
 	return nil
 }
 
@@ -126,12 +137,14 @@ func (c *Conn) RemoteAddr() net.Addr {
 	return &net.TCPAddr{IP: net.IPv4(a[0], a[1], a[2], a[3]), Port: int(p)}
 }
 
-// SetDeadline sets both read and write deadlines.
+// SetDeadline sets both read and write deadlines. Each deadline
+// setter wakes the connection's queue, so a blocked Read rearms its
+// timer for the new deadline.
 func (c *Conn) SetDeadline(t time.Time) error {
 	c.stack.clk.Lock()
 	c.readDeadline, c.writeDeadline = t, t
+	c.wake.Broadcast()
 	c.stack.clk.Unlock()
-	c.stack.clk.Tick.Broadcast()
 	return nil
 }
 
@@ -139,8 +152,8 @@ func (c *Conn) SetDeadline(t time.Time) error {
 func (c *Conn) SetReadDeadline(t time.Time) error {
 	c.stack.clk.Lock()
 	c.readDeadline = t
+	c.wake.Broadcast()
 	c.stack.clk.Unlock()
-	c.stack.clk.Tick.Broadcast()
 	return nil
 }
 
@@ -148,7 +161,7 @@ func (c *Conn) SetReadDeadline(t time.Time) error {
 func (c *Conn) SetWriteDeadline(t time.Time) error {
 	c.stack.clk.Lock()
 	c.writeDeadline = t
+	c.wake.Broadcast()
 	c.stack.clk.Unlock()
-	c.stack.clk.Tick.Broadcast()
 	return nil
 }

@@ -9,9 +9,16 @@
 // virtual timers (RTO, persist, TIME_WAIT) on the simulator of the
 // device's netem.Clock, whose pump fires them in real time, and the
 // clock's lock serializes the TCP state machines and the connection
-// buffers together with the rest of that world. Callers block on the
-// clock's Tick, which the pump broadcasts after every advance and the
-// read pump after every delivery.
+// buffers together with the rest of that world.
+//
+// A blocked Read, dial or Accept waits on the queue of its own
+// connection or listener: a sync.Cond over the clock's lock. Only that
+// connection's events wake it: its data and state changes (whether a
+// delivery or a timer caused them), its own Close and deadline
+// changes, its listener's accept callback, a timer armed only while the
+// caller waits with a deadline, a dial's context being cancelled, and
+// the device closing. The clock's pump and the read pump wake nobody
+// else.
 package uis
 
 import (
@@ -56,13 +63,23 @@ type Stack struct {
 	tcp  *tcpstack.Stack
 	down bool // device closed under us
 
+	// conns and listeners hold every connection whose TCP half has not
+	// closed and every open listener: the wait queues the device
+	// closing wakes.
+	conns     map[*Conn]struct{}
+	listeners map[*Listener]struct{}
+
 	wg sync.WaitGroup
 }
 
 // New builds a stack over dev, on dev's clock, and starts its read
 // pump.
 func New(dev device.Device, cfg Config) *Stack {
-	s := &Stack{cfg: cfg, dev: dev, clk: dev.Clock()}
+	s := &Stack{
+		cfg: cfg, dev: dev, clk: dev.Clock(),
+		conns:     make(map[*Conn]struct{}),
+		listeners: make(map[*Listener]struct{}),
+	}
 	s.tcp = tcpstack.NewStack(cfg.Addr, tcpstack.Linux44(), s.clk.Sim)
 	// A write to a closed device is lost on the wire; the read pump
 	// sees the close and takes the stack down.
@@ -89,47 +106,87 @@ func (s *Stack) readPump() {
 		if err != nil {
 			s.clk.Lock()
 			s.down = true
+			for c := range s.conns {
+				c.wake.Broadcast()
+			}
+			for l := range s.listeners {
+				l.wake.Broadcast()
+			}
 			s.clk.Unlock()
-			s.clk.Tick.Broadcast()
 			return
 		}
 		s.clk.Lock()
 		s.tcp.Deliver(pkt)
 		s.clk.Unlock()
-		s.clk.Tick.Broadcast()
 	}
+}
+
+// wait blocks on q, with the clock's lock held, until q is woken or
+// deadline (unless zero) passes. The deadline arms a timer for this
+// wait alone; it takes the lock to wake q, so it cannot fire between
+// the caller's check of the deadline and the wait.
+func (s *Stack) wait(q *sync.Cond, deadline time.Time) {
+	if deadline.IsZero() {
+		q.Wait()
+		return
+	}
+	t := time.AfterFunc(time.Until(deadline), func() { s.wake(q) })
+	q.Wait()
+	t.Stop()
+}
+
+// wake broadcasts q from outside the lock.
+func (s *Stack) wake(q *sync.Cond) {
+	s.clk.Lock()
+	q.Broadcast()
+	s.clk.Unlock()
+}
+
+// expired reports whether deadline is set and has passed.
+func expired(deadline time.Time) bool {
+	return !deadline.IsZero() && !time.Now().Before(deadline)
 }
 
 // Dial opens a TCP connection to raddr:rport through the device and
 // blocks until the handshake completes (or dialTimeout passes).
 func (s *Stack) Dial(raddr packet.Addr, rport uint16) (net.Conn, error) {
-	return s.dial(raddr, rport, time.Now().Add(dialTimeout))
+	return s.dial(context.Background(), raddr, rport)
 }
 
-func (s *Stack) dial(raddr packet.Addr, rport uint16, deadline time.Time) (net.Conn, error) {
+// dial waits for the handshake on the connection's own queue, until
+// dialTimeout or ctx's deadline passes or ctx is cancelled.
+func (s *Stack) dial(ctx context.Context, raddr packet.Addr, rport uint16) (net.Conn, error) {
+	deadline := time.Now().Add(dialTimeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
 	s.clk.Lock()
 	defer s.clk.Unlock()
 	if s.down {
 		return nil, device.ErrClosed
 	}
-	tc := s.tcp.Connect(raddr, rport)
-	c := newConn(s, tc)
+	c := newConn(s, s.tcp.Connect(raddr, rport))
+	stop := context.AfterFunc(ctx, func() { s.wake(&c.wake) })
+	defer stop()
 	for {
-		switch tc.State() {
+		switch c.tc.State() {
 		case tcpstack.Established:
 			return c, nil
 		case tcpstack.SynSent, tcpstack.SynRecv:
 			// still shaking hands
 		default:
-			return nil, s.refusedErr(tc, raddr, rport)
+			return nil, s.refusedErr(c.tc, raddr, rport)
 		}
 		if s.down {
 			return nil, device.ErrClosed
 		}
-		if !deadline.IsZero() && time.Now().After(deadline) {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("uis: dial %v:%d: %w", raddr, rport, err)
+		}
+		if expired(deadline) {
 			return nil, fmt.Errorf("uis: dial %v:%d: %w", raddr, rport, os.ErrDeadlineExceeded)
 		}
-		s.clk.Tick.Wait()
+		s.wait(&c.wake, deadline)
 	}
 }
 
@@ -146,7 +203,8 @@ func (s *Stack) refusedErr(tc *tcpstack.Conn, raddr packet.Addr, rport uint16) e
 
 // DialContext implements the http.Transport dialer shape. The address
 // host resolves through Config.Hosts or as a literal IPv4; the network
-// must be "tcp".
+// must be "tcp". The dial gives up with ctx's error when ctx is
+// cancelled or its deadline passes.
 func (s *Stack) DialContext(ctx context.Context, network, addr string) (net.Conn, error) {
 	if network != "tcp" && network != "tcp4" {
 		return nil, fmt.Errorf("uis: unsupported network %q", network)
@@ -163,11 +221,7 @@ func (s *Stack) DialContext(ctx context.Context, network, addr string) (net.Conn
 	if !ok {
 		return nil, fmt.Errorf("uis: dial %q: unknown host", addr)
 	}
-	deadline := time.Now().Add(dialTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	return s.dial(raddr, uint16(port), deadline)
+	return s.dial(ctx, raddr, uint16(port))
 }
 
 func (s *Stack) resolve(host string) (packet.Addr, bool) {
@@ -185,14 +239,26 @@ func (s *Stack) resolve(host string) (packet.Addr, bool) {
 	return packet.AddrFrom4(v4[0], v4[1], v4[2], v4[3]), true
 }
 
+// Conns returns how many of the stack's connections have not closed:
+// a dialed or accepted connection counts until its TCP half reaches
+// CLOSED, after its FIN exchange and TIME_WAIT or a reset.
+func (s *Stack) Conns() int {
+	s.clk.Lock()
+	defer s.clk.Unlock()
+	return len(s.conns)
+}
+
 // Listen binds a TCP listener on port.
 func (s *Stack) Listen(port uint16) (net.Listener, error) {
 	s.clk.Lock()
 	defer s.clk.Unlock()
 	l := &Listener{stack: s, port: port}
+	l.wake.L = &s.clk.Mutex
+	s.listeners[l] = struct{}{}
 	s.tcp.Listen(port, func(tc *tcpstack.Conn) {
 		// Runs under the clock's lock (delivery path).
 		l.pending = append(l.pending, newConn(s, tc))
+		l.wake.Broadcast()
 	})
 	return l, nil
 }
@@ -201,6 +267,7 @@ func (s *Stack) Listen(port uint16) (net.Listener, error) {
 type Listener struct {
 	stack   *Stack
 	port    uint16
+	wake    sync.Cond // the wait queue of a blocked Accept
 	pending []*Conn
 	closed  bool
 }
@@ -211,7 +278,7 @@ func (l *Listener) Accept() (net.Conn, error) {
 	s.clk.Lock()
 	defer s.clk.Unlock()
 	for len(l.pending) == 0 && !l.closed && !s.down {
-		s.clk.Tick.Wait()
+		l.wake.Wait()
 	}
 	if l.closed || s.down {
 		return nil, device.ErrClosed
@@ -226,8 +293,9 @@ func (l *Listener) Close() error {
 	s := l.stack
 	s.clk.Lock()
 	l.closed = true
+	delete(s.listeners, l)
+	l.wake.Broadcast()
 	s.clk.Unlock()
-	s.clk.Tick.Broadcast()
 	return nil
 }
 

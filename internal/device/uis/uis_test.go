@@ -1,9 +1,11 @@
 package uis_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -16,11 +18,24 @@ import (
 	"intango/internal/packet"
 )
 
+var (
+	cliAddr = packet.AddrFrom4(10, 0, 0, 1)
+	srvAddr = packet.AddrFrom4(203, 0, 113, 80)
+)
+
 // newPair joins two stacks with a pipe on one running clock.
 func newPair(t *testing.T) (cli, srv *uis.Stack) {
 	t.Helper()
 	clk := netem.NewClock(1, 1)
 	clk.Start()
+	t.Cleanup(clk.Stop)
+	return newPairOn(t, clk)
+}
+
+// newPairOn joins two stacks with a pipe on clk. Over the pipe a
+// handshake needs no clock, so a pair on a stopped clock connects too.
+func newPairOn(t *testing.T, clk *netem.Clock) (cli, srv *uis.Stack) {
+	t.Helper()
 	a, b := device.NewPipe(clk, 0)
 	srv = uis.New(a, uis.Config{
 		Addr: packet.AddrFrom4(203, 0, 113, 80),
@@ -34,9 +49,28 @@ func newPair(t *testing.T) (cli, srv *uis.Stack) {
 	t.Cleanup(func() {
 		cli.Close()
 		srv.Close()
-		clk.Stop()
 	})
 	return cli, srv
+}
+
+// silentStack is a stack on a stopped clock whose device's far end is
+// returned raw: nothing answers unless the test writes to it.
+func silentStack(t *testing.T) (*uis.Stack, *device.PipeEnd) {
+	t.Helper()
+	peer, dev := device.NewPipe(netem.NewClock(1, 1), 0)
+	st := uis.New(dev, uis.Config{Addr: cliAddr, Seed: 1})
+	t.Cleanup(func() { st.Close() })
+	return st, peer
+}
+
+// readSYN reads the next packet from peer and requires a bare SYN.
+func readSYN(t *testing.T, peer *device.PipeEnd) *packet.Packet {
+	t.Helper()
+	pkt, err := peer.ReadPacket()
+	if err != nil || pkt.TCP == nil || !pkt.TCP.FlagsOnly(packet.FlagSYN) {
+		t.Fatalf("packet on the wire: %v, %v; want a SYN", pkt, err)
+	}
+	return pkt
 }
 
 // TestEchoAndEOF runs a raw byte exchange over two userspace stacks
@@ -157,13 +191,127 @@ func TestDialRefused(t *testing.T) {
 	}
 }
 
+// TestReadDeadlineOnStoppedClock: a read deadline is a wall-clock
+// timer of its own, so it fires while virtual time stands still.
+func TestReadDeadlineOnStoppedClock(t *testing.T) {
+	cli, srv := newPairOn(t, netem.NewClock(1, 1)) // never started
+	l, err := srv.Listen(9100)
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	go l.Accept() // accept and hold silently
+
+	conn, err := cli.Dial(srvAddr, 9100)
+	if err != nil {
+		t.Fatalf("Dial: %v", err)
+	}
+	conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+	read := make(chan error, 1)
+	go func() {
+		_, err := conn.Read(make([]byte, 1))
+		read <- err
+	}()
+	select {
+	case err := <-read:
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			t.Fatalf("Read: got %v want deadline exceeded", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Read still blocked 2s after a 50ms deadline on a stopped clock")
+	}
+}
+
+// TestDialContextCancel: cancelling a dial's context ends the dial
+// with the context's error, though the peer never answers and the
+// clock stands still.
+func TestDialContextCancel(t *testing.T) {
+	st, peer := silentStack(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	dialed := make(chan error, 1)
+	go func() {
+		_, err := st.DialContext(ctx, "tcp", "203.0.113.80:80")
+		dialed <- err
+	}()
+	readSYN(t, peer)
+	time.AfterFunc(50*time.Millisecond, cancel)
+	select {
+	case err := <-dialed:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("DialContext: got %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("dial still blocked 2s after its context was cancelled")
+	}
+}
+
+// TestDeviceCloseWakesBlockedCallers: on a stopped clock, where nothing
+// else wakes them, closing a stack's device ends a blocked Read, dial
+// and Accept, each with its error.
+func TestDeviceCloseWakesBlockedCallers(t *testing.T) {
+	st, peer := silentStack(t)
+	// One established connection: the test answers its SYN by hand.
+	type dialResult struct {
+		c   net.Conn
+		err error
+	}
+	dialed := make(chan dialResult, 1)
+	go func() {
+		c, err := st.Dial(srvAddr, 80)
+		dialed <- dialResult{c, err}
+	}()
+	syn := readSYN(t, peer)
+	peer.WritePacket(packet.NewTCP(srvAddr, 80, cliAddr, syn.TCP.SrcPort,
+		packet.FlagSYN|packet.FlagACK, 1000, syn.TCP.Seq.Add(1), nil))
+	d := <-dialed
+	if d.err != nil {
+		t.Fatalf("Dial: %v", d.err)
+	}
+	l, err := st.Listen(8080)
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+
+	errs := make(chan error, 3)
+	go func() {
+		_, err := d.c.Read(make([]byte, 1))
+		errs <- fmt.Errorf("read: %w", err)
+	}()
+	go func() {
+		_, err := l.Accept()
+		errs <- fmt.Errorf("accept: %w", err)
+	}()
+	go func() {
+		_, err := st.Dial(srvAddr, 81)
+		errs <- fmt.Errorf("dial: %w", err)
+	}()
+	peer.ReadPacket() // the handshake's ACK
+	readSYN(t, peer)  // the second dial is waiting
+	// Give the read and the accept time to block too; one that has not
+	// yet waited sees the closed device at once, with the same error.
+	time.Sleep(20 * time.Millisecond)
+	st.Close()
+
+	want := map[string]error{"read": io.ErrUnexpectedEOF, "accept": device.ErrClosed, "dial": device.ErrClosed}
+	for range want {
+		select {
+		case err := <-errs:
+			op, _, _ := strings.Cut(err.Error(), ":")
+			if !errors.Is(err, want[op]) {
+				t.Errorf("%v; want %v", err, want[op])
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("a caller still blocked 2s after its device closed")
+		}
+	}
+}
+
 // TestClockDrivesBlockedDials: two stacks on one stopped Clock dial
 // peers that never answer, and a single Advance fires both stacks' SYN
-// retransmissions to the limit, failing both dials with no wall-clock
-// wait.
+// retransmissions to the limit. The last one aborts each connection,
+// and that state change wakes its dial, which fails with no
+// wall-clock wait.
 func TestClockDrivesBlockedDials(t *testing.T) {
 	clk := netem.NewClock(1, 1) // never started: only Advance moves it
-	srv := packet.AddrFrom4(203, 0, 113, 80)
 	var peers []*device.PipeEnd
 	errs := make(chan error, 2)
 	for i := 0; i < 2; i++ {
@@ -172,16 +320,15 @@ func TestClockDrivesBlockedDials(t *testing.T) {
 		t.Cleanup(func() { cli.Close() })
 		peers = append(peers, a)
 		go func() {
-			_, err := cli.Dial(srv, 80)
+			_, err := cli.Dial(srvAddr, 80)
 			errs <- err
 		}()
 	}
 	// The SYN on the wire means its dial holds the clock's lock until
-	// it waits on Tick, and its retransmission timer is armed.
+	// it waits on its connection's queue, and its retransmission timer
+	// is armed.
 	for _, peer := range peers {
-		if pkt, err := peer.ReadPacket(); err != nil || pkt.TCP == nil || !pkt.TCP.FlagsOnly(packet.FlagSYN) {
-			t.Fatalf("first packet: %v, %v; want a SYN", pkt, err)
-		}
+		readSYN(t, peer)
 	}
 	clk.Advance(time.Minute)
 	for i := 0; i < 2; i++ {

@@ -399,13 +399,14 @@ func BenchmarkObsOverhead(b *testing.B) {
 // in-order segments delivered without a per-segment copy in the GFW
 // stream and the TCP receive path. RunOne builds on a new arena: a new
 // simulator and pair source. Its vantage point and server stay on its
-// stack, passed beside the job.
-const trialAllocBudget = 87
+// stack, passed beside the job, and the origin's answer is rendered
+// once per process.
+const trialAllocBudget = 86
 
 // arenaTrialAllocBudget is the same trial's budget on a campaign
 // worker's warmed arena, which resets the simulator and reseeds the
 // pair source in place: three allocations fewer.
-const arenaTrialAllocBudget = 84
+const arenaTrialAllocBudget = 83
 
 // requireTrialAllocBudget is the one allocation gate of the trial hot
 // path. It warms a runner and an arena, measures the allocs/op of

@@ -10,6 +10,11 @@ import (
 	"intango/internal/packet"
 )
 
+// pinnedCensor is the pinned gfw2017 of `make intangd-smoke`.
+const pinnedCensor = "tcb:evolved detect:keywords(ultrasurf) " +
+	"react:reset(type1) react:reset(type2) react:block(dur=1m30s) " +
+	"param:miss(p=0) param:resync(p=0) param:seglastwins(p=0)"
+
 // eventLog is a recorder tap that keeps the world's whole event stream;
 // it runs under the world lock, as every recorder write does.
 type eventLog []obs.Event
@@ -23,14 +28,7 @@ func (l *eventLog) RecordEvent(e obs.Event) { *l = append(*l, e) }
 // 500 ms of virtual time, so each censored flow costs the world a
 // bounded number of events.
 func TestCensoredFetchBoundsChallengeACKs(t *testing.T) {
-	p, err := New(Config{
-		// The pinned gfw2017 of `make intangd-smoke`.
-		Censor: "tcb:evolved detect:keywords(ultrasurf) " +
-			"react:reset(type1) react:reset(type2) react:block(dur=1m30s) " +
-			"param:miss(p=0) param:resync(p=0) param:seglastwins(p=0)",
-		Strategy: "pass",
-		Seed:     7,
-	})
+	p, err := New(Config{Censor: pinnedCensor, Strategy: "pass", Seed: 7})
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}

@@ -6,7 +6,10 @@
 // concurrently from outside instead of being scripted one at a time.
 // The world and the clients on its device run on one netem.Clock: one
 // simulator, one wall-clock pump, and one lock that every packet, timer
-// and control-plane call takes.
+// and control-plane call takes. The clock wakes nobody: a client
+// blocked in a read or a dial waits on its own connection's queue
+// under that lock (see package uis), which only that connection's
+// events wake.
 package intangd
 
 import (

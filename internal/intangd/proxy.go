@@ -52,7 +52,8 @@ const (
 // clients' stacks too. Its lock serializes everything on it — the
 // simulator, the engine, the censor devices, the flow table and the
 // clients' TCP state; the clock's pump, the packet pumps, the expiry
-// loop and control-plane calls each take it.
+// loop and control-plane calls each take it. Its packets come from one
+// packet.Pool, as a trial's do.
 type Proxy struct {
 	cfg Config
 
@@ -105,6 +106,9 @@ func New(cfg Config) (*Proxy, error) {
 	link := netem.Link{Latency: time.Millisecond}
 	p.path = netem.NewChain(sim, pathHops, link, link)
 	p.path.Obs = bundle
+	// The world's packets come from a pool, as every trial's do; the
+	// origin and the engine read it when they attach.
+	p.path.Pool = packet.NewPool()
 
 	var err error
 	p.cen, err = censor.Attach(p.path.Node(1+censorHop), cfg.Censor, "gfw", true,

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -186,7 +187,8 @@ func TestResolveStrategy(t *testing.T) {
 // ports wrap, both evade. The second SYN opens a new flow in the
 // engine, so its strategy starts afresh, and a new record in the flow
 // table. The client is a bare tcpstack on the world's clock, which
-// can pin its local port.
+// can pin its local port; the fetch waits under the clock's lock on a
+// cond of its own, which the client's pump signals after each delivery.
 func TestReusedClientTupleEvades(t *testing.T) {
 	p, err := intangd.New(intangd.Config{Censor: testCensor, Strategy: "teardown-reversal", Seed: 7})
 	if err != nil {
@@ -194,6 +196,7 @@ func TestReusedClientTupleEvades(t *testing.T) {
 	}
 	dev := p.ClientDevice()
 	clk := dev.Clock()
+	delivered := sync.NewCond(&clk.Mutex)
 	cli := tcpstack.NewStack(p.ClientAddr(), tcpstack.Linux44(), clk.Sim)
 	cli.Send = func(pkt *packet.Packet) { _ = dev.WritePacket(pkt) }
 	pumped := make(chan struct{})
@@ -206,8 +209,8 @@ func TestReusedClientTupleEvades(t *testing.T) {
 			}
 			clk.Lock()
 			cli.Deliver(pkt)
+			delivered.Broadcast()
 			clk.Unlock()
-			clk.Tick.Broadcast()
 		}
 	}()
 	t.Cleanup(func() {
@@ -225,7 +228,7 @@ func TestReusedClientTupleEvades(t *testing.T) {
 				if time.Now().After(deadline) {
 					return errors.New("timed out")
 				}
-				clk.Tick.Wait()
+				delivered.Wait()
 			}
 			return nil
 		}

@@ -16,13 +16,14 @@ const clockTick = time.Millisecond
 // goroutine. A live world is entered from many goroutines (packet
 // pumps, blocked readers, a control plane), and each takes the lock.
 //
-// Tick is broadcast after every advance, so code waiting under the
-// lock for a timer to fire rechecks its condition at the pump's
-// cadence, or after each Advance when the pump is not running.
+// The clock wakes nobody. A caller that blocks under the lock waits on
+// a queue of its own (a sync.Cond over this mutex), which the events
+// it waits for signal as they run: a timer that fires during an
+// advance signals the queues of the connections it changes, not every
+// waiter in the world.
 type Clock struct {
 	sync.Mutex
-	Sim  *Simulator
-	Tick sync.Cond
+	Sim *Simulator
 
 	scale float64
 	stop  chan struct{}
@@ -36,9 +37,7 @@ func NewClock(seed int64, scale float64) *Clock {
 	if scale <= 0 {
 		scale = 1
 	}
-	c := &Clock{Sim: NewSimulator(seed), scale: scale}
-	c.Tick.L = &c.Mutex
-	return c
+	return &Clock{Sim: NewSimulator(seed), scale: scale}
 }
 
 // Start runs the pump: every millisecond of wall time it advances the
@@ -67,7 +66,6 @@ func (c *Clock) Advance(d time.Duration) {
 	c.Lock()
 	c.Sim.RunFor(d)
 	c.Unlock()
-	c.Tick.Broadcast()
 }
 
 func (c *Clock) pump() {

@@ -156,7 +156,7 @@ func (f *Fabric) trace(idx, ev int, dir Direction, pkt *packet.Packet) {
 			seq = uint32(pkt.TCP.Seq)
 			flags = pkt.TCP.Flags
 		}
-		f.Obs.TracePkt("netem", eventLabels[ev], pkt.Lin.ID, pkt.Lin.Parent, seq, flags, f.topo.nodes[idx].Label+" "+dir.String())
+		f.Obs.TracePkt("netem", eventLabels[ev], pkt.Lin.ID, pkt.Lin.Parent, seq, flags, f.topo.traceLabel(idx, dir))
 	}
 	if f.Trace != nil {
 		f.Trace(TraceEvent{Time: f.Sim.Now(), Where: f.topo.nodes[idx].Label, Event: eventLabels[ev], Dir: dir, Pkt: pkt})

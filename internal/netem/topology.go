@@ -3,6 +3,7 @@ package netem
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 )
 
@@ -68,6 +69,11 @@ type Topology struct {
 	// toward that direction's endpoint in ascending neighbour order.
 	next     [2][][]hop
 	ecmpSeed uint64
+
+	// labels holds each node's flight-recorder label in either
+	// direction ("r →srv"), built by traceLabel on first use.
+	labelsOnce sync.Once
+	labels     [][2]string
 }
 
 // NewTopology plans the routing of nodes joined by edges: a
@@ -110,6 +116,21 @@ func NewTopology(nodes []Vertex, edges []Edge, client, server int, ecmpSeed uint
 	t.next[ToServer] = nextHops(out, toServer)
 	t.next[ToClient] = nextHops(out, toClient)
 	return t, nil
+}
+
+// traceLabel returns node idx's flight-recorder label toward dir. The
+// table is built once, when an observed fabric first records on the
+// topology, so a topology no fabric records on allocates none.
+func (t *Topology) traceLabel(idx int, dir Direction) string {
+	t.labelsOnce.Do(func() {
+		t.labels = make([][2]string, len(t.nodes))
+		for i, v := range t.nodes {
+			for _, d := range []Direction{ToServer, ToClient} {
+				t.labels[i][d] = v.Label + " " + d.String()
+			}
+		}
+	})
+	return t.labels[idx][dir]
 }
 
 // distances returns every node's hop count to dst, -1 where dst is

@@ -175,7 +175,8 @@ func (p *Packet) Finalize() *Packet {
 	return p
 }
 
-// Parse decodes a full IPv4 datagram from wire bytes. Non-first
+// Parse decodes a full IPv4 datagram from wire bytes into a heap
+// packet, whose L4 header lives in the packet's embedded store. Non-first
 // fragments keep their L4 bytes in Payload with TCP/UDP/ICMP nil.
 func Parse(data []byte) (*Packet, error) {
 	p := &Packet{}
@@ -194,22 +195,19 @@ func Parse(data []byte) (*Packet, error) {
 	}
 	switch p.IP.Protocol {
 	case ProtoTCP:
-		p.TCP = &TCPHeader{}
-		hn, err := p.TCP.DecodeFromBytes(l4)
+		hn, err := p.UseTCP().DecodeFromBytes(l4)
 		if err != nil {
 			return nil, err
 		}
 		p.Payload = append([]byte(nil), l4[hn:]...)
 	case ProtoUDP:
-		p.UDP = &UDPHeader{}
-		hn, err := p.UDP.DecodeFromBytes(l4)
+		hn, err := p.UseUDP().DecodeFromBytes(l4)
 		if err != nil {
 			return nil, err
 		}
 		p.Payload = append([]byte(nil), l4[hn:]...)
 	case ProtoICMP:
-		p.ICMP = &ICMPMessage{}
-		if err := p.ICMP.DecodeFromBytes(l4); err != nil {
+		if err := p.UseICMP().DecodeFromBytes(l4); err != nil {
 			return nil, err
 		}
 	default:

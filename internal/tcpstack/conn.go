@@ -241,8 +241,7 @@ func (c *Conn) setState(s State) {
 	if c.stack.Obs != nil {
 		// State transitions are the tcpstack half of the censor-state
 		// audit: keyed to the inbound segment that drove them.
-		c.stack.Obs.TracePkt("tcpstack", "state", c.causeID, 0, 0, 0,
-			c.local.addr.String()+" "+from.String()+">"+s.String())
+		c.stack.Obs.TracePkt("tcpstack", "state", c.causeID, 0, 0, 0, c.stack.stateLabel(from, s))
 	}
 	if s == TimeWait {
 		c.stack.Sim.At(TimeWaitDuration, func() {

@@ -85,6 +85,10 @@ type Stack struct {
 	challengeSec time.Duration
 	challenges   int
 
+	// stateLabels caches the flight-recorder note of each state
+	// transition ("addr FROM>TO"), built on a transition's first trace.
+	stateLabels map[[2]State]string
+
 	conns     map[connKey]*Conn
 	listeners map[uint16]Acceptor
 	udp       map[uint16]UDPHandler
@@ -143,6 +147,22 @@ func (s *Stack) observe(c *Conn, pkt *packet.Packet, d Disposition) {
 	if s.Observe != nil {
 		s.Observe(c, pkt, d)
 	}
+}
+
+// stateLabel returns the flight-recorder note of a transition from
+// from to to. A long-lived stack, such as a daemon's origin, builds
+// each note once instead of at every transition.
+func (s *Stack) stateLabel(from, to State) string {
+	k := [2]State{from, to}
+	l, ok := s.stateLabels[k]
+	if !ok {
+		if s.stateLabels == nil {
+			s.stateLabels = make(map[[2]State]string)
+		}
+		l = s.Addr.String() + " " + from.String() + ">" + to.String()
+		s.stateLabels[k] = l
+	}
+	return l
 }
 
 // Listen registers an acceptor for a TCP port.
