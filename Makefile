@@ -58,11 +58,11 @@ race:
 # /strategy POST body over loopback, of the checkpoint journal and
 # manifest loaders,
 # of the differential tests that hold the GFW's stream reassembly and
-# IP fragment assembly to their per-byte reference models, of the
-# keyword automaton against a case-folded naive search over chunked
-# streams, and of the simulator's event order against a sorted
-# reference, as ordinary tests (no -fuzz: that would fuzz
-# indefinitely).
+# IP fragment assembly to their per-byte reference models, the pooled
+# datagram decoder and fragmenter to the heap ones they replaced, the
+# keyword automaton to a case-folded naive search over chunked
+# streams, and the simulator's event order to a sorted reference, as
+# ordinary tests (no -fuzz: that would fuzz indefinitely).
 fuzz-smoke:
 	$(GO) test -run '^FuzzParseTopo$$' ./internal/topo
 	$(GO) test -run '^FuzzParseCensor$$' ./internal/censor
@@ -71,7 +71,7 @@ fuzz-smoke:
 	$(GO) test -run '^(FuzzJournal|FuzzManifest)$$' ./internal/experiment
 	$(GO) test -run '^FuzzStreamInsert$$' ./internal/gfw
 	$(GO) test -run '^FuzzMatcherStream$$' ./internal/dpi
-	$(GO) test -run '^FuzzFragmentAssemble$$' ./internal/packet
+	$(GO) test -run '^(FuzzFragmentAssemble|FuzzFragmentPooled)$$' ./internal/packet
 	$(GO) test -run '^FuzzSimulatorOrder$$' ./internal/netem
 
 # bench measures the trial hot path, the bandwidth-constrained goodput
@@ -79,8 +79,9 @@ fuzz-smoke:
 # serial/parallel campaign loops and the layer benchmarks (the netem
 # event loop at a campaign's queue shape, the trial RNG's reseed and
 # draws, a plain-router hop, a GFW blocklist volley, the DPI keyword
-# scan and stream feed, and one fetch between two userspace stacks on
-# a pipe), five runs of 400 ms each, writing
+# scan and stream feed, one fetch between two userspace stacks on a
+# pipe, and one segment cut by ooo-ipfrag and reassembled), five runs
+# of 400 ms each, writing
 # BENCH_netem.json (the median ns/op with its min and max, B/op and
 # allocs/op, trials/sec, pool traffic, the layers section, and the
 # recorded pre-pooling baseline for comparison). It takes about 30 s.
@@ -110,11 +111,11 @@ bench-compare:
 # layers commit 0, so they must stay at 0; the userspace-stack fetch
 # commits its count). Allocation varies far less than timing on shared
 # CI runners: the trial's and the layers' counts repeat exactly; the
-# goodput trial averages about 341.7 allocations, so its whole count
-# reads 341 or 342 from run to run; and the parallel campaign's varies a
-# little at GOMAXPROCS 2 (five runs read 21,057-21,100), which the 5%
-# tolerance absorbs. Timing drift is diagnosed with bench-compare
-# instead, which prints each side's ns/op spread.
+# goodput trial's whole count reads 150 or 151 from run to run; and the
+# parallel campaign's varies a little at GOMAXPROCS 2 (four runs read
+# 15,681-15,915), which the 5% tolerance absorbs. Timing drift is
+# diagnosed with bench-compare instead, which prints each side's ns/op
+# spread.
 bench-gate:
 	$(GO) run ./cmd/tables -what bench-gate BENCH_netem.json
 

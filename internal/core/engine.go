@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"intango/internal/netem"
@@ -55,6 +56,9 @@ type Engine struct {
 	flows map[packet.FourTuple]*flowState
 	// net is the fabric whose client end the engine holds.
 	net *netem.Fabric
+	// out is the emissions buffer every flow's strategy returns its
+	// volley in (Flow.Emit), consumed before the next Outbound.
+	out []Emission
 }
 
 type flowState struct {
@@ -102,7 +106,7 @@ func (e *Engine) Outbound(pkt *packet.Packet) {
 	tuple := pkt.Tuple()
 	fs := e.flows[tuple]
 	if fs == nil || Reconnects(pkt.TCP, fs.flow.ISS) {
-		fs = &flowState{flow: Flow{Tuple: tuple, Env: &e.Env}}
+		fs = &flowState{flow: Flow{Tuple: tuple, Env: &e.Env, pool: e.net.Pool, out: &e.out}}
 		if e.NewStrategy != nil {
 			fs.strat = e.NewStrategy(tuple)
 		}
@@ -129,7 +133,7 @@ func (e *Engine) Outbound(pkt *packet.Packet) {
 	if fs.strat != nil {
 		emissions = fs.strat.Outbound(f, pkt)
 	} else {
-		emissions = []Emission{real(pkt)}
+		emissions = f.Emit(real(pkt))
 	}
 
 	if end := pkt.EndSeq(); end.After(f.SndNxt) {
@@ -138,6 +142,13 @@ func (e *Engine) Outbound(pkt *packet.Packet) {
 	f.DataSent += len(pkt.Payload)
 
 	e.emit(emissions)
+	if !slices.ContainsFunc(emissions, func(em Emission) bool { return em.Pkt == pkt }) {
+		// The strategy's pieces replaced the client's packet, which
+		// the wire never sees.
+		e.net.Release(pkt)
+	}
+	// The buffer pins no packet once its volley is on its way.
+	clear(e.out)
 }
 
 // Reconnects reports whether tcp, leaving the client on a tuple whose

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -104,7 +105,10 @@ type piece struct {
 	role pieceRole
 }
 
-// plan is the mutable emission sequence a rule's actions build up.
+// plan is the mutable emission sequence a rule's actions build up. A
+// flow keeps one in its exec state and the executor resets it for each
+// packet a rule fires on, so the plan and its scratch reuse their
+// storage from segment to segment.
 type plan struct {
 	f      *Flow
 	src    *packet.Packet // the intercepted packet, untouched
@@ -114,18 +118,48 @@ type plan struct {
 	// to the plan is stamped with it so traces can name the exact spec
 	// piece that crafted each wire packet.
 	crafter packet.CrafterRef
+
+	// Scratch of the actions that cut the real packet: the fragments
+	// or segments of FragmentAction, and the pieces FragmentAction and
+	// DuplicateAction insert.
+	frags []*packet.Packet
+	spare []piece
 }
 
-func newPlan(f *Flow, pkt *packet.Packet) *plan {
-	return &plan{f: f, src: pkt, pieces: []piece{{em: real(pkt), role: roleReal}}}
+// reset starts the plan over for pkt, leaving the plan's storage for
+// reuse.
+func (pl *plan) reset(f *Flow, pkt *packet.Packet) *plan {
+	pl.f, pl.src = f, pkt
+	pl.pieces = append(pl.pieces[:0], piece{em: real(pkt), role: roleReal})
+	return pl
 }
 
+// emissions returns the plan in the engine's emissions buffer and lets
+// go of its packets, which the buffer now holds.
 func (pl *plan) emissions() []Emission {
-	out := make([]Emission, len(pl.pieces))
-	for i, pc := range pl.pieces {
-		out[i] = pc.em
+	var out []Emission
+	if pl.f.out != nil {
+		out = (*pl.f.out)[:0]
 	}
+	for _, pc := range pl.pieces {
+		out = append(out, pc.em)
+	}
+	if pl.f.out != nil {
+		*pl.f.out = out
+	}
+	clear(pl.pieces)
+	pl.f, pl.src = nil, nil
 	return out
+}
+
+// drop releases the packet of a piece an action replaced, unless it is
+// the intercepted packet, which the engine releases once the strategy
+// returns. The plan made the piece and never emitted it, so no tracer
+// has seen it: it is released directly, not through Fabric.Release.
+func (pl *plan) drop(p *packet.Packet) {
+	if p != pl.src {
+		p.Release()
+	}
 }
 
 // addInsertion appends a crafted packet after any existing insertions
@@ -244,61 +278,64 @@ type FragmentAction struct {
 }
 
 func (a FragmentAction) apply(pl *plan) {
-	for i, pc := range pl.pieces {
-		if pc.role != roleReal {
-			continue
-		}
-		pkt := pc.em.Pkt
-		var frags []*packet.Packet
-		switch a.Layer {
-		case LayerIP:
-			// Fragment so the first fragment carries only the TCP
-			// header: all payload bytes (and hence the keyword, wherever
-			// it sits) land in later fragments. An explicit At overrides
-			// the chunk size (never below the header grid).
-			maxData := (pkt.TCP.HeaderLen() + 7) &^ 7
-			if d := a.At &^ 7; d > maxData {
-				maxData = d
-			}
-			fr, err := packet.Fragment(pkt, packet.IPv4HeaderLen+maxData)
-			if err != nil || len(fr) < 2 {
-				return
-			}
-			frags = fr
-		case LayerTCP:
-			if len(pkt.Payload) == 0 {
-				return
-			}
-			k := a.At
-			if k >= len(pkt.Payload) {
-				k = len(pkt.Payload) / 2
-			}
-			if k <= 0 {
-				return
-			}
-			f := pl.f
-			seg := func(seq packet.Seq, payload []byte) *packet.Packet {
-				p := packet.NewTCP(f.Tuple.SrcAddr, f.Tuple.SrcPort, f.Tuple.DstAddr, f.Tuple.DstPort,
-					packet.FlagPSH|packet.FlagACK, seq, f.RcvNxt, payload)
-				return p.Finalize()
-			}
-			frags = []*packet.Packet{
-				seg(pkt.TCP.Seq, pkt.Payload[:k]),
-				seg(pkt.TCP.Seq.Add(k), pkt.Payload[k:]),
-			}
-		}
-		for _, fr := range frags {
-			fr.Lin = packet.Lineage{Origin: packet.OriginStrategy, Parent: pl.src.Lin.ID, Crafter: pl.crafter}
-		}
-		repl := make([]piece, 0, len(pl.pieces)+len(frags)-1)
-		repl = append(repl, pl.pieces[:i]...)
-		repl = append(repl, piece{em: real(frags[0]), role: roleHead})
-		for _, tail := range frags[1:] {
-			repl = append(repl, piece{em: real(tail), role: roleTail})
-		}
-		pl.pieces = append(repl, pl.pieces[i+1:]...)
+	i := slices.IndexFunc(pl.pieces, func(pc piece) bool { return pc.role == roleReal })
+	if i < 0 {
 		return
 	}
+	pkt := pl.pieces[i].em.Pkt
+	f := pl.f
+	frags := pl.frags[:0]
+	switch a.Layer {
+	case LayerIP:
+		// Fragment so the first fragment carries only the TCP
+		// header: all payload bytes (and hence the keyword, wherever
+		// it sits) land in later fragments. An explicit At overrides
+		// the chunk size (never below the header grid).
+		maxData := (pkt.TCP.HeaderLen() + 7) &^ 7
+		if d := a.At &^ 7; d > maxData {
+			maxData = d
+		}
+		fr, err := f.pool.Fragment(frags, pkt, packet.IPv4HeaderLen+maxData)
+		if err != nil {
+			return
+		}
+		if len(fr) < 2 {
+			// The datagram fits one fragment: drop the copy, which
+			// was never emitted and no tracer has seen (see drop).
+			fr[0].Release()
+			return
+		}
+		frags = fr
+	case LayerTCP:
+		if len(pkt.Payload) == 0 {
+			return
+		}
+		k := a.At
+		if k >= len(pkt.Payload) {
+			k = len(pkt.Payload) / 2
+		}
+		if k <= 0 {
+			return
+		}
+		frags = append(frags,
+			f.pool.NewTCP(f.Tuple.SrcAddr, f.Tuple.SrcPort, f.Tuple.DstAddr, f.Tuple.DstPort,
+				packet.FlagPSH|packet.FlagACK, pkt.TCP.Seq, f.RcvNxt, pkt.Payload[:k]),
+			f.pool.NewTCP(f.Tuple.SrcAddr, f.Tuple.SrcPort, f.Tuple.DstAddr, f.Tuple.DstPort,
+				packet.FlagPSH|packet.FlagACK, pkt.TCP.Seq.Add(k), f.RcvNxt, pkt.Payload[k:]))
+	}
+	tails := pl.spare[:0]
+	for j, fr := range frags {
+		fr.Lin = packet.Lineage{Origin: packet.OriginStrategy, Parent: pl.src.Lin.ID, Crafter: pl.crafter}
+		if j > 0 {
+			tails = append(tails, piece{em: real(fr), role: roleTail})
+		}
+	}
+	pl.drop(pkt)
+	pl.pieces[i] = piece{em: real(frags[0]), role: roleHead}
+	pl.pieces = slices.Insert(pl.pieces, i+1, tails...)
+	clear(frags)
+	clear(tails)
+	pl.frags, pl.spare = frags[:0], tails[:0]
 }
 
 func (a FragmentAction) encode() string {
@@ -385,7 +422,7 @@ type DuplicateAction struct {
 
 func (a DuplicateAction) apply(pl *plan) {
 	first, last := -1, -1
-	var decoys []piece
+	decoys := pl.spare[:0]
 	for i, pc := range pl.pieces {
 		if pc.role != roleTail {
 			continue
@@ -394,7 +431,7 @@ func (a DuplicateAction) apply(pl *plan) {
 			first = i
 		}
 		last = i
-		copyPkt := pc.em.Pkt.Clone()
+		copyPkt := pl.f.pool.Clone(pc.em.Pkt)
 		if a.Fill == FillJunk {
 			fillJunk(copyPkt.Payload) // the clone's own copy
 		}
@@ -410,10 +447,9 @@ func (a DuplicateAction) apply(pl *plan) {
 	if a.Pos == PosAfter {
 		at = last + 1
 	}
-	repl := make([]piece, 0, len(pl.pieces)+len(decoys))
-	repl = append(repl, pl.pieces[:at]...)
-	repl = append(repl, decoys...)
-	pl.pieces = append(repl, pl.pieces[at:]...)
+	pl.pieces = slices.Insert(pl.pieces, at, decoys...)
+	clear(decoys)
+	pl.spare = decoys[:0]
 }
 
 func (a DuplicateAction) encode() string {
@@ -451,7 +487,7 @@ func (a TamperAction) apply(pl *plan) {
 		if pc.role != roleReal {
 			continue
 		}
-		p := pc.em.Pkt.Clone()
+		p := pl.f.pool.Clone(pc.em.Pkt)
 		switch a.Kind {
 		case TamperMD5:
 			var digest [16]byte
@@ -467,6 +503,7 @@ func (a TamperAction) apply(pl *plan) {
 		p.Finalize()
 		p.Lin.Origin = packet.OriginStrategy
 		p.Lin.Crafter = pl.crafter
+		pl.drop(pc.em.Pkt)
 		pl.pieces[i].em = real(p)
 		return
 	}
@@ -502,24 +539,28 @@ func (a DelayAction) encode() string { return "delay(ms=" + strconv.Itoa(a.Ms) +
 
 // --- the compiled executor ---
 
-// execState is the per-flow trigger state of a compiled strategy, one
-// slot per rule. It hangs off the Flow — which the Engine creates per
-// connection — so a strategy instance shared across flows (every
-// Factory returned by Spec.Factory hands out a single instance) can
-// never leak one-shot state between connections.
+// execState is the per-flow state of a compiled strategy: one trigger
+// slot per rule, and the plan the rules that fire build. It hangs off
+// the Flow — which the Engine creates per connection — so a strategy
+// instance shared across flows (every Factory returned by Spec.Factory
+// hands out a single instance) can never leak one-shot state between
+// connections.
 type execState struct {
-	fired    []bool
-	firstSeq []packet.Seq
-	haveSeq  []bool
+	rules []ruleState
+	plan  plan
+}
+
+// ruleState is one rule's one-shot trigger state: whether it fired,
+// and the sequence number of the first segment it fired on.
+type ruleState struct {
+	fired    bool
+	haveSeq  bool
+	firstSeq packet.Seq
 }
 
 func (f *Flow) execStateFor(rules int) *execState {
-	if f.exec == nil || len(f.exec.fired) != rules {
-		f.exec = &execState{
-			fired:    make([]bool, rules),
-			firstSeq: make([]packet.Seq, rules),
-			haveSeq:  make([]bool, rules),
-		}
+	if f.exec == nil || len(f.exec.rules) != rules {
+		f.exec = &execState{rules: make([]ruleState, rules)}
 	}
 	return f.exec
 }
@@ -535,17 +576,18 @@ type Compiled struct {
 }
 
 // Outbound implements Strategy: run every rule whose trigger fires and
-// return the transformed plan.
+// return the transformed plan, built in the flow's plan and returned
+// in the engine's buffer.
 func (c *Compiled) Outbound(f *Flow, pkt *packet.Packet) []Emission {
 	st := f.execStateFor(len(c.spec.Rules))
 	pl := (*plan)(nil)
 	for i := range c.spec.Rules {
 		r := &c.spec.Rules[i]
-		if !triggerFires(r.Trigger, st, i, f, pkt) {
+		if !triggerFires(r.Trigger, &st.rules[i], f, pkt) {
 			continue
 		}
 		if pl == nil {
-			pl = newPlan(f, pkt)
+			pl = st.plan.reset(f, pkt)
 		}
 		for j, act := range r.Actions {
 			pl.crafter = c.labels[i][j]
@@ -554,41 +596,41 @@ func (c *Compiled) Outbound(f *Flow, pkt *packet.Packet) []Emission {
 		pl.crafter = 0
 	}
 	if pl == nil {
-		return []Emission{real(pkt)}
+		return f.Emit(real(pkt))
 	}
 	return pl.emissions()
 }
 
-// triggerFires decides whether rule i acts on pkt, updating the flow's
-// one-shot state. Min suppresses a short packet without consuming the
-// one-shot; Rexmit re-fires on retransmissions of the recorded first
-// segment.
-func triggerFires(tr Trigger, st *execState, i int, f *Flow, pkt *packet.Packet) bool {
+// triggerFires decides whether a rule with trigger tr and one-shot
+// state st acts on pkt, updating st. Min suppresses a short packet
+// without consuming the one-shot; Rexmit re-fires on retransmissions of
+// the recorded first segment.
+func triggerFires(tr Trigger, st *ruleState, f *Flow, pkt *packet.Packet) bool {
 	switch tr.Phase {
 	case PhaseSegment:
 		return true
 	case PhasePayload:
 		return len(pkt.Payload) > 0 && len(pkt.Payload) >= tr.Min
 	case PhaseHandshake:
-		if st.fired[i] || !pkt.TCP.FlagsOnly(packet.FlagSYN) {
+		if st.fired || !pkt.TCP.FlagsOnly(packet.FlagSYN) {
 			return false
 		}
-		st.fired[i] = true
+		st.fired = true
 		return true
 	case PhaseFirstPayload:
-		if tr.Rexmit && st.fired[i] && len(pkt.Payload) > 0 &&
-			st.haveSeq[i] && pkt.TCP.Seq == st.firstSeq[i] {
+		if tr.Rexmit && st.fired && len(pkt.Payload) > 0 &&
+			st.haveSeq && pkt.TCP.Seq == st.firstSeq {
 			return true
 		}
-		if st.fired[i] || len(pkt.Payload) == 0 || f.DataSent > 0 {
+		if st.fired || len(pkt.Payload) == 0 || f.DataSent > 0 {
 			return false
 		}
 		if tr.Min > 0 && len(pkt.Payload) < tr.Min {
 			return false
 		}
-		st.fired[i] = true
-		st.firstSeq[i] = pkt.TCP.Seq
-		st.haveSeq[i] = true
+		st.fired = true
+		st.firstSeq = pkt.TCP.Seq
+		st.haveSeq = true
 		return true
 	}
 	return false

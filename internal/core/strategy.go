@@ -43,11 +43,30 @@ type Flow struct {
 	// packet (DataSent==0) is where most strategies act.
 	DataSent int
 
-	// exec is the compiled executor's per-flow trigger state (see
-	// primitives.go). Keeping it here — not on the Strategy value —
+	// exec is the compiled executor's per-flow trigger state and plan
+	// (see primitives.go). Keeping it here — not on the Strategy value —
 	// means a strategy instance reused across flows cannot leak
 	// one-shot state between connections.
 	exec *execState
+
+	// pool is the engine's fabric pool, which the pieces strategies
+	// cut from the client's packets come from, and out the engine's
+	// emissions buffer (Emit). The engine sets both; a Flow it does
+	// not track has neither and allocates.
+	pool *packet.Pool
+	out  *[]Emission
+}
+
+// Emit returns ems copied into the engine's emissions buffer: the way a
+// Strategy returns its emissions without allocating. The slice stays
+// valid until the engine's next Outbound call. A Flow no engine tracks
+// returns a new slice.
+func (f *Flow) Emit(ems ...Emission) []Emission {
+	if f.out == nil {
+		return append([]Emission(nil), ems...)
+	}
+	*f.out = append((*f.out)[:0], ems...)
+	return *f.out
 }
 
 // Strategy transforms the client's outbound packets, inserting crafted
@@ -56,6 +75,11 @@ type Flow struct {
 type Strategy interface {
 	// Outbound intercepts one client packet and returns the emission
 	// sequence that replaces it (usually including the packet itself).
+	// The engine consumes the slice before its next Outbound call, so
+	// it need live no longer: build it in the engine's buffer
+	// (Flow.Emit), which a sustained per-segment strategy then fills
+	// without allocating. The engine releases the client packet when
+	// the sequence leaves it out.
 	Outbound(f *Flow, pkt *packet.Packet) []Emission
 }
 
@@ -67,7 +91,7 @@ type Passthrough struct{}
 
 // Outbound implements Strategy.
 func (Passthrough) Outbound(f *Flow, pkt *packet.Packet) []Emission {
-	return []Emission{real(pkt)}
+	return f.Emit(real(pkt))
 }
 
 // --- crafting helpers shared by the strategies ---

@@ -154,7 +154,10 @@ func (s *Stack) Dial(raddr packet.Addr, rport uint16) (net.Conn, error) {
 }
 
 // dial waits for the handshake on the connection's own queue, until
-// dialTimeout or ctx's deadline passes or ctx is cancelled.
+// dialTimeout or ctx's deadline passes or ctx is cancelled. A dial that
+// gives up abandons its connection, as an interrupted connect does:
+// no further SYN, no RST, and no connection a late SYN/ACK could
+// establish.
 func (s *Stack) dial(ctx context.Context, raddr packet.Addr, rport uint16) (net.Conn, error) {
 	deadline := time.Now().Add(dialTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
@@ -181,9 +184,11 @@ func (s *Stack) dial(ctx context.Context, raddr packet.Addr, rport uint16) (net.
 			return nil, device.ErrClosed
 		}
 		if err := ctx.Err(); err != nil {
+			c.tc.Abandon()
 			return nil, fmt.Errorf("uis: dial %v:%d: %w", raddr, rport, err)
 		}
 		if expired(deadline) {
+			c.tc.Abandon()
 			return nil, fmt.Errorf("uis: dial %v:%d: %w", raddr, rport, os.ErrDeadlineExceeded)
 		}
 		s.wait(&c.wake, deadline)

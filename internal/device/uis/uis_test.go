@@ -244,6 +244,40 @@ func TestDialContextCancel(t *testing.T) {
 	}
 }
 
+// TestCancelledDialLeavesNoConnection: a dial whose context is
+// cancelled abandons its connection, as Linux abandons a connect
+// interrupted in SYN_SENT: a second of virtual time later the peer has
+// read no further SYN, and the stack holds no connection.
+func TestCancelledDialLeavesNoConnection(t *testing.T) {
+	clk := netem.NewClock(1, 1) // never started: only Advance moves it
+	peer, dev := device.NewPipe(clk, 0)
+	st := uis.New(dev, uis.Config{Addr: cliAddr, Seed: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	dialed := make(chan error, 1)
+	go func() {
+		_, err := st.DialContext(ctx, "tcp", "203.0.113.80:80")
+		dialed <- err
+	}()
+	readSYN(t, peer)
+	cancel()
+	select {
+	case err := <-dialed:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("DialContext: got %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("dial still blocked 2s after its context was cancelled")
+	}
+	clk.Advance(time.Second)
+	if n := st.Conns(); n != 0 {
+		t.Errorf("Conns() = %d after the dial gave up, want 0", n)
+	}
+	st.Close() // the peer reads what was written, then ErrClosed
+	if pkt, err := peer.ReadPacket(); err == nil {
+		t.Errorf("the peer read %v after the dial gave up", pkt)
+	}
+}
+
 // TestDeviceCloseWakesBlockedCallers: on a stopped clock, where nothing
 // else wakes them, closing a stack's device ends a blocked Read, dial
 // and Accept, each with its error.

@@ -18,7 +18,8 @@ import (
 //
 // One-shot callers (RunOne, and so the serial reference loop
 // RunTable1) build on a new arena each time, so the campaign
-// executor's recycled trials are checked against fresh ones.
+// executor's recycled trials are checked against fresh ones. The
+// goodput matrix runs all its uploads on one arena.
 type arena struct {
 	pool *packet.Pool
 	sim  *netem.Simulator

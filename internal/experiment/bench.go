@@ -148,6 +148,7 @@ var benchLayers = []struct {
 	{"dpi_scan", benchDPIScan},
 	{"dpi_stream_feed", benchStreamFeed},
 	{"uis_fetch", benchUISFetch},
+	{"core_ipfrag_segment", benchIPFragSegment},
 }
 
 // layer returns the named layer's result, zero when absent.
@@ -367,6 +368,45 @@ func benchUISFetch(b *testing.B) {
 	}
 }
 
+// benchIPFragSegment sends one 1,460-byte segment through the goodput
+// matrix's sustained ooo-ipfrag — three IP fragments of at most 512
+// bytes and two junk decoys — across one bare link into a last-wins
+// Reassembler, which rebuilds the segment as the QCloud middlebox
+// does. Every packet is released: the engine the segment its pieces
+// replaced, the fabric each piece it delivers, the endpoint the
+// rebuilt datagram. One op is one segment.
+func benchIPFragSegment(b *testing.B) {
+	sim := netem.NewSimulator(1)
+	f := netem.NewChain(sim, 0, netem.Link{}, netem.Link{})
+	f.Pool = packet.NewPool()
+	r := packet.NewReassembler(packet.LastWins)
+	rebuilt := 0
+	f.Server = netem.EndpointFunc(func(pkt *packet.Packet) {
+		if whole, err := r.AddAt(pkt, sim.Now()); err == nil && whole != nil {
+			rebuilt++
+			f.Release(whole)
+		}
+	})
+	factory := goodputFactory("ooo-ipfrag")
+	e := core.NewEngine(sim, f, nil, core.DefaultEnv(8, sim.Rand()))
+	e.NewStrategy = func(packet.FourTuple) core.Strategy { return factory() }
+	cli, srv := packet.AddrFrom4(10, 0, 0, 1), packet.AddrFrom4(203, 0, 113, 80)
+	payload := make([]byte, 1460)
+	seq := packet.Seq(1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seg := f.Pool.NewTCP(cli, 40000, srv, 80, packet.FlagPSH|packet.FlagACK, seq, 1, payload)
+		seg.AddTimestampOption(uint32(i), 1) // a Linux segment's 32-byte header
+		e.Outbound(seg.Finalize())
+		sim.Run(16)
+		seq = seq.Add(len(payload))
+	}
+	if rebuilt != b.N {
+		b.Fatalf("%d segments rebuilt of %d", rebuilt, b.N)
+	}
+}
+
 // benchRuns is how many times `make bench` runs each section and each
 // layer. It records the median ns/op with the range, so a reader can
 // tell a change from the machine's noise; B/op and allocs/op come from
@@ -474,7 +514,7 @@ func benchTrial(seed int64) func(b *testing.B) {
 
 // benchGoodputTrial benchmarks one 64 KiB upload through the
 // bw=1mbit,queue=16 access link, congestion control and the shaper
-// both live.
+// both live, on one recycled arena as RunGoodput's trials run.
 func benchGoodputTrial(seed int64) func(b *testing.B) {
 	return func(b *testing.B) {
 		r := NewRunner(seed)
@@ -484,10 +524,11 @@ func benchGoodputTrial(seed int64) func(b *testing.B) {
 		factory, _, _ := core.ResolveStrategy("teardown-rst/ttl")
 		spec := goodputTopo(vp, srv)
 		upload := goodputUpload(srv)
+		a := r.newArena()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r.runGoodputTrial(vp, srv, spec, factory, upload, i, nil)
+			r.runGoodputTrial(vp, srv, spec, factory, upload, i, nil, a)
 		}
 	}
 }

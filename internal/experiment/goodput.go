@@ -75,6 +75,17 @@ func goodputStrategies() []struct{ name, class, spec string } {
 	}
 }
 
+// goodputFactory resolves the demo matrix's strategy named name.
+func goodputFactory(name string) core.Factory {
+	for _, s := range goodputStrategies() {
+		if s.name == name {
+			f, _ := mustResolve(s.name, s.spec)
+			return f
+		}
+	}
+	panic("experiment: no goodput strategy " + name)
+}
+
 // goodputTopo renders the derived linear topology for (vp, srv) with
 // the client access link shaped to the constrained arm's rate and
 // queue — the same chain the unconstrained arm compiles, plus `bw=`.
@@ -97,15 +108,16 @@ func goodputUpload(srv Server) []byte {
 }
 
 // runGoodputTrial sends upload (goodputUpload's rendering for srv)
-// through one rig on topology topoRef ("" for the pair's derived path)
-// and returns the goodput observed at the server: delivered bytes over
-// the virtual-time window from first to last in-order delivery. All
-// arithmetic is integer on virtual time, so serial and parallel
-// campaigns measure bit-identically. A non-nil reg additionally folds
-// the trial into the goodput.bps / goodput.bytes histograms.
-func (r *Runner) runGoodputTrial(vp VantagePoint, srv Server, topoRef string, factory core.Factory, upload []byte, trial int, reg *obs.Registry) (bps int64, out Outcome) {
+// through one rig, built on arena a, on topology topoRef ("" for the
+// pair's derived path) and returns the goodput observed at the server:
+// delivered bytes over the virtual-time window from first to last
+// in-order delivery. All arithmetic is integer on virtual time, so
+// serial and parallel campaigns measure bit-identically. A non-nil reg
+// additionally folds the trial into the goodput.bps / goodput.bytes
+// histograms.
+func (r *Runner) runGoodputTrial(vp VantagePoint, srv Server, topoRef string, factory core.Factory, upload []byte, trial int, reg *obs.Registry, a *arena) (bps int64, out Outcome) {
 	trialSeed := r.pairSeed(vp, srv) ^ int64(uint64(trial)*0x9e3779b97f4a7c15)
-	rg := r.build(vp, srv, topoRef, r.Censor, trialSeed, r.newArena())
+	rg := r.build(vp, srv, topoRef, r.Censor, trialSeed, a)
 	appsim.ServeHTTPUpload(rg.srv, 80)
 	if reg != nil {
 		rg.attachObs(obs.New(reg, obs.NewRecorder(obs.DefaultRingSize, rg.sim.Now)))
@@ -147,7 +159,9 @@ func (r *Runner) runGoodputTrial(vp VantagePoint, srv Server, topoRef string, fa
 // upload on the unconstrained and on the bw=1mbit,queue=16 client
 // link, over a controlled server slice. Trials feed the runner's obs
 // registry (when attached), so a health report built afterwards
-// carries the goodput histograms.
+// carries the goodput histograms. Every trial runs on one arena, as a
+// campaign worker's do, and each server's upload body and constrained
+// topology are rendered once.
 func RunGoodput(r *Runner, sc Scale) []GoodputRow {
 	// The QCloud vantage point: its Table 2 middlebox reassembles IP
 	// fragments (after the shaped access link, so the fragment burst
@@ -161,9 +175,12 @@ func RunGoodput(r *Runner, sc Scale) []GoodputRow {
 	}
 	servers := controlledServers(r, nsrv)
 	uploads := make([][]byte, len(servers))
+	topos := make([]string, len(servers))
 	for i, srv := range servers {
 		uploads[i] = goodputUpload(srv)
+		topos[i] = goodputTopo(vp, srv)
 	}
+	a := r.newArena()
 	var reg *obs.Registry
 	if r.Obs != nil {
 		reg = r.Obs.Registry
@@ -184,10 +201,10 @@ func RunGoodput(r *Runner, sc Scale) []GoodputRow {
 		var un, con []int64
 		for i, srv := range servers {
 			for trial := 0; trial < sc.Trials; trial++ {
-				bps, _ := r.runGoodputTrial(vp, srv, "", factory, uploads[i], trial, reg)
+				bps, _ := r.runGoodputTrial(vp, srv, "", factory, uploads[i], trial, reg, a)
 				un = append(un, bps)
 
-				bps, out := r.runGoodputTrial(vp, srv, goodputTopo(vp, srv), factory, uploads[i], trial, reg)
+				bps, out := r.runGoodputTrial(vp, srv, topos[i], factory, uploads[i], trial, reg, a)
 				con = append(con, bps)
 				row.Trials++
 				if out == Success {

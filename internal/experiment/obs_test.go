@@ -400,13 +400,15 @@ func BenchmarkObsOverhead(b *testing.B) {
 // stream and the TCP receive path. RunOne builds on a new arena: a new
 // simulator and pair source. Its vantage point and server stay on its
 // stack, passed beside the job, and the origin's answer is rendered
-// once per process.
-const trialAllocBudget = 86
+// once per process. The engine returns every volley in its own
+// emissions buffer, and a connection arms its retransmission timer
+// without a closure.
+const trialAllocBudget = 77
 
 // arenaTrialAllocBudget is the same trial's budget on a campaign
 // worker's warmed arena, which resets the simulator and reseeds the
 // pair source in place: three allocations fewer.
-const arenaTrialAllocBudget = 83
+const arenaTrialAllocBudget = 74
 
 // requireTrialAllocBudget is the one allocation gate of the trial hot
 // path. It warms a runner and an arena, measures the allocs/op of

@@ -68,6 +68,9 @@ type Device struct {
 	// observability layer as a "gfw.<kind>" counter and a
 	// flight-recorder entry. Nil (the default) costs one branch.
 	Obs *obs.Obs
+	// labels and notes cache those counter names and entry notes.
+	labels map[string]string
+	notes  map[string]string
 }
 
 // NewDevice builds a device named name. The rng drives all sampled
@@ -164,16 +167,50 @@ func (d *Device) eventPkt(kind string, tuple packet.FourTuple, cause *packet.Pac
 	}
 	id := lineageOf(cause)
 	if d.Obs != nil {
-		d.Obs.Count("gfw." + kind)
-		note := d.name
-		if detail != "" {
-			note += " " + detail
-		}
-		d.Obs.TracePkt("gfw", kind, id, 0, 0, 0, note)
+		d.Obs.Count(d.label(kind))
+		d.Obs.TracePkt("gfw", kind, id, 0, 0, 0, d.note(detail))
 	}
 	if d.OnEvent != nil {
 		d.OnEvent(Event{Kind: kind, Tuple: tuple, Detail: detail, Pkt: id})
 	}
+}
+
+// label returns the counter name of an event kind ("gfw.<kind>"),
+// built on the kind's first event.
+func (d *Device) label(kind string) string {
+	l, ok := d.labels[kind]
+	if !ok {
+		if d.labels == nil {
+			d.labels = make(map[string]string)
+		}
+		l = "gfw." + kind
+		d.labels[kind] = l
+	}
+	return l
+}
+
+// maxNotes bounds the flight-recorder notes a device keeps built: most
+// details are a fixed vocabulary, but a few carry a domain or an
+// address, and a long-lived device must not cache one per name.
+const maxNotes = 64
+
+// note returns the flight-recorder note of an event with detail: the
+// device's name, then the detail if any.
+func (d *Device) note(detail string) string {
+	if detail == "" {
+		return d.name
+	}
+	n, ok := d.notes[detail]
+	if !ok {
+		n = d.name + " " + detail
+		if len(d.notes) < maxNotes {
+			if d.notes == nil {
+				d.notes = make(map[string]string)
+			}
+			d.notes[detail] = n
+		}
+	}
+	return n
 }
 
 // lineageOf resolves the wire ID a GFW event should key on. A
@@ -212,21 +249,23 @@ func (d *Device) processTCPDatagram(ctx *netem.Context, pkt *packet.Packet) {
 	if pkt.IP.IsFragment() {
 		// The GFW reassembles IP fragments itself, preferring the first
 		// copy of overlapping fragment data (§3.2). The reassembler
-		// copies everything it keeps, so the clone can be a pooled one
-		// released as soon as Add returns.
-		c := ctx.Pool().Clone(pkt)
-		whole, err := d.frag.AddAt(c, ctx.Sim.Now())
-		c.Release()
+		// only reads the fragment, copying what it keeps.
+		whole, err := d.frag.AddAt(pkt, ctx.Sim.Now())
 		d.countFragEvictions()
 		if err != nil || whole == nil {
 			return
 		}
 		// The whole datagram is internal to the device — it inherits
 		// the completing fragment's wire identity as its parent, and the
-		// reassembly decision is audited against that fragment.
+		// reassembly decision is audited against that fragment. Its
+		// life ends here.
 		whole.Lin = packet.Lineage{Parent: pkt.Lin.ID, Origin: pkt.Lin.Origin}
 		d.eventPkt("frag-complete", pkt.Tuple(), pkt, "first-wins")
-		pkt = whole
+		if whole.TCP != nil {
+			d.processTCP(ctx, whole)
+		}
+		ctx.Net.Release(whole)
+		return
 	}
 	if pkt.TCP == nil {
 		return

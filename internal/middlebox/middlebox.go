@@ -51,11 +51,11 @@ func (m *FragmentReassembler) Process(ctx *netem.Context, pkt *packet.Packet, di
 	if !pkt.IP.IsFragment() {
 		return netem.Pass
 	}
-	// The reassembler copies everything it keeps, so the defensive clone
-	// can come from the path's pool and go straight back.
-	c := ctx.Pool().Clone(pkt)
-	whole, err := m.r.AddAt(c, ctx.Sim.Now())
-	c.Release()
+	// The reassembler only reads the fragment, copying what it keeps,
+	// and builds the rebuilt datagram from the fragment's pool, the
+	// path's: the fabric releases it, as it does the fragment this Drop
+	// ends.
+	whole, err := m.r.AddAt(pkt, ctx.Sim.Now())
 	if n := m.r.TakeEvicted(); n > 0 {
 		if o := ctx.Obs(); o != nil {
 			o.Registry().Add("middlebox.frag-evict", n)

@@ -194,10 +194,14 @@ func (f *Fabric) FlushCounters() {
 	}
 }
 
-// release recycles a pool-owned packet at an end-of-life point. With a
-// Trace attached nothing is recycled: trace events hold the pointer.
-func (f *Fabric) release(pkt *packet.Packet) {
-	if f.Trace == nil {
+// Release recycles a pool-owned packet at the end of its life: the
+// fabric's own drop and delivery points call it, and so do the engine
+// for a client packet its strategy replaced and the devices and stacks
+// on the fabric for the datagrams they reassemble. With a Trace
+// attached nothing is recycled: trace events hold the pointer. A nil
+// fabric recycles nothing either.
+func (f *Fabric) Release(pkt *packet.Packet) {
+	if f != nil && f.Trace == nil {
 		pkt.Release()
 	}
 }
@@ -230,12 +234,12 @@ func (f *Fabric) emitFrom(from int, dir Direction, pkt *packet.Packet, extraDela
 		// No route onward (a dead-end node injecting the wrong way);
 		// the packet silently expires here.
 		f.trace(from, evDropProc, dir, pkt)
-		f.release(pkt)
+		f.Release(pkt)
 		return
 	}
 	if h.MTU > 0 && wireSize(pkt) > h.MTU {
 		f.trace(from, evDropMTU, dir, pkt)
-		f.release(pkt)
+		f.Release(pkt)
 		return
 	}
 	delay := extraDelay + h.Latency
@@ -251,7 +255,7 @@ func (f *Fabric) emitFrom(from int, dir Direction, pkt *packet.Packet, extraDela
 		qd, ev := sh.admit(f.Sim, wireSize(pkt))
 		if ev >= 0 {
 			f.trace(from, ev, dir, pkt)
-			f.release(pkt)
+			f.Release(pkt)
 			return
 		}
 		delay += qd
@@ -266,7 +270,7 @@ func (f *Fabric) HandlePacket(pkt *packet.Packet, link int, dir Direction) {
 	h := &f.topo.links[link]
 	if h.LossRate > 0 && f.Sim.Rand().Float64() < h.LossRate {
 		f.trace(h.to, evDropLoss, dir, pkt)
-		f.release(pkt)
+		f.Release(pkt)
 		return
 	}
 	f.arriveAt(h.to, dir, pkt)
@@ -284,7 +288,7 @@ func (f *Fabric) arriveAt(idx int, dir Direction, pkt *packet.Packet) {
 		} else if f.Server != nil {
 			f.Server.Deliver(pkt)
 		}
-		f.release(pkt)
+		f.Release(pkt)
 		return
 	}
 	node := &f.nodes[idx]
@@ -302,18 +306,18 @@ func (f *Fabric) arriveAt(idx int, dir Direction, pkt *packet.Packet) {
 		// nothing since could rewrite, is not summed again.
 		if !pkt.RouterVerify() {
 			f.trace(idx, evDropIPck, dir, pkt)
-			f.release(pkt)
+			f.Release(pkt)
 			return
 		}
 		if len(pkt.IP.Options) > 0 {
 			f.trace(idx, evDropIPOpt, dir, pkt)
-			f.release(pkt)
+			f.Release(pkt)
 			return
 		}
 		if pkt.IP.TTL <= 1 {
 			f.trace(idx, evDropTTL, dir, pkt)
 			f.sendTimeExceeded(idx, dir, pkt)
-			f.release(pkt)
+			f.Release(pkt)
 			return
 		}
 		pkt.IP.DecrementTTL()
@@ -332,7 +336,7 @@ func (f *Fabric) arriveAt(idx int, dir Direction, pkt *packet.Packet) {
 				f.Obs.Count("middlebox.drop-kind." + pktKind(pkt))
 			}
 			f.trace(idx, evDropProc, dir, pkt)
-			f.release(pkt)
+			f.Release(pkt)
 			return
 		}
 	}

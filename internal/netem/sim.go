@@ -18,8 +18,10 @@ import (
 // PacketHandler is the monomorphic alternative to a scheduled closure:
 // packet deliveries carry (handler, pkt, arg, dir) in the event itself
 // instead of allocating a capturing func. arg is the int AtPacket was
-// given: Fabric passes the directed link the packet is crossing. Fabric
-// implements it; so can any model component with a per-packet timer.
+// given, held as an int32: Fabric passes the directed link the packet
+// is crossing, and a tcpstack connection its retransmission timer's
+// generation (with a nil packet). Any model component whose timer
+// needs one integer can implement it.
 type PacketHandler interface {
 	HandlePacket(pkt *packet.Packet, arg int, dir Direction)
 }

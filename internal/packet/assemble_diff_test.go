@@ -14,7 +14,7 @@ func refAssemble(s *fragSeries, policy OverlapPolicy) ([]byte, bool) {
 	buf := make([]byte, s.totalLen)
 	written := make([]bool, s.totalLen)
 	for _, pc := range s.pieces {
-		for i, b := range pc.data {
+		for i, b := range s.data(pc) {
 			at := pc.off + i
 			if at >= len(buf) {
 				break
@@ -36,7 +36,8 @@ func refAssemble(s *fragSeries, policy OverlapPolicy) ([]byte, bool) {
 // FuzzFragmentAssemble builds a fragment series from the input — each
 // 3-byte group is one piece: offset (in 8-byte units, as on the wire),
 // length and a last flag, with the piece's bytes derived from its
-// arrival index so overlaps differ — and requires complete and
+// arrival index so overlaps differ, copied into the series buffer as
+// AddAt copies them — and requires complete and
 // assemble to agree with the per-byte model under both overlap
 // policies: the same completeness verdict and, when complete, the same
 // bytes appended after what the destination already holds.
@@ -59,15 +60,11 @@ func FuzzFragmentAssemble(f *testing.F) {
 	f.Fuzz(func(t *testing.T, in []byte) {
 		s := &fragSeries{}
 		for i := 0; i+3 <= len(in); i += 3 {
-			pc := fragPiece{off: int(in[i]) * 8, data: make([]byte, in[i+1]), last: in[i+2]&1 == 1}
-			for j := range pc.data {
-				pc.data[j] = byte(i/3*31 + j)
+			start := len(s.buf)
+			for j := 0; j < int(in[i+1]); j++ {
+				s.buf = append(s.buf, byte(i/3*31+j))
 			}
-			if pc.last {
-				s.haveLast = true
-				s.totalLen = pc.off + len(pc.data)
-			}
-			s.pieces = append(s.pieces, pc)
+			s.add(int(in[i])*8, start, in[i+2]&1 == 1)
 		}
 		if !s.haveLast {
 			return // AddAt assembles only once the last piece is in

@@ -1,72 +1,14 @@
 package packet
 
 import (
-	"fmt"
 	"slices"
 	"time"
 )
 
-// Fragment splits a finalized datagram into IP fragments whose L4
-// payloads are at most mtu-IPHeaderLen bytes (mtu counts the IP header).
-// The first fragment carries the L4 header; later fragments carry raw
-// bytes. mtu must allow at least 8 bytes of fragment data, and fragment
-// data lengths other than the last are rounded down to 8-byte multiples,
-// as required by the offset encoding.
+// Fragment splits datagram p into heap IP fragments whose L4 payloads
+// are at most mtu-IPHeaderLen bytes: Pool.Fragment on a nil pool.
 func Fragment(p *Packet, mtu int) ([]*Packet, error) {
-	if p.IP.IsFragment() {
-		return nil, fmt.Errorf("fragment: packet is already a fragment")
-	}
-	if p.IP.Flags&IPFlagDontFragment != 0 {
-		return nil, fmt.Errorf("fragment: DF set")
-	}
-	wire := p.Serialize(SerializeOptions{ComputeChecksums: true, FixLengths: true})
-	hl := p.IP.HeaderLen()
-	l4 := wire[hl:]
-	maxData := (mtu - hl) &^ 7
-	if maxData < 8 {
-		return nil, fmt.Errorf("fragment: mtu %d too small", mtu)
-	}
-	if len(l4) <= maxData {
-		return []*Packet{p.Clone()}, nil
-	}
-	var frags []*Packet
-	for off := 0; off < len(l4); off += maxData {
-		end := off + maxData
-		more := true
-		if end >= len(l4) {
-			end = len(l4)
-			more = false
-		}
-		f := &Packet{IP: p.IP.Clone()}
-		f.IP.FragOffset = uint16(off / 8)
-		if more {
-			f.IP.Flags |= IPFlagMoreFragments
-		} else {
-			f.IP.Flags &^= IPFlagMoreFragments
-		}
-		chunk := append([]byte(nil), l4[off:end]...)
-		if off == 0 {
-			// Re-parse the first chunk so the fragment has a typed L4
-			// header (it is what routers and the GFW look at).
-			f.IP.SetLengths(len(chunk))
-			tmp := f.IP.SerializeTo(nil, len(chunk), SerializeOptions{ComputeChecksums: true, FixLengths: true})
-			tmp = append(tmp, chunk...)
-			parsed, err := Parse(tmp)
-			if err != nil {
-				// L4 header split across fragments: keep raw bytes.
-				f.Payload = chunk
-			} else {
-				parsed.IP = f.IP.Clone()
-				f = parsed
-			}
-		} else {
-			f.Payload = chunk
-		}
-		f.IP.SetLengths(len(chunk))
-		f.IP.UpdateChecksum()
-		frags = append(frags, f)
-	}
-	return frags, nil
+	return (*Pool)(nil).Fragment(nil, p, mtu)
 }
 
 // fragKey identifies a fragment series per RFC 791.
@@ -76,22 +18,41 @@ type fragKey struct {
 	id       uint16
 }
 
+// fragPiece is one fragment's bytes within its series: buf[start:end]
+// of the series holds the datagram bytes from off on.
 type fragPiece struct {
-	off  int // bytes
-	data []byte
-	last bool
+	off        int // bytes
+	start, end int
 }
 
 type fragSeries struct {
-	pieces []fragPiece
-	// policy FirstWins retains the first copy of overlapping bytes;
-	// otherwise the latest copy wins.
+	// buf holds every piece's bytes in arrival order, each copied in
+	// once; a finished series' buffer serves a later series.
+	buf      []byte
+	pieces   []fragPiece
 	haveLast bool
 	totalLen int
 	// born is the virtual time the series was opened (AddAt); the
 	// expiry sweep evicts series older than the reassembler's TTL.
 	born time.Duration
+	// gen tells this incarnation of the series from the earlier and
+	// later ones its storage serves.
+	gen uint64
 }
+
+// add records the bytes from start to the end of buf as a piece at
+// byte offset off of the datagram, the series' last piece when last is
+// set.
+func (s *fragSeries) add(off, start int, last bool) {
+	if last {
+		s.haveLast = true
+		s.totalLen = off + len(s.buf) - start
+	}
+	s.pieces = append(s.pieces, fragPiece{off: off, start: start, end: len(s.buf)})
+}
+
+// data returns a piece's bytes.
+func (s *fragSeries) data(pc fragPiece) []byte { return s.buf[pc.start:pc.end] }
 
 // OverlapPolicy selects which copy of overlapping fragment/segment data
 // a reassembler keeps. The paper (§3.2, citing Khattak et al.) reports
@@ -112,6 +73,12 @@ const (
 // overlap policy is configurable because the divergence between
 // implementations is exactly what the evasion strategies exploit.
 //
+// AddAt only reads the fragments it is offered: it copies each one's
+// bytes once into its series' buffer, which later series reuse once
+// the series completes or is evicted, and decodes a finished datagram
+// into a packet from the pool of the fragment that completed it. In
+// steady state, reassembly allocates nothing.
+//
 // Incomplete series do not linger forever: AddAt evicts series older
 // than TTL (virtual time) and, when MaxSeries is exceeded, the oldest
 // series — both real-implementation behaviours, and both necessary to
@@ -125,18 +92,25 @@ type Reassembler struct {
 	TTL       time.Duration
 	MaxSeries int
 
-	series  map[fragKey]*fragSeries
-	order   []seriesRef // series in creation order; may hold stale refs
+	series map[fragKey]*fragSeries
+	// order[head:] lists the series in creation order; entries of
+	// series since completed or evicted are stale and skipped.
+	order   []seriesRef
+	head    int
+	free    []*fragSeries // finished series whose storage is reused
+	gens    uint64
 	evicted uint64
 	lastNow time.Duration
 	spans   [][2]int // complete's scratch: a series' piece spans
+	wire    []byte   // the finished datagram's wire bytes
+	ipOpts  []byte   // its IP options
 }
 
 // seriesRef pins an order entry to a specific series incarnation, so a
 // key reused after completion is not confused with its predecessor.
 type seriesRef struct {
 	key fragKey
-	s   *fragSeries
+	gen uint64
 }
 
 // Default reassembly limits: Linux uses 30s (ip_frag_time) and bounds
@@ -164,11 +138,14 @@ func (r *Reassembler) Add(p *Packet) (*Packet, error) {
 	return r.AddAt(p, r.lastNow)
 }
 
-// AddAt offers a packet to the reassembler at virtual time now. Whole
-// datagrams are returned unchanged. Fragments are buffered; when a
-// series completes, the reassembled datagram is parsed and returned.
-// Otherwise AddAt returns nil. Expired and over-cap series are evicted
-// first (see TakeEvicted).
+// AddAt offers a packet to the reassembler at virtual time now, without
+// modifying it or keeping a reference to it. Whole datagrams are
+// returned unchanged. Fragments are buffered; when a series completes,
+// the reassembled datagram is decoded into a packet from the pool of
+// the fragment that completed it (the heap for a heap fragment) and
+// returned; whoever receives it owns it and releases it. Otherwise
+// AddAt returns nil. Expired and over-cap series
+// are evicted first (see TakeEvicted).
 func (r *Reassembler) AddAt(p *Packet, now time.Duration) (*Packet, error) {
 	if now > r.lastNow {
 		r.lastNow = now
@@ -180,39 +157,72 @@ func (r *Reassembler) AddAt(p *Packet, now time.Duration) (*Packet, error) {
 	key := fragKey{src: p.IP.Src, dst: p.IP.Dst, proto: p.IP.Protocol, id: p.IP.ID}
 	s := r.series[key]
 	if s == nil {
-		s = &fragSeries{born: r.lastNow}
-		r.series[key] = s
-		r.order = append(r.order, seriesRef{key: key, s: s})
+		s = r.open(key)
 		for r.MaxSeries > 0 && len(r.series) > r.MaxSeries {
 			r.evictOldest()
 		}
 	}
-	var data []byte
+	off, start := int(p.IP.FragOffset)*8, len(s.buf)
 	if p.IP.FragOffset == 0 {
-		// Emit the first fragment's stored bytes verbatim: its L4
+		// Keep the first fragment's stored bytes verbatim: its L4
 		// checksum is a piece of the original whole segment's checksum
 		// and must not be recomputed over the fragment alone.
-		data = p.Serialize(SerializeOptions{})[p.IP.HeaderLen():]
+		s.buf = p.appendL4(s.buf, SerializeOptions{})
 	} else {
-		data = append([]byte(nil), p.Payload...)
+		s.buf = append(s.buf, p.Payload...)
 	}
-	piece := fragPiece{off: int(p.IP.FragOffset) * 8, data: data, last: !p.IP.MoreFragments()}
-	if piece.last {
-		s.haveLast = true
-		s.totalLen = piece.off + len(piece.data)
-	}
-	s.pieces = append(s.pieces, piece)
+	s.add(off, start, !p.IP.MoreFragments())
 	if !s.haveLast || !r.complete(s) {
 		return nil, nil
 	}
-	delete(r.series, key)
-	hdr := p.IP.Clone()
+	hdr := p.IP
+	r.ipOpts = append(r.ipOpts[:0], p.IP.Options...)
+	hdr.Options = r.ipOpts
 	hdr.Flags &^= IPFlagMoreFragments
 	hdr.FragOffset = 0
-	hdr.SetLengths(s.totalLen)
-	wire := make([]byte, 0, hdr.HeaderLen()+s.totalLen)
-	wire = hdr.SerializeTo(wire, s.totalLen, SerializeOptions{ComputeChecksums: true, FixLengths: true})
-	return Parse(s.assemble(wire, r.Policy))
+	wire := hdr.SerializeTo(r.wire[:0], s.totalLen, SerializeOptions{ComputeChecksums: true, FixLengths: true})
+	r.wire = s.assemble(wire, r.Policy)
+	r.drop(key, s)
+	return p.pool.Parse(r.wire)
+}
+
+// open starts a series for key, on the storage of a finished one when
+// there is one.
+func (r *Reassembler) open(key fragKey) *fragSeries {
+	var s *fragSeries
+	if n := len(r.free); n > 0 {
+		s = r.free[n-1]
+		r.free = r.free[:n-1]
+	} else {
+		s = &fragSeries{}
+	}
+	r.gens++
+	s.born, s.gen = r.lastNow, r.gens
+	r.series[key] = s
+	if r.head > 0 && len(r.order) == cap(r.order) {
+		// Full to the end of its array: move the live entries to the
+		// front instead of growing.
+		n := copy(r.order, r.order[r.head:])
+		r.order, r.head = r.order[:n], 0
+	}
+	r.order = append(r.order, seriesRef{key: key, gen: s.gen})
+	return s
+}
+
+// drop forgets series s of key, keeping its storage for a later series.
+func (r *Reassembler) drop(key fragKey, s *fragSeries) {
+	delete(r.series, key)
+	s.buf, s.pieces = s.buf[:0], s.pieces[:0]
+	s.haveLast, s.totalLen = false, 0
+	r.free = append(r.free, s)
+}
+
+// live returns the series ref names if it is still open.
+func (r *Reassembler) live(ref seriesRef) *fragSeries {
+	if s := r.series[ref.key]; s != nil && s.gen == ref.gen {
+		return s
+	}
+	return nil
 }
 
 // assemble appends the byte range [0, totalLen) of a complete series to
@@ -230,7 +240,7 @@ func (s *fragSeries) assemble(dst []byte, policy OverlapPolicy) []byte {
 			pc = s.pieces[n-1-i]
 		}
 		if pc.off < len(buf) {
-			copy(buf[pc.off:], pc.data)
+			copy(buf[pc.off:], s.data(pc))
 		}
 	}
 	return dst
@@ -241,7 +251,7 @@ func (s *fragSeries) assemble(dst []byte, policy OverlapPolicy) []byte {
 func (r *Reassembler) complete(s *fragSeries) bool {
 	r.spans = r.spans[:0]
 	for _, pc := range s.pieces {
-		r.spans = append(r.spans, [2]int{pc.off, pc.off + len(pc.data)})
+		r.spans = append(r.spans, [2]int{pc.off, pc.off + pc.end - pc.start})
 	}
 	slices.SortFunc(r.spans, func(a, b [2]int) int { return a[0] - b[0] })
 	covered := 0
@@ -257,33 +267,29 @@ func (r *Reassembler) complete(s *fragSeries) bool {
 // expire evicts series whose TTL has elapsed at virtual time now,
 // draining stale order entries (completed series) as it goes.
 func (r *Reassembler) expire(now time.Duration) {
-	for len(r.order) > 0 {
-		ref := r.order[0]
-		if r.series[ref.key] != ref.s {
-			// Completed or already evicted; drop the stale entry.
-			r.order = r.order[1:]
-			continue
-		}
-		if r.TTL > 0 && now-ref.s.born >= r.TTL {
-			delete(r.series, ref.key)
-			r.order = r.order[1:]
+	for r.head < len(r.order) {
+		ref := r.order[r.head]
+		if s := r.live(ref); s != nil {
+			if r.TTL <= 0 || now-s.born < r.TTL {
+				break
+			}
+			r.drop(ref.key, s)
 			r.evicted++
-			continue
 		}
-		break
+		r.head++
 	}
-	if len(r.order) == 0 {
-		r.order = nil
+	if r.head == len(r.order) {
+		r.order, r.head = r.order[:0], 0
 	}
 }
 
 // evictOldest drops the oldest live series (MaxSeries pressure).
 func (r *Reassembler) evictOldest() {
-	for len(r.order) > 0 {
-		ref := r.order[0]
-		r.order = r.order[1:]
-		if r.series[ref.key] == ref.s {
-			delete(r.series, ref.key)
+	for r.head < len(r.order) {
+		ref := r.order[r.head]
+		r.head++
+		if s := r.live(ref); s != nil {
+			r.drop(ref.key, s)
 			r.evicted++
 			return
 		}

@@ -52,7 +52,8 @@ func (m *ICMPMessage) computeChecksum() uint16 {
 	return foldChecksum(sum + regionSum(m.Body))
 }
 
-// DecodeFromBytes parses an ICMP message.
+// DecodeFromBytes parses an ICMP message, copying the body into m's
+// retained Body slice.
 func (m *ICMPMessage) DecodeFromBytes(data []byte) error {
 	if len(data) < 8 {
 		return fmt.Errorf("icmp: truncated message: %d bytes", len(data))
@@ -61,7 +62,7 @@ func (m *ICMPMessage) DecodeFromBytes(data []byte) error {
 	m.Code = data[1]
 	m.Checksum = binary.BigEndian.Uint16(data[2:])
 	copy(m.Rest[:], data[4:8])
-	m.Body = append([]byte(nil), data[8:]...)
+	m.Body = append(m.Body[:0], data[8:]...)
 	return nil
 }
 

@@ -176,13 +176,19 @@ func (p *Packet) Finalize() *Packet {
 }
 
 // Parse decodes a full IPv4 datagram from wire bytes into a heap
-// packet, whose L4 header lives in the packet's embedded store. Non-first
-// fragments keep their L4 bytes in Payload with TCP/UDP/ICMP nil.
+// packet: Pool.Parse on a nil pool.
 func Parse(data []byte) (*Packet, error) {
-	p := &Packet{}
+	return (*Pool)(nil).Parse(data)
+}
+
+// decode fills the zeroed packet p from the datagram in data: its L4
+// header in the packet's embedded store, its payload and option bytes
+// copied into the packet's own buffers. Non-first fragments keep their
+// L4 bytes in Payload with TCP/UDP/ICMP nil.
+func (p *Packet) decode(data []byte) error {
 	n, err := p.IP.DecodeFromBytes(data)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	end := int(p.IP.TotalLength)
 	if end > len(data) || end < n {
@@ -190,30 +196,55 @@ func Parse(data []byte) (*Packet, error) {
 	}
 	l4 := data[n:end]
 	if p.IP.FragOffset != 0 {
-		p.Payload = append([]byte(nil), l4...)
-		return p, nil
+		p.SetPayload(l4)
+		return nil
 	}
+	return p.decodeL4(l4)
+}
+
+// decodeL4 decodes the L4 header of protocol p.IP.Protocol from l4
+// into p's embedded store and copies the rest into p's payload.
+func (p *Packet) decodeL4(l4 []byte) error {
 	switch p.IP.Protocol {
 	case ProtoTCP:
-		hn, err := p.UseTCP().DecodeFromBytes(l4)
+		hn, err := p.UseTCP().decode(l4, p)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		p.Payload = append([]byte(nil), l4[hn:]...)
+		p.SetPayload(l4[hn:])
 	case ProtoUDP:
 		hn, err := p.UseUDP().DecodeFromBytes(l4)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		p.Payload = append([]byte(nil), l4[hn:]...)
+		p.SetPayload(l4[hn:])
 	case ProtoICMP:
 		if err := p.UseICMP().DecodeFromBytes(l4); err != nil {
-			return nil, err
+			return err
 		}
 	default:
-		p.Payload = append([]byte(nil), l4...)
+		p.SetPayload(l4)
 	}
-	return p, nil
+	return nil
+}
+
+// appendL4 appends p's L4 bytes — header and payload as serialized
+// under opts — to buf, without touching p: it serializes copies of the
+// headers, so computed checksums and lengths land in the copies.
+func (p *Packet) appendL4(buf []byte, opts SerializeOptions) []byte {
+	switch {
+	case p.TCP != nil:
+		h := *p.TCP
+		return h.SerializeTo(buf, p.IP.Src, p.IP.Dst, p.Payload, opts)
+	case p.UDP != nil:
+		h := *p.UDP
+		return h.SerializeTo(buf, p.IP.Src, p.IP.Dst, p.Payload, opts)
+	case p.ICMP != nil:
+		m := *p.ICMP
+		return m.SerializeTo(buf, opts)
+	default:
+		return append(buf, p.Payload...)
+	}
 }
 
 // Clone returns a deep copy, so middleboxes and the GFW tap can mutate

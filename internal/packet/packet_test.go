@@ -141,7 +141,7 @@ func TestTCPRoundTripWithOptions(t *testing.T) {
 	payload := []byte("GET / HTTP/1.1\r\n")
 	buf := h.SerializeTo(nil, addrA, addrB, payload, SerializeOptions{ComputeChecksums: true, FixLengths: true})
 	var got TCPHeader
-	n, err := got.DecodeFromBytes(buf)
+	n, err := got.decode(buf, &Packet{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestTCPHeaderLenUnder20Rejected(t *testing.T) {
 	h := &TCPHeader{SrcPort: 1, DstPort: 2, RawDataOffset: 3}
 	buf := h.SerializeTo(nil, addrA, addrB, nil, SerializeOptions{ComputeChecksums: true})
 	var got TCPHeader
-	if _, err := got.DecodeFromBytes(buf); err == nil {
+	if _, err := got.decode(buf, &Packet{}); err == nil {
 		t.Fatal("want error for data offset < 5")
 	}
 }
@@ -200,7 +200,7 @@ func TestTCPRoundTripProperty(t *testing.T) {
 		rng.Read(payload)
 		buf := h.SerializeTo(nil, addrA, addrB, payload, SerializeOptions{ComputeChecksums: true, FixLengths: true})
 		var got TCPHeader
-		n, err := got.DecodeFromBytes(buf)
+		n, err := got.decode(buf, &Packet{})
 		if err != nil {
 			t.Fatalf("iter %d: %v", i, err)
 		}

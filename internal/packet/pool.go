@@ -1,6 +1,7 @@
 package packet
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -18,11 +19,17 @@ import (
 //     everything that wants bytes past the delivery event must copy
 //     (the stacks, the GFW streams, and the reassemblers all do).
 //   - Release is called only at provably-dead points — link-loss and
-//     router drops, middlebox Drop verdicts, and after an endpoint's
-//     Deliver returns. A missed Release is harmless (the GC takes it);
-//     a premature one is corruption, so when in doubt, don't.
-//   - The netem path never releases while a Trace callback is attached:
-//     TraceEvents hold *Packet pointers for later rendering.
+//     router drops, middlebox Drop verdicts, after an endpoint's
+//     Deliver returns, by the strategy engine for a client packet its
+//     strategy's pieces replaced, and by the GFW and the stacks for the
+//     whole datagram their reassembler built once they have processed
+//     it. A missed Release is harmless (the GC takes it); a premature
+//     one is corruption, so when in doubt, don't.
+//   - Nothing is released while a Trace callback is attached
+//     (netem.Fabric.Release decides): TraceEvents hold *Packet pointers
+//     for later rendering. The exception is a packet no tracer has
+//     seen: a strategy's plan releases a piece it made and never
+//     emitted directly.
 //
 // All methods are safe on a nil *Pool and fall back to plain heap
 // allocation, so call sites need no branching.
@@ -222,18 +229,7 @@ func (pl *Pool) Clone(src *Packet) *Packet {
 	c.BadTCPChecksum = src.BadTCPChecksum
 	switch {
 	case src.TCP != nil:
-		tcp := c.UseTCP()
-		opts := tcp.Options
-		*tcp = *src.TCP
-		tcp.Options = opts
-		for _, o := range src.TCP.Options {
-			d := []byte(nil)
-			if len(o.Data) > 0 {
-				d = c.optScratch(len(o.Data))
-				copy(d, o.Data)
-			}
-			tcp.Options = append(tcp.Options, TCPOption{Kind: o.Kind, Data: d})
-		}
+		c.copyTCP(src.TCP)
 	case src.UDP != nil:
 		*c.UseUDP() = *src.UDP
 	case src.ICMP != nil:
@@ -244,6 +240,134 @@ func (pl *Pool) Clone(src *Packet) *Packet {
 	}
 	c.SetPayload(src.Payload)
 	return c
+}
+
+// copyTCP points p at its embedded TCP store holding a copy of src,
+// with the options' data in p's option scratch, and returns it.
+func (p *Packet) copyTCP(src *TCPHeader) *TCPHeader {
+	tcp := p.UseTCP()
+	opts := tcp.Options
+	*tcp = *src
+	tcp.Options = opts
+	for _, o := range src.Options {
+		d := []byte(nil)
+		if len(o.Data) > 0 {
+			d = p.optScratch(len(o.Data))
+			copy(d, o.Data)
+		}
+		tcp.Options = append(tcp.Options, TCPOption{Kind: o.Kind, Data: d})
+	}
+	return tcp
+}
+
+// Parse decodes a full IPv4 datagram from wire bytes into a packet
+// from the pool (a heap packet when pl is nil). Its L4 header lives in
+// the packet's embedded store and its payload and option bytes in the
+// packet's own buffers, so data is not retained. Non-first fragments
+// keep their L4 bytes in Payload with TCP/UDP/ICMP nil. On error the
+// packet goes back to the pool.
+func (pl *Pool) Parse(data []byte) (*Packet, error) {
+	p := pl.Get()
+	if err := p.decode(data); err != nil {
+		p.Release()
+		return nil, err
+	}
+	return p, nil
+}
+
+// Fragment splits datagram p into IP fragments whose L4 payloads are
+// at most mtu-IPHeaderLen bytes (mtu counts the IP header), appends
+// them to dst and returns the result. Fragment only reads p, and the
+// fragments come from the pool (the heap when pl is nil) and share no
+// storage with it. The first fragment carries the L4 header, the
+// others raw bytes; fragment data lengths other than the last are
+// rounded down to 8-byte multiples, as the offset encoding requires,
+// and mtu must leave room for 8. A datagram that fits is appended as
+// one copy. Every packet appended carries honest lengths and
+// checksums, whatever p's fields say.
+func (pl *Pool) Fragment(dst []*Packet, p *Packet, mtu int) ([]*Packet, error) {
+	if p.IP.IsFragment() {
+		return dst, fmt.Errorf("fragment: packet is already a fragment")
+	}
+	if p.IP.Flags&IPFlagDontFragment != 0 {
+		return dst, fmt.Errorf("fragment: DF set")
+	}
+	hl := IPv4HeaderLen + (len(p.IP.Options)+3)&^3 // options padded as on the wire
+	maxData := (mtu - hl) &^ 7
+	if maxData < 8 {
+		return dst, fmt.Errorf("fragment: mtu %d too small", mtu)
+	}
+	l4len := len(p.Payload)
+	switch {
+	case p.TCP != nil:
+		l4len += p.TCP.HeaderLen()
+	case p.UDP != nil:
+		l4len += UDPHeaderLen
+	case p.ICMP != nil:
+		l4len = 8 + len(p.ICMP.Body)
+	}
+	if l4len <= maxData {
+		return append(dst, pl.Clone(p).Finalize()), nil
+	}
+	// A TCP header that fits the first fragment is copied as a typed
+	// header, and every chunk is a slice of the payload. Anything else
+	// is cut from the serialized L4 bytes, and the first chunk decoded
+	// as far as it goes.
+	var l4 []byte
+	thl := 0
+	if p.TCP != nil && p.TCP.HeaderLen() <= min(maxData, 60) {
+		thl = p.TCP.HeaderLen()
+	} else {
+		l4 = p.appendL4(nil, SerializeOptions{ComputeChecksums: true, FixLengths: true})
+	}
+	for off := 0; off < l4len; off += maxData {
+		end := min(off+maxData, l4len)
+		f := pl.Get()
+		f.IP = p.IP
+		f.setIPOptions(p.IP.Options)
+		f.IP.FragOffset = uint16(off / 8)
+		if end < l4len {
+			f.IP.Flags |= IPFlagMoreFragments
+		} else {
+			f.IP.Flags &^= IPFlagMoreFragments
+		}
+		switch {
+		case thl > 0 && off == 0:
+			tcp := f.copyTCP(p.TCP)
+			tcp.Checksum = p.TCP.checksumFixed(p.IP.Src, p.IP.Dst, p.Payload)
+			tcp.RawDataOffset = uint8(thl / 4)
+			f.SetPayload(p.Payload[:end-thl])
+		case thl > 0:
+			f.SetPayload(p.Payload[off-thl : end-thl])
+		case off == 0 && hl <= 60 && f.decodeL4(l4[:end]) == nil:
+			// The first chunk decodes to a typed header and payload.
+			// (An IP header past 60 bytes has no IHL to decode by.)
+		default:
+			// A non-first chunk, or an L4 header the first chunk cuts
+			// short: raw bytes.
+			f.TCP, f.UDP, f.ICMP = nil, nil, nil
+			f.SetPayload(l4[off:end])
+		}
+		f.IP.SetLengths(end - off)
+		f.IP.UpdateChecksum()
+		dst = append(dst, f)
+	}
+	return dst, nil
+}
+
+// setIPOptions sets p's IP options to a copy of opts in p's own
+// buffer, zero-padded to the 4-byte multiple the wire carries.
+func (p *Packet) setIPOptions(opts []byte) {
+	if len(opts) == 0 {
+		p.IP.Options = nil
+		return
+	}
+	b := append(p.ipOptBuf[:0], opts...)
+	for len(b)%4 != 0 {
+		b = append(b, 0)
+	}
+	p.ipOptBuf = b
+	p.IP.Options = b
 }
 
 // TimeExceededPacket is the pooled equivalent of building a router's

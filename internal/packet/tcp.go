@@ -170,9 +170,13 @@ func (h *TCPHeader) SerializeTo(buf []byte, src, dst Addr, payload []byte, opts 
 	return out
 }
 
-// DecodeFromBytes parses a TCP header from data, returning the header
-// length consumed. The payload is data[consumed:].
-func (h *TCPHeader) DecodeFromBytes(data []byte) (int, error) {
+// decode parses a TCP header from data, returning the header length
+// consumed; the payload is data[consumed:]. The options decode into
+// h's retained Options slice, and their data into one copy of the
+// options region in owner's option scratch, which the options' Data
+// slices share: a pooled owner decodes without allocating, a heap one
+// into a single new region.
+func (h *TCPHeader) decode(data []byte, owner *Packet) (int, error) {
 	if len(data) < TCPHeaderLen {
 		return 0, fmt.Errorf("tcp: truncated header: %d bytes", len(data))
 	}
@@ -186,37 +190,52 @@ func (h *TCPHeader) DecodeFromBytes(data []byte) (int, error) {
 	h.Window = binary.BigEndian.Uint16(data[14:])
 	h.Checksum = binary.BigEndian.Uint16(data[16:])
 	h.Urgent = binary.BigEndian.Uint16(data[18:])
-	h.Options = nil
+	h.Options = h.Options[:0]
 	if hl < TCPHeaderLen {
 		return 0, fmt.Errorf("tcp: header length %d < 20", hl)
 	}
 	if len(data) < hl {
 		return 0, fmt.Errorf("tcp: truncated options: have %d want %d", len(data), hl)
 	}
-	p := TCPHeaderLen
-opts:
-	for p < hl {
-		switch kind := data[p]; kind {
+	if hl == TCPHeaderLen {
+		return hl, nil
+	}
+	// At most 40 option bytes, so at most 40 options: decode them on
+	// the stack, then size the retained slice once.
+	var opts [40]TCPOption
+	n := 0
+	region := owner.optScratch(hl - TCPHeaderLen)
+	copy(region, data[TCPHeaderLen:hl])
+	p := 0
+scan:
+	for p < len(region) {
+		switch kind := region[p]; kind {
 		case OptEnd:
-			break opts
+			break scan
 		case OptNOP:
-			h.Options = append(h.Options, TCPOption{Kind: OptNOP})
+			opts[n] = TCPOption{Kind: OptNOP}
 			p++
 		default:
-			if p+1 >= hl {
+			if p+1 >= len(region) {
 				return 0, fmt.Errorf("tcp: option %d truncated", kind)
 			}
-			olen := int(data[p+1])
-			if olen < 2 || p+olen > hl {
+			olen := int(region[p+1])
+			if olen < 2 || p+olen > len(region) {
 				return 0, fmt.Errorf("tcp: option %d bad length %d", kind, olen)
 			}
-			h.Options = append(h.Options, TCPOption{
-				Kind: kind,
-				Data: append([]byte(nil), data[p+2:p+olen]...),
-			})
+			var d []byte
+			if olen > 2 {
+				d = region[p+2 : p+olen : p+olen]
+			}
+			opts[n] = TCPOption{Kind: kind, Data: d}
 			p += olen
 		}
+		n++
 	}
+	if cap(h.Options) < n {
+		h.Options = make([]TCPOption, 0, n)
+	}
+	h.Options = append(h.Options, opts[:n]...)
 	return hl, nil
 }
 

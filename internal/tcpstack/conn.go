@@ -3,6 +3,7 @@ package tcpstack
 import (
 	"time"
 
+	"intango/internal/netem"
 	"intango/internal/packet"
 )
 
@@ -99,7 +100,7 @@ type Conn struct {
 	finAt  bool // peer FIN buffered at finSeq
 
 	retx     []outSeg
-	rtxTimer int // generation counter to invalidate stale timers
+	rtxTimer int32 // generation counter to invalidate stale timers
 	rto      time.Duration
 
 	// RFC 6298 RTT estimation. One segment is timed at a time (Karn's
@@ -314,17 +315,28 @@ func (c *Conn) sendData(flags uint8, payload []byte) {
 }
 
 // armRetx (re)starts the retransmission timer for the oldest unacked
-// segment, invalidating any previously scheduled firing.
+// segment, invalidating any previously scheduled firing. The
+// connection is its own timer (retxTimer), and the event carries the
+// generation it was armed with, so arming allocates nothing.
 func (c *Conn) armRetx() {
 	if len(c.retx) == 0 {
 		return
 	}
 	c.rtxTimer++
-	gen := c.rtxTimer
-	c.stack.Sim.At(c.rto, func() { c.onRetxTimer(gen) })
+	c.stack.Sim.AtPacket(c.rto, (*retxTimer)(c), nil, int(c.rtxTimer), netem.ToServer)
 }
 
-func (c *Conn) onRetxTimer(gen int) {
+// retxTimer is a connection seen as the handler of its retransmission
+// timer's events.
+type retxTimer Conn
+
+// HandlePacket implements netem.PacketHandler: the timer armed with
+// generation gen fires; a stale generation does nothing.
+func (t *retxTimer) HandlePacket(_ *packet.Packet, gen int, _ netem.Direction) {
+	(*Conn)(t).onRetxTimer(int32(gen))
+}
+
+func (c *Conn) onRetxTimer(gen int32) {
 	if gen != c.rtxTimer || len(c.retx) == 0 || c.state == Closed {
 		return
 	}
@@ -410,6 +422,15 @@ func (c *Conn) sendFIN() {
 	case CloseWait:
 		c.setState(LastAck)
 		c.sendData(packet.FlagFIN|packet.FlagACK, nil)
+	}
+}
+
+// Abandon closes the connection without a segment: its timers stop
+// and its tuple is free. It is what Linux does to a connect
+// interrupted in SYN_SENT, which sends no RST.
+func (c *Conn) Abandon() {
+	if c.state != Closed {
+		c.abort("abandoned")
 	}
 }
 

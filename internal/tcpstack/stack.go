@@ -89,11 +89,18 @@ type Stack struct {
 	// transition ("addr FROM>TO"), built on a transition's first trace.
 	stateLabels map[[2]State]string
 
+	// reasonLabels caches the counter name of each non-Accept
+	// disposition reason ("tcpstack.<reason>").
+	reasonLabels map[string]string
+
 	conns     map[connKey]*Conn
 	listeners map[uint16]Acceptor
 	udp       map[uint16]UDPHandler
 	nextPort  uint16
 	frag      *packet.Reassembler
+	// net is the fabric the stack is attached to, which decides
+	// whether a reassembled datagram may be recycled (nil: never).
+	net *netem.Fabric
 }
 
 // NewStack creates a stack for addr with the given profile.
@@ -119,6 +126,7 @@ func (s *Stack) AttachClient(f *netem.Fabric) {
 	f.Client = s
 	s.Send = f.SendFromClient
 	s.Pool = f.Pool
+	s.net = f
 }
 
 // AttachServer wires the stack to the server end of a fabric.
@@ -126,6 +134,7 @@ func (s *Stack) AttachServer(f *netem.Fabric) {
 	f.Server = s
 	s.Send = f.SendFromServer
 	s.Pool = f.Pool
+	s.net = f
 }
 
 func (s *Stack) send(pkt *packet.Packet) {
@@ -136,7 +145,7 @@ func (s *Stack) send(pkt *packet.Packet) {
 
 func (s *Stack) observe(c *Conn, pkt *packet.Packet, d Disposition) {
 	if s.Obs != nil && d.Verdict != Accept {
-		s.Obs.Count("tcpstack." + d.Reason)
+		s.Obs.Count(s.reasonLabel(d.Reason))
 		if d.Verdict == IgnoreWithAck {
 			// The aggregate the paper's §5.1 cares about: segments that
 			// only elicit a duplicate/challenge ACK.
@@ -161,6 +170,20 @@ func (s *Stack) stateLabel(from, to State) string {
 		}
 		l = s.Addr.String() + " " + from.String() + ">" + to.String()
 		s.stateLabels[k] = l
+	}
+	return l
+}
+
+// reasonLabel returns the counter name of a disposition reason, built
+// on the reason's first segment.
+func (s *Stack) reasonLabel(reason string) string {
+	l, ok := s.reasonLabels[reason]
+	if !ok {
+		if s.reasonLabels == nil {
+			s.reasonLabels = make(map[string]string)
+		}
+		l = "tcpstack." + reason
+		s.reasonLabels[reason] = l
 	}
 	return l
 }
@@ -239,16 +262,24 @@ func (s *Stack) Conn(lport uint16, raddr packet.Addr, rport uint16) (*Conn, bool
 
 // Deliver implements netem.Endpoint: the stack's receive path.
 func (s *Stack) Deliver(pkt *packet.Packet) {
-	if pkt.IP.IsFragment() {
-		whole, err := s.frag.AddAt(pkt, s.Sim.Now())
-		if n := s.frag.TakeEvicted(); n > 0 && s.Obs != nil {
-			s.Obs.Registry().Add("tcpstack.frag-evict", n)
-		}
-		if err != nil || whole == nil {
-			return
-		}
-		pkt = whole
+	if !pkt.IP.IsFragment() {
+		s.deliver(pkt)
+		return
 	}
+	whole, err := s.frag.AddAt(pkt, s.Sim.Now())
+	if n := s.frag.TakeEvicted(); n > 0 && s.Obs != nil {
+		s.Obs.Registry().Add("tcpstack.frag-evict", n)
+	}
+	if err != nil || whole == nil {
+		return
+	}
+	// The whole datagram is the stack's own: its life ends here.
+	s.deliver(whole)
+	s.net.Release(whole)
+}
+
+// deliver hands a whole datagram to its protocol.
+func (s *Stack) deliver(pkt *packet.Packet) {
 	switch {
 	case pkt.TCP != nil:
 		s.deliverTCP(pkt)
