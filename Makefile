@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race fuzz-smoke bench-smoke bench bench-compare bench-gate bench-obs health-golden fleet-smoke intangd-smoke loc
+.PHONY: check build fmt vet test race checked fuzz-smoke bench-smoke bench bench-compare bench-gate bench-obs health-golden fleet-smoke intangd-smoke loc
 
 # check is the fast gate: build, formatting, vet, tests (which include
 # the health-report golden and the hot-path alloc gate), the fuzz seed
@@ -52,13 +52,26 @@ race:
 	$(GO) test -race -count=10 ./internal/device/uis
 	$(GO) test -race -count=10 -run '^TestServedConnectionsClose$$' ./internal/intangd
 
+# checked runs the suite in the checked build (the intango_checked
+# tag): a released packet is poisoned and never recycled, and the bytes
+# a simulator's Reset takes back, a connection's out-of-order buffer
+# when its queue drains and a GFW stream's buffers when they restart
+# are scribbled and never handed out again. A premature release, or a
+# view that outlives its trial, then moves a golden instead of reading
+# the next owner's data. Normal builds pay nothing for it. The tests
+# that measure recycling itself skip here and run in the normal suite.
+checked:
+	$(GO) test -tags intango_checked ./...
+
 # fuzz-smoke replays the checked-in seed corpora of the topology,
 # censor and strategy spec parsers (the strategy grammar's parser also
 # builds every registered strategy from its text), of the daemon's
 # /strategy POST body over loopback, of the checkpoint journal and
 # manifest loaders,
 # of the differential tests that hold the GFW's stream reassembly and
-# IP fragment assembly to their per-byte reference models, the pooled
+# IP fragment assembly to their per-byte reference models, a TCP
+# connection's out-of-order queue to the copy-per-segment one it
+# replaced, the pooled
 # datagram decoder and fragmenter to the heap ones they replaced, the
 # keyword automaton to a case-folded naive search over chunked
 # streams, and the simulator's event order to a sorted reference, as
@@ -70,6 +83,7 @@ fuzz-smoke:
 	$(GO) test -run '^FuzzStrategyPOST$$' ./internal/intangd
 	$(GO) test -run '^(FuzzJournal|FuzzManifest)$$' ./internal/experiment
 	$(GO) test -run '^FuzzStreamInsert$$' ./internal/gfw
+	$(GO) test -run '^FuzzOOOReassembly$$' ./internal/tcpstack
 	$(GO) test -run '^FuzzMatcherStream$$' ./internal/dpi
 	$(GO) test -run '^(FuzzFragmentAssemble|FuzzFragmentPooled)$$' ./internal/packet
 	$(GO) test -run '^FuzzSimulatorOrder$$' ./internal/netem
@@ -80,7 +94,8 @@ fuzz-smoke:
 # event loop at a campaign's queue shape, the trial RNG's reseed and
 # draws, a plain-router hop, a GFW blocklist volley, the DPI keyword
 # scan and stream feed, one fetch between two userspace stacks on a
-# pipe, and one segment cut by ooo-ipfrag and reassembled), five runs
+# pipe, one segment cut by ooo-ipfrag and reassembled, and one segment
+# received by a TCP connection, in order or out of it), five runs
 # of 400 ms each, writing
 # BENCH_netem.json (the median ns/op with its min and max, B/op and
 # allocs/op, trials/sec, pool traffic, the layers section, and the
@@ -110,12 +125,12 @@ bench-compare:
 # committed BENCH_netem.json baseline by more than 5% (the other
 # layers commit 0, so they must stay at 0; the userspace-stack fetch
 # commits its count). Allocation varies far less than timing on shared
-# CI runners: the trial's and the layers' counts repeat exactly; the
-# goodput trial's whole count reads 150 or 151 from run to run; and the
-# parallel campaign's varies a little at GOMAXPROCS 2 (four runs read
-# 15,681-15,915), which the 5% tolerance absorbs. Timing drift is
-# diagnosed with bench-compare instead, which prints each side's ns/op
-# spread.
+# CI runners: the trial's, the goodput trial's and the layers' counts
+# repeat exactly (the goodput trial's B/op moves by a few hundred
+# bytes), and the parallel campaign's varies a little at GOMAXPROCS 2
+# (five runs read 13,962-14,062), which the 5% tolerance absorbs.
+# Timing drift is diagnosed with bench-compare instead, which prints
+# each side's ns/op spread.
 bench-gate:
 	$(GO) run ./cmd/tables -what bench-gate BENCH_netem.json
 

@@ -118,11 +118,11 @@ func evolved() gfw.Config { return gfw.Config{Model: gfw.ModelEvolved2017} }
 func old() gfw.Config     { return gfw.Config{Model: gfw.ModelKhattak2013} }
 
 // TestJunkFiller pins the decoy filler: ABCDEFGHIJKLM repeated, cut at
-// any length, whether allocated or written over a clone's payload.
+// any length, whether written over zeroes or over a copy's payload.
 func TestJunkFiller(t *testing.T) {
 	for _, n := range []int{0, 1, 12, 13, 14, 26, 27, 100, 1460} {
 		over := bytes.Repeat([]byte("ultrasurf"), n/9+1)[:n]
-		for _, b := range [][]byte{junk(n), fillJunk(over)} {
+		for _, b := range [][]byte{fillJunk(make([]byte, n)), fillJunk(over)} {
 			if len(b) != n {
 				t.Fatalf("n=%d: %d bytes", n, len(b))
 			}

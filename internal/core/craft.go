@@ -142,12 +142,9 @@ func (e *Env) Apply(pkt *packet.Packet, d Discrepancy) *packet.Packet {
 	return pkt
 }
 
-// junk returns n bytes of keyword-free filler.
-func junk(n int) []byte { return fillJunk(make([]byte, n)) }
-
-// fillJunk overwrites b with the filler ABCDEFGHIJKLM, repeated: it
-// writes the pattern once, then keeps doubling the written prefix into
-// the rest.
+// fillJunk overwrites b with keyword-free filler, ABCDEFGHIJKLM
+// repeated, and returns it: it writes the pattern once, then keeps
+// doubling the written prefix into the rest.
 func fillJunk(b []byte) []byte {
 	for n := copy(b, "ABCDEFGHIJKLM"); n < len(b); {
 		n += copy(b[n:], b[:n])

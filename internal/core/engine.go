@@ -186,9 +186,7 @@ func (e *Engine) emit(emissions []Emission) {
 	if !hasInsertion {
 		for _, em := range emissions {
 			if d := em.Delay; d > 0 {
-				em := em
-				em.Delay = 0
-				e.Sim.At(d, func() { e.send(em) })
+				e.sendAfter(d, em.Pkt, false)
 				continue
 			}
 			e.send(em)
@@ -204,14 +202,39 @@ func (e *Engine) emit(emissions []Emission) {
 			case em.Insertion:
 				// Each wave sends its own copy; pooled clones let the
 				// path recycle them at end-of-life.
-				clone := e.net.Pool.Clone(em.Pkt)
-				e.Sim.At(delay+em.Delay, func() { e.send(Emission{Pkt: clone, Insertion: true}) })
+				e.sendAfter(delay+em.Delay, e.net.Pool.Clone(em.Pkt), true)
 			case last:
-				p := em.Pkt
-				e.Sim.At(finalWave+em.Delay, func() { e.send(Emission{Pkt: p}) })
+				e.sendAfter(finalWave+em.Delay, em.Pkt, false)
 			}
 		}
 	}
+	// The crafted originals never reach the wire, and no tracer has
+	// seen them: only their clones are sent.
+	for _, em := range emissions {
+		if em.Insertion {
+			em.Pkt.Release()
+		}
+	}
+}
+
+// sendAfter schedules pkt to be sent after delay, as an insertion or
+// as real traffic, with the engine as the event's handler (sender), so
+// a wave allocates nothing.
+func (e *Engine) sendAfter(delay time.Duration, pkt *packet.Packet, insertion bool) {
+	arg := 0
+	if insertion {
+		arg = 1
+	}
+	e.Sim.AtPacket(delay, (*sender)(e), pkt, arg, netem.ToServer)
+}
+
+// sender is an engine seen as the handler of the emissions it delays.
+type sender Engine
+
+// HandlePacket implements netem.PacketHandler: a delayed emission of
+// pkt falls due, an insertion if insertion is 1.
+func (s *sender) HandlePacket(pkt *packet.Packet, insertion int, _ netem.Direction) {
+	(*Engine)(s).send(Emission{Pkt: pkt, Insertion: insertion == 1})
 }
 
 func (e *Engine) send(em Emission) {

@@ -95,12 +95,16 @@ func (Passthrough) Outbound(f *Flow, pkt *packet.Packet) []Emission {
 }
 
 // --- crafting helpers shared by the strategies ---
+//
+// Each builds its packet from the flow's pool (the heap for a flow no
+// engine tracks). The engine sends pool clones of it, one per wave,
+// and releases the original once they are scheduled.
 
 // fakeSYN builds a SYN insertion packet with a deliberately wrong
 // sequence number, outside the server's receive window so older Linux
 // servers are not reset by it (§5.2).
 func fakeSYN(f *Flow, disc Discrepancy) *packet.Packet {
-	p := packet.NewTCP(f.Tuple.SrcAddr, f.Tuple.SrcPort, f.Tuple.DstAddr, f.Tuple.DstPort,
+	p := f.pool.NewTCP(f.Tuple.SrcAddr, f.Tuple.SrcPort, f.Tuple.DstAddr, f.Tuple.DstPort,
 		packet.FlagSYN, f.SndNxt.Add(1<<20), 0, nil)
 	return f.Env.Apply(p, disc)
 }
@@ -108,7 +112,7 @@ func fakeSYN(f *Flow, disc Discrepancy) *packet.Packet {
 // fakeSYNACK builds the TCB Reversal insertion packet: a SYN/ACK from
 // the client that the evolved GFW mistakes for the server's.
 func fakeSYNACK(f *Flow, disc Discrepancy) *packet.Packet {
-	p := packet.NewTCP(f.Tuple.SrcAddr, f.Tuple.SrcPort, f.Tuple.DstAddr, f.Tuple.DstPort,
+	p := f.pool.NewTCP(f.Tuple.SrcAddr, f.Tuple.SrcPort, f.Tuple.DstAddr, f.Tuple.DstPort,
 		packet.FlagSYN|packet.FlagACK,
 		packet.Seq(f.Env.Rand.Uint32()), packet.Seq(f.Env.Rand.Uint32()), nil)
 	return f.Env.Apply(p, disc)
@@ -121,7 +125,7 @@ func teardownPacket(f *Flow, flags uint8, disc Discrepancy) *packet.Packet {
 	if flags&packet.FlagACK != 0 {
 		ack = f.RcvNxt
 	}
-	p := packet.NewTCP(f.Tuple.SrcAddr, f.Tuple.SrcPort, f.Tuple.DstAddr, f.Tuple.DstPort,
+	p := f.pool.NewTCP(f.Tuple.SrcAddr, f.Tuple.SrcPort, f.Tuple.DstAddr, f.Tuple.DstPort,
 		flags, f.SndNxt, ack, nil)
 	return f.Env.Apply(p, disc)
 }
@@ -131,15 +135,16 @@ func teardownPacket(f *Flow, flags uint8, disc Discrepancy) *packet.Packet {
 // naturally (out of window); a GFW in the resynchronization state
 // adopts its sequence and goes blind to the real stream.
 func desyncPacket(f *Flow) *packet.Packet {
-	p := packet.NewTCP(f.Tuple.SrcAddr, f.Tuple.SrcPort, f.Tuple.DstAddr, f.Tuple.DstPort,
+	return f.pool.NewTCP(f.Tuple.SrcAddr, f.Tuple.SrcPort, f.Tuple.DstAddr, f.Tuple.DstPort,
 		packet.FlagPSH|packet.FlagACK, f.SndNxt.Add(1<<20), f.RcvNxt, []byte{'z'})
-	return p.Finalize()
 }
 
 // prefillPacket builds an in-order junk data packet shadowing the real
-// segment: same sequence range, filler payload.
+// segment: same sequence range, filler payload (written over the
+// packet's copy of the real one; Apply finalizes the result).
 func prefillPacket(f *Flow, realPkt *packet.Packet, disc Discrepancy) *packet.Packet {
-	p := packet.NewTCP(f.Tuple.SrcAddr, f.Tuple.SrcPort, f.Tuple.DstAddr, f.Tuple.DstPort,
-		packet.FlagPSH|packet.FlagACK, realPkt.TCP.Seq, f.RcvNxt, junk(len(realPkt.Payload)))
+	p := f.pool.NewTCP(f.Tuple.SrcAddr, f.Tuple.SrcPort, f.Tuple.DstAddr, f.Tuple.DstPort,
+		packet.FlagPSH|packet.FlagACK, realPkt.TCP.Seq, f.RcvNxt, realPkt.Payload)
+	fillJunk(p.Payload)
 	return f.Env.Apply(p, disc)
 }

@@ -58,6 +58,44 @@ func TestArenaMatchesFreshRigs(t *testing.T) {
 	}
 }
 
+// TestGoodputArenaMatchesFresh runs the goodput matrix's uploads, both
+// arms, in RunGoodput's order on one recycled arena and requires each
+// upload's goodput, outcome and server byte count to equal a run on a
+// fresh arena. The recycled simulator lends every trial the buffers of
+// the trials before it — the send, receive and out-of-order buffers of
+// both stacks and the GFW streams' — so a buffer handed out while
+// still in use, or a view of one read after its trial, shows up here.
+func TestGoodputArenaMatchesFresh(t *testing.T) {
+	if raceEnabled {
+		t.Skip("single-goroutine comparison; skipped under -race")
+	}
+	r := NewRunner(42)
+	vp := VantagePoints()[6]
+	a := r.newArena()
+	uploads := 0
+	for _, s := range goodputStrategies() {
+		factory := goodputFactory(s.name)
+		for _, srv := range controlledServers(r, 3) {
+			upload := goodputUpload(srv)
+			for _, topo := range []string{"", goodputTopo(vp, srv)} {
+				bps, delivered, out := r.runGoodputTrial(vp, srv, topo, factory, upload, 0, nil, a)
+				wantBps, wantDelivered, wantOut := r.runGoodputTrial(vp, srv, topo, factory, upload, 0, nil, r.newArena())
+				if bps != wantBps || delivered != wantDelivered || out != wantOut {
+					t.Fatalf("%s ~ %s, topology %q: arena %d bps, %d bytes, %v; fresh %d bps, %d bytes, %v",
+						s.name, srv.Name, topo, bps, delivered, out, wantBps, wantDelivered, wantOut)
+				}
+				if delivered < GoodputUploadBytes && out == Success {
+					t.Fatalf("%s ~ %s: a successful upload delivered %d bytes", s.name, srv.Name, delivered)
+				}
+				uploads++
+			}
+		}
+	}
+	if uploads != 2*len(goodputStrategies())*3 {
+		t.Fatalf("%d uploads compared", uploads)
+	}
+}
+
 // BenchmarkRigBuild times one trial's rig build on its own — topology
 // instantiation, censor devices, both stacks — against a fresh arena
 // per build and against one recycled arena, as RunOne and a campaign

@@ -149,6 +149,7 @@ var benchLayers = []struct {
 	{"dpi_stream_feed", benchStreamFeed},
 	{"uis_fetch", benchUISFetch},
 	{"core_ipfrag_segment", benchIPFragSegment},
+	{"tcpstack_segment", benchTCPSegment},
 }
 
 // layer returns the named layer's result, zero when absent.
@@ -407,6 +408,71 @@ func benchIPFragSegment(b *testing.B) {
 	}
 }
 
+// tcpSegmentCycle is how many segments benchTCPSegment delivers on one
+// connection before it resets the simulator and accepts the next: the
+// set-up's dozen allocations come to well under one per op.
+const tcpSegmentCycle = 256
+
+// benchTCPSegment delivers 1,460-byte segments to an established
+// connection of a Linux 4.4 server stack whose simulator lends, as an
+// upload's server receives them under a reorder strategy, in pairs:
+// first a segment early, which is copied into the out-of-order queue,
+// then the segment at the edge, which delivers both. A connection
+// lives tcpSegmentCycle segments under one overlap policy; then the
+// simulator is reset, taking back the receive and out-of-order
+// buffers, and a new connection takes the other policy. One op is one
+// segment and the ACK it draws.
+func benchTCPSegment(b *testing.B) {
+	sim := netem.NewSimulator(1)
+	pool := packet.NewPool()
+	cli, srv := packet.AddrFrom4(10, 0, 0, 1), packet.AddrFrom4(203, 0, 113, 80)
+	payload := make([]byte, 1460)
+	const iss = packet.Seq(1000)
+	var (
+		stack     *tcpstack.Stack
+		conn      *tcpstack.Conn
+		ack, next packet.Seq
+	)
+	send := func(p *packet.Packet) {
+		if p.TCP.HasFlag(packet.FlagSYN) {
+			ack = p.TCP.Seq.Add(1)
+		}
+		p.Release()
+	}
+	accept := func(c *tcpstack.Conn) { conn = c }
+	deliver := func(flags uint8, seq packet.Seq, data []byte) {
+		p := pool.NewTCP(cli, 40000, srv, 80, flags, seq, ack, data)
+		stack.Deliver(p)
+		p.Release()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%tcpSegmentCycle == 0 {
+			sim.Reset(int64(i))
+			prof := tcpstack.Linux44()
+			if i/tcpSegmentCycle%2 == 1 {
+				prof.SegmentOverlap = packet.LastWins
+			}
+			stack = tcpstack.NewStack(srv, prof, sim)
+			stack.Pool, stack.Send = pool, send
+			stack.Listen(80, accept)
+			deliver(packet.FlagSYN, iss, nil)
+			deliver(packet.FlagACK, iss.Add(1), nil)
+			next = iss.Add(1)
+		}
+		if i%2 == 0 {
+			deliver(packet.FlagPSH|packet.FlagACK, next.Add(len(payload)), payload)
+		} else {
+			deliver(packet.FlagPSH|packet.FlagACK, next, payload)
+			next = next.Add(2 * len(payload))
+		}
+	}
+	if conn.RcvNxt() != next {
+		b.Fatalf("the last connection acknowledged up to %d, want %d", conn.RcvNxt(), next)
+	}
+}
+
 // benchRuns is how many times `make bench` runs each section and each
 // layer. It records the median ns/op with the range, so a reader can
 // tell a change from the machine's noise; B/op and allocs/op come from
@@ -572,10 +638,9 @@ func (g BenchGate) OK() bool { return g.Measured <= g.Limit }
 // BenchGateTolerance); a layer committing 0 allocs/op, or missing from
 // an older report, must measure 0. It measures only allocation — which
 // varies far less than ns/op — so the gate holds on loaded CI
-// machines. The trial's and the layers' counts repeat exactly, the
-// goodput trial's to within one (it averages about 341.7); the
-// parallel campaign's does not at GOMAXPROCS 2 (five runs read
-// 21,057–21,100), and the tolerance absorbs that. The
+// machines. The trial's, the goodput trial's and the layers' counts
+// repeat exactly; the parallel campaign's does not at GOMAXPROCS 2
+// (five runs read 13,962–14,062), and the tolerance absorbs that. The
 // goodput section guards the bulk path a short trial never exercises
 // (per-segment reassembly and scanning, fragment assembly and receive
 // buffers): its B/op catches a byte diet regressing, which allocs/op

@@ -110,12 +110,12 @@ func goodputUpload(srv Server) []byte {
 // runGoodputTrial sends upload (goodputUpload's rendering for srv)
 // through one rig, built on arena a, on topology topoRef ("" for the
 // pair's derived path) and returns the goodput observed at the server:
-// delivered bytes over the virtual-time window from first to last
-// in-order delivery. All arithmetic is integer on virtual time, so
+// the bytes it delivered in order, over the virtual-time window from
+// first to last delivery. All arithmetic is integer on virtual time, so
 // serial and parallel campaigns measure bit-identically. A non-nil reg
 // additionally folds the trial into the goodput.bps / goodput.bytes
 // histograms.
-func (r *Runner) runGoodputTrial(vp VantagePoint, srv Server, topoRef string, factory core.Factory, upload []byte, trial int, reg *obs.Registry, a *arena) (bps int64, out Outcome) {
+func (r *Runner) runGoodputTrial(vp VantagePoint, srv Server, topoRef string, factory core.Factory, upload []byte, trial int, reg *obs.Registry, a *arena) (bps, delivered int64, out Outcome) {
 	trialSeed := r.pairSeed(vp, srv) ^ int64(uint64(trial)*0x9e3779b97f4a7c15)
 	rg := r.build(vp, srv, topoRef, r.Censor, trialSeed, a)
 	appsim.ServeHTTPUpload(rg.srv, 80)
@@ -142,7 +142,7 @@ func (r *Runner) runGoodputTrial(vp VantagePoint, srv Server, topoRef string, fa
 	rg.sim.RunFor(30 * time.Second)
 
 	if sc, ok := rg.srv.Conn(80, vp.Addr, conn.LocalPort()); ok {
-		delivered := int64(len(sc.Received()))
+		delivered = int64(len(sc.Received()))
 		if window := sc.LastDataAt - sc.FirstDataAt; window > 0 && delivered > 0 {
 			bps = delivered * 8 * int64(time.Second) / int64(window)
 		}
@@ -152,7 +152,7 @@ func (r *Runner) runGoodputTrial(vp VantagePoint, srv Server, topoRef string, fa
 		reg.Histogram("goodput.bytes", obs.TransferBuckets).Observe(uint64(GoodputUploadBytes))
 		reg.Inc("goodput.trials")
 	}
-	return bps, classify(rg, conn, true)
+	return bps, delivered, classify(rg, conn, true)
 }
 
 // RunGoodput runs the goodput matrix: every demo strategy through an
@@ -201,10 +201,10 @@ func RunGoodput(r *Runner, sc Scale) []GoodputRow {
 		var un, con []int64
 		for i, srv := range servers {
 			for trial := 0; trial < sc.Trials; trial++ {
-				bps, _ := r.runGoodputTrial(vp, srv, "", factory, uploads[i], trial, reg, a)
+				bps, _, _ := r.runGoodputTrial(vp, srv, "", factory, uploads[i], trial, reg, a)
 				un = append(un, bps)
 
-				bps, out := r.runGoodputTrial(vp, srv, topos[i], factory, uploads[i], trial, reg, a)
+				bps, _, out := r.runGoodputTrial(vp, srv, topos[i], factory, uploads[i], trial, reg, a)
 				con = append(con, bps)
 				row.Trials++
 				if out == Success {

@@ -94,7 +94,7 @@ func TestGoodputIPFragReleasesItsPackets(t *testing.T) {
 		r := NewRunner(42)
 		srv := controlledServers(r, 1)[0]
 		a := r.newArena()
-		bps, out := r.runGoodputTrial(vp, srv, tc.topoFor(vp, srv), goodputFactory("ooo-ipfrag"), goodputUpload(srv), 0, nil, a)
+		bps, _, out := r.runGoodputTrial(vp, srv, tc.topoFor(vp, srv), goodputFactory("ooo-ipfrag"), goodputUpload(srv), 0, nil, a)
 		if out != Success || bps <= 0 {
 			t.Fatalf("%s: upload %v at %d bps, want a completed upload", tc.name, out, bps)
 		}

@@ -7,6 +7,7 @@ import (
 
 	"intango/internal/core"
 	"intango/internal/obs"
+	"intango/internal/packet"
 	"intango/internal/trace"
 )
 
@@ -401,14 +402,17 @@ func BenchmarkObsOverhead(b *testing.B) {
 // simulator and pair source. Its vantage point and server stay on its
 // stack, passed beside the job, and the origin's answer is rendered
 // once per process. The engine returns every volley in its own
-// emissions buffer, and a connection arms its retransmission timer
-// without a closure.
-const trialAllocBudget = 77
+// emissions buffer, builds its insertion packets from the pool and
+// schedules their waves without closures, and a connection arms its
+// retransmission timer without a closure.
+const trialAllocBudget = 71
 
 // arenaTrialAllocBudget is the same trial's budget on a campaign
 // worker's warmed arena, which resets the simulator and reseeds the
-// pair source in place: three allocations fewer.
-const arenaTrialAllocBudget = 74
+// pair source in place, and whose simulator lends the connections'
+// send and receive buffers and the GFW streams' buffers: seven
+// allocations fewer.
+const arenaTrialAllocBudget = 64
 
 // requireTrialAllocBudget is the one allocation gate of the trial hot
 // path. It warms a runner and an arena, measures the allocs/op of
@@ -422,6 +426,9 @@ func requireTrialAllocBudget(t *testing.T, what string) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("race instrumentation inflates alloc counts")
+	}
+	if packet.Checked {
+		t.Skip("the checked build never recycles packets or lent bytes")
 	}
 	r := NewRunner(42)
 	vp := VantagePoints()[0]

@@ -341,7 +341,7 @@ func (d *Device) maybeCreateTCB(ctx *netem.Context, key packet.FourTuple, pkt *p
 			synCount: 1,
 			lastWins: d.segLastWins,
 		}
-		t.stream = newStream(d.cfg.ReassemblyWindow, d.matcher.NewStreamScanner(), true)
+		t.stream = newStream(ctx.Sim, d.cfg.ReassemblyWindow, d.matcher.NewStreamScanner(), true)
 		t.stream.rebase(t.clientNext)
 		d.tcbs[key] = t
 		d.eventPkt("tcb-create", key, pkt, "syn")
@@ -355,7 +355,7 @@ func (d *Device) maybeCreateTCB(ctx *netem.Context, key packet.FourTuple, pkt *p
 			synAckCount: 1,
 			lastWins:    d.segLastWins,
 		}
-		t.stream = newStream(d.cfg.ReassemblyWindow, d.matcher.NewStreamScanner(), true)
+		t.stream = newStream(ctx.Sim, d.cfg.ReassemblyWindow, d.matcher.NewStreamScanner(), true)
 		t.stream.rebase(t.clientNext)
 		d.tcbs[key] = t
 		d.eventPkt("tcb-create-reversed", key, pkt, "synack")
@@ -511,7 +511,7 @@ func (d *Device) fromServerSide(ctx *netem.Context, key packet.FourTuple, t *tcb
 		// keywords copied into HTTP 301 Location headers.
 		if d.cfg.ResponseCensorship && !t.immune && !t.detected {
 			if t.respStream == nil {
-				t.respStream = newStream(d.cfg.ReassemblyWindow, d.matcher.NewStreamScanner(), false)
+				t.respStream = newStream(ctx.Sim, d.cfg.ReassemblyWindow, d.matcher.NewStreamScanner(), false)
 				t.respStream.rebase(tcp.Seq)
 			}
 			if matches := t.respStream.insert(tcp.Seq, pkt.Payload, false); len(matches) > 0 {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"intango/internal/dpi"
+	"intango/internal/netem"
 	"intango/internal/packet"
 )
 
@@ -130,7 +131,11 @@ func FuzzStreamInsert(f *testing.F) {
 			return
 		}
 		lastWins := in[0]&1 == 1
-		got := newStream(window, m.NewStreamScanner(), true)
+		// A reset simulator lends the stream its buffers, as a
+		// recycled trial's does.
+		sim := netem.NewSimulator(1)
+		sim.Reset(1)
+		got := newStream(sim, window, m.NewStreamScanner(), true)
 		want := &refStream{window: window, scanner: m.NewStreamScanner()}
 		got.rebase(1000)
 		want.rebase(1000)

@@ -4,6 +4,7 @@ import (
 	"slices"
 
 	"intango/internal/dpi"
+	"intango/internal/netem"
 	"intango/internal/packet"
 )
 
@@ -90,8 +91,10 @@ func (t *tcb) fromClient(pkt *packet.Packet) bool {
 // consumed them); unscanned out-of-order bytes are resolved by the
 // device's overlap policy. Only those are buffered, and their coverage
 // is kept as ranges: an in-order segment with nothing pending goes
-// straight to the scanner, and no step costs a pass per byte.
+// straight to the scanner, and no step costs a pass per byte. Its
+// buffers grow through the trial's simulator (Simulator.Grow).
 type stream struct {
+	sim     *netem.Simulator
 	base    packet.Seq // sequence number of stream offset 0
 	started bool
 	scanned int // contiguous prefix already fed to the scanner
@@ -100,7 +103,8 @@ type stream struct {
 
 	// classify marks a stream the protocol classifiers read. keep
 	// retains its scanned prefix in prefix for them (contiguous) until
-	// they name the flow or can no longer name it (dropPrefix).
+	// they name the flow or can no longer name it (dropPrefix), or a
+	// rebase starts it over.
 	classify, keep bool
 	prefix         []byte
 
@@ -116,8 +120,8 @@ type stream struct {
 // span is the half-open stream-offset range [lo, hi).
 type span struct{ lo, hi int }
 
-func newStream(window int, scanner *dpi.StreamScanner, classify bool) *stream {
-	return &stream{window: window, scanner: scanner, classify: classify, keep: classify}
+func newStream(sim *netem.Simulator, window int, scanner *dpi.StreamScanner, classify bool) *stream {
+	return &stream{sim: sim, window: window, scanner: scanner, classify: classify, keep: classify}
 }
 
 // rebase resets the stream to a new base sequence (TCB creation or
@@ -132,7 +136,7 @@ func (s *stream) rebase(seq packet.Seq) {
 	s.started = true
 	s.scanned = 0
 	s.keep = s.classify
-	s.prefix = s.prefix[:0]
+	s.prefix = packet.Reuse(s.prefix)
 	s.have = s.have[:0]
 	s.scanner.Reset()
 }
@@ -176,10 +180,10 @@ func (s *stream) insert(seq packet.Seq, data []byte, lastWins bool) []dpi.Match 
 		if lo == s.scanned {
 			return s.feed(data)
 		}
-		s.pend, s.pbase = s.pend[:0], s.scanned
+		s.pend, s.pbase = packet.Reuse(s.pend), s.scanned
 	}
 	if n := hi - s.pbase - len(s.pend); n > 0 {
-		s.pend = reserve(s.pend, n)[:hi-s.pbase]
+		s.pend = s.sim.Grow(s.pend, n)[:hi-s.pbase]
 	}
 	// Write data wherever the policy lets it win: everywhere under
 	// last-wins, only into the gaps between held ranges under
@@ -226,23 +230,15 @@ func (s *stream) hold(r span) {
 func (s *stream) feed(chunk []byte) []dpi.Match {
 	s.scanned += len(chunk)
 	if s.keep {
-		s.prefix = append(reserve(s.prefix, len(chunk)), chunk...)
+		s.prefix = append(s.sim.Grow(s.prefix, len(chunk)), chunk...)
 	}
 	return s.scanner.Feed(chunk)
 }
 
-// reserve returns b with room for n more bytes, doubling its capacity
-// when it must reallocate: append's ~1.25x steps for large slices would
-// allocate about four times a 64 KiB buffer's final size on the way.
-func reserve(b []byte, n int) []byte {
-	if len(b)+n > cap(b) {
-		b = append(make([]byte, 0, max(2*cap(b), len(b)+n)), b...)
-	}
-	return b
-}
-
 // contiguous returns the scanned prefix of the stream (used by the
-// protocol classifiers); it is empty once the prefix is dropped.
+// protocol classifiers); it is empty once the prefix is dropped. The
+// view is valid until the stream's next rebase and no longer than the
+// simulator's next Reset.
 func (s *stream) contiguous() []byte { return s.prefix }
 
 // nextSeq returns the sequence number just past the scanned prefix.

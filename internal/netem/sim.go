@@ -37,6 +37,7 @@ type Simulator struct {
 	lanes [numLanes]lane
 	rng   *rand.Rand
 	src   Source // rng's source
+	bytes lender // see Grow
 }
 
 // event is one queue slot. The heap is a plain []event and each lane a
@@ -79,8 +80,11 @@ func NewSimulator(seed int64) *Simulator {
 // queue storage: the clock and counters restart at zero, every pending
 // event is dropped with its slot zeroed (so nothing pins a packet or a
 // closure), and the RNG is reseeded in place, which yields a fresh
-// source's stream without allocating one. Objects built against s
-// before the reset must not be used after it.
+// source's stream without allocating one. Reset also takes back every
+// buffer s lent since the last one (see Grow), and from the first
+// Reset on, s lends: a connection's Received() and OnData views and a
+// GFW stream's prefix die here. Objects built against s before the
+// reset must not be used after it.
 func (s *Simulator) Reset(seed int64) {
 	s.now, s.seq, s.steps = 0, 0, 0
 	clear(s.heap)
@@ -94,6 +98,7 @@ func (s *Simulator) Reset(seed int64) {
 		l.head = 0
 	}
 	s.rng.Seed(seed)
+	s.bytes.reclaim()
 }
 
 // Now returns the current virtual time.

@@ -29,7 +29,11 @@ import (
 //     (netem.Fabric.Release decides): TraceEvents hold *Packet pointers
 //     for later rendering. The exception is a packet no tracer has
 //     seen: a strategy's plan releases a piece it made and never
-//     emitted directly.
+//     emitted directly, and the engine an insertion packet once its
+//     waves' clones are scheduled.
+//   - Under the checked build (Checked) a released packet is poisoned
+//     and never recycled, so a premature release shows as junk fields
+//     downstream instead of passing silently.
 //
 // All methods are safe on a nil *Pool and fall back to plain heap
 // allocation, so call sites need no branching.
@@ -82,10 +86,55 @@ func (pl *Pool) Get() *Packet {
 	return &Packet{pool: pl}
 }
 
-// put returns p to the pool. Callers go through Packet.Release.
+// put returns p to the pool. Callers go through Packet.Release. The
+// checked build poisons p and keeps it out of the pool instead.
 func (pl *Pool) put(p *Packet) {
 	pl.puts.Add(1)
+	if Checked {
+		p.poison()
+		return
+	}
 	pl.p.Put(p)
+}
+
+// poisonByte is the junk Scribble writes and poison stamps.
+const poisonByte = 0xdb
+
+// poison scribbles a released packet for the checked build: its
+// addresses, ports, sequence numbers and flags, and its own payload
+// and option bytes, so whoever reads it after the release reads junk.
+func (p *Packet) poison() {
+	junk := Addr{poisonByte, poisonByte, poisonByte, poisonByte}
+	p.IP.Src, p.IP.Dst, p.IP.TTL = junk, junk, poisonByte
+	t := &p.tcpStore
+	t.SrcPort, t.DstPort, t.Flags = poisonByte, poisonByte, 0xff
+	t.Seq, t.Ack = 0xdbdbdbdb, 0xdbdbdbdb
+	p.udpStore.SrcPort, p.udpStore.DstPort = poisonByte, poisonByte
+	Scribble(p.payloadBuf)
+	Scribble(p.optBuf)
+	Scribble(p.ipOptBuf)
+	Scribble(p.icmpStore.Body)
+}
+
+// Scribble overwrites b with junk across its whole capacity: what the
+// checked build does to bytes their owner gives back, so that a view
+// which outlived them reads junk.
+func Scribble(b []byte) {
+	b = b[:cap(b)]
+	for i := range b {
+		b[i] = poisonByte
+	}
+}
+
+// Reuse returns b emptied for its owner to fill again. The checked
+// build scribbles b and returns nil instead, so its bytes are never
+// handed out twice.
+func Reuse(b []byte) []byte {
+	if Checked {
+		Scribble(b)
+		return nil
+	}
+	return b[:0]
 }
 
 // Release returns the packet to its owning pool, if any. Heap packets

@@ -5,7 +5,17 @@ import (
 	"testing"
 )
 
+// skipUnderChecked skips a test that measures recycling by
+// construction: the checked build never recycles a released packet.
+func skipUnderChecked(t *testing.T) {
+	t.Helper()
+	if Checked {
+		t.Skip("the checked build never recycles a released packet")
+	}
+}
+
 func TestPoolRecyclesPackets(t *testing.T) {
+	skipUnderChecked(t)
 	pl := NewPool()
 	p := pl.Get()
 	if !p.Pooled() {
@@ -30,6 +40,36 @@ func TestPoolRecyclesPackets(t *testing.T) {
 	}
 	if st.Recycled() < 1 {
 		t.Fatalf("recycled = %d, want >= 1", st.Recycled())
+	}
+}
+
+// TestReleasePoisonsUnderChecked: the checked build poisons what a
+// released packet held — addresses, sequence numbers, flags, payload
+// and option bytes — and never hands the packet out again.
+func TestReleasePoisonsUnderChecked(t *testing.T) {
+	if !Checked {
+		t.Skip("only the checked build poisons released packets")
+	}
+	pl := NewPool()
+	p := pl.NewTCP(AddrFrom4(10, 0, 0, 1), 1, AddrFrom4(203, 0, 113, 80), 2, FlagACK, 7, 9, []byte("payload"))
+	p.AddTimestampOption(1, 2)
+	payload, opt := p.Payload, p.TCP.Options[0].Data
+	p.Release()
+	junk := Addr{poisonByte, poisonByte, poisonByte, poisonByte}
+	switch {
+	case p.IP.Src != junk || p.IP.Dst != junk:
+		t.Errorf("addresses %v > %v survived the release", p.IP.Src, p.IP.Dst)
+	case p.TCP.Seq == 7 || p.TCP.Ack == 9 || p.TCP.Flags == FlagACK:
+		t.Errorf("seq %d, ack %d, flags %s survived the release", p.TCP.Seq, p.TCP.Ack, FlagString(p.TCP.Flags))
+	case !bytes.Equal(payload, bytes.Repeat([]byte{poisonByte}, len(payload))):
+		t.Errorf("payload %q survived the release", payload)
+	case !bytes.Equal(opt, bytes.Repeat([]byte{poisonByte}, len(opt))):
+		t.Errorf("option bytes %x survived the release", opt)
+	}
+	for i := 0; i < 10; i++ {
+		if pl.Get() == p {
+			t.Fatal("a released packet was handed out again")
+		}
 	}
 }
 
@@ -172,6 +212,7 @@ func TestPooledTimeExceededMatchesHeap(t *testing.T) {
 // which keeps the checksum valid, and is trusted until cleared — so it
 // must not carry over to a clone, a pool clone or a recycled packet.
 func TestRouterVerifyMark(t *testing.T) {
+	skipUnderChecked(t)
 	pl := NewPool()
 	src, dst := AddrFrom4(10, 0, 0, 1), AddrFrom4(203, 0, 113, 80)
 	p := pl.NewTCP(src, 1, dst, 2, FlagACK, 1, 1, nil)

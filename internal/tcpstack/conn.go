@@ -1,6 +1,7 @@
 package tcpstack
 
 import (
+	"slices"
 	"time"
 
 	"intango/internal/netem"
@@ -52,7 +53,8 @@ func (s State) String() string {
 	}
 }
 
-// segment is buffered out-of-order data.
+// segment is buffered out-of-order data. Its data is a view of the
+// connection's oooBuf.
 type segment struct {
 	seq  packet.Seq
 	data []byte
@@ -96,6 +98,7 @@ type Conn struct {
 	hasTSRecent bool
 
 	ooo    []segment // out-of-order receive queue
+	oooBuf []byte    // the bytes of ooo's segments, restarted when ooo drains
 	finSeq packet.Seq
 	finAt  bool // peer FIN buffered at finSeq
 
@@ -134,7 +137,8 @@ type Conn struct {
 	probeSeq     packet.Seq
 	probeData    byte
 
-	// sendBuf stages data awaiting window room; peerWnd is the peer's
+	// sendBuf stages data awaiting window room (its storage grows
+	// through the simulator, see Simulator.Grow); peerWnd is the peer's
 	// last advertised receive window; closePending defers the FIN
 	// until sendBuf drains.
 	sendBuf      []byte
@@ -142,13 +146,15 @@ type Conn struct {
 	closePending bool
 
 	// recvBuf holds every in-order byte received; it grows by doubling
-	// unless a reader reserved room for what is coming (Grow).
+	// through the simulator (Simulator.Grow) unless a reader reserved
+	// room for what is coming (Grow).
 	recvBuf []byte
 
 	// OnData is called with each chunk of newly in-order application
-	// data. The chunk is a view of the tail of Received(), not a copy:
-	// it stays valid (recvBuf only appends), but it must not be
-	// modified.
+	// data. The chunk is a view of the tail of Received(), not a copy,
+	// and must not be modified. It stays valid (recvBuf only appends)
+	// until the simulator's next Reset, which takes the storage back;
+	// a simulator never reset keeps it valid for good.
 	OnData func(data []byte)
 	// OnStateChange is called after every state transition.
 	OnStateChange func(from, to State)
@@ -187,17 +193,18 @@ type Conn struct {
 // State returns the connection state.
 func (c *Conn) State() State { return c.state }
 
-// Received returns all application data received so far.
+// Received returns all application data received so far. The slice
+// is a view of the connection's receive buffer, valid until the
+// simulator's next Reset (see Simulator.Grow).
 func (c *Conn) Received() []byte { return c.recvBuf }
 
 // Grow guarantees room for n more received bytes without another
-// allocation, as bytes.Buffer.Grow does: a reader that knows how much
-// is coming reserves it once instead of letting the buffer double its
-// way up.
+// move, as bytes.Buffer.Grow does: a reader that knows how much is
+// coming reserves it once instead of letting the buffer double its way
+// up. The room comes from the simulator (Simulator.Grow): lent by a
+// simulator that was reset, valid until its next Reset.
 func (c *Conn) Grow(n int) {
-	if need := len(c.recvBuf) + n; need > cap(c.recvBuf) {
-		c.recvBuf = append(make([]byte, 0, need), c.recvBuf...)
-	}
+	c.recvBuf = c.stack.Sim.Grow(c.recvBuf, n)
 }
 
 // LocalPort returns the local port.
@@ -372,7 +379,7 @@ func (c *Conn) Write(data []byte) {
 	if c.state != Established && c.state != CloseWait {
 		return
 	}
-	c.sendBuf = append(c.sendBuf, data...)
+	c.sendBuf = append(c.stack.Sim.Grow(c.sendBuf, len(data)), data...)
 	c.pump()
 }
 
@@ -662,27 +669,33 @@ func (c *Conn) ingestData(pkt *packet.Packet) {
 		// copying the segment first.
 		c.deliver(pkt.Payload[c.rcvNxt.Diff(seq):])
 	default:
-		c.enqueue(segment{seq: seq, data: append([]byte(nil), pkt.Payload...)})
+		c.enqueue(seq, pkt.Payload)
 	}
 	if fin {
 		c.finAt = true
 		c.finSeq = end
 	}
 	c.drain()
+	if len(c.ooo) == 0 {
+		// Nothing views the buffer once the queue drains.
+		c.oooBuf = packet.Reuse(c.oooBuf)
+	}
 	c.sendAck()
 }
 
-// enqueue inserts a segment into the out-of-order queue honoring the
-// profile's overlap policy.
-func (c *Conn) enqueue(seg segment) {
+// enqueue copies an out-of-order segment's data into oooBuf and queues
+// it, honoring the profile's overlap policy: drain takes the first
+// segment that reaches the edge, so first-wins appends and last-wins
+// puts the newest first.
+func (c *Conn) enqueue(seq packet.Seq, data []byte) {
+	start := len(c.oooBuf)
+	c.oooBuf = append(c.stack.Sim.Grow(c.oooBuf, len(data)), data...)
+	seg := segment{seq: seq, data: c.oooBuf[start:]}
 	if c.stack.Profile.SegmentOverlap == packet.FirstWins {
 		c.ooo = append(c.ooo, seg)
 		return
 	}
-	// LastWins: newest data overwrites; implement by prepending so the
-	// drain pass reads newest first... drain applies first-match, so
-	// order the queue newest-first.
-	c.ooo = append([]segment{seg}, c.ooo...)
+	c.ooo = slices.Insert(c.ooo, 0, seg)
 }
 
 // drain moves contiguous data from the out-of-order queue into the
@@ -725,10 +738,7 @@ func (c *Conn) deliver(chunk []byte) {
 	}
 	c.LastDataAt = now
 	start := len(c.recvBuf)
-	if need := start + len(chunk); need > cap(c.recvBuf) {
-		c.recvBuf = append(make([]byte, 0, max(2*cap(c.recvBuf), need)), c.recvBuf...)
-	}
-	c.recvBuf = append(c.recvBuf, chunk...)
+	c.recvBuf = append(c.stack.Sim.Grow(c.recvBuf, len(chunk)), chunk...)
 	c.rcvNxt = c.rcvNxt.Add(len(chunk))
 	if c.OnData != nil {
 		c.OnData(c.recvBuf[start:])
