@@ -53,12 +53,14 @@ race:
 	$(GO) test -race -count=10 -run '^TestServedConnectionsClose$$' ./internal/intangd
 
 # checked runs the suite in the checked build (the intango_checked
-# tag): a released packet is poisoned and never recycled, and the bytes
+# tag): a released packet is poisoned and never recycled, the bytes
 # a simulator's Reset takes back, a connection's out-of-order buffer
 # when its queue drains and a GFW stream's buffers when they restart
-# are scribbled and never handed out again. A premature release, or a
-# view that outlives its trial, then moves a golden instead of reading
-# the next owner's data. Normal builds pay nothing for it. The tests
+# are scribbled and never handed out again, and so are the
+# connections, flows, TCBs, devices and middleboxes a recycled rig
+# takes back (zeroed). A premature release, or a view or reference
+# that outlives its trial, then moves a golden instead of reading the
+# next owner's data. Normal builds pay nothing for it. The tests
 # that measure recycling itself skip here and run in the normal suite.
 checked:
 	$(GO) test -tags intango_checked ./...
@@ -94,8 +96,9 @@ fuzz-smoke:
 # event loop at a campaign's queue shape, the trial RNG's reseed and
 # draws, a plain-router hop, a GFW blocklist volley, the DPI keyword
 # scan and stream feed, one fetch between two userspace stacks on a
-# pipe, one segment cut by ooo-ipfrag and reassembled, and one segment
-# received by a TCP connection, in order or out of it), five runs
+# pipe, one segment cut by ooo-ipfrag and reassembled, one segment
+# received by a TCP connection, in order or out of it, and one trial
+# rig rebuilt on a recycled arena), five runs
 # of 400 ms each, writing
 # BENCH_netem.json (the median ns/op with its min and max, B/op and
 # allocs/op, trials/sec, pool traffic, the layers section, and the
@@ -104,9 +107,9 @@ bench:
 	$(GO) run ./cmd/tables -what bench -bench-out BENCH_netem.json
 
 # bench-smoke runs each hot-path benchmark exactly once — the trial,
-# the campaigns, the trial rig build on its own, fresh and on a
-# recycled arena, and the layer benchmarks `make bench` records — a
-# correctness pass, not a measurement.
+# the campaigns, the trial rig build on its own on a fresh arena, and
+# the layer benchmarks `make bench` records (the recycled rig build
+# among them) — a correctness pass, not a measurement.
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkTrialHotPath|BenchmarkCampaign' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkRigBuild|BenchmarkLayers' -benchtime 1x ./internal/experiment/
@@ -128,7 +131,7 @@ bench-compare:
 # CI runners: the trial's, the goodput trial's and the layers' counts
 # repeat exactly (the goodput trial's B/op moves by a few hundred
 # bytes), and the parallel campaign's varies a little at GOMAXPROCS 2
-# (five runs read 13,962-14,062), which the 5% tolerance absorbs.
+# (four runs read 837-864), which the 5% tolerance absorbs.
 # Timing drift is diagnosed with bench-compare instead, which prints
 # each side's ns/op spread.
 bench-gate:

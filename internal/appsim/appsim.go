@@ -8,11 +8,12 @@ package appsim
 import (
 	"bytes"
 	"fmt"
-	"strconv"
+	"math"
 	"strings"
 
 	"intango/internal/dnsmsg"
 	"intango/internal/dpi"
+	"intango/internal/netem"
 	"intango/internal/packet"
 	"intango/internal/tcpstack"
 )
@@ -32,30 +33,78 @@ var httpPage = func() []byte {
 // CLOSE_WAIT. A FIN that arrives before any request (an evasion
 // strategy's insertion can reach the server first) leaves it open.
 func ServeHTTP(stack *tcpstack.Stack, port uint16) {
-	stack.Listen(port, func(c *tcpstack.Conn) {
-		served := 0
-		c.OnData = func([]byte) {
-			buf := c.Received()[served:]
-			idx := bytes.Index(buf, []byte("\r\n\r\n"))
-			if idx < 0 {
-				return
-			}
-			if served == 0 {
-				c.OnStateChange = func(_, to tcpstack.State) {
-					if to == tcpstack.CloseWait {
-						c.Close()
-					}
-				}
-			}
-			served += idx + 4
-			c.Write(httpPage)
-		}
-	})
+	new(HTTPServer).Serve(stack, port)
+}
+
+// HTTPServer is ServeHTTP's server. A world rebuilt for each trial
+// keeps one and serves each trial's stack with it (Serve), reusing the
+// state of the connections it served before.
+type HTTPServer struct {
+	stack  *tcpstack.Stack
+	accept tcpstack.Acceptor // open, bound once
+	conns  netem.Spares[httpConn]
+}
+
+// httpConn is one served connection: the request bytes answered so
+// far, and its callbacks, bound once.
+type httpConn struct {
+	c       *tcpstack.Conn
+	served  int
+	onData  func([]byte)
+	onState func(from, to tcpstack.State)
+}
+
+// Serve installs the server on port of stack, as ServeHTTP does. It
+// takes back the connection state of the stack it served before,
+// which is dead: while stack's simulator lends, the connections it
+// accepts reuse it.
+func (h *HTTPServer) Serve(stack *tcpstack.Stack, port uint16) {
+	h.conns.Rewind()
+	h.stack = stack
+	if h.accept == nil {
+		h.accept = h.open
+	}
+	stack.Listen(port, h.accept)
+}
+
+// open starts serving an accepted connection.
+func (h *HTTPServer) open(c *tcpstack.Conn) {
+	hc := h.conns.Get(h.stack.Sim.Lends())
+	if hc.onData == nil {
+		hc.onData, hc.onState = hc.data, hc.state
+	}
+	hc.c, hc.served = c, 0
+	c.OnData = hc.onData
+}
+
+// data answers each complete request with the page.
+func (hc *httpConn) data([]byte) {
+	c := hc.c
+	idx := bytes.Index(c.Received()[hc.served:], []byte("\r\n\r\n"))
+	if idx < 0 {
+		return
+	}
+	if hc.served == 0 {
+		c.OnStateChange = hc.onState
+	}
+	hc.served += idx + 4
+	c.Write(httpPage)
+}
+
+// state closes a served connection at the client's FIN.
+func (hc *httpConn) state(_, to tcpstack.State) {
+	if to == tcpstack.CloseWait {
+		hc.c.Close()
+	}
 }
 
 // HTTPRequest renders a GET for uri against host.
-func HTTPRequest(host, uri string) []byte {
-	return []byte(fmt.Sprintf("GET %s HTTP/1.1\r\nHost: %s\r\nUser-Agent: intango\r\nAccept: */*\r\n\r\n", uri, host))
+func HTTPRequest(host, uri string) []byte { return AppendHTTPRequest(nil, host, uri) }
+
+// AppendHTTPRequest appends HTTPRequest(host, uri) to dst.
+func AppendHTTPRequest(dst []byte, host, uri string) []byte {
+	dst = append(append(append(dst, "GET "...), uri...), " HTTP/1.1\r\nHost: "...)
+	return append(append(dst, host...), "\r\nUser-Agent: intango\r\nAccept: */*\r\n\r\n"...)
 }
 
 // HTTPUpload renders a POST of size deterministic body bytes against
@@ -134,17 +183,46 @@ func HTTPResponseComplete(buf []byte) bool {
 // last one wins; zero when absent). ok is false when a value is
 // negative or not a decimal number.
 func contentLength(head []byte) (n int, ok bool) {
-	for _, line := range strings.Split(string(head), "\r\n") {
-		k, v, found := strings.Cut(line, ":")
-		if !found || !strings.EqualFold(strings.TrimSpace(k), "content-length") {
+	for len(head) > 0 {
+		var line []byte
+		line, head, _ = bytes.Cut(head, []byte("\r\n"))
+		k, v, found := bytes.Cut(line, []byte(":"))
+		if !found || !bytes.EqualFold(bytes.TrimSpace(k), []byte("content-length")) {
 			continue
 		}
-		var err error
-		if n, err = strconv.Atoi(strings.TrimSpace(v)); err != nil || n < 0 {
+		if n, ok = atoi(bytes.TrimSpace(v)); !ok || n < 0 {
 			return 0, false
 		}
 	}
 	return n, true
+}
+
+// atoi is strconv.Atoi on bytes, without converting them to a string:
+// an optional sign and decimal digits that fit an int.
+func atoi(b []byte) (int, bool) {
+	neg := len(b) > 0 && b[0] == '-'
+	if len(b) > 0 && (b[0] == '+' || b[0] == '-') {
+		b = b[1:]
+	}
+	if len(b) == 0 {
+		return 0, false
+	}
+	limit := uint64(math.MaxInt)
+	if neg {
+		limit++
+	}
+	var n uint64
+	for _, c := range b {
+		d := uint64(c - '0')
+		if c < '0' || c > '9' || n > (limit-d)/10 {
+			return 0, false
+		}
+		n = 10*n + d
+	}
+	if neg {
+		return -int(n), true
+	}
+	return int(n), true
 }
 
 // Zone maps domain names to addresses for the resolver apps.

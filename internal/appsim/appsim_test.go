@@ -2,6 +2,7 @@ package appsim
 
 import (
 	"bytes"
+	"strconv"
 	"testing"
 	"time"
 
@@ -264,6 +265,19 @@ func TestHTTPUploadServerReservesBody(t *testing.T) {
 		}
 		if got := cap(sc.Received()) - len(sc.Received()); got != tc.reserve {
 			t.Fatalf("Content-Length %s: reserved %d bytes, want %d", tc.length, got, tc.reserve)
+		}
+	}
+}
+
+// TestAtoiMatchesStrconv holds the Content-Length parser's digit
+// reader to strconv.Atoi, which it replaced to read the head in place.
+func TestAtoiMatchesStrconv(t *testing.T) {
+	for _, v := range []string{"", "0", "-0", "+7", "-12", "42", "007", "1x", " 1", "+", "-",
+		"9223372036854775807", "9223372036854775808", "-9223372036854775808", "99999999999999999999"} {
+		n, ok := atoi([]byte(v))
+		want, err := strconv.Atoi(v)
+		if ok != (err == nil) || (ok && n != want) {
+			t.Errorf("atoi(%q) = %d, %v; strconv.Atoi = %d, %v", v, n, ok, want, err)
 		}
 	}
 }

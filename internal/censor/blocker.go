@@ -57,28 +57,37 @@ type Blocker struct {
 	sawPkt     bool
 	now        time.Duration
 
-	// Stats counts events by kind.
+	// Stats counts events by kind; it is made at the first event, and
+	// pairBlock at the first block.
 	Stats map[string]int
 	// Obs, when set, mirrors events into the shared observability
 	// layer as "censor.<kind>" counters.
 	Obs *obs.Obs
+
+	// filter is the in-path companion (Filter).
+	filter flowFilter
 }
 
 // NewBlocker builds a blocker named name. The rng parameter keeps the
 // constructor signature uniform with the engine's; the stateless
 // blocker draws no sampled behaviour.
 func NewBlocker(name string, cfg BlockerConfig, rng *rand.Rand) *Blocker {
+	b := new(Blocker)
+	b.Reset(name, cfg, rng)
+	return b
+}
+
+// Reset returns b to NewBlocker(name, cfg, rng)'s state, keeping the
+// storage of its tables. Reset on a zero Blocker is NewBlocker.
+func (b *Blocker) Reset(name string, cfg BlockerConfig, rng *rand.Rand) {
 	if cfg.PoisonAddr == (packet.Addr{}) {
 		cfg.PoisonAddr = gfw.PoisonAddr
 	}
 	_ = rng
-	return &Blocker{
-		name:      name,
-		cfg:       cfg,
-		matcher:   dpi.NewMatcher(cfg.Keywords),
-		pairBlock: make(map[[2]packet.Addr]time.Duration),
-		Stats:     make(map[string]int),
-	}
+	clear(b.pairBlock)
+	clear(b.Stats)
+	*b = Blocker{name: name, cfg: cfg, matcher: dpi.NewMatcher(cfg.Keywords), pairBlock: b.pairBlock, Stats: b.Stats}
+	b.filter.b = b
 }
 
 // Name implements netem.Processor.
@@ -110,6 +119,9 @@ var blockerVerdicts = map[string]bool{
 }
 
 func (b *Blocker) event(kind string, pkt *packet.Packet, detail string) {
+	if b.Stats == nil {
+		b.Stats = make(map[string]int)
+	}
 	b.Stats[kind]++
 	if b.verdictAt == 0 && blockerVerdicts[kind] {
 		b.verdictAt = b.now
@@ -200,6 +212,9 @@ func (b *Blocker) processUDP(ctx *netem.Context, pkt *packet.Packet) {
 // blockPair starts (or refreshes) the residual blackhole for an
 // address pair.
 func (b *Blocker) blockPair(src, dst packet.Addr, cause *packet.Packet) {
+	if b.pairBlock == nil {
+		b.pairBlock = make(map[[2]packet.Addr]time.Duration)
+	}
 	b.pairBlock[gfw.PairKey(src, dst)] = b.now + b.cfg.BlockDuration
 	b.event("block", cause, "")
 }
@@ -217,9 +232,7 @@ func (b *Blocker) PairBlocked(x, y packet.Addr, now time.Duration) bool {
 // payload triggered detection is itself swallowed, which is what makes
 // the blocker bidirectional blocking rather than reset injection: the
 // client sees silence, not a RST.
-func (b *Blocker) Filter() netem.Processor {
-	return &flowFilter{b: b}
-}
+func (b *Blocker) Filter() netem.Processor { return &b.filter }
 
 type flowFilter struct{ b *Blocker }
 

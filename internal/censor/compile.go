@@ -100,6 +100,45 @@ func (c *Compiled) GFWConfig() (gfw.Config, bool) {
 // segment-overlap modes from it. Only its Float64 stream is read, so a
 // *rand.Rand or a netem.Source will do.
 func Attach(node *netem.Node, ref, name string, filter bool, trialRng *rand.Rand, pairRng interface{ Float64() float64 }) (Instance, error) {
+	return (*Spares)(nil).Attach(node, ref, name, filter, trialRng, pairRng)
+}
+
+// Spares keeps the censor instances a world rebuilt for each trial (a
+// campaign worker's rig) attaches, so that each rebuild resets them in
+// place instead of building new ones. Rewind, at each rebuild, hands
+// them out again in the order they were first asked for. A nil
+// *Spares builds every instance new.
+type Spares struct {
+	devices  netem.Spares[gfw.Device]
+	blockers netem.Spares[Blocker]
+}
+
+// Rewind takes back every instance s handed out: they are dead.
+func (s *Spares) Rewind() {
+	s.devices.Rewind()
+	s.blockers.Rewind()
+}
+
+// Device returns a GFW device for the caller to Reset: a spare one, or
+// a new one kept for the next rebuild.
+func (s *Spares) Device() *gfw.Device {
+	if s == nil {
+		return new(gfw.Device)
+	}
+	return s.devices.Get(true)
+}
+
+// blocker is Device for the inline blocker.
+func (s *Spares) blocker() *Blocker {
+	if s == nil {
+		return new(Blocker)
+	}
+	return s.blockers.Get(true)
+}
+
+// Attach is the package's Attach, resetting a spare instance when s
+// has one of the censor's kind.
+func (s *Spares) Attach(node *netem.Node, ref, name string, filter bool, trialRng *rand.Rand, pairRng interface{ Float64() float64 }) (Instance, error) {
 	c, err := Resolve(ref)
 	if err != nil {
 		return nil, err
@@ -107,12 +146,15 @@ func Attach(node *netem.Node, ref, name string, filter bool, trialRng *rand.Rand
 	var inst Instance
 	switch c.kind {
 	case KindEngine:
-		dev := gfw.NewDevice(name, c.cfg, trialRng)
+		dev := s.Device()
+		dev.Reset(name, c.cfg, trialRng)
 		dev.SetRSTResyncs(pairRng.Float64() < c.cfg.ResyncOnRSTProb)
 		dev.SetSegmentLastWins(pairRng.Float64() < c.cfg.SegmentLastWinsProb)
 		inst = dev
 	case KindInline:
-		inst = NewBlocker(name, c.blk, trialRng)
+		blk := s.blocker()
+		blk.Reset(name, c.blk, trialRng)
+		inst = blk
 	default:
 		for _, f := range c.spec.Filters {
 			node.Processors = append(node.Processors, chainFilter(f, trialRng))

@@ -53,12 +53,17 @@ type Engine struct {
 	LastSendAt  time.Duration
 	sentAny     bool
 
+	// flows is made at the first flow.
 	flows map[packet.FourTuple]*flowState
 	// net is the fabric whose client end the engine holds.
 	net *netem.Fabric
 	// out is the emissions buffer every flow's strategy returns its
 	// volley in (Flow.Emit), consumed before the next Outbound.
 	out []Emission
+	// spare holds the flows of the trials before, while Sim lends, and
+	// outbound is Outbound bound once, the stack's Send.
+	spare    netem.Spares[flowState]
+	outbound func(pkt *packet.Packet)
 }
 
 type flowState struct {
@@ -70,16 +75,31 @@ type flowState struct {
 // A nil stack builds a daemon-mode engine: outbound packets enter
 // through Outbound, inbound packets leave through Upstream.
 func NewEngine(sim *netem.Simulator, f *netem.Fabric, stack *tcpstack.Stack, env Env) *Engine {
-	e := &Engine{
-		Sim: sim, Stack: stack, Env: env,
-		flows: make(map[packet.FourTuple]*flowState),
-		net:   f,
+	e := new(Engine)
+	e.Reset(sim, f, stack, env)
+	return e
+}
+
+// Reset rewires e as NewEngine(sim, f, stack, env) does, with no flows
+// and no hooks. It keeps the storage of its flow table and emissions
+// buffer and, while sim lends, the flows it made (netem.Spares) with
+// their compiled-strategy state, which new flows reuse: an engine
+// reset for each trial tracks its flows without allocating. Every flow
+// made before the reset is dead. Reset on a zero Engine is NewEngine.
+func (e *Engine) Reset(sim *netem.Simulator, f *netem.Fabric, stack *tcpstack.Stack, env Env) {
+	e.spare.Rewind()
+	clear(e.flows)
+	*e = Engine{
+		Sim: sim, Stack: stack, Env: env, net: f,
+		flows: e.flows, out: e.out[:0], spare: e.spare, outbound: e.outbound,
+	}
+	if e.outbound == nil {
+		e.outbound = e.Outbound
 	}
 	if stack != nil {
-		stack.Send = e.Outbound
+		stack.Send = e.outbound
 	}
 	f.Client = e
-	return e
 }
 
 // StrategyFor returns the live strategy instance for a flow, if any.
@@ -106,9 +126,13 @@ func (e *Engine) Outbound(pkt *packet.Packet) {
 	tuple := pkt.Tuple()
 	fs := e.flows[tuple]
 	if fs == nil || Reconnects(pkt.TCP, fs.flow.ISS) {
-		fs = &flowState{flow: Flow{Tuple: tuple, Env: &e.Env, pool: e.net.Pool, out: &e.out}}
+		fs = e.spare.Get(e.Sim.Lends())
+		*fs = flowState{flow: Flow{Tuple: tuple, Env: &e.Env, pool: e.net.Pool, out: &e.out, exec: fs.flow.exec.reuse()}}
 		if e.NewStrategy != nil {
 			fs.strat = e.NewStrategy(tuple)
+		}
+		if e.flows == nil {
+			e.flows = make(map[packet.FourTuple]*flowState)
 		}
 		e.flows[tuple] = fs
 	}
@@ -278,8 +302,3 @@ func (e *Engine) DropFlow(tuple packet.FourTuple) {
 
 // Flows returns the number of tracked flows.
 func (e *Engine) Flows() int { return len(e.flows) }
-
-// Reset drops all flow state (between trials).
-func (e *Engine) Reset() {
-	e.flows = make(map[packet.FourTuple]*flowState)
-}

@@ -72,7 +72,7 @@ func TestEngineStrategyForAndReset(t *testing.T) {
 	if s, ok := r.engine.StrategyFor(tuple); !ok || s != factory() {
 		t.Fatalf("StrategyFor = %v %v", s, ok)
 	}
-	r.engine.Reset()
+	r.engine.Reset(r.sim, r.path, r.cli, r.engine.Env)
 	if _, ok := r.engine.StrategyFor(tuple); ok {
 		t.Fatal("flows should be gone after Reset")
 	}

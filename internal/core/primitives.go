@@ -558,11 +558,25 @@ type ruleState struct {
 	firstSeq packet.Seq
 }
 
+// execStateFor returns the flow's exec state for a strategy of rules
+// rules, with fresh trigger state if it held none for that many.
 func (f *Flow) execStateFor(rules int) *execState {
-	if f.exec == nil || len(f.exec.rules) != rules {
-		f.exec = &execState{rules: make([]ruleState, rules)}
+	if f.exec == nil {
+		f.exec = new(execState)
+	}
+	if st := f.exec; len(st.rules) != rules {
+		st.rules = append(st.rules[:0], make([]ruleState, rules)...)
 	}
 	return f.exec
+}
+
+// reuse returns st, if any, for a new flow: no trigger state, its
+// storage kept.
+func (st *execState) reuse() *execState {
+	if st != nil {
+		st.rules = st.rules[:0]
+	}
+	return st
 }
 
 // Compiled executes a Spec against the Strategy interface. It is

@@ -6,24 +6,35 @@ import (
 )
 
 // arena is what a trial's build draws on: the runner's packet pool, a
-// simulator, and the pair source. A campaign worker keeps one arena
-// (newArena) for every trial it runs, so each trial resets the worker's
-// simulator and reseeds both RNGs in place, instead of allocating two
-// 4.9 KB RNG sources. Both are netem.Sources, which reseed in constant
-// time and yield math/rand's stream for the seed. Everything else a
-// trial builds against the simulator — fabric, stacks, engine, devices,
-// recorder — is still new per trial and is dead once the trial is
-// absorbed, before the next reset. An arena serves one goroutine at a
-// time and needs no lock.
+// simulator, the pair source and the rig. A campaign worker keeps one
+// arena (newArena) for every trial it runs, and the goodput matrix one
+// for all its uploads: each trial resets the simulator, reseeds both
+// RNGs (netem.Sources, which reseed in constant time and yield
+// math/rand's stream for the seed) and rebuilds the rig in place. The
+// rig's fabric, stacks, engine and HTTP server are reset (each type's
+// Reset, which on a zero value is its constructor, so a fresh rig and a
+// recycled one run one initialisation path), and so are the GFW
+// devices and middleboxes its topology binds, which come from the
+// rig's spares. From the second trial on, the simulator lends, and the
+// models on it keep what they make per trial for the next one: the
+// stacks' connections, the engine's flows, the devices' TCBs with
+// their streams (netem.Spares). So a warmed arena's trial allocates
+// nothing. Everything a trial built is dead once the arena builds
+// again; a sink copies out what it keeps before that. The checked
+// build zeroes each object spares take back (connections, flows, TCBs,
+// devices, middleboxes) and never hands it out again, so a reference
+// that outlived its trial reads zeros. An arena serves one goroutine
+// at a time and needs no lock.
 //
 // One-shot callers (RunOne, and so the serial reference loop
-// RunTable1) build on a new arena each time, so the campaign
-// executor's recycled trials are checked against fresh ones. The
-// goodput matrix runs all its uploads on one arena.
+// RunTable1, RunINTANGSeries, the figures) build on a new arena each
+// time, so the campaign executor's recycled trials are checked against
+// fresh ones.
 type arena struct {
 	pool *packet.Pool
 	sim  *netem.Simulator
 	pair *netem.Source
+	rig  rig
 }
 
 // newArena returns an empty arena.

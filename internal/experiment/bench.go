@@ -150,6 +150,7 @@ var benchLayers = []struct {
 	{"uis_fetch", benchUISFetch},
 	{"core_ipfrag_segment", benchIPFragSegment},
 	{"tcpstack_segment", benchTCPSegment},
+	{"rig_build", benchRigBuild},
 }
 
 // layer returns the named layer's result, zero when absent.
@@ -473,6 +474,27 @@ func benchTCPSegment(b *testing.B) {
 	}
 }
 
+// benchRigBuild builds one Table 1 trial's rig on a recycled arena, as
+// a campaign worker does before each trial: the simulator reset, the
+// pair source reseeded, the topology instantiated with its GFW devices
+// and middleboxes, both stacks and the HTTP server, each reset in
+// place. One op is one build.
+func benchRigBuild(b *testing.B) {
+	r := NewRunner(42)
+	vp := VantagePoints()[0]
+	srv := Servers(1, r.Cal, 42)[0]
+	a := r.newArena()
+	build := func(i int) {
+		r.build(vp, srv, nil, r.Censor, r.pairSeed(vp, srv)^int64(uint64(i)*0x9e3779b97f4a7c15), a)
+	}
+	build(-1) // the first build makes what the others reuse
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		build(i)
+	}
+}
+
 // benchRuns is how many times `make bench` runs each section and each
 // layer. It records the median ns/op with the range, so a reader can
 // tell a change from the machine's noise; B/op and allocs/op come from
@@ -588,13 +610,13 @@ func benchGoodputTrial(seed int64) func(b *testing.B) {
 		srv := controlledServers(r, 1)[0]
 		// An inject strategy: the plain congested transfer.
 		factory, _, _ := core.ResolveStrategy("teardown-rst/ttl")
-		spec := goodputTopo(vp, srv)
+		prog := r.goodputProgram(vp, srv)
 		upload := goodputUpload(srv)
 		a := r.newArena()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			r.runGoodputTrial(vp, srv, spec, factory, upload, i, nil, a)
+			r.runGoodputTrial(vp, srv, prog, factory, upload, i, nil, a)
 		}
 	}
 }
@@ -640,7 +662,7 @@ func (g BenchGate) OK() bool { return g.Measured <= g.Limit }
 // varies far less than ns/op — so the gate holds on loaded CI
 // machines. The trial's, the goodput trial's and the layers' counts
 // repeat exactly; the parallel campaign's does not at GOMAXPROCS 2
-// (five runs read 13,962–14,062), and the tolerance absorbs that. The
+// (four runs read 837–864), and the tolerance absorbs that. The
 // goodput section guards the bulk path a short trial never exercises
 // (per-segment reassembly and scanning, fragment assembly and receive
 // buffers): its B/op catches a byte diet regressing, which allocs/op

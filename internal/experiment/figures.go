@@ -19,7 +19,7 @@ func Figure1(r *Runner) string {
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, r.Seed)[0]
 	srv.ServerSideFirewall = true
-	rg := r.build(vp, srv, r.Topo, r.Censor, 1, r.newArena())
+	rg := r.build(vp, srv, r.topoOverride(), r.Censor, 1, r.newArena())
 	var b strings.Builder
 	b.WriteString("Fig. 1 — Threat model (on-path GFW between client and server):\n")
 	b.WriteString(rg.net.Describe())
@@ -34,7 +34,7 @@ func Figure1(r *Runner) string {
 func Figure2(r *Runner) string {
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, r.Seed)[0]
-	rg := r.build(vp, srv, r.Topo, r.Censor, 2, r.newArena())
+	rg := r.build(vp, srv, r.topoOverride(), r.Censor, 2, r.newArena())
 	it := intang.New(rg.sim, rg.net, rg.cli, intang.Options{Resolver: srv.Addr})
 	it.Engine.Env.InsertionTTL = insertionTTL(srv)
 	appsim.ServeDNSTCP(rg.srv, appsim.Zone{})
@@ -71,7 +71,7 @@ func SequenceDiagram(r *Runner, factoryName, title string) string {
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, r.Seed)[0]
 	srv.Mix = BothModels
-	rg := r.build(vp, srv, r.Topo, r.Censor, 3, r.newArena())
+	rg := r.build(vp, srv, r.topoOverride(), r.Censor, 3, r.newArena())
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s\n", title)
 	for _, dev := range rg.devices {
@@ -103,10 +103,8 @@ func SequenceDiagram(r *Runner, factoryName, title string) string {
 			fmt.Fprintf(&b, "%9.3fms      ✗ TTL expiry at %s: %s\n", ms(ev.Time), ev.Where, label(ev.Pkt))
 		}
 	}
-	env := core.DefaultEnv(insertionTTL(srv), rg.sim.Rand())
-	rg.engine = core.NewEngine(rg.sim, rg.net, rg.cli, env)
 	factory, _, _ := core.ResolveStrategy(factoryName)
-	rg.engine.NewStrategy = func(packet.FourTuple) core.Strategy { return factory() }
+	rg.arm(&srv, factory)
 	conn := fetch(rg, srv, true)
 	fmt.Fprintf(&b, "outcome: %v\n", classify(rg, conn, true))
 	return b.String()

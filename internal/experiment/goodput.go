@@ -9,8 +9,8 @@ import (
 	"intango/internal/appsim"
 	"intango/internal/core"
 	"intango/internal/obs"
-	"intango/internal/packet"
 	"intango/internal/tcpstack"
+	"intango/internal/topo"
 )
 
 // This file measures goodput as a first-class outcome: how much of a
@@ -86,18 +86,15 @@ func goodputFactory(name string) core.Factory {
 	panic("experiment: no goodput strategy " + name)
 }
 
-// goodputTopo renders the derived linear topology for (vp, srv) with
-// the client access link shaped to the constrained arm's rate and
-// queue — the same chain the unconstrained arm compiles, plus `bw=`.
-func goodputTopo(vp VantagePoint, srv Server) string {
-	spec := derivedSpec(shapeKey(vp, srv, srv.Hops))
-	for i := range spec.Links {
-		if spec.Links[i].From == "c" || spec.Links[i].To == "c" {
-			spec.Links[i].RateBits = goodputRateBits
-			spec.Links[i].Queue = goodputQueuePkts
-		}
-	}
-	return spec.String()
+// goodputProgram returns the constrained arm's program for (vp, srv):
+// the pair's derived linear chain at its measured hop count with the
+// client access link shaped to the arm's rate and queue — the chain
+// the unconstrained arm compiles, plus `bw=`. It is cached with the
+// derived programs.
+func (r *Runner) goodputProgram(vp VantagePoint, srv Server) *topo.Program {
+	key := shapeKey(vp, srv, srv.Hops)
+	key.shaped = true
+	return r.program(key)
 }
 
 // goodputUpload renders the upload a goodput trial sends to srv. The
@@ -108,25 +105,21 @@ func goodputUpload(srv Server) []byte {
 }
 
 // runGoodputTrial sends upload (goodputUpload's rendering for srv)
-// through one rig, built on arena a, on topology topoRef ("" for the
+// through one rig, built on arena a, on topology prog (nil for the
 // pair's derived path) and returns the goodput observed at the server:
 // the bytes it delivered in order, over the virtual-time window from
 // first to last delivery. All arithmetic is integer on virtual time, so
 // serial and parallel campaigns measure bit-identically. A non-nil reg
 // additionally folds the trial into the goodput.bps / goodput.bytes
 // histograms.
-func (r *Runner) runGoodputTrial(vp VantagePoint, srv Server, topoRef string, factory core.Factory, upload []byte, trial int, reg *obs.Registry, a *arena) (bps, delivered int64, out Outcome) {
+func (r *Runner) runGoodputTrial(vp VantagePoint, srv Server, prog *topo.Program, factory core.Factory, upload []byte, trial int, reg *obs.Registry, a *arena) (bps, delivered int64, out Outcome) {
 	trialSeed := r.pairSeed(vp, srv) ^ int64(uint64(trial)*0x9e3779b97f4a7c15)
-	rg := r.build(vp, srv, topoRef, r.Censor, trialSeed, a)
+	rg := r.build(vp, srv, prog, r.Censor, trialSeed, a)
 	appsim.ServeHTTPUpload(rg.srv, 80)
 	if reg != nil {
 		rg.attachObs(obs.New(reg, obs.NewRecorder(obs.DefaultRingSize, rg.sim.Now)))
 	}
-	env := core.DefaultEnv(insertionTTL(srv), rg.sim.Rand())
-	rg.engine = core.NewEngine(rg.sim, rg.net, rg.cli, env)
-	if factory != nil {
-		rg.engine.NewStrategy = func(packet.FourTuple) core.Strategy { return factory() }
-	}
+	rg.arm(&srv, factory)
 	conn := rg.cli.Connect(srv.Addr, 80)
 	rg.sim.RunFor(connectWindow)
 	if conn.State() == tcpstack.Established {
@@ -160,8 +153,7 @@ func (r *Runner) runGoodputTrial(vp VantagePoint, srv Server, topoRef string, fa
 // link, over a controlled server slice. Trials feed the runner's obs
 // registry (when attached), so a health report built afterwards
 // carries the goodput histograms. Every trial runs on one arena, as a
-// campaign worker's do, and each server's upload body and constrained
-// topology are rendered once.
+// campaign worker's do, and each server's upload body is rendered once.
 func RunGoodput(r *Runner, sc Scale) []GoodputRow {
 	// The QCloud vantage point: its Table 2 middlebox reassembles IP
 	// fragments (after the shaped access link, so the fragment burst
@@ -175,10 +167,8 @@ func RunGoodput(r *Runner, sc Scale) []GoodputRow {
 	}
 	servers := controlledServers(r, nsrv)
 	uploads := make([][]byte, len(servers))
-	topos := make([]string, len(servers))
 	for i, srv := range servers {
 		uploads[i] = goodputUpload(srv)
-		topos[i] = goodputTopo(vp, srv)
 	}
 	a := r.newArena()
 	var reg *obs.Registry
@@ -201,10 +191,10 @@ func RunGoodput(r *Runner, sc Scale) []GoodputRow {
 		var un, con []int64
 		for i, srv := range servers {
 			for trial := 0; trial < sc.Trials; trial++ {
-				bps, _, _ := r.runGoodputTrial(vp, srv, "", factory, uploads[i], trial, reg, a)
+				bps, _, _ := r.runGoodputTrial(vp, srv, nil, factory, uploads[i], trial, reg, a)
 				un = append(un, bps)
 
-				bps, _, out := r.runGoodputTrial(vp, srv, topos[i], factory, uploads[i], trial, reg, a)
+				bps, _, out := r.runGoodputTrial(vp, srv, r.goodputProgram(vp, srv), factory, uploads[i], trial, reg, a)
 				con = append(con, bps)
 				row.Trials++
 				if out == Success {

@@ -7,9 +7,9 @@ import (
 	"time"
 
 	"intango/internal/appsim"
-	"intango/internal/core"
 	"intango/internal/netem"
 	"intango/internal/packet"
+	"intango/internal/topo"
 )
 
 // TestCongestionDisabledZeroAlloc holds the unconstrained trial to the
@@ -86,15 +86,15 @@ func TestGoodputIPFragReleasesItsPackets(t *testing.T) {
 	vp := VantagePoints()[6]
 	for _, tc := range []struct {
 		name    string
-		topoFor func(VantagePoint, Server) string
+		topoFor func(*Runner, VantagePoint, Server) *topo.Program
 	}{
-		{"middlebox", goodputTopo},
-		{"gfw-and-server", func(VantagePoint, Server) string { return GraphDemoTopo }},
+		{"middlebox", (*Runner).goodputProgram},
+		{"gfw-and-server", graphDemo},
 	} {
 		r := NewRunner(42)
 		srv := controlledServers(r, 1)[0]
 		a := r.newArena()
-		bps, _, out := r.runGoodputTrial(vp, srv, tc.topoFor(vp, srv), goodputFactory("ooo-ipfrag"), goodputUpload(srv), 0, nil, a)
+		bps, _, out := r.runGoodputTrial(vp, srv, tc.topoFor(r, vp, srv), goodputFactory("ooo-ipfrag"), goodputUpload(srv), 0, nil, a)
 		if out != Success || bps <= 0 {
 			t.Fatalf("%s: upload %v at %d bps, want a completed upload", tc.name, out, bps)
 		}
@@ -115,15 +115,13 @@ func TestGoodputIPFragReleasesItsPackets(t *testing.T) {
 // topoFor returns on a new arena, with a tracer attached when traced,
 // and returns every datagram either endpoint received: its virtual
 // time, the end, and its wire bytes, read as it arrives.
-func ipfragDeliveries(t *testing.T, topoFor func(VantagePoint, Server) string, traced bool) []string {
+func ipfragDeliveries(t *testing.T, topoFor func(*Runner, VantagePoint, Server) *topo.Program, traced bool) []string {
 	r := NewRunner(42)
 	vp := VantagePoints()[6]
 	srv := controlledServers(r, 1)[0]
-	rg := r.build(vp, srv, topoFor(vp, srv), r.Censor, r.pairSeed(vp, srv), r.newArena())
+	rg := r.build(vp, srv, topoFor(r, vp, srv), r.Censor, r.pairSeed(vp, srv), r.newArena())
 	appsim.ServeHTTPUpload(rg.srv, 80)
-	rg.engine = core.NewEngine(rg.sim, rg.net, rg.cli, core.DefaultEnv(insertionTTL(srv), rg.sim.Rand()))
-	factory := goodputFactory("ooo-ipfrag")
-	rg.engine.NewStrategy = func(packet.FourTuple) core.Strategy { return factory() }
+	rg.arm(&srv, goodputFactory("ooo-ipfrag"))
 	var got []string
 	record := func(end string, next netem.Endpoint) netem.Endpoint {
 		return netem.EndpointFunc(func(pkt *packet.Packet) {
@@ -151,9 +149,9 @@ func ipfragDeliveries(t *testing.T, topoFor func(VantagePoint, Server) string, t
 // than the traced one. It runs on both topologies of
 // TestGoodputIPFragReleasesItsPackets.
 func TestGoodputIPFragTracedMatchesUntraced(t *testing.T) {
-	for _, topoFor := range []func(VantagePoint, Server) string{
-		goodputTopo,
-		func(VantagePoint, Server) string { return GraphDemoTopo },
+	for _, topoFor := range []func(*Runner, VantagePoint, Server) *topo.Program{
+		(*Runner).goodputProgram,
+		graphDemo,
 	} {
 		plain, traced := ipfragDeliveries(t, topoFor, false), ipfragDeliveries(t, topoFor, true)
 		if len(plain) != len(traced) {
@@ -165,4 +163,9 @@ func TestGoodputIPFragTracedMatchesUntraced(t *testing.T) {
 			}
 		}
 	}
+}
+
+// graphDemo returns the ECMP demo graph's program, whatever the pair.
+func graphDemo(*Runner, VantagePoint, Server) *topo.Program {
+	return overrideProgram(GraphDemoTopo)
 }

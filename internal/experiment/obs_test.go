@@ -399,20 +399,24 @@ func BenchmarkObsOverhead(b *testing.B) {
 // shared per program and keyword automata shared across trials, and
 // in-order segments delivered without a per-segment copy in the GFW
 // stream and the TCP receive path. RunOne builds on a new arena: a new
-// simulator and pair source. Its vantage point and server stay on its
-// stack, passed beside the job, and the origin's answer is rendered
+// simulator, pair source and rig. Its vantage point and server stay on
+// its stack, passed beside the job, and the origin's answer is rendered
 // once per process. The engine returns every volley in its own
 // emissions buffer, builds its insertion packets from the pool and
 // schedules their waves without closures, and a connection arms its
-// retransmission timer without a closure.
-const trialAllocBudget = 71
+// retransmission timer without a closure. The rig's fabric, stacks,
+// engine and HTTP server live in the arena, the tables nothing writes
+// (fragment reassemblers, UDP handlers, block tables) are never made,
+// and the request and the response check allocate nothing.
+const trialAllocBudget = 53
 
 // arenaTrialAllocBudget is the same trial's budget on a campaign
-// worker's warmed arena, which resets the simulator and reseeds the
-// pair source in place, and whose simulator lends the connections'
-// send and receive buffers and the GFW streams' buffers: seven
-// allocations fewer.
-const arenaTrialAllocBudget = 64
+// worker's warmed arena, which resets the simulator, reseeds the pair
+// source and rebuilds the rig in place: the simulator lends the trial's
+// byte buffers, and the stacks, the engine, the GFW devices and the
+// HTTP server reuse the connections, flows, TCBs and served-connection
+// state of the trials before. Nothing is left to allocate.
+const arenaTrialAllocBudget = 0
 
 // requireTrialAllocBudget is the one allocation gate of the trial hot
 // path. It warms a runner and an arena, measures the allocs/op of

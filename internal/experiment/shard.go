@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"intango/internal/core"
 )
@@ -285,6 +286,10 @@ func (st *shardState) fold(sink int, out Outcome) {
 	st.mu.Unlock()
 }
 
+// yieldEvery is how much work a campaign worker does between yields
+// to the scheduler (see runCubeRange): a few dozen trials.
+const yieldEvery = time.Millisecond
+
 // runCubeRange executes the shard's remaining jobs [st.cursor, st.end)
 // serially on arena a, folding each outcome into st. After every
 // `every` completed trials — and always after the range's final trial
@@ -297,15 +302,22 @@ func (r *Runner) runCubeRange(c *Cube, st *shardState, a *arena, every int, chec
 		every = DefaultCheckpointEvery
 	}
 	since := 0
+	yielded := time.Now()
 	for st.cursor < st.end {
 		job := &c.jobs[st.cursor]
 		st.fold(job.sink, r.runOne(job, job.vp, job.srv, c.labels[job.sink], st.sink, a))
 		since++
 		// A trial never blocks, and on a small GOMAXPROCS the GC's
 		// fractional mark worker runs only at scheduling points: without
-		// this yield each mark phase stretches until async preemption,
-		// and every trial meanwhile pays write barriers.
-		runtime.Gosched()
+		// a yield a mark phase stretches until async preemption (10 ms),
+		// and every trial meanwhile pays write barriers. Trials on a
+		// warmed arena do not allocate, so cycles are rare, and a yield
+		// per yieldEvery of work gives the worker a scheduling point a
+		// few times per mark phase; a yield per trial costs ~10 % of it.
+		if now := time.Now(); now.Sub(yielded) >= yieldEvery {
+			runtime.Gosched()
+			yielded = now
+		}
 		if checkpoint != nil && (since >= every || st.cursor == st.end) {
 			since = 0
 			if !checkpoint(st.cursor == st.end) {

@@ -35,6 +35,9 @@ type topoKey struct {
 	mix          DeviceMix
 	fw           bool
 	loss         float64
+	// shaped rates the client's access link as the goodput matrix's
+	// constrained arm does (goodputProgram).
+	shaped bool
 }
 
 // topoOverride caches parsed Runner.Topo specs by their text, which
@@ -83,6 +86,12 @@ func derivedSpec(k topoKey) topo.Spec {
 			topo.LinkSpec{From: to, To: from, Latency: time.Millisecond, Loss: loss})
 	}
 	link("c", "r0", k.loss)
+	if k.shaped {
+		// The access link, both ways: the only links so far.
+		for i := range spec.Links {
+			spec.Links[i].RateBits, spec.Links[i].Queue = goodputRateBits, goodputQueuePkts
+		}
+	}
 	for i := 0; i+1 < k.hops; i++ {
 		link(fmt.Sprintf("r%d", i), fmt.Sprintf("r%d", i+1), 0)
 	}
@@ -108,15 +117,10 @@ func shapeKey(vp VantagePoint, srv Server, hops int) topoKey {
 	}
 }
 
-// program returns the compiled Program for a trial: the derived linear
-// program, cached on r, or the parsed override topoRef when non-empty.
-// Programs, and the routing tables they hold, are immutable and shared
-// read-only across trials and workers.
-func (r *Runner) program(topoRef string, vp VantagePoint, srv Server, hops int) *topo.Program {
-	if topoRef != "" {
-		return overrideProgram(topoRef)
-	}
-	key := shapeKey(vp, srv, hops)
+// program returns the derived linear program of shape key, cached on
+// r. Programs, and the routing tables they hold, are immutable and
+// shared read-only across trials and workers.
+func (r *Runner) program(key topoKey) *topo.Program {
 	r.progMu.RLock()
 	prog := r.programs[key]
 	r.progMu.RUnlock()
@@ -134,6 +138,15 @@ func (r *Runner) program(topoRef string, vp VantagePoint, srv Server, hops int) 
 	r.programs[key] = prog
 	r.progMu.Unlock()
 	return prog
+}
+
+// topoOverride returns the parsed Runner.Topo override, nil when there
+// is none and each trial derives its path.
+func (r *Runner) topoOverride() *topo.Program {
+	if r.Topo == "" {
+		return nil
+	}
+	return overrideProgram(r.Topo)
 }
 
 // overrideProgram parses and caches an explicit Runner.Topo spec. An
@@ -164,7 +177,10 @@ func overrideProgram(text string) *topo.Program {
 // point, server) pair at its measured hop count — what `-what topo`
 // prints. Route dynamics perturb the per-trial shape around this.
 func (r *Runner) TopoSpec(vp VantagePoint, srv Server) topo.Spec {
-	return r.program(r.Topo, vp, srv, srv.Hops).Spec()
+	if prog := r.topoOverride(); prog != nil {
+		return prog.Spec()
+	}
+	return r.program(shapeKey(vp, srv, srv.Hops)).Spec()
 }
 
 // GraphDemoTopo is the ECMP demonstration topology: two parallel GFW
@@ -209,7 +225,7 @@ func FormatTopoDemo(seed int64) string {
 	r := NewRunner(seed)
 	vp := VantagePoints()[0]
 	srv := Servers(1, r.Cal, seed)[0]
-	fab := r.build(vp, srv, GraphDemoTopo, r.Censor, 1, r.newArena()).net
+	fab := r.build(vp, srv, overrideProgram(GraphDemoTopo), r.Censor, 1, r.newArena()).net
 	var b strings.Builder
 	b.WriteString("== ECMP multi-device demo (graph fabric) ==\n")
 	b.WriteString("spec:\n  " + overrideProgram(GraphDemoTopo).Spec().String() + "\n")
@@ -272,7 +288,8 @@ func (b *rigBinder) Bind(node *netem.Node, a topo.Attachment) error {
 	case strings.HasPrefix(ref, "mbox:"):
 		// Always called, even for profiles with no middleboxes: the
 		// chain constructor consumes trial RNG identically either way.
-		place(node, a.Tap, middlebox.BuildProfile(middlebox.ProfileName(ref[len("mbox:"):]), b.trialRng)...)
+		chain := b.rg.chains.Get(true)
+		place(node, a.Tap, chain.Reset(middlebox.ProfileName(ref[len("mbox:"):]), b.trialRng)...)
 	case strings.HasPrefix(ref, "ipf:"):
 		name := ref[len("ipf:"):]
 		for _, dev := range b.rg.devices {
@@ -303,13 +320,16 @@ func (b *rigBinder) Bind(node *netem.Node, a topo.Attachment) error {
 		}
 		cfg := gfwConfig(model, b.r.Cal)
 		cfg.TorFiltering = b.vp.TorFiltered
-		dev := gfw.NewDevice(ref, cfg, b.trialRng)
+		dev := b.rg.censors.Device()
+		dev.Reset(ref, cfg, b.trialRng)
 		dev.SetRSTResyncs(b.pairRng.Float64() < b.r.Cal.ResyncOnRSTProb)
 		dev.SetSegmentLastWins(b.pairRng.Float64() < b.r.Cal.SegmentLastWinsProb)
 		b.rg.devices = append(b.rg.devices, dev)
 		place(node, a.Tap, dev)
 	case ref == "server-fw":
-		place(node, a.Tap, middlebox.NewStatefulFirewall("server-side-fw", false))
+		fw := b.rg.firewalls.Get(true)
+		fw.Reset("server-side-fw", false)
+		place(node, a.Tap, fw)
 	default:
 		return fmt.Errorf("unknown attachment ref %q", ref)
 	}
@@ -319,7 +339,7 @@ func (b *rigBinder) Bind(node *netem.Node, a topo.Attachment) error {
 // attach puts one instance of the censor ref, named name, on node and
 // records it among the rig's devices (a filter-only censor adds none).
 func (b *rigBinder) attach(node *netem.Node, ref, name string, filter bool) error {
-	dev, err := censor.Attach(node, ref, name, filter, b.trialRng, b.pairRng)
+	dev, err := b.rg.censors.Attach(node, ref, name, filter, b.trialRng, b.pairRng)
 	if dev != nil {
 		b.rg.devices = append(b.rg.devices, dev)
 	}

@@ -11,6 +11,7 @@ import (
 	"intango/internal/censor"
 	"intango/internal/core"
 	"intango/internal/intang"
+	"intango/internal/middlebox"
 	"intango/internal/netem"
 	"intango/internal/obs"
 	"intango/internal/packet"
@@ -158,7 +159,10 @@ func (r *Runner) pairSeed(vp VantagePoint, srv Server) int64 {
 	return r.Seed ^ int64(h.Sum64())
 }
 
-// rig is one constructed trial topology.
+// rig is one constructed trial topology. An arena holds one and
+// rebuilds it in place for each trial (build): the fabric, both stacks,
+// the engine and the HTTP server are the rig's own, and the devices
+// and middleboxes its topology binds come from its spares.
 type rig struct {
 	sim     *netem.Simulator
 	net     *netem.Fabric
@@ -166,18 +170,40 @@ type rig struct {
 	cli     *tcpstack.Stack
 	srv     *tcpstack.Stack
 	engine  *core.Engine
+
+	// What the pointers above point into.
+	fabric netem.Fabric
+	stacks [2]tcpstack.Stack
+	eng    core.Engine
+	http   appsim.HTTPServer
+
+	// binder binds the topology's attachments, drawing devices and
+	// middleboxes from the spares.
+	binder    rigBinder
+	censors   censor.Spares
+	chains    netem.Spares[middlebox.Chain]
+	firewalls netem.Spares[middlebox.StatefulFirewall]
+
+	// factory builds the trial's strategy, which strategy (newStrategy
+	// bound once) hands the engine for each flow; request holds the
+	// trial's HTTP request.
+	factory  core.Factory
+	strategy func(packet.FourTuple) core.Strategy
+	request  []byte
 }
 
-// build assembles the (vp, server) substrate for one trial on arena a:
-// derive the declarative topology (or parse topoRef, a Runner.Topo
-// override when non-empty), fetch its cached compiled Program, and
-// instantiate it with this trial's RNGs bound through the rig binder,
-// which fills the GFW device slots from censorRef (see Runner.Censor).
-// Measured paths are linear chains, an override may be any graph; both
-// become one netem.Fabric per trial over the program's shared routing.
-// The rig runs on a's simulator, so it is dead once a builds again.
-func (r *Runner) build(vp VantagePoint, srv Server, topoRef, censorRef string, trialSeed int64, a *arena) *rig {
-	rg := &rig{sim: a.simulator(trialSeed)}
+// build assembles the (vp, server) substrate for one trial in arena a's
+// rig: derive the declarative topology (or take prog, a Runner.Topo
+// override or a goodput arm, when non-nil), fetch its cached compiled
+// Program, and instantiate it with this trial's RNGs bound through the
+// rig binder, which fills the GFW device slots from censorRef (see
+// Runner.Censor). Measured paths are linear chains, an override may be
+// any graph; both become the rig's netem.Fabric over the program's
+// shared routing. Everything the last trial on a built is dead once a
+// builds again.
+func (r *Runner) build(vp VantagePoint, srv Server, prog *topo.Program, censorRef string, trialSeed int64, a *arena) *rig {
+	rg := &a.rig
+	rg.sim = a.simulator(trialSeed)
 	trialRng := rg.sim.Rand()
 
 	// Route dynamics: the path this trial may be ±2 hops off the
@@ -195,27 +221,52 @@ func (r *Runner) build(vp VantagePoint, srv Server, topoRef, censorRef string, t
 		hops = 1
 	}
 
-	prog := r.program(topoRef, vp, srv, hops)
-	binder := &rigBinder{r: r, vp: vp, censor: censorRef, rg: rg,
+	if prog == nil {
+		prog = r.program(shapeKey(vp, srv, hops))
+	}
+	clear(rg.devices)
+	rg.devices = rg.devices[:0]
+	rg.censors.Rewind()
+	rg.chains.Rewind()
+	rg.firewalls.Rewind()
+	rg.binder = rigBinder{r: r, vp: vp, censor: censorRef, rg: rg,
 		trialRng: trialRng, pairRng: a.pairSource(r.pairSeed(vp, srv))}
-	n, err := prog.Instantiate(binder, topo.Options{Sim: rg.sim, Pool: a.pool})
-	if err != nil {
+	rg.net = &rg.fabric
+	if err := prog.Instantiate(rg.net, &rg.binder, topo.Options{Sim: rg.sim, Pool: a.pool}); err != nil {
 		// Derived specs are valid by construction and overrides are
 		// validated at parse; a bind failure here is a programming error.
 		panic(fmt.Sprintf("experiment: instantiate topology: %v", err))
 	}
-	rg.net = n
 
-	rg.cli = tcpstack.NewStack(vp.Addr, tcpstack.Linux44(), rg.sim)
-	// The engine interposes on the client end (NewEngine replaces
-	// cli.Send), so the client stack never runs AttachClient; hand it
-	// the pool directly.
-	rg.cli.Pool = n.Pool
-	rg.srv = tcpstack.NewStack(srv.Addr, srv.Stack, rg.sim)
-	rg.srv.AttachServer(n)
-	appsim.ServeHTTP(rg.srv, 80)
+	rg.cli, rg.srv = &rg.stacks[0], &rg.stacks[1]
+	rg.cli.Reset(vp.Addr, tcpstack.Linux44(), rg.sim)
+	// The engine interposes on the client end (arm sets cli.Send), so
+	// the client stack never runs AttachClient; hand it the pool
+	// directly.
+	rg.cli.Pool = rg.net.Pool
+	rg.srv.Reset(srv.Addr, srv.Stack, rg.sim)
+	rg.srv.AttachServer(rg.net)
+	rg.http.Serve(rg.srv, 80)
+	rg.engine = nil
 	return rg
 }
+
+// arm wires the rig's engine between the client stack and the fabric,
+// crafting for srv, with factory's strategy (none when nil) on every
+// flow.
+func (rg *rig) arm(srv *Server, factory core.Factory) {
+	rg.engine = &rg.eng
+	rg.engine.Reset(rg.sim, rg.net, rg.cli, core.DefaultEnv(insertionTTL(*srv), rg.sim.Rand()))
+	if rg.factory = factory; factory != nil {
+		if rg.strategy == nil {
+			rg.strategy = rg.newStrategy
+		}
+		rg.engine.NewStrategy = rg.strategy
+	}
+}
+
+// newStrategy is the engine's NewStrategy: the trial's strategy.
+func (rg *rig) newStrategy(packet.FourTuple) core.Strategy { return rg.factory() }
 
 // insertionTTL computes the crafting TTL from the measured hop count:
 // (hops+1) - δ, i.e. one short of the last router (§7.1, δ=2).
@@ -271,7 +322,7 @@ func (rg *rig) attachObs(b *obs.Obs) {
 // randomness, so a traced trial is bit-identical to an untraced one.
 func (r *Runner) runRig(j *trialJob, vp *VantagePoint, srv *Server, reg *obs.Registry, tc *trace.Tracer, a *arena) (Outcome, *rig, *obs.Recorder) {
 	trialSeed := r.pairSeed(*vp, *srv) ^ int64(uint64(j.trial)*0x9e3779b97f4a7c15)
-	rg := r.build(*vp, *srv, r.Topo, j.censor, trialSeed, a)
+	rg := r.build(*vp, *srv, r.topoOverride(), j.censor, trialSeed, a)
 	var rec *obs.Recorder
 	if reg != nil {
 		rec = obs.NewRecorder(obs.DefaultRingSize, rg.sim.Now)
@@ -280,13 +331,7 @@ func (r *Runner) runRig(j *trialJob, vp *VantagePoint, srv *Server, reg *obs.Reg
 			tc.Attach(rec, rg.net)
 		}
 	}
-	env := core.DefaultEnv(insertionTTL(*srv), rg.sim.Rand())
-	rg.engine = core.NewEngine(rg.sim, rg.net, rg.cli, env)
-	// The closure captures the factory, not j: it outlives this call,
-	// and capturing j would move every RunOne's job to the heap.
-	if factory := j.factory; factory != nil {
-		rg.engine.NewStrategy = func(packet.FourTuple) core.Strategy { return factory() }
-	}
+	rg.arm(srv, j.factory)
 	conn := fetch(rg, *srv, j.sensitive)
 	if rec != nil {
 		recordStageSpans(rg, conn, reg, rec)
@@ -402,7 +447,8 @@ func fetch(rg *rig, srv Server, sensitive bool) *tcpstack.Conn {
 		uri = "/search?q=" + Keyword
 	}
 	if conn.State() == tcpstack.Established {
-		conn.Write(appsim.HTTPRequest(srv.Name, uri))
+		rg.request = appsim.AppendHTTPRequest(rg.request[:0], srv.Name, uri)
+		conn.Write(rg.request)
 	}
 	rg.sim.RunFor(8 * time.Second)
 	return conn
@@ -414,7 +460,7 @@ func fetch(rg *rig, srv Server, sensitive bool) *tcpstack.Conn {
 // Between trials it waits out any active blocklist period, as the
 // paper's methodology did (§3.3).
 func (r *Runner) RunINTANGSeries(vp VantagePoint, srv Server, trials int) []Outcome {
-	rg := r.build(vp, srv, r.Topo, r.Censor, r.pairSeed(vp, srv), r.newArena())
+	rg := r.build(vp, srv, r.topoOverride(), r.Censor, r.pairSeed(vp, srv), r.newArena())
 	it := intang.New(rg.sim, rg.net, rg.cli, intang.Options{})
 	it.Engine.Env.InsertionTTL = insertionTTL(srv)
 	if r.Obs != nil {

@@ -123,6 +123,10 @@ type Config struct {
 	TrustDataAfterServerACK bool
 }
 
+// defaultResetSeqOffsets are the measured type-2 offsets, shared
+// read-only by every configuration that leaves them unset.
+var defaultResetSeqOffsets = []int{0, 1460, 4380}
+
 // withDefaults fills unset fields with the paper's measured values.
 func (c Config) withDefaults() Config {
 	if c.BlockDuration == 0 {
@@ -138,7 +142,7 @@ func (c Config) withDefaults() Config {
 		c.ActiveProbeDelay = 10 * time.Second
 	}
 	if c.ResetSeqOffsets == nil {
-		c.ResetSeqOffsets = []int{0, 1460, 4380}
+		c.ResetSeqOffsets = defaultResetSeqOffsets
 	}
 	if c.PoisonedAddr == (packet.Addr{}) {
 		c.PoisonedAddr = PoisonAddr

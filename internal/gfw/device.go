@@ -28,12 +28,19 @@ type Device struct {
 
 	matcher *dpi.Matcher
 	tcbs    map[packet.FourTuple]*tcb
-	frag    *packet.Reassembler
+	// spare holds the TCBs of the trials before, with their streams,
+	// while the simulator lends.
+	spare netem.Spares[tcb]
+	// frag is made at the first fragment, and the block tables at the
+	// first block: most trials see neither.
+	frag *packet.Reassembler
 
 	// pairBlock maps a canonical (client,server) address pair to the
 	// virtual time its 90-second block expires.
 	pairBlock map[[2]packet.Addr]time.Duration
 	ipBlock   map[packet.Addr]bool
+	// filter is the in-path companion (IPFilter).
+	filter ipFilter
 
 	// Per-device sampled behaviours (§4: consistent per pair within a
 	// period, inconsistent across periods/devices).
@@ -62,7 +69,7 @@ type Device struct {
 
 	// OnEvent, when set, observes device events.
 	OnEvent func(Event)
-	// Stats counts events by kind.
+	// Stats counts events by kind; it is made at the first event.
 	Stats map[string]int
 	// Obs, when set, mirrors every device event into the shared
 	// observability layer as a "gfw.<kind>" counter and a
@@ -77,26 +84,45 @@ type Device struct {
 // behaviour and must be the simulation's PRNG (or a derived one) for
 // deterministic runs.
 func NewDevice(name string, cfg Config, rng *rand.Rand) *Device {
-	cfg = cfg.withDefaults()
-	d := &Device{
-		name:      name,
-		cfg:       cfg,
-		rng:       rng,
-		matcher:   dpi.NewMatcher(cfg.Keywords),
-		tcbs:      make(map[packet.FourTuple]*tcb),
-		frag:      packet.NewReassembler(packet.FirstWins),
-		pairBlock: make(map[[2]packet.Addr]time.Duration),
-		ipBlock:   make(map[packet.Addr]bool),
-		Stats:     make(map[string]int),
-		t2TTL:     64,
-		t2Win:     8192,
+	d := new(Device)
+	d.Reset(name, cfg, rng)
+	return d
+}
+
+// Reset returns d to NewDevice(name, cfg, rng)'s state, drawing its
+// sampled behaviours from rng as NewDevice does: no TCBs, blocks,
+// probes, stats or hooks. It keeps the storage of its tables and label
+// caches and, while the simulator lends, the TCBs it made with their
+// streams (netem.Spares), which new TCBs reuse: a device reset for each
+// trial tracks its flows without allocating. Every TCB made before the
+// reset is dead. Reset on a zero Device is NewDevice.
+func (d *Device) Reset(name string, cfg Config, rng *rand.Rand) {
+	d.spare.Rewind()
+	clear(d.tcbs)
+	clear(d.pairBlock)
+	clear(d.ipBlock)
+	clear(d.probes)
+	clear(d.Stats)
+	if d.frag != nil {
+		d.frag.Reset(packet.FirstWins)
 	}
+	if name != d.name {
+		clear(d.notes) // they name the device
+	}
+	cfg = cfg.withDefaults()
+	*d = Device{
+		name: name, cfg: cfg, rng: rng, matcher: dpi.NewMatcher(cfg.Keywords),
+		tcbs: d.tcbs, spare: d.spare, frag: d.frag,
+		pairBlock: d.pairBlock, ipBlock: d.ipBlock, probes: d.probes,
+		t2TTL: 64, t2Win: 8192,
+		Stats: d.Stats, labels: d.labels, notes: d.notes,
+	}
+	d.filter.d = d
 	d.rstResyncs = rng.Float64() < cfg.ResyncOnRSTProb
 	// Khattak et al. measured the old model preferring the later copy
 	// of overlapping out-of-order segments unconditionally; only the
 	// evolved deployment is heterogeneous (Config.SegmentLastWinsProb).
 	d.segLastWins = cfg.Model == ModelKhattak2013 || rng.Float64() < cfg.SegmentLastWinsProb
-	return d
 }
 
 // Name implements netem.Processor.
@@ -148,6 +174,14 @@ func (d *Device) event(kind string, tuple packet.FourTuple, detail string) {
 	d.eventPkt(kind, tuple, nil, detail)
 }
 
+// count adds n to the count of kind.
+func (d *Device) count(kind string, n int) {
+	if d.Stats == nil {
+		d.Stats = make(map[string]int)
+	}
+	d.Stats[kind] += n
+}
+
 // verdictKinds are the event kinds that count as enforcement — the
 // same set classify() in the experiment runner treats as censorship.
 var verdictKinds = map[string]bool{
@@ -161,7 +195,7 @@ var verdictKinds = map[string]bool{
 // transition, so the flight recorder (and the causal tracer tapping
 // it) can tie censor state changes back to specific wire packets.
 func (d *Device) eventPkt(kind string, tuple packet.FourTuple, cause *packet.Packet, detail string) {
-	d.Stats[kind]++
+	d.count(kind, 1)
 	if d.VerdictAt == 0 && verdictKinds[kind] {
 		d.VerdictAt = d.now
 	}
@@ -250,6 +284,9 @@ func (d *Device) processTCPDatagram(ctx *netem.Context, pkt *packet.Packet) {
 		// The GFW reassembles IP fragments itself, preferring the first
 		// copy of overlapping fragment data (§3.2). The reassembler
 		// only reads the fragment, copying what it keeps.
+		if d.frag == nil {
+			d.frag = packet.NewReassembler(packet.FirstWins)
+		}
 		whole, err := d.frag.AddAt(pkt, ctx.Sim.Now())
 		d.countFragEvictions()
 		if err != nil || whole == nil {
@@ -280,7 +317,7 @@ func (d *Device) countFragEvictions() {
 	if n == 0 {
 		return
 	}
-	d.Stats["frag-evict"] += int(n)
+	d.count("frag-evict", int(n))
 	if d.Obs != nil {
 		d.Obs.Registry().Add("gfw.frag-evict", n)
 	}
@@ -333,33 +370,45 @@ func (d *Device) maybeCreateTCB(ctx *netem.Context, key packet.FourTuple, pkt *p
 	tcp := pkt.TCP
 	switch {
 	case tcp.HasFlag(packet.FlagSYN) && !tcp.HasFlag(packet.FlagACK):
-		t := &tcb{
+		t := d.newTCB(ctx.Sim, key, tcb{
 			client: pkt.IP.Src, cport: tcp.SrcPort,
 			server: pkt.IP.Dst, sport: tcp.DstPort,
 			clientISN: tcp.Seq, haveISN: true,
 			clientNext: tcp.Seq.Add(1), haveClient: true,
 			synCount: 1,
-			lastWins: d.segLastWins,
-		}
-		t.stream = newStream(ctx.Sim, d.cfg.ReassemblyWindow, d.matcher.NewStreamScanner(), true)
+		})
 		t.stream.rebase(t.clientNext)
-		d.tcbs[key] = t
 		d.eventPkt("tcb-create", key, pkt, "syn")
 	case tcp.HasFlag(packet.FlagSYN) && tcp.HasFlag(packet.FlagACK) && d.cfg.Model == ModelEvolved2017:
 		// The GFW assumes a SYN/ACK's source is the server (§5.2).
-		t := &tcb{
+		t := d.newTCB(ctx.Sim, key, tcb{
 			client: pkt.IP.Dst, cport: tcp.DstPort,
 			server: pkt.IP.Src, sport: tcp.SrcPort,
 			clientNext: tcp.Ack, haveClient: true,
 			serverNext: tcp.Seq.Add(1), haveServer: true,
 			synAckCount: 1,
-			lastWins:    d.segLastWins,
-		}
-		t.stream = newStream(ctx.Sim, d.cfg.ReassemblyWindow, d.matcher.NewStreamScanner(), true)
+		})
 		t.stream.rebase(t.clientNext)
-		d.tcbs[key] = t
 		d.eventPkt("tcb-create-reversed", key, pkt, "synack")
 	}
+}
+
+// newTCB tracks key with the shadow connection init, on a spare's
+// storage when there is one, with a new client-stream reassembler and
+// the device's sampled overlap behaviour.
+func (d *Device) newTCB(sim *netem.Simulator, key packet.FourTuple, init tcb) *tcb {
+	t := d.spare.Get(sim.Lends())
+	st, resp, pending := t.stream, t.respStream, t.pending
+	clear(pending)
+	*t = init
+	t.lastWins = d.segLastWins
+	t.stream = st.reset(sim, d.cfg.ReassemblyWindow, d.matcher, true)
+	t.respStream, t.pending = resp, pending[:0]
+	if d.tcbs == nil {
+		d.tcbs = make(map[packet.FourTuple]*tcb)
+	}
+	d.tcbs[key] = t
+	return t
 }
 
 // fromClientSide handles packets traveling from the TCB's notion of the
@@ -510,8 +559,9 @@ func (d *Device) fromServerSide(ctx *netem.Context, key packet.FourTuple, t *tcb
 		// server→client stream too — this is what catches sensitive
 		// keywords copied into HTTP 301 Location headers.
 		if d.cfg.ResponseCensorship && !t.immune && !t.detected {
-			if t.respStream == nil {
-				t.respStream = newStream(ctx.Sim, d.cfg.ReassemblyWindow, d.matcher.NewStreamScanner(), false)
+			if !t.respOn {
+				t.respOn = true
+				t.respStream = t.respStream.reset(ctx.Sim, d.cfg.ReassemblyWindow, d.matcher, false)
 				t.respStream.rebase(tcp.Seq)
 			}
 			if matches := t.respStream.insert(tcp.Seq, pkt.Payload, false); len(matches) > 0 {

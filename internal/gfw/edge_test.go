@@ -191,7 +191,7 @@ func TestStreamScannedPrefixImmutable(t *testing.T) {
 	// must not replace them — even under the last-wins overlap policy.
 	m := newRig(t, evolvedCfg())
 	_ = m
-	s := newStream(m.sim, 4096, m.dev.matcher.NewStreamScanner(), true)
+	s := (*stream)(nil).reset(m.sim, 4096, m.dev.matcher, true)
 	s.rebase(1000)
 	if got := s.insert(1000, []byte("AAAA"), true); len(got) != 0 {
 		t.Fatalf("junk matched: %v", got)
@@ -211,7 +211,7 @@ func TestStreamScannedPrefixImmutable(t *testing.T) {
 func TestStreamOutOfOrderOverlapPolicies(t *testing.T) {
 	mk := func() *stream {
 		r := newRig(t, evolvedCfg())
-		s := newStream(r.sim, 4096, r.dev.matcher.NewStreamScanner(), true)
+		s := (*stream)(nil).reset(r.sim, 4096, r.dev.matcher, true)
 		s.rebase(0)
 		return s
 	}
@@ -235,7 +235,7 @@ func TestStreamOutOfOrderOverlapPolicies(t *testing.T) {
 
 func TestStreamKeywordAcrossInsertBoundary(t *testing.T) {
 	r := newRig(t, evolvedCfg())
-	s := newStream(r.sim, 4096, r.dev.matcher.NewStreamScanner(), true)
+	s := (*stream)(nil).reset(r.sim, 4096, r.dev.matcher, true)
 	s.rebase(500)
 	half := len(keyword) / 2
 	if got := s.insert(500, []byte(keyword[:half]), false); len(got) != 0 {

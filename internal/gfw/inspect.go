@@ -92,8 +92,10 @@ func DomainMatch(name string, list []string) bool {
 // client/server address pair. cause is the packet whose detection
 // triggered the entry.
 func (d *Device) blockPair(ctx *netem.Context, client, server packet.Addr, cause *packet.Packet) {
-	key := PairKey(client, server)
-	d.pairBlock[key] = ctx.Sim.Now() + d.cfg.BlockDuration
+	if d.pairBlock == nil {
+		d.pairBlock = make(map[[2]packet.Addr]time.Duration)
+	}
+	d.pairBlock[PairKey(client, server)] = ctx.Sim.Now() + d.cfg.BlockDuration
 	d.eventPkt("block", packet.FourTuple{SrcAddr: client, DstAddr: server}, cause, "")
 }
 

@@ -15,14 +15,17 @@ func ClientSide(addr packet.Addr) bool { return addr[0] == 10 }
 func (d *Device) IsIPBlocked(addr packet.Addr) bool { return d.ipBlock[addr] }
 
 // BlockIP null-routes addr immediately (test/probe helper).
-func (d *Device) BlockIP(addr packet.Addr) { d.ipBlock[addr] = true }
+func (d *Device) BlockIP(addr packet.Addr) {
+	if d.ipBlock == nil {
+		d.ipBlock = make(map[packet.Addr]bool)
+	}
+	d.ipBlock[addr] = true
+}
 
 // IPFilter returns the in-path companion processor that enforces the
 // device's IP blocklist. Unlike the wiretap, it can drop packets: IP
 // blocking is implemented in the routing layer, not the DPI tap.
-func (d *Device) IPFilter() netem.Processor {
-	return &ipFilter{d: d}
-}
+func (d *Device) IPFilter() netem.Processor { return &d.filter }
 
 type ipFilter struct{ d *Device }
 

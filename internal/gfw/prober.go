@@ -113,7 +113,7 @@ func (d *Device) finishProbe(key packet.FourTuple, ps *probeState, confirmed boo
 	delete(d.probes, key)
 	if confirmed {
 		if !d.ipBlock[ps.bridge] {
-			d.ipBlock[ps.bridge] = true
+			d.BlockIP(ps.bridge)
 			d.event("ip-block", key, ps.bridge.String())
 		}
 		d.event("tor-probe-confirm", key, ps.bridge.String())

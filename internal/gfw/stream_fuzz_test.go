@@ -135,7 +135,7 @@ func FuzzStreamInsert(f *testing.F) {
 		// recycled trial's does.
 		sim := netem.NewSimulator(1)
 		sim.Reset(1)
-		got := newStream(sim, window, m.NewStreamScanner(), true)
+		got := (*stream)(nil).reset(sim, window, m, true)
 		want := &refStream{window: window, scanner: m.NewStreamScanner()}
 		got.rebase(1000)
 		want.rebase(1000)

@@ -66,8 +66,10 @@ type tcb struct {
 	pending []pendingSeg
 
 	// respStream reassembles server→client data when response
-	// censorship is enabled (lazy).
+	// censorship is enabled, from the first server data on (respOn);
+	// a reused TCB keeps the last trial's for its storage.
 	respStream *stream
+	respOn     bool
 }
 
 // pendingSeg is one buffered client segment (hardened mode).
@@ -99,7 +101,7 @@ type stream struct {
 	started bool
 	scanned int // contiguous prefix already fed to the scanner
 	window  int
-	scanner *dpi.StreamScanner
+	scanner dpi.StreamScanner
 
 	// classify marks a stream the protocol classifiers read. keep
 	// retains its scanned prefix in prefix for them (contiguous) until
@@ -120,8 +122,16 @@ type stream struct {
 // span is the half-open stream-offset range [lo, hi).
 type span struct{ lo, hi int }
 
-func newStream(sim *netem.Simulator, window int, scanner *dpi.StreamScanner, classify bool) *stream {
-	return &stream{sim: sim, window: window, scanner: scanner, classify: classify, keep: classify}
+// reset returns s, or a new stream when s is nil, empty and unstarted
+// on sim, scanning with m: it keeps only the storage of the pending
+// ranges, as the buffers it grew were lent by the simulator and taken
+// back at its reset.
+func (s *stream) reset(sim *netem.Simulator, window int, m *dpi.Matcher, classify bool) *stream {
+	if s == nil {
+		s = new(stream)
+	}
+	*s = stream{sim: sim, window: window, scanner: *m.NewStreamScanner(), classify: classify, keep: classify, have: s.have[:0]}
+	return s
 }
 
 // rebase resets the stream to a new base sequence (TCB creation or

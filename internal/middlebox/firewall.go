@@ -23,7 +23,10 @@ type StatefulFirewall struct {
 	// only sometimes act on control packets.
 	honorProb float64
 	rng       *rand.Rand
-	conns     map[packet.FourTuple]*fwConn
+	// conns is made at the first SYN; spare holds the connection
+	// entries of the trials before, while the simulator lends.
+	conns map[packet.FourTuple]*fwConn
+	spare netem.Spares[fwConn]
 }
 
 // SetRSTHonorProb makes RST/FIN handling probabilistic.
@@ -49,7 +52,18 @@ type fwConn struct {
 
 // NewStatefulFirewall builds a firewall middlebox.
 func NewStatefulFirewall(name string, validateSeq bool) *StatefulFirewall {
-	return &StatefulFirewall{name: name, ValidateSeq: validateSeq, conns: make(map[packet.FourTuple]*fwConn)}
+	f := new(StatefulFirewall)
+	f.Reset(name, validateSeq)
+	return f
+}
+
+// Reset returns f to NewStatefulFirewall(name, validateSeq)'s state,
+// keeping its connection table's storage. Reset on a zero
+// StatefulFirewall is NewStatefulFirewall.
+func (f *StatefulFirewall) Reset(name string, validateSeq bool) {
+	f.spare.Rewind()
+	clear(f.conns)
+	*f = StatefulFirewall{name: name, ValidateSeq: validateSeq, conns: f.conns, spare: f.spare}
 }
 
 // Name implements netem.Processor.
@@ -72,7 +86,12 @@ func (f *StatefulFirewall) Process(ctx *netem.Context, pkt *packet.Packet, dir n
 	c := f.conns[key]
 	if c == nil {
 		if tcp.FlagsOnly(packet.FlagSYN) {
-			f.conns[key] = &fwConn{}
+			if f.conns == nil {
+				f.conns = make(map[packet.FourTuple]*fwConn)
+			}
+			c = f.spare.Get(ctx.Sim.Lends())
+			*c = fwConn{}
+			f.conns[key] = c
 			return netem.Pass
 		}
 		// Unknown flow: permissive pass (a NAT would drop; the plain

@@ -32,7 +32,7 @@ func (FragmentDropper) Process(ctx *netem.Context, pkt *packet.Packet, dir netem
 // datagram — the Table 2 behaviour that makes fragmented requests
 // "deterministically captured by the GFW" downstream.
 type FragmentReassembler struct {
-	r *packet.Reassembler
+	r packet.Reassembler
 }
 
 // NewFragmentReassembler returns a reassembler middlebox. It rebuilds
@@ -40,7 +40,14 @@ type FragmentReassembler struct {
 // requests "deterministically captured by the GFW" downstream (§3.4):
 // the reassembled datagram carries the real data, not the decoy.
 func NewFragmentReassembler() *FragmentReassembler {
-	return &FragmentReassembler{r: packet.NewReassembler(packet.LastWins)}
+	return new(FragmentReassembler).reset()
+}
+
+// reset empties m as NewFragmentReassembler builds it, keeping its
+// storage, and returns it.
+func (m *FragmentReassembler) reset() *FragmentReassembler {
+	m.r.Reset(packet.LastWins)
+	return m
 }
 
 // Name implements netem.Processor.
@@ -118,7 +125,13 @@ type FlagDropper struct {
 
 // NewFlagDropper builds a dropper for flag with drop probability p.
 func NewFlagDropper(name string, flag uint8, p float64, rng *rand.Rand) *FlagDropper {
-	return &FlagDropper{Flag: flag, Prob: p, rng: rng, name: name}
+	return new(FlagDropper).reset(name, flag, p, rng)
+}
+
+// reset makes m NewFlagDropper's dropper and returns it.
+func (m *FlagDropper) reset(name string, flag uint8, p float64, rng *rand.Rand) *FlagDropper {
+	*m = FlagDropper{Flag: flag, Prob: p, rng: rng, name: name}
+	return m
 }
 
 // Name implements netem.Processor.

@@ -39,30 +39,39 @@ const sometimesProb = 0.4
 //	RST packets      pass        sometimes   pass        pass
 //	FIN packets      sometimes   pass        dropped     dropped
 func BuildProfile(p ProfileName, rng *rand.Rand) []netem.Processor {
+	return new(Chain).Reset(p, rng)
+}
+
+// Chain holds one profile's middlebox chain. A world rebuilt for each
+// trial keeps one and rebuilds it in place (Reset). Every profile has
+// at most one reassembler and one flag dropper; the other middleboxes
+// hold no state.
+type Chain struct {
+	procs []netem.Processor
+	reasm FragmentReassembler
+	flag  FlagDropper
+}
+
+// Reset rebuilds c as profile p's chain and returns it, as
+// BuildProfile does; what c returned before is dead. Reset on a zero
+// Chain is BuildProfile.
+func (c *Chain) Reset(p ProfileName, rng *rand.Rand) []netem.Processor {
+	clear(c.procs)
+	procs := c.procs[:0]
 	switch p {
 	case ProfileAliyun:
-		return []netem.Processor{
-			FragmentDropper{},
-			NewFlagDropper("fin-dropper", packet.FlagFIN, sometimesProb, rng),
-		}
+		procs = append(procs, FragmentDropper{},
+			c.flag.reset("fin-dropper", packet.FlagFIN, sometimesProb, rng))
 	case ProfileQCloud:
-		return []netem.Processor{
-			NewFragmentReassembler(),
-			NewFlagDropper("rst-dropper", packet.FlagRST, sometimesProb, rng),
-		}
+		procs = append(procs, c.reasm.reset(),
+			c.flag.reset("rst-dropper", packet.FlagRST, sometimesProb, rng))
 	case ProfileUnicomSJZ:
-		return []netem.Processor{
-			NewFragmentReassembler(),
-			NewFlagDropper("fin-dropper", packet.FlagFIN, 1.0, rng),
-		}
+		procs = append(procs, c.reasm.reset(),
+			c.flag.reset("fin-dropper", packet.FlagFIN, 1.0, rng))
 	case ProfileUnicomTJ:
-		return []netem.Processor{
-			NewFragmentReassembler(),
-			ChecksumValidator{},
-			FlaglessDropper{},
-			NewFlagDropper("fin-dropper", packet.FlagFIN, 1.0, rng),
-		}
-	default:
-		return nil
+		procs = append(procs, c.reasm.reset(), ChecksumValidator{}, FlaglessDropper{},
+			c.flag.reset("fin-dropper", packet.FlagFIN, 1.0, rng))
 	}
+	c.procs = procs
+	return procs
 }

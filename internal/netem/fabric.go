@@ -28,7 +28,7 @@ type Node struct {
 // graph with parallel censor branches and asymmetric routes — runs on
 // it. Per trial it allocates only its own state: the node attachments,
 // the event counters, and the token buckets of the rated links it
-// actually uses.
+// actually uses; a fabric Reset for each trial reuses them.
 type Fabric struct {
 	Sim *Simulator
 	// Client and Server receive packets arriving at the endpoints.
@@ -51,9 +51,11 @@ type Fabric struct {
 	nodes []Node
 
 	// shapers holds the lazily built token buckets, indexed by directed
-	// link. It stays nil on fabrics whose packets never cross a rated
-	// link, so unshaped trials allocate nothing for shaping.
+	// link. It stays empty on fabrics whose packets never cross a rated
+	// link, so unshaped trials allocate nothing for shaping. spare
+	// holds the buckets of the trials before, while Sim lends.
 	shapers []*linkShaper
+	spare   Spares[linkShaper]
 
 	// counts accumulates per-event totals as plain increments — the
 	// fabric belongs to a single simulation, so no atomics are needed on
@@ -80,7 +82,30 @@ type Fabric struct {
 
 // NewFabric binds topology t to sim, with nothing attached yet.
 func NewFabric(sim *Simulator, t *Topology) *Fabric {
-	return &Fabric{Sim: sim, topo: t, nodes: make([]Node, len(t.nodes))}
+	f := new(Fabric)
+	f.Reset(sim, t)
+	return f
+}
+
+// Reset binds f to t and sim as NewFabric does, with nothing attached
+// and every counter zero, keeping the storage of its node attachment
+// slices and, while sim lends, its token buckets: a rig rebuilt for
+// each trial attaches and shapes without allocating. Reset on a zero
+// Fabric is NewFabric.
+func (f *Fabric) Reset(sim *Simulator, t *Topology) {
+	nodes := f.nodes[:cap(f.nodes)]
+	for i := range nodes {
+		n := &nodes[i]
+		clear(n.Taps)
+		clear(n.Processors)
+		n.Taps, n.Processors = n.Taps[:0], n.Processors[:0]
+	}
+	if len(nodes) < len(t.nodes) {
+		nodes = append(nodes, make([]Node, len(t.nodes)-len(nodes))...)
+	}
+	clear(f.shapers)
+	f.spare.Rewind()
+	*f = Fabric{Sim: sim, topo: t, nodes: nodes[:len(t.nodes)], shapers: f.shapers[:0], spare: f.spare}
 }
 
 // Node returns the attachment point of node id; attach taps and
@@ -244,12 +269,12 @@ func (f *Fabric) emitFrom(from int, dir Direction, pkt *packet.Packet, extraDela
 	}
 	delay := extraDelay + h.Latency
 	if h.Rate > 0 {
-		if f.shapers == nil {
-			f.shapers = make([]*linkShaper, len(f.topo.links))
+		if len(f.shapers) == 0 {
+			f.shapers = append(f.shapers, make([]*linkShaper, len(f.topo.links))...)
 		}
 		sh := f.shapers[h.link]
 		if sh == nil {
-			sh = newLinkShaper(h.Rate, h.Queue, h.RED)
+			sh = f.spare.Get(f.Sim.Lends()).reset(h.Rate, h.Queue, h.RED)
 			f.shapers[h.link] = sh
 		}
 		qd, ev := sh.admit(f.Sim, wireSize(pkt))

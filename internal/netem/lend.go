@@ -79,3 +79,58 @@ func (l *lender) reclaim() {
 	}
 	l.lent = l.lent[:0]
 }
+
+// Lends reports whether s lends (see Grow): whether it was ever reset.
+// The models on s keep their per-trial objects for reuse (Spares) on
+// the same condition, so what a one-shot trial or a live daemon makes
+// is the collector's, and what a recycled trial makes is the next
+// trial's.
+func (s *Simulator) Lends() bool { return s.bytes.on }
+
+// Spares recycles the objects of one type that a model makes as its
+// world runs, as the simulator recycles byte buffers: a stack's
+// connections, an engine's flows, a GFW device's TCBs, and the devices
+// and middleboxes a rebuilt topology binds. Get hands out an object
+// for the caller to initialise in full, and Rewind, at the model's
+// Reset, takes back every object Get handed out since the last one:
+// the Gets after it return the same objects again, in the same order.
+// Get keeps what it makes only when asked to — a model keeps its
+// objects while its simulator lends (Simulator.Lends) — so a model
+// that is never reset keeps nothing. The zero Spares is empty and
+// ready to use.
+type Spares[T any] struct {
+	all []*T
+	n   int // handed out since the last Rewind
+}
+
+// Get returns an object for the caller to initialise: the next one
+// taken back at the last Rewind, if any is left, else a new zero one,
+// kept for the next trial when keep is set.
+func (s *Spares[T]) Get(keep bool) *T {
+	if s.n < len(s.all) {
+		s.n++
+		return s.all[s.n-1]
+	}
+	t := new(T)
+	if keep {
+		s.all = append(s.all, t)
+		s.n++
+	}
+	return t
+}
+
+// Rewind takes back every object Get handed out. The checked build
+// zeroes each one instead and never hands it out again, so a reference
+// that outlived its trial reads zeros (a nil stack, a nil stream)
+// rather than the next trial's state.
+func (s *Spares[T]) Rewind() {
+	if packet.Checked {
+		var zero T
+		for _, t := range s.all {
+			*t = zero
+		}
+		clear(s.all)
+		s.all = s.all[:0]
+	}
+	s.n = 0
+}

@@ -153,3 +153,24 @@ func TestResetScribblesUnderChecked(t *testing.T) {
 		}
 	}
 }
+
+// TestSparesHandOutAgain: after Rewind, Get hands out the objects it
+// kept, in the order it first handed them out, and then new ones; an
+// object got without keep is never handed out again. The checked build
+// zeroes what Rewind takes back and hands out new objects instead.
+func TestSparesHandOutAgain(t *testing.T) {
+	var s Spares[[2]int]
+	a, b, c := s.Get(true), s.Get(true), s.Get(false)
+	a[0], b[0], c[0] = 1, 2, 3
+	s.Rewind()
+	a2, b2, d := s.Get(true), s.Get(true), s.Get(true)
+	if packet.Checked {
+		if a[0] != 0 || b[0] != 0 || a2 == a || b2 == b {
+			t.Fatalf("checked Rewind left %v, %v and handed them out again: %v, %v", a[0], b[0], a2 == a, b2 == b)
+		}
+		return
+	}
+	if a2 != a || b2 != b || d == c || d == a || d == b || a2[0] != 1 {
+		t.Fatal("Rewind did not hand out the kept objects, in order, and then a new one")
+	}
+}

@@ -38,12 +38,14 @@ type linkShaper struct {
 	depart []time.Duration // departure times of queued packets, ascending
 }
 
-// newLinkShaper builds the runtime state for one link direction.
-func newLinkShaper(rate int64, limit int, red bool) *linkShaper {
+// reset makes s the idle runtime state of one link direction, keeping
+// its queue's storage, and returns it.
+func (s *linkShaper) reset(rate int64, limit int, red bool) *linkShaper {
 	if limit <= 0 {
 		limit = DefaultQueueLimit
 	}
-	return &linkShaper{rate: rate, limit: limit, red: red}
+	*s = linkShaper{rate: rate, limit: limit, red: red, depart: s.depart[:0]}
+	return s
 }
 
 // admit runs the shaping decision for a packet of the given wire size

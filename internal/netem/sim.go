@@ -84,7 +84,9 @@ func NewSimulator(seed int64) *Simulator {
 // buffer s lent since the last one (see Grow), and from the first
 // Reset on, s lends: a connection's Received() and OnData views and a
 // GFW stream's prefix die here. Objects built against s before the
-// reset must not be used after it.
+// reset are dead after it, unless they are reset too: a fabric, stack,
+// engine or device rebound to s by its own Reset serves the next run,
+// and reuses what its models kept (see Spares).
 func (s *Simulator) Reset(seed int64) {
 	s.now, s.seq, s.steps = 0, 0, 0
 	clear(s.heap)

@@ -124,11 +124,23 @@ const (
 // NewReassembler returns a reassembler with the given overlap policy
 // and default expiry limits.
 func NewReassembler(policy OverlapPolicy) *Reassembler {
-	return &Reassembler{
-		Policy:    policy,
-		TTL:       DefaultFragTTL,
-		MaxSeries: DefaultFragMaxSeries,
-		series:    make(map[fragKey]*fragSeries),
+	r := new(Reassembler)
+	r.Reset(policy)
+	return r
+}
+
+// Reset empties r as NewReassembler(policy) builds it, dropping every
+// open series and keeping their storage for the series to come. Reset
+// on a zero Reassembler is NewReassembler.
+func (r *Reassembler) Reset(policy OverlapPolicy) {
+	for key, s := range r.series {
+		r.drop(key, s)
+	}
+	clear(r.order)
+	*r = Reassembler{
+		Policy: policy, TTL: DefaultFragTTL, MaxSeries: DefaultFragMaxSeries,
+		series: r.series, order: r.order[:0], free: r.free, gens: r.gens,
+		spans: r.spans, wire: r.wire, ipOpts: r.ipOpts,
 	}
 }
 
@@ -198,6 +210,9 @@ func (r *Reassembler) open(key fragKey) *fragSeries {
 	}
 	r.gens++
 	s.born, s.gen = r.lastNow, r.gens
+	if r.series == nil {
+		r.series = make(map[fragKey]*fragSeries)
+	}
 	r.series[key] = s
 	if r.head > 0 && len(r.order) == cap(r.order) {
 		// Full to the end of its array: move the live entries to the

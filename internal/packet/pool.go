@@ -201,8 +201,18 @@ func (p *Packet) UseICMP() *ICMPMessage {
 	return p.ICMP
 }
 
+// payloadReserve is the room a pool packet's payload buffer takes when
+// it first grows: a full segment. sync.Pool hands a packet that has
+// only carried ACKs to a data segment as readily as one that carried
+// data, so without the reserve a recycled packet would grow its buffer
+// again for each larger payload it meets.
+const payloadReserve = 1460
+
 // SetPayload copies data into the packet's reusable payload buffer.
 func (p *Packet) SetPayload(data []byte) {
+	if p.pool != nil && cap(p.payloadBuf) == 0 && len(data) > 0 {
+		p.payloadBuf = make([]byte, 0, max(len(data), payloadReserve))
+	}
 	p.payloadBuf = append(p.payloadBuf[:0], data...)
 	p.Payload = p.payloadBuf
 }

@@ -455,7 +455,7 @@ func (c *Conn) abort(reason string) {
 	c.rtxTimer++ // cancel timers
 	c.persistTimer++
 	c.persistArmed = false
-	c.retx = nil
+	c.retx = c.retx[:0]
 	c.setState(Closed)
 	c.stack.removeConn(c)
 }

@@ -93,53 +93,79 @@ type Stack struct {
 	// disposition reason ("tcpstack.<reason>").
 	reasonLabels map[string]string
 
+	// The tables are made on first use, and the fragment reassembler
+	// at the first fragment: most stacks never see one.
 	conns     map[connKey]*Conn
 	listeners map[uint16]Acceptor
 	udp       map[uint16]UDPHandler
 	nextPort  uint16
 	frag      *packet.Reassembler
 	// net is the fabric the stack is attached to, which decides
-	// whether a reassembled datagram may be recycled (nil: never).
-	net *netem.Fabric
+	// whether a reassembled datagram may be recycled (nil: never), and
+	// server the end it is attached at: with no Send set, the stack
+	// transmits from that end.
+	net    *netem.Fabric
+	server bool
+	// spare holds the connections of the trials before, while Sim lends.
+	spare netem.Spares[Conn]
 }
 
 // NewStack creates a stack for addr with the given profile.
 func NewStack(addr packet.Addr, profile Profile, sim *netem.Simulator) *Stack {
-	return &Stack{
-		Addr:      addr,
-		Profile:   profile,
-		Sim:       sim,
-		conns:     make(map[connKey]*Conn),
-		listeners: make(map[uint16]Acceptor),
-		udp:       make(map[uint16]UDPHandler),
-		nextPort:  32768,
-		// Hosts resolve overlapping fragments in favour of the newest
-		// copy — the behaviour the out-of-order IP-fragment evasion of
-		// §3.2 relies on at the server.
-		frag: packet.NewReassembler(packet.LastWins),
+	s := new(Stack)
+	s.Reset(addr, profile, sim)
+	return s
+}
+
+// Reset returns s to NewStack(addr, profile, sim)'s state: no
+// connections, listeners or handlers, nothing attached or hooked. It
+// keeps the storage of its tables, its label caches and, while sim
+// lends, the connections it made (netem.Spares), which new connections
+// reuse: a stack reset for each trial connects without allocating.
+// Every connection made before the reset is dead. Reset on a zero
+// Stack is NewStack.
+func (s *Stack) Reset(addr packet.Addr, profile Profile, sim *netem.Simulator) {
+	s.spare.Rewind()
+	clear(s.conns)
+	clear(s.listeners)
+	clear(s.udp)
+	if s.frag != nil {
+		s.frag.Reset(packet.LastWins)
+	}
+	if addr != s.Addr {
+		clear(s.stateLabels) // they name the address
+	}
+	*s = Stack{
+		Addr: addr, Profile: profile, Sim: sim, nextPort: 32768,
+		stateLabels: s.stateLabels, reasonLabels: s.reasonLabels,
+		conns: s.conns, listeners: s.listeners, udp: s.udp, frag: s.frag,
+		spare: s.spare,
 	}
 }
 
 // AttachClient wires the stack to the client end of a fabric: the
-// stack is the end's endpoint and transmits from it.
+// stack is the end's endpoint and, unless Send is set, transmits from
+// it.
 func (s *Stack) AttachClient(f *netem.Fabric) {
 	f.Client = s
-	s.Send = f.SendFromClient
-	s.Pool = f.Pool
-	s.net = f
+	s.Pool, s.net, s.server = f.Pool, f, false
 }
 
 // AttachServer wires the stack to the server end of a fabric.
 func (s *Stack) AttachServer(f *netem.Fabric) {
 	f.Server = s
-	s.Send = f.SendFromServer
-	s.Pool = f.Pool
-	s.net = f
+	s.Pool, s.net, s.server = f.Pool, f, true
 }
 
 func (s *Stack) send(pkt *packet.Packet) {
-	if s.Send != nil {
+	switch {
+	case s.Send != nil:
 		s.Send(pkt)
+	case s.net == nil:
+	case s.server:
+		s.net.SendFromServer(pkt)
+	default:
+		s.net.SendFromClient(pkt)
 	}
 }
 
@@ -190,11 +216,17 @@ func (s *Stack) reasonLabel(reason string) string {
 
 // Listen registers an acceptor for a TCP port.
 func (s *Stack) Listen(port uint16, accept Acceptor) {
+	if s.listeners == nil {
+		s.listeners = make(map[uint16]Acceptor)
+	}
 	s.listeners[port] = accept
 }
 
 // ListenUDP registers a handler for a UDP port.
 func (s *Stack) ListenUDP(port uint16, h UDPHandler) {
+	if s.udp == nil {
+		s.udp = make(map[uint16]UDPHandler)
+	}
 	s.udp[port] = h
 }
 
@@ -241,11 +273,18 @@ func (s *Stack) ConnectFrom(lport uint16, raddr packet.Addr, rport uint16) *Conn
 	return c
 }
 
+// newConn makes a connection, on a spare's storage when there is one:
+// its queues keep their room, and its buffers, which the simulator
+// lent and took back at its reset, start empty.
 func (s *Stack) newConn(lport uint16, raddr packet.Addr, rport uint16) *Conn {
-	c := &Conn{stack: s, rto: InitialRTO, rcvWnd: s.Profile.WindowSize}
+	c := s.spare.Get(s.Sim.Lends())
+	*c = Conn{stack: s, rto: InitialRTO, rcvWnd: s.Profile.WindowSize, retx: c.retx[:0], ooo: c.ooo[:0]}
 	c.initCongestion()
 	c.local.addr, c.local.port = s.Addr, lport
 	c.remote.addr, c.remote.port = raddr, rport
+	if s.conns == nil {
+		s.conns = make(map[connKey]*Conn)
+	}
 	s.conns[connKey{lport, raddr, rport}] = c
 	return c
 }
@@ -265,6 +304,12 @@ func (s *Stack) Deliver(pkt *packet.Packet) {
 	if !pkt.IP.IsFragment() {
 		s.deliver(pkt)
 		return
+	}
+	if s.frag == nil {
+		// Hosts resolve overlapping fragments in favour of the newest
+		// copy — the behaviour the out-of-order IP-fragment evasion of
+		// §3.2 relies on at the server.
+		s.frag = packet.NewReassembler(packet.LastWins)
 	}
 	whole, err := s.frag.AddAt(pkt, s.Sim.Now())
 	if n := s.frag.TakeEvicted(); n > 0 && s.Obs != nil {

@@ -137,20 +137,21 @@ func display(n NodeSpec) string {
 }
 
 // Instantiate builds one trial's fabric over the program's shared
-// routing. Binder calls happen nodes in declaration order, attachments
-// in declaration order.
-func (p *Program) Instantiate(b Binder, opts Options) (*netem.Fabric, error) {
-	f := netem.NewFabric(opts.Sim, p.topo)
+// routing in f, which it resets (netem.Fabric.Reset): a new Fabric, or
+// the last trial's, whose storage the new one reuses. Binder calls
+// happen nodes in declaration order, attachments in declaration order.
+func (p *Program) Instantiate(f *netem.Fabric, b Binder, opts Options) error {
+	f.Reset(opts.Sim, p.topo)
 	f.Pool = opts.Pool
 	for i, n := range p.spec.Nodes {
 		for _, a := range n.Attach {
 			if b == nil {
-				return nil, fmt.Errorf("topo: node %q: no binder for ref %q", n.Name, a.Ref)
+				return fmt.Errorf("topo: node %q: no binder for ref %q", n.Name, a.Ref)
 			}
 			if err := b.Bind(f.Node(i), a); err != nil {
-				return nil, fmt.Errorf("topo: node %q: %w", n.Name, err)
+				return fmt.Errorf("topo: node %q: %w", n.Name, err)
 			}
 		}
 	}
-	return f, nil
+	return nil
 }

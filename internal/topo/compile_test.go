@@ -59,7 +59,16 @@ func compile(spec Spec, b Binder, opts Options) (*netem.Fabric, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.Instantiate(b, opts)
+	return instantiate(p, b, opts)
+}
+
+// instantiate is Instantiate on a new fabric.
+func instantiate(p *Program, b Binder, opts Options) (*netem.Fabric, error) {
+	f := new(netem.Fabric)
+	if err := p.Instantiate(f, b, opts); err != nil {
+		return nil, err
+	}
+	return f, nil
 }
 
 func testBinder() BindMap {
@@ -125,7 +134,7 @@ func TestCompileFabricECMP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := prog.Instantiate(testBinder(), Options{Sim: netem.NewSimulator(1)})
+	f, err := instantiate(prog, testBinder(), Options{Sim: netem.NewSimulator(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +167,7 @@ func TestCompileFabricECMP(t *testing.T) {
 		t.Errorf("reverse route = %q, want server>rr>a>client", rev)
 	}
 	// Same spec, same seed → identical routing on a fresh instance.
-	f2, err := prog.Instantiate(testBinder(), Options{Sim: netem.NewSimulator(99)})
+	f2, err := instantiate(prog, testBinder(), Options{Sim: netem.NewSimulator(99)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,11 +215,11 @@ func TestBindErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prog.Instantiate(nil, Options{Sim: netem.NewSimulator(1)}); err == nil ||
+	if _, err := instantiate(prog, nil, Options{Sim: netem.NewSimulator(1)}); err == nil ||
 		!strings.Contains(err.Error(), "no binder") {
 		t.Errorf("nil binder: got %v", err)
 	}
-	if _, err := prog.Instantiate(BindMap{}, Options{Sim: netem.NewSimulator(1)}); err == nil ||
+	if _, err := instantiate(prog, BindMap{}, Options{Sim: netem.NewSimulator(1)}); err == nil ||
 		!strings.Contains(err.Error(), `unbound ref "wiretap"`) {
 		t.Errorf("empty bind map: got %v", err)
 	}
