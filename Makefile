@@ -1,17 +1,28 @@
 GO ?= go
 
-.PHONY: check build fmt vet test race checked fuzz-smoke bench-smoke bench bench-compare bench-gate bench-obs health-golden fleet-smoke intangd-smoke loc
+.PHONY: check build fmt vet programs test race checked fuzz-smoke bench-smoke bench bench-compare bench-gate bench-obs health-golden fleet-smoke intangd-smoke loc
 
-# check is the fast gate: build, formatting, vet, tests (which include
-# the health-report golden and the hot-path alloc gate), the fuzz seed
+# check is the fast gate: build, formatting, vet, a test for every
+# program (see programs), tests (which include the health-report golden
+# and the hot-path alloc gate), the fuzz seed
 # corpora (see fuzz-smoke), and a single-iteration pass over
 # the hot-path benchmarks so a broken benchmark can't sit unnoticed
 # until the next `make bench`. The race detector runs as its own target
 # (and its own CI job) because it multiplies test time severalfold.
-check: build fmt vet test health-golden fuzz-smoke bench-smoke fleet-smoke intangd-smoke
+check: build fmt vet programs test health-golden fuzz-smoke bench-smoke fleet-smoke intangd-smoke
 
 build:
 	$(GO) build ./...
+
+# programs fails, naming each one, if a main package has no test file:
+# every program is checked by a test (a golden of its output, as
+# cmd/tables, cmd/dnsprobe and examples/armsrace have) or deleted. The
+# one exception is cmd/intangd, which intangd-smoke runs end to end.
+programs:
+	@untested="$$($(GO) list -f '{{if and (eq .Name "main") (not .TestGoFiles) (not .XTestGoFiles)}}{{.ImportPath}}{{end}}' ./... | grep -vxE 'intango/cmd/intangd|')"; \
+	if [ -n "$$untested" ]; then \
+		echo "main packages without a test:"; echo "$$untested"; exit 1; \
+	fi
 
 # fmt fails (listing the offenders) if any file is not gofmt-clean.
 fmt:

@@ -2,6 +2,8 @@ package intango_test
 
 import (
 	"fmt"
+	"sort"
+	"strings"
 
 	"intango"
 )
@@ -59,4 +61,74 @@ func ExampleStrategies() {
 	// improved-prefill: success
 	// creation-resync-desync: success
 	// teardown-reversal: success
+}
+
+// Every registered strategy against both GFW generations on one path:
+// a one-screen recreation of the arc from Table 1 to Table 4.
+func ExampleStrategies_modelMatrix() {
+	strategies := intango.Strategies()
+	names := make([]string, 0, len(strategies))
+	for name := range strategies {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+
+	models := []struct {
+		label string
+		model intango.GFWModel
+	}{
+		{"2013 model", intango.ModelKhattak2013},
+		{"2017 model", intango.ModelEvolved2017},
+	}
+
+	// Each row is padded into columns; an Output comment holds no
+	// trailing spaces, so they are trimmed.
+	printRow := func(row string) { fmt.Println(strings.TrimRight(row, " ")) }
+	printRow(fmt.Sprintf("%-30s %-12s %-12s", "strategy", models[0].label, models[1].label))
+	for _, name := range names {
+		row := fmt.Sprintf("%-30s", name)
+		for _, m := range models {
+			pg := intango.NewPlayground(intango.PlaygroundConfig{
+				Seed: 7,
+				GFW: intango.GFWConfig{
+					Model:             m.model,
+					Keywords:          []string{"ultrasurf"},
+					DetectionMissProb: -1,
+				},
+			})
+			conn := pg.Fetch("/?q=ultrasurf", strategies[name])
+			row += fmt.Sprintf(" %-12s", pg.Outcome(conn))
+		}
+		printRow(row)
+	}
+	fmt.Println("\nNote how every pre-2017 strategy that relied on TCB creation or")
+	fmt.Println("FIN teardown flipped to failure-2 against the evolved model, while")
+	fmt.Println("the §5 strategies (resync/desync, reversal, improved-*) beat both.")
+	// Output:
+	// strategy                       2013 model   2017 model
+	// creation-resync-desync         success      success
+	// improved-prefill               success      success
+	// improved-teardown              success      success
+	// md5-request                    failure-2    failure-2
+	// none                           failure-2    failure-2
+	// ooo-ipfrag                     success      success
+	// ooo-tcpseg                     success      failure-2
+	// prefill/bad-ack                success      success
+	// prefill/bad-checksum           success      success
+	// prefill/no-flag                success      success
+	// prefill/ttl                    success      success
+	// tcb-creation-syn/bad-checksum  success      failure-2
+	// tcb-creation-syn/ttl           success      failure-2
+	// teardown-fin/bad-checksum      success      failure-2
+	// teardown-fin/ttl               success      failure-2
+	// teardown-reversal              success      success
+	// teardown-rst/bad-checksum      success      success
+	// teardown-rst/ttl               success      success
+	// teardown-rstack/bad-checksum   success      success
+	// teardown-rstack/ttl            success      success
+	// west-chamber                   failure-1    failure-1
+	//
+	// Note how every pre-2017 strategy that relied on TCB creation or
+	// FIN teardown flipped to failure-2 against the evolved model, while
+	// the §5 strategies (resync/desync, reversal, improved-*) beat both.
 }

@@ -29,30 +29,19 @@ package intango
 
 import (
 	"intango/internal/core"
-	"intango/internal/experiment"
 	"intango/internal/gfw"
-	"intango/internal/intang"
 	"intango/internal/netem"
 	"intango/internal/packet"
 	"intango/internal/tcpstack"
 )
 
-// Re-exported core types: packet crafting and strategies.
+// Re-exported types: the strategies, the censor model and the
+// pieces a Playground exposes.
 type (
-	// Packet is one IPv4 datagram in the simulation.
-	Packet = packet.Packet
 	// Addr is an IPv4 address.
 	Addr = packet.Addr
-	// Seq is a TCP sequence number with modular arithmetic.
-	Seq = packet.Seq
-	// Strategy transforms a connection's outbound packets to evade the
-	// censor.
-	Strategy = core.Strategy
 	// StrategyFactory builds per-connection strategy instances.
 	StrategyFactory = core.Factory
-	// Discrepancy selects how an insertion packet is made
-	// server-invisible (TTL, bad checksum, MD5 option, ...).
-	Discrepancy = core.Discrepancy
 	// StrategySpec is a declarative strategy specification — a set of
 	// trigger→action rules with a canonical single-line text encoding
 	// (see ParseSpec / CompileSpec and DESIGN.md "Strategy
@@ -69,8 +58,6 @@ type (
 	GFWDevice = gfw.Device
 	// GFWModel selects the old (2013) or evolved (2017) state machine.
 	GFWModel = gfw.Model
-	// StackProfile is a TCP-stack behaviour profile (Linux version).
-	StackProfile = tcpstack.Profile
 	// Conn is an endpoint TCP connection.
 	Conn = tcpstack.Conn
 	// Stack is an endpoint TCP/IP stack.
@@ -80,22 +67,6 @@ type (
 	// Fabric is a simulated network between one client and one server:
 	// a chain of routers, as a Playground's Path is, or any routed graph.
 	Fabric = netem.Fabric
-	// INTANG is the measurement-driven evasion controller of §6.
-	INTANG = intang.INTANG
-	// INTANGOptions configures an INTANG instance.
-	INTANGOptions = intang.Options
-	// Runner executes paper-scale experiment campaigns.
-	Runner = experiment.Runner
-)
-
-// Re-exported discrepancy constants (Table 5).
-const (
-	DiscTTL          = core.DiscTTL
-	DiscBadChecksum  = core.DiscBadChecksum
-	DiscBadAck       = core.DiscBadAck
-	DiscMD5          = core.DiscMD5
-	DiscOldTimestamp = core.DiscOldTimestamp
-	DiscNoFlag       = core.DiscNoFlag
 )
 
 // Re-exported GFW models.
@@ -103,10 +74,6 @@ const (
 	ModelKhattak2013 = gfw.ModelKhattak2013
 	ModelEvolved2017 = gfw.ModelEvolved2017
 )
-
-// StackProfiles returns the modelled server TCP stacks, newest first
-// (Linux 4.4 … 2.4.37).
-func StackProfiles() []StackProfile { return tcpstack.AllProfiles() }
 
 // Strategies returns the built-in strategy suite keyed by the names
 // used in the paper's tables (e.g. "improved-teardown",
@@ -130,19 +97,3 @@ func CompileSpec(spec StrategySpec) StrategyFactory { return spec.Factory() }
 // pairs in table order — the same inventory `cmd/tables -what
 // strategies` prints.
 func RegisteredStrategies() []StrategyEntry { return core.Registry() }
-
-// NewINTANG wires an INTANG instance between a client stack and the
-// client end of a fabric (a Playground's Path, for one). It panics on a
-// candidate in opts that neither names a registered strategy nor
-// parses as spec text, with the parser's message.
-func NewINTANG(sim *Simulator, f *Fabric, stack *Stack, opts INTANGOptions) *INTANG {
-	return intang.New(sim, f, stack, opts)
-}
-
-// NewRunner builds an experiment runner over the paper's populations.
-func NewRunner(seed int64) *Runner {
-	return experiment.NewRunner(seed)
-}
-
-// AddrFrom4 builds an address from four octets.
-func AddrFrom4(a, b, c, d byte) Addr { return packet.AddrFrom4(a, b, c, d) }

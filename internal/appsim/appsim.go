@@ -18,20 +18,35 @@ import (
 	"intango/internal/tcpstack"
 )
 
-// httpPage is ServeHTTP's one answer, rendered once.
-var httpPage = func() []byte {
-	body := "<html><body>it works</body></html>"
-	return []byte(fmt.Sprintf("HTTP/1.1 200 OK\r\nServer: sim\r\nContent-Length: %d\r\n\r\n%s", len(body), body))
-}()
+// ServeHTTP's answers, rendered once: the page, an upload's 2-byte
+// acknowledgement, and the refusal of a malformed Content-Length.
+var (
+	httpPage = func() []byte {
+		body := "<html><body>it works</body></html>"
+		return []byte(fmt.Sprintf("HTTP/1.1 200 OK\r\nServer: sim\r\nContent-Length: %d\r\n\r\n%s", len(body), body))
+	}()
+	httpUploaded   = []byte("HTTP/1.1 200 OK\r\nServer: sim\r\nContent-Length: 2\r\n\r\nok")
+	httpBadRequest = []byte("HTTP/1.1 400 Bad Request\r\nServer: sim\r\nContent-Length: 0\r\n\r\n")
+)
 
-// ServeHTTP installs a minimal HTTP/1.1 server on port. It answers
-// every complete request with a 200 page; the page never echoes the
-// request (mirroring the §3.3 site selection, which excluded servers
-// that copy the URI into the response and so trip response censorship).
-// Once a connection has answered a request, the client's FIN closes
-// the server's side too, so a served connection does not linger in
-// CLOSE_WAIT. A FIN that arrives before any request (an evasion
-// strategy's insertion can reach the server first) leaves it open.
+// uploadReserve caps the receive buffer the server reserves for a body
+// it has not seen yet, so a header declaring a huge length cannot make
+// it allocate; past the cap the buffer doubles as data arrives.
+const uploadReserve = 1 << 20
+
+// ServeHTTP installs a minimal HTTP/1.1 server on port. It parses each
+// request head once, when its blank line arrives, and frames the body
+// by its Content-Length: a request without a body gets a 200 page, an
+// upload (as the goodput experiments send) a 2-byte "ok" once its body
+// is in, for which it reserves the receive buffer (up to
+// uploadReserve), and a malformed Content-Length a 400 and a close. No
+// answer echoes the request (mirroring the §3.3 site selection, which
+// excluded servers that copy the URI into the response and so trip
+// response censorship). Once a connection has answered a request, the
+// client's FIN closes the server's side too, so a served connection
+// does not linger in CLOSE_WAIT. A FIN that arrives before any request
+// (an evasion strategy's insertion can reach the server first) leaves
+// it open.
 func ServeHTTP(stack *tcpstack.Stack, port uint16) {
 	new(HTTPServer).Serve(stack, port)
 }
@@ -46,12 +61,15 @@ type HTTPServer struct {
 }
 
 // httpConn is one served connection: the request bytes answered so
-// far, and its callbacks, bound once.
+// far, the framing of the pending request once its head is parsed
+// (head, its length with the blank line, is zero until then; want is
+// its body's), and its callbacks, bound once.
 type httpConn struct {
-	c       *tcpstack.Conn
-	served  int
-	onData  func([]byte)
-	onState func(from, to tcpstack.State)
+	c          *tcpstack.Conn
+	served     int
+	head, want int
+	onData     func([]byte)
+	onState    func(from, to tcpstack.State)
 }
 
 // Serve installs the server on port of stack, as ServeHTTP does. It
@@ -73,22 +91,45 @@ func (h *HTTPServer) open(c *tcpstack.Conn) {
 	if hc.onData == nil {
 		hc.onData, hc.onState = hc.data, hc.state
 	}
-	hc.c, hc.served = c, 0
+	hc.c, hc.served, hc.head, hc.want = c, 0, 0, 0
 	c.OnData = hc.onData
 }
 
-// data answers each complete request with the page.
+// data answers the pending request once it is complete: its head, then
+// the body its head declares.
 func (hc *httpConn) data([]byte) {
 	c := hc.c
-	idx := bytes.Index(c.Received()[hc.served:], []byte("\r\n\r\n"))
-	if idx < 0 {
-		return
+	buf := c.Received()[hc.served:]
+	if hc.head == 0 {
+		idx := bytes.Index(buf, []byte("\r\n\r\n"))
+		if idx < 0 {
+			return
+		}
+		n, ok := contentLength(buf[:idx])
+		if !ok {
+			c.OnData = nil // answered and closing: ignore the rest
+			c.Write(httpBadRequest)
+			c.Close()
+			return
+		}
+		hc.head, hc.want = idx+4, n
+		if n > 0 {
+			c.Grow(min(n-(len(buf)-hc.head), uploadReserve))
+		}
+	}
+	if len(buf)-hc.head < hc.want {
+		return // incomplete body: keep reading
 	}
 	if hc.served == 0 {
 		c.OnStateChange = hc.onState
 	}
-	hc.served += idx + 4
-	c.Write(httpPage)
+	hc.served += hc.head + hc.want
+	answer := httpPage
+	if hc.want > 0 {
+		answer = httpUploaded
+	}
+	hc.head, hc.want = 0, 0
+	c.Write(answer)
 }
 
 // state closes a served connection at the client's FIN.
@@ -121,50 +162,6 @@ func HTTPUpload(host, uri string, size int) []byte {
 		n += copy(body[n:], body[:n])
 	}
 	return req
-}
-
-// uploadReserve caps the receive buffer ServeHTTPUpload reserves for a
-// body it has not seen yet, so a header declaring a huge length cannot
-// make it allocate; past the cap the buffer doubles as data arrives.
-const uploadReserve = 1 << 20
-
-// ServeHTTPUpload installs an HTTP/1.1 server that consumes a POST
-// body of the declared Content-Length and answers 200 once the upload
-// is complete. It parses each request head once, when its blank line
-// arrives, reserves the receive buffer for the body (up to
-// uploadReserve), and answers a malformed Content-Length with 400 and
-// a close. Like ServeHTTP, the response never echoes the request.
-func ServeHTTPUpload(stack *tcpstack.Stack, port uint16) {
-	stack.Listen(port, func(c *tcpstack.Conn) {
-		// served counts the bytes of answered requests; head and want
-		// frame the pending request once its head is parsed (head is
-		// zero until then).
-		served, head, want := 0, 0, 0
-		c.OnData = func([]byte) {
-			buf := c.Received()[served:]
-			if head == 0 {
-				idx := bytes.Index(buf, []byte("\r\n\r\n"))
-				if idx < 0 {
-					return
-				}
-				n, ok := contentLength(buf[:idx])
-				if !ok {
-					c.OnData = nil // answered and closing: ignore the rest
-					c.Write([]byte("HTTP/1.1 400 Bad Request\r\nServer: sim\r\nContent-Length: 0\r\n\r\n"))
-					c.Close()
-					return
-				}
-				head, want = idx+4, n
-				c.Grow(min(want-(len(buf)-head), uploadReserve))
-			}
-			if len(buf)-head < want {
-				return // incomplete upload: keep reading
-			}
-			served += head + want
-			head, want = 0, 0
-			c.Write([]byte("HTTP/1.1 200 OK\r\nServer: sim\r\nContent-Length: 2\r\n\r\nok"))
-		}
-	})
 }
 
 // HTTPResponseComplete reports whether buf contains a complete HTTP
@@ -350,32 +347,6 @@ func ServeOpenVPN(stack *tcpstack.Stack, port uint16) {
 			resp := []byte{0x00, 0x1a, 0x40}
 			resp = append(resp, bytes.Repeat([]byte{0x22}, 26)...)
 			c.Write(resp)
-		}
-	})
-}
-
-// ServeHTTPSRedirect installs the §3.3 exclusion case: a site that
-// answers every plaintext request with a 301 redirect to its HTTPS
-// origin, copying the request URI into the Location header — and with
-// it any sensitive keyword, which response-censoring GFW devices can
-// then catch.
-func ServeHTTPSRedirect(stack *tcpstack.Stack, port uint16, host string) {
-	stack.Listen(port, func(c *tcpstack.Conn) {
-		served := 0
-		c.OnData = func([]byte) {
-			buf := c.Received()[served:]
-			idx := bytes.Index(buf, []byte("\r\n\r\n"))
-			if idx < 0 {
-				return
-			}
-			served += idx + 4
-			info, ok := dpi.ParseHTTPRequest(buf[:idx+4])
-			uri := "/"
-			if ok {
-				uri = info.URI
-			}
-			c.Write([]byte(fmt.Sprintf(
-				"HTTP/1.1 301 Moved Permanently\r\nLocation: https://%s%s\r\nContent-Length: 0\r\n\r\n", host, uri)))
 		}
 	})
 }

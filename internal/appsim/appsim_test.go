@@ -157,29 +157,6 @@ func TestZoneFallbackDeterministic(t *testing.T) {
 	}
 }
 
-func TestHTTPSRedirectEchoesURI(t *testing.T) {
-	sim, cli, srv := pair(t)
-	ServeHTTPSRedirect(srv, 443, "secure.example.com")
-	c := cli.Connect(srvAddr, 443)
-	sim.RunFor(100 * time.Millisecond)
-	c.Write(HTTPRequest("x", "/?q=ultrasurf"))
-	sim.RunFor(time.Second)
-	if !bytes.Contains(c.Received(), []byte("301 Moved Permanently")) {
-		t.Fatalf("no redirect: %q", c.Received())
-	}
-	if !bytes.Contains(c.Received(), []byte("Location: https://secure.example.com/?q=ultrasurf")) {
-		t.Fatalf("Location header must copy the URI: %q", c.Received())
-	}
-	// A malformed request still gets a redirect (defensive default).
-	c2 := cli.Connect(srvAddr, 443)
-	sim.RunFor(100 * time.Millisecond)
-	c2.Write([]byte("garbage\r\n\r\n"))
-	sim.RunFor(time.Second)
-	if !bytes.Contains(c2.Received(), []byte("Location: https://secure.example.com/")) {
-		t.Fatalf("fallback redirect missing: %q", c2.Received())
-	}
-}
-
 func TestHTTPUploadBody(t *testing.T) {
 	for _, size := range []int{0, 1, 25, 26, 27, 52, 1000, 64 << 10} {
 		req := HTTPUpload("a.com", "/up", size)
@@ -200,7 +177,7 @@ func TestHTTPUploadBody(t *testing.T) {
 
 func TestHTTPUploadServerAnswersEachUpload(t *testing.T) {
 	sim, cli, srv := pair(t)
-	ServeHTTPUpload(srv, 80)
+	ServeHTTP(srv, 80)
 	c := cli.Connect(srvAddr, 80)
 	sim.RunFor(100 * time.Millisecond)
 	for i := 1; i <= 2; i++ {
@@ -212,6 +189,25 @@ func TestHTTPUploadServerAnswersEachUpload(t *testing.T) {
 	}
 }
 
+// TestHTTPServerPageThenUpload: one connection carries a GET, then a
+// POST upload. The server answers the GET with the page and the POST,
+// once its body is in, with "ok" — not with the page at the POST's
+// head.
+func TestHTTPServerPageThenUpload(t *testing.T) {
+	sim, cli, srv := pair(t)
+	ServeHTTP(srv, 80)
+	c := cli.Connect(srvAddr, 80)
+	sim.RunFor(100 * time.Millisecond)
+	c.Write(HTTPRequest("a.com", "/"))
+	sim.RunFor(time.Second)
+	c.Write(HTTPUpload("a.com", "/up", 20000))
+	sim.RunFor(time.Second)
+	want := string(httpPage) + "HTTP/1.1 200 OK\r\nServer: sim\r\nContent-Length: 2\r\n\r\nok"
+	if got := string(c.Received()); got != want {
+		t.Fatalf("responses %q, want the page, then ok", got)
+	}
+}
+
 // TestHTTPUploadServerRejectsMalformedLength is the regression test for
 // a panic: a negative Content-Length drove the served offset below
 // zero, and the next delivery sliced Received() out of range. A
@@ -220,7 +216,7 @@ func TestHTTPUploadServerAnswersEachUpload(t *testing.T) {
 func TestHTTPUploadServerRejectsMalformedLength(t *testing.T) {
 	for _, length := range []string{"-1000", "-1", "banana", "12x", ""} {
 		sim, cli, srv := pair(t)
-		ServeHTTPUpload(srv, 80)
+		ServeHTTP(srv, 80)
 		c := cli.Connect(srvAddr, 80)
 		sim.RunFor(100 * time.Millisecond)
 		c.Write([]byte("POST /up HTTP/1.1\r\nHost: a.com\r\nContent-Length: " + length + "\r\n\r\n" +
@@ -254,7 +250,7 @@ func TestHTTPUploadServerReservesBody(t *testing.T) {
 		{"1099511627776", uploadReserve},
 	} {
 		sim, cli, srv := pair(t)
-		ServeHTTPUpload(srv, 80)
+		ServeHTTP(srv, 80)
 		c := cli.Connect(srvAddr, 80)
 		sim.RunFor(100 * time.Millisecond)
 		c.Write([]byte("POST /up HTTP/1.1\r\nHost: a.com\r\nContent-Length: " + tc.length + "\r\n\r\n"))

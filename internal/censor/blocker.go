@@ -68,17 +68,10 @@ type Blocker struct {
 	filter flowFilter
 }
 
-// NewBlocker builds a blocker named name. The rng parameter keeps the
-// constructor signature uniform with the engine's; the stateless
-// blocker draws no sampled behaviour.
-func NewBlocker(name string, cfg BlockerConfig, rng *rand.Rand) *Blocker {
-	b := new(Blocker)
-	b.Reset(name, cfg, rng)
-	return b
-}
-
-// Reset returns b to NewBlocker(name, cfg, rng)'s state, keeping the
-// storage of its tables. Reset on a zero Blocker is NewBlocker.
+// Reset makes b a fresh blocker named name, keeping the storage of
+// its tables; on a zero Blocker it builds one. The rng parameter keeps
+// the signature uniform with the engine's; the stateless blocker draws
+// no sampled behaviour.
 func (b *Blocker) Reset(name string, cfg BlockerConfig, rng *rand.Rand) {
 	if cfg.PoisonAddr == (packet.Addr{}) {
 		cfg.PoisonAddr = gfw.PoisonAddr

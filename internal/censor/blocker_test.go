@@ -29,7 +29,8 @@ type blkRig struct {
 func newBlkRig(t *testing.T, cfg BlockerConfig) *blkRig {
 	t.Helper()
 	r := &blkRig{sim: netem.NewSimulator(11)}
-	r.blk = NewBlocker("blk", cfg, r.sim.Rand())
+	r.blk = new(Blocker)
+	r.blk.Reset("blk", cfg, r.sim.Rand())
 	link := netem.Link{Latency: time.Millisecond}
 	path := netem.NewChain(r.sim, 5, link, link)
 	path.Node(3).Taps = []netem.Processor{r.blk} // the third router

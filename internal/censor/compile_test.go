@@ -227,7 +227,11 @@ func TestCompileErrors(t *testing.T) {
 		{"detect:keywords(x) react:drop(dur=1s) param:miss(p=0.1)",
 			"censor: param:miss requires a tcb: engine"},
 	} {
-		_, err := Compile(MustParseCensor(tc.in))
+		spec, err := ParseCensor(tc.in)
+		if err != nil {
+			t.Fatalf("ParseCensor(%q): %v", tc.in, err)
+		}
+		_, err = Compile(spec)
 		if err == nil {
 			t.Errorf("Compile(%q) succeeded, want error %q", tc.in, tc.wantErr)
 			continue

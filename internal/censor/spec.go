@@ -174,16 +174,6 @@ func formatAddr(a packet.Addr) string {
 	return fmt.Sprintf("%d.%d.%d.%d", a[0], a[1], a[2], a[3])
 }
 
-// MustParseCensor is ParseCensor for statically-known specs; it panics
-// on error.
-func MustParseCensor(input string) Spec {
-	spec, err := ParseCensor(input)
-	if err != nil {
-		panic(err)
-	}
-	return spec
-}
-
 // ParseCensor parses the canonical text encoding:
 //
 //	censor = stmt {" " stmt}

@@ -102,15 +102,6 @@ func (e *Engine) Reset(sim *netem.Simulator, f *netem.Fabric, stack *tcpstack.St
 	f.Client = e
 }
 
-// StrategyFor returns the live strategy instance for a flow, if any.
-func (e *Engine) StrategyFor(tuple packet.FourTuple) (Strategy, bool) {
-	fs, ok := e.flows[tuple]
-	if !ok || fs.strat == nil {
-		return nil, false
-	}
-	return fs.strat, true
-}
-
 // Outbound intercepts a packet leaving the client stack.
 func (e *Engine) Outbound(pkt *packet.Packet) {
 	if e.OnOutbound != nil && !e.OnOutbound(pkt) {

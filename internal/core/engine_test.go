@@ -315,3 +315,12 @@ func TestRetransmittedSYNKeepsFlow(t *testing.T) {
 		t.Errorf("three copies of one SYN built %d strategies, want 1", strategies)
 	}
 }
+
+// StrategyFor returns the live strategy instance for a flow, if any.
+func (e *Engine) StrategyFor(tuple packet.FourTuple) (Strategy, bool) {
+	fs, ok := e.flows[tuple]
+	if !ok || fs.strat == nil {
+		return nil, false
+	}
+	return fs.strat, true
+}

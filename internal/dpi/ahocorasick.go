@@ -178,10 +178,6 @@ func (m *Matcher) Contains(data []byte) bool {
 	return false
 }
 
-// Patterns returns a copy of the patterns the matcher was built with;
-// the automaton itself is shared and must not change.
-func (m *Matcher) Patterns() []string { return append([]string(nil), m.patterns...) }
-
 // StreamScanner runs a Matcher incrementally over a byte stream,
 // carrying automaton state across chunk boundaries so keywords split
 // between segments are still found — the property that distinguishes
@@ -229,6 +225,3 @@ func (s *StreamScanner) Reset() {
 	s.node = 0
 	s.off = 0
 }
-
-// Offset returns the number of stream bytes consumed.
-func (s *StreamScanner) Offset() int { return s.off }

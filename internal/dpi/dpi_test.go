@@ -470,3 +470,10 @@ func TestClassifyHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Patterns returns a copy of the patterns the matcher was built with;
+// the automaton itself is shared and must not change.
+func (m *Matcher) Patterns() []string { return append([]string(nil), m.patterns...) }
+
+// Offset returns the number of stream bytes consumed.
+func (s *StreamScanner) Offset() int { return s.off }

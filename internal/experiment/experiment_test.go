@@ -3,9 +3,13 @@ package experiment
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"intango/internal/core"
+	"intango/internal/intang"
 	"intango/internal/middlebox"
+	"intango/internal/packet"
+	"intango/internal/tcpstack"
 )
 
 func TestPopulationMatchesSection33(t *testing.T) {
@@ -282,6 +286,25 @@ func TestTorSection73(t *testing.T) {
 	}
 	if out := FormatTor(results); !strings.Contains(out, "INTANG") {
 		t.Error("format missing column")
+	}
+
+	// On a filtered path, an INTANG-protected session never shows the
+	// GFW its handshake, so the prober never null-routes the bridge.
+	vp := VantagePoints()[1]
+	if !vp.TorFiltered {
+		t.Fatalf("%s: want a Tor-filtered path", vp.Name)
+	}
+	bridge := packet.AddrFrom4(52, 3, 17, 99)
+	sim, path, dev := r.torRig(vp, bridge, 100)
+	cli := tcpstack.NewStack(vp.Addr, tcpstack.Linux44(), sim)
+	it := intang.New(sim, path, cli, intang.Options{Candidates: []string{"improved-teardown"}})
+	it.Engine.Env.InsertionTTL = 10
+	if !torSession(sim, cli, bridge, 30*time.Minute) {
+		t.Fatalf("%s: INTANG-protected Tor session failed", vp.Name)
+	}
+	sim.RunFor(time.Minute)
+	if dev.IsIPBlocked(bridge) {
+		t.Errorf("%s: bridge null-routed after an INTANG-protected session", vp.Name)
 	}
 }
 

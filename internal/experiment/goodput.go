@@ -115,7 +115,6 @@ func goodputUpload(srv Server) []byte {
 func (r *Runner) runGoodputTrial(vp VantagePoint, srv Server, prog *topo.Program, factory core.Factory, upload []byte, trial int, reg *obs.Registry, a *arena) (bps, delivered int64, out Outcome) {
 	trialSeed := r.pairSeed(vp, srv) ^ int64(uint64(trial)*0x9e3779b97f4a7c15)
 	rg := r.build(vp, srv, prog, r.Censor, trialSeed, a)
-	appsim.ServeHTTPUpload(rg.srv, 80)
 	if reg != nil {
 		rg.attachObs(obs.New(reg, obs.NewRecorder(obs.DefaultRingSize, rg.sim.Now)))
 	}

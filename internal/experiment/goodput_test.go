@@ -120,7 +120,6 @@ func ipfragDeliveries(t *testing.T, topoFor func(*Runner, VantagePoint, Server) 
 	vp := VantagePoints()[6]
 	srv := controlledServers(r, 1)[0]
 	rg := r.build(vp, srv, topoFor(r, vp, srv), r.Censor, r.pairSeed(vp, srv), r.newArena())
-	appsim.ServeHTTPUpload(rg.srv, 80)
 	rg.arm(&srv, goodputFactory("ooo-ipfrag"))
 	var got []string
 	record := func(end string, next netem.Endpoint) netem.Endpoint {

@@ -126,8 +126,8 @@ func TestDerivedTopoMatchesHandBuilt(t *testing.T) {
 		}
 	}
 	// Canonical round trip holds for derived specs too.
-	if reparsed := topo.MustParseTopo(text); reparsed.String() != text {
-		t.Errorf("derived spec does not round-trip:\n%s", text)
+	if reparsed, err := topo.ParseTopo(text); err != nil || reparsed.String() != text {
+		t.Errorf("derived spec does not round-trip (%v):\n%s", err, text)
 	}
 	rg := r.build(vp, srv, r.topoOverride(), r.Censor, 1, r.newArena())
 	nodes := strings.Split(rg.net.Describe(), " — ")

@@ -131,11 +131,6 @@ func (d *Device) Name() string { return d.name }
 // Config returns the device's effective configuration.
 func (d *Device) Config() Config { return d.cfg }
 
-// RSTResyncs reports the device's sampled RST behaviour: true means
-// RSTs send TCBs to the resynchronization state instead of tearing
-// them down (Hypothesized New Behavior 3).
-func (d *Device) RSTResyncs() bool { return d.rstResyncs }
-
 // SetRSTResyncs pins the sampled RST behaviour. The experiment harness
 // uses it to keep a device's behaviour stable across trials for a
 // client/server pair, which is what the paper observed (§4: consistent
@@ -602,25 +597,3 @@ func (d *Device) teardown(key packet.FourTuple, t *tcb, cause *packet.Packet, wh
 	delete(d.tcbs, key)
 	d.eventPkt("teardown", key, cause, why)
 }
-
-// TCBState reports the shadow state for a connection, for probing tools
-// and tests.
-func (d *Device) TCBState(tuple packet.FourTuple) (string, bool) {
-	t, ok := d.tcbs[tuple.Canonical()]
-	if !ok {
-		return "", false
-	}
-	return t.state.String(), true
-}
-
-// TCBOrientation reports who the device believes the client is.
-func (d *Device) TCBOrientation(tuple packet.FourTuple) (client packet.Addr, ok bool) {
-	t, found := d.tcbs[tuple.Canonical()]
-	if !found {
-		return packet.Addr{}, false
-	}
-	return t.client, true
-}
-
-// TCBCount returns the number of live shadow connections.
-func (d *Device) TCBCount() int { return len(d.tcbs) }

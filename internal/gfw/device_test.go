@@ -666,13 +666,37 @@ func TestActiveProberNegativeOnNonBridge(t *testing.T) {
 	}
 }
 
+// serveHTTPSRedirect installs an HTTP server that answers every request
+// with a 301 to https://host + the request URI: the redirect copies the
+// URI into its Location header, and with it any sensitive keyword,
+// which a response-censoring device can then catch.
+func serveHTTPSRedirect(stack *tcpstack.Stack, port uint16, host string) {
+	stack.Listen(port, func(c *tcpstack.Conn) {
+		served := 0
+		c.OnData = func([]byte) {
+			buf := c.Received()[served:]
+			idx := bytes.Index(buf, []byte("\r\n\r\n"))
+			if idx < 0 {
+				return
+			}
+			served += idx + 4
+			uri := "/"
+			if info, ok := dpi.ParseHTTPRequest(buf[:idx+4]); ok {
+				uri = info.URI
+			}
+			c.Write([]byte("HTTP/1.1 301 Moved Permanently\r\nLocation: https://" + host + uri +
+				"\r\nContent-Length: 0\r\n\r\n"))
+		}
+	})
+}
+
 func TestResponseCensorshipCleanRedirectPasses(t *testing.T) {
 	// A redirect with no sensitive keyword in the Location header is
 	// untouched even by a response-censoring device.
 	cfg := evolvedCfg()
 	cfg.ResponseCensorship = true
 	r := newRig(t, cfg)
-	appsim.ServeHTTPSRedirect(r.srv, 8443, "secure.example.com")
+	serveHTTPSRedirect(r.srv, 8443, "secure.example.com")
 	c := r.cli.Connect(srvAddr, 8443)
 	r.sim.RunFor(100 * time.Millisecond)
 	c.Write([]byte("GET /search HTTP/1.1\r\nHost: x\r\n\r\n"))
@@ -680,8 +704,16 @@ func TestResponseCensorshipCleanRedirectPasses(t *testing.T) {
 	if c.GotRST {
 		t.Fatal("clean redirect should pass")
 	}
-	if !bytes.Contains(c.Received(), []byte("301")) {
-		t.Fatalf("no redirect received: %q", c.Received())
+	if !bytes.Contains(c.Received(), []byte("301 Moved Permanently\r\nLocation: https://secure.example.com/search\r\n")) {
+		t.Fatalf("no redirect to the request's URI received: %q", c.Received())
+	}
+	// A request that does not parse is redirected to the root.
+	c2 := r.cli.Connect(srvAddr, 8443)
+	r.sim.RunFor(100 * time.Millisecond)
+	c2.Write([]byte("garbage\r\n\r\n"))
+	r.sim.RunFor(2 * time.Second)
+	if !bytes.Contains(c2.Received(), []byte("Location: https://secure.example.com/\r\n")) {
+		t.Fatalf("fallback redirect missing: %q", c2.Received())
 	}
 }
 
@@ -690,7 +722,7 @@ func TestResponseCensorshipDetectsLocationHeader(t *testing.T) {
 	cfg.ResponseCensorship = true
 	cfg.Keywords = []string{"falun"} // ensure a fresh matcher keyword
 	r := newRig(t, cfg)
-	appsim.ServeHTTPSRedirect(r.srv, 8443, "site.example")
+	serveHTTPSRedirect(r.srv, 8443, "site.example")
 	c := r.cli.Connect(srvAddr, 8443)
 	r.sim.RunFor(100 * time.Millisecond)
 	// Desynchronize the client→server direction first (extra SYN →
@@ -715,4 +747,41 @@ func TestResponseCensorshipDetectsLocationHeader(t *testing.T) {
 	if !c.GotRST {
 		t.Fatal("response censorship should reset the connection")
 	}
+}
+
+// RSTResyncs reports the device's sampled RST behaviour: true means
+// RSTs send TCBs to the resynchronization state instead of tearing
+// them down (Hypothesized New Behavior 3).
+func (d *Device) RSTResyncs() bool { return d.rstResyncs }
+
+// TCBState reports the shadow state for a connection.
+func (d *Device) TCBState(tuple packet.FourTuple) (string, bool) {
+	t, ok := d.tcbs[tuple.Canonical()]
+	if !ok {
+		return "", false
+	}
+	return t.state.String(), true
+}
+
+// TCBOrientation reports who the device believes the client is.
+func (d *Device) TCBOrientation(tuple packet.FourTuple) (client packet.Addr, ok bool) {
+	t, found := d.tcbs[tuple.Canonical()]
+	if !found {
+		return packet.Addr{}, false
+	}
+	return t.client, true
+}
+
+// TCBCount returns the number of live shadow connections.
+func (d *Device) TCBCount() int { return len(d.tcbs) }
+
+// ProbeInFlight reports whether an active probe toward addr is
+// outstanding.
+func (d *Device) ProbeInFlight(addr packet.Addr) bool {
+	for _, ps := range d.probes {
+		if ps.bridge == addr {
+			return true
+		}
+	}
+	return false
 }

@@ -129,14 +129,3 @@ func torProbeHello() []byte {
 	// The same distinctive cipher list the fingerprint keys on.
 	return append(hello, []byte{0xc0, 0x2b, 0xc0, 0x2f, 0x00, 0x9e, 0xcc, 0x14, 0xcc, 0x13}...)
 }
-
-// ProbeInFlight reports whether an active probe toward addr is
-// outstanding (diagnostics).
-func (d *Device) ProbeInFlight(addr packet.Addr) bool {
-	for _, ps := range d.probes {
-		if ps.bridge == addr {
-			return true
-		}
-	}
-	return false
-}

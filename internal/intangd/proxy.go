@@ -172,13 +172,6 @@ func (p *Proxy) FlowViews() []FlowView {
 	return p.flows.snapshot(time.Now())
 }
 
-// FlowCount returns the number of live flows.
-func (p *Proxy) FlowCount() int {
-	p.clk.Lock()
-	defer p.clk.Unlock()
-	return len(p.flows)
-}
-
 // SetStrategy switches the strategy applied to NEW flows; in-flight
 // flows keep the strategy they opened with. New flows show under ref as
 // given, or under "pass" when ref names the passthrough baseline.

@@ -2,8 +2,10 @@
 // per-server strategy results — the stand-in for the Redis instance in
 // the paper's implementation (§6). It provides TTL expiry against a
 // caller-supplied clock (the simulation's virtual time) and a small LRU
-// front cache mirroring INTANG's transient cache that avoids store
-// round-trips on the packet-processing path.
+// front cache that models the transient cache of INTANG's caching
+// thread (Fig. 2). The model is structural, not a fast path:
+// CachedStore reads the backing store on every lookup, so the LRU
+// never saves a lookup and never changes a result.
 package kvstore
 
 import (
@@ -57,21 +59,9 @@ func (s *Store) Get(key string) (string, bool) {
 // Delete removes key.
 func (s *Store) Delete(key string) { delete(s.items, key) }
 
-// Len returns the number of entries, counting expired-but-unswept ones.
+// Len returns the number of entries, counting expired ones that no Get
+// has removed yet.
 func (s *Store) Len() int { return len(s.items) }
-
-// Sweep removes expired entries and reports how many were removed.
-func (s *Store) Sweep() int {
-	now := s.clock()
-	n := 0
-	for k, it := range s.items {
-		if it.expires != 0 && now >= it.expires {
-			delete(s.items, k)
-			n++
-		}
-	}
-	return n
-}
 
 // LRU is a fixed-capacity least-recently-used front cache (INTANG's
 // transient cache, §6: linked lists plus hash tables).
@@ -132,9 +122,11 @@ func (c *LRU) Delete(key string) {
 // Len returns the number of cached entries.
 func (c *LRU) Len() int { return c.ll.Len() }
 
-// CachedStore layers an LRU over a Store: reads hit the LRU first;
-// writes go to both. TTLs are enforced by the backing store, so LRU
-// hits re-validate against it.
+// CachedStore layers an LRU over a Store, as INTANG's caching thread
+// layers its transient cache over Redis (Fig. 2). Writes go to both; a
+// read consults the backing store first, which enforces the TTL, and
+// only then the LRU, so the LRU never saves a lookup and never changes
+// a result.
 type CachedStore struct {
 	Front *LRU
 	Back  *Store

@@ -116,3 +116,16 @@ func TestCachedStoreWriteThroughAndTTL(t *testing.T) {
 		t.Fatal("delete failed")
 	}
 }
+
+// Sweep removes expired entries and reports how many were removed.
+func (s *Store) Sweep() int {
+	now := s.clock()
+	n := 0
+	for k, it := range s.items {
+		if it.expires != 0 && now >= it.expires {
+			delete(s.items, k)
+			n++
+		}
+	}
+	return n
+}

@@ -69,13 +69,6 @@ func (f *StatefulFirewall) Reset(name string, validateSeq bool) {
 // Name implements netem.Processor.
 func (f *StatefulFirewall) Name() string { return f.name }
 
-// ConnDead reports whether the firewall killed the connection state for
-// the tuple (test/diagnostic hook).
-func (f *StatefulFirewall) ConnDead(t packet.FourTuple) bool {
-	c, ok := f.conns[t.Canonical()]
-	return ok && c.dead
-}
-
 // Process implements netem.Processor.
 func (f *StatefulFirewall) Process(ctx *netem.Context, pkt *packet.Packet, dir netem.Direction) netem.Verdict {
 	if pkt.TCP == nil {
@@ -162,61 +155,4 @@ func (f *StatefulFirewall) track(c *fwConn, forward bool, pkt *packet.Packet) {
 			c.seqHi, c.haveHi = end, true
 		}
 	}
-}
-
-// NAT rewrites the client's address to a public one and back, with
-// RFC 1624 incremental checksum adjustment — which, like real NAT,
-// preserves a deliberately wrong TCP checksum rather than repairing it.
-type NAT struct {
-	name    string
-	Inside  packet.Addr
-	Outside packet.Addr
-}
-
-// NewNAT builds a NAT translating inside→outside for client traffic.
-func NewNAT(name string, inside, outside packet.Addr) *NAT {
-	return &NAT{name: name, Inside: inside, Outside: outside}
-}
-
-// Name implements netem.Processor.
-func (n *NAT) Name() string { return n.name }
-
-// Process implements netem.Processor.
-func (n *NAT) Process(ctx *netem.Context, pkt *packet.Packet, dir netem.Direction) netem.Verdict {
-	switch {
-	case dir == netem.ToServer && pkt.IP.Src == n.Inside:
-		adjustL4Checksum(pkt, n.Inside, n.Outside)
-		pkt.IP.Src = n.Outside
-		pkt.IP.UpdateChecksum()
-	case dir == netem.ToClient && pkt.IP.Dst == n.Outside:
-		adjustL4Checksum(pkt, n.Outside, n.Inside)
-		pkt.IP.Dst = n.Inside
-		pkt.IP.UpdateChecksum()
-	}
-	return netem.Pass
-}
-
-// adjustL4Checksum applies the RFC 1624 incremental update for an
-// address substitution old→new to the TCP/UDP checksum.
-func adjustL4Checksum(pkt *packet.Packet, oldAddr, newAddr packet.Addr) {
-	var ck *uint16
-	switch {
-	case pkt.TCP != nil:
-		ck = &pkt.TCP.Checksum
-	case pkt.UDP != nil:
-		ck = &pkt.UDP.Checksum
-	default:
-		return
-	}
-	sum := uint32(^*ck)
-	for i := 0; i < 4; i += 2 {
-		oldW := uint32(oldAddr[i])<<8 | uint32(oldAddr[i+1])
-		newW := uint32(newAddr[i])<<8 | uint32(newAddr[i+1])
-		sum += ^oldW & 0xffff
-		sum += newW
-	}
-	for sum > 0xffff {
-		sum = (sum >> 16) + (sum & 0xffff)
-	}
-	*ck = ^uint16(sum)
 }

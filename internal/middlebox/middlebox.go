@@ -1,7 +1,7 @@
 // Package middlebox implements the in-path network middleboxes whose
 // interference §3.4 identifies as a major cause of evasion failures:
 // fragment droppers and reassemblers, checksum validators, flag-based
-// droppers, stateful sequence-checking firewalls, and NAT. The four
+// droppers and stateful sequence-checking firewalls. The four
 // client-side profiles measured in Table 2 (Aliyun, QCloud, China
 // Unicom Shijiazhuang and Tianjin) are provided as constructors.
 package middlebox

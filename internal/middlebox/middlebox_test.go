@@ -150,45 +150,6 @@ func TestStatefulFirewallSeqValidation(t *testing.T) {
 	}
 }
 
-func TestNATRewriteAndChecksum(t *testing.T) {
-	pub := packet.AddrFrom4(59, 110, 7, 7)
-	nat := NewNAT("nat", cliAddr, pub)
-	l := newLab([]netem.Processor{nat})
-	good := data(packet.FlagACK, 1, "hello")
-	l.send(good)
-	if len(l.received) != 1 {
-		t.Fatal("packet lost in NAT")
-	}
-	got := l.received[0]
-	if got.IP.Src != pub {
-		t.Fatalf("src = %v, want %v", got.IP.Src, pub)
-	}
-	// A correct checksum stays correct after translation.
-	if !got.TCP.VerifyChecksum(got.IP.Src, got.IP.Dst, got.Payload) {
-		t.Fatal("NAT broke a valid checksum")
-	}
-	// A deliberately bad checksum stays bad (incremental update).
-	bad := data(packet.FlagACK, 2, "bad")
-	bad.TCP.Checksum ^= 0x1111
-	l.send(bad)
-	got = l.received[1]
-	if got.TCP.VerifyChecksum(got.IP.Src, got.IP.Dst, got.Payload) {
-		t.Fatal("NAT repaired a deliberately bad checksum")
-	}
-	// Reverse direction translates back.
-	var atClient *packet.Packet
-	l.path.Client = netem.EndpointFunc(func(pkt *packet.Packet) { atClient = pkt })
-	resp := packet.NewTCP(srvAddr, 80, pub, 4000, packet.FlagACK, 9, 9, []byte("resp"))
-	l.path.SendFromServer(resp)
-	l.sim.Run(1000)
-	if atClient == nil || atClient.IP.Dst != cliAddr {
-		t.Fatalf("reverse NAT failed: %v", atClient)
-	}
-	if !atClient.TCP.VerifyChecksum(atClient.IP.Src, atClient.IP.Dst, atClient.Payload) {
-		t.Fatal("reverse NAT broke the checksum")
-	}
-}
-
 func TestBuildProfilesMatchTable2(t *testing.T) {
 	sim := netem.NewSimulator(1)
 	for _, p := range AllProfiles() {
@@ -226,7 +187,6 @@ func TestProcessorNames(t *testing.T) {
 		FlaglessDropper{},
 		NewFlagDropper("fin-dropper", packet.FlagFIN, 0.5, sim.Rand()),
 		NewStatefulFirewall("fw", true),
-		NewNAT("nat", cliAddr, srvAddr),
 	}
 	seen := map[string]bool{}
 	for _, p := range procs {
@@ -253,4 +213,11 @@ func TestStatefulFirewallRSTHonorProb(t *testing.T) {
 	if len(l.received) != 3 {
 		t.Fatalf("received %d", len(l.received))
 	}
+}
+
+// ConnDead reports whether the firewall killed the connection state for
+// the tuple.
+func (f *StatefulFirewall) ConnDead(t packet.FourTuple) bool {
+	c, ok := f.conns[t.Canonical()]
+	return ok && c.dead
 }

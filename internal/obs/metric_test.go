@@ -29,9 +29,9 @@ func TestGaugeBasics(t *testing.T) {
 
 func TestGaugeMerge(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
-	a.SetGauge("x", 3)
-	b.SetGauge("x", 4)
-	b.SetGauge("y", -1)
+	a.Gauge("x").Set(3)
+	b.Gauge("x").Set(4)
+	b.Gauge("y").Set(-1)
 	a.Merge(b)
 	s := a.Snapshot()
 	if s.Gauges["x"] != 7 || s.Gauges["y"] != -1 {
@@ -210,7 +210,7 @@ func TestPromLabel(t *testing.T) {
 func TestWriteProm(t *testing.T) {
 	r := NewRegistry()
 	r.Add("netem.send", 3)
-	r.SetGauge("pool.live", 5)
+	r.Gauge("pool.live").Set(5)
 	h := r.Histogram("span.handshake", []uint64{10, 20})
 	h.Observe(5)
 	h.Observe(25)

@@ -60,14 +60,6 @@ func (o *Obs) Count(name string) {
 	o.reg.Add(name, 1)
 }
 
-// CountN adds n to the named counter. Safe on a nil receiver.
-func (o *Obs) CountN(name string, n uint64) {
-	if o == nil {
-		return
-	}
-	o.reg.Add(name, n)
-}
-
 // Trace records one flight-recorder event. Safe on a nil receiver.
 func (o *Obs) Trace(subsys, verb string, seq uint32, flags uint8, detail string) {
 	if o == nil {

@@ -124,7 +124,6 @@ func TestRecorderUnderCapacity(t *testing.T) {
 func TestDisabledNoop(t *testing.T) {
 	var o *Obs
 	o.Count("x")
-	o.CountN("x", 5)
 	o.Trace("s", "v", 1, 2, "d")
 	if o.Registry() != nil || o.Recorder() != nil {
 		t.Fatal("nil Obs leaked a component")

@@ -124,14 +124,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	return g
 }
 
-// SetGauge sets the named gauge. Safe on a nil receiver.
-func (r *Registry) SetGauge(name string, v int64) {
-	if r == nil {
-		return
-	}
-	r.Gauge(name).Set(v)
-}
-
 // Histogram returns the named histogram, registering it with the given
 // bucket bounds on first use. Later calls return the existing
 // histogram regardless of bounds — the first registration pins the

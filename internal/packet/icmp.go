@@ -66,19 +66,6 @@ func (m *ICMPMessage) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// TimeExceeded builds the ICMP Time-Exceeded message a router emits when
-// it drops orig for TTL expiry. The body quotes orig's IP header and the
-// first 8 bytes of its L4 payload.
-func TimeExceeded(orig *Packet) *ICMPMessage {
-	quoted := orig.Serialize(SerializeOptions{ComputeChecksums: true, FixLengths: true})
-	hl := orig.IP.HeaderLen()
-	end := hl + 8
-	if end > len(quoted) {
-		end = len(quoted)
-	}
-	return &ICMPMessage{Type: ICMPTimeExceeded, Body: append([]byte(nil), quoted[:end]...)}
-}
-
 // QuotedTCP extracts the quoted original IPv4+TCP ports/seq from a
 // Time-Exceeded or Unreachable body, when the quoted datagram was TCP.
 func (m *ICMPMessage) QuotedTCP() (ip IPv4Header, srcPort, dstPort uint16, seq Seq, ok bool) {

@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -526,4 +527,25 @@ func TestFragmentTooSmallMTU(t *testing.T) {
 	if _, err := Fragment(p, 200); err == nil {
 		t.Fatal("DF should forbid fragmentation")
 	}
+}
+
+// MSSOption builds a maximum-segment-size option.
+func MSSOption(mss uint16) TCPOption {
+	d := make([]byte, 2)
+	binary.BigEndian.PutUint16(d, mss)
+	return TCPOption{Kind: OptMSS, Data: d}
+}
+
+// TimeExceeded builds on the heap the ICMP Time-Exceeded message a
+// router emits when it drops orig for TTL expiry, as TimeExceededPacket
+// does from a pool. The body quotes orig's IP header and the
+// first 8 bytes of its L4 payload.
+func TimeExceeded(orig *Packet) *ICMPMessage {
+	quoted := orig.Serialize(SerializeOptions{ComputeChecksums: true, FixLengths: true})
+	hl := orig.IP.HeaderLen()
+	end := hl + 8
+	if end > len(quoted) {
+		end = len(quoted)
+	}
+	return &ICMPMessage{Type: ICMPTimeExceeded, Body: append([]byte(nil), quoted[:end]...)}
 }

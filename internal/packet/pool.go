@@ -429,10 +429,9 @@ func (p *Packet) setIPOptions(opts []byte) {
 	p.IP.Options = b
 }
 
-// TimeExceededPacket is the pooled equivalent of building a router's
-// ICMP Time-Exceeded reply around packet.TimeExceeded: a finalized
-// reply from src quoting orig's IP header and first 8 L4 bytes. Like
-// TimeExceeded, it recomputes orig's checksums in place while quoting
+// TimeExceededPacket builds from the pool a router's ICMP Time-Exceeded
+// reply: a finalized reply from src quoting orig's IP header and first
+// 8 L4 bytes. It recomputes orig's checksums in place while quoting
 // (the original is being dropped; routers quote honest bytes).
 func (pl *Pool) TimeExceededPacket(orig *Packet, src Addr) *Packet {
 	rep := pl.Get()

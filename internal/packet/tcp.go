@@ -104,13 +104,6 @@ func (h *TCPHeader) HasMD5() bool {
 	return ok
 }
 
-// MSSOption builds a maximum-segment-size option.
-func MSSOption(mss uint16) TCPOption {
-	d := make([]byte, 2)
-	binary.BigEndian.PutUint16(d, mss)
-	return TCPOption{Kind: OptMSS, Data: d}
-}
-
 // TimestampOption builds an RFC 7323 timestamps option.
 func TimestampOption(tsval, tsecr uint32) TCPOption {
 	d := make([]byte, 8)

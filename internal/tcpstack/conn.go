@@ -441,15 +441,6 @@ func (c *Conn) Abandon() {
 	}
 }
 
-// Abort resets the connection, notifying the peer.
-func (c *Conn) Abort() {
-	if c.state == Closed {
-		return
-	}
-	c.transmit(packet.FlagRST|packet.FlagACK, c.sndNxt, c.rcvNxt, nil)
-	c.abort("local-abort")
-}
-
 func (c *Conn) abort(reason string) {
 	c.AbortReason = reason
 	c.rtxTimer++ // cancel timers

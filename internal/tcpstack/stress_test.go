@@ -286,3 +286,12 @@ func TestCloseAfterQueuedDataFlushes(t *testing.T) {
 		t.Fatalf("server state = %v, want FIN seen", serverConn.State())
 	}
 }
+
+// Abort resets the connection, notifying the peer.
+func (c *Conn) Abort() {
+	if c.state == Closed {
+		return
+	}
+	c.transmit(packet.FlagRST|packet.FlagACK, c.sndNxt, c.rcvNxt, nil)
+	c.abort("local-abort")
+}

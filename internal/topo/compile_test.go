@@ -85,7 +85,7 @@ func TestCompileShapedChain(t *testing.T) {
 		"link:c>r0(lat=1ms,bw=1mbit,queue=16,red) link:r0>c(lat=1ms,bw=1mbit,queue=16,red) " +
 		"link:r0>s(lat=1ms,bw=2mbit) link:s>r0(lat=1ms,bw=2mbit)"
 	sim := netem.NewSimulator(1)
-	f, err := compile(MustParseTopo(spec), testBinder(), Options{Sim: sim})
+	f, err := compile(mustParseTopo(t, spec), testBinder(), Options{Sim: sim})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestCompileShapedChain(t *testing.T) {
 // TestCompileTwoNodeChain covers the degenerate client—server chain.
 func TestCompileTwoNodeChain(t *testing.T) {
 	sim := netem.NewSimulator(1)
-	f, err := compile(MustParseTopo("node:c(client) node:s(server) link:c>s(lat=1ms) link:s>c(lat=1ms)"),
+	f, err := compile(mustParseTopo(t, "node:c(client) node:s(server) link:c>s(lat=1ms) link:s>c(lat=1ms)"),
 		nil, Options{Sim: sim})
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestCompileTwoNodeChain(t *testing.T) {
 }
 
 func TestCompileFabricECMP(t *testing.T) {
-	prog, err := NewProgram(MustParseTopo(ecmpSpec))
+	prog, err := NewProgram(mustParseTopo(t, ecmpSpec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestNewProgramErrors(t *testing.T) {
 		{"node:c(client) node:s(server) link:c>s(red) link:s>c", "queue/red require bw"},
 	}
 	for _, tc := range cases {
-		_, err := NewProgram(MustParseTopo(tc.in))
+		_, err := NewProgram(mustParseTopo(t, tc.in))
 		if err == nil {
 			t.Errorf("NewProgram(%q): want error containing %q, got nil", tc.in, tc.wantErr)
 			continue
@@ -211,7 +211,7 @@ func TestNewProgramErrors(t *testing.T) {
 
 // TestBindErrors covers unbound references and the nil binder.
 func TestBindErrors(t *testing.T) {
-	prog, err := NewProgram(MustParseTopo(linearSpec))
+	prog, err := NewProgram(mustParseTopo(t, linearSpec))
 	if err != nil {
 		t.Fatal(err)
 	}

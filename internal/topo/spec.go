@@ -182,16 +182,6 @@ func (s Spec) String() string {
 	return strings.Join(parts, " ")
 }
 
-// MustParseTopo is ParseTopo for statically-known specs; it panics on
-// error.
-func MustParseTopo(input string) Spec {
-	spec, err := ParseTopo(input)
-	if err != nil {
-		panic(err)
-	}
-	return spec
-}
-
 // ParseTopo parses the canonical text encoding:
 //
 //	topo  = stmt {" " stmt}

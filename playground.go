@@ -12,79 +12,67 @@ import (
 	"intango/internal/tcpstack"
 )
 
+// The Playground's fixed topology: playgroundHops routers between
+// client and server, the GFW tapping router playgroundGFWHop (counted
+// from 0), a Linux 4.4 server, and, unless PlaygroundConfig.GFW says
+// otherwise, playgroundKeyword as the censored keyword.
+const (
+	playgroundHops    = 8
+	playgroundGFWHop  = 2
+	playgroundKeyword = "ultrasurf"
+)
+
 // PlaygroundConfig configures a ready-made client—GFW—server topology.
 type PlaygroundConfig struct {
 	// Seed drives all randomness; equal seeds give identical runs.
 	Seed int64
-	// Hops is the router count between client and server (default 8).
-	Hops int
-	// GFWHop is the wiretap position (default 2).
-	GFWHop int
 	// GFW configures the censor; zero value gives an evolved-model
 	// device censoring the keyword "ultrasurf" deterministically.
 	GFW GFWConfig
-	// ServerStack selects the server TCP profile (default Linux 4.4).
-	ServerStack StackProfile
-	// Keyword overrides the censored keyword (default "ultrasurf").
-	Keyword string
 }
 
-// Playground is an assembled simulation the examples and quickstart
-// build on: a client stack behind a strategy engine, a GFW wiretap, and
-// an HTTP server.
+// Playground is an assembled simulation the examples build on: a
+// client stack behind a strategy engine, a GFW wiretap, and an HTTP
+// server.
 type Playground struct {
 	Sim *Simulator
-	// Path is the network between them: client — Hops routers —
-	// server, the GFW tapping router GFWHop (counted from 0).
+	// Path is the network between them: client — 8 routers — server,
+	// the GFW tapping the third.
 	Path   *Fabric
 	GFW    *GFWDevice
 	Client *Stack
 	Server *Stack
 	Engine *Engine
 
-	cfg        PlaygroundConfig
 	ServerAddr Addr
 	ClientAddr Addr
 }
 
 // NewPlayground assembles the topology.
 func NewPlayground(cfg PlaygroundConfig) *Playground {
-	if cfg.Hops == 0 {
-		cfg.Hops = 8
-	}
-	if cfg.GFWHop == 0 {
-		cfg.GFWHop = 2
-	}
-	if cfg.Keyword == "" {
-		cfg.Keyword = "ultrasurf"
-	}
 	if cfg.GFW.Keywords == nil {
-		cfg.GFW.Keywords = []string{cfg.Keyword}
+		cfg.GFW.Keywords = []string{playgroundKeyword}
 		cfg.GFW.Model = gfw.ModelEvolved2017
 		cfg.GFW.DetectionMissProb = -1 // deterministic playground
 	}
-	if cfg.ServerStack.Name == "" {
-		cfg.ServerStack = tcpstack.Linux44()
-	}
 	pg := &Playground{
 		Sim:        netem.NewSimulator(cfg.Seed),
-		cfg:        cfg,
 		ClientAddr: packet.AddrFrom4(10, 0, 0, 1),
 		ServerAddr: packet.AddrFrom4(203, 0, 113, 80),
 	}
 	link := netem.Link{Latency: time.Millisecond}
-	pg.Path = netem.NewChain(pg.Sim, cfg.Hops, link, link)
+	pg.Path = netem.NewChain(pg.Sim, playgroundHops, link, link)
 	pg.GFW = gfw.NewDevice("gfw", cfg.GFW, pg.Sim.Rand())
-	tap := pg.Path.Node(1 + cfg.GFWHop)
+	tap := pg.Path.Node(1 + playgroundGFWHop)
 	tap.Taps = []netem.Processor{pg.GFW}
 	tap.Processors = []netem.Processor{pg.GFW.IPFilter()}
 
 	pg.Client = tcpstack.NewStack(pg.ClientAddr, tcpstack.Linux44(), pg.Sim)
-	pg.Server = tcpstack.NewStack(pg.ServerAddr, cfg.ServerStack, pg.Sim)
+	pg.Server = tcpstack.NewStack(pg.ServerAddr, tcpstack.Linux44(), pg.Sim)
 	pg.Server.AttachServer(pg.Path)
 	appsim.ServeHTTP(pg.Server, 80)
 
-	env := core.DefaultEnv(uint8(cfg.Hops-1), pg.Sim.Rand())
+	env := core.DefaultEnv(uint8(playgroundHops-1), pg.Sim.Rand())
 	pg.Engine = core.NewEngine(pg.Sim, pg.Path, pg.Client, env)
 	return pg
 }
